@@ -54,7 +54,9 @@ type Expression = symexpr.Poly
 // Var names a symbolic unknown in an Expression.
 type Var = symexpr.Var
 
-// Target describes the machine being predicted for.
+// Target describes the machine being predicted for. The library
+// treats targets as read-only: no entry point mutates the Target it
+// is given, so one Target may serve concurrent calls.
 type Target = machine.Machine
 
 // mustTarget resolves a builtin target through the machine registry;

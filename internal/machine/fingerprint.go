@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"slices"
 	"sort"
 
+	"perfpredict/internal/ir"
 	"perfpredict/internal/source"
 )
 
@@ -58,37 +60,78 @@ func (m *Machine) Fingerprint() source.Fingerprint {
 		}
 	}
 
-	kinds := make([]string, 0, len(m.UnitCounts))
+	// Unit kinds sort into a stack buffer: a machine has a handful.
+	var kbuf [8]string
+	kinds := kbuf[:0]
 	for k := range m.UnitCounts {
 		kinds = append(kinds, string(k))
 	}
-	sort.Strings(kinds)
+	slices.Sort(kinds)
 	fp = fp.MixUint64(uint64(len(kinds)))
 	for _, k := range kinds {
 		fp = fp.MixString(k).MixUint64(uint64(int64(m.UnitCounts[UnitKind(k)])))
 	}
 
-	names := make([]string, 0, len(m.Table))
-	byName := make(map[string][]AtomicOp, len(m.Table))
-	for op, seq := range m.Table {
+	fp = fp.MixUint64(uint64(len(m.Table)))
+	if out, ok := mixTableByOpName(fp, m.Table); ok {
+		return out
+	}
+	return mixTableSorted(fp, m.Table)
+}
+
+// opsByName is every valid opcode in ascending mnemonic order — the
+// canonical order the cost table is hashed in, fixed once at init.
+var opsByName = func() []ir.Op {
+	ops := ir.AllOps()
+	sort.Slice(ops, func(i, j int) bool { return ops[i].String() < ops[j].String() })
+	return ops
+}()
+
+// mixTableByOpName hashes the cost table in opsByName order without
+// allocating. It reports false when the table holds a key outside
+// ir.AllOps; the caller then falls back to mixTableSorted, which
+// hashes the same entries in the same order for any key set.
+func mixTableByOpName(fp source.Fingerprint, table map[ir.Op][]AtomicOp) (source.Fingerprint, bool) {
+	found := 0
+	for _, op := range opsByName {
+		seq, ok := table[op]
+		if !ok {
+			continue
+		}
+		found++
+		fp = mixOpEntry(fp, op.String(), seq)
+	}
+	return fp, found == len(table)
+}
+
+// mixTableSorted hashes the cost table in the order of its keys'
+// sorted mnemonics, building that order per call.
+func mixTableSorted(fp source.Fingerprint, table map[ir.Op][]AtomicOp) source.Fingerprint {
+	names := make([]string, 0, len(table))
+	byName := make(map[string][]AtomicOp, len(table))
+	for op, seq := range table {
 		n := op.String()
 		names = append(names, n)
 		byName[n] = seq
 	}
 	sort.Strings(names)
-	fp = fp.MixUint64(uint64(len(names)))
 	for _, n := range names {
-		fp = fp.MixString(n)
-		seq := byName[n]
-		fp = fp.MixUint64(uint64(len(seq)))
-		for _, a := range seq {
-			fp = fp.MixString(a.Name).MixUint64(uint64(len(a.Segments)))
-			for _, s := range a.Segments {
-				fp = fp.MixString(string(s.Unit)).
-					MixUint64(uint64(int64(s.Start))).
-					MixUint64(uint64(int64(s.Noncov))).
-					MixUint64(uint64(int64(s.Cov)))
-			}
+		fp = mixOpEntry(fp, n, byName[n])
+	}
+	return fp
+}
+
+// mixOpEntry folds one cost-table entry: the op mnemonic and its
+// atomic-operation sequence with every segment.
+func mixOpEntry(fp source.Fingerprint, name string, seq []AtomicOp) source.Fingerprint {
+	fp = fp.MixString(name).MixUint64(uint64(len(seq)))
+	for _, a := range seq {
+		fp = fp.MixString(a.Name).MixUint64(uint64(len(a.Segments)))
+		for _, s := range a.Segments {
+			fp = fp.MixString(string(s.Unit)).
+				MixUint64(uint64(int64(s.Start))).
+				MixUint64(uint64(int64(s.Noncov))).
+				MixUint64(uint64(int64(s.Cov)))
 		}
 	}
 	return fp

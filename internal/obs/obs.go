@@ -80,6 +80,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, &gaugeFunc{name: name, help: help, fn: fn})
 }
 
+// GaugeFuncVec registers a gauge family over one label dimension
+// whose children, one per given label value, are computed at scrape
+// time by fn(value) and rendered in the given order.
+func (r *Registry) GaugeFuncVec(name, help, label string, values []string, fn func(value string) float64) {
+	r.register(name, &gaugeFuncVec{name: name, help: help, label: label, values: values, fn: fn})
+}
+
 // WritePrometheus renders every registered family in the text
 // exposition format.
 func (r *Registry) WritePrometheus(w io.Writer) {
@@ -265,6 +272,22 @@ type gaugeFunc struct {
 func (g *gaugeFunc) render(w io.Writer) {
 	header(w, g.name, g.help, "gauge")
 	fmt.Fprintf(w, "%s %s\n", g.name, formatFloat(g.fn()))
+}
+
+// gaugeFuncVec is a pull-style gauge family with one label.
+type gaugeFuncVec struct {
+	name   string
+	help   string
+	label  string
+	values []string
+	fn     func(value string) float64
+}
+
+func (g *gaugeFuncVec) render(w io.Writer) {
+	header(w, g.name, g.help, "gauge")
+	for _, v := range g.values {
+		fmt.Fprintf(w, "%s%s %s\n", g.name, mergeLabel("", g.label, v), formatFloat(g.fn(v)))
+	}
 }
 
 // labelKey renders `{a="x",b="y"}` (or "" for no labels) — both the

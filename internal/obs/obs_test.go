@@ -100,6 +100,25 @@ func TestGaugeFunc(t *testing.T) {
 	}
 }
 
+func TestGaugeFuncVec(t *testing.T) {
+	r := NewRegistry()
+	vals := map[string]float64{"program": 3, "target": 1}
+	r.GaugeFuncVec("memo_hits", "Hits.", "memo", []string{"program", "target"},
+		func(m string) float64 { return vals[m] })
+	got := render(r)
+	want := "# TYPE memo_hits gauge\nmemo_hits{memo=\"program\"} 3\nmemo_hits{memo=\"target\"} 1\n"
+	if !strings.Contains(got, want) {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
+	}
+	if err := Lint([]byte(got)); err != nil {
+		t.Error(err)
+	}
+	vals["target"] = 5
+	if got := render(r); !strings.Contains(got, "memo_hits{memo=\"target\"} 5\n") {
+		t.Errorf("gauge not re-read at scrape time:\n%s", got)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("weird", "w.", "path")

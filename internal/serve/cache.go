@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"perfpredict/internal/resultcache"
-	"perfpredict/internal/source"
 )
 
 // Serve-layer result caching. The cache stores fully encoded response
@@ -28,18 +27,6 @@ type rawResponse []byte
 type statusResponse struct {
 	status int
 	body   any
-}
-
-// programFP is the program half of a cache key: the structural AST
-// fingerprint when the source parses (formatting variants share an
-// entry — sound because responses never echo raw request text), or a
-// fingerprint of the raw text when it does not (so even per-slot
-// parse-error responses in a batch stay content-addressed).
-func programFP(src string) source.Fingerprint {
-	if prog, err := source.Parse(src); err == nil {
-		return source.FingerprintProgram(prog)
-	}
-	return resultcache.SourceKey(src)
 }
 
 // withResultCache fronts one handler computation with the result

@@ -10,7 +10,6 @@ import (
 	"net/http"
 
 	"perfpredict"
-	"perfpredict/internal/machine"
 	"perfpredict/internal/resultcache"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
@@ -135,13 +134,13 @@ func (s *Server) handleExplain(r *http.Request) (any, *apiError) {
 	if aerr := decodeBody(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	target, aerr := resolveMachine(req.Machine, req.Spec)
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
 	if aerr != nil {
 		return nil, aerr
 	}
-	key := resultcache.ExplainKey(programFP(req.Source), target.Fingerprint(), req.Nominal, req.SkipWhatIf)
+	key := resultcache.ExplainKey(s.programFP(req.Source), t.fp, req.Nominal, req.SkipWhatIf)
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		rep, err := perfpredict.ExplainCtx(r.Context(), req.Source, target, perfpredict.ExplainOptions{
+		rep, err := perfpredict.ExplainCtx(r.Context(), req.Source, t.target, perfpredict.ExplainOptions{
 			Nominal:    req.Nominal,
 			SkipWhatIf: req.SkipWhatIf,
 		})
@@ -163,15 +162,15 @@ func (s *Server) handlePredict(r *http.Request) (any, *apiError) {
 	if aerr := decodeBody(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	target, aerr := resolveMachine(req.Machine, req.Spec)
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
 	if aerr != nil {
 		return nil, aerr
 	}
-	key := resultcache.PredictKey(programFP(req.Source), target.Fingerprint(), req.Args)
+	key := resultcache.PredictKey(s.programFP(req.Source), t.fp, req.Args)
 	return s.withResultCache(r, key, func() (any, *apiError) {
 		// A one-element batch is the cache-aware, context-aware single
 		// prediction: it shares the server's warm segment cache.
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), []string{req.Source}, target,
+		preds, errs := perfpredict.PredictBatchCtx(r.Context(), []string{req.Source}, t.target,
 			perfpredict.BatchOptions{Workers: 1, Cache: s.seg})
 		if err := r.Context().Err(); err != nil {
 			return nil, ctxError(err)
@@ -179,7 +178,7 @@ func (s *Server) handlePredict(r *http.Request) (any, *apiError) {
 		if errs[0] != nil {
 			return nil, errBadProgram(errs[0].Error())
 		}
-		return buildPredictResponse(preds[0], target.Name, req.Args)
+		return buildPredictResponse(preds[0], t.target.Name, req.Args)
 	})
 }
 
@@ -220,7 +219,7 @@ func (s *Server) handleBatch(r *http.Request) (any, *apiError) {
 	if aerr := decodeBody(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	target, aerr := resolveMachine(req.Machine, req.Spec)
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -230,16 +229,16 @@ func (s *Server) handleBatch(r *http.Request) (any, *apiError) {
 	// same work is still the same work.
 	fps := make([]source.Fingerprint, len(req.Sources))
 	for i, src := range req.Sources {
-		fps[i] = programFP(src)
+		fps[i] = s.programFP(src)
 	}
-	key := resultcache.BatchKey(fps, target.Fingerprint(), req.Args)
+	key := resultcache.BatchKey(fps, t.fp, req.Args)
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), req.Sources, target,
+		preds, errs := perfpredict.PredictBatchCtx(r.Context(), req.Sources, t.target,
 			perfpredict.BatchOptions{Workers: s.boundWorkers(req.Workers), Cache: s.seg})
 		if err := r.Context().Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		resp := BatchResponse{Machine: target.Name, Results: make([]BatchItem, len(preds))}
+		resp := BatchResponse{Machine: t.target.Name, Results: make([]BatchItem, len(preds))}
 		for i := range preds {
 			if errs[i] != nil {
 				resp.Results[i].Error = &ErrorBody{Code: CodeBadProgram, Message: errs[i].Error()}
@@ -284,14 +283,13 @@ func (s *Server) handleOptimize(r *http.Request) (any, *apiError) {
 	if aerr := decodeBody(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	target, aerr := resolveMachine(req.Machine, req.Spec)
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
 	if aerr != nil {
 		return nil, aerr
 	}
-	// Parse and analyze up front: the structural fingerprint anchors
-	// the cache key, and an async submission must fail now — with the
-	// same 422 a sync call would produce — not inside a job the
-	// client has already been told to poll.
+	// Parse and analyze up front: an async submission must fail now —
+	// with the same 422 a sync call would produce — not inside a job
+	// the client has already been told to poll.
 	prog, err := source.Parse(req.Source)
 	if err != nil {
 		return nil, errBadProgram(err.Error())
@@ -299,37 +297,49 @@ func (s *Server) handleOptimize(r *http.Request) (any, *apiError) {
 	if _, err := sem.Analyze(prog); err != nil {
 		return nil, errBadProgram(err.Error())
 	}
-	key := resultcache.OptimizeKey(source.FingerprintProgram(prog), target.Fingerprint(),
+	key := resultcache.OptimizeKey(s.programFP(req.Source), t.fp,
 		req.Nominal, req.MaxNodes, req.MaxDepth)
 	if isAsync(r) {
-		return s.submitOptimize(req, target, key)
+		return s.submitOptimize(&req, t.target, key)
 	}
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		res, err := perfpredict.OptimizeCtx(r.Context(), req.Source, target, req.Nominal,
-			perfpredict.OptimizeOptions{
-				Workers:   s.boundWorkers(0),
-				SegCache:  s.seg,
-				NestCache: s.nest,
-				MaxNodes:  req.MaxNodes,
-				MaxDepth:  req.MaxDepth,
-			})
+		resp, err := s.optimize(r.Context(), &req, t.target, nil)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				return nil, ctxError(err)
 			}
 			return nil, errBadProgram(err.Error())
 		}
-		return OptimizeResponse{
-			Machine:         target.Name,
-			Source:          res.Source,
-			Transformations: res.Transformations,
-			PredictedBefore: res.PredictedBefore,
-			PredictedAfter:  res.PredictedAfter,
-			MemoryBefore:    res.MemoryBefore,
-			MemoryAfter:     res.MemoryAfter,
-			Explored:        res.Explored,
-		}, nil
+		return resp, nil
 	})
+}
+
+// optimize runs the bounded restructuring search on the server's
+// warm caches: the one computation behind a sync response and an
+// async job alike. progress may be nil.
+func (s *Server) optimize(ctx context.Context, req *OptimizeRequest, target *perfpredict.Target, progress func(explored int, best float64)) (OptimizeResponse, error) {
+	res, err := perfpredict.OptimizeCtx(ctx, req.Source, target, req.Nominal,
+		perfpredict.OptimizeOptions{
+			Workers:   s.boundWorkers(0),
+			SegCache:  s.seg,
+			NestCache: s.nest,
+			MaxNodes:  req.MaxNodes,
+			MaxDepth:  req.MaxDepth,
+			Progress:  progress,
+		})
+	if err != nil {
+		return OptimizeResponse{}, err
+	}
+	return OptimizeResponse{
+		Machine:         target.Name,
+		Source:          res.Source,
+		Transformations: res.Transformations,
+		PredictedBefore: res.PredictedBefore,
+		PredictedAfter:  res.PredictedAfter,
+		MemoryBefore:    res.MemoryBefore,
+		MemoryAfter:     res.MemoryAfter,
+		Explored:        res.Explored,
+	}, nil
 }
 
 // isAsync reports whether an optimize request asked for job-style
@@ -349,37 +359,6 @@ func (s *Server) boundWorkers(asked int) int {
 		return s.cfg.Workers
 	}
 	return asked
-}
-
-// resolveMachine picks the request's target: an inline spec when
-// given (parsed and strictly validated, 422 on any violation),
-// otherwise a registered machine name (404 when absent; default
-// POWER1). Naming both is a request-shape error. Inline-spec machines
-// share the warm caches safely — every cache key includes the machine
-// content fingerprint.
-func resolveMachine(name string, spec json.RawMessage) (*perfpredict.Target, *apiError) {
-	if len(spec) > 0 {
-		if name != "" {
-			return nil, errBadJSON("give machine or spec, not both")
-		}
-		sp, err := machine.ParseSpec(spec)
-		if err != nil {
-			return nil, errInvalidSpec(err.Error())
-		}
-		m, err := sp.Machine()
-		if err != nil {
-			return nil, errInvalidSpec(err.Error())
-		}
-		return m, nil
-	}
-	if name == "" {
-		name = "POWER1"
-	}
-	m, err := machine.Lookup(name)
-	if err != nil {
-		return nil, errUnknownMachine(err.Error())
-	}
-	return m, nil
 }
 
 // decodeBody reads and strictly decodes a JSON request body: unknown

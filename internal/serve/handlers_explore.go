@@ -84,7 +84,7 @@ func (s *Server) validateExplore(req *ExploreRequest) (*perfpredict.MachineTempl
 	}
 	fps := make([]source.Fingerprint, len(req.Kernels))
 	for i, src := range req.Kernels {
-		fps[i] = programFP(src)
+		fps[i] = s.programFP(src)
 	}
 	return tpl, resultcache.ExploreKey(tplFP, fps, req.Args, req.Target), nil
 }
@@ -99,16 +99,10 @@ func (s *Server) handleExplore(r *http.Request) (any, *apiError) {
 		return nil, aerr
 	}
 	if isAsync(r) {
-		return s.submitExplore(req, tpl, key)
+		return s.submitExplore(&req, tpl, key)
 	}
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		res, err := perfpredict.ExploreCtx(r.Context(), tpl, exploreKernels(req.Kernels),
-			perfpredict.ExploreOptions{
-				Workers:  s.boundWorkers(0),
-				Args:     req.Args,
-				Target:   req.Target,
-				SegCache: s.seg,
-			})
+		res, err := s.explore(r.Context(), &req, tpl, nil)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				return nil, ctxError(err)
@@ -120,4 +114,18 @@ func (s *Server) handleExplore(r *http.Request) (any, *apiError) {
 		}
 		return res, nil
 	})
+}
+
+// explore runs the sweep on the server's warm segment cache: the one
+// computation behind a sync response and an async job alike.
+// progress may be nil.
+func (s *Server) explore(ctx context.Context, req *ExploreRequest, tpl *perfpredict.MachineTemplate, progress func(done, total int)) (*perfpredict.ExploreResult, error) {
+	return perfpredict.ExploreCtx(ctx, tpl, exploreKernels(req.Kernels),
+		perfpredict.ExploreOptions{
+			Workers:  s.boundWorkers(0),
+			Args:     req.Args,
+			Target:   req.Target,
+			SegCache: s.seg,
+			Progress: progress,
+		})
 }

@@ -257,52 +257,28 @@ func jobErrBody(err error, code string) *ErrorBody {
 
 // submitOptimize handles POST /v1/optimize?async=1 after the request
 // has been decoded, validated, and key-addressed by handleOptimize.
-func (s *Server) submitOptimize(req OptimizeRequest, target *perfpredict.Target, key resultcache.Key) (any, *apiError) {
+func (s *Server) submitOptimize(req *OptimizeRequest, target *perfpredict.Target, key resultcache.Key) (any, *apiError) {
 	return s.submitJob(key, "opt-", func(ctx context.Context, j *job) ([]byte, *ErrorBody) {
-		res, err := perfpredict.OptimizeCtx(ctx, req.Source, target, req.Nominal,
-			perfpredict.OptimizeOptions{
-				Workers:   s.boundWorkers(0),
-				SegCache:  s.seg,
-				NestCache: s.nest,
-				MaxNodes:  req.MaxNodes,
-				MaxDepth:  req.MaxDepth,
-				Progress: func(explored int, best float64) {
-					j.explored.Store(int64(explored))
-					j.bestBits.Store(math.Float64bits(best))
-					j.hasBest.Store(true)
-				},
-			})
+		resp, err := s.optimize(ctx, req, target, func(explored int, best float64) {
+			j.explored.Store(int64(explored))
+			j.bestBits.Store(math.Float64bits(best))
+			j.hasBest.Store(true)
+		})
 		if err != nil {
 			return nil, jobErrBody(err, CodeBadProgram)
 		}
-		return marshalBody(OptimizeResponse{
-			Machine:         target.Name,
-			Source:          res.Source,
-			Transformations: res.Transformations,
-			PredictedBefore: res.PredictedBefore,
-			PredictedAfter:  res.PredictedAfter,
-			MemoryBefore:    res.MemoryBefore,
-			MemoryAfter:     res.MemoryAfter,
-			Explored:        res.Explored,
-		}), nil
+		return marshalBody(resp), nil
 	})
 }
 
 // submitExplore handles POST /v1/explore?async=1 after the request
 // has been decoded, validated, and key-addressed by handleExplore.
 // The job's Explored counter reports lattice cells evaluated.
-func (s *Server) submitExplore(req ExploreRequest, tpl *perfpredict.MachineTemplate, key resultcache.Key) (any, *apiError) {
+func (s *Server) submitExplore(req *ExploreRequest, tpl *perfpredict.MachineTemplate, key resultcache.Key) (any, *apiError) {
 	return s.submitJob(key, "exp-", func(ctx context.Context, j *job) ([]byte, *ErrorBody) {
-		res, err := perfpredict.ExploreCtx(ctx, tpl, exploreKernels(req.Kernels),
-			perfpredict.ExploreOptions{
-				Workers:  s.boundWorkers(0),
-				Args:     req.Args,
-				Target:   req.Target,
-				SegCache: s.seg,
-				Progress: func(done, total int) {
-					j.explored.Store(int64(done))
-				},
-			})
+		res, err := s.explore(ctx, req, tpl, func(done, total int) {
+			j.explored.Store(int64(done))
+		})
 		if err != nil {
 			return nil, jobErrBody(err, CodeBadProgram)
 		}

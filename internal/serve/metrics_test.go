@@ -154,6 +154,36 @@ func TestMetricsCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestMetricsFrontMemoCounts pins the front-end memo gauges over a
+// scripted sequence: a first predict misses both memos, a repeat hits
+// both, an unknown machine misses the target memo and never keys its
+// program, and a batch of one known and one new text hits the target
+// memo and splits the program lookups.
+func TestMetricsFrontMemoCounts(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	src := "program p\nreal x\nx = 1.0\nend\n"
+	for _, c := range []struct {
+		path   string
+		req    any
+		status int
+	}{
+		{"/v1/predict", PredictRequest{Source: src}, http.StatusOK},
+		{"/v1/predict", PredictRequest{Source: src}, http.StatusOK},
+		{"/v1/predict", PredictRequest{Source: src, Machine: "PDP11"}, http.StatusNotFound},
+		{"/v1/batch", BatchRequest{Sources: []string{src, src + "\n"}}, http.StatusOK},
+	} {
+		if status, body := postJSON(t, ts, c.path, c.req); status != c.status {
+			t.Fatalf("%s: status %d, want %d: %s", c.path, status, c.status, body)
+		}
+	}
+	got := scrape(t, ts)
+	expectSample(t, got, `predictd_front_memo_hits{memo="program"}`, "2")
+	expectSample(t, got, `predictd_front_memo_misses{memo="program"}`, "2")
+	expectSample(t, got, `predictd_front_memo_hits{memo="target"}`, "2")
+	expectSample(t, got, `predictd_front_memo_misses{memo="target"}`, "2")
+}
+
 // TestMetricsShedExactCount occupies the whole admission semaphore
 // white-box, sends one request (deterministically shed), releases,
 // and pins the shed counter and its 503.

@@ -27,6 +27,7 @@ import (
 	"perfpredict"
 	"perfpredict/internal/obs"
 	"perfpredict/internal/resultcache"
+	"perfpredict/internal/source"
 )
 
 // Config tunes the service. The zero value is usable: defaults are
@@ -105,6 +106,13 @@ type Server struct {
 	flights resultcache.Group
 	jobs    *jobManager
 
+	// hash, targets and programs are the request front end
+	// (front.go): each distinct target input and program text is
+	// resolved and keyed once.
+	hash     hasher
+	targets  *memo[targetKey, resolved]
+	programs *memo[memoKey, source.Fingerprint]
+
 	sem      chan struct{}
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -134,6 +142,10 @@ func New(cfg Config) *Server {
 		nest: perfpredict.NewNestCache(),
 		jobs: newJobManager(cfg.MaxJobs),
 		sem:  make(chan struct{}, cfg.MaxInflight),
+
+		hash:     newHasher(),
+		targets:  newMemo[targetKey, resolved](maxTargetMemo),
+		programs: newMemo[memoKey, source.Fingerprint](maxProgramMemo),
 	}
 	if !cfg.DisableResultCache {
 		s.results = resultcache.New(cfg.ResultCacheBytes)
@@ -232,6 +244,19 @@ func (s *Server) initMetrics() {
 	s.metrics.GaugeFunc("predictd_result_cache_evictions",
 		"Cumulative result-cache entries evicted to respect the byte budget.",
 		rcStat(func(st resultcache.Stats) int64 { return st.Evictions }))
+	memoStats := func(memo string) (hits, misses int64) {
+		if memo == "program" {
+			return s.programs.stats()
+		}
+		return s.targets.stats()
+	}
+	memos := []string{"program", "target"}
+	s.metrics.GaugeFuncVec("predictd_front_memo_hits",
+		"Cumulative request front-end memo hits: program texts keyed and targets resolved without parsing or building.",
+		"memo", memos, func(m string) float64 { h, _ := memoStats(m); return float64(h) })
+	s.metrics.GaugeFuncVec("predictd_front_memo_misses",
+		"Cumulative request front-end memo misses: program texts parsed and targets built.",
+		"memo", memos, func(m string) float64 { _, x := memoStats(m); return float64(x) })
 }
 
 // Results exposes the result cache (nil when disabled); the binary's
