@@ -90,12 +90,19 @@ type Result struct {
 // SegCache across the program variants explored by a transformation
 // search, or across the workers of a batch prediction.
 //
+// Entries are keyed by a 128-bit structural fingerprint of everything
+// a segment's price depends on: the machine's content fingerprint, the
+// segment's statements, the enclosing loop variables, whether it runs
+// inside a loop, and the declarations and constants visible to the
+// names it references (see Estimator.segKey). Like the NestCache, the
+// cache treats fingerprint collisions as impossible.
+//
 // A SegCache is safe for concurrent use by multiple goroutines: the
 // entry table is striped over segShards mutex-guarded shards (selected
-// by an FNV-1a hash of the segment key), and the hit/miss counters are
-// atomic. Two estimators missing on the same key concurrently may both
-// price the segment, but the entries they store are identical, so
-// results are deterministic regardless of interleaving.
+// by the key's low bits), and the hit/miss counters are atomic. Two
+// estimators missing on the same key concurrently may both price the
+// segment, but the entries they store are identical, so results are
+// deterministic regardless of interleaving.
 type SegCache struct {
 	shards [segShards]segCacheShard
 	hits   atomic.Int64
@@ -109,7 +116,7 @@ const segShards = 32
 
 type segCacheShard struct {
 	mu      sync.RWMutex
-	entries map[string]segEntry
+	entries map[source.Fingerprint]segEntry
 }
 
 type segEntry struct {
@@ -123,23 +130,12 @@ type segEntry struct {
 // per-estimator cache costs one allocation.
 func NewSegCache() *SegCache { return &SegCache{} }
 
-// shard selects the stripe for a key (inlined FNV-1a over the key
-// bytes; no allocation).
-func (c *SegCache) shard(key string) *segCacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &c.shards[h%segShards]
+func (c *SegCache) shard(key source.Fingerprint) *segCacheShard {
+	return &c.shards[key.Lo%segShards]
 }
 
 // lookup returns the cached entry for key, counting a hit or miss.
-func (c *SegCache) lookup(key string) (segEntry, bool) {
+func (c *SegCache) lookup(key source.Fingerprint) (segEntry, bool) {
 	s := c.shard(key)
 	s.mu.RLock()
 	ent, ok := s.entries[key]
@@ -153,11 +149,11 @@ func (c *SegCache) lookup(key string) (segEntry, bool) {
 }
 
 // store records an entry for key.
-func (c *SegCache) store(key string, ent segEntry) {
+func (c *SegCache) store(key source.Fingerprint, ent segEntry) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if s.entries == nil {
-		s.entries = map[string]segEntry{}
+		s.entries = map[source.Fingerprint]segEntry{}
 	}
 	s.entries[key] = ent
 	s.mu.Unlock()
@@ -192,6 +188,9 @@ type Estimator struct {
 	seen     map[symexpr.Var]bool
 	fresh    int
 	cache    *SegCache
+	lowered  *LowerMemo
+	// names is segKey's scratch set of referenced identifiers.
+	names map[string]bool
 
 	// Incremental re-pricing state (see incremental.go). nc is the
 	// shared nest-level cost cache; prog the program being priced
@@ -204,12 +203,12 @@ type Estimator struct {
 	logging bool
 	events  []regEvent
 	machFP  source.Fingerprint // machine content (Machine.Fingerprint)
-	machKey string             // machFP rendered for textual segment keys
 	keyFP   source.Fingerprint // machine + options
 	auxFP   source.Fingerprint // keyFP + whole-program environment
 }
 
-// New creates an estimator with a private segment cache.
+// New creates an estimator with a private segment cache and a private
+// lowering memo.
 //
 // An Estimator itself is single-goroutine state; to predict
 // concurrently, give each goroutine its own Estimator. They may share
@@ -219,7 +218,8 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 }
 
 // NewWithCache creates an estimator sharing a segment cache (pass nil
-// for a private one).
+// for a private one). Its lowering memo is private (see NewWithCaches
+// to share one).
 //
 // Concurrency contract: the SegCache is safe to share between
 // estimators running on different goroutines — cached segment costs
@@ -234,16 +234,15 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 	if cache == nil {
 		cache = NewSegCache()
 	}
-	mfp := m.Fingerprint()
 	return &Estimator{
-		tbl:     tbl,
-		m:       m,
-		opt:     opt,
-		trans:   lower.New(tbl, m, opt.Lower),
-		seen:    map[symexpr.Var]bool{},
-		cache:   cache,
-		machFP:  mfp,
-		machKey: mfp.String(),
+		tbl:    tbl,
+		m:      m,
+		opt:    opt,
+		trans:  lower.New(tbl, m, opt.Lower),
+		seen:   map[symexpr.Var]bool{},
+		cache:  cache,
+		names:  map[string]bool{},
+		machFP: m.Fingerprint(),
 	}
 }
 
@@ -424,7 +423,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 		e.addPre(ent.pre)
 		return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 	}
-	lw, err := e.trans.Body(stmts, loopVars)
+	lw, err := e.lowerBody(stmts, loopVars)
 	if err != nil {
 		return cost{}, err
 	}
@@ -476,17 +475,30 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 	return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 }
 
-// segKey builds a segment-cache key. It is prefixed with the machine's
+// segKey builds a segment-cache key. It starts from the machine's
 // content fingerprint: a SegCache shared across targets (successive
 // batches, multi-target searches) can only hit entries priced for a
 // machine with the identical cost table — name and pointer identity
-// play no part.
-func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) string {
-	k := e.machKey + "|" + source.StmtsString(stmts) + "|" + fmt.Sprint(loopVars)
-	if inLoop {
-		k += "|L"
+// play no part. Lowering also reads the types, shapes and constants of
+// the names the segment references, so their declarations are part of
+// the key: the same statements over integer and real arrays price
+// differently. Declarations of names the segment never mentions are
+// left out, so a variant that only adds declarations still hits.
+func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) source.Fingerprint {
+	fp := e.machFP.Mix(source.FingerprintStmts(stmts)).MixUint64(uint64(len(loopVars)))
+	for _, v := range loopVars {
+		fp = fp.MixString(v)
 	}
-	return k
+	if inLoop {
+		fp = fp.MixUint64(1)
+	} else {
+		fp = fp.MixUint64(0)
+	}
+	clear(e.names)
+	for _, s := range stmts {
+		source.StmtNames(s, e.names)
+	}
+	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, e.names))
 }
 
 // loop aggregates C(do v = lb, ub, step {B}) = C(lb)+C(ub)+C(step) +
@@ -720,7 +732,7 @@ func (e *Estimator) bodyShape(body []source.Stmt, loopVars []string) (tetris.Cos
 	if len(run) == 0 {
 		return tetris.CostBlock{}, false
 	}
-	lw, err := e.trans.Body(run, loopVars)
+	lw, err := e.lowerBody(run, loopVars)
 	if err != nil || len(lw.Body.Instrs) == 0 {
 		return tetris.CostBlock{}, false
 	}
@@ -739,7 +751,7 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		loopVars[k] = lc.Var
 	}
 	condCost := symexpr.Zero()
-	lw, err := e.trans.Condition(s.Cond, loopVars)
+	lw, err := e.lowerCondition(s.Cond, loopVars)
 	if err != nil {
 		return cost{}, err
 	}

@@ -14,23 +14,33 @@ import (
 	"perfpredict/internal/tetris"
 )
 
-// Caches bundles the two memoization layers an estimator can share
-// across program variants: the straight-line segment cache and the
-// loop-nest cost cache. Either may be nil.
+// Caches bundles the memoization layers an estimator can share: the
+// straight-line segment cache and the loop-nest cost cache, shared
+// across program variants, and the lowering memo, shared across the
+// machines one program is priced on. Any may be nil.
 type Caches struct {
 	Seg  *SegCache
 	Nest *NestCache
+	// Lower is shared only by estimators pricing the same parsed
+	// program (it keys on AST identity); a design-space sweep passes
+	// one per kernel to every lattice cell.
+	Lower *LowerMemo
 }
 
-// NewWithCaches creates an estimator sharing both cache layers. A nil
-// Seg gets a private segment cache; a nil Nest disables nest-level
-// caching (the estimator behaves exactly like NewWithCache).
+// NewWithCaches creates an estimator sharing the given cache layers. A
+// nil Seg gets a private segment cache; a nil Nest disables nest-level
+// caching (the estimator behaves exactly like NewWithCache); a nil
+// Lower gets a private lowering memo.
 //
-// The concurrency contract of NewWithCache extends to the nest cache:
-// both caches may be shared by estimators on different goroutines, and
-// predictions remain byte-identical to serial, cache-less runs.
+// The concurrency contract of NewWithCache extends to the nest cache
+// and the lowering memo: all three may be shared by estimators on
+// different goroutines, and predictions remain byte-identical to
+// serial, cache-less runs.
 func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Caches) *Estimator {
 	e := NewWithCache(tbl, m, opt, caches.Seg)
+	if caches.Lower != nil {
+		e.lowered = caches.Lower
+	}
 	if caches.Nest != nil {
 		e.nc = caches.Nest
 		e.keyFP = optionsFingerprint(e.machFP, e.opt)
@@ -373,7 +383,7 @@ func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry
 			return ent, nil
 		}
 	}
-	lw, err := e.trans.ExprOnly(b, loopVars)
+	lw, err := e.lowerBound(b, loopVars)
 	if err != nil {
 		return boundsEntry{}, err
 	}

@@ -1,0 +1,80 @@
+package aggregate
+
+import (
+	"testing"
+
+	"perfpredict/internal/machine"
+	"perfpredict/internal/sem"
+	"perfpredict/internal/source"
+)
+
+// declLoop is one loop over x and y; the declarations placed before it
+// decide whether it runs on the FPU or the FXU.
+const declLoop = `
+  do i = 1, n
+    x(i) = x(i) * y(i) + x(i)
+  end do
+end
+`
+
+func parseAnalyze(t *testing.T, src string) (*source.Program, *sem.Table) {
+	t.Helper()
+	p, err := source.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := sem.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, tbl
+}
+
+// TestSegCacheKeysOnDeclarations is the declared-type regression test:
+// the same statements over real and over integer arrays lower to
+// different operations, so a shared segment cache must not hand the
+// integer program the real program's price. Before declarations were
+// part of the segment key, the integer loop read 4.75·n + 3 from the
+// cache instead of its own 10.25·n + 3.
+func TestSegCacheKeysOnDeclarations(t *testing.T) {
+	m := machine.NewPOWER1()
+	shared := NewSegCache()
+	for _, decl := range []string{"real x(100), y(100)", "integer x(100), y(100)"} {
+		p, tbl := parseAnalyze(t, "program p\n  integer i, n\n  "+decl+declLoop)
+		want, err := New(tbl, m, DefaultOptions()).Program(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewWithCache(tbl, m, DefaultOptions(), shared).Program(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost.String() != want.Cost.String() {
+			t.Errorf("%s: shared cache priced %s, a fresh one %s", decl, got.Cost, want.Cost)
+		}
+	}
+}
+
+// TestSegCacheKeyIgnoresUnreferencedDecls: declarations of names a
+// segment never mentions stay out of its key, so a program variant
+// that only adds declarations (as tiling does) still hits every
+// segment.
+func TestSegCacheKeyIgnoresUnreferencedDecls(t *testing.T) {
+	m := machine.NewPOWER1()
+	shared := NewSegCache()
+	base := "program p\n  integer i, n\n  real x(100), y(100)\n"
+	p, tbl := parseAnalyze(t, base+declLoop)
+	if _, err := NewWithCache(tbl, m, DefaultOptions(), shared).Program(p); err != nil {
+		t.Fatal(err)
+	}
+	hits0, misses0 := shared.Stats()
+	p2, tbl2 := parseAnalyze(t, base+"  integer it\n  real z(50)\n"+declLoop)
+	if _, err := NewWithCaches(tbl2, m, DefaultOptions(), Caches{Seg: shared}).Program(p2); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := shared.Stats()
+	if misses != misses0 || hits == hits0 {
+		t.Errorf("extra declarations changed the segment keys: %d new misses, %d new hits",
+			misses-misses0, hits-hits0)
+	}
+}

@@ -6,24 +6,32 @@ import (
 	"testing"
 
 	"perfpredict/internal/aggregate"
+	"perfpredict/internal/kernels"
 	"perfpredict/internal/machine"
 )
 
+// benchInputs is the sweep the repository benchmark's explore workload
+// runs: the 24-cell POWER1 lattice (dispatch 2–5, FPU 1–3, FXU 1–2)
+// over five builtin kernels plus five corpus programs, whose Pareto
+// front has several members.
 func benchInputs(b *testing.B) (*machine.SpecTemplate, []Kernel) {
 	b.Helper()
-	src, err := os.ReadFile("../../testdata/corpus/programs/prog001.f")
-	if err != nil {
-		b.Fatal(err)
+	var ks []Kernel
+	for _, n := range []string{"matmul44", "jacobi", "f2", "f6", "daxpy"} {
+		k, err := kernels.Get(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks = append(ks, Kernel{Name: n, Source: k.Src})
 	}
-	tpl := &machine.SpecTemplate{
-		BaseMachine: "POWER1",
-		Dispatch:    &machine.IntRange{Min: 4, Max: 5},
-		Pipes: map[string]machine.IntRange{
-			"FPU": {Min: 1, Max: 2},
-			"FXU": {Min: 1, Max: 2},
-		},
+	for _, n := range []string{"prog034.f", "prog049.f", "prog003.f", "prog006.f", "prog050.f"} {
+		src, err := os.ReadFile("../../testdata/corpus/programs/" + n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks = append(ks, Kernel{Name: n, Source: string(src)})
 	}
-	return tpl, []Kernel{{Name: "prog001", Source: string(src)}}
+	return lattice24(), ks
 }
 
 func runExploreBench(b *testing.B, warm bool) {
@@ -57,8 +65,8 @@ func runExploreBench(b *testing.B, warm bool) {
 	b.ReportMetric(float64(front), "front")
 }
 
-// BenchmarkExploreCold sweeps an 8-cell POWER1 lattice with a fresh
-// segment cache every iteration — every cell pays full analysis cost.
+// BenchmarkExploreCold sweeps the lattice with a fresh segment cache
+// every iteration: every cell prices every segment.
 func BenchmarkExploreCold(b *testing.B) { runExploreBench(b, false) }
 
 // BenchmarkExploreWarm sweeps the same lattice over a pre-warmed

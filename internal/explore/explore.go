@@ -4,7 +4,9 @@
 // lattice of concrete machine configurations, every kernel of a
 // workload is batch-predicted on every cell through the shared
 // segment-cost cache, and the configurations are reduced to a Pareto
-// front over (hardware budget, per-kernel cost...).
+// front over (hardware budget, per-kernel cost...). Each kernel is
+// parsed, analyzed and lowered once per sweep — those layers do not
+// depend on the machine — so a cell pays only for pricing.
 //
 // Dominance is defined ONLY on the measured cost vector plus the
 // template's declared hardware-budget scalar — never on a structural
@@ -152,6 +154,40 @@ func Run(ctx context.Context, tpl *machine.SpecTemplate, kernels []Kernel, opt O
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("explore: no kernels")
 	}
+	return run(ctx, tpl, prepare(kernels), opt)
+}
+
+// preparedKernel is one kernel made ready for a sweep: parsed and
+// analyzed once, with the lowering memo all cells share. The program
+// and table are read-only from here on, so cells on different
+// goroutines may price them concurrently. err records a parse or
+// analysis failure; it surfaces from the first cell that reaches the
+// kernel, exactly where pricing would have hit it.
+type preparedKernel struct {
+	name  string
+	prog  *source.Program
+	tbl   *sem.Table
+	lower *aggregate.LowerMemo
+	err   error
+}
+
+func prepare(kernels []Kernel) []preparedKernel {
+	out := make([]preparedKernel, len(kernels))
+	for i, k := range kernels {
+		pk := &out[i]
+		pk.name = k.Name
+		pk.prog, pk.err = source.Parse(k.Source)
+		if pk.err == nil {
+			pk.tbl, pk.err = sem.Analyze(pk.prog)
+		}
+		if pk.err == nil {
+			pk.lower = aggregate.NewLowerMemo()
+		}
+	}
+	return out
+}
+
+func run(ctx context.Context, tpl *machine.SpecTemplate, kernels []preparedKernel, opt Options) (*Result, error) {
 	expanded, err := tpl.Expand()
 	if err != nil {
 		return nil, err
@@ -209,7 +245,7 @@ func Run(ctx context.Context, tpl *machine.SpecTemplate, kernels []Kernel, opt O
 
 	res := &Result{Cells: len(cells), Target: opt.Target}
 	for _, k := range kernels {
-		res.Kernels = append(res.Kernels, k.Name)
+		res.Kernels = append(res.Kernels, k.name)
 	}
 	buildFrontier(res, cells)
 	res.Best = pickBest(cells, opt.Target)
@@ -295,24 +331,22 @@ type atomicCounter struct{ n atomic.Int64 }
 func (c *atomicCounter) inc() int { return int(c.n.Add(1)) }
 
 // evalCell prices every kernel on one machine and evaluates the
-// symbolic costs at the sweep's evaluation point. Each evaluation
-// parses its own AST — estimator state is never shared across
-// goroutines — while priced segments flow through the shared,
-// machine-fingerprint-keyed segment cache.
-func evalCell(kernels []Kernel, m *machine.Machine, seg *aggregate.SegCache, args map[string]float64) ([]float64, error) {
+// symbolic costs at the sweep's evaluation point. Only the
+// machine-dependent layers run here: each kernel's estimator takes the
+// prepared program and table, lowers through the kernel's per-sweep
+// memo, and prices through the shared, machine-fingerprint-keyed
+// segment cache. Estimators themselves are never shared across
+// goroutines.
+func evalCell(kernels []preparedKernel, m *machine.Machine, seg *aggregate.SegCache, args map[string]float64) ([]float64, error) {
 	costs := make([]float64, len(kernels))
 	for ki, k := range kernels {
-		prog, err := source.Parse(k.Source)
-		if err != nil {
-			return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+		if k.err != nil {
+			return nil, fmt.Errorf("kernel %s: %w", k.name, k.err)
 		}
-		tbl, err := sem.Analyze(prog)
+		est := aggregate.NewWithCaches(k.tbl, m, aggregate.DefaultOptions(), aggregate.Caches{Seg: seg, Lower: k.lower})
+		res, err := est.Program(k.prog)
 		if err != nil {
-			return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
-		}
-		res, err := aggregate.NewWithCache(tbl, m, aggregate.DefaultOptions(), seg).Program(prog)
-		if err != nil {
-			return nil, fmt.Errorf("kernel %s: %w", k.Name, err)
+			return nil, fmt.Errorf("kernel %s: %w", k.name, err)
 		}
 		assign := make(map[symexpr.Var]float64, len(args)+len(res.Unknowns))
 		for name, v := range args {
@@ -330,7 +364,7 @@ func evalCell(kernels []Kernel, m *machine.Machine, seg *aggregate.SegCache, arg
 		}
 		v, err := res.Cost.Eval(assign)
 		if err != nil {
-			return nil, fmt.Errorf("kernel %s: eval: %w", k.Name, err)
+			return nil, fmt.Errorf("kernel %s: eval: %w", k.name, err)
 		}
 		costs[ki] = v
 	}

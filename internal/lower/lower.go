@@ -252,6 +252,9 @@ func (tr *Translator) reset(loopVars []string) {
 	tr.promoOrder = nil
 	tr.promotable = nil
 	tr.killedVars, tr.killedArrs = map[string]bool{}, map[string]bool{}
+	// Each Lowered owns its reference map: a memoized lowering must not
+	// see the translator's later passes.
+	tr.refs = nil
 }
 
 // scanPromotable finds memory locations safe to keep in registers for

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"perfpredict/internal/ir"
@@ -88,6 +90,43 @@ func (s *Spec) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("machine spec %s: %w", s.Name, err)
 	}
 	return append(out, '\n'), nil
+}
+
+// clone returns a deep copy of s: no map, slice or pointer is shared
+// with the original, and nil and empty collections stay as they were,
+// so the copy encodes exactly like s.
+func (s *Spec) clone() *Spec {
+	c := *s
+	c.Units = maps.Clone(s.Units)
+	if s.Ops != nil {
+		c.Ops = make(map[string][]AtomicOpSpec, len(s.Ops))
+		for op, seq := range s.Ops {
+			c.Ops[op] = cloneAtomicOps(seq)
+		}
+	}
+	if s.Memory != nil {
+		ms := *s.Memory
+		ms.Levels = slices.Clone(s.Memory.Levels)
+		if s.Memory.TLB != nil {
+			tlb := *s.Memory.TLB
+			ms.TLB = &tlb
+		}
+		c.Memory = &ms
+	}
+	return &c
+}
+
+// cloneAtomicOps deep-copies an atomic expansion, keeping nil and
+// empty slices distinct.
+func cloneAtomicOps(seq []AtomicOpSpec) []AtomicOpSpec {
+	if seq == nil {
+		return nil
+	}
+	out := make([]AtomicOpSpec, len(seq))
+	for i, a := range seq {
+		out[i] = AtomicOpSpec{Name: a.Name, Segments: slices.Clone(a.Segments)}
+	}
+	return out
 }
 
 // Validate checks every invariant the estimators depend on:

@@ -276,20 +276,11 @@ func (t *SpecTemplate) Expand() ([]Expanded, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Clone via the canonical encoding: cheap relative to pricing, and
-	// guaranteed deep.
-	baseData, err := base.Encode()
-	if err != nil {
-		return nil, err
-	}
 	dims := t.dimensions()
 	out := make([]Expanded, 0, size)
 	idx := make([]int, len(dims))
 	for cell := 0; cell < size; cell++ {
-		s, err := ParseSpec(baseData)
-		if err != nil {
-			return nil, fmt.Errorf("spec template: re-parsing base: %w", err)
-		}
+		s := base.clone()
 		choices := make(map[string]int, len(dims))
 		var suffix bytes.Buffer
 		for i, d := range dims {
@@ -327,16 +318,6 @@ func (t *SpecTemplate) Expand() ([]Expanded, error) {
 		}
 	}
 	return out, nil
-}
-
-func cloneAtomicOps(seq []AtomicOpSpec) []AtomicOpSpec {
-	out := make([]AtomicOpSpec, len(seq))
-	for i, a := range seq {
-		segs := make([]SegmentSpec, len(a.Segments))
-		copy(segs, a.Segments)
-		out[i] = AtomicOpSpec{Name: a.Name, Segments: segs}
-	}
-	return out
 }
 
 // BudgetOf computes the declared hardware-budget scalar of one

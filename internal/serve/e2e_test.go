@@ -107,6 +107,62 @@ func TestE2EPredictEqualsLibrary(t *testing.T) {
 	}
 }
 
+// TestE2EDeclaredTypesDoNotLeakAcrossRequests: one loop over real
+// arrays, then the same loop over integer arrays, through /v1/predict
+// and /v1/batch on one server. The server's warm segment cache must
+// not hand the integer program the real program's segment prices;
+// each body must equal a fresh library prediction.
+func TestE2EDeclaredTypesDoNotLeakAcrossRequests(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	target, err := perfpredict.LoadTarget("POWER1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const loop = "\n  do i = 1, n\n    x(i) = x(i) * y(i) + x(i)\n  end do\nend\n"
+	realSrc := "program p\n  integer i, n\n  real x(100), y(100)" + loop
+	intSrc := "program p\n  integer i, n\n  integer x(100), y(100)" + loop
+	for _, src := range []string{realSrc, intSrc} {
+		status, got := postJSON(t, ts, "/v1/predict", PredictRequest{Source: src})
+		if status != http.StatusOK {
+			t.Fatalf("predict status %d: %s", status, got)
+		}
+		pred, err := perfpredict.Predict(src, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantResp, aerr := buildPredictResponse(pred, target.Name, nil)
+		if aerr != nil {
+			t.Fatal(aerr.msg)
+		}
+		if want := marshalBody(wantResp); !bytes.Equal(got, want) {
+			t.Errorf("predict after a differently typed twin:\nserver  %s\nlibrary %s", got, want)
+		}
+	}
+	// A batch of both programs is a new result-cache key, so it prices
+	// again through the now warm segment cache.
+	srcs := []string{intSrc, realSrc}
+	status, got := postJSON(t, ts, "/v1/batch", BatchRequest{Sources: srcs})
+	if status != http.StatusOK {
+		t.Fatalf("batch status %d: %s", status, got)
+	}
+	want := BatchResponse{Machine: target.Name, Results: make([]BatchItem, len(srcs))}
+	for i, src := range srcs {
+		pred, err := perfpredict.Predict(src, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		item, aerr := buildBatchItem(pred, nil)
+		if aerr != nil {
+			t.Fatal(aerr.msg)
+		}
+		want.Results[i] = item
+	}
+	if wantBytes := marshalBody(want); !bytes.Equal(got, wantBytes) {
+		t.Errorf("batch after differently typed twins:\nserver  %s\nlibrary %s", got, wantBytes)
+	}
+}
+
 // TestE2EBatchEqualsLibrary prices the whole corpus in one /v1/batch
 // request and byte-compares against PredictBatch.
 func TestE2EBatchEqualsLibrary(t *testing.T) {

@@ -100,6 +100,14 @@ func TestE2EExploreErrorPaths(t *testing.T) {
 		{"unknown unit", ts, `{` + kernels + `,"template":{"base_machine":"POWER1","pipes":{"VPU":[1,2]}}}`, http.StatusUnprocessableEntity, CodeInvalidTemplate},
 		{"lattice too large", small, `{` + kernels + `,"template":{"base_machine":"POWER1","dispatch":[4,5],"pipes":{"FPU":[1,3]}}}`, http.StatusRequestEntityTooLarge, CodeLatticeTooLarge},
 		{"bad program", ts, `{"kernels":["do do do"],"template":{"base_machine":"POWER1","dispatch":[4,5]}}`, http.StatusUnprocessableEntity, CodeBadProgram},
+		{"bad program after good", ts, `{"kernels":["program p\n x = 1\nend\n","program p\n real a(10)\n a = 1\nend\n"],"template":{"base_machine":"POWER1","dispatch":[4,5]}}`, http.StatusUnprocessableEntity, CodeBadProgram},
+	}
+	// Kernels are parsed once per sweep, before any cell runs; a kernel
+	// that fails to parse or analyze still reports the first cell and
+	// the kernel, exactly as when every cell parsed its own copy.
+	wantMsgs := map[string]string{
+		"bad program":            `explore: cell POWER1[dispatch=4]: kernel k0: 1:1: expected program or subroutine (near "do")`,
+		"bad program after good": `explore: cell POWER1[dispatch=4]: kernel k1: 3:2: array "a" assigned without subscripts`,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +127,9 @@ func TestE2EExploreErrorPaths(t *testing.T) {
 			}
 			if er.Error.Code != tc.wantCode {
 				t.Errorf("code %q, want %q (%q)", er.Error.Code, tc.wantCode, er.Error.Message)
+			}
+			if want, ok := wantMsgs[tc.name]; ok && er.Error.Message != want {
+				t.Errorf("message %q, want %q", er.Error.Message, want)
 			}
 		})
 	}

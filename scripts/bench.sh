@@ -7,10 +7,14 @@
 # Non-gating — failures here should not fail CI, only lose a data
 # point.
 #
-# The Tetris suite runs -count times and records the MINIMUM of each
-# metric across runs: on a noisy single-core box the minimum is the
-# robust "how fast can this code go" statistic, and it is what
-# scripts/tetris_regress.sh compares fresh runs against.
+# The Tetris and explore suites run -count times and record the BEST
+# of each metric across runs: the minimum of times, sizes and counts,
+# the maximum of rates (units ending in "/s"). On a noisy box the best
+# run is the robust "how fast can this code go" statistic, and it is
+# what scripts/tetris_regress.sh compares fresh runs against.
+#
+# The explore suite always runs 5 sweeps per run, 5 runs: a sweep is
+# tens of milliseconds, so a single one is too noisy to record.
 #
 # Usage: scripts/bench.sh [benchtime] [tetris_benchtime] [tetris_count]
 #        (from anywhere; defaults 1x, 500x, 6)
@@ -24,7 +28,8 @@ tetris_count="${3:-6}"
 
 # to_json FILE: convert `BenchmarkName N value unit ...` lines to a
 # JSON array, folding repeated names (from -count) to the per-metric
-# minimum. iterations reports the max seen.
+# best: the maximum for rate units (ending in "/s"), the minimum for
+# everything else. iterations reports the max seen.
 to_json() {
 	awk '
 	/^Benchmark/ {
@@ -34,7 +39,8 @@ to_json() {
 		for (i = 3; i + 1 <= NF; i += 2) {
 			unit = $(i + 1); v = $i + 0
 			key = name SUBSEP unit
-			if (!(key in val) || v < val[key]) val[key] = v
+			rate = unit ~ /\/s$/
+			if (!(key in val) || (rate && v > val[key]) || (!rate && v < val[key])) val[key] = v
 			if (!(name SUBSEP unit in useen)) {
 				units[name] = units[name] (units[name] ? SUBSEP : "") unit
 				useen[name, unit] = 1
@@ -64,7 +70,7 @@ go test -run '^$' -bench 'BenchmarkOptimize|BenchmarkPredictBatch' \
 to_json "$tmp" >BENCH_optimize.json
 echo "wrote BENCH_optimize.json"
 
-go test -run '^$' -bench 'BenchmarkExplore' -benchtime "$benchtime" \
+go test -run '^$' -bench 'BenchmarkExplore' -benchtime 5x -count 5 \
 	-benchmem ./internal/explore | tee "$tmp"
 to_json "$tmp" >BENCH_explore.json
 echo "wrote BENCH_explore.json"
