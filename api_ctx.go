@@ -2,10 +2,8 @@ package perfpredict
 
 import (
 	"context"
-	"encoding/json"
 
 	"perfpredict/internal/aggregate"
-	"perfpredict/internal/resultcache"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
 	"perfpredict/internal/symexpr"
@@ -64,18 +62,9 @@ type OptimizeOptions struct {
 	// defaults of 40 states / depth 3).
 	MaxNodes int
 	MaxDepth int
-	// Results, when non-nil, caches finished OptimizeResults by
-	// content address (program structure × machine content × nominal
-	// point × bounds). A hit skips the search entirely and returns
-	// the cached result with the four cache counters zeroed — the
-	// counters describe pricing work performed, and a hit performs
-	// none. Only complete searches are cached; cancelled or failed
-	// ones never are.
-	Results ResultBackend
 	// Progress, when non-nil, is called after every search-node
 	// expansion with the nodes expanded so far and the incumbent
-	// cost. It runs on the search goroutine; keep it fast. Cache hits
-	// (Results) report no progress — no search runs.
+	// cost. It runs on the search goroutine; keep it fast.
 	Progress func(explored int, best float64)
 }
 
@@ -92,19 +81,6 @@ func OptimizeCtx(ctx context.Context, src string, target *Target, nominal map[st
 	}
 	if _, err := sem.Analyze(prog); err != nil {
 		return OptimizeResult{}, err
-	}
-	var rkey resultcache.Key
-	if opt.Results != nil {
-		rkey = resultcache.OptimizeKey(source.FingerprintProgram(prog), target.Fingerprint(),
-			nominal, opt.MaxNodes, opt.MaxDepth)
-		if b, ok := opt.Results.Get(rkey); ok {
-			var out OptimizeResult
-			if err := json.Unmarshal(b, &out); err == nil {
-				return out, nil
-			}
-			// An undecodable entry (foreign writer, version skew) is
-			// treated as a miss; the fresh result overwrites it below.
-		}
 	}
 	nom := map[symexpr.Var]float64{}
 	for k, v := range nominal {
@@ -138,17 +114,6 @@ func OptimizeCtx(ctx context.Context, src string, target *Target, nominal map[st
 	}
 	for _, mv := range res.Sequence {
 		out.Transformations = append(out.Transformations, mv.String())
-	}
-	if opt.Results != nil && serr == nil {
-		// Zero the counters before caching: they are a property of
-		// this call's cache state, not of the (program, machine,
-		// options) identity the key names.
-		c := out
-		c.SegCacheHits, c.SegCacheMisses = 0, 0
-		c.NestCacheHits, c.NestsRepriced = 0, 0
-		if b, err := json.Marshal(c); err == nil {
-			opt.Results.Put(rkey, b)
-		}
 	}
 	return out, serr
 }

@@ -11,12 +11,11 @@ package aggregate
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"perfpredict/internal/cachemodel"
 	"perfpredict/internal/ir"
 	"perfpredict/internal/lower"
+	"perfpredict/internal/lru"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
@@ -91,33 +90,27 @@ type Result struct {
 // search, or across the workers of a batch prediction.
 //
 // Entries are keyed by a 128-bit structural fingerprint of everything
-// a segment's price depends on: the machine's content fingerprint, the
-// segment's statements, the enclosing loop variables, whether it runs
-// inside a loop, and the declarations and constants visible to the
-// names it references (see Estimator.segKey). Like the NestCache, the
-// cache treats fingerprint collisions as impossible.
+// a segment's price depends on: the machine's content fingerprint and
+// the aggregation options, the segment's statements, the enclosing
+// loop variables, whether it runs inside a loop, and the declarations
+// and constants visible to the names it references (see
+// Estimator.segKey). Like the NestCache, the cache treats fingerprint
+// collisions as impossible.
 //
-// A SegCache is safe for concurrent use by multiple goroutines: the
-// entry table is striped over segShards mutex-guarded shards (selected
-// by the key's low bits), and the hit/miss counters are atomic. Two
-// estimators missing on the same key concurrently may both price the
-// segment, but the entries they store are identical, so results are
-// deterministic regardless of interleaving.
+// A SegCache is an lru.Cache bounded to segBudget entries, so a
+// long-lived shared instance stops growing; an evicted segment is
+// simply priced again. It is safe for concurrent use by multiple
+// goroutines. Two estimators missing on the same key concurrently may
+// both price the segment, but the entries they store are identical,
+// so results are deterministic regardless of interleaving and of
+// eviction.
 type SegCache struct {
-	shards [segShards]segCacheShard
-	hits   atomic.Int64
-	misses atomic.Int64
+	c lru.Cache[source.Fingerprint, segEntry]
 }
 
-// segShards is the stripe count: enough to keep contention negligible
-// for worker pools up to a few dozen goroutines, small enough that an
-// idle cache stays cheap.
-const segShards = 32
-
-type segCacheShard struct {
-	mu      sync.RWMutex
-	entries map[source.Fingerprint]segEntry
-}
+// segBudget bounds a SegCache's entries. It is far above the working
+// set of one search or sweep, so only a long-running server evicts.
+const segBudget = 1 << 18
 
 type segEntry struct {
 	iter  float64
@@ -125,56 +118,44 @@ type segEntry struct {
 	entry float64
 }
 
+// initFPCache sizes one fingerprint-keyed table of the cost caches:
+// budget entries striped over the maximum shard count by the key's
+// low bits.
+func initFPCache[V any](c *lru.Cache[source.Fingerprint, V], budget int64) {
+	c.Init(lru.Config[source.Fingerprint, V]{
+		Budget: budget,
+		Shards: lru.MaxShards,
+		Bits:   func(k source.Fingerprint) uint64 { return k.Lo },
+	})
+}
+
 // NewSegCache creates an empty segment cache, ready for concurrent
 // use. Shard tables are created lazily on first store, so a private
 // per-estimator cache costs one allocation.
-func NewSegCache() *SegCache { return &SegCache{} }
+func NewSegCache() *SegCache { return NewSegCacheSized(segBudget) }
 
-func (c *SegCache) shard(key source.Fingerprint) *segCacheShard {
-	return &c.shards[key.Lo%segShards]
-}
-
-// lookup returns the cached entry for key, counting a hit or miss.
-func (c *SegCache) lookup(key source.Fingerprint) (segEntry, bool) {
-	s := c.shard(key)
-	s.mu.RLock()
-	ent, ok := s.entries[key]
-	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ent, ok
-}
-
-// store records an entry for key.
-func (c *SegCache) store(key source.Fingerprint, ent segEntry) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[source.Fingerprint]segEntry{}
-	}
-	s.entries[key] = ent
-	s.mu.Unlock()
+// NewSegCacheSized creates a segment cache bounded to budget entries.
+// NewSegCache is the production size; tests shrink the budget to
+// force eviction.
+func NewSegCacheSized(budget int) *SegCache {
+	c := &SegCache{}
+	initFPCache(&c.c, int64(budget))
+	return c
 }
 
 // Stats reports hits and misses so far. Safe to call concurrently with
 // ongoing estimations.
 func (c *SegCache) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
+	st := c.c.Stats()
+	return int(st.Hits), int(st.Misses)
 }
 
 // Len reports the number of cached segment entries.
-func (c *SegCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
-}
+func (c *SegCache) Len() int { return c.c.Len() }
+
+// Evictions reports how many entries have been dropped to respect the
+// budget.
+func (c *SegCache) Evictions() int { return int(c.c.Stats().Evictions) }
 
 // Estimator aggregates costs for one program unit on one machine.
 type Estimator struct {
@@ -202,8 +183,7 @@ type Estimator struct {
 	changed [][]int
 	logging bool
 	events  []regEvent
-	machFP  source.Fingerprint // machine content (Machine.Fingerprint)
-	keyFP   source.Fingerprint // machine + options
+	keyFP   source.Fingerprint // machine content + options
 	auxFP   source.Fingerprint // keyFP + whole-program environment
 }
 
@@ -235,14 +215,14 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 		cache = NewSegCache()
 	}
 	return &Estimator{
-		tbl:    tbl,
-		m:      m,
-		opt:    opt,
-		trans:  lower.New(tbl, m, opt.Lower),
-		seen:   map[symexpr.Var]bool{},
-		cache:  cache,
-		names:  map[string]bool{},
-		machFP: m.Fingerprint(),
+		tbl:   tbl,
+		m:     m,
+		opt:   opt,
+		trans: lower.New(tbl, m, opt.Lower),
+		seen:  map[symexpr.Var]bool{},
+		cache: cache,
+		names: map[string]bool{},
+		keyFP: optionsFingerprint(m.Fingerprint(), opt),
 	}
 }
 
@@ -419,7 +399,7 @@ func isStraight(s source.Stmt) bool {
 // bins); the hoisted preheader cost accumulates into the one-time bin.
 func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool) (cost, error) {
 	key := e.segKey(stmts, loopVars, inLoop)
-	if ent, ok := e.cache.lookup(key); ok {
+	if ent, ok := e.cache.c.Get(key); ok {
 		e.addPre(ent.pre)
 		return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 	}
@@ -471,21 +451,23 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 		}
 		ent.entry += float64(res.Cost)
 	}
-	e.cache.store(key, ent)
+	e.cache.c.Put(key, ent)
 	return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 }
 
-// segKey builds a segment-cache key. It starts from the machine's
-// content fingerprint: a SegCache shared across targets (successive
-// batches, multi-target searches) can only hit entries priced for a
-// machine with the identical cost table — name and pointer identity
-// play no part. Lowering also reads the types, shapes and constants of
-// the names the segment references, so their declarations are part of
-// the key: the same statements over integer and real arrays price
-// differently. Declarations of names the segment never mentions are
-// left out, so a variant that only adds declarations still hits.
+// segKey builds a segment-cache key. It starts from keyFP, the
+// machine's content fingerprint mixed with the aggregation options: a
+// SegCache shared across targets (successive batches, multi-target
+// searches) can only hit entries priced for a machine with the
+// identical cost table — name and pointer identity play no part — and
+// under the identical lowering, tetris and steady-state options.
+// Lowering also reads the types, shapes and constants of the names the
+// segment references, so their declarations are part of the key: the
+// same statements over integer and real arrays price differently.
+// Declarations of names the segment never mentions are left out, so a
+// variant that only adds declarations still hits.
 func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) source.Fingerprint {
-	fp := e.machFP.Mix(source.FingerprintStmts(stmts)).MixUint64(uint64(len(loopVars)))
+	fp := e.keyFP.Mix(source.FingerprintStmts(stmts)).MixUint64(uint64(len(loopVars)))
 	for _, v := range loopVars {
 		fp = fp.MixString(v)
 	}

@@ -41,10 +41,7 @@ func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Cache
 	if caches.Lower != nil {
 		e.lowered = caches.Lower
 	}
-	if caches.Nest != nil {
-		e.nc = caches.Nest
-		e.keyFP = optionsFingerprint(e.machFP, e.opt)
-	}
+	e.nc = caches.Nest
 	return e
 }
 
@@ -194,13 +191,13 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 		return e.loop(l, loops, path)
 	}
 	if e.nc.disabled {
-		e.nc.missDirect()
+		e.nc.direct.Add(1)
 		return e.loop(l, loops, path)
 	}
 	key := e.nestKey(l, loops)
 	if e.pathDirty(path) {
-		e.nc.missDirect()
-	} else if ent, ok := e.nc.lookup(key); ok {
+		e.nc.direct.Add(1)
+	} else if ent, ok := e.nc.entries.Get(key); ok {
 		return e.splice(ent), nil
 	}
 	m := e.mark()
@@ -208,7 +205,7 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 	if err != nil {
 		return cost{}, err
 	}
-	e.nc.store(key, e.captureNest(m, c))
+	e.nc.entries.Put(key, e.captureNest(m, c))
 	return c, nil
 }
 
@@ -330,7 +327,7 @@ func (e *Estimator) tetSteadyStateChained(b *ir.Block, iters int, chain map[ir.R
 // tetris options: with an active cache it is computed once per search.
 func (e *Estimator) ctlBase() (float64, error) {
 	if e.nc != nil && !e.nc.disabled {
-		if v, ok := e.nc.ctlLookup(e.keyFP); ok {
+		if v, ok := e.nc.ctl.Get(e.keyFP); ok {
 			return v, nil
 		}
 	}
@@ -340,7 +337,7 @@ func (e *Estimator) ctlBase() (float64, error) {
 	}
 	base := float64(res.Cost)
 	if e.nc != nil && !e.nc.disabled {
-		e.nc.ctlStore(e.keyFP, base)
+		e.nc.ctl.Put(e.keyFP, base)
 	}
 	return base, nil
 }
@@ -364,11 +361,11 @@ func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string) (tetris.Cost
 		return tetris.CostBlock{}, false
 	}
 	key := e.auxFP.Mix(source.FingerprintStmts(run)).MixString(fmt.Sprint(loopVars))
-	if ent, ok := e.nc.shapeLookup(key); ok {
+	if ent, ok := e.nc.shapes.Get(key); ok {
 		return ent.shape, ent.ok
 	}
 	shape, ok := e.bodyShape(body, loopVars)
-	e.nc.shapeStore(key, shapeEntry{shape: shape, ok: ok})
+	e.nc.shapes.Put(key, shapeEntry{shape: shape, ok: ok})
 	return shape, ok
 }
 
@@ -379,7 +376,7 @@ func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry
 	aux := e.auxActive()
 	if aux {
 		key = e.auxFP.MixString(source.ExprString(b)).MixString(fmt.Sprint(loopVars))
-		if ent, ok := e.nc.boundsLookup(key); ok {
+		if ent, ok := e.nc.bounds.Get(key); ok {
 			return ent, nil
 		}
 	}
@@ -405,7 +402,7 @@ func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry
 		ent.hasPre = true
 	}
 	if aux {
-		e.nc.boundsStore(key, ent)
+		e.nc.bounds.Put(key, ent)
 	}
 	return ent, nil
 }

@@ -1,9 +1,9 @@
 package aggregate
 
 import (
-	"sync"
 	"sync/atomic"
 
+	"perfpredict/internal/lru"
 	"perfpredict/internal/source"
 	"perfpredict/internal/tetris"
 )
@@ -26,13 +26,13 @@ import (
 // estimator (renaming fresh unknowns to the current counter) and the
 // spliced result is byte-identical to a full re-pricing.
 //
-// A NestCache is safe for concurrent use: the entry table is striped
-// over mutex-guarded shards and all counters are atomic. Concurrent
-// misses on one key may both price the nest; the entries they store
-// splice to identical results, so predictions are deterministic
-// regardless of interleaving. Keys are 128-bit structural hashes;
-// collisions are treated as impossible (the same stance the sharded
-// SegCache takes toward its textual keys being canonical).
+// A NestCache is safe for concurrent use: every table is an lru.Cache
+// bounded to nestBudget entries, and all counters are atomic.
+// Concurrent misses on one key may both price the nest; the entries
+// they store splice to identical results, so predictions are
+// deterministic regardless of interleaving and of eviction. Keys are
+// 128-bit structural hashes; collisions are treated as impossible (the
+// same stance the SegCache takes).
 type NestCache struct {
 	// disabled makes every lookup a counted miss and every store a
 	// no-op: the estimator then performs exactly the work it would
@@ -40,27 +40,25 @@ type NestCache struct {
 	// counters — the baseline side of a before/after measurement.
 	disabled bool
 
-	shards [nestShards]nestShard
-	hits   atomic.Int64
-	misses atomic.Int64
+	entries lru.Cache[source.Fingerprint, *nestEntry]
+	// direct counts re-pricings whose lookup was skipped (dirty path
+	// or counting mode); Stats adds them to the table's misses.
+	direct atomic.Int64
 	tetris atomic.Int64
 
-	// aux memoizes the sub-nest pieces that dominate the cost of
-	// re-pricing a nest that *did* change: the constant loop-control
-	// overhead, leading-run cost-block shapes, and loop-bound
-	// evaluation costs. These fire even when the enclosing nest misses.
-	auxMu  sync.RWMutex
-	ctl    map[source.Fingerprint]float64
-	shapes map[source.Fingerprint]shapeEntry
-	bounds map[source.Fingerprint]boundsEntry
+	// The aux tables memoize the sub-nest pieces that dominate the
+	// cost of re-pricing a nest that *did* change: the constant
+	// loop-control overhead, leading-run cost-block shapes, and
+	// loop-bound evaluation costs. These fire even when the enclosing
+	// nest misses.
+	ctl    lru.Cache[source.Fingerprint, float64]
+	shapes lru.Cache[source.Fingerprint, shapeEntry]
+	bounds lru.Cache[source.Fingerprint, boundsEntry]
 }
 
-const nestShards = 16
-
-type nestShard struct {
-	mu      sync.RWMutex
-	entries map[source.Fingerprint]*nestEntry
-}
+// nestBudget bounds each NestCache table's entries; one search fills
+// a few hundred.
+const nestBudget = 1 << 16
 
 // shapeEntry caches one bodyShape result (ok=false marks bodies with
 // no usable leading straight-line run).
@@ -82,7 +80,19 @@ type boundsEntry struct {
 
 // NewNestCache creates an empty nest-level cost cache, ready for
 // concurrent use.
-func NewNestCache() *NestCache { return &NestCache{} }
+func NewNestCache() *NestCache { return NewNestCacheSized(nestBudget) }
+
+// NewNestCacheSized creates a nest cache whose tables are each bounded
+// to budget entries. NewNestCache is the production size; tests shrink
+// the budget to force eviction.
+func NewNestCacheSized(budget int) *NestCache {
+	c := &NestCache{}
+	initFPCache(&c.entries, int64(budget))
+	initFPCache(&c.ctl, int64(budget))
+	initFPCache(&c.shapes, int64(budget))
+	initFPCache(&c.bounds, int64(budget))
+	return c
+}
 
 // NewNestCacheCounting creates a cache in counting mode: it never hits
 // and never stores, but still counts every nest re-pricing and tetris
@@ -90,96 +100,12 @@ func NewNestCache() *NestCache { return &NestCache{} }
 // aggregation — the baseline for measuring what an active cache saves.
 func NewNestCacheCounting() *NestCache { return &NestCache{disabled: true} }
 
-// Disabled reports whether the cache is in counting (never-hit) mode.
-func (c *NestCache) Disabled() bool { return c.disabled }
-
-func (c *NestCache) lookup(k source.Fingerprint) (*nestEntry, bool) {
-	if c.disabled {
-		c.misses.Add(1)
-		return nil, false
-	}
-	s := &c.shards[k.Lo%nestShards]
-	s.mu.RLock()
-	ent, ok := s.entries[k]
-	s.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return ent, ok
-}
-
-// missDirect counts a re-pricing whose lookup was skipped (the caller
-// knew the nest was dirty).
-func (c *NestCache) missDirect() { c.misses.Add(1) }
-
-func (c *NestCache) store(k source.Fingerprint, ent *nestEntry) {
-	if c.disabled {
-		return
-	}
-	s := &c.shards[k.Lo%nestShards]
-	s.mu.Lock()
-	if s.entries == nil {
-		s.entries = map[source.Fingerprint]*nestEntry{}
-	}
-	s.entries[k] = ent
-	s.mu.Unlock()
-}
-
-func (c *NestCache) ctlLookup(k source.Fingerprint) (float64, bool) {
-	c.auxMu.RLock()
-	v, ok := c.ctl[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) ctlStore(k source.Fingerprint, v float64) {
-	c.auxMu.Lock()
-	if c.ctl == nil {
-		c.ctl = map[source.Fingerprint]float64{}
-	}
-	c.ctl[k] = v
-	c.auxMu.Unlock()
-}
-
-func (c *NestCache) shapeLookup(k source.Fingerprint) (shapeEntry, bool) {
-	c.auxMu.RLock()
-	v, ok := c.shapes[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) shapeStore(k source.Fingerprint, v shapeEntry) {
-	c.auxMu.Lock()
-	if c.shapes == nil {
-		c.shapes = map[source.Fingerprint]shapeEntry{}
-	}
-	c.shapes[k] = v
-	c.auxMu.Unlock()
-}
-
-func (c *NestCache) boundsLookup(k source.Fingerprint) (boundsEntry, bool) {
-	c.auxMu.RLock()
-	v, ok := c.bounds[k]
-	c.auxMu.RUnlock()
-	return v, ok
-}
-
-func (c *NestCache) boundsStore(k source.Fingerprint, v boundsEntry) {
-	c.auxMu.Lock()
-	if c.bounds == nil {
-		c.bounds = map[source.Fingerprint]boundsEntry{}
-	}
-	c.bounds[k] = v
-	c.auxMu.Unlock()
-}
-
 // Stats reports nest-level hits and misses so far; misses count nests
 // actually re-priced (including dirty nests whose lookup was skipped).
 // Safe to call concurrently with ongoing estimations.
 func (c *NestCache) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
+	st := c.entries.Stats()
+	return int(st.Hits), int(st.Misses + c.direct.Load())
 }
 
 // TetrisCalls reports how many tetris estimator invocations (Estimate,
@@ -188,12 +114,11 @@ func (c *NestCache) Stats() (hits, misses int) {
 func (c *NestCache) TetrisCalls() int { return int(c.tetris.Load()) }
 
 // Len reports the number of cached nest entries.
-func (c *NestCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].entries)
-		c.shards[i].mu.RUnlock()
-	}
-	return n
+func (c *NestCache) Len() int { return c.entries.Len() }
+
+// Evictions reports how many entries, over all four tables, have been
+// dropped to respect the budget.
+func (c *NestCache) Evictions() int {
+	return int(c.entries.Stats().Evictions + c.ctl.Stats().Evictions +
+		c.shapes.Stats().Evictions + c.bounds.Stats().Evictions)
 }

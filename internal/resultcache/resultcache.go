@@ -11,10 +11,7 @@
 // is byte-identical to a recomputation by construction — eviction and
 // warmth can change latency, never content. Three pieces:
 //
-//   - Backend, the pluggable store interface. The in-process
-//     implementation is Cache, a mutex-striped sharded LRU with
-//     byte-size accounting; the interface is what a consistent-hash
-//     peer-sharded backend would implement later.
+//   - Cache, a byte-budgeted internal/lru.Cache of response bodies.
 //   - Snapshot/LoadSnapshot (snapshot.go), a checksummed on-disk image
 //     for warm restarts: written on drain, loaded on boot, and
 //     rejected wholesale on any corruption so a bad file can only ever
@@ -27,10 +24,7 @@
 // lives in one audited place.
 package resultcache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "perfpredict/internal/lru"
 
 // Key is the 128-bit content-addressed identity of one cacheable
 // result: a fingerprint over the program structure, the machine
@@ -38,19 +32,6 @@ import (
 // bytes. Build keys with PredictKey/BatchKey/OptimizeKey.
 type Key struct {
 	Hi, Lo uint64
-}
-
-// Backend is the pluggable store. Implementations must be safe for
-// concurrent use. Values are owned by the cache once Put and must be
-// treated as immutable by callers on both sides: the in-process
-// backend returns the stored slice without copying.
-type Backend interface {
-	// Get returns the value for key, if present.
-	Get(key Key) ([]byte, bool)
-	// Put stores a value. The backend may decline (e.g. an entry
-	// larger than the cache itself); Put never fails loudly because
-	// caching is always optional.
-	Put(key Key, val []byte)
 }
 
 // Stats is a point-in-time counter snapshot of a Cache.
@@ -73,33 +54,15 @@ const (
 	entryOverhead = 96
 )
 
-// Cache is the in-process Backend: an LRU sharded 16 ways by key bits
-// with per-shard byte budgets. All methods are safe for concurrent
-// use; the striping keeps the predict hot path (fingerprint + one
-// mutexed map probe) uncontended at serving concurrency.
+// Cache is the in-process result store: an lru.Cache of response
+// bodies sharded 16 ways by key bits, with per-shard byte budgets.
+// All methods are safe for concurrent use; the striping keeps the
+// predict hot path (fingerprint + one mutexed map probe) uncontended
+// at serving concurrency. Values are owned by the cache once Put and
+// are returned without copying, so callers on both sides treat them
+// as immutable.
 type Cache struct {
-	shards [nShards]shard
-
-	hits, misses       atomic.Int64
-	puts               atomic.Int64
-	evictions, rejects atomic.Int64
-}
-
-// entry is one cached value, linked into its shard's LRU list
-// (head = most recent).
-type entry struct {
-	key        Key
-	val        []byte
-	prev, next *entry
-}
-
-type shard struct {
-	mu      sync.Mutex
-	m       map[Key]*entry
-	head    *entry // most recently used
-	tail    *entry // least recently used
-	bytes   int64
-	maxByte int64
+	c lru.Cache[Key, []byte]
 }
 
 // New creates a cache bounded to roughly maxBytes of stored values
@@ -109,145 +72,36 @@ func New(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	perShard := maxBytes / nShards
-	if perShard < 1 {
-		perShard = 1
-	}
 	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i].m = map[Key]*entry{}
-		c.shards[i].maxByte = perShard
-	}
+	c.c.Init(lru.Config[Key, []byte]{
+		Budget: maxBytes,
+		Shards: nShards,
+		// Lo is FNV-mixed; its low bits are well distributed.
+		Bits: func(k Key) uint64 { return k.Lo },
+		Cost: func(v []byte) int64 { return int64(len(v)) + entryOverhead },
+	})
 	return c
-}
-
-func (c *Cache) shardFor(key Key) *shard {
-	// Lo is FNV-mixed; its low bits are well distributed.
-	return &c.shards[key.Lo&(nShards-1)]
 }
 
 // Get returns the cached value and promotes the entry to
 // most-recently-used.
-func (c *Cache) Get(key Key) ([]byte, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	s.moveToFront(e)
-	val := e.val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return val, true
-}
+func (c *Cache) Get(key Key) ([]byte, bool) { return c.c.Get(key) }
 
 // Put stores val under key, evicting least-recently-used entries as
 // needed to respect the shard's byte budget. Re-putting an existing
 // key replaces its value. A value larger than the whole shard budget
 // is rejected (storing it would just evict everything for one entry).
-func (c *Cache) Put(key Key, val []byte) {
-	s := c.shardFor(key)
-	size := int64(len(val)) + entryOverhead
-	if size > s.maxByte {
-		c.rejects.Add(1)
-		return
-	}
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok {
-		s.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		s.moveToFront(e)
-	} else {
-		e := &entry{key: key, val: val}
-		s.m[key] = e
-		s.pushFront(e)
-		s.bytes += size
-	}
-	for s.bytes > s.maxByte && s.tail != nil {
-		c.evictLocked(s, s.tail)
-	}
-	s.mu.Unlock()
-	c.puts.Add(1)
-}
-
-// evictLocked unlinks e and releases its budget. Caller holds s.mu.
-func (c *Cache) evictLocked(s *shard, e *entry) {
-	s.unlink(e)
-	delete(s.m, e.key)
-	s.bytes -= int64(len(e.val)) + entryOverhead
-	c.evictions.Add(1)
-}
-
-// Purge empties the cache, keeping cumulative counters.
-func (c *Cache) Purge() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = map[Key]*entry{}
-		s.head, s.tail = nil, nil
-		s.bytes = 0
-		s.mu.Unlock()
-	}
-}
+func (c *Cache) Put(key Key, val []byte) { c.c.Put(key, val) }
 
 // Stats reports cumulative counters and current occupancy.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Puts:      c.puts.Load(),
-		Evictions: c.evictions.Load(),
-		Rejected:  c.rejects.Load(),
+	st := c.c.Stats()
+	return Stats{
+		Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
+		Evictions: st.Evictions, Rejected: st.Rejects,
+		Entries: st.Entries, Bytes: st.Cost,
 	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		st.Entries += int64(len(s.m))
-		st.Bytes += s.bytes
-		s.mu.Unlock()
-	}
-	return st
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	return int(c.Stats().Entries)
-}
-
-// pushFront links e as the most recently used entry.
-func (s *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *shard) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
-}
+func (c *Cache) Len() int { return c.c.Len() }

@@ -61,14 +61,7 @@ func (c *Cache) Snapshot(w io.Writer) error {
 		val []byte
 	}
 	var all []kv
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.tail; e != nil; e = e.prev {
-			all = append(all, kv{e.key, e.val})
-		}
-		s.mu.Unlock()
-	}
+	c.c.Walk(func(k Key, v []byte) { all = append(all, kv{k, v}) })
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(all)))
 	if _, err := bw.Write(hdr[:]); err != nil {

@@ -3,10 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"hash/maphash"
-	"sync"
-	"sync/atomic"
 
 	"perfpredict"
+	"perfpredict/internal/lru"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/resultcache"
 	"perfpredict/internal/source"
@@ -26,7 +25,8 @@ import (
 //     fingerprint.
 //
 // Both memos are keyed by 128-bit seeded hashes of the raw input and
-// hold no request bytes. Both are bounded by fixed entry counts.
+// hold no request bytes. Both are bounded by fixed entry counts and
+// evict the least recently used input.
 // Sharing one built target across concurrent requests is sound
 // because the library treats targets as read-only. Memoising a name
 // forever is sound because registry names are write-once
@@ -59,57 +59,13 @@ func (h hasher) bytes(b []byte) memoKey {
 	return memoKey{maphash.Bytes(h.lo, b), maphash.Bytes(h.hi, b)}
 }
 
-// memo is a bounded map in two generations: inserts go to cur, and
-// when cur holds half the bound it becomes prev and a fresh cur
-// starts, dropping the old prev. A hit in prev moves the entry to
-// cur, so entries in use survive every rotation while the rest age
-// out. len(cur)+len(prev) never exceeds the bound.
-type memo[K comparable, V any] struct {
-	half int
-
-	mu        sync.Mutex
-	cur, prev map[K]V
-
-	hits, misses atomic.Int64
+// newMemo builds one front-end memo: an lru.Cache bounded to bound
+// entries in a single shard, so eviction is exact LRU over the whole
+// memo. Lookups cost far less than the parse or build they save, so
+// striping would buy nothing.
+func newMemo[K comparable, V any](bound int) *lru.Cache[K, V] {
+	return lru.New(lru.Config[K, V]{Budget: int64(bound)})
 }
-
-func newMemo[K comparable, V any](bound int) *memo[K, V] {
-	return &memo[K, V]{half: bound / 2, cur: map[K]V{}, prev: map[K]V{}}
-}
-
-func (m *memo[K, V]) get(k K) (V, bool) {
-	m.mu.Lock()
-	v, ok := m.cur[k]
-	if !ok {
-		if v, ok = m.prev[k]; ok {
-			delete(m.prev, k)
-			m.putLocked(k, v)
-		}
-	}
-	m.mu.Unlock()
-	if ok {
-		m.hits.Add(1)
-	} else {
-		m.misses.Add(1)
-	}
-	return v, ok
-}
-
-func (m *memo[K, V]) put(k K, v V) {
-	m.mu.Lock()
-	m.putLocked(k, v)
-	m.mu.Unlock()
-}
-
-func (m *memo[K, V]) putLocked(k K, v V) {
-	if len(m.cur) >= m.half {
-		m.prev, m.cur = m.cur, map[K]V{}
-	}
-	m.cur[k] = v
-}
-
-// stats reports cumulative hits and misses.
-func (m *memo[K, V]) stats() (hits, misses int64) { return m.hits.Load(), m.misses.Load() }
 
 // targetKey names a target input: a machine name, or the raw bytes
 // of an inline spec.
@@ -144,7 +100,7 @@ func (s *Server) resolveTarget(name string, spec json.RawMessage) (resolved, *ap
 		}
 		key = targetKey{hash: s.hash.str(name)}
 	}
-	if r, ok := s.targets.get(key); ok {
+	if r, ok := s.targets.Get(key); ok {
 		return r, nil
 	}
 	var m *perfpredict.Target
@@ -163,7 +119,7 @@ func (s *Server) resolveTarget(name string, spec json.RawMessage) (resolved, *ap
 		}
 	}
 	r := resolved{target: m, fp: m.Fingerprint()}
-	s.targets.put(key, r)
+	s.targets.Put(key, r)
 	return r, nil
 }
 
@@ -175,7 +131,7 @@ func (s *Server) resolveTarget(name string, spec json.RawMessage) (resolved, *ap
 // texts are answered by the program memo without parsing.
 func (s *Server) programFP(src string) source.Fingerprint {
 	key := s.hash.str(src)
-	if fp, ok := s.programs.get(key); ok {
+	if fp, ok := s.programs.Get(key); ok {
 		return fp
 	}
 	var fp source.Fingerprint
@@ -184,6 +140,6 @@ func (s *Server) programFP(src string) source.Fingerprint {
 	} else {
 		fp = resultcache.SourceKey(src)
 	}
-	s.programs.put(key, fp)
+	s.programs.Put(key, fp)
 	return fp
 }

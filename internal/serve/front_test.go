@@ -11,17 +11,17 @@ import (
 	"sync"
 	"testing"
 
+	"perfpredict/internal/lru"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/resultcache"
 )
 
 const frontProgram = "program p\ninteger i\nreal a(64)\ndo i = 1, 64\na(i) = a(i) + 1.0\nenddo\nend\n"
 
-// len reports the entries a memo holds.
-func (m *memo[K, V]) len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.cur) + len(m.prev)
+// memoStats reports a front-end memo's cumulative hits and misses.
+func memoStats[K comparable, V any](m *lru.Cache[K, V]) (hits, misses int64) {
+	st := m.Stats()
+	return st.Hits, st.Misses
 }
 
 // serveJSON drives the handler in process and returns status and body.
@@ -78,10 +78,10 @@ func TestFrontWhitespaceVariantsShareEntry(t *testing.T) {
 		t.Errorf("result cache: %d entries, %d hits; want 1 and 1", st.Entries, st.Hits)
 	}
 	mustServe(t, h, "/v1/predict", PredictRequest{Source: variant})
-	if hits, misses := s.programs.stats(); hits != 1 || misses != 2 {
+	if hits, misses := memoStats(s.programs); hits != 1 || misses != 2 {
 		t.Errorf("program memo: %d hits, %d misses; want 1 and 2", hits, misses)
 	}
-	if n := s.programs.len(); n != 2 {
+	if n := s.programs.Len(); n != 2 {
 		t.Errorf("program memo holds %d entries, want 2", n)
 	}
 }
@@ -130,7 +130,7 @@ func TestFrontNameAndInlineSpecShareEntries(t *testing.T) {
 	if st := s.Results().Stats(); st.Entries != 1 || st.Hits != 1 {
 		t.Errorf("result cache: %d entries, %d hits; want 1 and 1", st.Entries, st.Hits)
 	}
-	if n := s.targets.len(); n != 2 {
+	if n := s.targets.Len(); n != 2 {
 		t.Errorf("target memo holds %d entries, want 2 (one name, one spec)", n)
 	}
 }
@@ -185,10 +185,10 @@ func TestFrontFailedResolutionsNotMemoised(t *testing.T) {
 			t.Fatalf("invalid spec: status %d: %s", status, body)
 		}
 	}
-	if n := s.targets.len(); n != 0 {
+	if n := s.targets.Len(); n != 0 {
 		t.Errorf("target memo holds %d entries after failed resolutions only", n)
 	}
-	if hits, misses := s.targets.stats(); hits != 0 || misses != 4 {
+	if hits, misses := memoStats(s.targets); hits != 0 || misses != 4 {
 		t.Errorf("target memo: %d hits, %d misses; want 0 and 4", hits, misses)
 	}
 }
@@ -252,7 +252,7 @@ func TestFrontSharedTargetsStayPristine(t *testing.T) {
 			t.Errorf("%s: memoised fingerprint %s, fresh %s", what, r.fp, fresh.Fingerprint())
 		}
 	}
-	hitsBefore, _ := s.targets.stats()
+	hitsBefore, _ := memoStats(s.targets)
 	for _, name := range []string{"POWER1", "SuperScalar2", "Scalar1"} {
 		r, aerr := s.resolveTarget(name, nil)
 		if aerr != nil {
@@ -277,7 +277,7 @@ func TestFrontSharedTargetsStayPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("inline spec", r, fresh)
-	if hits, _ := s.targets.stats(); hits-hitsBefore != 4 {
+	if hits, _ := memoStats(s.targets); hits-hitsBefore != 4 {
 		t.Errorf("post-traffic resolutions: %d memo hits, want 4", hits-hitsBefore)
 	}
 }
@@ -303,20 +303,20 @@ func TestFrontMemoBounds(t *testing.T) {
 		if want := mustServe(t, New(Config{}).Handler(), "/v1/batch", req); !bytes.Equal(first[b], want) {
 			t.Fatalf("batch %d differs from a memo-cold server:\n%s\n%s", b, first[b], want)
 		}
-		if n := s.programs.len(); n > maxProgramMemo {
+		if n := s.programs.Len(); n > maxProgramMemo {
 			t.Fatalf("program memo holds %d entries, bound %d", n, maxProgramMemo)
 		}
 	}
 	// The first batches' texts have aged out of the memo; keyed
 	// again, they find the same result-cache entries.
 	hits := s.Results().Stats().Hits
-	_, misses := s.programs.stats()
+	_, misses := memoStats(s.programs)
 	for b := 0; b < 2; b++ {
 		if got := mustServe(t, h, "/v1/batch", batches[b]); !bytes.Equal(got, first[b]) {
 			t.Errorf("re-sent batch %d differs from its first response", b)
 		}
 	}
-	if _, m := s.programs.stats(); m-misses != 2*perBatch {
+	if _, m := memoStats(s.programs); m-misses != 2*perBatch {
 		t.Errorf("re-sent batches: %d program-memo misses, want %d", m-misses, 2*perBatch)
 	}
 	if got := s.Results().Stats().Hits - hits; got != 2 {
@@ -338,7 +338,7 @@ func TestFrontMemoBounds(t *testing.T) {
 		if want := mustServe(t, New(Config{}).Handler(), "/v1/predict", req); !bytes.Equal(got, want) {
 			t.Fatalf("spec %d differs from a memo-cold server:\n%s\n%s", i, got, want)
 		}
-		if n := s.targets.len(); n > maxTargetMemo {
+		if n := s.targets.Len(); n > maxTargetMemo {
 			t.Fatalf("target memo holds %d entries, bound %d", n, maxTargetMemo)
 		}
 	}

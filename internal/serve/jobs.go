@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"perfpredict"
+	"perfpredict/internal/lru"
 	"perfpredict/internal/resultcache"
 )
 
@@ -29,12 +30,12 @@ import (
 // Lifecycle: pending (accepted, waiting for a job slot) → running
 // (work executing; explored live, plus best_cost for searches) →
 // done | failed.
-// Terminal states are final; finished jobs are retained FIFO up to
-// maxFinishedJobs and then forgotten (polling a forgotten or never
-// issued id is 404 unknown_job). Submissions whose key matches an
-// unfinished job coalesce onto it — N identical submissions share one
-// search — and a submission whose result is already cached is born
-// done.
+// Terminal states are final; finished jobs are retained up to
+// maxFinishedJobs, and the least recently polled is forgotten first
+// (polling a forgotten or never issued id is 404 unknown_job).
+// Submissions whose key matches an unfinished job coalesce onto it —
+// N identical submissions share one search — and a submission whose
+// result is already cached is born done.
 
 const (
 	jobPending = "pending"
@@ -42,8 +43,8 @@ const (
 	jobDone    = "done"
 	jobFailed  = "failed"
 
-	// maxFinishedJobs bounds completed-job retention; the oldest
-	// finished job is dropped first. Unfinished jobs are never dropped.
+	// maxFinishedJobs bounds completed-job retention. Unfinished jobs
+	// are never dropped.
 	maxFinishedJobs = 256
 )
 
@@ -104,9 +105,9 @@ func (j *job) setState(s string) {
 // content-addressed key the result cache uses.
 type jobManager struct {
 	mu       sync.Mutex
-	jobs     map[string]*job
-	byKey    map[resultcache.Key]*job // unfinished jobs only
-	finished []string                 // FIFO eviction order
+	running  map[string]*job          // unfinished jobs by id
+	byKey    map[resultcache.Key]*job // unfinished jobs by key
+	finished *lru.Cache[string, *job] // retained finished jobs by id
 	seq      int64
 
 	sem    chan struct{} // bounds concurrently *running* jobs
@@ -116,9 +117,10 @@ type jobManager struct {
 
 func newJobManager(maxJobs int) *jobManager {
 	return &jobManager{
-		jobs:  map[string]*job{},
-		byKey: map[resultcache.Key]*job{},
-		sem:   make(chan struct{}, maxJobs),
+		running:  map[string]*job{},
+		byKey:    map[resultcache.Key]*job{},
+		finished: lru.New(lru.Config[string, *job]{Budget: maxFinishedJobs}),
+		sem:      make(chan struct{}, maxJobs),
 	}
 }
 
@@ -126,23 +128,25 @@ func newJobManager(maxJobs int) *jobManager {
 func (m *jobManager) get(id string) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	return j, ok
+	if j, ok := m.running[id]; ok {
+		return j, true
+	}
+	return m.finished.Get(id)
 }
 
 // newJob registers a fresh job in the given initial state; terminal
 // initial states (a cache-hit birth) go straight to the finished
-// FIFO. The prefix ("opt-", "exp-") marks the job's kind in its id;
+// table. The prefix ("opt-", "exp-") marks the job's kind in its id;
 // the sequence is shared, so ids are unique across kinds.
 func (m *jobManager) newJob(key resultcache.Key, prefix, state string) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
 	j := &job{id: fmt.Sprintf("%s%06d", prefix, m.seq), key: key, state: state}
-	m.jobs[j.id] = j
 	if state == jobDone || state == jobFailed {
-		m.retireLocked(j)
+		m.finished.Put(j.id, j)
 	} else {
+		m.running[j.id] = j
 		m.byKey[key] = j
 	}
 	return j
@@ -161,18 +165,9 @@ func (m *jobManager) finish(j *job, result json.RawMessage, errBody *ErrorBody) 
 	if m.byKey[j.key] == j {
 		delete(m.byKey, j.key)
 	}
-	m.retireLocked(j)
+	delete(m.running, j.id)
+	m.finished.Put(j.id, j)
 	m.mu.Unlock()
-}
-
-// retireLocked appends to the finished FIFO and evicts beyond the
-// retention cap. Caller holds m.mu.
-func (m *jobManager) retireLocked(j *job) {
-	m.finished = append(m.finished, j.id)
-	for len(m.finished) > maxFinishedJobs {
-		delete(m.jobs, m.finished[0])
-		m.finished = m.finished[1:]
-	}
 }
 
 // submitJob is the shared async admission path: coalesce onto an

@@ -126,6 +126,44 @@ func TestMetricsExactCountsAfterScriptedSequence(t *testing.T) {
 	expectSample(t, got, "predictd_result_cache_misses", "2")
 	expectSample(t, got, "predictd_result_cache_entries", "2")
 	expectSample(t, got, "predictd_singleflight_shared_total", "0")
+	// Nothing evicts at production budgets: every priced segment is
+	// still held, and predict and batch never touch the nest cache.
+	expectSample(t, got, "predictd_seg_cache_entries", misses)
+	expectSample(t, got, "predictd_seg_cache_evictions", "0")
+	expectSample(t, got, "predictd_nest_cache_entries", "0")
+	expectSample(t, got, "predictd_nest_cache_evictions", "0")
+	expectSample(t, got, `predictd_front_memo_evictions{memo="program"}`, "0")
+	expectSample(t, got, `predictd_front_memo_evictions{memo="target"}`, "0")
+}
+
+// TestMetricsEvictions pins the occupancy and eviction gauges on a
+// server whose caches hold one entry each: three predicts of distinct
+// programs on distinct machines evict from every memo layer, and no
+// gauge reports more entries than its budget.
+func TestMetricsEvictions(t *testing.T) {
+	ts := httptest.NewServer(newServer(Config{}, budgets{seg: 1, nest: 1, programs: 1, targets: 1}).Handler())
+	defer ts.Close()
+	for i, m := range []string{"POWER1", "SuperScalar2", "Scalar1"} {
+		src := "program p\ninteger i\nreal a(8)\ndo i = 1, 8\na(i) = a(i) * " + itoa(i+2) + ".0\nenddo\nend\n"
+		post := `{"source":` + quote(src) + `,"machine":"` + m + `"}`
+		resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(post))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", m, resp.StatusCode)
+		}
+	}
+	got := scrape(t, ts)
+	expectSample(t, got, "predictd_seg_cache_entries", "1")
+	expectSample(t, got, `predictd_front_memo_evictions{memo="program"}`, "2")
+	expectSample(t, got, `predictd_front_memo_evictions{memo="target"}`, "2")
+	if got["predictd_seg_cache_evictions"] == "0" {
+		t.Error("a one-entry segment cache reported no evictions")
+	}
+	expectSample(t, got, "predictd_nest_cache_entries", "0")
+	expectSample(t, got, "predictd_nest_cache_evictions", "0")
 }
 
 // TestMetricsCacheDisabled pins the escape hatch: with the result

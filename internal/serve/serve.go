@@ -25,6 +25,8 @@ import (
 	"time"
 
 	"perfpredict"
+	"perfpredict/internal/aggregate"
+	"perfpredict/internal/lru"
 	"perfpredict/internal/obs"
 	"perfpredict/internal/resultcache"
 	"perfpredict/internal/source"
@@ -110,8 +112,8 @@ type Server struct {
 	// (front.go): each distinct target input and program text is
 	// resolved and keyed once.
 	hash     hasher
-	targets  *memo[targetKey, resolved]
-	programs *memo[memoKey, source.Fingerprint]
+	targets  *lru.Cache[targetKey, resolved]
+	programs *lru.Cache[memoKey, source.Fingerprint]
 
 	sem      chan struct{}
 	inflight atomic.Int64
@@ -135,17 +137,38 @@ type Server struct {
 // inline specs) coexist in one cache and repeated shapes price as
 // lookups.
 func New(cfg Config) *Server {
+	return newServer(cfg, budgets{programs: maxProgramMemo, targets: maxTargetMemo})
+}
+
+// budgets sizes the server's entry-bounded caches; the result cache's
+// byte budget is Config.ResultCacheBytes. New uses the production
+// sizes; tests shrink them to force eviction.
+type budgets struct {
+	// seg and nest bound the segment cache and each nest-cache table;
+	// zero keeps the aggregate package's sizes.
+	seg, nest int
+	// programs and targets bound the front-end memos.
+	programs, targets int
+}
+
+func newServer(cfg Config, b budgets) *Server {
 	cfg.defaults()
 	s := &Server{
 		cfg:  cfg,
-		seg:  perfpredict.NewSegmentCache(),
-		nest: perfpredict.NewNestCache(),
+		seg:  aggregate.NewSegCache(),
+		nest: aggregate.NewNestCache(),
 		jobs: newJobManager(cfg.MaxJobs),
 		sem:  make(chan struct{}, cfg.MaxInflight),
 
 		hash:     newHasher(),
-		targets:  newMemo[targetKey, resolved](maxTargetMemo),
-		programs: newMemo[memoKey, source.Fingerprint](maxProgramMemo),
+		targets:  newMemo[targetKey, resolved](b.targets),
+		programs: newMemo[memoKey, source.Fingerprint](b.programs),
+	}
+	if b.seg > 0 {
+		s.seg = aggregate.NewSegCacheSized(b.seg)
+	}
+	if b.nest > 0 {
+		s.nest = aggregate.NewNestCacheSized(b.nest)
 	}
 	if !cfg.DisableResultCache {
 		s.results = resultcache.New(cfg.ResultCacheBytes)
@@ -213,6 +236,18 @@ func (s *Server) initMetrics() {
 	s.metrics.GaugeFunc("predictd_nest_cache_misses",
 		"Cumulative misses in the shared loop-nest cost cache.",
 		func() float64 { _, m := s.nest.Stats(); return float64(m) })
+	s.metrics.GaugeFunc("predictd_seg_cache_entries",
+		"Segment costs currently held by the shared segment cache.",
+		func() float64 { return float64(s.seg.Len()) })
+	s.metrics.GaugeFunc("predictd_seg_cache_evictions",
+		"Cumulative segment-cache entries evicted to respect the entry budget.",
+		func() float64 { return float64(s.seg.Evictions()) })
+	s.metrics.GaugeFunc("predictd_nest_cache_entries",
+		"Loop-nest costs currently held by the shared nest cache.",
+		func() float64 { return float64(s.nest.Len()) })
+	s.metrics.GaugeFunc("predictd_nest_cache_evictions",
+		"Cumulative nest-cache entries (nests and their sub-nest tables) evicted to respect the entry budget.",
+		func() float64 { return float64(s.nest.Evictions()) })
 	s.sfShared = s.metrics.Counter("predictd_singleflight_shared_total",
 		"Requests that waited on (and shared) another in-flight identical computation.")
 	s.jobEvents = s.metrics.Counter("predictd_jobs_total",
@@ -244,19 +279,22 @@ func (s *Server) initMetrics() {
 	s.metrics.GaugeFunc("predictd_result_cache_evictions",
 		"Cumulative result-cache entries evicted to respect the byte budget.",
 		rcStat(func(st resultcache.Stats) int64 { return st.Evictions }))
-	memoStats := func(memo string) (hits, misses int64) {
+	memoStats := func(memo string) lru.Stats {
 		if memo == "program" {
-			return s.programs.stats()
+			return s.programs.Stats()
 		}
-		return s.targets.stats()
+		return s.targets.Stats()
 	}
 	memos := []string{"program", "target"}
 	s.metrics.GaugeFuncVec("predictd_front_memo_hits",
 		"Cumulative request front-end memo hits: program texts keyed and targets resolved without parsing or building.",
-		"memo", memos, func(m string) float64 { h, _ := memoStats(m); return float64(h) })
+		"memo", memos, func(m string) float64 { return float64(memoStats(m).Hits) })
 	s.metrics.GaugeFuncVec("predictd_front_memo_misses",
 		"Cumulative request front-end memo misses: program texts parsed and targets built.",
-		"memo", memos, func(m string) float64 { _, x := memoStats(m); return float64(x) })
+		"memo", memos, func(m string) float64 { return float64(memoStats(m).Misses) })
+	s.metrics.GaugeFuncVec("predictd_front_memo_evictions",
+		"Cumulative request front-end memo entries evicted to respect the entry bound.",
+		"memo", memos, func(m string) float64 { return float64(memoStats(m).Evictions) })
 }
 
 // Results exposes the result cache (nil when disabled); the binary's
