@@ -170,8 +170,11 @@ type Estimator struct {
 	fresh    int
 	cache    *SegCache
 	lowered  *LowerMemo
-	// names is segKey's scratch set of referenced identifiers.
+	// names is the key builders' scratch set of referenced
+	// identifiers; nodes memoises statement digests and name sets
+	// (nil hashes from scratch).
 	names map[string]bool
+	nodes *source.NodeMemo
 
 	// Incremental re-pricing state (see incremental.go). nc is the
 	// shared nest-level cost cache; prog the program being priced
@@ -467,7 +470,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 // Declarations of names the segment never mentions are left out, so a
 // variant that only adds declarations still hits.
 func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) source.Fingerprint {
-	fp := e.keyFP.Mix(source.FingerprintStmts(stmts)).MixUint64(uint64(len(loopVars)))
+	fp := e.keyFP.Mix(e.nodes.Stmts(stmts)).MixUint64(uint64(len(loopVars)))
 	for _, v := range loopVars {
 		fp = fp.MixString(v)
 	}
@@ -478,7 +481,7 @@ func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) 
 	}
 	clear(e.names)
 	for _, s := range stmts {
-		source.StmtNames(s, e.names)
+		e.nodes.AddNames(s, e.names)
 	}
 	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, e.names))
 }

@@ -25,6 +25,11 @@ type Caches struct {
 	// program (it keys on AST identity); a design-space sweep passes
 	// one per kernel to every lattice cell.
 	Lower *LowerMemo
+	// Nodes memoises statement digests and name sets for the nest,
+	// segment and shape keys. Like Lower it keys on AST identity, so
+	// its lifetime is one unit of work: xform.SearchCtx installs a
+	// fresh one per search. Nil hashes every key from scratch.
+	Nodes *source.NodeMemo
 }
 
 // NewWithCaches creates an estimator sharing the given cache layers. A
@@ -42,6 +47,7 @@ func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Cache
 		e.lowered = caches.Lower
 	}
 	e.nc = caches.Nest
+	e.nodes = caches.Nodes
 	return e
 }
 
@@ -216,11 +222,11 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 // lowering and aggregation), and the declarations, constants, and
 // distribution directives of referenced names.
 func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprint {
-	names := map[string]bool{}
-	source.StmtNames(l, names)
-	fp := e.keyFP.Mix(source.FingerprintStmt(l))
+	clear(e.names)
+	e.nodes.AddNames(l, e.names)
+	fp := e.keyFP.Mix(e.nodes.Stmt(l))
 	for _, lc := range loops {
-		if names[lc.Var] {
+		if e.names[lc.Var] {
 			fp = fp.MixString(lc.Var)
 		}
 	}
@@ -230,7 +236,7 @@ func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprin
 	if len(loops) == 0 && e.m.Memory.Active() {
 		fp = fp.MixString("memroot")
 	}
-	return fp.Mix(source.FingerprintEnvFor(e.prog, names))
+	return fp.Mix(source.FingerprintEnvFor(e.prog, e.names))
 }
 
 // pathDirty reports whether path is on or above one of the changed
@@ -360,7 +366,7 @@ func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string) (tetris.Cost
 	if len(run) == 0 {
 		return tetris.CostBlock{}, false
 	}
-	key := e.auxFP.Mix(source.FingerprintStmts(run)).MixString(fmt.Sprint(loopVars))
+	key := e.auxFP.Mix(e.nodes.Stmts(run)).MixString(fmt.Sprint(loopVars))
 	if ent, ok := e.nc.shapes.Get(key); ok {
 		return ent.shape, ent.ok
 	}

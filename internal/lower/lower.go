@@ -98,6 +98,21 @@ type Translator struct {
 	nextReg ir.Reg
 	// cse maps expression keys to the register holding their value.
 	cse map[string]ir.Reg
+	// The cse keys are indexed by the loads they read, at every
+	// nesting level: a key holding "ld[s]" is listed under scalar s,
+	// one holding "ld[a(i)]" under array a. cseNames numbers each name
+	// for the translator's lifetime; cseHeads[id] holds the newest
+	// entry of the name's scalar and array lists in cseLinks, as
+	// index+1 (0 ends a list). A store deletes exactly the keys listed
+	// under its location (see killCSE). Lists may hold stale keys
+	// (deleted, or re-added and listed twice); deleting those again is
+	// harmless, because what a key reads is a function of the key.
+	cseNames map[string]int
+	cseHeads [][2]int32
+	cseLinks []cseLink
+	// killOracle, when set, replaces the indexed invalidation (tests
+	// plug the linear scan it replaced in here).
+	killOracle func(addr, base string)
 	// preCSE is the preheader's value map (survives body resets).
 	preCSE map[string]ir.Reg
 
@@ -151,6 +166,8 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 	return &Translator{
 		tbl: tbl, m: m, opt: opt,
 		preCSE:    map[string]ir.Reg{},
+		cse:       map[string]ir.Reg{},
+		cseNames:  map[string]int{},
 		subCache:  map[source.Expr]subEntry{},
 		addrCache: map[*source.ArrayRef]string{},
 		keyCache:  map[source.Expr]keyEntry{},
@@ -233,8 +250,8 @@ func (tr *Translator) reset(loopVars []string) {
 	tr.pre = &ir.Block{}
 	tr.perEntry = &ir.Block{}
 	tr.post = &ir.Block{}
-	tr.cse = map[string]ir.Reg{}
-	tr.preCSE = map[string]ir.Reg{}
+	tr.clearCSE()
+	clear(tr.preCSE)
 	tr.loadCount = 0
 	tr.loopVars = map[string]bool{}
 	tr.innerVar = ""
@@ -567,7 +584,7 @@ func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrR
 	if info, ok := tr.promotable[addr]; ok {
 		tr.promotedStore(addr, info, val, refID)
 		tr.killCSE(addr, base)
-		tr.cse[loadKey(addr)] = val
+		tr.setCSE(loadKey(addr), val)
 		return
 	}
 	op := ir.OpFStore
@@ -578,18 +595,101 @@ func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrR
 	tr.body.Append(ir.Instr{Op: op, Srcs: srcs, Addr: addr, Base: base, RefID: refID})
 	tr.killCSE(addr, base)
 	// Store-to-load forwarding.
-	tr.cse[loadKey(addr)] = val
+	tr.setCSE(loadKey(addr), val)
 }
 
-// killCSE drops CSE entries that depend on the stored location.
-func (tr *Translator) killCSE(addr, base string) {
-	needle := "[" + addr + "]"
-	baseNeedle := "[" + base + "("
-	for k := range tr.cse {
-		if strings.Contains(k, needle) || strings.Contains(k, baseNeedle) {
-			delete(tr.cse, k)
-		}
+// The two index lists of a name (see Translator.cseHeads).
+const (
+	cseScalar = iota
+	cseArray
+)
+
+// cseLink is one entry of a CSE index list: a key, and the index+1 of
+// the next older entry listed under the same name.
+type cseLink struct {
+	key  string
+	next int32
+}
+
+// clearCSE empties the body value map and its index, keeping their
+// storage for the next body.
+func (tr *Translator) clearCSE() {
+	clear(tr.cse)
+	clear(tr.cseHeads)
+	tr.cseLinks = tr.cseLinks[:0]
+}
+
+// cseName returns the number of an index name, numbering new ones.
+func (tr *Translator) cseName(name string) int {
+	id, ok := tr.cseNames[name]
+	if !ok {
+		id = len(tr.cseNames)
+		tr.cseNames[name] = id
+		tr.cseHeads = append(tr.cseHeads, [2]int32{})
 	}
+	return id
+}
+
+// setCSE records key → r in the body value map and indexes key by
+// every load it reads. Loads are the only source of brackets in a key,
+// and their contents nest balanced.
+func (tr *Translator) setCSE(key string, r ir.Reg) {
+	tr.cse[key] = r
+	for i := strings.IndexByte(key, '['); i >= 0; i = nextOpen(key, i) {
+		depth, j := 1, i+1
+		for ; depth > 0; j++ {
+			switch key[j] {
+			case '[':
+				depth++
+			case ']':
+				depth--
+			}
+		}
+		loc, list := key[i+1:j-1], cseScalar
+		if p := strings.IndexByte(loc, '('); p >= 0 {
+			loc, list = loc[:p], cseArray
+		}
+		head := &tr.cseHeads[tr.cseName(loc)][list]
+		tr.cseLinks = append(tr.cseLinks, cseLink{key: key, next: *head})
+		*head = int32(len(tr.cseLinks))
+	}
+}
+
+// nextOpen returns the index of the next '[' in key after i, or -1.
+func nextOpen(key string, i int) int {
+	if j := strings.IndexByte(key[i+1:], '['); j >= 0 {
+		return i + 1 + j
+	}
+	return -1
+}
+
+// killCSE drops the CSE entries that read the stored location addr of
+// base: a key reading the location itself, or any element of an array
+// named base. A store is to a scalar (addr == base) or to an element
+// base(…), and a key reading an element reads the array, so the
+// entries to drop are exactly those listed under the scalar addr and
+// under the array base.
+func (tr *Translator) killCSE(addr, base string) {
+	if tr.killOracle != nil {
+		tr.killOracle(addr, base)
+		return
+	}
+	id, ok := tr.cseNames[base]
+	if !ok {
+		return
+	}
+	if addr == base {
+		tr.killListed(&tr.cseHeads[id][cseScalar])
+	}
+	tr.killListed(&tr.cseHeads[id][cseArray])
+}
+
+// killListed deletes the keys of the list starting at head.
+func (tr *Translator) killListed(head *int32) {
+	for i := *head; i != 0; i = tr.cseLinks[i-1].next {
+		delete(tr.cse, tr.cseLinks[i-1].key)
+	}
+	*head = 0
 }
 
 func loadKey(addr string) string { return "ld[" + addr + "]" }
@@ -624,7 +724,7 @@ func (tr *Translator) call(c *source.CallStmt) error {
 	}
 	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Callee: c.Name})
 	// A call clobbers all memory-derived values.
-	tr.cse = map[string]ir.Reg{}
+	tr.clearCSE()
 	return nil
 }
 

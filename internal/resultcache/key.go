@@ -28,9 +28,11 @@ import (
 //     can change response bytes participate — worker counts and cache
 //     handles are excluded by the library's byte-identical contract.
 //
-// Each builder starts from a distinct domain tag so the three request
-// kinds can never collide, and the tag carries a version so a change
-// to a response shape invalidates old snapshots by construction.
+// Each builder starts from a distinct domain tag so the request kinds
+// can never collide, and the tag carries a version so a change to a
+// response shape, or to the program digest, invalidates old snapshots
+// by construction. The current versions date from Merkle statement
+// digests (TestKeyTagsPinProgramDigest pins the pairing).
 
 // keyOf converts a folded fingerprint into a Key.
 func keyOf(fp source.Fingerprint) Key { return Key{Hi: fp.Hi, Lo: fp.Lo} }
@@ -58,7 +60,7 @@ func mixFloatMap(fp source.Fingerprint, m map[string]float64, present bool) sour
 // structure × machine content × the evaluation point (args may be nil
 // for "no evaluation", which differs from an empty map).
 func PredictKey(prog, mach source.Fingerprint, args map[string]float64) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/predict/v2")
+	fp := source.Fingerprint{}.MixString("resultcache/predict/v3")
 	fp = fp.Mix(prog).Mix(mach)
 	fp = mixFloatMap(fp, args, args != nil)
 	return keyOf(fp)
@@ -69,7 +71,7 @@ func PredictKey(prog, mach source.Fingerprint, args map[string]float64) Key {
 // machine, and the shared evaluation point. Worker counts are
 // excluded: results are byte-identical for any worker count.
 func BatchKey(progs []source.Fingerprint, mach source.Fingerprint, args map[string]float64) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/batch/v2")
+	fp := source.Fingerprint{}.MixString("resultcache/batch/v3")
 	fp = fp.MixUint64(uint64(len(progs)))
 	for _, p := range progs {
 		fp = fp.Mix(p)
@@ -86,7 +88,7 @@ func BatchKey(progs []source.Fingerprint, mach source.Fingerprint, args map[stri
 // warm-cache handles are excluded: search trajectories are
 // cache-state independent by the library's contract.
 func OptimizeKey(prog, mach source.Fingerprint, nominal map[string]float64, maxNodes, maxDepth int) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/optimize/v2")
+	fp := source.Fingerprint{}.MixString("resultcache/optimize/v3")
 	fp = fp.Mix(prog).Mix(mach)
 	fp = mixFloatMap(fp, nominal, nominal != nil)
 	fp = fp.MixUint64(uint64(int64(maxNodes))).MixUint64(uint64(int64(maxDepth)))
@@ -99,7 +101,7 @@ func OptimizeKey(prog, mach source.Fingerprint, nominal map[string]float64, maxN
 // the diagnosis reads finished placements and never depends on cache
 // state or concurrency.
 func ExplainKey(prog, mach source.Fingerprint, nominal map[string]float64, skipWhatIf bool) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/explain/v1")
+	fp := source.Fingerprint{}.MixString("resultcache/explain/v2")
 	fp = fp.Mix(prog).Mix(mach)
 	fp = mixFloatMap(fp, nominal, nominal != nil)
 	var skip uint64
@@ -119,7 +121,7 @@ func ExplainKey(prog, mach source.Fingerprint, nominal map[string]float64, skipW
 // deterministic and cache-state independent by the library's
 // contract.
 func ExploreKey(tpl source.Fingerprint, kernels []source.Fingerprint, args map[string]float64, target float64) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/explore/v1")
+	fp := source.Fingerprint{}.MixString("resultcache/explore/v2")
 	fp = fp.Mix(tpl)
 	fp = fp.MixUint64(uint64(len(kernels)))
 	for _, k := range kernels {

@@ -33,8 +33,7 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%016x%016x", f.Hi, f.
 // Mix folds another fingerprint into f, producing a composite key.
 func (f Fingerprint) Mix(g Fingerprint) Fingerprint {
 	w := fpWriter{f}
-	w.u64(g.Hi)
-	w.u64(g.Lo)
+	w.fp(g)
 	return w.f
 }
 
@@ -164,7 +163,19 @@ func (w *fpWriter) expr(e Expr) {
 	}
 }
 
-func (w *fpWriter) stmt(s Stmt) {
+// fp writes a child digest.
+func (w *fpWriter) fp(f Fingerprint) {
+	w.u64(f.Hi)
+	w.u64(f.Lo)
+}
+
+// digestStmt hashes one statement. Digests are Merkle: a compound
+// statement mixes the digests of its bodies, obtained from list, rather
+// than re-streaming their nodes. FingerprintStmt passes the plain
+// recursive hasher and NodeMemo its memoised one; both compute the same
+// value, so memoisation never changes a key.
+func digestStmt(s Stmt, list func([]Stmt) Fingerprint) Fingerprint {
+	w := newFPWriter()
 	switch x := s.(type) {
 	case *Assign:
 		w.byte(fpTagAssign)
@@ -176,16 +187,16 @@ func (w *fpWriter) stmt(s Stmt) {
 		w.expr(x.Lb)
 		w.expr(x.Ub)
 		w.expr(x.Step) // nil hashes as fpTagNil
-		w.stmts(x.Body)
+		w.fp(list(x.Body))
 	case *IfStmt:
 		w.byte(fpTagIfStmt)
 		w.expr(x.Cond)
-		w.stmts(x.Then)
+		w.fp(list(x.Then))
 		if x.Else == nil {
 			w.byte(0)
 		} else {
 			w.byte(1)
-			w.stmts(x.Else)
+			w.fp(list(x.Else))
 		}
 	case *CallStmt:
 		w.byte(fpTagCallStmt)
@@ -201,14 +212,18 @@ func (w *fpWriter) stmt(s Stmt) {
 	default:
 		w.byte(0xfe)
 	}
+	return w.f
 }
 
-func (w *fpWriter) stmts(list []Stmt) {
+// digestList hashes a statement list from its members' digests.
+func digestList(list []Stmt, one func(Stmt) Fingerprint) Fingerprint {
+	w := newFPWriter()
 	w.byte(fpTagStmts)
 	w.u64(uint64(len(list)))
 	for _, s := range list {
-		w.stmt(s)
+		w.fp(one(s))
 	}
+	return w.f
 }
 
 func (w *fpWriter) decl(d *Decl) {
@@ -250,24 +265,19 @@ func (w *fpWriter) dist(d *Distribute) {
 }
 
 // FingerprintStmt hashes one statement subtree.
-func FingerprintStmt(s Stmt) Fingerprint {
-	w := newFPWriter()
-	w.stmt(s)
-	return w.f
-}
+func FingerprintStmt(s Stmt) Fingerprint { return digestStmt(s, FingerprintStmts) }
 
 // FingerprintStmts hashes a statement list.
-func FingerprintStmts(list []Stmt) Fingerprint {
-	w := newFPWriter()
-	w.stmts(list)
-	return w.f
-}
+func FingerprintStmts(list []Stmt) Fingerprint { return digestList(list, FingerprintStmt) }
 
 // FingerprintProgram hashes a whole program — name, parameters,
 // declarations, constants, distribution directives, and body. It is
 // the fingerprint equivalent of keying by PrintProgram: two programs
 // hash equal iff they are the same tree.
-func FingerprintProgram(p *Program) Fingerprint {
+func FingerprintProgram(p *Program) Fingerprint { return digestProgram(p, FingerprintStmts(p.Body)) }
+
+// digestProgram hashes a program whose body digest is already known.
+func digestProgram(p *Program, body Fingerprint) Fingerprint {
 	w := newFPWriter()
 	w.byte(fpTagProgram)
 	w.str(p.Name)
@@ -287,7 +297,7 @@ func FingerprintProgram(p *Program) Fingerprint {
 	for _, d := range p.Dists {
 		w.dist(d)
 	}
-	w.stmts(p.Body)
+	w.fp(body)
 	return w.f
 }
 
@@ -353,7 +363,11 @@ func FingerprintEnvFor(p *Program, names map[string]bool) Fingerprint {
 // into out. The incremental re-pricing layer uses it to restrict a
 // nest's cache key to the loop variables and declarations the nest can
 // actually observe.
-func StmtNames(s Stmt, out map[string]bool) {
+func StmtNames(s Stmt, out map[string]bool) { stmtNames(s, out, StmtNames) }
+
+// stmtNames adds the names s references itself to out and delegates
+// each nested statement to child (StmtNames, or a memoised union).
+func stmtNames(s Stmt, out map[string]bool, child func(Stmt, map[string]bool)) {
 	switch x := s.(type) {
 	case *Assign:
 		ExprNames(x.LHS, out)
@@ -364,15 +378,15 @@ func StmtNames(s Stmt, out map[string]bool) {
 		ExprNames(x.Ub, out)
 		ExprNames(x.Step, out)
 		for _, b := range x.Body {
-			StmtNames(b, out)
+			child(b, out)
 		}
 	case *IfStmt:
 		ExprNames(x.Cond, out)
 		for _, b := range x.Then {
-			StmtNames(b, out)
+			child(b, out)
 		}
 		for _, b := range x.Else {
-			StmtNames(b, out)
+			child(b, out)
 		}
 	case *CallStmt:
 		out[x.Name] = true

@@ -125,14 +125,25 @@ func SelfConcat(cb CostBlock, iters int) (total int, perIter float64) {
 // copy number (scalar addresses are left alone, preserving reduction
 // chains). This is the paper's second unrolling estimator: "dropping
 // the innermost basic block into the functional bins multiple times".
+//
+// The copies share one Instrs array and one Srcs backing array, each
+// copy's Srcs a capped window of it, so the allocations do not grow
+// with the operand count.
 func Replicate(b *ir.Block, iters int) *ir.Block {
-	out := &ir.Block{Label: b.Label}
+	n := len(b.Instrs)
+	nsrc := 0
+	for _, in := range b.Instrs {
+		nsrc += len(in.Srcs)
+	}
+	out := &ir.Block{Label: b.Label, Instrs: make([]ir.Instr, 0, n*max(iters, 0))}
+	srcs := make([]ir.Reg, nsrc*max(iters, 0))
 	stride := int32(b.MaxReg()) + 1
 	for it := 0; it < iters; it++ {
 		off := ir.Reg(int32(it) * stride)
 		for _, in := range b.Instrs {
 			c := in
-			c.Srcs = make([]ir.Reg, len(in.Srcs))
+			ns := len(in.Srcs)
+			c.Srcs, srcs = srcs[:ns:ns], srcs[ns:]
 			for k, s := range in.Srcs {
 				if s == ir.NoReg {
 					c.Srcs[k] = ir.NoReg

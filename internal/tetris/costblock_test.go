@@ -246,6 +246,44 @@ func TestReplicateRenamesAndTags(t *testing.T) {
 	}
 }
 
+// TestReplicateAllocatesExactly: Replicate makes one block, one
+// instruction array and one shared operand array, plus one string per
+// renamed indexed address — never an allocation per operand list, so
+// the count does not grow with the number of register operands.
+func TestReplicateAllocatesExactly(t *testing.T) {
+	block := func(srcs int) *ir.Block {
+		b := &ir.Block{}
+		b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
+		for r := 1; r <= 16; r++ {
+			in := ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(r)}
+			for k := 0; k < srcs; k++ {
+				in.Srcs = append(in.Srcs, ir.Reg(r-1))
+			}
+			b.Append(in)
+		}
+		return b
+	}
+	const iters = 4
+	// 3 backing allocations + 1 renamed "a(i)#k" per copy after the
+	// first.
+	const want = 3 + (iters - 1)
+	for _, srcs := range []int{1, 3, 8} {
+		b := block(srcs)
+		got := testing.AllocsPerRun(50, func() { Replicate(b, iters) })
+		if got != want {
+			t.Errorf("%d operands per instruction: %v allocations, want %d", srcs, got, want)
+		}
+	}
+	// The shared operand array must not let one copy's operands leak
+	// into the next through append.
+	rep := Replicate(block(2), 2)
+	first := rep.Instrs[1].Srcs
+	_ = append(first, 99)
+	if rep.Instrs[2].Srcs[0] == 99 {
+		t.Error("appending to one copy's operands overwrote another's")
+	}
+}
+
 func TestSteadyStateAmortizes(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}

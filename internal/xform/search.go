@@ -29,7 +29,8 @@ func (m Move) String() string {
 	return fmt.Sprintf("%s@%v", m.Kind, m.Path)
 }
 
-// Apply performs the move on a fresh clone.
+// Apply performs the move, returning a new program that shares every
+// node the move did not rewrite with p (see edit); p is left unchanged.
 func Apply(p *source.Program, m Move) (*source.Program, error) {
 	switch m.Kind {
 	case "unroll":
@@ -80,6 +81,7 @@ type SearchOptions struct {
 	DisableNestCache bool
 	// Caches are the segment and nest caches the search prices
 	// through. Nil members get fresh private instances (the default);
+	// Caches.Nodes is always replaced by a fresh per-search memo;
 	// passing warm shared caches carries priced segments and nests
 	// across searches — a long-running service reuses one pair for
 	// every request. Result counters are reported as deltas against
@@ -307,6 +309,12 @@ func Search(p *source.Program, opt SearchOptions) (SearchResult, error) {
 // alongside ctx.Err(); callers that only care about a complete search
 // should treat a non-nil error as failure.
 func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (SearchResult, error) {
+	return search(ctx, p, opt, nil)
+}
+
+// search is SearchCtx; onPush, when non-nil, sees every state put on
+// the frontier with the digest the search deduplicated it by.
+func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint)) (SearchResult, error) {
 	opt.defaults()
 	if opt.Machine == nil {
 		return SearchResult{}, fmt.Errorf("xform: SearchOptions.Machine is required")
@@ -325,6 +333,10 @@ func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (Searc
 			caches.Nest = aggregate.NewNestCache()
 		}
 	}
+	// The node memo keys on AST identity, so it lives for this search
+	// only: it dedups candidates (visited) and hashes every nest and
+	// segment key, and each candidate's shared subtrees are lookups.
+	caches.Nodes = source.NewNodeMemo()
 	// Counter baselines: on shared warm caches the totals are
 	// cumulative across searches, so report deltas.
 	hits0, misses0 := caches.Seg.Stats()
@@ -336,7 +348,11 @@ func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (Searc
 	}
 	start := &state{prog: p, cost: initCost, mem: initMem}
 	best := start
-	visited := map[source.Fingerprint]bool{source.FingerprintProgram(p): true}
+	startFP := caches.Nodes.Program(p)
+	if onPush != nil {
+		onPush(p, startFP)
+	}
+	visited := map[source.Fingerprint]bool{startFP: true}
 	h := &stateHeap{start}
 	explored := 0
 	var ctxErr error
@@ -370,7 +386,7 @@ func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (Searc
 				return
 			}
 			cands[i].prog = next
-			cands[i].fp = source.FingerprintProgram(next)
+			cands[i].fp = caches.Nodes.Program(next)
 		})
 		if ctxErr != nil {
 			break
@@ -410,6 +426,9 @@ func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (Searc
 			st := &state{prog: cands[i].prog, cost: cands[i].cost, mem: cands[i].mem, seq: append(append([]Move{}, cur.seq...), moves[i])}
 			if st.cost < best.cost {
 				best = st
+			}
+			if onPush != nil {
+				onPush(st.prog, cands[i].fp)
 			}
 			heap.Push(h, st)
 		}

@@ -11,6 +11,7 @@ package xform
 
 import (
 	"fmt"
+	"slices"
 
 	"perfpredict/internal/deps"
 	"perfpredict/internal/sem"
@@ -115,61 +116,163 @@ func containsLoop(list []source.Stmt) bool {
 	return false
 }
 
-// substituteVar replaces every read of variable v in e by repl.
-func substituteVar(e source.Expr, v string, repl source.Expr) source.Expr {
+// subst returns e with every read of variable v replaced by repl,
+// sharing repl and each subtree that does not read v (a nil repl
+// returns e itself).
+func subst(e source.Expr, v string, repl source.Expr) source.Expr {
+	if repl == nil {
+		return e
+	}
 	switch x := e.(type) {
 	case *source.VarRef:
 		if x.Name == v {
-			return source.CloneExpr(repl)
+			return repl
 		}
-		return x
 	case *source.ArrayRef:
-		for i := range x.Idx {
-			x.Idx[i] = substituteVar(x.Idx[i], v, repl)
+		if idx, ok := substList(x.Idx, v, repl); ok {
+			return &source.ArrayRef{Name: x.Name, Idx: idx, Pos: x.Pos}
 		}
-		return x
 	case *source.BinExpr:
-		x.L = substituteVar(x.L, v, repl)
-		x.R = substituteVar(x.R, v, repl)
-		return x
-	case *source.UnExpr:
-		x.X = substituteVar(x.X, v, repl)
-		return x
-	case *source.IntrinsicCall:
-		for i := range x.Args {
-			x.Args[i] = substituteVar(x.Args[i], v, repl)
+		l, r := subst(x.L, v, repl), subst(x.R, v, repl)
+		if l != x.L || r != x.R {
+			return &source.BinExpr{Kind: x.Kind, L: l, R: r, Pos: x.Pos}
 		}
-		return x
+	case *source.UnExpr:
+		if y := subst(x.X, v, repl); y != x.X {
+			return &source.UnExpr{Neg: x.Neg, X: y, Pos: x.Pos}
+		}
+	case *source.IntrinsicCall:
+		if args, ok := substList(x.Args, v, repl); ok {
+			return &source.IntrinsicCall{Name: x.Name, Args: args, Pos: x.Pos}
+		}
+	}
+	return e
+}
+
+// substList is subst over a list; ok reports a fresh list with at
+// least one member replaced.
+func substList(list []source.Expr, v string, repl source.Expr) (out []source.Expr, ok bool) {
+	for i, a := range list {
+		b := subst(a, v, repl)
+		if b != a && out == nil {
+			out = slices.Clone(list)
+		}
+		if out != nil {
+			out[i] = b
+		}
+	}
+	return out, out != nil
+}
+
+// renewStmts returns fresh statements equal to list with reads of v
+// replaced by repl (see subst). Every statement node is new, so the
+// copy can sit in the same program as list; expressions not reading v
+// are shared.
+func renewStmts(list []source.Stmt, v string, repl source.Expr) []source.Stmt {
+	if list == nil {
+		return nil
+	}
+	out := make([]source.Stmt, len(list))
+	for i, s := range list {
+		out[i] = renewStmt(s, v, repl)
+	}
+	return out
+}
+
+func renewStmt(s source.Stmt, v string, repl source.Expr) source.Stmt {
+	switch x := s.(type) {
+	case *source.Assign:
+		return &source.Assign{LHS: subst(x.LHS, v, repl), RHS: subst(x.RHS, v, repl), Pos: x.Pos}
+	case *source.DoLoop:
+		c := &source.DoLoop{Var: x.Var, Lb: subst(x.Lb, v, repl), Ub: subst(x.Ub, v, repl),
+			Step: subst(x.Step, v, repl), Pos: x.Pos}
+		if x.Var == v {
+			repl = nil // the loop rebinds v in its body
+		}
+		c.Body = renewStmts(x.Body, v, repl)
+		return c
+	case *source.IfStmt:
+		return &source.IfStmt{Cond: subst(x.Cond, v, repl), Then: renewStmts(x.Then, v, repl),
+			Else: renewStmts(x.Else, v, repl), Pos: x.Pos}
+	case *source.CallStmt:
+		c := &source.CallStmt{Name: x.Name, Args: x.Args, Pos: x.Pos}
+		if args, ok := substList(x.Args, v, repl); ok {
+			c.Args = args
+		}
+		return c
+	case *source.ContinueStmt:
+		c := *x
+		return &c
+	case *source.ReturnStmt:
+		c := *x
+		return &c
 	default:
-		return e
+		return s
 	}
 }
 
-func substituteStmts(list []source.Stmt, v string, repl source.Expr) {
-	for _, s := range list {
-		switch x := s.(type) {
-		case *source.Assign:
-			x.LHS = substituteVar(x.LHS, v, repl)
-			x.RHS = substituteVar(x.RHS, v, repl)
-		case *source.DoLoop:
-			x.Lb = substituteVar(x.Lb, v, repl)
-			x.Ub = substituteVar(x.Ub, v, repl)
-			if x.Step != nil {
-				x.Step = substituteVar(x.Step, v, repl)
-			}
-			if x.Var != v {
-				substituteStmts(x.Body, v, repl)
-			}
-		case *source.IfStmt:
-			x.Cond = substituteVar(x.Cond, v, repl)
-			substituteStmts(x.Then, v, repl)
-			substituteStmts(x.Else, v, repl)
-		case *source.CallStmt:
-			for i := range x.Args {
-				x.Args[i] = substituteVar(x.Args[i], v, repl)
-			}
-		}
+// Moves treat the AST as immutable: none writes a node of its input.
+// Each checks legality on the read-only parent and path-copies — the
+// program header and the statement lists and DO loops on the path to
+// the rewritten nest are copied, every other node is shared with the
+// parent. Fresh lists never alias a parent's backing array, so sibling
+// variants of one parent cannot see each other's edits. A statement
+// node still occurs at most once within one program (package interp
+// keys segment lowerings by their first statement), so a body a move
+// duplicates gets fresh statements for every copy after the first.
+// Expression nodes that a copy does not rewrite are shared, also within
+// one program: the per-node memos keyed on expressions (package lower's
+// translator, package interp's condition lowerings) depend only on the
+// node and its enclosing loops, which the copies have in common.
+
+// edit returns a copy of p in which the statement list holding the
+// target of path is replaced by repl(list, i): list is the parent's
+// list, which repl must not modify, and i the target's index in it.
+func edit(p *source.Program, path Path, repl func(list []source.Stmt, i int) []source.Stmt) (*source.Program, error) {
+	body, err := editList(p.Body, path, path, repl)
+	if err != nil {
+		return nil, err
 	}
+	c := *p
+	c.Body = body
+	return &c, nil
+}
+
+// editList is edit for the list reached by the remaining steps rest of
+// path: the loop at rest[0] is copied with its edited body.
+func editList(list []source.Stmt, path, rest Path, repl func([]source.Stmt, int) []source.Stmt) ([]source.Stmt, error) {
+	if len(rest) == 0 {
+		return nil, fmt.Errorf("xform: empty path")
+	}
+	i := rest[0]
+	if i < 0 || i >= len(list) {
+		return nil, fmt.Errorf("xform: path %v out of range", path)
+	}
+	if len(rest) == 1 {
+		return repl(list, i), nil
+	}
+	loop, ok := list[i].(*source.DoLoop)
+	if !ok {
+		return nil, fmt.Errorf("xform: path %v passes through a non-loop", path)
+	}
+	body, err := editList(loop.Body, path, rest[1:], repl)
+	if err != nil {
+		return nil, err
+	}
+	nl := *loop
+	nl.Body = body
+	out := slices.Clone(list)
+	out[i] = &nl
+	return out, nil
+}
+
+// replaceAt returns a fresh list: list with its n statements from i
+// replaced by with.
+func replaceAt(list []source.Stmt, i, n int, with ...source.Stmt) []source.Stmt {
+	out := make([]source.Stmt, 0, len(list)-n+len(with))
+	out = append(out, list[:i]...)
+	out = append(out, with...)
+	return append(out, list[i+n:]...)
 }
 
 // Unroll replicates the loop body factor times, stepping the loop by
@@ -179,14 +282,13 @@ func Unroll(p *source.Program, path Path, factor int) (*source.Program, error) {
 	if factor < 2 {
 		return nil, fmt.Errorf("xform: unroll factor %d", factor)
 	}
-	c := source.CloneProgram(p)
-	loop, err := loopAt(c, path)
+	loop, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
 	}
 	step := int64(1)
 	if loop.Step != nil {
-		tbl, err := sem.Analyze(c)
+		tbl, err := sem.Analyze(p)
 		if err != nil {
 			return nil, err
 		}
@@ -201,18 +303,17 @@ func Unroll(p *source.Program, path Path, factor int) (*source.Program, error) {
 	}
 	f := int64(factor)
 
-	var newBody []source.Stmt
-	for k := int64(0); k < f; k++ {
-		copyBody := source.CloneStmts(loop.Body)
-		if k > 0 {
-			repl := &source.BinExpr{
-				Kind: source.BinAdd,
-				L:    &source.VarRef{Name: loop.Var},
-				R:    &source.NumLit{Value: float64(k * step)},
-			}
-			substituteStmts(copyBody, loop.Var, repl)
+	// The first copy is the body itself; later copies substitute
+	// var+k·step into fresh statements.
+	newBody := make([]source.Stmt, 0, factor*len(loop.Body))
+	newBody = append(newBody, loop.Body...)
+	for k := int64(1); k < f; k++ {
+		repl := &source.BinExpr{
+			Kind: source.BinAdd,
+			L:    &source.VarRef{Name: loop.Var},
+			R:    &source.NumLit{Value: float64(k * step)},
 		}
-		newBody = append(newBody, copyBody...)
+		newBody = append(newBody, renewStmts(loop.Body, loop.Var, repl)...)
 	}
 
 	// Remainder loop: starts where the main loop stopped:
@@ -232,27 +333,21 @@ func Unroll(p *source.Program, path Path, factor int) (*source.Program, error) {
 		Lb:   remLb,
 		Ub:   source.CloneExpr(loop.Ub),
 		Step: cloneStep(loop.Step),
-		Body: source.CloneStmts(loop.Body),
+		Body: renewStmts(loop.Body, loop.Var, nil),
 		Pos:  loop.Pos,
 	}
 
 	// Main loop: ub − (f−1)·step with step f·step.
-	loop.Ub = &source.BinExpr{Kind: source.BinSub,
+	unrolled := *loop
+	unrolled.Ub = &source.BinExpr{Kind: source.BinSub,
 		L: loop.Ub,
 		R: &source.NumLit{Value: float64((f - 1) * step)},
 	}
-	loop.Step = &source.NumLit{Value: float64(f * step)}
-	loop.Body = newBody
-
-	list, i, err := locate(c, path)
-	if err != nil {
-		return nil, err
-	}
-	newList := append(append(append([]source.Stmt{}, list[:i+1]...), remainder), list[i+1:]...)
-	if err := replaceList(c, path, newList); err != nil {
-		return nil, err
-	}
-	return c, nil
+	unrolled.Step = &source.NumLit{Value: float64(f * step)}
+	unrolled.Body = newBody
+	return edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
+		return replaceAt(list, i, 1, &unrolled, remainder)
+	})
 }
 
 func cloneStep(s source.Expr) source.Expr {
@@ -262,27 +357,11 @@ func cloneStep(s source.Expr) source.Expr {
 	return source.CloneExpr(s)
 }
 
-// replaceList rewrites the statement list containing the target of
-// path.
-func replaceList(p *source.Program, path Path, newList []source.Stmt) error {
-	if len(path) == 1 {
-		p.Body = newList
-		return nil
-	}
-	parent, err := loopAt(p, path[:len(path)-1])
-	if err != nil {
-		return err
-	}
-	parent.Body = newList
-	return nil
-}
-
 // Interchange swaps a loop with the single loop its body consists of.
 // Legal when the nest is perfect, the inner bounds do not reference the
 // outer variable, and no dependence direction vector forbids the swap.
 func Interchange(p *source.Program, path Path) (*source.Program, error) {
-	c := source.CloneProgram(p)
-	outer, err := loopAt(c, path)
+	outer, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +375,7 @@ func Interchange(p *source.Program, path Path) (*source.Program, error) {
 	if exprUsesVar(inner.Lb, outer.Var) || exprUsesVar(inner.Ub, outer.Var) {
 		return nil, fmt.Errorf("xform: inner bounds depend on the outer variable")
 	}
-	tbl, err := sem.Analyze(c)
+	tbl, err := sem.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
@@ -304,11 +383,15 @@ func Interchange(p *source.Program, path Path) (*source.Program, error) {
 	if !deps.InterchangeLegal(ds, 0, 1) {
 		return nil, fmt.Errorf("xform: interchange is illegal (dependence)")
 	}
-	outer.Var, inner.Var = inner.Var, outer.Var
-	outer.Lb, inner.Lb = inner.Lb, outer.Lb
-	outer.Ub, inner.Ub = inner.Ub, outer.Ub
-	outer.Step, inner.Step = inner.Step, outer.Step
-	return c, nil
+	no, ni := *outer, *inner
+	no.Var, ni.Var = inner.Var, outer.Var
+	no.Lb, ni.Lb = inner.Lb, outer.Lb
+	no.Ub, ni.Ub = inner.Ub, outer.Ub
+	no.Step, ni.Step = inner.Step, outer.Step
+	no.Body = []source.Stmt{&ni}
+	return edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
+		return replaceAt(list, i, 1, &no)
+	})
 }
 
 func exprUsesVar(e source.Expr, v string) bool {
@@ -348,8 +431,7 @@ func Tile(p *source.Program, path Path, size int) (*source.Program, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("xform: tile size %d", size)
 	}
-	c := source.CloneProgram(p)
-	loop, err := loopAt(c, path)
+	loop, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
 	}
@@ -357,13 +439,9 @@ func Tile(p *source.Program, path Path, size int) (*source.Program, error) {
 		return nil, fmt.Errorf("xform: tiling stepped loops unsupported")
 	}
 	tileVar := loop.Var + "_t"
-	if varDeclared(c, tileVar) {
+	if varDeclared(p, tileVar) {
 		tileVar = tileVar + "t"
 	}
-	c.Decls = append(c.Decls, &source.Decl{
-		Type:  source.TypeInteger,
-		Names: []*source.DeclName{{Name: tileVar}},
-	})
 	inner := &source.DoLoop{
 		Var: loop.Var,
 		Lb:  &source.VarRef{Name: tileVar},
@@ -376,9 +454,20 @@ func Tile(p *source.Program, path Path, size int) (*source.Program, error) {
 		Body: loop.Body,
 		Pos:  loop.Pos,
 	}
-	loop.Var = tileVar
-	loop.Step = &source.NumLit{Value: float64(size)}
-	loop.Body = []source.Stmt{inner}
+	outer := *loop
+	outer.Var = tileVar
+	outer.Step = &source.NumLit{Value: float64(size)}
+	outer.Body = []source.Stmt{inner}
+	c, err := edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
+		return replaceAt(list, i, 1, &outer)
+	})
+	if err != nil {
+		return nil, err
+	}
+	c.Decls = append(slices.Clip(p.Decls), &source.Decl{
+		Type:  source.TypeInteger,
+		Names: []*source.DeclName{{Name: tileVar}},
+	})
 	return c, nil
 }
 
@@ -399,46 +488,39 @@ func varDeclared(p *source.Program, name string) bool {
 // no dependence runs from the second part to a later iteration of the
 // first.
 func Distribute(p *source.Program, path Path, cut int) (*source.Program, error) {
-	c := source.CloneProgram(p)
-	loop, err := loopAt(c, path)
+	loop, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
 	}
 	if cut <= 0 || cut >= len(loop.Body) {
 		return nil, fmt.Errorf("xform: cut %d outside body of %d statements", cut, len(loop.Body))
 	}
+	first := *loop
+	first.Body = slices.Clone(loop.Body[:cut])
 	second := &source.DoLoop{
 		Var:  loop.Var,
 		Lb:   source.CloneExpr(loop.Lb),
 		Ub:   source.CloneExpr(loop.Ub),
 		Step: cloneStep(loop.Step),
-		Body: loop.Body[cut:],
+		Body: slices.Clone(loop.Body[cut:]),
 		Pos:  loop.Pos,
 	}
-	loop.Body = loop.Body[:cut]
-	tbl, err := sem.Analyze(c)
+	tbl, err := sem.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
-	if !deps.FusionLegal(tbl, loop, second) {
+	if !deps.FusionLegal(tbl, &first, second) {
 		return nil, fmt.Errorf("xform: distribution at %d is illegal (loop-carried dependence across the cut)", cut)
 	}
-	list, i, err := locate(c, path)
-	if err != nil {
-		return nil, err
-	}
-	newList := append(append(append([]source.Stmt{}, list[:i+1]...), second), list[i+1:]...)
-	if err := replaceList(c, path, newList); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
+		return replaceAt(list, i, 1, &first, second)
+	})
 }
 
 // Fuse merges the loop at path with the immediately following loop in
 // the same statement list, when legal.
 func Fuse(p *source.Program, path Path) (*source.Program, error) {
-	c := source.CloneProgram(p)
-	list, i, err := locate(c, path)
+	list, i, err := locate(p, path)
 	if err != nil {
 		return nil, err
 	}
@@ -450,17 +532,16 @@ func Fuse(p *source.Program, path Path) (*source.Program, error) {
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("xform: fusion requires two adjacent loops")
 	}
-	tbl, err := sem.Analyze(c)
+	tbl, err := sem.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
 	if !deps.FusionLegal(tbl, first, second) {
 		return nil, fmt.Errorf("xform: fusion is illegal")
 	}
-	first.Body = append(first.Body, second.Body...)
-	newList := append(append([]source.Stmt{}, list[:i+1]...), list[i+2:]...)
-	if err := replaceList(c, path, newList); err != nil {
-		return nil, err
-	}
-	return c, nil
+	fused := *first
+	fused.Body = append(slices.Clip(first.Body), second.Body...)
+	return edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
+		return replaceAt(list, i, 2, &fused)
+	})
 }

@@ -7,24 +7,24 @@
 # Non-gating — failures here should not fail CI, only lose a data
 # point.
 #
-# The Tetris and explore suites run -count times and record the BEST
-# of each metric across runs: the minimum of times, sizes and counts,
-# the maximum of rates (units ending in "/s"). On a noisy box the best
-# run is the robust "how fast can this code go" statistic, and it is
-# what scripts/tetris_regress.sh compares fresh runs against.
+# Every suite runs -count times and records the BEST of each metric
+# across runs: the minimum of times, sizes and counts, the maximum of
+# rates (units ending in "/s"). On a noisy box the best run is the
+# robust "how fast can this code go" statistic, and it is what
+# scripts/tetris_regress.sh compares fresh runs against.
 #
-# The explore suite always runs 5 sweeps per run, 5 runs: a sweep is
-# tens of milliseconds, so a single one is too noisy to record.
+# The search/batch suite runs 3 iterations per run and the explore
+# suite 5 sweeps per run, 5 runs each: one search or sweep is tens of
+# milliseconds, so a single one is too noisy to record.
 #
-# Usage: scripts/bench.sh [benchtime] [tetris_benchtime] [tetris_count]
-#        (from anywhere; defaults 1x, 500x, 6)
+# Usage: scripts/bench.sh [tetris_benchtime] [tetris_count]
+#        (from anywhere; defaults 500x, 6)
 set -eu
 
 cd "$(dirname "$0")/.."
 
-benchtime="${1:-1x}"
-tetris_benchtime="${2:-500x}"
-tetris_count="${3:-6}"
+tetris_benchtime="${1:-500x}"
+tetris_count="${2:-6}"
 
 # to_json FILE: convert `BenchmarkName N value unit ...` lines to a
 # JSON array, folding repeated names (from -count) to the per-metric
@@ -66,7 +66,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 go test -run '^$' -bench 'BenchmarkOptimize|BenchmarkPredictBatch' \
-	-benchtime "$benchtime" -benchmem . | tee "$tmp"
+	-benchtime 3x -count 5 -benchmem . | tee "$tmp"
 to_json "$tmp" >BENCH_optimize.json
 echo "wrote BENCH_optimize.json"
 
