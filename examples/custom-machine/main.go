@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"perfpredict"
+	"perfpredict/internal/machine"
 )
 
 // The kernel is the 4x4-unrolled matrix multiply (16 independent FMAs
@@ -100,16 +101,16 @@ func main() {
 	// table with the documented cache hierarchy attached (64 KiB, 128 B
 	// lines, 15-cycle fill, 128-entry TLB). Predictions then carry a
 	// separate memory component — and hierarchy edits move only it.
+	// A built target is sealed, so the variant is derived from its
+	// spec and built anew.
 	memTarget, err := perfpredict.LoadTarget("power1mem.json")
 	if err != nil {
 		log.Fatal(err)
 	}
-	halved, err := perfpredict.LoadTarget("power1mem.json")
+	halvedSpec := machine.SpecOf(memTarget)
+	halvedSpec.Memory.Levels[0].LineBytes /= 2
+	halved, err := halvedSpec.Machine()
 	if err != nil {
-		log.Fatal(err)
-	}
-	halved.Memory.Levels[0].LineBytes /= 2
-	if err := halved.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nhierarchy what-if on matmul (in-core + memory cycles):")

@@ -160,7 +160,8 @@ func (c *SegCache) Evictions() int { return int(c.c.Stats().Evictions) }
 // Estimator aggregates costs for one program unit on one machine.
 type Estimator struct {
 	tbl *sem.Table
-	m   *machine.Machine
+	m   *machine.Machine  // sealed
+	c   *machine.Compiled // m's compiled form
 	opt Options
 
 	trans    *lower.Translator
@@ -217,15 +218,18 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 	if cache == nil {
 		cache = NewSegCache()
 	}
+	m = m.Sealed()
+	c := m.Compiled()
 	return &Estimator{
 		tbl:   tbl,
 		m:     m,
+		c:     c,
 		opt:   opt,
 		trans: lower.New(tbl, m, opt.Lower),
 		seen:  map[symexpr.Var]bool{},
 		cache: cache,
 		names: map[string]bool{},
-		keyFP: optionsFingerprint(m.Fingerprint(), opt),
+		keyFP: optionsFingerprint(c.Fingerprint(), opt),
 	}
 }
 
@@ -348,7 +352,7 @@ func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost
 				return cost{}, err
 			}
 			if resolved {
-				linkage := float64(e.m.Latency(ir.OpCall))
+				linkage := float64(e.c.Latency(ir.OpCall))
 				total = total.add(cost{base: libCost.AddConst(linkage), entry: symexpr.Zero()})
 				i++
 				continue
@@ -424,9 +428,12 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 	case inLoop && e.opt.SteadyStateIters > 1:
 		// Register-promoted accumulators chain across iterations: the
 		// steady-state drop must see the serial dependence.
-		chain := map[ir.Reg]ir.Reg{}
+		var chain map[ir.Reg]ir.Reg
 		for _, pv := range lw.Promoted {
 			if pv.InReg != ir.NoReg && pv.OutReg != ir.NoReg {
+				if chain == nil {
+					chain = map[ir.Reg]ir.Reg{}
+				}
 				chain[pv.InReg] = pv.OutReg
 			}
 		}
@@ -592,7 +599,7 @@ func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, e
 	// hierarchies skip the pass entirely so that their predictions
 	// (including unknown-registration order) stay byte-identical to a
 	// machine with no hierarchy.
-	if len(loops) == 0 && e.m.Memory.Active() {
+	if len(loops) == 0 && e.c.Memory().Active() {
 		memP, err := e.nestMemory(l)
 		if err != nil {
 			return cost{}, err
@@ -614,7 +621,7 @@ func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, e
 func (e *Estimator) nestMemory(l *source.DoLoop) (symexpr.Poly, error) {
 	var nest []cachemodel.NestLoop
 	e.collectMemLoops(l, &nest, map[string]bool{})
-	memP, err := cachemodel.NestMemoryCycles(e.tbl, nest, l.Body, e.m.Memory)
+	memP, err := cachemodel.NestMemoryCycles(e.tbl, nest, l.Body, e.c.Memory())
 	if err != nil {
 		return symexpr.Poly{}, fmt.Errorf("%s: memory cost of nest %s: %w", l.Pos, l.Var, err)
 	}
@@ -721,7 +728,7 @@ func (e *Estimator) bodyShape(body []source.Stmt, loopVars []string) (tetris.Cos
 	if err != nil || len(lw.Body.Instrs) == 0 {
 		return tetris.CostBlock{}, false
 	}
-	res, err := e.tetEstimate(lw.Body)
+	res, err := e.tetShape(lw.Body)
 	if err != nil {
 		return tetris.CostBlock{}, false
 	}
@@ -747,7 +754,7 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		}
 		e.addPre(float64(preRes.Cost))
 	}
-	condRes, err := e.tetEstimate(lw.Body)
+	condRes, err := e.tetShape(lw.Body)
 	if err != nil {
 		return cost{}, err
 	}
@@ -772,13 +779,13 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		return cost{}, err
 	}
 
-	cbr := float64(e.m.BranchCost)
+	cbr := float64(e.c.BranchCost())
 	// Branch-optimization shape test: a branch whose taken block keeps
 	// the FXU ahead of the FP pipes hides (part of) the penalty.
 	thenShape, thenShapeOK := e.shapeFor(s.Then, loopVars)
 	elseShape, elseShapeOK := e.shapeFor(s.Else, loopVars)
 	if thenShapeOK {
-		cbr = float64(tetris.BranchCovered(thenShape, e.m.BranchCost))
+		cbr = float64(tetris.BranchCovered(thenShape, e.c.BranchCost()))
 	}
 	// Figure 9 overlap: the condition block and the selected branch
 	// interlock; credit each constant-cost branch with the shape

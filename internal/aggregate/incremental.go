@@ -2,6 +2,7 @@ package aggregate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -74,12 +75,26 @@ func PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tb
 // inventory, dispatch width, flags, and the whole cost table — never
 // just the name, so same-named targets with different tables cannot
 // alias) and the full option set (lowering flags, tetris options,
-// steady-state and branch handling, and the external-library table).
+// steady-state and branch handling, and the external-library table),
+// mixed field by field. TestOptionsFingerprintCoversEveryField fails
+// when an options field is added without being mixed here.
 func optionsFingerprint(machFP source.Fingerprint, opt Options) source.Fingerprint {
-	fp := machFP
-	fp = fp.MixString(fmt.Sprintf("%+v|%+v|%d|%t|%g|%g",
-		opt.Lower, opt.Tetris, opt.SteadyStateIters,
-		opt.SimplifyCloseBranches, opt.CloseTol, opt.AssumeBranchProb))
+	lo, to := opt.Lower, opt.Tetris
+	var flags uint64
+	for i, b := range []bool{lo.CSE, lo.CodeMotion, lo.FuseFMA, lo.DeadStoreElim, lo.ScalarReplace,
+		to.MayAlias, to.IgnoreDeps, opt.SimplifyCloseBranches} {
+		if b {
+			flags |= 1 << i
+		}
+	}
+	fp := machFP.MixString("options/v2").
+		MixUint64(flags).
+		MixUint64(uint64(int64(lo.RegisterPressure))).
+		MixUint64(uint64(int64(to.FocusSpan))).
+		MixUint64(uint64(int64(to.DispatchWidth))).
+		MixUint64(uint64(int64(opt.SteadyStateIters))).
+		MixUint64(math.Float64bits(opt.CloseTol)).
+		MixUint64(math.Float64bits(opt.AssumeBranchProb))
 	if len(opt.Library) > 0 {
 		names := make([]string, 0, len(opt.Library))
 		for n := range opt.Library {
@@ -233,7 +248,7 @@ func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprin
 	// A nest priced at the top level of a memory-active machine carries
 	// the hierarchy charge; the identical subtree nested inside another
 	// loop does not. Mark root pricings so the two can never alias.
-	if len(loops) == 0 && e.m.Memory.Active() {
+	if len(loops) == 0 && e.c.Memory().Active() {
 		fp = fp.MixString("memroot")
 	}
 	return fp.Mix(source.FingerprintEnvFor(e.prog, e.names))
@@ -311,7 +326,15 @@ func (e *Estimator) countTetris() {
 	}
 }
 
+// tetEstimate prices a block for its cost alone (Cost, Start, End);
+// tetShape also returns the cost-block shape, which only the branch
+// shape tests read.
 func (e *Estimator) tetEstimate(b *ir.Block) (tetris.Result, error) {
+	e.countTetris()
+	return tetris.EstimateCost(e.m, b, e.opt.Tetris)
+}
+
+func (e *Estimator) tetShape(b *ir.Block) (tetris.Result, error) {
 	e.countTetris()
 	return tetris.Estimate(e.m, b, e.opt.Tetris)
 }

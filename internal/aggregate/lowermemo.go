@@ -145,6 +145,6 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 	if e.lowered == nil {
 		e.lowered = NewLowerMemo()
 	}
-	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.m.HasFMA, opt: e.opt.Lower}
+	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.c.HasFMA(), opt: e.opt.Lower}
 	return e.lowered.get(e.trans, k, stmts, loopVars)
 }

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"reflect"
 	"testing"
 
 	"perfpredict/internal/machine"
@@ -102,4 +103,44 @@ func TestSegCacheKeysOnSteadyState(t *testing.T) {
 	if s := got.Cost.String(); s != "6·n + 3" {
 		t.Errorf("SteadyStateIters=1 on a warm cache priced %s, want 6·n + 3", s)
 	}
+}
+
+// TestOptionsFingerprintCoversEveryField walks Options by reflection,
+// perturbs each leaf field in turn (descending into the Lower and
+// Tetris structs) and requires the key to change, so a field added
+// later without being mixed into optionsFingerprint fails here.
+func TestOptionsFingerprintCoversEveryField(t *testing.T) {
+	m := machine.NewPOWER1()
+	base := DefaultOptions()
+	baseFP := optionsFingerprint(m.Fingerprint(), base)
+	var walk func(path string, typ reflect.Type, index []int)
+	walk = func(path string, typ reflect.Type, index []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			idx := append(append([]int(nil), index...), i)
+			name := path + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(name+".", f.Type, idx)
+				continue
+			}
+			opt := base
+			v := reflect.ValueOf(&opt).Elem().FieldByIndex(idx)
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Int:
+				v.SetInt(v.Int() + 1)
+			case reflect.Float64:
+				v.SetFloat(v.Float() + 0.5)
+			case reflect.Map:
+				v.Set(reflect.ValueOf(LibraryTable{"foo": {Params: []string{"k"}, Cost: symexpr.NewVar("k")}}))
+			default:
+				t.Fatalf("%s: no perturbation for kind %s", name, v.Kind())
+			}
+			if optionsFingerprint(m.Fingerprint(), opt) == baseFP {
+				t.Errorf("perturbing %s leaves the options fingerprint unchanged", name)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(base), nil)
 }

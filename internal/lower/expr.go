@@ -160,7 +160,7 @@ func (tr *Translator) binExpr(x *source.BinExpr, hoist bool) (ir.Reg, source.Typ
 	}
 
 	// FMA recognition: a*b + c, c + a*b, a*b − c (machine permitting).
-	if tr.opt.FuseFMA && tr.m.HasFMA && resTy == source.TypeReal &&
+	if tr.opt.FuseFMA && tr.fma && resTy == source.TypeReal &&
 		(x.Kind == source.BinAdd || x.Kind == source.BinSub) {
 		if mul, addend, sub, ok := fmaOperands(x); ok {
 			a, aty, err := tr.expr(mul.L)

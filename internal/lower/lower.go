@@ -92,7 +92,7 @@ type PromotedVar struct {
 // Translator lowers statements for one program unit on one machine.
 type Translator struct {
 	tbl *sem.Table
-	m   *machine.Machine
+	fma bool // the target's HasFMA: the only machine field lowering reads
 	opt Options
 
 	nextReg ir.Reg
@@ -164,7 +164,7 @@ type keyEntry struct {
 // New creates a translator.
 func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 	return &Translator{
-		tbl: tbl, m: m, opt: opt,
+		tbl: tbl, fma: m.Compiled().HasFMA(), opt: opt,
 		preCSE:    map[string]ir.Reg{},
 		cse:       map[string]ir.Reg{},
 		cseNames:  map[string]int{},

@@ -16,17 +16,26 @@ import (
 // of where they live in memory.
 //
 // The fingerprint is the machine's identity everywhere costs are
-// memoized: the straight-line segment cache and the nest-level cost
-// cache (package aggregate) mix it into their keys, and the tetris and
-// pipesim scratch pools use it to decide whether machine-derived
-// tables may be reused. Keying on content rather than name or pointer
+// memoized: the straight-line segment cache, the nest-level cost cache
+// (package aggregate) and the server's result cache mix it into their
+// keys. Keying on content rather than name or pointer
 // means two targets that share a name but differ in even one segment
 // can never alias each other's cache entries, while content-identical
 // machines built by separate registry lookups share freely.
 //
 // The hash is the two-lane FNV scheme of source.Fingerprint; the
-// "machine/v1" tag domain-separates it from AST fingerprints.
+// "machine/v1" tag domain-separates it from AST fingerprints. A sealed
+// machine returns the fingerprint of its compiled form, computed once
+// at construction.
 func (m *Machine) Fingerprint() source.Fingerprint {
+	if m.c != nil {
+		return m.c.fp
+	}
+	return fingerprint(m)
+}
+
+// fingerprint hashes m's fields.
+func fingerprint(m *Machine) source.Fingerprint {
 	fp := source.Fingerprint{}.MixString("machine/v1").MixString(m.Name)
 	fp = fp.MixUint64(uint64(m.DispatchWidth))
 	var flags uint64

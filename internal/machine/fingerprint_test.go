@@ -63,8 +63,12 @@ func TestFingerprintValuesPinned(t *testing.T) {
 		}
 	}
 
-	mem := NewPOWER1()
-	mem.Memory = POWER1Memory()
+	memSpec := SpecOf(NewPOWER1())
+	memSpec.Memory = SpecOfHierarchy(POWER1Memory())
+	mem, err := memSpec.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, w := mem.Fingerprint().String(), "84a9149099c35df4f9677b22fbd5a0d0"; got != w {
 		t.Errorf("POWER1 with memory: fingerprint %s, pinned %s", got, w)
 	}
@@ -109,7 +113,7 @@ func TestFingerprintTableOrderPaths(t *testing.T) {
 		t.Errorf("%d cells share %d fingerprints", len(cells), len(seen))
 	}
 
-	m := NewPOWER1()
+	m := ReferencePOWER1()
 	m.Table[ir.Op(-1)] = m.Table[ir.OpFAdd]
 	if _, ok := mixTableByOpName(source.Fingerprint{}, m.Table); ok {
 		t.Error("table with an out-of-range op stayed on the fast path")
@@ -122,7 +126,7 @@ func TestFingerprintTableOrderPaths(t *testing.T) {
 // TestFingerprintAllocs guards the allocation-free hash: the
 // fingerprint runs on every cache probe of every estimator.
 func TestFingerprintAllocs(t *testing.T) {
-	m := NewPOWER1()
+	m := ReferencePOWER1() // a struct literal: hashed on every call
 	m.Memory = POWER1Memory()
 	if n := testing.AllocsPerRun(100, func() { _ = m.Fingerprint() }); n != 0 {
 		t.Errorf("Fingerprint allocates %.0f times per call, want 0", n)

@@ -117,11 +117,23 @@ type Machine struct {
 	// machine prices every load as an L1 hit. When set, aggregation
 	// folds the symbolic §2.3 miss cost into each top-level nest.
 	Memory *MemoryHierarchy
+
+	// c is the compiled form fixed at construction (see Compiled); nil
+	// for a machine assembled as a struct literal.
+	c *Compiled
 }
 
 // Units returns the unit instances of the machine in a stable order,
 // e.g. FXU#0, FXU#1, FPU#0…
 func (m *Machine) Units() []UnitInstance {
+	if m.c != nil {
+		return append([]UnitInstance(nil), m.c.units...)
+	}
+	return unitsOf(m)
+}
+
+// unitsOf enumerates m's unit instances from its fields.
+func unitsOf(m *Machine) []UnitInstance {
 	kinds := make([]UnitKind, 0, len(m.UnitCounts))
 	for k := range m.UnitCounts {
 		kinds = append(kinds, k)
@@ -144,8 +156,18 @@ type UnitInstance struct {
 
 func (u UnitInstance) String() string { return fmt.Sprintf("%s#%d", u.Kind, u.Index) }
 
-// Lookup returns the atomic expansion of a basic operation.
+// Lookup returns the atomic expansion of a basic operation. A sealed
+// machine returns a copy, so no caller can edit its compiled table.
 func (m *Machine) Lookup(op ir.Op) ([]AtomicOp, error) {
+	seq, err := m.desc().lookup(op)
+	if err != nil || m.c == nil {
+		return seq, err
+	}
+	return cloneSeq(seq), nil
+}
+
+// lookup returns m's own table entry for op.
+func (m *Machine) lookup(op ir.Op) ([]AtomicOp, error) {
 	seq, ok := m.Table[op]
 	if !ok {
 		return nil, fmt.Errorf("machine %s: no atomic mapping for %s", m.Name, op)
@@ -156,7 +178,7 @@ func (m *Machine) Lookup(op ir.Op) ([]AtomicOp, error) {
 // Latency returns the total dependent-visible latency of a basic
 // operation (sum over its atomic expansion, which executes serially).
 func (m *Machine) Latency(op ir.Op) int {
-	seq, err := m.Lookup(op)
+	seq, err := m.desc().lookup(op)
 	if err != nil {
 		return 1
 	}
@@ -169,7 +191,7 @@ func (m *Machine) Latency(op ir.Op) int {
 
 // Occupancy returns the total exclusive unit cycles of a basic op.
 func (m *Machine) Occupancy(op ir.Op) int {
-	seq, err := m.Lookup(op)
+	seq, err := m.desc().lookup(op)
 	if err != nil {
 		return 1
 	}
@@ -184,6 +206,7 @@ func (m *Machine) Occupancy(op ir.Op) int {
 // units the machine has, with sane segment values, and every basic
 // operation has a mapping.
 func (m *Machine) Validate() error {
+	m = m.desc()
 	if m.DispatchWidth <= 0 {
 		return fmt.Errorf("machine %s: dispatch width %d", m.Name, m.DispatchWidth)
 	}

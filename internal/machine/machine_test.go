@@ -118,7 +118,7 @@ func TestSuperScalar2Pipes(t *testing.T) {
 }
 
 func TestLookupUnknown(t *testing.T) {
-	m := NewPOWER1()
+	m := ReferencePOWER1()
 	delete(m.Table, ir.OpFSqrt)
 	if _, err := m.Lookup(ir.OpFSqrt); err == nil {
 		t.Error("expected error for unmapped op")
@@ -145,17 +145,17 @@ func TestOccupancyVsLatency(t *testing.T) {
 }
 
 func TestValidateCatchesBadSegments(t *testing.T) {
-	m := NewPOWER1()
+	m := ReferencePOWER1()
 	m.Table[ir.OpFAdd] = []AtomicOp{{Name: "bad", Segments: []Segment{{Unit: "NOPE", Noncov: 1}}}}
 	if err := m.Validate(); err == nil {
 		t.Error("unknown unit not caught")
 	}
-	m = NewPOWER1()
+	m = ReferencePOWER1()
 	m.Table[ir.OpFAdd] = []AtomicOp{{Name: "bad", Segments: []Segment{{Unit: FPU}}}}
 	if err := m.Validate(); err == nil {
 		t.Error("zero-cost segment not caught")
 	}
-	m = NewPOWER1()
+	m = ReferencePOWER1()
 	m.DispatchWidth = 0
 	if err := m.Validate(); err == nil {
 		t.Error("zero dispatch width not caught")

@@ -7,19 +7,21 @@ import (
 	"sync"
 )
 
-// Registry is a thread-safe catalog of machine specs, looked up by
-// case-insensitive name. It stores validated *descriptions*, not
-// Machine values: every Lookup builds a fresh Machine, so callers may
-// mutate their copy (the SuperScalar2-from-POWER1 pattern) without
-// corrupting the catalog or each other.
+// Registry is a thread-safe catalog of machine targets, looked up by
+// case-insensitive name. It stores each registered spec compiled once
+// (see Compiled), not Machine values: every Lookup returns a fresh
+// Machine sealed to that shared compiled form, so no caller can
+// corrupt the catalog or another caller's target. A variant target
+// (the SuperScalar2-from-POWER1 pattern) is derived by editing a Spec
+// (SpecOf) and building it.
 type Registry struct {
-	mu    sync.RWMutex
-	specs map[string]*Spec // key: strings.ToLower(spec.Name)
+	mu      sync.RWMutex
+	targets map[string]*Compiled // key: strings.ToLower(spec.Name)
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{specs: map[string]*Spec{}}
+	return &Registry{targets: map[string]*Compiled{}}
 }
 
 // Register validates the spec and adds it to the catalog. Registering
@@ -28,49 +30,41 @@ func NewRegistry() *Registry {
 // replacing a target is exactly the aliasing hazard content
 // fingerprints exist to prevent.
 func (r *Registry) Register(s *Spec) error {
-	if err := s.Validate(); err != nil {
+	m, err := s.Machine()
+	if err != nil {
 		return err
 	}
 	key := strings.ToLower(s.Name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.specs[key]; dup {
+	if _, dup := r.targets[key]; dup {
 		return fmt.Errorf("machine registry: %q already registered", s.Name)
 	}
-	r.specs[key] = s
+	r.targets[key] = m.c
 	return nil
 }
 
-// Lookup builds a fresh Machine from the spec registered under name
-// (case-insensitive). An unknown name errors with the list of valid
-// names.
+// Lookup returns a fresh Machine for the target registered under name
+// (case-insensitive), sealed to the compiled form built once at
+// registration. An unknown name errors with the list of valid names.
 func (r *Registry) Lookup(name string) (*Machine, error) {
 	r.mu.RLock()
-	s, ok := r.specs[strings.ToLower(name)]
+	c, ok := r.targets[strings.ToLower(name)]
 	r.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("machine registry: unknown machine %q (registered: %s)",
 			name, strings.Join(r.Names(), ", "))
 	}
-	return s.Machine()
-}
-
-// Spec returns the registered description itself (shared, not a copy —
-// treat it as immutable) and whether the name is registered.
-func (r *Registry) Spec(name string) (*Spec, bool) {
-	r.mu.RLock()
-	s, ok := r.specs[strings.ToLower(name)]
-	r.mu.RUnlock()
-	return s, ok
+	return c.machine(), nil
 }
 
 // Names lists the registered machine names (as spelled in their
 // specs), sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
-	out := make([]string, 0, len(r.specs))
-	for _, s := range r.specs {
-		out = append(out, s.Name)
+	out := make([]string, 0, len(r.targets))
+	for _, c := range r.targets {
+		out = append(out, c.Name())
 	}
 	r.mu.RUnlock()
 	sort.Strings(out)

@@ -221,7 +221,9 @@ func (s *Spec) Validate() error {
 }
 
 // Machine validates the spec and builds the runtime Machine it
-// describes. Each call returns a fresh, independently mutable value.
+// describes, sealed: the target is compiled once here (see Compiled),
+// so later edits to s or to the returned value's fields change neither
+// its fingerprint nor any price. Each call returns a fresh value.
 func (s *Spec) Machine() (*Machine, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -251,7 +253,7 @@ func (s *Spec) Machine() (*Machine, error) {
 		}
 		m.Table[op] = atomics
 	}
-	return m, nil
+	return m.seal(), nil
 }
 
 // WithExtraPipe builds a machine identical to m except for one more
@@ -273,8 +275,10 @@ func WithExtraPipe(m *Machine, k UnitKind) (*Machine, error) {
 // of an existing Machine. SpecOf(m).Machine() reproduces m exactly
 // (up to map iteration order, which neither fingerprints nor the
 // estimators observe), so hand-coded tables can be exported, diffed,
-// and re-embedded as data.
+// and re-embedded as data. A sealed machine describes its compiled
+// form, whatever its exported fields now hold.
 func SpecOf(m *Machine) *Spec {
+	m = m.desc()
 	s := &Spec{
 		Name:          m.Name,
 		DispatchWidth: m.DispatchWidth,

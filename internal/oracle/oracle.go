@@ -187,12 +187,13 @@ func newPacker(m *machine.Machine, b *ir.Block, opt Options) (*packer, error) {
 	if budget <= 0 {
 		budget = defaultNodeBudget
 	}
+	c := m.Compiled()
 	p := &packer{
 		b:         b,
 		instrs:    b.Instrs,
 		deps:      b.Deps(opt.MayAlias),
-		width:     m.DispatchWidth,
-		inst:      m.Units(),
+		width:     c.DispatchWidth(),
+		inst:      c.Units(),
 		byKind:    map[machine.UnitKind][]int{},
 		scheduled: make([]bool, n),
 		issue:     make([]int, n),
@@ -213,7 +214,7 @@ func newPacker(m *machine.Machine, b *ir.Block, opt Options) (*packer, error) {
 	p.seqs = make([][]machine.AtomicOp, n)
 	p.totalLat = make([]int, n)
 	for i, in := range b.Instrs {
-		seq, err := m.Lookup(in.Op)
+		seq, err := c.Lookup(in.Op)
 		if err != nil {
 			return nil, err
 		}

@@ -25,7 +25,6 @@ import (
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
-	"perfpredict/internal/source"
 )
 
 // Result reports one simulated block execution.
@@ -69,8 +68,9 @@ func Run(m *machine.Machine, b *ir.Block) (Result, error) {
 // execution order (a basic block, or a whole-program dynamic trace from
 // the interpreter) and read the final cycle count.
 type Pipeline struct {
-	m      *machine.Machine
-	machFP source.Fingerprint
+	// c is the compiled target; every table below derived from it is
+	// rebuilt only when a Reset names a different one.
+	c      *machine.Compiled
 	units  []machine.UnitInstance
 	byKind map[machine.UnitKind][]int
 	// freeAt[pipe] is the first cycle the pipe is idle.
@@ -109,23 +109,20 @@ func NewPipeline(m *machine.Machine) *Pipeline {
 }
 
 // Reset clears the pipeline for a fresh run on m, reusing scoreboards
-// and unit tables (rebuilt only when the machine *content* changes —
-// pooled pipelines handed a fresh pointer to an identical description
-// keep their derived tables, including the per-opcode kind cache).
+// and unit tables (rebuilt only when m's compiled target differs from
+// the last run's; a compiled target is immutable, so identity is
+// content).
 func (p *Pipeline) Reset(m *machine.Machine) {
-	if p.m != m || p.units == nil {
-		fp := m.Fingerprint()
-		if p.units == nil || fp != p.machFP {
-			p.units = m.Units()
-			p.byKind = make(map[machine.UnitKind][]int, 4)
-			for i, u := range p.units {
-				p.byKind[u.Kind] = append(p.byKind[u.Kind], i)
-			}
-			p.freeAt = make([]int64, len(p.units))
-			p.used = make([]bool, len(p.units))
-			p.kindCache = map[ir.Op][]machine.UnitKind{}
+	if c := m.Compiled(); p.c != c {
+		p.c = c
+		p.units = c.Units()
+		p.byKind = make(map[machine.UnitKind][]int, 4)
+		for i, u := range p.units {
+			p.byKind[u.Kind] = append(p.byKind[u.Kind], i)
 		}
-		p.m, p.machFP = m, fp
+		p.freeAt = make([]int64, len(p.units))
+		p.used = make([]bool, len(p.units))
+		p.kindCache = map[ir.Op][]machine.UnitKind{}
 	}
 	for i := range p.freeAt {
 		p.freeAt[i] = 0
@@ -192,7 +189,7 @@ func (p *Pipeline) kindsOf(in ir.Instr) []machine.UnitKind {
 		return ks
 	}
 	var out []machine.UnitKind
-	if seq, err := p.m.Lookup(in.Op); err == nil {
+	if seq, err := p.c.Lookup(in.Op); err == nil {
 		for _, a := range seq {
 			for _, seg := range a.Segments {
 				dup := false
@@ -250,7 +247,7 @@ func (p *Pipeline) memReady(in ir.Instr, ready int64) int64 {
 // scoreboards. For buffered stores, dataReady delays only the memory
 // effect, not the unit slots.
 func (p *Pipeline) issueAt(in ir.Instr, ready, dataReady int64) (int64, error) {
-	seq, err := p.m.Lookup(in.Op)
+	seq, err := p.c.Lookup(in.Op)
 	if err != nil {
 		return 0, err
 	}
@@ -322,7 +319,7 @@ func (p *Pipeline) placeAtomic(a machine.AtomicOp, ready int64) (int64, error) {
 	t := ready
 	for iter := 0; iter < 1<<24; iter++ {
 		// Dispatch width.
-		if p.dispatched >= p.m.DispatchWidth && t == p.dispatchCycle {
+		if p.dispatched >= p.c.DispatchWidth() && t == p.dispatchCycle {
 			t++
 		}
 		ok := true

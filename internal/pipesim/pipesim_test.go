@@ -132,8 +132,12 @@ func TestMemoryOrdering(t *testing.T) {
 }
 
 func TestDispatchWidth(t *testing.T) {
-	m := machine.NewSuperScalar2()
-	m.DispatchWidth = 1
+	s := machine.SpecOf(machine.NewSuperScalar2())
+	s.DispatchWidth = 1
+	m, err := s.Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := &ir.Block{}
 	for i := 0; i < 4; i++ {
 		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})

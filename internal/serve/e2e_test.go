@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"perfpredict"
+	"perfpredict/internal/source"
 )
 
 // corpusDir points at the PR 4 differential-fuzzing corpus, the
@@ -422,4 +423,28 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// TestE2EDeepNestingIs422: a program nesting deeper than the parser's
+// limit is an ordinary bad_program answer on every endpoint that
+// parses, never a crashed process.
+func TestE2EDeepNestingIs422(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	n := source.MaxNestDepth + 1
+	src := "program p\n  real s\n  s = " + strings.Repeat("(", n) + "1.0" + strings.Repeat(")", n) + "\nend\n"
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/predict", PredictRequest{Source: src}},
+		{"/v1/explain", ExplainRequest{Source: src}},
+		{"/v1/optimize", OptimizeRequest{Source: src}},
+	} {
+		status, body := postJSON(t, ts, tc.path, tc.req)
+		var er ErrorResponse
+		if status != http.StatusUnprocessableEntity || json.Unmarshal(body, &er) != nil || er.Error.Code != CodeBadProgram {
+			t.Errorf("%s: status %d, body %.300s; want 422 %s", tc.path, status, body, CodeBadProgram)
+		}
+	}
 }

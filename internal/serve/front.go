@@ -74,24 +74,18 @@ type targetKey struct {
 	hash   memoKey
 }
 
-// resolved is a request's target with its content fingerprint, the
-// machine half of every result-cache key.
-type resolved struct {
-	target *perfpredict.Target
-	fp     source.Fingerprint
-}
-
 // resolveTarget picks the request's target: an inline spec when
 // given (parsed and strictly validated, 422 on any violation),
 // otherwise a registered machine name (404 when absent; default
 // POWER1). Naming both is a request-shape error. Inline-spec machines
 // share the warm caches safely — every cache key includes the machine
-// content fingerprint.
-func (s *Server) resolveTarget(name string, spec json.RawMessage) (resolved, *apiError) {
+// content fingerprint, which the built target carries sealed (see
+// machine.Compiled), so the memo keeps no fingerprint of its own.
+func (s *Server) resolveTarget(name string, spec json.RawMessage) (*perfpredict.Target, *apiError) {
 	var key targetKey
 	if len(spec) > 0 {
 		if name != "" {
-			return resolved{}, errBadJSON("give machine or spec, not both")
+			return nil, errBadJSON("give machine or spec, not both")
 		}
 		key = targetKey{inline: true, hash: s.hash.bytes(spec)}
 	} else {
@@ -107,20 +101,19 @@ func (s *Server) resolveTarget(name string, spec json.RawMessage) (resolved, *ap
 	if key.inline {
 		sp, err := machine.ParseSpec(spec)
 		if err != nil {
-			return resolved{}, errInvalidSpec(err.Error())
+			return nil, errInvalidSpec(err.Error())
 		}
 		if m, err = sp.Machine(); err != nil {
-			return resolved{}, errInvalidSpec(err.Error())
+			return nil, errInvalidSpec(err.Error())
 		}
 	} else {
 		var err error
 		if m, err = machine.Lookup(name); err != nil {
-			return resolved{}, errUnknownMachine(err.Error())
+			return nil, errUnknownMachine(err.Error())
 		}
 	}
-	r := resolved{target: m, fp: m.Fingerprint()}
-	s.targets.Put(key, r)
-	return r, nil
+	s.targets.Put(key, m)
+	return m, nil
 }
 
 // programFP is the program half of a cache key: the structural AST

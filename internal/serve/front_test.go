@@ -167,8 +167,8 @@ func TestFrontInlineSpecsNeverAlias(t *testing.T) {
 	if aerr != nil {
 		t.Fatal(aerr.msg)
 	}
-	if ra.target == rb.target || ra.fp == rb.fp {
-		t.Errorf("specs differing in fadd share a target or fingerprint %s", ra.fp)
+	if ra == rb || ra.Fingerprint() == rb.Fingerprint() {
+		t.Errorf("specs differing in fadd share a target or fingerprint %s", ra.Fingerprint())
 	}
 }
 
@@ -243,13 +243,13 @@ func TestFrontSharedTargetsStayPristine(t *testing.T) {
 	}
 	wg.Wait()
 
-	check := func(what string, r resolved, fresh *machine.Machine) {
+	check := func(what string, r, fresh *machine.Machine) {
 		t.Helper()
-		if !reflect.DeepEqual(r.target, fresh) {
+		if !reflect.DeepEqual(r, fresh) {
 			t.Errorf("%s: memoised target differs from a fresh build after traffic", what)
 		}
-		if r.fp != fresh.Fingerprint() {
-			t.Errorf("%s: memoised fingerprint %s, fresh %s", what, r.fp, fresh.Fingerprint())
+		if r.Fingerprint() != fresh.Fingerprint() {
+			t.Errorf("%s: memoised fingerprint %s, fresh %s", what, r.Fingerprint(), fresh.Fingerprint())
 		}
 	}
 	hitsBefore, _ := memoStats(s.targets)

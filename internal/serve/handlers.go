@@ -138,9 +138,9 @@ func (s *Server) handleExplain(r *http.Request) (any, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	key := resultcache.ExplainKey(s.programFP(req.Source), t.fp, req.Nominal, req.SkipWhatIf)
+	key := resultcache.ExplainKey(s.programFP(req.Source), t.Fingerprint(), req.Nominal, req.SkipWhatIf)
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		rep, err := perfpredict.ExplainCtx(r.Context(), req.Source, t.target, perfpredict.ExplainOptions{
+		rep, err := perfpredict.ExplainCtx(r.Context(), req.Source, t, perfpredict.ExplainOptions{
 			Nominal:    req.Nominal,
 			SkipWhatIf: req.SkipWhatIf,
 		})
@@ -166,11 +166,11 @@ func (s *Server) handlePredict(r *http.Request) (any, *apiError) {
 	if aerr != nil {
 		return nil, aerr
 	}
-	key := resultcache.PredictKey(s.programFP(req.Source), t.fp, req.Args)
+	key := resultcache.PredictKey(s.programFP(req.Source), t.Fingerprint(), req.Args)
 	return s.withResultCache(r, key, func() (any, *apiError) {
 		// A one-element batch is the cache-aware, context-aware single
 		// prediction: it shares the server's warm segment cache.
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), []string{req.Source}, t.target,
+		preds, errs := perfpredict.PredictBatchCtx(r.Context(), []string{req.Source}, t,
 			perfpredict.BatchOptions{Workers: 1, Cache: s.seg})
 		if err := r.Context().Err(); err != nil {
 			return nil, ctxError(err)
@@ -178,7 +178,7 @@ func (s *Server) handlePredict(r *http.Request) (any, *apiError) {
 		if errs[0] != nil {
 			return nil, errBadProgram(errs[0].Error())
 		}
-		return buildPredictResponse(preds[0], t.target.Name, req.Args)
+		return buildPredictResponse(preds[0], t.Name, req.Args)
 	})
 }
 
@@ -231,14 +231,14 @@ func (s *Server) handleBatch(r *http.Request) (any, *apiError) {
 	for i, src := range req.Sources {
 		fps[i] = s.programFP(src)
 	}
-	key := resultcache.BatchKey(fps, t.fp, req.Args)
+	key := resultcache.BatchKey(fps, t.Fingerprint(), req.Args)
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), req.Sources, t.target,
+		preds, errs := perfpredict.PredictBatchCtx(r.Context(), req.Sources, t,
 			perfpredict.BatchOptions{Workers: s.boundWorkers(req.Workers), Cache: s.seg})
 		if err := r.Context().Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		resp := BatchResponse{Machine: t.target.Name, Results: make([]BatchItem, len(preds))}
+		resp := BatchResponse{Machine: t.Name, Results: make([]BatchItem, len(preds))}
 		for i := range preds {
 			if errs[i] != nil {
 				resp.Results[i].Error = &ErrorBody{Code: CodeBadProgram, Message: errs[i].Error()}
@@ -297,13 +297,13 @@ func (s *Server) handleOptimize(r *http.Request) (any, *apiError) {
 	if _, err := sem.Analyze(prog); err != nil {
 		return nil, errBadProgram(err.Error())
 	}
-	key := resultcache.OptimizeKey(s.programFP(req.Source), t.fp,
+	key := resultcache.OptimizeKey(s.programFP(req.Source), t.Fingerprint(),
 		req.Nominal, req.MaxNodes, req.MaxDepth)
 	if isAsync(r) {
-		return s.submitOptimize(&req, t.target, key)
+		return s.submitOptimize(&req, t, key)
 	}
 	return s.withResultCache(r, key, func() (any, *apiError) {
-		resp, err := s.optimize(r.Context(), &req, t.target, nil)
+		resp, err := s.optimize(r.Context(), &req, t, nil)
 		if err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 				return nil, ctxError(err)

@@ -112,7 +112,7 @@ type Server struct {
 	// (front.go): each distinct target input and program text is
 	// resolved and keyed once.
 	hash     hasher
-	targets  *lru.Cache[targetKey, resolved]
+	targets  *lru.Cache[targetKey, *perfpredict.Target]
 	programs *lru.Cache[memoKey, source.Fingerprint]
 
 	sem      chan struct{}
@@ -161,7 +161,7 @@ func newServer(cfg Config, b budgets) *Server {
 		sem:  make(chan struct{}, cfg.MaxInflight),
 
 		hash:     newHasher(),
-		targets:  newMemo[targetKey, resolved](b.targets),
+		targets:  newMemo[targetKey, *perfpredict.Target](b.targets),
 		programs: newMemo[memoKey, source.Fingerprint](b.programs),
 	}
 	if b.seg > 0 {

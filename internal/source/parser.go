@@ -6,10 +6,22 @@ import (
 	"strings"
 )
 
+// MaxNestDepth bounds how deeply the recursive-descent parser may
+// recurse: each parenthesised or argument expression, each prefix
+// -, + or .not., each ** exponent and each DO, IF or ELSE IF body
+// takes one level. A program nesting deeper is rejected with an
+// ordinary parse error instead of exhausting the goroutine stack,
+// which the runtime cannot recover from. Real programs stay far below
+// it (TestNestDepthAboveCorpus).
+const MaxNestDepth = 1000
+
 // Parser is a recursive-descent parser for F-lite.
 type Parser struct {
 	toks []Token
 	pos  int
+	// depth is the current recursion depth in MaxNestDepth's units;
+	// peak its high-water mark.
+	depth, peak int
 }
 
 // Parse parses a complete F-lite program or subroutine.
@@ -51,6 +63,19 @@ func (p *Parser) accept(k TokKind) bool {
 	}
 	return false
 }
+
+// enter descends one nesting level, failing past MaxNestDepth; every
+// successful enter is paired with a leave.
+func (p *Parser) enter() error {
+	if p.depth >= MaxNestDepth {
+		return p.errf("nesting deeper than %d levels", MaxNestDepth)
+	}
+	p.depth++
+	p.peak = max(p.peak, p.depth)
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) skipNewlines() {
 	for p.cur().Kind == TokNewline {
@@ -298,6 +323,10 @@ func (p *Parser) parseStmt() (Stmt, error) {
 }
 
 func (p *Parser) parseDo() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.next().Pos // do
 	v, err := p.expect(TokIdent)
 	if err != nil {
@@ -349,6 +378,10 @@ func (p *Parser) parseDo() (Stmt, error) {
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	pos := p.next().Pos // if
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
@@ -425,6 +458,10 @@ func (p *Parser) parseIf() (Stmt, error) {
 // parseElseIfChain handles the `elseif (cond) then` keyword form by
 // rewriting it into a nested IfStmt.
 func (p *Parser) parseElseIfChain() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	p.next() // elseif
 	// Reuse parseIf logic by faking: we are at '(' now.
 	pos := p.cur().Pos
@@ -542,7 +579,13 @@ func (p *Parser) parseAssign() (Stmt, error) {
 //	mulExpr := unExpr { (*|/) unExpr }
 //	unExpr  := [-|+] powExpr
 //	powExpr := primary [ ** unExpr ]     (right associative)
-func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.parseOr()
+}
 
 func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -578,6 +621,10 @@ func (p *Parser) parseAnd() (Expr, error) {
 
 func (p *Parser) parseNot() (Expr, error) {
 	if p.cur().Kind == TokNot {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		pos := p.next().Pos
 		x, err := p.parseNot()
 		if err != nil {
@@ -659,6 +706,13 @@ func (p *Parser) parseMul() (Expr, error) {
 
 func (p *Parser) parseUnary() (Expr, error) {
 	switch p.cur().Kind {
+	case TokMinus, TokPlus:
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
+	}
+	switch p.cur().Kind {
 	case TokMinus:
 		pos := p.next().Pos
 		x, err := p.parseUnary()
@@ -679,6 +733,10 @@ func (p *Parser) parsePow() (Expr, error) {
 		return nil, err
 	}
 	if p.cur().Kind == TokPower {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		pos := p.next().Pos
 		exp, err := p.parseUnary() // right associative, binds unary minus
 		if err != nil {

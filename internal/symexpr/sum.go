@@ -3,6 +3,7 @@ package symexpr
 import (
 	"fmt"
 	"math/big"
+	"sync"
 )
 
 // maxSumDegree bounds the degree of the summand supported by SumOver.
@@ -62,6 +63,24 @@ func faulhaber(m int, nv Var) Poly {
 	return out
 }
 
+// sumVar is the placeholder variable the tabulated Faulhaber
+// polynomials are written in.
+const sumVar = Var("__N")
+
+// faulhaberTab holds F_0..F_maxSumDegree in sumVar, each computed on
+// first use and shared read-only afterwards (Poly operations never
+// mutate their receiver).
+var faulhaberTab struct {
+	once [maxSumDegree + 1]sync.Once
+	poly [maxSumDegree + 1]Poly
+}
+
+// faulhaberN returns the tabulated F_m(sumVar).
+func faulhaberN(m int) Poly {
+	faulhaberTab.once[m].Do(func() { faulhaberTab.poly[m] = faulhaber(m, sumVar) })
+	return faulhaberTab.poly[m]
+}
+
 // SumOver computes Σ_{v = lb}^{ub} p symbolically, where p is a
 // polynomial in v (no negative powers of v) whose coefficients may
 // involve other variables, and lb, ub are polynomials not involving v.
@@ -93,13 +112,12 @@ func SumOver(p Poly, v Var, lb, ub Poly) (Poly, error) {
 			continue
 		}
 		// Σ_{k=lb}^{ub} k^e = F_e(ub) − F_e(lb−1)
-		const tmp = Var("__N")
-		f := faulhaber(e, tmp)
-		fub, err := f.Substitute(tmp, ub)
+		f := faulhaberN(e)
+		fub, err := f.Substitute(sumVar, ub)
 		if err != nil {
 			return Poly{}, err
 		}
-		flb, err := f.Substitute(tmp, lbm1)
+		flb, err := f.Substitute(sumVar, lbm1)
 		if err != nil {
 			return Poly{}, err
 		}

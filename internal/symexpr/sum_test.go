@@ -2,6 +2,7 @@ package symexpr
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 )
 
@@ -185,4 +186,24 @@ func TestNestedSum(t *testing.T) {
 		t.Fatal(err)
 	}
 	approx(t, outer.MustEval(map[Var]float64{n: 100}), 5050, 1e-6, "nested sum")
+}
+
+// TestFaulhaberTable pins the tabulated polynomials SumOver reads to a
+// fresh computation, term for term and bit for bit, at every degree.
+func TestFaulhaberTable(t *testing.T) {
+	for m := 0; m <= maxSumDegree; m++ {
+		got, want := faulhaberN(m).Terms(), faulhaber(m, "__N").Terms()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("F_%d: table %v, fresh %v", m, faulhaberN(m), faulhaber(m, "__N"))
+		}
+	}
+	// Reading the table twice must hand back the same, unmodified terms
+	// even after a SumOver has substituted into them.
+	n := Var("n")
+	if _, err := SumOver(NewVar("i").Pow(3), "i", Const(1), NewVar(n)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := faulhaberN(3).Terms(), faulhaber(3, "__N").Terms(); !reflect.DeepEqual(got, want) {
+		t.Errorf("F_3 changed after use: %v", faulhaberN(3))
+	}
 }

@@ -202,11 +202,12 @@ func BenchmarkTetrisTryFit(b *testing.B) {
 		b.ReportAllocs()
 		sc := new(estScratch)
 		opt := Options{DispatchWidth: 1 << 20}
+		c := m.Compiled()
+		at := &c.Costs().Lookup(ir.OpFAdd).Atoms[0]
 		for i := 0; i < b.N; i++ {
-			bins := sc.prepare(m, opt)
-			oc := sc.ct.lookup(ir.OpFAdd)
+			bins := sc.prepare(c, opt)
 			for j := 0; j < drops; j++ {
-				if _, err := bins.placeOne(oc, 0, 0); err != nil {
+				if _, err := bins.placeOne(at, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

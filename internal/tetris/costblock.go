@@ -1,6 +1,8 @@
 package tetris
 
 import (
+	"sync"
+
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
 )
@@ -130,25 +132,39 @@ func SelfConcat(cb CostBlock, iters int) (total int, perIter float64) {
 // copy's Srcs a capped window of it, so the allocations do not grow
 // with the operand count.
 func Replicate(b *ir.Block, iters int) *ir.Block {
-	n := len(b.Instrs)
-	nsrc := 0
-	for _, in := range b.Instrs {
-		nsrc += len(in.Srcs)
+	iters = max(iters, 0)
+	out := &ir.Block{Label: b.Label}
+	out.Instrs = replicateInto(make([]ir.Instr, len(b.Instrs)*iters), make([]ir.Reg, srcCount(b)*iters), b, iters)
+	return out
+}
+
+// srcCount returns the number of register operands in b.
+func srcCount(b *ir.Block) int {
+	n := 0
+	for i := range b.Instrs {
+		n += len(b.Instrs[i].Srcs)
 	}
-	out := &ir.Block{Label: b.Label, Instrs: make([]ir.Instr, 0, n*max(iters, 0))}
-	srcs := make([]ir.Reg, nsrc*max(iters, 0))
+	return n
+}
+
+// replicateInto writes the iters renamed copies of b that Replicate
+// describes into instrs and srcs, which must hold exactly
+// len(b.Instrs)·iters instructions and srcCount(b)·iters operands; the
+// caller owns the storage. It returns instrs.
+func replicateInto(instrs []ir.Instr, srcs []ir.Reg, b *ir.Block, iters int) []ir.Instr {
 	stride := int32(b.MaxReg()) + 1
+	k := 0
 	for it := 0; it < iters; it++ {
 		off := ir.Reg(int32(it) * stride)
 		for _, in := range b.Instrs {
 			c := in
 			ns := len(in.Srcs)
 			c.Srcs, srcs = srcs[:ns:ns], srcs[ns:]
-			for k, s := range in.Srcs {
+			for j, s := range in.Srcs {
 				if s == ir.NoReg {
-					c.Srcs[k] = ir.NoReg
+					c.Srcs[j] = ir.NoReg
 				} else {
-					c.Srcs[k] = s + off
+					c.Srcs[j] = s + off
 				}
 			}
 			if in.Dst != ir.NoReg {
@@ -157,10 +173,11 @@ func Replicate(b *ir.Block, iters int) *ir.Block {
 			if it > 0 && c.Addr != "" && c.Addr != c.Base {
 				c.Addr = c.Addr + "#" + itoa(it)
 			}
-			out.Instrs = append(out.Instrs, c)
+			instrs[k] = c
+			k++
 		}
 	}
-	return out
+	return instrs
 }
 
 func itoa(v int) string {
@@ -177,6 +194,17 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
+// repScratch is pooled storage for the replicated block a steady-state
+// estimate prices and then discards: the same layout Replicate
+// allocates exactly, grown to a high-water mark instead.
+type repScratch struct {
+	blk    ir.Block
+	instrs []ir.Instr
+	srcs   []ir.Reg
+}
+
+var repPool = sync.Pool{New: func() any { return new(repScratch) }}
+
 // SteadyState prices iters independent copies of b and returns the
 // amortized per-iteration cost.
 func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIter float64, total int, err error) {
@@ -187,12 +215,26 @@ func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIt
 // recurrences preserved: chain maps each copy's loop-entry register
 // (e.g. a promoted accumulator) to the register holding its value at
 // the copy's end, so copy k's read depends on copy k−1's result — the
-// serial chain of a sum reduction kept in a register.
+// serial chain of a sum reduction kept in a register. The copies are
+// built by Replicate's routine into pooled storage and priced cost
+// only.
 func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int, chain map[ir.Reg]ir.Reg) (perIter float64, total int, err error) {
 	if iters <= 0 {
 		iters = 1
 	}
-	rep := Replicate(b, iters)
+	rs := repPool.Get().(*repScratch)
+	defer repPool.Put(rs)
+	ni, ns := len(b.Instrs)*iters, srcCount(b)*iters
+	if cap(rs.instrs) < ni {
+		rs.instrs = make([]ir.Instr, ni)
+	}
+	if cap(rs.srcs) < ns {
+		rs.srcs = make([]ir.Reg, ns)
+	}
+	rep := &rs.blk
+	rep.Label = b.Label
+	rep.Instrs = replicateInto(rs.instrs[:ni], rs.srcs[:ns], b, iters)
+	defer clear(rep.Instrs) // drop the copies' address strings
 	if len(chain) > 0 {
 		stride := int32(b.MaxReg()) + 1
 		n := len(b.Instrs)
@@ -213,7 +255,7 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 			}
 		}
 	}
-	res, err := Estimate(m, rep, opt)
+	res, err := estimate(m.Compiled(), rep, opt, nil, false)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
-	"perfpredict/internal/source"
 )
 
 // Options tune the estimator; the zero value gives the paper's default
@@ -44,20 +43,13 @@ type Result struct {
 
 // estScratch is the per-call working state of Estimate, recycled
 // through a sync.Pool so the hot path allocates only what escapes into
-// the Result. The machine-derived unit tables — including the SoA cost
-// table — are cached by machine *content*: the pointer comparison is
-// only the fast path, and when it misses the content fingerprint
-// decides — so pooled scratch survives across distinct-but-identical
-// Machine values (each registry Lookup builds a fresh one), while a
-// same-pointer machine whose table was edited in place would still be
-// caught had it a different address. All per-block slices grow to a
-// high-water mark and are resliced, never remade, so pooled scratch
-// stops reallocating across heterogeneous blocks.
+// the Result. It holds no machine-derived tables: those live in the
+// target's compiled form (machine.Compiled), which every call reads
+// directly, so a scratch serves any target without rebuilding
+// anything. All per-block and per-pipe slices grow to a high-water
+// mark and are resliced, never remade, so pooled scratch stops
+// reallocating across heterogeneous blocks and targets.
 type estScratch struct {
-	mach   *machine.Machine
-	machFP source.Fingerprint
-	inst   []machine.UnitInstance
-	ct     *costTable
 	place  []int
 	finish []int
 	// isMem caches Instrs[i].Op.IsMem() so the dependence scan reads a
@@ -74,23 +66,33 @@ var estPool = sync.Pool{New: func() any { return new(estScratch) }}
 // Estimate prices a straight-line block on m: the paper's approximate
 // solution to the scheduling problem, placing each operation's cost
 // object into the lowest time slots where all of its per-unit segments
-// fit simultaneously, no earlier than its operands allow.
+// fit simultaneously, no earlier than its operands allow. The Result
+// carries the placement and the block's cost-block shape; callers that
+// need only the cost use EstimateCost.
 //
 // Estimate is safe to call concurrently (per-call scratch state comes
 // from a pool; m is only read).
 func Estimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
-	return estimate(m, b, opt, nil)
+	return estimate(m.Compiled(), b, opt, nil, true)
 }
 
-// estimate is the shared placement core. A non-nil rec makes it
-// record placement decisions for EstimateExplained; recording happens
-// only at commit time (never inside the fit probes) and never alters a
-// placement, so the rec == nil path is the plain Estimate byte for
-// byte.
-func estimate(m *machine.Machine, b *ir.Block, opt Options, rec *placeRecorder) (Result, error) {
+// EstimateCost is Estimate without the Result's PlaceTime and Shape:
+// the same placement, returning only Cost, Start and End. With warm
+// pooled scratch and a sealed target it allocates nothing.
+func EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
+	return estimate(m.Compiled(), b, opt, nil, false)
+}
+
+// estimate is the shared placement core. full asks for the Result's
+// PlaceTime and Shape. A non-nil rec makes it record placement
+// decisions for EstimateExplained; recording happens only at commit
+// time (never inside the fit probes) and never alters a placement, so
+// the rec == nil path is the plain Estimate byte for byte.
+func estimate(c *machine.Compiled, b *ir.Block, opt Options, rec *placeRecorder, full bool) (Result, error) {
 	sc := estPool.Get().(*estScratch)
 	defer estPool.Put(sc)
-	bins := sc.prepare(m, opt)
+	ct := c.Costs()
+	bins := sc.prepare(c, opt)
 	bins.rec = rec
 	depsBuf := &sc.depsBuf
 	if rec != nil {
@@ -109,9 +111,9 @@ func estimate(m *machine.Machine, b *ir.Block, opt Options, rec *placeRecorder) 
 	maxFinish := 0
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		oc := sc.ct.lookup(in.Op)
+		oc := ct.Lookup(in.Op)
 		if oc == nil {
-			_, err := m.Lookup(in.Op) // produce the canonical error
+			_, err := c.Lookup(in.Op) // produce the canonical error
 			return Result{}, err
 		}
 		isMem[i] = in.Op.IsMem()
@@ -150,7 +152,7 @@ func estimate(m *machine.Machine, b *ir.Block, opt Options, rec *placeRecorder) 
 			maxFinish = end
 		}
 	}
-	res := Result{PlaceTime: append([]int(nil), place...)}
+	var res Result
 	res.Start, res.End = bins.extent()
 	if maxFinish > res.End {
 		res.End = maxFinish
@@ -158,9 +160,12 @@ func estimate(m *machine.Machine, b *ir.Block, opt Options, rec *placeRecorder) 
 	if res.End > res.Start {
 		res.Cost = res.End - res.Start
 	}
-	res.Shape = bins.costBlock(res.Start, res.End)
+	if full {
+		res.PlaceTime = append([]int(nil), place...)
+		res.Shape = bins.costBlock(res.Start, res.End)
+	}
 	if rec != nil {
-		rec.capture(sc, bins, finish, res.End, deps)
+		rec.capture(c, bins, finish, res.End, deps)
 	}
 	return res, nil
 }
@@ -184,53 +189,39 @@ func resetInts(s []int, n int) []int {
 	return s
 }
 
-// prepare resets the scratch's bins for one estimation, rebuilding the
-// machine-derived tables only when the target *content* changed (a new
-// pointer to an identical description reuses them).
-func (sc *estScratch) prepare(m *machine.Machine, opt Options) *bins {
-	if sc.mach != m || len(sc.inst) == 0 {
-		fp := m.Fingerprint()
-		if len(sc.inst) == 0 || fp != sc.machFP {
-			sc.inst = m.Units()
-			sc.ct = buildCostTable(m, sc.inst)
-			n := len(sc.inst)
-			// Per-pipe state reslices from its high-water capacity so a
-			// machine switch keeps the bitmaps' word storage.
-			if cap(sc.b.slots) < n {
-				slots := make([]slotBitmap, n)
-				copy(slots, sc.b.slots[:cap(sc.b.slots)])
-				sc.b.slots = slots
-			} else {
-				sc.b.slots = sc.b.slots[:n]
-			}
-			sc.b.latEnd = resetInts(sc.b.latEnd, n)
-			if cap(sc.b.usedGen) < n {
-				sc.b.usedGen = make([]uint32, n)
-			} else {
-				sc.b.usedGen = sc.b.usedGen[:n]
-				for i := range sc.b.usedGen {
-					sc.b.usedGen[i] = 0
-				}
-			}
-			sc.b.fitGen = 0
-			sc.b.chosen = sc.b.chosen[:0]
-		}
-		sc.mach, sc.machFP = m, fp
-	}
+// prepare resets the scratch's bins for one estimation on c, sizing
+// the per-pipe state to c's pipe count. The bitmaps keep their word
+// storage across calls and targets.
+func (sc *estScratch) prepare(c *machine.Compiled, opt Options) *bins {
 	b := &sc.b
+	ct := c.Costs()
+	n := len(ct.PipeKind)
+	if cap(b.slots) < n {
+		slots := make([]slotBitmap, n)
+		copy(slots, b.slots[:cap(b.slots)])
+		b.slots = slots
+	} else {
+		b.slots = b.slots[:n]
+	}
+	b.latEnd = resetInts(b.latEnd, n)
+	if cap(b.usedGen) < n {
+		// Fresh marks are zero, and fitGen never is, so no stale mark
+		// can alias the current generation.
+		b.usedGen = make([]uint32, n)
+	} else {
+		b.usedGen = b.usedGen[:n]
+	}
 	b.opt = opt
-	b.inst = sc.inst
-	b.kindPipes = sc.ct.kindPipes
-	b.kinds = sc.ct.kinds
-	b.pipeKind = sc.ct.pipeKind
+	b.kindPipes = ct.KindPipes
+	b.kinds = ct.Kinds
+	b.pipeKind = ct.PipeKind
 	for i := range b.slots {
 		b.slots[i].reset(64)
-		b.latEnd[i] = 0
 	}
 	b.dispatch = b.dispatch[:0]
 	b.top = 0
 	b.haveOcc = false
-	b.width = m.DispatchWidth
+	b.width = c.DispatchWidth()
 	if opt.DispatchWidth > 0 {
 		b.width = opt.DispatchWidth
 	}
@@ -241,7 +232,6 @@ func (sc *estScratch) prepare(m *machine.Machine, opt Options) *bins {
 // with per-pipe occupancy held as uint64 bitmaps.
 type bins struct {
 	opt       Options
-	inst      []machine.UnitInstance
 	kindPipes [][]int32 // kind index (from the cost table) → pipe indices
 	kinds     []machine.UnitKind
 	pipeKind  []int32 // pipe index → kind index
@@ -302,25 +292,27 @@ func (b *bins) floor() int {
 // place drops an atomic-op sequence (executed serially) starting no
 // earlier than ready; returns the first op's start slot and the
 // sequence's dependent-visible end.
-func (b *bins) place(oc *opCosts, ready int) (start, end int, err error) {
-	if len(oc.atomLat) == 1 { // dominant case: one atomic op
-		t, err := b.placeOne(oc, 0, ready)
+func (b *bins) place(oc *machine.OpCosts, ready int) (start, end int, err error) {
+	if len(oc.Atoms) == 1 { // dominant case: one atomic op
+		at := &oc.Atoms[0]
+		t, err := b.placeOne(at, ready)
 		if err != nil {
 			return 0, 0, err
 		}
-		return t, t + int(oc.atomLat[0]), nil
+		return t, t + int(at.Lat), nil
 	}
 	cur := ready
 	start = -1
-	for a := 0; a < oc.atoms(); a++ {
-		t, err := b.placeOne(oc, a, cur)
+	for i := range oc.Atoms {
+		at := &oc.Atoms[i]
+		t, err := b.placeOne(at, cur)
 		if err != nil {
 			return 0, 0, err
 		}
 		if start == -1 {
 			start = t
 		}
-		cur = t + int(oc.atomLat[a])
+		cur = t + int(at.Lat)
 	}
 	if start == -1 { // empty sequence: treat as zero-latency at ready
 		start = ready
@@ -330,17 +322,16 @@ func (b *bins) place(oc *opCosts, ready int) (start, end int, err error) {
 }
 
 // placeOne finds the lowest t ≥ ready where every segment of atomic op
-// a fits simultaneously (on some pipe of its kind) and the dispatch
+// at fits simultaneously (on some pipe of its kind) and the dispatch
 // width at t is not exhausted, then occupies the slots.
-func (b *bins) placeOne(oc *opCosts, a int, ready int) (int, error) {
+func (b *bins) placeOne(at *machine.Atom, ready int) (int, error) {
 	t := ready
 	if f := b.floor(); t < f {
 		t = f
 	}
-	lo, hi := oc.atomOff[a], oc.atomOff[a+1]
 	const maxIter = 1 << 20
 	for iter := 0; iter < maxIter; iter++ {
-		tNext, ok := b.tryFit(oc, lo, hi, t)
+		tNext, ok := b.tryFit(at.Segs, t)
 		if !ok {
 			t = tNext
 			continue
@@ -356,9 +347,10 @@ func (b *bins) placeOne(oc *opCosts, a int, ready int) (int, error) {
 			continue
 		}
 		// Commit.
-		for s := lo; s < hi; s++ {
-			pipe := b.chosen[s-lo]
-			st, nc := int(oc.segStart[s]), int(oc.segNoncov[s])
+		for s := range at.Segs {
+			pipe := b.chosen[s]
+			sg := &at.Segs[s]
+			st, nc := int(sg.Start), int(sg.Noncov)
 			if nc > 0 {
 				b.slots[pipe].occupyFit(t+st, nc)
 			}
@@ -371,27 +363,27 @@ func (b *bins) placeOne(oc *opCosts, a int, ready int) (int, error) {
 					noncov: int32(nc),
 				})
 			}
-			if e := t + int(oc.segEnd[s]); e > b.latEnd[pipe] {
+			if e := t + int(sg.End); e > b.latEnd[pipe] {
 				b.latEnd[pipe] = e
 			}
 			if occTop := t + st + nc; nc > 0 && occTop > b.top {
 				b.top = occTop
 			}
 		}
-		if oc.atomLat[a] > 0 || hi > lo {
+		if at.Lat > 0 || len(at.Segs) > 0 {
 			b.haveOcc = true
 		}
 		b.incDispatch(t)
 		return t, nil
 	}
-	return 0, fmt.Errorf("tetris: no placement found for %s", oc.names[a])
+	return 0, fmt.Errorf("tetris: no placement found for %s", at.Name)
 }
 
-// tryFit checks whether every segment in [lo, hi) fits at base time t;
-// on failure it returns the next candidate t to try. On success the
-// segment→pipe assignment is left in b.chosen[:hi-lo].
-func (b *bins) tryFit(oc *opCosts, lo, hi int32, t int) (tNext int, ok bool) {
-	nseg := int(hi - lo)
+// tryFit checks whether every segment of segs fits at base time t; on
+// failure it returns the next candidate t to try. On success the
+// segment→pipe assignment is left in b.chosen[:len(segs)].
+func (b *bins) tryFit(segs []machine.Seg, t int) (tNext int, ok bool) {
+	nseg := len(segs)
 	if cap(b.chosen) < nseg {
 		b.chosen = make([]int32, nseg)
 	}
@@ -399,18 +391,16 @@ func (b *bins) tryFit(oc *opCosts, lo, hi int32, t int) (tNext int, ok bool) {
 	b.chosen = chosen
 	b.fitGen++
 	if b.fitGen == 0 { // wrap: stale marks could alias the new generation
-		for i := range b.usedGen {
-			b.usedGen[i] = 0
-		}
+		clear(b.usedGen[:cap(b.usedGen)])
 		b.fitGen = 1
 	}
 	g := b.fitGen
 	slots, usedGen, kindPipes := b.slots, b.usedGen, b.kindPipes
-	segKind, segStart, segNoncov := oc.segKind, oc.segStart, oc.segNoncov
 	bump := t + 1
-	for s := lo; s < hi; s++ {
-		pipes := kindPipes[segKind[s]]
-		st, nc := int(segStart[s]), int(segNoncov[s])
+	for s := range segs {
+		sg := &segs[s]
+		pipes := kindPipes[sg.Kind]
+		st, nc := int(sg.Start), int(sg.Noncov)
 		found := int32(-1)
 		bestNext := -1
 		if nc == 1 { // dominant case: probe one bit, no call
@@ -452,7 +442,7 @@ func (b *bins) tryFit(oc *opCosts, lo, hi int32, t int) (tNext int, ok bool) {
 			return bump, false
 		}
 		usedGen[found] = g
-		chosen[s-lo] = found
+		chosen[s] = found
 	}
 	return 0, true
 }

@@ -103,7 +103,7 @@ func TestEstimateMatchesRunLengthLargeBlocks(t *testing.T) {
 // The error path must stay identical too: an op with no table mapping
 // reports the same error from both estimators.
 func TestEstimateMatchesRunLengthUnknownOp(t *testing.T) {
-	m := machine.NewPOWER1()
+	m := machine.ReferencePOWER1() // a struct literal, so the copy below is priced by its fields
 	stripped := *m
 	stripped.Table = map[ir.Op][]machine.AtomicOp{}
 	for op, seq := range m.Table {

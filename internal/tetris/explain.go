@@ -5,7 +5,6 @@ import (
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
-	"perfpredict/internal/source"
 )
 
 // This file is the diagnosis side of the estimator: EstimateExplained
@@ -62,10 +61,10 @@ type placeRecorder struct {
 	satCounts []int32
 	// dhFinish is depHeight's per-instruction finish scratch.
 	dhFinish []int
-	// machFP/haveMach gate the machine-derived tables above: a capture
-	// of the same machine content reuses them untouched.
-	machFP   source.Fingerprint
-	haveMach bool
+	// mach gates the machine-derived tables above: a capture on the
+	// same compiled target (immutable, so identity is content) reuses
+	// them untouched.
+	mach *machine.Compiled
 }
 
 var recPool = sync.Pool{New: func() any { return new(placeRecorder) }}
@@ -92,37 +91,39 @@ type segPlace struct {
 
 // capture copies everything the explanation builder needs out of the
 // pooled scratch before estimate returns it to the pool.
-func (rec *placeRecorder) capture(sc *estScratch, b *bins, finish []int, end int, deps [][]int) {
+func (rec *placeRecorder) capture(c *machine.Compiled, b *bins, finish []int, end int, deps [][]int) {
 	rec.deps = deps // rows live in rec.depsBuf, not the pooled scratch
 	rec.finish = append(rec.finish[:0], finish...)
 	// Everything derived from the machine alone — pipe inventory and
-	// names, per-op latencies, kind tables — survives across captures of
-	// the same machine content (mirroring estScratch's own caching).
-	if !rec.haveMach || rec.machFP != sc.machFP {
-		rec.haveMach, rec.machFP = true, sc.machFP
-		rec.pipes = append(rec.pipes[:0], sc.inst...)
+	// names, per-op latencies, kind tables — survives across captures on
+	// the same compiled target.
+	if rec.mach != c {
+		rec.mach = c
+		ct := c.Costs()
+		rec.pipes = append(rec.pipes[:0], c.Units()...)
 		rec.pipeNames = rec.pipeNames[:0]
-		for _, p := range sc.inst {
+		for _, p := range rec.pipes {
 			rec.pipeNames = append(rec.pipeNames, p.String())
 		}
-		if cap(rec.opLat) < len(sc.ct.opIdx) {
-			rec.opLat = make([]int32, len(sc.ct.opIdx))
+		nop := int(ct.MaxOp()) + 1
+		if cap(rec.opLat) < nop {
+			rec.opLat = make([]int32, nop)
 		}
-		rec.opLat = rec.opLat[:len(sc.ct.opIdx)]
-		for op, ci := range sc.ct.opIdx {
+		rec.opLat = rec.opLat[:nop]
+		for op := range rec.opLat {
 			lat := int32(1) // unmapped ops never reach capture; keep Latency's fallback
-			if ci >= 0 {
+			if oc := ct.Lookup(ir.Op(op)); oc != nil {
 				lat = 0
-				for _, l := range sc.ct.costs[ci].atomLat {
-					lat += l
+				for _, at := range oc.Atoms {
+					lat += at.Lat
 				}
 			}
 			rec.opLat[op] = lat
 		}
-		rec.kinds = append(rec.kinds[:0], sc.ct.kinds...)
+		rec.kinds = append(rec.kinds[:0], ct.Kinds...)
 		rec.kpOff = append(rec.kpOff[:0], 0)
 		rec.kpFlat = rec.kpFlat[:0]
-		for _, ps := range sc.ct.kindPipes {
+		for _, ps := range ct.KindPipes {
 			rec.kpFlat = append(rec.kpFlat, ps...)
 			rec.kpOff = append(rec.kpOff, len(rec.kpFlat))
 		}
@@ -183,10 +184,9 @@ type WhatIf struct {
 
 // Explanation is the full diagnosis of one block's schedule.
 //
-// Per-op placements are struct-of-arrays, like the estimator's own
-// cost objects: instruction i issued at Result.PlaceTime[i], became
-// visible to dependents at Finish[i], and its first segment ran on
-// Pipes[OpPipe[i]].
+// Per-op placements are struct-of-arrays: instruction i issued at
+// Result.PlaceTime[i], became visible to dependents at Finish[i], and
+// its first segment ran on Pipes[OpPipe[i]].
 type Explanation struct {
 	// Result is exactly what Estimate returns for the same inputs.
 	Result Result
@@ -232,7 +232,7 @@ func EstimateExplained(m *machine.Machine, b *ir.Block, opt Options) (*Explanati
 	defer recPool.Put(rec)
 	rec.curInstr = 0
 	rec.segs = rec.segs[:0]
-	res, err := estimate(m, b, opt, rec)
+	res, err := estimate(m.Compiled(), b, opt, rec, true)
 	if err != nil {
 		return nil, err
 	}

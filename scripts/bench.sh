@@ -1,30 +1,25 @@
 #!/bin/sh
-# Perf-trajectory recorder: runs the search/batch benchmarks, the
-# design-space sweep benchmarks, and the Tetris kernel
-# microbenchmarks with -benchmem and writes BENCH_optimize.json /
-# BENCH_explore.json / BENCH_tetris.json (one JSON object per
-# benchmark, plus the raw go-test output next to each in a .txt).
-# Non-gating — failures here should not fail CI, only lose a data
-# point.
+# Perf-trajectory recorder: runs every suite of scripts/bench_suites.sh
+# (the search/batch benchmarks, the design-space sweep benchmarks and
+# the Tetris kernel microbenchmarks) with -benchmem and writes
+# BENCH_<suite>.json (one JSON object per benchmark). Non-gating —
+# failures here should not fail CI, only lose a data point.
 #
 # Every suite runs -count times and records the BEST of each metric
 # across runs: the minimum of times, sizes and counts, the maximum of
 # rates (units ending in "/s"). On a noisy box the best run is the
 # robust "how fast can this code go" statistic, and it is what
-# scripts/tetris_regress.sh compares fresh runs against.
-#
-# The search/batch suite runs 3 iterations per run and the explore
-# suite 5 sweeps per run, 5 runs each: one search or sweep is tens of
-# milliseconds, so a single one is too noisy to record.
+# scripts/bench_regress.sh compares fresh runs against.
 #
 # Usage: scripts/bench.sh [tetris_benchtime] [tetris_count]
 #        (from anywhere; defaults 500x, 6)
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/bench_suites.sh
 
-tetris_benchtime="${1:-500x}"
-tetris_count="${2:-6}"
+TETRIS_BENCHTIME="${1:-500x}"
+TETRIS_COUNT="${2:-6}"
 
 # to_json FILE: convert `BenchmarkName N value unit ...` lines to a
 # JSON array, folding repeated names (from -count) to the per-metric
@@ -65,17 +60,10 @@ to_json() {
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench 'BenchmarkOptimize|BenchmarkPredictBatch' \
-	-benchtime 3x -count 5 -benchmem . | tee "$tmp"
-to_json "$tmp" >BENCH_optimize.json
-echo "wrote BENCH_optimize.json"
-
-go test -run '^$' -bench 'BenchmarkExplore' -benchtime 5x -count 5 \
-	-benchmem ./internal/explore | tee "$tmp"
-to_json "$tmp" >BENCH_explore.json
-echo "wrote BENCH_explore.json"
-
-go test -run '^$' -bench 'BenchmarkTetris' -benchtime "$tetris_benchtime" \
-	-count "$tetris_count" -benchmem ./internal/tetris | tee "$tmp"
-to_json "$tmp" >BENCH_tetris.json
-echo "wrote BENCH_tetris.json"
+for suite in $BENCH_SUITES; do
+	suite_settings "$suite"
+	go test -run '^$' -bench "$pattern" -benchtime "$benchtime" \
+		-count "$count" -benchmem "$pkg" | tee "$tmp"
+	to_json "$tmp" >"BENCH_$suite.json"
+	echo "wrote BENCH_$suite.json"
+done

@@ -161,8 +161,8 @@ echo "== tetris kernel smoke (1 iteration each)"
 # panics/divergence in the hot path without paying for a real run.
 go test -run '^$' -bench 'Tetris' -benchtime 1x ./internal/tetris
 
-echo "== tetris kernel regression report (non-gating)"
-sh scripts/tetris_regress.sh || echo "tetris_regress.sh failed (non-gating)" >&2
+echo "== benchmark regression report (non-gating)"
+sh scripts/bench_regress.sh || echo "bench_regress.sh failed (non-gating)" >&2
 
 echo "== perf trajectory (non-gating)"
 sh scripts/bench.sh || echo "bench.sh failed (non-gating)" >&2

@@ -89,7 +89,7 @@ func TestLoadTargetByNameAndPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(byName, machine.ReferencePOWER1()) {
+	if !reflect.DeepEqual(machine.SpecOf(byName), machine.SpecOf(machine.ReferencePOWER1())) {
 		t.Error("LoadTarget(name) differs from the reference machine")
 	}
 
@@ -111,8 +111,9 @@ func TestLoadTargetByNameAndPath(t *testing.T) {
 	if byPath.Name != "POWER1-disk" {
 		t.Errorf("loaded target name = %q, want POWER1-disk", byPath.Name)
 	}
-	byPath.Name = byName.Name
-	if !reflect.DeepEqual(byPath, byName) {
+	pathSpec := machine.SpecOf(byPath)
+	pathSpec.Name = byName.Name
+	if !reflect.DeepEqual(pathSpec, machine.SpecOf(byName)) {
 		t.Error("spec file and registry lookup disagree beyond the name")
 	}
 
