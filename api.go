@@ -148,13 +148,7 @@ type Prediction struct {
 
 // Predict parses, analyzes and prices an F-lite program.
 func Predict(src string, target *Target) (*Prediction, error) {
-	return PredictWithOptions(src, target, aggregate.DefaultOptions())
-}
-
-// PredictWithOptions exposes the aggregation knobs (back-end
-// imitation flags, focus span, steady-state drops, branch heuristics).
-func PredictWithOptions(src string, target *Target, opt aggregate.Options) (*Prediction, error) {
-	return predictWithCache(src, target, opt, nil)
+	return predictWithCache(src, target, aggregate.DefaultOptions(), nil)
 }
 
 // EvalAt substitutes concrete values for the unknowns and returns
@@ -381,5 +375,5 @@ func BuildLibrary(routines map[string]string, target *Target) (Library, error) {
 func PredictWithLibrary(src string, target *Target, lib Library) (*Prediction, error) {
 	opt := aggregate.DefaultOptions()
 	opt.Library = lib
-	return PredictWithOptions(src, target, opt)
+	return predictWithCache(src, target, opt, nil)
 }

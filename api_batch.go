@@ -80,8 +80,8 @@ func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt Bat
 	return preds, errs
 }
 
-// predictWithCache is the cache-aware core of Predict and
-// PredictWithOptions: parse, analyze, aggregate.
+// predictWithCache is the cache-aware core of every prediction entry
+// point: parse, analyze, aggregate.
 func predictWithCache(src string, target *Target, opt aggregate.Options, cache *SegmentCache) (*Prediction, error) {
 	prog, err := source.Parse(src)
 	if err != nil {

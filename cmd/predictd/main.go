@@ -53,7 +53,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 64, "admitted-request bound; excess is shed with 503")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 1<<20, "request body cap in bytes")
-	workers := flag.Int("workers", 0, "per-request worker-pool cap for batch/optimize (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "per-request worker-pool cap for batch/optimize/explore (0 = GOMAXPROCS)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	cacheBytes := flag.Int64("result-cache-bytes", 0, "result-cache byte budget (0 = 64 MiB)")

@@ -296,7 +296,13 @@ func labelKey(names, values []string) string {
 	if len(names) == 0 {
 		return ""
 	}
+	// Sized up front: the key is built on every labelled update.
+	size := 1
+	for i, n := range names {
+		size += len(n) + len(values[i]) + 4
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('{')
 	for i, n := range names {
 		if i > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"perfpredict/internal/machine"
@@ -80,14 +81,14 @@ func TestBoundedServerNeverChangesBodies(t *testing.T) {
 // first, and never drops an unfinished job.
 func TestFinishedJobRetention(t *testing.T) {
 	m := newJobManager(1)
-	pending := m.newJob(resultcache.Key{Hi: 1}, "opt-", jobPending)
-	polled := m.newJob(resultcache.Key{Hi: 2}, "opt-", jobDone)
-	stale := m.newJob(resultcache.Key{Hi: 3}, "opt-", jobDone)
+	pending := m.newJob(resultcache.Key{Hi: 1}, "opt-", jobPending, nil)
+	polled := m.newJob(resultcache.Key{Hi: 2}, "opt-", jobDone, nil)
+	stale := m.newJob(resultcache.Key{Hi: 3}, "opt-", jobDone, nil)
 	for i := 0; i < maxFinishedJobs-1; i++ {
 		if _, ok := m.get(polled.id); !ok {
 			t.Fatalf("polled job forgotten after %d newer jobs", i)
 		}
-		m.newJob(resultcache.Key{Lo: uint64(i)}, "exp-", jobFailed)
+		m.newJob(resultcache.Key{Lo: uint64(i)}, "exp-", jobFailed, nil)
 	}
 	if _, ok := m.get(stale.id); ok {
 		t.Error("least recently polled finished job retained beyond the cap")
@@ -101,5 +102,14 @@ func TestFinishedJobRetention(t *testing.T) {
 	}
 	if n := m.finished.Len(); n != maxFinishedJobs {
 		t.Errorf("%d finished jobs retained, cap %d", n, maxFinishedJobs)
+	}
+}
+
+// TestDefaultWorkersCapAtGOMAXPROCS: with Workers unset, a request's
+// worker ask is capped at GOMAXPROCS, so a batch cannot start one
+// goroutine per source.
+func TestDefaultWorkersCapAtGOMAXPROCS(t *testing.T) {
+	if got, want := New(Config{}).boundWorkers(1<<20), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("boundWorkers(1<<20) = %d with the default config, want GOMAXPROCS = %d", got, want)
 	}
 }

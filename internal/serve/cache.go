@@ -1,10 +1,8 @@
 package serve
 
 import (
+	"context"
 	"errors"
-	"net/http"
-
-	"perfpredict/internal/resultcache"
 )
 
 // Serve-layer result caching. The cache stores fully encoded response
@@ -29,26 +27,24 @@ type statusResponse struct {
 	body   any
 }
 
-// withResultCache fronts one handler computation with the result
-// cache and singleflight coalescing: hit → cached bytes; miss → one
-// caller computes while identical concurrent requests wait and share
-// the outcome. A follower handed a shared *cancellation* error whose
-// own deadline is still live retries solo — the leader's client going
-// away must not fail the followers.
-func (s *Server) withResultCache(r *http.Request, key resultcache.Key, compute func() (any, *apiError)) (any, *apiError) {
+// withResultCache answers a synchronous request for w through the
+// result cache and singleflight coalescing: hit → cached bytes; miss
+// → one caller computes while identical concurrent requests wait and
+// share the outcome. A follower handed a shared *cancellation* error
+// whose own deadline is still live retries solo — the leader's client
+// going away must not fail the followers.
+func (s *Server) withResultCache(ctx context.Context, w work) (any, *apiError) {
 	if s.results == nil {
-		return compute()
+		return runSync(ctx, w)
 	}
-	if b, ok := s.results.Get(key); ok {
+	if b, ok := s.results.Get(w.key); ok {
 		return rawResponse(b), nil
 	}
-	v, err, shared := s.flights.Do(r.Context(), key, func() ([]byte, error) {
-		resp, aerr := compute()
+	v, err, shared := s.flights.Do(ctx, w.key, func() ([]byte, error) {
+		b, aerr := s.computeAndStore(ctx, w)
 		if aerr != nil {
 			return nil, aerr
 		}
-		b := marshalBody(resp)
-		s.results.Put(key, b)
 		return b, nil
 	})
 	if shared {
@@ -57,33 +53,32 @@ func (s *Server) withResultCache(r *http.Request, key resultcache.Key, compute f
 	if err == nil {
 		return rawResponse(v), nil
 	}
+	// A raw error is a context error: this follower's own ctx died
+	// while waiting, or it shared the leader's.
 	var aerr *apiError
-	if errors.As(err, &aerr) {
-		if shared && transientStatus(aerr.status) && r.Context().Err() == nil {
-			return s.soloCompute(key, compute)
+	if !errors.As(err, &aerr) {
+		aerr = ctxError(err)
+	}
+	if shared && transientStatus(aerr.status) && ctx.Err() == nil {
+		// The failure was the leader's and our deadline still has
+		// room: compute solo, since the flight that covered this key
+		// is gone.
+		if v, aerr = s.computeAndStore(ctx, w); aerr == nil {
+			return rawResponse(v), nil
 		}
-		return nil, aerr
 	}
-	// A raw context error: either this follower's own ctx died while
-	// waiting, or it shared the leader's. Retry solo when it is the
-	// latter and our deadline still has room.
-	if shared && r.Context().Err() == nil {
-		return s.soloCompute(key, compute)
-	}
-	return nil, ctxError(err)
+	return nil, aerr
 }
 
-// soloCompute is the follower's fallback after a shared cancellation:
-// run the computation directly (no coalescing — the flight that
-// covered this key is gone) and cache a success normally.
-func (s *Server) soloCompute(key resultcache.Key, compute func() (any, *apiError)) (any, *apiError) {
-	resp, aerr := compute()
+// computeAndStore runs w and caches a success's encoded body.
+func (s *Server) computeAndStore(ctx context.Context, w work) ([]byte, *apiError) {
+	resp, aerr := runSync(ctx, w)
 	if aerr != nil {
 		return nil, aerr
 	}
 	b := marshalBody(resp)
-	s.results.Put(key, b)
-	return rawResponse(b), nil
+	s.results.Put(w.key, b)
+	return b, nil
 }
 
 // transientStatus reports whether an apiError is tied to the request

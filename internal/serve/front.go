@@ -122,13 +122,22 @@ func (s *Server) resolveTarget(name string, spec json.RawMessage) (*perfpredict.
 // fingerprint of the raw text when it does not (so even per-slot
 // parse-error responses in a batch stay content-addressed). Repeated
 // texts are answered by the program memo without parsing.
-func (s *Server) programFP(src string) source.Fingerprint {
+func (s *Server) programFP(src string) source.Fingerprint { return s.parsedFP(src, nil) }
+
+// parsedFP is programFP for a caller that may already hold src's
+// parse: a non-nil prog is fingerprinted on a memo miss instead of
+// parsing src again.
+func (s *Server) parsedFP(src string, prog *source.Program) source.Fingerprint {
 	key := s.hash.str(src)
 	if fp, ok := s.programs.Get(key); ok {
 		return fp
 	}
+	var err error
+	if prog == nil {
+		prog, err = source.Parse(src)
+	}
 	var fp source.Fingerprint
-	if prog, err := source.Parse(src); err == nil {
+	if err == nil {
 		fp = source.FingerprintProgram(prog)
 	} else {
 		fp = resultcache.SourceKey(src)

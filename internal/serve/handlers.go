@@ -124,104 +124,118 @@ type ExplainRequest struct {
 	SkipWhatIf bool `json:"skip_what_if,omitempty"`
 }
 
-// The response of a successful /v1/explain is a
-// perfpredict.ExplainReport encoded as-is: the report types carry
-// their own JSON shape, so the server body is by construction the
-// library's diagnosis and nothing else.
-
-func (s *Server) handleExplain(r *http.Request) (any, *apiError) {
-	var req ExplainRequest
-	if aerr := decodeBody(r, &req); aerr != nil {
-		return nil, aerr
-	}
-	t, aerr := s.resolveTarget(req.Machine, req.Spec)
-	if aerr != nil {
-		return nil, aerr
-	}
-	key := resultcache.ExplainKey(s.programFP(req.Source), t.Fingerprint(), req.Nominal, req.SkipWhatIf)
-	return s.withResultCache(r, key, func() (any, *apiError) {
-		rep, err := perfpredict.ExplainCtx(r.Context(), req.Source, t, perfpredict.ExplainOptions{
-			Nominal:    req.Nominal,
-			SkipWhatIf: req.SkipWhatIf,
-		})
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, ctxError(err)
-			}
-			return nil, errBadProgram(err.Error())
-		}
-		if err := r.Context().Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		return rep, nil
-	})
+// route is one POST endpoint: a row of the table every API request
+// is served from. prepare decodes the body, resolves the target,
+// validates, and returns the request's work; serveRoute does the
+// rest the same way for every row.
+type route struct {
+	path string
+	// name labels the endpoint in metrics.
+	name string
+	// prefix starts the ids of the route's async jobs; "" marks a
+	// sync-only route, which ignores ?async=1.
+	prefix  string
+	prepare func(r *http.Request) (work, *apiError)
 }
 
-func (s *Server) handlePredict(r *http.Request) (any, *apiError) {
-	var req PredictRequest
-	if aerr := decodeBody(r, &req); aerr != nil {
-		return nil, aerr
-	}
-	t, aerr := s.resolveTarget(req.Machine, req.Spec)
-	if aerr != nil {
-		return nil, aerr
-	}
-	key := resultcache.PredictKey(s.programFP(req.Source), t.Fingerprint(), req.Args)
-	return s.withResultCache(r, key, func() (any, *apiError) {
-		// A one-element batch is the cache-aware, context-aware single
-		// prediction: it shares the server's warm segment cache.
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), []string{req.Source}, t,
-			perfpredict.BatchOptions{Workers: 1, Cache: s.seg})
-		if err := r.Context().Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		if errs[0] != nil {
-			return nil, errBadProgram(errs[0].Error())
-		}
-		return buildPredictResponse(preds[0], t.Name, req.Args)
-	})
+// work is a prepared request: the content address of its response
+// and the computation that produces it. run reports progress to j on
+// an async run; j is nil on a synchronous one. A run's failure is an
+// *apiError when the request is at fault, otherwise whatever the
+// library returned (see apiErrorOf).
+type work struct {
+	key resultcache.Key
+	run func(ctx context.Context, j *job) (any, error)
 }
 
-// buildPredictResponse converts a library prediction into the wire
-// shape — shared with the e2e suite, which byte-compares the server
-// body against this function applied to a direct library call.
-func buildPredictResponse(p *perfpredict.Prediction, machineName string, args map[string]float64) (PredictResponse, *apiError) {
-	resp := PredictResponse{Machine: machineName, Cost: p.Cost.String()}
-	if !p.Memory.IsZero() {
-		resp.InCore = p.Cost.Sub(p.Memory).String()
-		resp.Memory = p.Memory.String()
+// routes is the API's route table.
+func (s *Server) routes() []route {
+	return []route{
+		{"/v1/predict", "predict", "", s.preparePredict},
+		{"/v1/batch", "batch", "", s.prepareBatch},
+		{"/v1/optimize", "optimize", "opt-", s.prepareOptimize},
+		{"/v1/explain", "explain", "", s.prepareExplain},
+		{"/v1/explore", "explore", "exp-", s.prepareExplore},
 	}
-	if c, ok := p.OneTime.IsConst(); !ok || c != 0 {
-		resp.OneTime = p.OneTime.String()
-	}
-	for _, u := range p.Unknowns {
-		resp.Unknowns = append(resp.Unknowns, UnknownJSON{Name: u.Name, Kind: u.Kind, Source: u.Source})
-	}
-	if args != nil {
-		v, err := p.EvalAt(args)
-		if err != nil {
-			return PredictResponse{}, errBadArgs(err.Error())
+}
+
+// serveRoute is the one runner behind every route: prepare, then
+// submit a job (?async=1 on a route with a job prefix) or answer
+// through the result cache.
+func (s *Server) serveRoute(rt route) func(r *http.Request) (any, *apiError) {
+	return func(r *http.Request) (any, *apiError) {
+		w, aerr := rt.prepare(r)
+		if aerr != nil {
+			return nil, aerr
 		}
-		resp.Eval = &v
-		if !p.Memory.IsZero() {
-			mv, err := p.EvalMemoryAt(args)
-			if err != nil {
-				return PredictResponse{}, errBadArgs(err.Error())
-			}
-			resp.EvalMemory = &mv
+		if rt.prefix != "" && isAsync(r) {
+			return s.submitJob(w, rt.prefix)
 		}
+		return s.withResultCache(r.Context(), w)
+	}
+}
+
+// runSync computes w for a synchronous request. A run that finishes
+// after the request's context ended is still a context failure: its
+// response would reach nobody, or arrive after the deadline.
+func runSync(ctx context.Context, w work) (any, *apiError) {
+	resp, err := w.run(ctx, nil)
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		return nil, apiErrorOf(err)
 	}
 	return resp, nil
 }
 
-func (s *Server) handleBatch(r *http.Request) (any, *apiError) {
-	var req BatchRequest
+// apiErrorOf maps a run's failure to its response: an *apiError
+// passes through, a context error is ctxError, and anything else is
+// the program's fault.
+func apiErrorOf(err error) *apiError {
+	var aerr *apiError
+	switch {
+	case errors.As(err, &aerr):
+		return aerr
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return ctxError(err)
+	}
+	return errBadProgram(err.Error())
+}
+
+func (s *Server) preparePredict(r *http.Request) (work, *apiError) {
+	var req PredictRequest
 	if aerr := decodeBody(r, &req); aerr != nil {
-		return nil, aerr
+		return work{}, aerr
 	}
 	t, aerr := s.resolveTarget(req.Machine, req.Spec)
 	if aerr != nil {
-		return nil, aerr
+		return work{}, aerr
+	}
+	return work{
+		key: resultcache.PredictKey(s.programFP(req.Source), t.Fingerprint(), req.Args),
+		run: func(ctx context.Context, _ *job) (any, error) {
+			p, err := perfpredict.PredictCtx(ctx, req.Source, t, perfpredict.PredictOptions{Cache: s.seg})
+			if err != nil {
+				return nil, err
+			}
+			resp, aerr := buildPredictResponse(p, t.Name, req.Args)
+			if aerr != nil {
+				return nil, aerr
+			}
+			return resp, nil
+		},
+	}, nil
+}
+
+func (s *Server) prepareBatch(r *http.Request) (work, *apiError) {
+	var req BatchRequest
+	if aerr := decodeBody(r, &req); aerr != nil {
+		return work{}, aerr
+	}
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
+	if aerr != nil {
+		return work{}, aerr
 	}
 	// The batch key covers the ordered per-source fingerprints
 	// (responses are index-aligned) but not Workers: results are
@@ -231,31 +245,130 @@ func (s *Server) handleBatch(r *http.Request) (any, *apiError) {
 	for i, src := range req.Sources {
 		fps[i] = s.programFP(src)
 	}
-	key := resultcache.BatchKey(fps, t.Fingerprint(), req.Args)
-	return s.withResultCache(r, key, func() (any, *apiError) {
-		preds, errs := perfpredict.PredictBatchCtx(r.Context(), req.Sources, t,
-			perfpredict.BatchOptions{Workers: s.boundWorkers(req.Workers), Cache: s.seg})
-		if err := r.Context().Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		resp := BatchResponse{Machine: t.Name, Results: make([]BatchItem, len(preds))}
-		for i := range preds {
-			if errs[i] != nil {
-				resp.Results[i].Error = &ErrorBody{Code: CodeBadProgram, Message: errs[i].Error()}
-				continue
+	return work{
+		key: resultcache.BatchKey(fps, t.Fingerprint(), req.Args),
+		run: func(ctx context.Context, _ *job) (any, error) {
+			preds, errs := perfpredict.PredictBatchCtx(ctx, req.Sources, t,
+				perfpredict.BatchOptions{Workers: s.boundWorkers(req.Workers), Cache: s.seg})
+			resp := BatchResponse{Machine: t.Name, Results: make([]BatchItem, len(preds))}
+			for i := range preds {
+				if errs[i] != nil {
+					resp.Results[i].Error = &ErrorBody{Code: CodeBadProgram, Message: errs[i].Error()}
+					continue
+				}
+				item, aerr := buildBatchItem(preds[i], req.Args)
+				if aerr != nil {
+					resp.Results[i].Error = &ErrorBody{Code: aerr.code, Message: aerr.msg}
+					continue
+				}
+				resp.Results[i] = item
 			}
-			item, aerr := buildBatchItem(preds[i], req.Args)
-			if aerr != nil {
-				resp.Results[i].Error = &ErrorBody{Code: aerr.code, Message: aerr.msg}
-				continue
-			}
-			resp.Results[i] = item
-		}
-		return resp, nil
-	})
+			return resp, nil
+		},
+	}, nil
 }
 
-// buildBatchItem is buildPredictResponse's per-slot sibling.
+func (s *Server) prepareOptimize(r *http.Request) (work, *apiError) {
+	var req OptimizeRequest
+	if aerr := decodeBody(r, &req); aerr != nil {
+		return work{}, aerr
+	}
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
+	if aerr != nil {
+		return work{}, aerr
+	}
+	// Parse and analyze up front: an async submission must fail now —
+	// with the same 422 a sync call would produce — not inside a job
+	// the client has already been told to poll. The same parse keys
+	// the program.
+	prog, err := source.Parse(req.Source)
+	if err != nil {
+		return work{}, errBadProgram(err.Error())
+	}
+	if _, err := sem.Analyze(prog); err != nil {
+		return work{}, errBadProgram(err.Error())
+	}
+	return work{
+		key: resultcache.OptimizeKey(s.parsedFP(req.Source, prog), t.Fingerprint(),
+			req.Nominal, req.MaxNodes, req.MaxDepth),
+		run: func(ctx context.Context, j *job) (any, error) {
+			opt := perfpredict.OptimizeOptions{
+				Workers:   s.boundWorkers(0),
+				SegCache:  s.seg,
+				NestCache: s.nest,
+				MaxNodes:  req.MaxNodes,
+				MaxDepth:  req.MaxDepth,
+			}
+			if j != nil {
+				opt.Progress = j.searchProgress
+			}
+			res, err := perfpredict.OptimizeCtx(ctx, req.Source, t, req.Nominal, opt)
+			if err != nil {
+				return nil, err
+			}
+			return OptimizeResponse{
+				Machine:         t.Name,
+				Source:          res.Source,
+				Transformations: res.Transformations,
+				PredictedBefore: res.PredictedBefore,
+				PredictedAfter:  res.PredictedAfter,
+				MemoryBefore:    res.MemoryBefore,
+				MemoryAfter:     res.MemoryAfter,
+				Explored:        res.Explored,
+			}, nil
+		},
+	}, nil
+}
+
+// The response of a successful /v1/explain is a
+// perfpredict.ExplainReport encoded as-is: the report types carry
+// their own JSON shape, so the server body is by construction the
+// library's diagnosis and nothing else.
+
+func (s *Server) prepareExplain(r *http.Request) (work, *apiError) {
+	var req ExplainRequest
+	if aerr := decodeBody(r, &req); aerr != nil {
+		return work{}, aerr
+	}
+	t, aerr := s.resolveTarget(req.Machine, req.Spec)
+	if aerr != nil {
+		return work{}, aerr
+	}
+	return work{
+		key: resultcache.ExplainKey(s.programFP(req.Source), t.Fingerprint(), req.Nominal, req.SkipWhatIf),
+		run: func(ctx context.Context, _ *job) (any, error) {
+			return perfpredict.ExplainCtx(ctx, req.Source, t, perfpredict.ExplainOptions{
+				Nominal:    req.Nominal,
+				SkipWhatIf: req.SkipWhatIf,
+			})
+		},
+	}, nil
+}
+
+// buildPredictResponse converts a library prediction into the wire
+// shape — shared with the e2e suite, which byte-compares the server
+// body against this function applied to a direct library call.
+func buildPredictResponse(p *perfpredict.Prediction, machineName string, args map[string]float64) (PredictResponse, *apiError) {
+	item, aerr := buildBatchItem(p, args)
+	if aerr != nil {
+		return PredictResponse{}, aerr
+	}
+	resp := PredictResponse{Machine: machineName, Cost: item.Cost, Memory: item.Memory,
+		Eval: item.Eval, EvalMemory: item.EvalMemory}
+	if !p.Memory.IsZero() {
+		resp.InCore = p.Cost.Sub(p.Memory).String()
+	}
+	if c, ok := p.OneTime.IsConst(); !ok || c != 0 {
+		resp.OneTime = p.OneTime.String()
+	}
+	for _, u := range p.Unknowns {
+		resp.Unknowns = append(resp.Unknowns, UnknownJSON{Name: u.Name, Kind: u.Kind, Source: u.Source})
+	}
+	return resp, nil
+}
+
+// buildBatchItem converts a library prediction into one batch slot:
+// the cost, memory and evaluation fields a predict response shares.
 func buildBatchItem(p *perfpredict.Prediction, args map[string]float64) (BatchItem, *apiError) {
 	item := BatchItem{Cost: p.Cost.String()}
 	if !p.Memory.IsZero() {
@@ -278,83 +391,16 @@ func buildBatchItem(p *perfpredict.Prediction, args map[string]float64) (BatchIt
 	return item, nil
 }
 
-func (s *Server) handleOptimize(r *http.Request) (any, *apiError) {
-	var req OptimizeRequest
-	if aerr := decodeBody(r, &req); aerr != nil {
-		return nil, aerr
-	}
-	t, aerr := s.resolveTarget(req.Machine, req.Spec)
-	if aerr != nil {
-		return nil, aerr
-	}
-	// Parse and analyze up front: an async submission must fail now —
-	// with the same 422 a sync call would produce — not inside a job
-	// the client has already been told to poll.
-	prog, err := source.Parse(req.Source)
-	if err != nil {
-		return nil, errBadProgram(err.Error())
-	}
-	if _, err := sem.Analyze(prog); err != nil {
-		return nil, errBadProgram(err.Error())
-	}
-	key := resultcache.OptimizeKey(s.programFP(req.Source), t.Fingerprint(),
-		req.Nominal, req.MaxNodes, req.MaxDepth)
-	if isAsync(r) {
-		return s.submitOptimize(&req, t, key)
-	}
-	return s.withResultCache(r, key, func() (any, *apiError) {
-		resp, err := s.optimize(r.Context(), &req, t, nil)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, ctxError(err)
-			}
-			return nil, errBadProgram(err.Error())
-		}
-		return resp, nil
-	})
-}
-
-// optimize runs the bounded restructuring search on the server's
-// warm caches: the one computation behind a sync response and an
-// async job alike. progress may be nil.
-func (s *Server) optimize(ctx context.Context, req *OptimizeRequest, target *perfpredict.Target, progress func(explored int, best float64)) (OptimizeResponse, error) {
-	res, err := perfpredict.OptimizeCtx(ctx, req.Source, target, req.Nominal,
-		perfpredict.OptimizeOptions{
-			Workers:   s.boundWorkers(0),
-			SegCache:  s.seg,
-			NestCache: s.nest,
-			MaxNodes:  req.MaxNodes,
-			MaxDepth:  req.MaxDepth,
-			Progress:  progress,
-		})
-	if err != nil {
-		return OptimizeResponse{}, err
-	}
-	return OptimizeResponse{
-		Machine:         target.Name,
-		Source:          res.Source,
-		Transformations: res.Transformations,
-		PredictedBefore: res.PredictedBefore,
-		PredictedAfter:  res.PredictedAfter,
-		MemoryBefore:    res.MemoryBefore,
-		MemoryAfter:     res.MemoryAfter,
-		Explored:        res.Explored,
-	}, nil
-}
-
-// isAsync reports whether an optimize request asked for job-style
-// execution (?async=1).
+// isAsync reports whether a request asked for job-style execution
+// (?async=1).
 func isAsync(r *http.Request) bool {
 	v := r.URL.Query().Get("async")
 	return v != "" && v != "0" && v != "false"
 }
 
 // boundWorkers resolves a request's worker ask against the server
-// cap.
+// cap: no ask, or one above the cap, gets the cap.
 func (s *Server) boundWorkers(asked int) int {
-	if s.cfg.Workers <= 0 {
-		return asked
-	}
 	if asked <= 0 || asked > s.cfg.Workers {
 		return s.cfg.Workers
 	}

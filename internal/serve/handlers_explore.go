@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -52,80 +51,56 @@ func exploreKernels(srcs []string) []perfpredict.ExploreKernel {
 	return ks
 }
 
-// validateExplore checks the request shape, parses and validates the
+// prepareExplore checks the request shape, parses and validates the
 // template, and caps the lattice — all up front, so both the sync
 // path and an async submission fail now with the final status, never
-// inside an accepted job. Returns the parsed template and the
-// content-addressed key on success.
-func (s *Server) validateExplore(req *ExploreRequest) (*perfpredict.MachineTemplate, resultcache.Key, *apiError) {
+// inside an accepted job.
+func (s *Server) prepareExplore(r *http.Request) (work, *apiError) {
+	var req ExploreRequest
+	if aerr := decodeBody(r, &req); aerr != nil {
+		return work{}, aerr
+	}
 	if len(req.Kernels) == 0 {
-		return nil, resultcache.Key{}, errBadJSON("explore needs at least one kernel")
+		return work{}, errBadJSON("explore needs at least one kernel")
 	}
 	if len(req.Template) == 0 {
-		return nil, resultcache.Key{}, errBadJSON("explore needs a template")
+		return work{}, errBadJSON("explore needs a template")
 	}
 	tpl, err := perfpredict.ParseMachineTemplate(req.Template)
 	if err != nil {
-		return nil, resultcache.Key{}, errInvalidTemplate(err.Error())
+		return work{}, errInvalidTemplate(err.Error())
 	}
 	if err := tpl.Validate(); err != nil {
-		return nil, resultcache.Key{}, errInvalidTemplate(err.Error())
+		return work{}, errInvalidTemplate(err.Error())
 	}
 	cells, err := tpl.Size()
 	if err != nil {
-		return nil, resultcache.Key{}, errInvalidTemplate(err.Error())
+		return work{}, errInvalidTemplate(err.Error())
 	}
 	if cells > s.cfg.MaxExploreCells {
-		return nil, resultcache.Key{}, errLatticeTooLarge(cells, s.cfg.MaxExploreCells)
+		return work{}, errLatticeTooLarge(cells, s.cfg.MaxExploreCells)
 	}
 	tplFP, err := tpl.Fingerprint()
 	if err != nil {
-		return nil, resultcache.Key{}, errInvalidTemplate(err.Error())
+		return work{}, errInvalidTemplate(err.Error())
 	}
 	fps := make([]source.Fingerprint, len(req.Kernels))
 	for i, src := range req.Kernels {
 		fps[i] = s.programFP(src)
 	}
-	return tpl, resultcache.ExploreKey(tplFP, fps, req.Args, req.Target), nil
-}
-
-func (s *Server) handleExplore(r *http.Request) (any, *apiError) {
-	var req ExploreRequest
-	if aerr := decodeBody(r, &req); aerr != nil {
-		return nil, aerr
-	}
-	tpl, key, aerr := s.validateExplore(&req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if isAsync(r) {
-		return s.submitExplore(&req, tpl, key)
-	}
-	return s.withResultCache(r, key, func() (any, *apiError) {
-		res, err := s.explore(r.Context(), &req, tpl, nil)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, ctxError(err)
+	return work{
+		key: resultcache.ExploreKey(tplFP, fps, req.Args, req.Target),
+		run: func(ctx context.Context, j *job) (any, error) {
+			opt := perfpredict.ExploreOptions{
+				Workers:  s.boundWorkers(0),
+				Args:     req.Args,
+				Target:   req.Target,
+				SegCache: s.seg,
 			}
-			return nil, errBadProgram(err.Error())
-		}
-		if err := r.Context().Err(); err != nil {
-			return nil, ctxError(err)
-		}
-		return res, nil
-	})
-}
-
-// explore runs the sweep on the server's warm segment cache: the one
-// computation behind a sync response and an async job alike.
-// progress may be nil.
-func (s *Server) explore(ctx context.Context, req *ExploreRequest, tpl *perfpredict.MachineTemplate, progress func(done, total int)) (*perfpredict.ExploreResult, error) {
-	return perfpredict.ExploreCtx(ctx, tpl, exploreKernels(req.Kernels),
-		perfpredict.ExploreOptions{
-			Workers:  s.boundWorkers(0),
-			Args:     req.Args,
-			Target:   req.Target,
-			SegCache: s.seg,
-			Progress: progress,
-		})
+			if j != nil {
+				opt.Progress = j.sweepProgress
+			}
+			return perfpredict.ExploreCtx(ctx, tpl, exploreKernels(req.Kernels), opt)
+		},
+	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -12,20 +11,19 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"perfpredict"
 	"perfpredict/internal/lru"
 	"perfpredict/internal/resultcache"
 )
 
 // Async jobs: POST /v1/optimize?async=1 (ids "opt-…") and POST
-// /v1/explore?async=1 (ids "exp-…") validate the request
-// synchronously (a malformed request fails with the same status a
-// sync call would, before any job exists), then return 202 with a job
-// id; GET /v1/jobs/{id} polls progress. The job runs the identical
-// work the sync path runs — same warm caches, same bounds — and lands
-// its encoded response body in the result cache under the same
-// content-addressed key, so a later sync request for the same work is
-// a byte-identical cache hit.
+// /v1/explore?async=1 (ids "exp-…") — the routes with a job prefix —
+// prepare the request synchronously (a malformed request fails with
+// the same status a sync call would, before any job exists), then
+// return 202 with a job id; GET /v1/jobs/{id} polls progress. The job
+// runs the route's prepared work, as the sync path does — same warm
+// caches, same bounds — and lands its encoded response body in the
+// result cache under the same content-addressed key, so a later sync
+// request for the same work is a byte-identical cache hit.
 //
 // Lifecycle: pending (accepted, waiting for a job slot) → running
 // (work executing; explored live, plus best_cost for searches) →
@@ -95,6 +93,18 @@ func (j *job) status() JobStatus {
 	return st
 }
 
+// searchProgress is an optimize job's progress hook: nodes expanded
+// so far and the incumbent cost.
+func (j *job) searchProgress(explored int, best float64) {
+	j.explored.Store(int64(explored))
+	j.bestBits.Store(math.Float64bits(best))
+	j.hasBest.Store(true)
+}
+
+// sweepProgress is an explore job's progress hook: lattice cells
+// evaluated so far.
+func (j *job) sweepProgress(done, _ int) { j.explored.Store(int64(done)) }
+
 func (j *job) setState(s string) {
 	j.mu.Lock()
 	j.state = s
@@ -135,14 +145,15 @@ func (m *jobManager) get(id string) (*job, bool) {
 }
 
 // newJob registers a fresh job in the given initial state; terminal
-// initial states (a cache-hit birth) go straight to the finished
-// table. The prefix ("opt-", "exp-") marks the job's kind in its id;
-// the sequence is shared, so ids are unique across kinds.
-func (m *jobManager) newJob(key resultcache.Key, prefix, state string) *job {
+// initial states (a cache-hit birth, carrying its result) go straight
+// to the finished table, complete before any poll can find them. The
+// prefix ("opt-", "exp-") marks the job's kind in its id; the
+// sequence is shared, so ids are unique across kinds.
+func (m *jobManager) newJob(key resultcache.Key, prefix, state string, result json.RawMessage) *job {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.seq++
-	j := &job{id: fmt.Sprintf("%s%06d", prefix, m.seq), key: key, state: state}
+	j := &job{id: fmt.Sprintf("%s%06d", prefix, m.seq), key: key, state: state, result: result}
 	if state == jobDone || state == jobFailed {
 		m.finished.Put(j.id, j)
 	} else {
@@ -170,13 +181,13 @@ func (m *jobManager) finish(j *job, result json.RawMessage, errBody *ErrorBody) 
 	m.mu.Unlock()
 }
 
-// submitJob is the shared async admission path: coalesce onto an
-// unfinished job for the same key, be born done on a result-cache
-// hit, or register a pending job and start run on its own goroutine.
-// run computes the full response body (with trailing newline) or an
-// error under ctx; submitJob owns all state transitions, caching,
-// retention, and metrics.
-func (s *Server) submitJob(key resultcache.Key, prefix string, run func(ctx context.Context, j *job) ([]byte, *ErrorBody)) (any, *apiError) {
+// submitJob is the async admission path of every route with a job
+// prefix: coalesce onto an unfinished job for the same key, be born
+// done on a result-cache hit, or register a pending job and run w on
+// its own goroutine. submitJob and runJob own all state transitions,
+// caching, retention, and metrics.
+func (s *Server) submitJob(w work, prefix string) (any, *apiError) {
+	key := w.key
 	// Coalesce onto an unfinished job for the same work.
 	s.jobs.mu.Lock()
 	if j, ok := s.jobs.byKey[key]; ok {
@@ -191,17 +202,16 @@ func (s *Server) submitJob(key resultcache.Key, prefix string, run func(ctx cont
 	// compact document.)
 	if s.results != nil {
 		if b, ok := s.results.Get(key); ok {
-			j := s.jobs.newJob(key, prefix, jobDone)
-			j.result = bytes.TrimSuffix(b, []byte("\n"))
+			j := s.jobs.newJob(key, prefix, jobDone, bytes.TrimSuffix(b, []byte("\n")))
 			s.jobEvents.With("cache_hit").Inc()
 			return statusResponse{http.StatusAccepted, j.status()}, nil
 		}
 	}
 
-	j := s.jobs.newJob(key, prefix, jobPending)
+	j := s.jobs.newJob(key, prefix, jobPending, nil)
 	s.jobEvents.With("submitted").Inc()
 	s.jobs.wg.Add(1)
-	go s.runJob(j, run)
+	go s.runJob(j, w)
 	return statusResponse{http.StatusAccepted, j.status()}, nil
 }
 
@@ -209,7 +219,7 @@ func (s *Server) submitJob(key resultcache.Key, prefix string, run func(ctx cont
 // slot, run the work under the job timeout on a background context
 // (the submitting client is long gone), land the response in the
 // result cache, finish.
-func (s *Server) runJob(j *job, run func(ctx context.Context, j *job) ([]byte, *ErrorBody)) {
+func (s *Server) runJob(j *job, w work) {
 	defer s.jobs.wg.Done()
 	defer func() {
 		if p := recover(); p != nil {
@@ -228,57 +238,20 @@ func (s *Server) runJob(j *job, run func(ctx context.Context, j *job) ([]byte, *
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.JobTimeout)
 	defer cancel()
-	body, errBody := run(ctx, j)
-	if errBody != nil {
+	resp, err := w.run(ctx, j)
+	if err != nil {
+		// The message is the run's own error text, also for a job
+		// deadline; only the code comes from the shared mapping.
 		s.jobEvents.With("failed").Inc()
-		s.jobs.finish(j, nil, errBody)
+		s.jobs.finish(j, nil, &ErrorBody{Code: apiErrorOf(err).code, Message: err.Error()})
 		return
 	}
+	body := marshalBody(resp)
 	if s.results != nil {
 		s.results.Put(j.key, body)
 	}
 	s.jobEvents.With("completed").Inc()
 	s.jobs.finish(j, bytes.TrimSuffix(body, []byte("\n")), nil)
-}
-
-// jobErrBody maps a job-level failure to its structured error: a job
-// deadline reports deadline_exceeded, anything else the given code.
-func jobErrBody(err error, code string) *ErrorBody {
-	if errors.Is(err, context.DeadlineExceeded) {
-		code = CodeDeadlineExceeded
-	}
-	return &ErrorBody{Code: code, Message: err.Error()}
-}
-
-// submitOptimize handles POST /v1/optimize?async=1 after the request
-// has been decoded, validated, and key-addressed by handleOptimize.
-func (s *Server) submitOptimize(req *OptimizeRequest, target *perfpredict.Target, key resultcache.Key) (any, *apiError) {
-	return s.submitJob(key, "opt-", func(ctx context.Context, j *job) ([]byte, *ErrorBody) {
-		resp, err := s.optimize(ctx, req, target, func(explored int, best float64) {
-			j.explored.Store(int64(explored))
-			j.bestBits.Store(math.Float64bits(best))
-			j.hasBest.Store(true)
-		})
-		if err != nil {
-			return nil, jobErrBody(err, CodeBadProgram)
-		}
-		return marshalBody(resp), nil
-	})
-}
-
-// submitExplore handles POST /v1/explore?async=1 after the request
-// has been decoded, validated, and key-addressed by handleExplore.
-// The job's Explored counter reports lattice cells evaluated.
-func (s *Server) submitExplore(req *ExploreRequest, tpl *perfpredict.MachineTemplate, key resultcache.Key) (any, *apiError) {
-	return s.submitJob(key, "exp-", func(ctx context.Context, j *job) ([]byte, *ErrorBody) {
-		res, err := s.explore(ctx, req, tpl, func(done, total int) {
-			j.explored.Store(int64(done))
-		})
-		if err != nil {
-			return nil, jobErrBody(err, CodeBadProgram)
-		}
-		return marshalBody(res), nil
-	})
 }
 
 // handleJobGet serves GET /v1/jobs/{id}.

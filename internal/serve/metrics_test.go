@@ -263,7 +263,7 @@ func TestMetricsShedExactCount(t *testing.T) {
 func TestMetricsPanicIsolated(t *testing.T) {
 	s := New(Config{})
 	// A poisoned route through the same middleware stack.
-	s.mux.Handle("/v1/boom", s.endpoint("boom", func(r *http.Request) (any, *apiError) {
+	s.mux.Handle("/v1/boom", s.endpoint(http.MethodPost, "boom", func(r *http.Request) (any, *apiError) {
 		panic("kaboom")
 	}))
 	ts := httptest.NewServer(s.Handler())

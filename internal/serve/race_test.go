@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -108,4 +109,65 @@ func TestConcurrentMixedWorkloadByteIdentical(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// TestBornDoneJobCompleteWhenVisible submits async optimizes whose
+// result is already cached, so each job is born done, while another
+// goroutine polls each next job id as soon as it can exist. A poll
+// that finds a job must see it done with its result; under -race it
+// also pins that the result is written before the job is published.
+func TestBornDoneJobCompleteWhenVisible(t *testing.T) {
+	h := New(Config{}).Handler()
+	k, err := kernels.Get("daxpy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := OptimizeRequest{Source: k.Src, MaxNodes: 2, MaxDepth: 1}
+	mustServe(t, h, "/v1/optimize", req)
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 200
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := 0; i < n; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize?async=1", bytes.NewReader(body)))
+			if rec.Code != http.StatusAccepted {
+				t.Errorf("submission %d: status %d: %s", i, rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	poll := func(i int) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/jobs/opt-%06d", i), nil))
+		return rec
+	}
+	for i := 1; i <= n; i++ {
+		rec := poll(i)
+		for rec.Code == http.StatusNotFound {
+			select {
+			case <-submitted:
+				// Every submission has returned, so a job still
+				// missing means one failed.
+				if rec = poll(i); rec.Code == http.StatusNotFound {
+					t.Fatalf("job %d never appeared", i)
+				}
+			default:
+				rec = poll(i)
+			}
+		}
+		var js JobStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &js); err != nil {
+			t.Fatalf("job %d: %v: %s", i, err, rec.Body)
+		}
+		if js.State != jobDone || len(js.Result) == 0 {
+			t.Fatalf("job %d visible as %q with a %d-byte result", i, js.State, len(js.Result))
+		}
+	}
+	<-submitted
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync/atomic"
@@ -45,8 +46,8 @@ type Config struct {
 	Timeout time.Duration
 	// MaxBodyBytes caps request bodies (413 beyond it). Default 1 MiB.
 	MaxBodyBytes int64
-	// Workers caps the per-request worker pool for /v1/batch and
-	// /v1/optimize. Default 0 = GOMAXPROCS.
+	// Workers caps the per-request worker pool for /v1/batch,
+	// /v1/optimize and /v1/explore. Default 0 = GOMAXPROCS.
 	Workers int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -83,6 +84,9 @@ func (c *Config) defaults() {
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
+	}
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 2
@@ -175,12 +179,10 @@ func newServer(cfg Config, b budgets) *Server {
 	}
 	s.initMetrics()
 	s.mux = http.NewServeMux()
-	s.mux.Handle("/v1/predict", s.endpoint("predict", s.handlePredict))
-	s.mux.Handle("/v1/batch", s.endpoint("batch", s.handleBatch))
-	s.mux.Handle("/v1/optimize", s.endpoint("optimize", s.handleOptimize))
-	s.mux.Handle("/v1/explain", s.endpoint("explain", s.handleExplain))
-	s.mux.Handle("/v1/explore", s.endpoint("explore", s.handleExplore))
-	s.mux.Handle("GET /v1/jobs/{id}", s.getEndpoint("jobs", s.handleJobGet))
+	for _, rt := range s.routes() {
+		s.mux.Handle(rt.path, s.endpoint(http.MethodPost, rt.name, s.serveRoute(rt)))
+	}
+	s.mux.Handle("GET /v1/jobs/{id}", s.endpoint(http.MethodGet, "jobs", s.handleJobGet))
 	s.mux.Handle("/metrics", s.metrics.Handler())
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -313,11 +315,16 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // http.Server.Shutdown.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
-// endpoint wraps one API handler with the full middleware stack, in
-// order: method gate, admission (shed at capacity), in-flight
-// accounting, panic isolation, body cap, per-request deadline, and
-// request/latency metrics on every exit path.
-func (s *Server) endpoint(name string, fn func(r *http.Request) (any, *apiError)) http.Handler {
+// endpoint wraps one API handler with the middleware stack: request
+// and latency metrics on every exit path, and panic isolation. A POST
+// endpoint also gets, in order, the method gate, admission (shed at
+// capacity), in-flight accounting, the per-request deadline and the
+// body cap. Other methods (the job poll) skip those deliberately — a
+// client watching a job must not compete with (or be shed by) the
+// compute traffic, and the poll reads in-memory state without
+// touching the request body.
+func (s *Server) endpoint(method, name string, fn func(r *http.Request) (any, *apiError)) http.Handler {
+	post := method == http.MethodPost
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		code := 0
@@ -325,29 +332,35 @@ func (s *Server) endpoint(name string, fn func(r *http.Request) (any, *apiError)
 			s.reqs.With(name, strconv.Itoa(code)).Inc()
 			s.lat.With(name).Observe(time.Since(start).Seconds())
 		}()
-		if r.Method != http.MethodPost {
-			code = statusMethodNotAllow
-			w.Header().Set("Allow", http.MethodPost)
-			s.writeError(w, code, CodeMethodNotAllowed, "use POST")
-			return
+		if post {
+			if r.Method != http.MethodPost {
+				code = statusMethodNotAllow
+				w.Header().Set("Allow", http.MethodPost)
+				s.writeError(w, code, CodeMethodNotAllowed, "use POST")
+				return
+			}
+			select {
+			case s.sem <- struct{}{}:
+			default:
+				s.shed.With(name).Inc()
+				code = statusUnavailable
+				// Shedding is a transient burst condition: steer
+				// retries to after the in-flight work drains instead
+				// of an immediate hammer.
+				w.Header().Set("Retry-After", "1")
+				s.writeError(w, code, CodeOverloaded, "server at capacity, retry later")
+				return
+			}
+			s.inflight.Add(1)
+			defer func() {
+				s.inflight.Add(-1)
+				<-s.sem
+			}()
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+			defer cancel()
+			r = r.WithContext(ctx)
+			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		}
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			s.shed.With(name).Inc()
-			code = statusUnavailable
-			// Shedding is a transient burst condition: steer retries
-			// to after the in-flight work drains instead of an
-			// immediate hammer.
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, code, CodeOverloaded, "server at capacity, retry later")
-			return
-		}
-		s.inflight.Add(1)
-		defer func() {
-			s.inflight.Add(-1)
-			<-s.sem
-		}()
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.With().Inc()
@@ -357,10 +370,6 @@ func (s *Server) endpoint(name string, fn func(r *http.Request) (any, *apiError)
 				debug.PrintStack()
 			}
 		}()
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		resp, aerr := fn(r)
 		if aerr != nil {
 			code = aerr.status
@@ -389,38 +398,6 @@ func writeSuccess(w http.ResponseWriter, resp any) int {
 		w.Write(marshalBody(resp))
 		return http.StatusOK
 	}
-}
-
-// getEndpoint wraps a read-only handler with the slim middleware
-// stack: metrics and panic isolation only. Polling endpoints skip
-// admission deliberately — a client watching a job must not compete
-// with (or be shed by) the compute traffic, and the handlers behind
-// this read in-memory state without touching the request body.
-func (s *Server) getEndpoint(name string, fn func(r *http.Request) (any, *apiError)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		code := 0
-		defer func() {
-			s.reqs.With(name, strconv.Itoa(code)).Inc()
-			s.lat.With(name).Observe(time.Since(start).Seconds())
-		}()
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.With().Inc()
-				code = statusInternalFailure
-				s.writeError(w, code, CodeInternal,
-					fmt.Sprintf("handler panic: %v", p))
-				debug.PrintStack()
-			}
-		}()
-		resp, aerr := fn(r)
-		if aerr != nil {
-			code = aerr.status
-			s.writeError(w, aerr.status, aerr.code, aerr.msg)
-			return
-		}
-		code = writeSuccess(w, resp)
-	})
 }
 
 // ctxError maps a context failure observed by a handler to the

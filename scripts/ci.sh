@@ -167,6 +167,9 @@ sh scripts/bench_regress.sh || echo "bench_regress.sh failed (non-gating)" >&2
 echo "== perf trajectory (non-gating)"
 sh scripts/bench.sh || echo "bench.sh failed (non-gating)" >&2
 
+echo "== non-test Go lines (non-gating)"
+sh scripts/loc.sh || echo "loc.sh failed (non-gating)" >&2
+
 echo "== service load test (non-gating)"
 sh scripts/loadtest.sh || echo "loadtest.sh failed (non-gating)" >&2
 
