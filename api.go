@@ -34,7 +34,6 @@
 package perfpredict
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -141,9 +140,8 @@ type Prediction struct {
 	// Unknowns lists Cost's variables.
 	Unknowns []Unknown
 
-	prog *source.Program
-	tbl  *sem.Table
-	mach *Target
+	prog     *source.Program
+	unknowns []aggregate.Unknown
 }
 
 // Predict parses, analyzes and prices an F-lite program.
@@ -155,47 +153,24 @@ func Predict(src string, target *Target) (*Prediction, error) {
 // predicted cycles. Probability unknowns default to 0.5 when absent;
 // other missing unknowns are an error.
 func (p *Prediction) EvalAt(values map[string]float64) (float64, error) {
-	return p.Cost.Eval(p.assignFor(values))
+	return p.Cost.Eval(aggregate.EvalPoint(p.unknowns, values, false))
 }
 
 // EvalMemoryAt evaluates the memory-hierarchy component of the
 // prediction at the same point (and with the same probability
 // defaulting) as EvalAt. Zero for hierarchy-less targets.
 func (p *Prediction) EvalMemoryAt(values map[string]float64) (float64, error) {
-	return p.Memory.Eval(p.assignFor(values))
-}
-
-func (p *Prediction) assignFor(values map[string]float64) map[symexpr.Var]float64 {
-	assign := map[symexpr.Var]float64{}
-	for k, v := range values {
-		assign[symexpr.Var(k)] = v
-	}
-	for _, u := range p.Unknowns {
-		if _, ok := assign[symexpr.Var(u.Name)]; ok {
-			continue
-		}
-		if u.Kind == "probability" {
-			assign[symexpr.Var(u.Name)] = 0.5
-		}
-	}
-	return assign
+	return p.Memory.Eval(aggregate.EvalPoint(p.unknowns, values, false))
 }
 
 // Sensitivity ranks the unknowns by how strongly a ±delta relative
 // perturbation around the nominal point moves the prediction — the
 // basis for choosing run-time tests (§3.4 of the paper).
 func (p *Prediction) Sensitivity(nominal map[string]float64, delta float64) ([]VarSensitivity, error) {
-	assign := map[symexpr.Var]float64{}
-	for k, v := range nominal {
-		assign[symexpr.Var(k)] = v
-	}
-	for _, u := range p.Unknowns {
-		if _, ok := assign[symexpr.Var(u.Name)]; !ok {
-			if u.Kind == "probability" {
-				assign[symexpr.Var(u.Name)] = 0.5
-			} else {
-				return nil, fmt.Errorf("perfpredict: no nominal value for unknown %q", u.Name)
-			}
+	assign := aggregate.EvalPoint(p.unknowns, nominal, false)
+	for _, u := range p.unknowns {
+		if _, ok := assign[u.Var]; !ok {
+			return nil, fmt.Errorf("perfpredict: no nominal value for unknown %q", u.Var)
 		}
 	}
 	raw, err := symexpr.Sensitivity(p.Cost, assign, delta)
@@ -223,11 +198,7 @@ type VarSensitivity struct {
 // (the reproduction's stand-in for hardware runs) and returns dynamic
 // cycles. args provides dummy-argument values.
 func Simulate(src string, target *Target, args map[string]float64) (int64, error) {
-	prog, err := source.Parse(src)
-	if err != nil {
-		return 0, err
-	}
-	tbl, err := sem.Analyze(prog)
+	prog, tbl, err := analyze(src)
 	if err != nil {
 		return 0, err
 	}
@@ -344,11 +315,18 @@ type OptimizeResult struct {
 	BottleneckUtil float64
 }
 
-// Optimize searches transformation sequences (unroll, interchange,
-// tile, fuse) for the cheapest predicted variant (§3.2). nominal
-// assigns values to unknowns for ranking.
-func Optimize(src string, target *Target, nominal map[string]float64) (OptimizeResult, error) {
-	return OptimizeCtx(context.Background(), src, target, nominal, OptimizeOptions{})
+// analyze parses and semantically analyzes an F-lite program: the
+// front end every source-text entry point shares.
+func analyze(src string) (*source.Program, *sem.Table, error) {
+	prog, err := source.Parse(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	tbl, err := sem.Analyze(prog)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prog, tbl, nil
 }
 
 // Library is an external-routine cost table (§3.5 of the paper):

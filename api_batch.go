@@ -4,8 +4,6 @@ import (
 	"context"
 
 	"perfpredict/internal/aggregate"
-	"perfpredict/internal/sem"
-	"perfpredict/internal/source"
 	"perfpredict/internal/workpool"
 )
 
@@ -19,7 +17,7 @@ type SegmentCache = aggregate.SegCache
 // NewSegmentCache creates an empty shared segment cache.
 func NewSegmentCache() *SegmentCache { return aggregate.NewSegCache() }
 
-// BatchOptions tune PredictBatch.
+// BatchOptions tune PredictBatchCtx.
 type BatchOptions struct {
 	// Workers bounds the worker pool; <= 0 uses runtime.GOMAXPROCS(0).
 	Workers int
@@ -28,13 +26,13 @@ type BatchOptions struct {
 	Aggregate *aggregate.Options
 	// Cache is the segment cache the workers share; nil creates a
 	// fresh cache private to this batch. Passing the same cache to
-	// successive batches (or to Optimize-style searches) carries priced
+	// successive batches (or to OptimizeCtx searches) carries priced
 	// segments across calls — the incremental-update mechanism of
 	// §3.3.1 applied at fleet scale.
 	Cache *SegmentCache
 }
 
-// PredictBatch prices many programs concurrently on one target. It
+// PredictBatchCtx prices many programs concurrently on one target. It
 // returns one prediction and one error slot per source, index-aligned
 // with srcs; failed programs leave a nil prediction and a non-nil
 // error without affecting the others.
@@ -42,16 +40,13 @@ type BatchOptions struct {
 // Every worker runs a private estimator, so results are byte-identical
 // to calling Predict on each source serially — the shared cache only
 // changes how often segment costs are recomputed, never their values.
-func PredictBatch(srcs []string, target *Target, opt BatchOptions) ([]*Prediction, []error) {
-	return PredictBatchCtx(context.Background(), srcs, target, opt)
-}
-
-// PredictBatchCtx is PredictBatch under a context: once ctx is done,
-// workers stop picking up further programs (the one each worker is
-// pricing finishes), and every program that never ran gets a nil
-// prediction with ctx.Err() in its error slot. Programs that did
-// complete keep their results, so partial batches remain usable and
-// are still byte-identical to serial pricing of the same indices.
+//
+// Once ctx is done, workers stop picking up further programs (the one
+// each worker is pricing finishes), and every program that never ran
+// gets a nil prediction with ctx.Err() in its error slot. Programs
+// that did complete keep their results, so partial batches remain
+// usable and are still byte-identical to serial pricing of the same
+// indices.
 func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt BatchOptions) ([]*Prediction, []error) {
 	preds := make([]*Prediction, len(srcs))
 	errs := make([]error, len(srcs))
@@ -83,11 +78,7 @@ func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt Bat
 // predictWithCache is the cache-aware core of every prediction entry
 // point: parse, analyze, aggregate.
 func predictWithCache(src string, target *Target, opt aggregate.Options, cache *SegmentCache) (*Prediction, error) {
-	prog, err := source.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sem.Analyze(prog)
+	prog, tbl, err := analyze(src)
 	if err != nil {
 		return nil, err
 	}
@@ -97,12 +88,11 @@ func predictWithCache(src string, target *Target, opt aggregate.Options, cache *
 		return nil, err
 	}
 	p := &Prediction{
-		Cost:    res.Cost,
-		OneTime: res.OneTime,
-		Memory:  res.Memory,
-		prog:    prog,
-		tbl:     tbl,
-		mach:    target,
+		Cost:     res.Cost,
+		OneTime:  res.OneTime,
+		Memory:   res.Memory,
+		prog:     prog,
+		unknowns: res.Unknowns,
 	}
 	for _, u := range res.Unknowns {
 		p.Unknowns = append(p.Unknowns, Unknown{Name: string(u.Var), Kind: u.Kind, Source: u.Desc})

@@ -5,7 +5,6 @@ import (
 
 	"perfpredict/internal/lower"
 	"perfpredict/internal/pipesim"
-	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
 	"perfpredict/internal/tetris"
 )
@@ -32,6 +31,9 @@ type BlockReport struct {
 	// CriticalUnit is the busiest functional unit and its utilization.
 	CriticalUnit string
 	Utilization  float64
+	// Ops is the block's operation histogram: basic-operation name →
+	// count after back-end imitation.
+	Ops map[string]int
 }
 
 // ErrorPct returns the signed prediction error versus the reference in
@@ -56,21 +58,13 @@ func (r BlockReport) BaselineFactor() float64 {
 // and prices it three ways: the Tetris prediction, the reference
 // pipeline simulation, and the operation-count baseline.
 func AnalyzeInnermostBlock(src string, target *Target) (BlockReport, error) {
-	return analyzeInnermostBlock(src, target, lower.DefaultOptions(), tetris.Options{})
+	return AnalyzeInnermostBlockWithOptions(src, target, lower.DefaultOptions(), tetris.Options{})
 }
 
 // AnalyzeInnermostBlockWithOptions exposes the back-end imitation and
 // placement knobs for ablation studies.
 func AnalyzeInnermostBlockWithOptions(src string, target *Target, lopt lower.Options, topt tetris.Options) (BlockReport, error) {
-	return analyzeInnermostBlock(src, target, lopt, topt)
-}
-
-func analyzeInnermostBlock(src string, target *Target, lopt lower.Options, topt tetris.Options) (BlockReport, error) {
-	prog, err := source.Parse(src)
-	if err != nil {
-		return BlockReport{}, err
-	}
-	tbl, err := sem.Analyze(prog)
+	prog, tbl, err := analyze(src)
 	if err != nil {
 		return BlockReport{}, err
 	}
@@ -84,7 +78,10 @@ func analyzeInnermostBlock(src string, target *Target, lopt lower.Options, topt 
 		return BlockReport{}, err
 	}
 	block := lw.Body
-	rep := BlockReport{Instructions: len(block.Instrs)}
+	rep := BlockReport{Instructions: len(block.Instrs), Ops: map[string]int{}}
+	for op, n := range block.Counts() {
+		rep.Ops[op.String()] = n
+	}
 
 	pred, err := tetris.Estimate(target, block, topt)
 	if err != nil {
@@ -162,31 +159,4 @@ func straightOnly(list []source.Stmt) bool {
 		}
 	}
 	return true
-}
-
-// CountOps exposes the operation histogram of the innermost block (for
-// diagnostics and the examples).
-func CountOps(src string, target *Target) (map[string]int, error) {
-	prog, err := source.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sem.Analyze(prog)
-	if err != nil {
-		return nil, err
-	}
-	body, loopVars, ok := innermostBlock(prog.Body, nil)
-	if !ok {
-		return nil, fmt.Errorf("perfpredict: no innermost block")
-	}
-	tr := lower.New(tbl, target, lower.DefaultOptions())
-	lw, err := tr.Body(body, loopVars)
-	if err != nil {
-		return nil, err
-	}
-	out := map[string]int{}
-	for op, n := range lw.Body.Counts() {
-		out[op.String()] = n
-	}
-	return out, nil
 }

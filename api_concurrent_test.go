@@ -1,6 +1,7 @@
 package perfpredict
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestPredictConcurrent(t *testing.T) {
 	t.Run("predict-batch", func(t *testing.T) {
 		cache := NewSegmentCache()
 		for _, workers := range []int{1, 8} {
-			preds, errs := PredictBatch(srcs, target, BatchOptions{Workers: workers, Cache: cache})
+			preds, errs := PredictBatchCtx(context.Background(), srcs, target, BatchOptions{Workers: workers, Cache: cache})
 			for i := range srcs {
 				check(t, i, preds[i], errs[i])
 			}

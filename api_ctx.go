@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"perfpredict/internal/aggregate"
-	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
 	"perfpredict/internal/symexpr"
 	"perfpredict/internal/xform"
@@ -47,7 +46,8 @@ type NestCache = aggregate.NestCache
 func NewNestCache() *NestCache { return aggregate.NewNestCache() }
 
 // OptimizeOptions tune OptimizeCtx beyond the required arguments.
-// The zero value reproduces Optimize exactly.
+// The zero value searches with the xform defaults on GOMAXPROCS
+// workers and private caches.
 type OptimizeOptions struct {
 	// Workers bounds the search's neighbor-expansion concurrency;
 	// <= 0 uses runtime.GOMAXPROCS(0).
@@ -68,18 +68,20 @@ type OptimizeOptions struct {
 	Progress func(explored int, best float64)
 }
 
-// OptimizeCtx is Optimize under a context with service-grade knobs:
-// cancellation is checked at every search-node expansion, so a
+// OptimizeCtx searches transformation sequences (unroll, interchange,
+// tile, fuse) for the cheapest predicted variant (§3.2). Variants are
+// ranked by their cost at nominal; unknowns it leaves out take the
+// filled evaluation point (probabilities 0.5, other unknowns 100), so
+// PredictedBefore equals Predict's EvalAt with those values filled in.
+//
+// Cancellation is checked at every search-node expansion, so a
 // dropped caller stops the burn within one expansion. On cancellation
 // the best fully priced variant found so far is returned alongside
 // ctx.Err(); OptimizeResult is the zero value only when ctx expired
 // before the initial pricing finished.
 func OptimizeCtx(ctx context.Context, src string, target *Target, nominal map[string]float64, opt OptimizeOptions) (OptimizeResult, error) {
-	prog, err := source.Parse(src)
+	prog, _, err := analyze(src)
 	if err != nil {
-		return OptimizeResult{}, err
-	}
-	if _, err := sem.Analyze(prog); err != nil {
 		return OptimizeResult{}, err
 	}
 	nom := map[symexpr.Var]float64{}

@@ -5,8 +5,6 @@ import (
 
 	"perfpredict/internal/aggregate"
 	"perfpredict/internal/explain"
-	"perfpredict/internal/sem"
-	"perfpredict/internal/source"
 )
 
 // ExplainReport diagnoses where a program's predicted cycles go: the
@@ -25,40 +23,33 @@ type ExplainPathStep = explain.PathStep
 // ExplainWhatIf is the one-more-pipe experiment of an ExplainReport.
 type ExplainWhatIf = explain.WhatIf
 
-// ExplainOptions tune ExplainCtx. The zero value reproduces Explain.
+// ExplainOptions tune ExplainCtx. The zero value prices with Predict's
+// defaults and includes the one-more-pipe experiment.
 type ExplainOptions struct {
 	// Aggregate overrides the aggregation options; nil uses the same
 	// defaults Predict uses, so the report's Cycles match Predict's
 	// EvalAt at the same point.
 	Aggregate *aggregate.Options
 	// Nominal assigns values to unknowns when apportioning cycles
-	// across nests and evaluating the what-if. Missing probabilities
-	// default to 0.5 (as in Prediction.EvalAt), other missing unknowns
-	// to 100 (as in Optimize's ranking).
+	// across nests and evaluating the what-if. Missing unknowns take
+	// the point OptimizeCtx ranks at: probabilities 0.5, other
+	// unknowns 100.
 	Nominal map[string]float64
 	// SkipWhatIf suppresses the one-more-pipe experiment, saving one
 	// extra whole-program prediction.
 	SkipWhatIf bool
 }
 
-// Explain predicts a program and diagnoses the prediction: which unit
-// saturates first, which dependence/resource chain binds each kernel,
-// and what one more pipe of the bottleneck kind would buy.
-func Explain(src string, target *Target) (*ExplainReport, error) {
-	return ExplainCtx(context.Background(), src, target, ExplainOptions{})
-}
-
-// ExplainCtx is Explain under a context with options. ctx is checked
-// before the (uninterruptible, milliseconds-scale) pipeline runs.
+// ExplainCtx predicts a program and diagnoses the prediction: which
+// unit saturates first, which dependence/resource chain binds each
+// kernel, and what one more pipe of the bottleneck kind would buy.
+// ctx is checked before the (uninterruptible, milliseconds-scale)
+// pipeline runs.
 func ExplainCtx(ctx context.Context, src string, target *Target, opt ExplainOptions) (*ExplainReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prog, err := source.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sem.Analyze(prog)
+	prog, tbl, err := analyze(src)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package perfpredict
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ end
 func TestExplainAgreesWithPredict(t *testing.T) {
 	target := POWER1()
 	nominal := map[string]float64{"n": 64}
-	rep, err := Explain(explainMatmul, target)
+	rep, err := ExplainCtx(context.Background(), explainMatmul, target, ExplainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestExplainInertOnPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Explain(explainMatmul, target); err != nil {
+	if _, err := ExplainCtx(context.Background(), explainMatmul, target, ExplainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := Predict(explainMatmul, target)
@@ -87,7 +88,7 @@ func TestExplainInertOnPredict(t *testing.T) {
 // Optimize must report the winning variant's bottleneck without
 // changing what it picks.
 func TestOptimizeReportsBottleneck(t *testing.T) {
-	res, err := Optimize(explainMatmul, POWER1(), map[string]float64{"n": 32})
+	res, err := OptimizeCtx(context.Background(), explainMatmul, POWER1(), map[string]float64{"n": 32}, OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

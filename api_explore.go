@@ -15,7 +15,7 @@ import (
 type MachineTemplate = machine.SpecTemplate
 
 // ParseMachineTemplate decodes a machine template from its strict
-// JSON form. The result is validated lazily: Explore (or the
+// JSON form. The result is validated lazily: ExploreCtx (or the
 // template's own Validate/Expand) reports malformed templates.
 func ParseMachineTemplate(data []byte) (*MachineTemplate, error) {
 	return machine.ParseTemplate(data)
@@ -55,15 +55,10 @@ type ExploreOptions struct {
 	Progress func(done, total int)
 }
 
-// Explore expands a machine template and prices every kernel on every
-// lattice cell, reducing the design space to a Pareto front. Results
-// are deterministic: independent of worker count and cache warmth.
-func Explore(tpl *MachineTemplate, kernels []ExploreKernel) (*ExploreResult, error) {
-	return ExploreCtx(context.Background(), tpl, kernels, ExploreOptions{})
-}
-
-// ExploreCtx is Explore under a context with options. Cancellation is
-// checked between cell evaluations; a cancelled sweep returns the
+// ExploreCtx expands a machine template and prices every kernel on
+// every lattice cell, reducing the design space to a Pareto front.
+// Results are deterministic: independent of worker count and cache
+// warmth. Cancellation is checked between cell evaluations; a cancelled sweep returns the
 // context error rather than a partial (and therefore misleading)
 // front.
 func ExploreCtx(ctx context.Context, tpl *MachineTemplate, kernels []ExploreKernel, opt ExploreOptions) (*ExploreResult, error) {

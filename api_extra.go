@@ -3,9 +3,6 @@ package perfpredict
 import (
 	"fmt"
 
-	"perfpredict/internal/cachemodel"
-	"perfpredict/internal/machine"
-	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
 	"perfpredict/internal/symexpr"
 	"perfpredict/internal/xform"
@@ -60,14 +57,6 @@ func MultiVersion(srcA, srcB string, target *Target, bounds map[string]Bound) (M
 	default:
 		return out, fmt.Errorf("perfpredict: comparison inconclusive")
 	}
-	progA, err := source.Parse(srcA)
-	if err != nil {
-		return out, err
-	}
-	progB, err := source.Parse(srcB)
-	if err != nil {
-		return out, err
-	}
 	threshold := cmp.Crossovers[0]
 	// Which variant is cheaper below the crossover? Evaluate the
 	// difference just below it.
@@ -79,9 +68,9 @@ func MultiVersion(srcA, srcB string, target *Target, bounds map[string]Bound) (M
 	if err != nil {
 		return out, err
 	}
-	first, second := progA, progB
+	first, second := pa.prog, pb.prog
 	if diffBelow > 0 { // second is cheaper below the crossover
-		first, second = progB, progA
+		first, second = pb.prog, pa.prog
 	}
 	v, err := xform.Versioned(first, second, xform.ThresholdGuard(cmp.Variable, threshold))
 	if err != nil {
@@ -91,122 +80,4 @@ func MultiVersion(srcA, srcB string, target *Target, bounds map[string]Bound) (M
 	out.Variable = cmp.Variable
 	out.Threshold = threshold
 	return out, nil
-}
-
-// MemoryEstimate is the memory-access cost of one loop nest (§2.3).
-type MemoryEstimate struct {
-	// Lines is the symbolic distinct-cache-line count of the nest.
-	Lines Expression
-	// Cycles is Lines × miss penalty (plus TLB terms are omitted in
-	// the symbolic form).
-	Cycles Expression
-	// Loops names the nest's loop variables, outermost first.
-	Loops []string
-}
-
-// PredictMemory estimates, per top-level perfect loop nest, the number
-// of distinct cache lines the nest touches and the resulting memory
-// cycles — the §2.3 cost category, symbolic in the loop bounds. The
-// estimate is the interference-free (cold-miss) count; capacity
-// effects need concrete sizes (see internal/cachemodel.EstimateNest).
-func PredictMemory(src string, cfg CacheConfig) ([]MemoryEstimate, error) {
-	prog, err := source.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	tbl, err := sem.Analyze(prog)
-	if err != nil {
-		return nil, err
-	}
-	mcfg := cachemodel.Config{
-		SizeBytes: cfg.SizeBytes, LineBytes: cfg.LineBytes,
-		ElemBytes: 8, MissPenalty: cfg.MissPenalty,
-	}
-	var out []MemoryEstimate
-	for _, s := range prog.Body {
-		loop, ok := s.(*source.DoLoop)
-		if !ok {
-			continue
-		}
-		var vars []string
-		trips := map[string]symexpr.Poly{}
-		body := []source.Stmt{}
-		cur := loop
-		for {
-			vars = append(vars, cur.Var)
-			trips[cur.Var] = tripPoly(tbl, cur)
-			body = cur.Body
-			if len(cur.Body) == 1 {
-				if inner, ok := cur.Body[0].(*source.DoLoop); ok {
-					cur = inner
-					continue
-				}
-			}
-			break
-		}
-		lines, err := cachemodel.SymbolicLines(tbl, vars, trips, body, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MemoryEstimate{
-			Lines:  lines,
-			Cycles: lines.Scale(float64(cfg.MissPenalty)),
-			Loops:  vars,
-		})
-	}
-	return out, nil
-}
-
-// CacheConfig describes the cache the memory model prices against.
-type CacheConfig struct {
-	SizeBytes   int64
-	LineBytes   int64
-	MissPenalty int64
-}
-
-// DefaultCache is the POWER1-class data cache (64 KiB, 128-byte lines,
-// 15-cycle fill), derived from the same hierarchy spec the machine
-// model uses so the two can never drift apart.
-func DefaultCache() CacheConfig {
-	l := machine.POWER1Memory().Levels[0]
-	return CacheConfig{SizeBytes: l.SizeBytes, LineBytes: l.LineBytes, MissPenalty: l.MissPenalty}
-}
-
-// tripPoly converts a loop's trip count to a symbolic polynomial.
-func tripPoly(tbl *sem.Table, l *source.DoLoop) symexpr.Poly {
-	lb := boundPoly(tbl, l.Lb)
-	ub := boundPoly(tbl, l.Ub)
-	step := 1
-	if l.Step != nil {
-		if c, ok := tbl.IntConst(l.Step); ok && c > 0 {
-			step = int(c)
-		}
-	}
-	return symexpr.TripCount(lb, ub, step)
-}
-
-func boundPoly(tbl *sem.Table, e source.Expr) symexpr.Poly {
-	if c, ok := tbl.FoldConst(e); ok {
-		return symexpr.Const(c)
-	}
-	switch x := e.(type) {
-	case *source.VarRef:
-		return symexpr.NewVar(symexpr.Var(x.Name))
-	case *source.BinExpr:
-		l := boundPoly(tbl, x.L)
-		r := boundPoly(tbl, x.R)
-		switch x.Kind {
-		case source.BinAdd:
-			return l.Add(r)
-		case source.BinSub:
-			return l.Sub(r)
-		case source.BinMul:
-			return l.Mul(r)
-		}
-	case *source.UnExpr:
-		if x.Neg {
-			return boundPoly(tbl, x.X).Neg()
-		}
-	}
-	return symexpr.Const(1)
 }

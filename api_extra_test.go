@@ -79,79 +79,6 @@ func TestMultiVersionOneSided(t *testing.T) {
 	}
 }
 
-func TestPredictMemorySymbolic(t *testing.T) {
-	src := `
-subroutine sweep(n)
-  integer i, j, n
-  real a(512,512), b(512,512)
-  do j = 1, n
-    do i = 1, n
-      a(i,j) = b(i,j) * 2.0
-    end do
-  end do
-end
-`
-	ests, err := PredictMemory(src, DefaultCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 1 {
-		t.Fatalf("nests: %d", len(ests))
-	}
-	e := ests[0]
-	if len(e.Loops) != 2 || e.Loops[0] != "j" {
-		t.Errorf("loops: %v", e.Loops)
-	}
-	// Two arrays, n²/16 lines each.
-	lines, err := e.Lines.Eval(map[Var]float64{"n": 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines != 2*64*64/16 {
-		t.Errorf("lines at n=64: %v, want 512", lines)
-	}
-	cycles, _ := e.Cycles.Eval(map[Var]float64{"n": 64})
-	if cycles != lines*15 {
-		t.Errorf("cycles: %v", cycles)
-	}
-	if e.Lines.Degree("n") != 2 {
-		t.Errorf("symbolic shape: %v", e.Lines)
-	}
-}
-
-func TestPredictMemoryMultipleNests(t *testing.T) {
-	src := `
-program p
-  integer i, j, n
-  parameter (n = 32)
-  real a(32,32), v(1024)
-  do j = 1, n
-    do i = 1, n
-      a(i,j) = 1.0
-    end do
-  end do
-  do i = 1, 1024
-    v(i) = 2.0
-  end do
-end
-`
-	ests, err := PredictMemory(src, DefaultCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ests) != 2 {
-		t.Fatalf("nests: %d", len(ests))
-	}
-	// Constant bounds fold to constants.
-	if _, ok := ests[0].Lines.IsConst(); !ok {
-		t.Errorf("first nest not constant: %v", ests[0].Lines)
-	}
-	v1, _ := ests[1].Lines.IsConst()
-	if v1 != 1024/16 {
-		t.Errorf("vector nest lines: %v", v1)
-	}
-}
-
 func TestCrossMachinePredictions(t *testing.T) {
 	// One source, three architecture descriptions: predictions must
 	// order Scalar1 ≥ POWER1 ≥ SuperScalar2 on overlap-rich code.

@@ -1,6 +1,7 @@
 package perfpredict
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -214,17 +215,17 @@ func TestAnalyzeInnermostBlockFig7(t *testing.T) {
 
 func TestMatmul44SixteenFMAs(t *testing.T) {
 	k, _ := kernels.Get("matmul44")
-	ops, err := CountOps(k.Src, POWER1())
+	rep, err := AnalyzeInnermostBlock(k.Src, POWER1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ops["fma"] != 16 {
-		t.Errorf("FMA count = %d, want 16 (paper: 'a total of 16 FMA operations')", ops["fma"])
+	if rep.Ops["fma"] != 16 {
+		t.Errorf("FMA count = %d, want 16 (paper: 'a total of 16 FMA operations')", rep.Ops["fma"])
 	}
 }
 
 func TestOptimizeAPI(t *testing.T) {
-	res, err := Optimize(daxpySrc, POWER1(), map[string]float64{"n": 1000})
+	res, err := OptimizeCtx(context.Background(), daxpySrc, POWER1(), map[string]float64{"n": 1000}, OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

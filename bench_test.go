@@ -6,6 +6,7 @@
 package perfpredict
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -338,7 +339,7 @@ func BenchmarkAStarSearch(b *testing.B) {
 	}
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, err := xform.Search(prog, xform.SearchOptions{
+		res, err := xform.SearchCtx(context.Background(), prog, xform.SearchOptions{
 			Machine: machine.NewPOWER1(), MaxNodes: 15, MaxDepth: 2,
 		})
 		if err != nil {
@@ -374,7 +375,7 @@ func BenchmarkOptimize(b *testing.B) {
 				b.ReportAllocs()
 				var repriced, tet float64
 				for i := 0; i < b.N; i++ {
-					res, err := xform.Search(prog, xform.SearchOptions{
+					res, err := xform.SearchCtx(context.Background(), prog, xform.SearchOptions{
 						Machine:          machine.NewPOWER1(),
 						DisableNestCache: mode.disable,
 					})
@@ -615,7 +616,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errs := PredictBatch(srcs, target, BatchOptions{Workers: workers})
+				_, errs := PredictBatchCtx(context.Background(), srcs, target, BatchOptions{Workers: workers})
 				for _, err := range errs {
 					if err != nil {
 						b.Fatal(err)

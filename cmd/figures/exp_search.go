@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -29,7 +30,7 @@ func expE9() error {
 		if err != nil {
 			return err
 		}
-		res, err := xform.Search(prog, xform.SearchOptions{
+		res, err := xform.SearchCtx(context.Background(), prog, xform.SearchOptions{
 			Machine:  machine.NewPOWER1(),
 			MaxNodes: 25,
 			MaxDepth: 2,

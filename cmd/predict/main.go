@@ -129,15 +129,14 @@ func main() {
 		fmt.Printf("  reference:      %d cycles (error %+.1f%%)\n", rep.Reference, rep.ErrorPct())
 		fmt.Printf("  op-count model: %d cycles (%.1fx off)\n", rep.Baseline, rep.BaselineFactor())
 		fmt.Printf("  critical unit:  %s (%.0f%% busy)\n", rep.CriticalUnit, 100*rep.Utilization)
-		ops, _ := perfpredict.CountOps(src, target)
-		keys := make([]string, 0, len(ops))
-		for k := range ops {
+		keys := make([]string, 0, len(rep.Ops))
+		for k := range rep.Ops {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		var parts []string
 		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s×%d", k, ops[k]))
+			parts = append(parts, fmt.Sprintf("%s×%d", k, rep.Ops[k]))
 		}
 		fmt.Printf("  mix:            %s\n", strings.Join(parts, " "))
 	}
@@ -162,7 +161,7 @@ func main() {
 		}
 	}
 	if *optimize {
-		res, err := perfpredict.Optimize(src, target, args)
+		res, err := perfpredict.OptimizeCtx(context.Background(), src, target, args, perfpredict.OptimizeOptions{})
 		if err != nil {
 			fatalf("optimize: %v", err)
 		}
@@ -311,7 +310,7 @@ func runExplore(tplPath, kernel string, files []string, args map[string]float64,
 	}
 }
 
-// runBatch prices every file concurrently through PredictBatch and
+// runBatch prices every file concurrently through PredictBatchCtx and
 // prints one summary line per file, index-aligned with the inputs.
 func runBatch(files []string, target *perfpredict.Target, args map[string]float64, workers int) {
 	srcs := make([]string, len(files))
@@ -323,7 +322,7 @@ func runBatch(files []string, target *perfpredict.Target, args map[string]float6
 		srcs[i] = string(data)
 	}
 	cache := perfpredict.NewSegmentCache()
-	preds, errs := perfpredict.PredictBatch(srcs, target, perfpredict.BatchOptions{Workers: workers, Cache: cache})
+	preds, errs := perfpredict.PredictBatchCtx(context.Background(), srcs, target, perfpredict.BatchOptions{Workers: workers, Cache: cache})
 	fmt.Printf("machine:      %s\n", target.Name)
 	failed := 0
 	for i, f := range files {

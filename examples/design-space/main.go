@@ -85,7 +85,7 @@ func main() {
 	fmt.Printf("lattice:      %d POWER1 variants (dispatch 4-5, FPU 1-2, FXU 1-2)\n\n", cells)
 
 	kernels := []perfpredict.ExploreKernel{{Name: "matmul44", Source: matmul}}
-	res, err := perfpredict.Explore(tpl, kernels)
+	res, err := perfpredict.ExploreCtx(context.Background(), tpl, kernels, perfpredict.ExploreOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -66,7 +67,7 @@ func main() {
 	fmt.Printf("\npredictor's choice: unroll by %d\n", bestF)
 
 	// Fully automatic: best-first search over unroll/interchange/tile.
-	res, err := perfpredict.Optimize(k.Src, target, nil)
+	res, err := perfpredict.OptimizeCtx(context.Background(), k.Src, target, nil, perfpredict.OptimizeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

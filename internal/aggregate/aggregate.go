@@ -82,6 +82,37 @@ type Result struct {
 	Unknowns []Unknown
 }
 
+// DefaultUnknown is the value a filled evaluation point (see EvalPoint)
+// gives a bound or opaque unknown the caller left out.
+const DefaultUnknown = 100
+
+// EvalPoint turns a priced result's unknowns plus the caller's values
+// into the assignment its expressions are evaluated at. The caller's
+// values win; a missing probability is 0.5; a missing bound or opaque
+// unknown is DefaultUnknown when fill is set and is otherwise left
+// unset, so evaluating an expression over it is an error. Every
+// evaluation of a priced program — EvalAt, Sensitivity, the
+// restructuring search's ranking, explain and explore — goes through
+// here.
+func EvalPoint[K ~string](unknowns []Unknown, values map[K]float64, fill bool) map[symexpr.Var]float64 {
+	assign := make(map[symexpr.Var]float64, len(values)+len(unknowns))
+	for k, v := range values {
+		assign[symexpr.Var(k)] = v
+	}
+	for _, u := range unknowns {
+		if _, ok := assign[u.Var]; ok {
+			continue
+		}
+		switch {
+		case u.Kind == "probability":
+			assign[u.Var] = 0.5
+		case fill:
+			assign[u.Var] = DefaultUnknown
+		}
+	}
+	return assign
+}
+
 // SegCache memoizes straight-line segment costs across estimations —
 // the mechanism behind the paper's incremental prediction update
 // (§3.3.1): a transformation's *affected region* re-prices only the
@@ -819,8 +850,9 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		return out, nil
 	}
 
-	// Loop-index condition (§3.3.2): `v REL bound` with v an enclosing
-	// loop variable and bound invariant → exact iteration split.
+	// Loop-index condition (§3.3.2): `v REL bound` (or `v±c REL
+	// bound`) with v an enclosing loop variable and bound invariant →
+	// exact iteration split.
 	if v, rel, bound, ok := e.loopIndexCond(s.Cond, loops); ok {
 		out.guarded = append(out.guarded, guardsFor(v, rel, bound, thenCost)...)
 		out.guarded = append(out.guarded, guardsFor(v, negateRel(rel), bound, elseCost)...)
@@ -912,7 +944,8 @@ func negateRel(rel source.BinKind) source.BinKind {
 }
 
 // loopIndexCond matches `v REL e` (or `e REL v`) where v is an
-// enclosing loop variable and e is invariant.
+// enclosing loop variable, possibly offset by an integer constant, and
+// e is invariant.
 func (e *Estimator) loopIndexCond(cond source.Expr, loops []LoopCtx) (string, source.BinKind, symexpr.Poly, bool) {
 	b, ok := cond.(*source.BinExpr)
 	if !ok || !b.Kind.IsRelational() {
@@ -944,11 +977,43 @@ func (e *Estimator) loopIndexCond(cond source.Expr, loops []LoopCtx) (string, so
 		}
 		return true
 	}
-	if v, ok := isLoopVar(b.L); ok && invariant(b.R) {
-		return v, b.Kind, e.exprPoly(b.R, nil), true
+	// loopOffset matches v, v+c, c+v or v−c: unrolling writes the
+	// guards of a body's later copies so. `v+c REL b` splits at b−c.
+	loopOffset := func(x source.Expr) (string, int64, bool) {
+		if v, ok := isLoopVar(x); ok {
+			return v, 0, true
+		}
+		o, ok := x.(*source.BinExpr)
+		if !ok || (o.Kind != source.BinAdd && o.Kind != source.BinSub) {
+			return "", 0, false
+		}
+		if v, ok := isLoopVar(o.L); ok {
+			if c, ok := e.tbl.IntConst(o.R); ok {
+				if o.Kind == source.BinSub {
+					c = -c
+				}
+				return v, c, true
+			}
+		}
+		if v, ok := isLoopVar(o.R); ok && o.Kind == source.BinAdd {
+			if c, ok := e.tbl.IntConst(o.L); ok {
+				return v, c, true
+			}
+		}
+		return "", 0, false
 	}
-	if v, ok := isLoopVar(b.R); ok && invariant(b.L) {
-		return v, swapRel(b.Kind), e.exprPoly(b.L, nil), true
+	bound := func(x source.Expr, c int64) symexpr.Poly {
+		p := e.exprPoly(x, nil)
+		if c != 0 {
+			p = p.AddConst(float64(-c))
+		}
+		return p
+	}
+	if v, c, ok := loopOffset(b.L); ok && invariant(b.R) {
+		return v, b.Kind, bound(b.R, c), true
+	}
+	if v, c, ok := loopOffset(b.R); ok && invariant(b.L) {
+		return v, swapRel(b.Kind), bound(b.L, c), true
 	}
 	return "", 0, symexpr.Poly{}, false
 }

@@ -185,6 +185,45 @@ end
 	}
 }
 
+// Unrolling writes the later copies' guards as `i+c REL k`; they are
+// the same exact split as `i REL k−c`, never a guessed probability.
+// Only the cost of evaluating the condition may differ, and it does
+// not depend on k.
+func TestLoopIndexOffsetConditionSplit(t *testing.T) {
+	prog := func(cond string) string {
+		return `
+subroutine p(n, k)
+  integer i, n, k
+  real t(1000), f(1000)
+  do i = 1, n
+    if (` + cond + `) then
+      t(i) = t(i) + 1.0
+    else
+      f(i) = f(i) / 3.0
+    end if
+  end do
+end
+`
+	}
+	for _, c := range []struct{ offset, plain string }{
+		{"(i+1) .le. k", "i .le. (k-1)"},
+		{"(2+i) .lt. k", "i .lt. (k-2)"},
+		{"(i-3) .gt. k", "i .gt. (k+3)"},
+		{"k .ge. (i+1)", "i .le. (k-1)"},
+	} {
+		got, _, _ := estimate(t, prog(c.offset), DefaultOptions())
+		want, _, _ := estimate(t, prog(c.plain), DefaultOptions())
+		for _, u := range got.Unknowns {
+			if u.Kind == "probability" {
+				t.Errorf("%s: probability var introduced: %+v", c.offset, u)
+			}
+		}
+		if d := got.Cost.Sub(want.Cost); d.Degree("k") != 0 || d.MinDegree("k") != 0 {
+			t.Errorf("%s: cost %v, %s gives %v: the split differs", c.offset, got.Cost, c.plain, want.Cost)
+		}
+	}
+}
+
 func TestModProbability(t *testing.T) {
 	res, _, _ := estimate(t, `
 subroutine p(n)

@@ -17,7 +17,6 @@ import (
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
-	"perfpredict/internal/symexpr"
 )
 
 // Config describes the cache geometry the model prices against.
@@ -98,45 +97,6 @@ func EstimateNest(tbl *sem.Table, loops []Loop, body []source.Stmt, cfg Config) 
 	}
 	est.Cycles = est.LineMisses*cfg.MissPenalty + est.TLBMisses*cfg.TLBPenalty
 	return est, nil
-}
-
-// SymbolicLines returns the distinct-lines count for a nest whose trip
-// counts are symbolic (no capacity reasoning — the interference-free
-// count, exact for footprints below cache size). Each loop's trip
-// count is the given polynomial.
-func SymbolicLines(tbl *sem.Table, loops []string, trips map[string]symexpr.Poly, body []source.Stmt, cfg Config) (symexpr.Poly, error) {
-	if cfg.ElemBytes <= 0 {
-		cfg.ElemBytes = 8
-	}
-	concrete := make([]Loop, len(loops))
-	for i, v := range loops {
-		concrete[i] = Loop{Var: v, Trips: 1}
-	}
-	groups, err := groupRefs(tbl, concrete, body)
-	if err != nil {
-		return symexpr.Poly{}, err
-	}
-	elemsPerLine := cfg.LineBytes / cfg.ElemBytes
-	if elemsPerLine < 1 {
-		elemsPerLine = 1
-	}
-	total := symexpr.Zero()
-	for _, g := range groups {
-		lines := symexpr.Const(1)
-		for _, v := range loops {
-			role := g.varRole(v)
-			switch role {
-			case roleAbsent:
-				// Temporal reuse assumed (interference-free).
-			case roleContiguous:
-				lines = lines.Mul(trips[v].Scale(1 / float64(elemsPerLine)))
-			case roleStrided:
-				lines = lines.Mul(trips[v])
-			}
-		}
-		total = total.Add(lines)
-	}
-	return total, nil
 }
 
 type varRole int

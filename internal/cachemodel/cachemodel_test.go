@@ -7,7 +7,6 @@ import (
 	"perfpredict/internal/interp"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
-	"perfpredict/internal/symexpr"
 )
 
 func parseNest(t *testing.T, src string) (*sem.Table, []*source.DoLoop, []source.Stmt) {
@@ -259,34 +258,6 @@ end
 	ratio := float64(mGood) / float64(sGood)
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("good-case ratio = %.2f (model %d, sim %d)", ratio, mGood, sGood)
-	}
-}
-
-func TestSymbolicLines(t *testing.T) {
-	src := `
-subroutine p(n)
-  integer i, j, n
-  real a(512,512)
-  do j = 1, n
-    do i = 1, n
-      a(i,j) = 1.0
-    end do
-  end do
-end
-`
-	tbl, _, body := parseNest(t, src)
-	nv := symexpr.NewVar("n")
-	lines, err := SymbolicLines(tbl, []string{"j", "i"}, map[string]symexpr.Poly{"j": nv, "i": nv}, body, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// n²/16 for 128-byte lines of 8-byte elements.
-	got := lines.MustEval(map[symexpr.Var]float64{"n": 64})
-	if got != 64*64/16 {
-		t.Errorf("symbolic lines at n=64: %v", got)
-	}
-	if lines.Degree("n") != 2 {
-		t.Errorf("degree: %v", lines)
 	}
 }
 

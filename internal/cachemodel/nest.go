@@ -31,8 +31,8 @@ type NestLoop struct {
 //     unless inner bounds referenced the variable (triangular), in
 //     which case the variable is bounded by its upper limit.
 //
-// Summing (rather than multiplying by trip counts, as SymbolicLines
-// does) makes triangular bounds exact instead of rectangularized.
+// Summing rather than multiplying by trip counts makes triangular
+// bounds exact instead of rectangularized.
 func NestLines(tbl *sem.Table, loops []NestLoop, body []source.Stmt, lineBytes, elemBytes int64) (symexpr.Poly, error) {
 	if elemBytes <= 0 {
 		elemBytes = 8

@@ -4,13 +4,13 @@
 // one more pipe of the bottleneck kind would buy. It is the program-
 // level aggregation of tetris.EstimateExplained — one diagnosis per
 // innermost straight-line loop nest, weighted by each nest's share of
-// the predicted cycles — shared by the public perfpredict.Explain API,
+// the predicted cycles — shared by the public perfpredict.ExplainCtx API,
 // the predictd /v1/explain endpoint, and the transformation search's
 // per-candidate bottleneck reporting.
 //
 // Explanation never feeds back into prediction: every function here
 // only reads the same placements Estimate commits, so enabling it
-// cannot perturb Predict/PredictBatch/Optimize output.
+// cannot perturb Predict/PredictBatchCtx/OptimizeCtx output.
 package explain
 
 import (
@@ -24,14 +24,8 @@ import (
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
-	"perfpredict/internal/symexpr"
 	"perfpredict/internal/tetris"
 )
-
-// defaultUnknown is the value assumed for non-probability unknowns
-// (loop bounds, opaque expressions) absent from the nominal point —
-// the same stand-in the transformation search uses.
-const defaultUnknown = 100
 
 // Options tune a program diagnosis. The zero value mirrors Predict's
 // defaults and includes the one-more-pipe experiment.
@@ -42,8 +36,8 @@ type Options struct {
 	Lower     *lower.Options
 	Tetris    tetris.Options
 	// Nominal assigns values to unknowns when evaluating shares and
-	// speedups. Missing probabilities default to 0.5, everything else
-	// to 100 (the search's convention).
+	// speedups; missing unknowns take the filled evaluation point of
+	// aggregate.EvalPoint, as in the restructuring search's ranking.
 	Nominal map[string]float64
 	// SkipWhatIf suppresses the one-more-pipe experiment (which costs
 	// one extra whole-program prediction).
@@ -188,7 +182,7 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 		return nil, err
 	}
 	rep := &Report{Machine: m.Name}
-	point := evalPoint(res, opt.Nominal)
+	point := aggregate.EvalPoint(res.Unknowns, opt.Nominal, true)
 	if rep.Cycles, err = res.Cost.Eval(point); err != nil {
 		return nil, err
 	}
@@ -407,7 +401,7 @@ func whatIf(prog *source.Program, tbl *sem.Table, m *machine.Machine, aopt aggre
 	if err != nil {
 		return nil, err
 	}
-	cycles, err := res.Cost.Eval(evalPoint(res, nominal))
+	cycles, err := res.Cost.Eval(aggregate.EvalPoint(res.Unknowns, nominal, true))
 	if err != nil {
 		return nil, err
 	}
@@ -418,37 +412,9 @@ func whatIf(prog *source.Program, tbl *sem.Table, m *machine.Machine, aopt aggre
 	return w, nil
 }
 
-// evalPoint builds the evaluation assignment for a pricing result:
-// nominal values win, missing probabilities become 0.5, and every
-// other missing unknown becomes defaultUnknown.
-func evalPoint(res aggregate.Result, nominal map[string]float64) map[symexpr.Var]float64 {
-	kind := make(map[symexpr.Var]string, len(res.Unknowns))
-	for _, u := range res.Unknowns {
-		kind[u.Var] = u.Kind
-	}
-	assign := map[symexpr.Var]float64{}
-	for _, vs := range [][]symexpr.Var{res.Cost.Vars(), res.Memory.Vars()} {
-		for _, v := range vs {
-			if _, ok := assign[v]; ok {
-				continue
-			}
-			if val, ok := nominal[string(v)]; ok {
-				assign[v] = val
-				continue
-			}
-			if kind[v] == "probability" {
-				assign[v] = 0.5
-			} else {
-				assign[v] = defaultUnknown
-			}
-		}
-	}
-	return assign
-}
-
 // tripAt evaluates a loop's trip count at the nominal point, clamping
 // to at least one iteration. Unresolvable bound expressions assume
-// defaultUnknown, like every other unknown.
+// aggregate.DefaultUnknown, like every other unknown.
 func tripAt(tbl *sem.Table, l *source.DoLoop, nominal map[string]float64) float64 {
 	lb := exprAt(tbl, l.Lb, nominal)
 	ub := exprAt(tbl, l.Ub, nominal)
@@ -479,7 +445,7 @@ func exprAt(tbl *sem.Table, x source.Expr, nominal map[string]float64) float64 {
 		if val, ok := nominal[v.Name]; ok {
 			return val
 		}
-		return defaultUnknown
+		return aggregate.DefaultUnknown
 	case *source.UnExpr:
 		if v.Neg {
 			return -exprAt(tbl, v.X, nominal)
@@ -501,5 +467,5 @@ func exprAt(tbl *sem.Table, x source.Expr, nominal map[string]float64) float64 {
 			return math.Pow(l, r)
 		}
 	}
-	return defaultUnknown
+	return aggregate.DefaultUnknown
 }

@@ -28,7 +28,6 @@ import (
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
-	"perfpredict/internal/symexpr"
 	"perfpredict/internal/workpool"
 )
 
@@ -46,10 +45,10 @@ type Options struct {
 	// Workers bounds the cell-evaluation pool; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Args assigns values to program unknowns when evaluating each
-	// kernel's symbolic cost. Missing probability unknowns default to
-	// 0.5 and other missing unknowns to 100 — the same convention the
-	// transformation search and explain mode use for ranking — so a
-	// sweep never fails on an unsupplied loop bound.
+	// kernel's symbolic cost. Missing unknowns take the filled
+	// evaluation point of aggregate.EvalPoint — the one the
+	// transformation search and explain mode rank at — so a sweep
+	// never fails on an unsupplied loop bound.
 	Args map[string]float64
 	// Target, when positive, asks for the cheapest-budget config whose
 	// total cost meets it (Result.Best). Zero means "no target":
@@ -348,21 +347,7 @@ func evalCell(kernels []preparedKernel, m *machine.Machine, seg *aggregate.SegCa
 		if err != nil {
 			return nil, fmt.Errorf("kernel %s: %w", k.name, err)
 		}
-		assign := make(map[symexpr.Var]float64, len(args)+len(res.Unknowns))
-		for name, v := range args {
-			assign[symexpr.Var(name)] = v
-		}
-		for _, u := range res.Unknowns {
-			if _, ok := assign[u.Var]; ok {
-				continue
-			}
-			if u.Kind == "probability" {
-				assign[u.Var] = 0.5
-			} else {
-				assign[u.Var] = 100
-			}
-		}
-		v, err := res.Cost.Eval(assign)
+		v, err := res.Cost.Eval(aggregate.EvalPoint(res.Unknowns, args, true))
 		if err != nil {
 			return nil, fmt.Errorf("kernel %s: eval: %w", k.name, err)
 		}

@@ -1,7 +1,7 @@
 package invariants
 
 // Explain-mode invariants. The diagnosis side of the estimator
-// (tetris.EstimateExplained, explain.Program, perfpredict.Explain)
+// (tetris.EstimateExplained, explain.Program, perfpredict.ExplainCtx)
 // must be provably inert — explaining a schedule or a program never
 // changes what the plain estimators return — and every quantity it
 // reports must be consistent with the schedule it describes:
@@ -30,26 +30,24 @@ package invariants
 //     monotone in resources (Graham's anomaly) and the model reports
 //     a slowdown faithfully when one occurs.
 //   - explain-inert-program / explain-cycles-consistent: program-level
-//     Explain leaves Predict byte-identical, and its headline cycles
+//     ExplainCtx leaves Predict byte-identical, and its headline cycles
 //     are the prediction evaluated at explain's default point
 //     (probability → 0.5, every other unknown → 100).
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
 
 	perfpredict "perfpredict"
+	"perfpredict/internal/aggregate"
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/oracle"
 	"perfpredict/internal/progen"
 	"perfpredict/internal/tetris"
 )
-
-// explainDefaultUnknown mirrors internal/explain's default evaluation
-// point for non-probability unknowns.
-const explainDefaultUnknown = 100
 
 // checkExplainBlock runs the block-level explain suite on one sample.
 // approx is the plain Estimate for the same inputs; exact carries the
@@ -214,7 +212,7 @@ func checkExplainBlock(m *machine.Machine, b *ir.Block, topt tetris.Options,
 }
 
 // CheckExplain runs the program-level explain suite for one seed: on a
-// generated F-lite program, Explain must succeed, report cycles
+// generated F-lite program, ExplainCtx must succeed, report cycles
 // consistent with Predict at explain's default evaluation point, and
 // leave a subsequent Predict byte-identical.
 func CheckExplain(seed int64) []Violation {
@@ -248,7 +246,7 @@ func CheckExplain(seed int64) []Violation {
 		fail("predict-total", "Predict failed on generated program: %v\n%s", err, src)
 		return vs
 	}
-	rep, err := perfpredict.Explain(src, target)
+	rep, err := perfpredict.ExplainCtx(context.Background(), src, target, perfpredict.ExplainOptions{})
 	if err != nil {
 		fail("explain-program-total", "Explain failed where Predict succeeded: %v\n%s", err, src)
 		return vs
@@ -267,13 +265,12 @@ func CheckExplain(seed int64) []Violation {
 	}
 
 	// explain-cycles-consistent: the headline numbers are Predict's own
-	// expressions evaluated at the default point.
+	// expressions evaluated at the default point (EvalAt defaults the
+	// probabilities).
 	point := map[string]float64{}
 	for _, u := range before.Unknowns {
-		if u.Kind == "probability" {
-			point[u.Name] = 0.5
-		} else {
-			point[u.Name] = explainDefaultUnknown
+		if u.Kind != "probability" {
+			point[u.Name] = aggregate.DefaultUnknown
 		}
 	}
 	if v, err := before.EvalAt(point); err != nil {

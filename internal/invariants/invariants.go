@@ -44,7 +44,7 @@
 //
 // Programs (CheckProgram):
 //
-//   - batch-identical: PredictBatch with Workers=1, Workers=N, and a
+//   - batch-identical: PredictBatchCtx with Workers=1, Workers=N, and a
 //     shared warm cache all reproduce serial Predict byte-for-byte.
 //   - incremental-identical: PriceIncremental over warm caches after
 //     a random transformation equals a from-scratch re-pricing.
@@ -52,7 +52,7 @@
 //     response bytes with the result cache disabled, cold, and warm
 //     are identical on generated programs × generated inline specs.
 //   - explain-inert-program / explain-cycles-consistent /
-//     explain-report-sane (CheckExplain): program-level Explain
+//     explain-report-sane (CheckExplain): program-level ExplainCtx
 //     succeeds wherever Predict does, leaves Predict byte-identical,
 //     and reports cycles that are Predict's own expressions evaluated
 //     at explain's default point.
@@ -80,6 +80,7 @@
 package invariants
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 
@@ -360,7 +361,7 @@ func CheckProgram(seed int64) []Violation {
 	}
 
 	check := func(name string, opt perfpredict.BatchOptions) {
-		preds, errs := perfpredict.PredictBatch(srcs, target, opt)
+		preds, errs := perfpredict.PredictBatchCtx(context.Background(), srcs, target, opt)
 		for i := range srcs {
 			if errs[i] != nil {
 				fail("batch-identical", "%s: program %d failed: %v", name, i, errs[i])

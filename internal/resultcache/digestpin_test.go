@@ -54,7 +54,7 @@ func TestKeyTagsPinProgramDigest(t *testing.T) {
 		{"batch", resultcache.BatchKey([]source.Fingerprint{fp}, mach, nil),
 			raw(tag("resultcache/batch/v3").MixUint64(1).Mix(fp).Mix(mach).MixUint64(0))},
 		{"optimize", resultcache.OptimizeKey(fp, mach, nil, 0, 0),
-			raw(tag("resultcache/optimize/v3").Mix(fp).Mix(mach).MixUint64(0).MixUint64(0).MixUint64(0))},
+			raw(tag("resultcache/optimize/v4").Mix(fp).Mix(mach).MixUint64(0).MixUint64(0).MixUint64(0))},
 		{"explain", resultcache.ExplainKey(fp, mach, nil, false),
 			raw(tag("resultcache/explain/v2").Mix(fp).Mix(mach).MixUint64(0).MixUint64(0))},
 		{"explore", resultcache.ExploreKey(mach, []source.Fingerprint{fp}, nil, 0),

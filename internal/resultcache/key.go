@@ -88,7 +88,7 @@ func BatchKey(progs []source.Fingerprint, mach source.Fingerprint, args map[stri
 // warm-cache handles are excluded: search trajectories are
 // cache-state independent by the library's contract.
 func OptimizeKey(prog, mach source.Fingerprint, nominal map[string]float64, maxNodes, maxDepth int) Key {
-	fp := source.Fingerprint{}.MixString("resultcache/optimize/v3")
+	fp := source.Fingerprint{}.MixString("resultcache/optimize/v4")
 	fp = fp.Mix(prog).Mix(mach)
 	fp = mixFloatMap(fp, nominal, nominal != nil)
 	fp = fp.MixUint64(uint64(int64(maxNodes))).MixUint64(uint64(int64(maxDepth)))

@@ -178,7 +178,7 @@ func TestE2EBatchEqualsLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, errs := perfpredict.PredictBatch(srcs, target, perfpredict.BatchOptions{})
+	preds, errs := perfpredict.PredictBatchCtx(context.Background(), srcs, target, perfpredict.BatchOptions{})
 	want := BatchResponse{Machine: target.Name, Results: make([]BatchItem, len(srcs))}
 	for i := range preds {
 		if errs[i] != nil {

@@ -15,10 +15,11 @@ import (
 
 // slotOccupancy is the contract of one functional-unit pipe's
 // time-slot occupancy. Two implementations exist: slotBitmap (the
-// production kernel, word-wide uint64 occupancy) and slotList (the
-// paper's Figure 4 run-length encoding, retired from the hot path but
-// kept as the differential oracle — FuzzSlotOccupancy and the seeded
-// table tests pin the two byte-identical over random op sequences).
+// production kernel, word-wide uint64 occupancy) and, in the tests,
+// slotList (the paper's Figure 4 run-length encoding, retired from the
+// hot path but kept as the differential oracle — FuzzSlotOccupancy and
+// the seeded table tests pin the two byte-identical over random op
+// sequences).
 type slotOccupancy interface {
 	reset(capacity int)
 	free(from, n int) bool
@@ -31,10 +32,7 @@ type slotOccupancy interface {
 	checkInvariants() error
 }
 
-var (
-	_ slotOccupancy = (*slotBitmap)(nil)
-	_ slotOccupancy = (*slotList)(nil)
-)
+var _ slotOccupancy = (*slotBitmap)(nil)
 
 // slotBitmap stores the occupancy of one functional-unit pipe as a
 // dense bitmap: bit i of words[i/64] is set iff time slot i is filled.

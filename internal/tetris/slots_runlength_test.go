@@ -5,6 +5,8 @@ import (
 	"strings"
 )
 
+var _ slotOccupancy = (*slotList)(nil)
+
 // slotList stores the occupancy of one functional-unit pipe as a list
 // of alternating filled and empty runs — the structure of the paper's
 // Figure 4, where the first and last slots of each run record the run

@@ -38,7 +38,7 @@ func matmulProg(t *testing.T) *source.Program {
 func calibrateNodeCost(t *testing.T, prog *source.Program) time.Duration {
 	t.Helper()
 	start := time.Now()
-	res, err := Search(prog, SearchOptions{Machine: machine.NewPOWER1(), MaxNodes: 4, MaxDepth: 2})
+	res, err := SearchCtx(context.Background(), prog, SearchOptions{Machine: machine.NewPOWER1(), MaxNodes: 4, MaxDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 func TestSearchCtxBackgroundMatchesSearch(t *testing.T) {
 	prog := matmulProg(t)
 	opt := SearchOptions{Machine: machine.NewPOWER1(), MaxNodes: 6, MaxDepth: 2}
-	plain, err := Search(prog, opt)
+	plain, err := SearchCtx(context.Background(), prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestSearchSharedCachesWarmReuse(t *testing.T) {
 	prog := matmulProg(t)
 	caches := aggregate.Caches{Seg: aggregate.NewSegCache(), Nest: aggregate.NewNestCache()}
 	opt := SearchOptions{Machine: machine.NewPOWER1(), MaxNodes: 6, MaxDepth: 2, Caches: caches}
-	cold, err := Search(prog, opt)
+	cold, err := SearchCtx(context.Background(), prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Search(prog, opt)
+	warm, err := SearchCtx(context.Background(), prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

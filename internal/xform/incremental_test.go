@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -121,14 +122,14 @@ func TestSearchNestCacheEquivalence(t *testing.T) {
 				Workers:          workers,
 			}
 		}
-		ref, err := Search(p, mk(true, 1))
+		ref, err := SearchCtx(context.Background(), p, mk(true, 1))
 		if err != nil {
 			t.Fatalf("%s: reference search: %v", kn, err)
 		}
 		refSrc := source.PrintProgram(ref.Best)
 		for _, disable := range []bool{false, true} {
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-				res, err := Search(p, mk(disable, workers))
+				res, err := SearchCtx(context.Background(), p, mk(disable, workers))
 				if err != nil {
 					t.Fatalf("%s disable=%v workers=%d: %v", kn, disable, workers, err)
 				}
@@ -159,20 +160,11 @@ func TestSearchNestCacheEquivalence(t *testing.T) {
 	}
 }
 
-// TestSearchHonorsExplicitZeros covers the former sentinel bug: an
-// explicit zero DefaultUnknown and explicit zero-valued aggregation
-// options must survive defaults().
+// TestSearchHonorsExplicitZeros covers the former sentinel bug:
+// explicit zero-valued aggregation options must survive defaults().
 func TestSearchHonorsExplicitZeros(t *testing.T) {
-	zero := 0.0
-	opt := SearchOptions{DefaultUnknown: &zero}
-	if got := opt.defaultUnknown(); got != 0 {
-		t.Errorf("explicit zero DefaultUnknown resolved to %v", got)
-	}
-	if got := (&SearchOptions{}).defaultUnknown(); got != 100 {
-		t.Errorf("nil DefaultUnknown resolved to %v, want 100", got)
-	}
 	explicit := aggregate.Options{}
-	opt = SearchOptions{AggOpt: &explicit}
+	opt := SearchOptions{AggOpt: &explicit}
 	if got := opt.aggOptions(); got.SteadyStateIters != 0 {
 		t.Errorf("explicit zero AggOpt not honored: %+v", got)
 	}

@@ -52,13 +52,10 @@ func Apply(p *source.Program, m Move) (*source.Program, error) {
 type SearchOptions struct {
 	Machine *machine.Machine
 	// Nominal assigns values to performance-expression unknowns when
-	// ranking variants; unknowns absent from the map default to
-	// DefaultUnknown.
+	// ranking variants; unknowns absent from it take the filled
+	// evaluation point of aggregate.EvalPoint (probabilities 0.5,
+	// everything else aggregate.DefaultUnknown).
 	Nominal map[symexpr.Var]float64
-	// DefaultUnknown is the value assigned to unknowns missing from
-	// Nominal. nil means 100; a pointer to 0 is honored as an explicit
-	// zero (it is a pointer precisely so zero is expressible).
-	DefaultUnknown *float64
 	// MaxNodes bounds the number of expanded states (default 40).
 	MaxNodes int
 	// MaxDepth bounds the transformation sequence length (default 3).
@@ -122,14 +119,6 @@ func (o *SearchOptions) defaults() {
 	if len(o.TileSizes) == 0 {
 		o.TileSizes = []int{16}
 	}
-}
-
-// defaultUnknown resolves the DefaultUnknown option (nil → 100).
-func (o *SearchOptions) defaultUnknown() float64 {
-	if o.DefaultUnknown != nil {
-		return *o.DefaultUnknown
-	}
-	return 100
 }
 
 // aggOptions resolves the AggOpt option (nil → DefaultOptions).
@@ -231,24 +220,7 @@ func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, 
 	if err != nil {
 		return 0, 0, err
 	}
-	assign := map[symexpr.Var]float64{}
-	for _, v := range res.Cost.Vars() {
-		if val, ok := opt.Nominal[v]; ok {
-			assign[v] = val
-		} else {
-			assign[v] = opt.defaultUnknown()
-		}
-	}
-	for _, v := range res.Memory.Vars() {
-		if _, ok := assign[v]; ok {
-			continue
-		}
-		if val, ok := opt.Nominal[v]; ok {
-			assign[v] = val
-		} else {
-			assign[v] = opt.defaultUnknown()
-		}
-	}
+	assign := aggregate.EvalPoint(res.Unknowns, opt.Nominal, true)
 	cost, err = res.Cost.Eval(assign)
 	if err != nil {
 		return 0, 0, err
@@ -268,7 +240,7 @@ type state struct {
 	seq  []Move
 }
 
-// candidate is one neighbor being expanded (see Search's three-step
+// candidate is one neighbor being expanded (see SearchCtx's three-step
 // expansion).
 type candidate struct {
 	prog *source.Program
@@ -292,22 +264,18 @@ func (h *stateHeap) Pop() any {
 	return x
 }
 
-// Search explores transformation sequences best-first, ranking states
-// by predicted cost; ties and pruning make it the practical variant of
-// the paper's A* proposal (the heuristic lower bound is zero). It
-// returns the cheapest variant encountered.
-func Search(p *source.Program, opt SearchOptions) (SearchResult, error) {
-	return SearchCtx(context.Background(), p, opt)
-}
-
-// SearchCtx is Search under a context: cancellation is checked once
-// per node expansion (before each frontier pop and between the
-// expansion fan-outs), so the search returns within one
-// node-expansion of ctx expiring. On cancellation it returns the best
-// state found so far — a valid, fully priced variant reachable by the
-// reported Sequence, with counters covering the work actually done —
-// alongside ctx.Err(); callers that only care about a complete search
-// should treat a non-nil error as failure.
+// SearchCtx explores transformation sequences best-first, ranking
+// states by predicted cost; ties and pruning make it the practical
+// variant of the paper's A* proposal (the heuristic lower bound is
+// zero). It returns the cheapest variant encountered.
+//
+// Cancellation is checked once per node expansion (before each
+// frontier pop and between the expansion fan-outs), so the search
+// returns within one node-expansion of ctx expiring. On cancellation
+// it returns the best state found so far — a valid, fully priced
+// variant reachable by the reported Sequence, with counters covering
+// the work actually done — alongside ctx.Err(); callers that only care
+// about a complete search should treat a non-nil error as failure.
 func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (SearchResult, error) {
 	return search(ctx, p, opt, nil)
 }

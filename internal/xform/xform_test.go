@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -314,7 +315,7 @@ end
 
 func TestSearchImprovesDaxpy(t *testing.T) {
 	p := parse(t, daxpySrc)
-	res, err := Search(p, SearchOptions{
+	res, err := SearchCtx(context.Background(), p, SearchOptions{
 		Machine:  machine.NewPOWER1(),
 		MaxNodes: 20,
 		MaxDepth: 2,
@@ -336,7 +337,7 @@ func TestSearchImprovesDaxpy(t *testing.T) {
 
 func TestSearchSharesSegmentCache(t *testing.T) {
 	p := parse(t, daxpySrc)
-	res, err := Search(p, SearchOptions{
+	res, err := SearchCtx(context.Background(), p, SearchOptions{
 		Machine:  machine.NewPOWER1(),
 		MaxNodes: 15,
 		MaxDepth: 2,

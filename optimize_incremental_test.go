@@ -1,6 +1,7 @@
 package perfpredict
 
 import (
+	"context"
 	"testing"
 
 	"perfpredict/internal/kernels"
@@ -38,7 +39,7 @@ func TestOptimizeRepricingGuard(t *testing.T) {
 	if !k.Figure7 {
 		t.Fatalf("f2 is no longer in the Figure 7 set")
 	}
-	res, err := Optimize(k.Src, POWER1(), nil)
+	res, err := OptimizeCtx(context.Background(), k.Src, POWER1(), nil, OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestOptimizeTetrisReduction(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func(disable bool) xform.SearchResult {
-			res, err := xform.Search(prog, xform.SearchOptions{
+			res, err := xform.SearchCtx(context.Background(), prog, xform.SearchOptions{
 				Machine:          machine.NewPOWER1(),
 				DisableNestCache: disable,
 			})
