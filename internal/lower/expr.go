@@ -2,6 +2,7 @@ package lower
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,27 +14,28 @@ import (
 // the value and its type. CSE, invariance hoisting, FMA fusion and the
 // small-multiplier specialization happen here.
 func (tr *Translator) expr(e source.Expr) (ir.Reg, source.Type, error) {
-	key, keyed := tr.exprKey(e)
-	if keyed && tr.opt.CSE {
-		if r, ok := tr.cse[key]; ok {
-			ty, _ := tr.tbl.TypeOf(e)
-			return r, ty, nil
-		}
-		if r, ok := tr.preCSE[key]; ok {
-			ty, _ := tr.tbl.TypeOf(e)
-			return r, ty, nil
-		}
-	}
-	hoist := tr.opt.CodeMotion && keyed && tr.invariant(e)
-	r, ty, err := tr.lowerExpr(e, hoist)
+	f, err := tr.facts(e)
 	if err != nil {
 		return ir.NoReg, source.TypeUnknown, err
 	}
-	if keyed && tr.opt.CSE {
+	if tr.opt.CSE {
+		if r, ok := tr.cse[f.vn]; ok {
+			return r, f.ty, nil
+		}
+		if r, ok := tr.preCSE[f.vn]; ok {
+			return r, f.ty, nil
+		}
+	}
+	hoist := tr.opt.CodeMotion && f.inv
+	r, ty, err := tr.lowerExpr(e, f.ty, hoist)
+	if err != nil {
+		return ir.NoReg, source.TypeUnknown, err
+	}
+	if tr.opt.CSE {
 		if hoist {
-			tr.preCSE[key] = r
+			tr.preCSE[f.vn] = r
 		} else {
-			tr.setCSE(key, r)
+			tr.cse[f.vn] = r
 		}
 	}
 	return r, ty, nil
@@ -56,7 +58,8 @@ func (tr *Translator) emit(hoist bool, in ir.Instr) {
 	}
 }
 
-func (tr *Translator) lowerExpr(e source.Expr, hoist bool) (ir.Reg, source.Type, error) {
+// lowerExpr emits the operations computing e, whose type is resTy.
+func (tr *Translator) lowerExpr(e source.Expr, resTy source.Type, hoist bool) (ir.Reg, source.Type, error) {
 	switch x := e.(type) {
 	case *source.NumLit:
 		dst := tr.newReg()
@@ -135,28 +138,16 @@ func (tr *Translator) lowerExpr(e source.Expr, hoist bool) (ir.Reg, source.Type,
 		return tr.intrinsic(x, hoist)
 
 	case *source.BinExpr:
-		return tr.binExpr(x, hoist)
+		return tr.binExpr(x, resTy, hoist)
 
 	default:
 		return ir.NoReg, source.TypeUnknown, fmt.Errorf("cannot lower expression %T", e)
 	}
 }
 
-func (tr *Translator) binExpr(x *source.BinExpr, hoist bool) (ir.Reg, source.Type, error) {
+func (tr *Translator) binExpr(x *source.BinExpr, resTy source.Type, hoist bool) (ir.Reg, source.Type, error) {
 	if x.Kind.IsRelational() || x.Kind.IsLogical() {
 		return ir.NoReg, source.TypeUnknown, fmt.Errorf("%s: logical expression in arithmetic context", x.Pos)
-	}
-	lt, err := tr.tbl.TypeOf(x.L)
-	if err != nil {
-		return ir.NoReg, source.TypeUnknown, err
-	}
-	rt, err := tr.tbl.TypeOf(x.R)
-	if err != nil {
-		return ir.NoReg, source.TypeUnknown, err
-	}
-	resTy := source.TypeInteger
-	if lt == source.TypeReal || rt == source.TypeReal {
-		resTy = source.TypeReal
 	}
 
 	// FMA recognition: a*b + c, c + a*b, a*b − c (machine permitting).
@@ -419,26 +410,19 @@ func (tr *Translator) convert(r ir.Reg, from, to source.Type) ir.Reg {
 	return dst
 }
 
-// arrayAddr renders the canonical address string of an array reference
-// and emits any explicit subscript arithmetic the addressing hardware
-// cannot fold. Affine subscripts of one variable (i, i±c, c·i±d, c)
-// are canonicalized — so x((i+1)+1) and x(i+2) agree — and unit-stride
-// forms compile to update-form addressing on POWER at no extra cost;
-// other subscripts are lowered as integer arithmetic feeding an
-// address computation.
+// arrayAddr returns the address string of an array reference and
+// emits any explicit subscript arithmetic the addressing hardware
+// cannot fold: unit-stride affine forms compile to update-form
+// addressing on POWER at no extra cost; other subscripts are lowered as
+// integer arithmetic feeding an address computation.
 func (tr *Translator) arrayAddr(a *source.ArrayRef) (string, []ir.Reg, error) {
-	addr, cached := tr.addrCache[a]
-	var parts []string
-	if !cached {
-		parts = make([]string, len(a.Idx))
+	addr, cheap := tr.address(a)
+	if cheap {
+		return addr, nil, nil
 	}
 	var addrRegs []ir.Reg
-	for i, ix := range a.Idx {
-		str, cheap := tr.subscriptString(ix)
-		if !cached {
-			parts[i] = str
-		}
-		if cheap {
+	for _, ix := range a.Idx {
+		if tr.subscript(ix).cheap {
 			continue
 		}
 		// Explicit subscript arithmetic + address fold; the resulting
@@ -455,34 +439,51 @@ func (tr *Translator) arrayAddr(a *source.ArrayRef) (string, []ir.Reg, error) {
 		tr.body.Append(ir.Instr{Op: ir.OpAddr, Dst: dst, Srcs: []ir.Reg{r, ir.NoReg}})
 		addrRegs = append(addrRegs, dst)
 	}
-	if !cached {
-		addr = a.Name + "(" + strings.Join(parts, ",") + ")"
-		tr.addrCache[a] = addr
-	}
 	return addr, addrRegs, nil
 }
 
-// subscriptString canonicalizes a subscript to "c*v+d" normal form when
-// it is affine in a single integer variable, reporting whether the
-// addressing hardware folds it for free (constant, or stride ±1).
-// Results are memoized per AST node: the normal form depends only on
-// the (immutable) node and the symbol table.
-func (tr *Translator) subscriptString(e source.Expr) (string, bool) {
-	if ent, ok := tr.subCache[e]; ok {
+// address renders the canonical address string name(sub,…) of an array
+// reference, each subscript in its subscript form — so x((i+1)+1) and
+// x(i+2) agree — and reports whether the addressing hardware folds
+// every subscript for free. Memoized per node.
+func (tr *Translator) address(a *source.ArrayRef) (string, bool) {
+	if ent, ok := tr.addrCache[a]; ok {
 		return ent.s, ent.cheap
 	}
-	s, cheap := tr.subscriptStringSlow(e)
-	tr.subCache[e] = subEntry{s, cheap}
-	return s, cheap
+	parts := make([]string, len(a.Idx))
+	cheap := true
+	for i, ix := range a.Idx {
+		sub := tr.subscript(ix)
+		parts[i] = sub.s
+		cheap = cheap && sub.cheap
+	}
+	addr := a.Name + "(" + strings.Join(parts, ",") + ")"
+	tr.addrCache[a] = subEntry{s: addr, cheap: cheap}
+	return addr, cheap
 }
 
-func (tr *Translator) subscriptStringSlow(e source.Expr) (string, bool) {
+// subscript canonicalizes a subscript to "c*v+d" normal form when it is
+// affine in a single integer variable (its source text otherwise),
+// reporting whether the addressing hardware folds it for free
+// (constant, or stride ±1). Results are memoized per AST node: the
+// normal form depends only on the (immutable) node and the symbol
+// table.
+func (tr *Translator) subscript(e source.Expr) subEntry {
+	if ent, ok := tr.subCache[e]; ok {
+		return ent
+	}
+	ent := tr.subscriptSlow(e)
+	tr.subCache[e] = ent
+	return ent
+}
+
+func (tr *Translator) subscriptSlow(e source.Expr) subEntry {
 	v, c, d, ok := tr.affineSubscript(e)
 	if !ok {
-		return source.ExprString(e), false
+		return subEntry{s: source.ExprString(e)}
 	}
 	if v == "" || c == 0 {
-		return strconv.FormatInt(d, 10), true
+		return subEntry{s: strconv.FormatInt(d, 10), cheap: true, affine: true}
 	}
 	var buf []byte
 	switch c {
@@ -502,7 +503,7 @@ func (tr *Translator) subscriptStringSlow(e source.Expr) (string, bool) {
 		}
 		buf = strconv.AppendInt(buf, d, 10)
 	}
-	return string(buf), c == 1 || c == -1
+	return subEntry{s: string(buf), cheap: c == 1 || c == -1, affine: true}
 }
 
 // affineSubscript extracts (v, c, d) with subscript = c·v + d for a
@@ -566,118 +567,176 @@ func (tr *Translator) affineSubscript(e source.Expr) (v string, c, d int64, ok b
 	}
 }
 
-// exprKey builds the CSE key; the bool result is false for expressions
-// that must not be shared (calls have side effects). Keys are memoized
-// per AST node; the cache is flushed by reset() when the loop-variable
-// set changes, the only translator state a key depends on.
-func (tr *Translator) exprKey(e source.Expr) (string, bool) {
-	if ent, ok := tr.keyCache[e]; ok {
-		return ent.s, ent.ok
-	}
-	s, ok := tr.exprKeySlow(e)
-	tr.keyCache[e] = keyEntry{s, ok}
-	return s, ok
+// facts is what lowering knows about one expression node.
+type facts struct {
+	// vn is the node's value number: equal numbers denote the same
+	// value, so CSE and the preheader map it to a register.
+	vn int32
+	// ty is the node's type by sem's typing rule.
+	ty source.Type
+	// inv reports that the value can be hoisted out of the enclosing
+	// loops: it reads no induction variable, no scalar assigned in the
+	// body and no array stored in the body.
+	inv bool
+	// epoch is the translator epoch the facts were computed in.
+	epoch uint32
 }
 
-func (tr *Translator) exprKeySlow(e source.Expr) (string, bool) {
+// vnKey is what a value number is interned from: an operator and two
+// operands — value numbers, a name's number (see name) and version, or
+// a literal's bits. An array element or an intrinsic chains its
+// operands on through vnIndex.
+type vnKey struct {
+	op   vnOp
+	a, b int32
+}
+
+type vnOp int32
+
+const (
+	vnInt       vnOp = iota // integer literal
+	vnReal                  // real literal
+	vnParam                 // PARAMETER constant: no version
+	vnInduction             // loop induction variable: no version
+	vnLoad                  // a scalar, or an array's elements, at a version
+	vnSubscript             // a subscript's canonical text
+	vnIndex                 // an element or intrinsic with one more operand
+	vnIntrinsic             // an intrinsic with no operands yet
+	vnNeg                   // unary minus (and .not.)
+	vnBinary                // vnBinary + source.BinKind
+)
+
+// facts returns e's facts, computing them bottom-up once per epoch. The
+// epoch advances at every store, since a store changes the version of
+// what it writes; nothing else changes a node's facts within a pass.
+// Leaves are cheaper to number again than to memoize.
+func (tr *Translator) facts(e source.Expr) (facts, error) {
+	switch e.(type) {
+	case *source.NumLit, *source.VarRef:
+		return tr.number(e)
+	}
+	if f, ok := tr.memo[e]; ok && f.epoch == tr.epoch {
+		return f, nil
+	}
+	f, err := tr.number(e)
+	if err == nil {
+		tr.memo[e] = f
+	}
+	return f, err
+}
+
+// number computes e's facts from its operands' facts.
+func (tr *Translator) number(e source.Expr) (facts, error) {
+	f := facts{inv: true, epoch: tr.epoch}
+	var buf [4]source.Type
+	kids := buf[:0]
+	operand := func(o source.Expr) (facts, error) {
+		k, err := tr.facts(o)
+		kids = append(kids, k.ty)
+		f.inv = f.inv && k.inv
+		return k, err
+	}
 	switch x := e.(type) {
 	case *source.NumLit:
-		return "#" + source.ExprString(x), true
-	case *source.VarRef:
-		if tr.loopVars[x.Name] {
-			return "iv:" + x.Name, true
+		op, bits := vnInt, math.Float64bits(x.Value)
+		if x.IsReal {
+			op = vnReal
 		}
+		f.vn = tr.intern(vnKey{op: op, a: int32(bits), b: int32(bits >> 32)})
+	case *source.VarRef:
 		sym := tr.tbl.Lookup(x.Name)
-		if sym != nil && sym.IsConst {
-			return "#" + x.Name, true
+		switch {
+		case tr.loopVars[x.Name]:
+			f.vn = tr.intern(vnKey{op: vnInduction, a: tr.name(x.Name)})
+		case sym != nil && sym.IsConst:
+			f.vn = tr.intern(vnKey{op: vnParam, a: tr.name(x.Name)})
+		default:
+			f.vn = tr.load(x.Name)
 		}
-		return loadKey(x.Name), true
+		f.inv = !tr.loopVars[x.Name] && !tr.killedVars[x.Name]
 	case *source.ArrayRef:
-		parts := make([]string, len(x.Idx))
-		for i, ix := range x.Idx {
-			// Canonical affine form so x((i+1)+1) and x(i+2) share a
-			// key (and match the address string the loads carry).
-			if _, _, _, ok := tr.affineSubscript(ix); ok {
-				parts[i], _ = tr.subscriptString(ix)
-				continue
+		// An affine subscript contributes its canonical text, so
+		// x((i+1)+1) and x(i+2) are one value and match the address
+		// a store forwards to.
+		f.inv = !tr.killedArrs[x.Name]
+		f.vn = tr.load(x.Name)
+		for _, ix := range x.Idx {
+			k, err := operand(ix)
+			if err != nil {
+				return facts{}, err
 			}
-			k, ok := tr.exprKey(ix)
-			if !ok {
-				return "", false
+			if sub := tr.subscript(ix); sub.affine {
+				k.vn = tr.intern(vnKey{op: vnSubscript, a: tr.name(sub.s)})
 			}
-			parts[i] = k
+			f.vn = tr.index(f.vn, k.vn)
 		}
-		return loadKey(x.Name + "(" + strings.Join(parts, ",") + ")"), true
 	case *source.UnExpr:
-		k, ok := tr.exprKey(x.X)
-		if !ok {
-			return "", false
+		k, err := operand(x.X)
+		if err != nil {
+			return facts{}, err
 		}
-		return "neg(" + k + ")", true
+		f.vn = tr.intern(vnKey{op: vnNeg, a: k.vn})
 	case *source.BinExpr:
-		lk, lok := tr.exprKey(x.L)
-		rk, rok := tr.exprKey(x.R)
-		if !lok || !rok {
-			return "", false
+		l, err := operand(x.L)
+		if err != nil {
+			return facts{}, err
 		}
-		op := x.Kind.String()
-		// Canonicalize commutative operands.
-		if (x.Kind == source.BinAdd || x.Kind == source.BinMul) && rk < lk {
-			lk, rk = rk, lk
+		r, err := operand(x.R)
+		if err != nil {
+			return facts{}, err
 		}
-		return "(" + lk + op + rk + ")", true
+		a, b := l.vn, r.vn
+		if (x.Kind == source.BinAdd || x.Kind == source.BinMul) && b < a {
+			a, b = b, a // commutative: one number for both orders
+		}
+		f.vn = tr.intern(vnKey{op: vnBinary + vnOp(x.Kind), a: a, b: b})
 	case *source.IntrinsicCall:
-		if x.Name == "exp" || x.Name == "log" || x.Name == "sin" || x.Name == "cos" {
-			// Pure, but lowered as calls — still CSE-able.
-		}
-		parts := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			k, ok := tr.exprKey(a)
-			if !ok {
-				return "", false
+		f.vn = tr.intern(vnKey{op: vnIntrinsic, a: tr.name(x.Name)})
+		for _, arg := range x.Args {
+			k, err := operand(arg)
+			if err != nil {
+				return facts{}, err
 			}
-			parts[i] = k
+			f.vn = tr.index(f.vn, k.vn)
 		}
-		return x.Name + "(" + strings.Join(parts, ",") + ")", true
-	default:
-		return "", false
 	}
+	ty, err := tr.tbl.NodeType(e, kids)
+	if err != nil {
+		return facts{}, err
+	}
+	f.ty = ty
+	return f, nil
 }
 
-// invariant reports whether e can be hoisted out of the enclosing
-// loops: it references no induction variable, no scalar assigned in
-// the body, and no array stored in the body.
-func (tr *Translator) invariant(e source.Expr) bool {
-	switch x := e.(type) {
-	case *source.NumLit:
-		return true
-	case *source.VarRef:
-		if tr.loopVars[x.Name] || tr.killedVars[x.Name] {
-			return false
-		}
-		return true
-	case *source.ArrayRef:
-		if tr.killedArrs[x.Name] {
-			return false
-		}
-		for _, ix := range x.Idx {
-			if !tr.invariant(ix) {
-				return false
-			}
-		}
-		return true
-	case *source.UnExpr:
-		return tr.invariant(x.X)
-	case *source.BinExpr:
-		return tr.invariant(x.L) && tr.invariant(x.R)
-	case *source.IntrinsicCall:
-		for _, a := range x.Args {
-			if !tr.invariant(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
+// intern returns the value number of k, numbering new keys.
+func (tr *Translator) intern(k vnKey) int32 {
+	if v, ok := tr.vns[k]; ok {
+		return v
 	}
+	v := int32(len(tr.vns))
+	tr.vns[k] = v
+	return v
+}
+
+// name numbers a name or a subscript's text for the translator's
+// lifetime, giving it a version slot.
+func (tr *Translator) name(s string) int32 {
+	id, ok := tr.names[s]
+	if !ok {
+		id = int32(len(tr.names))
+		tr.names[s] = id
+		tr.ver = append(tr.ver, 0)
+	}
+	return id
+}
+
+// load numbers a read of name at its current version.
+func (tr *Translator) load(name string) int32 {
+	id := tr.name(name)
+	return tr.intern(vnKey{op: vnLoad, a: id, b: tr.ver[id]})
+}
+
+// index numbers v with one more operand.
+func (tr *Translator) index(v, operand int32) int32 {
+	return tr.intern(vnKey{op: vnIndex, a: v, b: operand})
 }

@@ -1,6 +1,9 @@
 package lower_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -84,12 +87,11 @@ func unrolledKernels(t *testing.T, factor int) map[string]*source.Program {
 	return out
 }
 
-// TestKillCSEMatchesScan: lowering with the indexed CSE invalidation
-// produces exactly the IR of the linear scan it replaced, for every
-// segment of the corpus, of generated programs, and of 4×- and
-// 16×-unrolled kernels, under the default and the no-scalar-replace
-// lowering options on machines with and without FMA.
-func TestKillCSEMatchesScan(t *testing.T) {
+// goldenPrograms is the lowered-IR golden's program set: the corpus,
+// a gather kernel of indirect subscripts, a kernel of value-identity
+// cases, generated programs, and every kernel with one innermost loop
+// unrolled 4× and 16×.
+func goldenPrograms(t *testing.T) map[string]*source.Program {
 	progs := map[string]*source.Program{}
 	files, err := filepath.Glob("../../testdata/corpus/programs/*.f")
 	if err != nil || len(files) == 0 {
@@ -106,8 +108,10 @@ func TestKillCSEMatchesScan(t *testing.T) {
 		}
 		progs[filepath.Base(f)] = p
 	}
-	// Indirect subscripts put loads inside load keys
-	// ("ld[b(ld[idx(i)])]"): a store to idx(i) must invalidate them.
+	// Indirect subscripts put loads inside the identity of other loads
+	// (b(idx(i))): a store to idx(i) must invalidate them. A store
+	// through a non-affine subscript (a(idx(i)) = …) forwards to no
+	// later load.
 	gather, err := source.Parse(`
 program gather
   integer i, k, n, idx(100)
@@ -129,6 +133,39 @@ end
 		t.Fatal(err)
 	}
 	progs["gather"] = gather
+	// Value identity: commutative operands, stores that do or do not
+	// make a read variant (a(1) after a(i) is stored; b(2) with b only
+	// read), affine subscripts through a stored scalar (a(k) does not
+	// read k's version), non-affine ones that differ only in operand
+	// order, intrinsics, powers, PARAMETER constants and a call.
+	values, err := source.Parse(`
+program values
+  integer i, j, k, m, n, idx(100)
+  parameter (n = 100)
+  real a(100), b(100), c(100), d(100, 100), s, t, x, y
+  do j = 1, n
+    do i = 1, n
+      s = a(i) * b(i) + c(i)
+      t = b(i) * a(i) + c(i)
+      x = y + s * t + (t * s + y)
+      c(i) = a(1) + b(2) + x
+      a(i) = c(i) - a(1) - b(2)
+      k = k + 1
+      t = a(k) + a(k + 1) + a((k + 1) - 1)
+      s = b(k * m) + b(m * k) + d(i, idx(i)) + d(i, idx(i))
+      y = sqrt(x) + sqrt(x) + min(x, y) + max(y, x) + abs(s - t)
+      x = y ** 2 + y ** 3 + real(i * 2 + n) + real(2 * i + n)
+      d(i, j) = d(j, i) * s + d(j, i)
+      call f(x)
+      t = a(1) + b(2) + s * t
+    end do
+  end do
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs["values"] = values
 	for seed := int64(1); seed <= 60; seed++ {
 		src := progen.GenProgram(progen.NewRand(seed), progen.ProgramConfig{})
 		p, err := source.Parse(src)
@@ -142,33 +179,74 @@ end
 			progs[name] = p
 		}
 	}
+	return progs
+}
 
+const loweredGolden = "testdata/lowered_golden.json"
+
+// TestKillCSEMatchesScan: the lowered IR of every segment of the golden
+// program set, under the default and the no-scalar-replace options on
+// machines with and without FMA, hashes to the SHA-256 recorded in
+// testdata/lowered_golden.json, one per program × machine × options.
+// The table was recorded from the lowering that kept its CSE table
+// with string keys and was itself checked equal to the linear-scan
+// invalidation for this same set, so the value-numbered lowering still
+// produces exactly the IR of that scan. On a mismatch the test prints
+// the full replacement table.
+func TestKillCSEMatchesScan(t *testing.T) {
 	noPromote := lower.DefaultOptions()
 	noPromote.ScalarReplace = false
+	options := []struct {
+		name string
+		opt  lower.Options
+	}{{"default", lower.DefaultOptions()}, {"no-scalar-replace", noPromote}}
+	got := map[string]string{}
 	compared, stores := 0, 0
-	for name, p := range progs {
+	for name, p := range goldenPrograms(t) {
 		tbl, err := sem.Analyze(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, m := range []*machine.Machine{machine.NewPOWER1(), machine.NewSuperScalar2()} {
-			for _, opt := range []lower.Options{lower.DefaultOptions(), noPromote} {
-				indexed := lower.New(tbl, m, opt)
-				scan := lower.New(tbl, m, opt)
-				lower.UseScanKillCSE(scan)
+			for _, o := range options {
+				tr := lower.New(tbl, m, o.opt)
+				h := sha256.New()
 				segments(p.Body, nil, func(run []source.Stmt, vars []string) {
-					got := renderLowered(indexed.Body(run, vars))
-					want := renderLowered(scan.Body(run, vars))
-					if got != want {
-						t.Fatalf("%s on %s: indexed CSE invalidation diverges from the scan\nindexed:\n%s\nscan:\n%s", name, m.Name, got, want)
-					}
+					text := renderLowered(tr.Body(run, vars))
+					h.Write([]byte(text))
 					compared++
-					stores += strings.Count(got, "store")
+					stores += strings.Count(text, "store")
 				})
+				got[name+"|"+m.Name+"|"+o.name] = hex.EncodeToString(h.Sum(nil))
 			}
 		}
 	}
 	if compared < 1000 || stores < 1000 {
 		t.Fatalf("only %d segments with %d stores compared", compared, stores)
+	}
+	raw, err := os.ReadFile(loweredGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", loweredGolden, err)
+	}
+	diffs := 0
+	for k, w := range want {
+		if got[k] != w {
+			diffs++
+			t.Errorf("%s: lowered IR hashes to %.12s, golden %.12s", k, got[k], w)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			diffs++
+			t.Errorf("%s: missing from %s", k, loweredGolden)
+		}
+	}
+	if diffs > 0 {
+		table, _ := json.MarshalIndent(got, "", "  ")
+		t.Logf("replacement %s:\n%s", loweredGolden, table)
 	}
 }

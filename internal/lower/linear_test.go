@@ -1,0 +1,129 @@
+package lower_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"perfpredict/internal/lower"
+	"perfpredict/internal/machine"
+	"perfpredict/internal/sem"
+	"perfpredict/internal/source"
+)
+
+// chainProgram is a one-statement program whose right-hand side is a
+// left-deep chain of n terms: a + a + … + a, or with distinct scalars
+// x0 + x1 + … stored to y(i) inside a do loop.
+func chainProgram(n int, distinct bool) string {
+	var sb strings.Builder
+	if distinct {
+		sb.WriteString("program chain\n  integer i, n\n  real y(100)\n  do i = 1, n\n    y(i) = x0")
+		for k := 1; k < n; k++ {
+			fmt.Fprintf(&sb, " + x%d", k)
+		}
+		sb.WriteString("\n  end do\nend\n")
+		return sb.String()
+	}
+	sb.WriteString("program chain\n  real s, a\n  s = a")
+	for k := 1; k < n; k++ {
+		sb.WriteString(" + a")
+	}
+	sb.WriteString("\nend\n")
+	return sb.String()
+}
+
+// lowerAllocs lowers every segment of src on POWER1 and returns the
+// bytes allocated and the time taken by the lowering alone.
+func lowerAllocs(t *testing.T, src string) (uint64, time.Duration) {
+	t.Helper()
+	p, err := source.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := sem.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	tr := lower.New(tbl, machine.NewPOWER1(), lower.DefaultOptions())
+	segments(p.Body, nil, func(run []source.Stmt, vars []string) {
+		if _, err := tr.Body(run, vars); err != nil {
+			t.Fatal(err)
+		}
+	})
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, elapsed
+}
+
+// TestLoweringLinear: lowering a long expression costs memory linear
+// in its length, and an 8k-term statement lowers well within a second.
+// A lowering that renders or re-walks the subtree at every node is
+// quadratic: its 8k/2k allocation ratio is about 16, a linear one 4.
+func TestLoweringLinear(t *testing.T) {
+	for _, shape := range []struct {
+		name     string
+		distinct bool
+	}{{"a+a+…", false}, {"y(i)=x0+x1+…", true}} {
+		small, _ := lowerAllocs(t, chainProgram(2000, shape.distinct))
+		large, took := lowerAllocs(t, chainProgram(8000, shape.distinct))
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: %d B at 2k terms, %d B at 8k (ratio %.1f); 8k in %v", shape.name, small, large, ratio, took)
+		if ratio > 5 {
+			t.Errorf("%s: 8k/2k allocation ratio %.1f, want ≤ 5 (linear)", shape.name, ratio)
+		}
+		if took > time.Second {
+			t.Errorf("%s: 8k-term lowering took %v, want < 1s", shape.name, took)
+		}
+	}
+}
+
+// BenchmarkLowerCorpus lowers every straight-line segment of every
+// corpus program on POWER1 with a fresh translator per program: the
+// lowering layer's own cost, without parsing, analysis or pricing.
+func BenchmarkLowerCorpus(b *testing.B) {
+	files, err := filepath.Glob("../../testdata/corpus/programs/*.f")
+	if err != nil || len(files) == 0 {
+		b.Fatalf("corpus: %v (%d files)", err, len(files))
+	}
+	type prog struct {
+		p   *source.Program
+		tbl *sem.Table
+	}
+	var progs []prog
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := source.Parse(string(src))
+		if err != nil {
+			b.Fatalf("%s: %v", f, err)
+		}
+		tbl, err := sem.Analyze(p)
+		if err != nil {
+			b.Fatalf("%s: %v", f, err)
+		}
+		progs = append(progs, prog{p, tbl})
+	}
+	m := machine.NewPOWER1()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pr := range progs {
+			tr := lower.New(pr.tbl, m, lower.DefaultOptions())
+			segments(pr.p.Body, nil, func(run []source.Stmt, vars []string) {
+				if _, err := tr.Body(run, vars); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}

@@ -14,7 +14,6 @@ package lower
 
 import (
 	"fmt"
-	"strings"
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
@@ -96,25 +95,19 @@ type Translator struct {
 	opt Options
 
 	nextReg ir.Reg
-	// cse maps expression keys to the register holding their value.
-	cse map[string]ir.Reg
-	// The cse keys are indexed by the loads they read, at every
-	// nesting level: a key holding "ld[s]" is listed under scalar s,
-	// one holding "ld[a(i)]" under array a. cseNames numbers each name
-	// for the translator's lifetime; cseHeads[id] holds the newest
-	// entry of the name's scalar and array lists in cseLinks, as
-	// index+1 (0 ends a list). A store deletes exactly the keys listed
-	// under its location (see killCSE). Lists may hold stale keys
-	// (deleted, or re-added and listed twice); deleting those again is
-	// harmless, because what a key reads is a function of the key.
-	cseNames map[string]int
-	cseHeads [][2]int32
-	cseLinks []cseLink
-	// killOracle, when set, replaces the indexed invalidation (tests
-	// plug the linear scan it replaced in here).
-	killOracle func(addr, base string)
-	// preCSE is the preheader's value map (survives body resets).
-	preCSE map[string]ir.Reg
+	// Value numbering (see facts): vns interns one exact number per
+	// distinct expression value, ver holds the version of each name
+	// numbered in names, and memo caches each node's facts for the
+	// current epoch. cse and preCSE map value numbers to the register
+	// holding the value, in the body and in the preheader. All but
+	// names is per lowering pass.
+	names  map[string]int32
+	vns    map[vnKey]int32
+	ver    []int32
+	memo   map[source.Expr]facts
+	epoch  uint32
+	cse    map[int32]ir.Reg
+	preCSE map[int32]ir.Reg
 
 	body     *ir.Block
 	pre      *ir.Block
@@ -139,38 +132,32 @@ type Translator struct {
 	// Memoized canonical strings. AST nodes are immutable and the
 	// symbol table is fixed for the translator's lifetime, so subscript
 	// normal forms and array address strings depend only on the node
-	// pointer and survive resets. CSE keys additionally depend on the
-	// enclosing loop-variable set, so keyCache is invalidated whenever
-	// reset() is handed a different loopVars list (prevLoopVars tracks
-	// the one the cache was built under).
-	subCache     map[source.Expr]subEntry
-	addrCache    map[*source.ArrayRef]string
-	keyCache     map[source.Expr]keyEntry
-	prevLoopVars []string
+	// pointer and survive resets.
+	subCache  map[source.Expr]subEntry
+	addrCache map[*source.ArrayRef]subEntry
 }
 
-// subEntry is a memoized subscriptString result.
+// subEntry is a memoized rendering: a subscript's canonical text, or an
+// array reference's address string. cheap reports that the addressing
+// hardware folds it (every subscript, for an address); affine, that a
+// subscript is affine in at most one variable.
 type subEntry struct {
-	s     string
-	cheap bool
-}
-
-// keyEntry is a memoized exprKey result.
-type keyEntry struct {
-	s  string
-	ok bool
+	s      string
+	cheap  bool
+	affine bool
 }
 
 // New creates a translator.
 func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 	return &Translator{
 		tbl: tbl, fma: m.Compiled().HasFMA(), opt: opt,
-		preCSE:    map[string]ir.Reg{},
-		cse:       map[string]ir.Reg{},
-		cseNames:  map[string]int{},
+		names:     map[string]int32{},
+		vns:       map[vnKey]int32{},
+		memo:      map[source.Expr]facts{},
+		cse:       map[int32]ir.Reg{},
+		preCSE:    map[int32]ir.Reg{},
 		subCache:  map[source.Expr]subEntry{},
-		addrCache: map[*source.ArrayRef]string{},
-		keyCache:  map[source.Expr]keyEntry{},
+		addrCache: map[*source.ArrayRef]subEntry{},
 	}
 }
 
@@ -250,17 +237,16 @@ func (tr *Translator) reset(loopVars []string) {
 	tr.pre = &ir.Block{}
 	tr.perEntry = &ir.Block{}
 	tr.post = &ir.Block{}
-	tr.clearCSE()
+	clear(tr.vns)
+	clear(tr.ver)
+	clear(tr.memo)
+	clear(tr.cse)
 	clear(tr.preCSE)
 	tr.loadCount = 0
 	tr.loopVars = map[string]bool{}
 	tr.innerVar = ""
 	for _, v := range loopVars {
 		tr.loopVars[v] = true
-	}
-	if !equalStrings(tr.prevLoopVars, loopVars) {
-		clear(tr.keyCache)
-		tr.prevLoopVars = append(tr.prevLoopVars[:0], loopVars...)
 	}
 	if len(loopVars) > 0 {
 		tr.innerVar = loopVars[len(loopVars)-1]
@@ -301,19 +287,16 @@ func (tr *Translator) scanPromotable(stmts []source.Stmt) map[string]promoInfo {
 			if sym != nil {
 				use.ty = sym.Type
 			}
-			parts := make([]string, len(x.Idx))
-			good := true
-			for i, ix := range x.Idx {
-				str, cheap := tr.subscriptString(ix)
-				parts[i] = str
-				if !cheap || tr.subscriptBlocked(ix) {
+			addr, good := tr.address(x)
+			for _, ix := range x.Idx {
+				if tr.subscriptBlocked(ix) {
 					good = false
 				}
 				walkExpr(ix)
 			}
 			use.ok = good
 			if good {
-				use.addr = x.Name + "(" + strings.Join(parts, ",") + ")"
+				use.addr = addr
 			}
 			byBase[x.Name] = append(byBase[x.Name], use)
 		case *source.VarRef:
@@ -544,15 +527,10 @@ func (tr *Translator) stmt(s source.Stmt) error {
 }
 
 func (tr *Translator) assign(a *source.Assign) error {
-	ty, err := tr.tbl.TypeOf(a.RHS)
-	if err != nil {
-		return err
-	}
 	val, valTy, err := tr.expr(a.RHS)
 	if err != nil {
 		return err
 	}
-	_ = ty
 	switch lhs := a.LHS.(type) {
 	case *source.VarRef:
 		sym := tr.tbl.Lookup(lhs.Name)
@@ -561,7 +539,7 @@ func (tr *Translator) assign(a *source.Assign) error {
 			lty = sym.Type
 		}
 		val = tr.convert(val, valTy, lty)
-		tr.store(lty, val, lhs.Name, lhs.Name, nil, 0)
+		tr.store(lty, val, lhs.Name, lhs.Name, nil, nil)
 	case *source.ArrayRef:
 		sym := tr.tbl.Lookup(lhs.Name)
 		lty := sym.Type
@@ -570,141 +548,44 @@ func (tr *Translator) assign(a *source.Assign) error {
 		if err != nil {
 			return err
 		}
-		tr.store(lty, val, addr, lhs.Name, addrRegs, tr.tagRef(lhs))
+		tr.store(lty, val, addr, lhs.Name, addrRegs, lhs)
 	default:
 		return fmt.Errorf("%s: bad assignment target", a.Pos)
 	}
 	return nil
 }
 
-// store emits the store and updates the value maps: later loads of the
-// same address forward from the stored register; overlapping CSE
-// entries are invalidated.
-func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrRegs []ir.Reg, refID int32) {
+// store emits the store of val to the scalar base (elem nil) or to the
+// array element elem at addr, then bumps base's version: every value
+// that read the location stops matching, and a later load of the same
+// address forwards val.
+func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrRegs []ir.Reg, elem *source.ArrayRef) {
+	var refID int32
+	if elem != nil {
+		refID = tr.tagRef(elem)
+	}
 	if info, ok := tr.promotable[addr]; ok {
 		tr.promotedStore(addr, info, val, refID)
-		tr.killCSE(addr, base)
-		tr.setCSE(loadKey(addr), val)
-		return
-	}
-	op := ir.OpFStore
-	if ty == source.TypeInteger {
-		op = ir.OpIStore
-	}
-	srcs := append([]ir.Reg{val}, addrRegs...)
-	tr.body.Append(ir.Instr{Op: op, Srcs: srcs, Addr: addr, Base: base, RefID: refID})
-	tr.killCSE(addr, base)
-	// Store-to-load forwarding.
-	tr.setCSE(loadKey(addr), val)
-}
-
-// The two index lists of a name (see Translator.cseHeads).
-const (
-	cseScalar = iota
-	cseArray
-)
-
-// cseLink is one entry of a CSE index list: a key, and the index+1 of
-// the next older entry listed under the same name.
-type cseLink struct {
-	key  string
-	next int32
-}
-
-// clearCSE empties the body value map and its index, keeping their
-// storage for the next body.
-func (tr *Translator) clearCSE() {
-	clear(tr.cse)
-	clear(tr.cseHeads)
-	tr.cseLinks = tr.cseLinks[:0]
-}
-
-// cseName returns the number of an index name, numbering new ones.
-func (tr *Translator) cseName(name string) int {
-	id, ok := tr.cseNames[name]
-	if !ok {
-		id = len(tr.cseNames)
-		tr.cseNames[name] = id
-		tr.cseHeads = append(tr.cseHeads, [2]int32{})
-	}
-	return id
-}
-
-// setCSE records key → r in the body value map and indexes key by
-// every load it reads. Loads are the only source of brackets in a key,
-// and their contents nest balanced.
-func (tr *Translator) setCSE(key string, r ir.Reg) {
-	tr.cse[key] = r
-	for i := strings.IndexByte(key, '['); i >= 0; i = nextOpen(key, i) {
-		depth, j := 1, i+1
-		for ; depth > 0; j++ {
-			switch key[j] {
-			case '[':
-				depth++
-			case ']':
-				depth--
-			}
+	} else {
+		op := ir.OpFStore
+		if ty == source.TypeInteger {
+			op = ir.OpIStore
 		}
-		loc, list := key[i+1:j-1], cseScalar
-		if p := strings.IndexByte(loc, '('); p >= 0 {
-			loc, list = loc[:p], cseArray
-		}
-		head := &tr.cseHeads[tr.cseName(loc)][list]
-		tr.cseLinks = append(tr.cseLinks, cseLink{key: key, next: *head})
-		*head = int32(len(tr.cseLinks))
+		srcs := append([]ir.Reg{val}, addrRegs...)
+		tr.body.Append(ir.Instr{Op: op, Srcs: srcs, Addr: addr, Base: base, RefID: refID})
 	}
-}
-
-// nextOpen returns the index of the next '[' in key after i, or -1.
-func nextOpen(key string, i int) int {
-	if j := strings.IndexByte(key[i+1:], '['); j >= 0 {
-		return i + 1 + j
-	}
-	return -1
-}
-
-// killCSE drops the CSE entries that read the stored location addr of
-// base: a key reading the location itself, or any element of an array
-// named base. A store is to a scalar (addr == base) or to an element
-// base(…), and a key reading an element reads the array, so the
-// entries to drop are exactly those listed under the scalar addr and
-// under the array base.
-func (tr *Translator) killCSE(addr, base string) {
-	if tr.killOracle != nil {
-		tr.killOracle(addr, base)
-		return
-	}
-	id, ok := tr.cseNames[base]
-	if !ok {
-		return
-	}
-	if addr == base {
-		tr.killListed(&tr.cseHeads[id][cseScalar])
-	}
-	tr.killListed(&tr.cseHeads[id][cseArray])
-}
-
-// killListed deletes the keys of the list starting at head.
-func (tr *Translator) killListed(head *int32) {
-	for i := *head; i != 0; i = tr.cseLinks[i-1].next {
-		delete(tr.cse, tr.cseLinks[i-1].key)
-	}
-	*head = 0
-}
-
-func loadKey(addr string) string { return "ld[" + addr + "]" }
-
-// equalStrings reports element-wise equality.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	tr.ver[tr.name(base)]++
+	tr.epoch++
+	// Store-to-load forwarding. An element's number is built from the
+	// canonical text of its subscripts, as an affine load's is; a
+	// non-affine subscript's text matches no load's number.
+	fwd := tr.load(base)
+	if elem != nil {
+		for _, ix := range elem.Idx {
+			fwd = tr.index(fwd, tr.intern(vnKey{op: vnSubscript, a: tr.name(tr.subscript(ix).s)}))
 		}
 	}
-	return true
+	tr.cse[fwd] = val
 }
 
 func (tr *Translator) call(c *source.CallStmt) error {
@@ -720,11 +601,11 @@ func (tr *Translator) call(c *source.CallStmt) error {
 			return err
 		}
 		tmp := fmt.Sprintf("argtmp%d", len(tr.body.Instrs))
-		tr.store(ty, val, tmp, tmp, nil, 0)
+		tr.store(ty, val, tmp, tmp, nil, nil)
 	}
 	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Callee: c.Name})
 	// A call clobbers all memory-derived values.
-	tr.clearCSE()
+	clear(tr.cse)
 	return nil
 }
 

@@ -7,6 +7,7 @@ package sem
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"perfpredict/internal/source"
 )
@@ -191,7 +192,7 @@ func (t *Table) checkStmt(s source.Stmt) error {
 				return fmt.Errorf("%s: array %q assigned without subscripts", x.Pos, lhs.Name)
 			}
 		case *source.ArrayRef:
-			if err := t.checkArrayRef(lhs); err != nil {
+			if _, err := t.TypeOf(lhs); err != nil {
 				return err
 			}
 		default:
@@ -252,26 +253,6 @@ func (t *Table) checkStmt(s source.Stmt) error {
 	}
 }
 
-func (t *Table) checkArrayRef(a *source.ArrayRef) error {
-	sym := t.resolve(a.Name)
-	if !sym.IsArray() {
-		return fmt.Errorf("%s: %q subscripted but not an array", a.Pos, a.Name)
-	}
-	if len(a.Idx) != sym.Rank() {
-		return fmt.Errorf("%s: %q has rank %d, subscripted with %d indices", a.Pos, a.Name, sym.Rank(), len(a.Idx))
-	}
-	for _, ix := range a.Idx {
-		ty, err := t.TypeOf(ix)
-		if err != nil {
-			return err
-		}
-		if ty != source.TypeInteger {
-			return fmt.Errorf("%s: non-integer subscript %s", a.Pos, source.ExprString(ix))
-		}
-	}
-	return nil
-}
-
 // isLogicalExpr reports whether e is a relational/logical expression.
 func isLogicalExpr(e source.Expr) bool {
 	switch x := e.(type) {
@@ -285,9 +266,38 @@ func isLogicalExpr(e source.Expr) bool {
 }
 
 // TypeOf infers the numeric type of an expression, resolving implicit
-// types along the way. Relational and logical expressions report
-// TypeInteger (F-lite treats logicals as integers for cost purposes).
+// types along the way: it applies NodeType bottom-up.
 func (t *Table) TypeOf(e source.Expr) (source.Type, error) {
+	var operands []source.Expr
+	switch x := e.(type) {
+	case *source.UnExpr:
+		operands = []source.Expr{x.X}
+	case *source.BinExpr:
+		operands = []source.Expr{x.L, x.R}
+	case *source.ArrayRef:
+		operands = x.Idx
+	case *source.IntrinsicCall:
+		operands = x.Args
+	}
+	var buf [4]source.Type
+	kids := buf[:0]
+	for _, o := range operands {
+		ty, err := t.TypeOf(o)
+		if err != nil {
+			return source.TypeUnknown, err
+		}
+		kids = append(kids, ty)
+	}
+	return t.NodeType(e, kids)
+}
+
+// NodeType is the typing rule of one expression node, given the types
+// of its operands in source order: the operand of a unary expression,
+// the two of a binary one, an array reference's subscripts or an
+// intrinsic's arguments. It resolves the names it reads, checks array
+// references, and reports relational and logical expressions as
+// TypeInteger (F-lite treats logicals as integers for cost purposes).
+func (t *Table) NodeType(e source.Expr, kids []source.Type) (source.Type, error) {
 	switch x := e.(type) {
 	case *source.NumLit:
 		if x.IsReal {
@@ -301,22 +311,25 @@ func (t *Table) TypeOf(e source.Expr) (source.Type, error) {
 		}
 		return sym.Type, nil
 	case *source.ArrayRef:
-		if err := t.checkArrayRef(x); err != nil {
-			return source.TypeUnknown, err
+		sym := t.resolve(x.Name)
+		if !sym.IsArray() {
+			return source.TypeUnknown, fmt.Errorf("%s: %q subscripted but not an array", x.Pos, x.Name)
 		}
-		return t.resolve(x.Name).Type, nil
+		if len(x.Idx) != sym.Rank() {
+			return source.TypeUnknown, fmt.Errorf("%s: %q has rank %d, subscripted with %d indices", x.Pos, x.Name, sym.Rank(), len(x.Idx))
+		}
+		for i, ty := range kids {
+			if ty != source.TypeInteger {
+				return source.TypeUnknown, fmt.Errorf("%s: non-integer subscript %s", x.Pos, source.ExprString(x.Idx[i]))
+			}
+		}
+		return sym.Type, nil
 	case *source.UnExpr:
-		return t.TypeOf(x.X)
+		return kids[0], nil
 	case *source.IntrinsicCall:
 		var argTy source.Type = source.TypeInteger
-		for _, a := range x.Args {
-			ty, err := t.TypeOf(a)
-			if err != nil {
-				return source.TypeUnknown, err
-			}
-			if ty == source.TypeReal {
-				argTy = source.TypeReal
-			}
+		if slices.Contains(kids, source.TypeReal) {
+			argTy = source.TypeReal
 		}
 		switch x.Name {
 		case "int":
@@ -329,18 +342,7 @@ func (t *Table) TypeOf(e source.Expr) (source.Type, error) {
 			return source.TypeUnknown, fmt.Errorf("%s: unknown intrinsic %q", x.Pos, x.Name)
 		}
 	case *source.BinExpr:
-		lt, err := t.TypeOf(x.L)
-		if err != nil {
-			return source.TypeUnknown, err
-		}
-		rt, err := t.TypeOf(x.R)
-		if err != nil {
-			return source.TypeUnknown, err
-		}
-		if x.Kind.IsRelational() || x.Kind.IsLogical() {
-			return source.TypeInteger, nil
-		}
-		if lt == source.TypeReal || rt == source.TypeReal {
+		if !x.Kind.IsRelational() && !x.Kind.IsLogical() && slices.Contains(kids, source.TypeReal) {
 			return source.TypeReal, nil
 		}
 		return source.TypeInteger, nil

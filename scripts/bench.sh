@@ -1,7 +1,8 @@
 #!/bin/sh
-# Perf-trajectory recorder: runs every suite of scripts/bench_suites.sh
-# (the search/batch benchmarks, the design-space sweep benchmarks and
-# the Tetris kernel microbenchmarks) with -benchmem and writes
+# Perf-trajectory recorder: runs the named suites of
+# scripts/bench_suites.sh, or every suite (the search/batch benchmarks,
+# the design-space sweep benchmarks, the corpus lowering benchmark and
+# the Tetris kernel microbenchmarks), with -benchmem and writes
 # BENCH_<suite>.json (one JSON object per benchmark). Non-gating —
 # failures here should not fail CI, only lose a data point.
 #
@@ -11,15 +12,12 @@
 # robust "how fast can this code go" statistic, and it is what
 # scripts/bench_regress.sh compares fresh runs against.
 #
-# Usage: scripts/bench.sh [tetris_benchtime] [tetris_count]
-#        (from anywhere; defaults 500x, 6)
+# Usage: scripts/bench.sh [suite ...]   (from anywhere; default: every suite)
+#        TETRIS_BENCHTIME / TETRIS_COUNT override the Tetris settings.
 set -eu
 
 cd "$(dirname "$0")/.."
 . scripts/bench_suites.sh
-
-TETRIS_BENCHTIME="${1:-500x}"
-TETRIS_COUNT="${2:-6}"
 
 # to_json FILE: convert `BenchmarkName N value unit ...` lines to a
 # JSON array, folding repeated names (from -count) to the per-metric
@@ -60,7 +58,7 @@ to_json() {
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
-for suite in $BENCH_SUITES; do
+for suite in ${*:-$BENCH_SUITES}; do
 	suite_settings "$suite"
 	go test -run '^$' -bench "$pattern" -benchtime "$benchtime" \
 		-count "$count" -benchmem "$pkg" | tee "$tmp"

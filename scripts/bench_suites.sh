@@ -8,11 +8,12 @@
 #
 # The search/batch suite runs 3 iterations per run and the explore
 # suite 5 sweeps per run, 5 runs each: one search or sweep is tens of
-# milliseconds, so a single one is too noisy to record. The Tetris
+# milliseconds, so a single one is too noisy to record. The lowering
+# suite lowers the whole corpus (about 2 ms) 100 times per run. The Tetris
 # kernel suite takes its benchtime and count from TETRIS_BENCHTIME and
 # TETRIS_COUNT (defaults 500x and 6).
 
-BENCH_SUITES="optimize explore tetris"
+BENCH_SUITES="optimize explore lower tetris"
 
 suite_settings() {
 	case "$1" in
@@ -20,6 +21,8 @@ suite_settings() {
 		pkg=. pattern='BenchmarkOptimize|BenchmarkPredictBatch' benchtime=3x count=5 ;;
 	explore)
 		pkg=./internal/explore pattern='BenchmarkExplore' benchtime=5x count=5 ;;
+	lower)
+		pkg=./internal/lower pattern='BenchmarkLowerCorpus' benchtime=100x count=5 ;;
 	tetris)
 		pkg=./internal/tetris pattern='BenchmarkTetris'
 		benchtime="${TETRIS_BENCHTIME:-500x}" count="${TETRIS_COUNT:-6}" ;;
