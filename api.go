@@ -347,11 +347,3 @@ func BuildLibrary(routines map[string]string, target *Target) (Library, error) {
 	}
 	return lib, nil
 }
-
-// PredictWithLibrary predicts a program whose CALL statements resolve
-// through the given library cost table.
-func PredictWithLibrary(src string, target *Target, lib Library) (*Prediction, error) {
-	opt := aggregate.DefaultOptions()
-	opt.Library = lib
-	return predictWithCache(src, target, opt, nil)
-}

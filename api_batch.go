@@ -21,9 +21,6 @@ func NewSegmentCache() *SegmentCache { return aggregate.NewSegCache() }
 type BatchOptions struct {
 	// Workers bounds the worker pool; <= 0 uses runtime.GOMAXPROCS(0).
 	Workers int
-	// Aggregate overrides the aggregation options for every program in
-	// the batch; nil uses the defaults (the same ones Predict uses).
-	Aggregate *aggregate.Options
 	// Cache is the segment cache the workers share; nil creates a
 	// fresh cache private to this batch. Passing the same cache to
 	// successive batches (or to OptimizeCtx searches) carries priced
@@ -53,16 +50,12 @@ func PredictBatchCtx(ctx context.Context, srcs []string, target *Target, opt Bat
 	if len(srcs) == 0 {
 		return preds, errs
 	}
-	aopt := aggregate.DefaultOptions()
-	if opt.Aggregate != nil {
-		aopt = *opt.Aggregate
-	}
 	cache := opt.Cache
 	if cache == nil {
 		cache = NewSegmentCache()
 	}
 	if err := workpool.RunCtx(ctx, len(srcs), opt.Workers, func(i int) {
-		preds[i], errs[i] = predictWithCache(srcs[i], target, aopt, cache)
+		preds[i], errs[i] = predictWithCache(srcs[i], target, aggregate.DefaultOptions(), cache)
 	}); err != nil {
 		// predictWithCache always fills exactly one slot, so a
 		// both-nil pair marks an index the cancelled pool never ran.

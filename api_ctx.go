@@ -11,9 +11,9 @@ import (
 
 // PredictOptions tune PredictCtx. The zero value reproduces Predict.
 type PredictOptions struct {
-	// Aggregate overrides the aggregation options; nil uses the
-	// defaults (the same ones Predict uses).
-	Aggregate *aggregate.Options
+	// Library resolves CALL statements through an external-routine
+	// cost table (§3.5); nil prices calls as linkage only.
+	Library Library
 	// Cache is a warm shared segment cache; nil prices privately.
 	// Costs never depend on cache state, so results are
 	// byte-identical either way.
@@ -28,11 +28,7 @@ func PredictCtx(ctx context.Context, src string, target *Target, opt PredictOpti
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	aopt := aggregate.DefaultOptions()
-	if opt.Aggregate != nil {
-		aopt = *opt.Aggregate
-	}
-	return predictWithCache(src, target, aopt, opt.Cache)
+	return predictWithCache(src, target, aggregate.Options{Library: opt.Library}, opt.Cache)
 }
 
 // NestCache memoizes whole loop-nest pricings across transformation

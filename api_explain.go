@@ -3,7 +3,6 @@ package perfpredict
 import (
 	"context"
 
-	"perfpredict/internal/aggregate"
 	"perfpredict/internal/explain"
 )
 
@@ -23,13 +22,10 @@ type ExplainPathStep = explain.PathStep
 // ExplainWhatIf is the one-more-pipe experiment of an ExplainReport.
 type ExplainWhatIf = explain.WhatIf
 
-// ExplainOptions tune ExplainCtx. The zero value prices with Predict's
-// defaults and includes the one-more-pipe experiment.
+// ExplainOptions tune ExplainCtx. The zero value includes the
+// one-more-pipe experiment. The report prices exactly as Predict does,
+// so its Cycles match Predict's EvalAt at the same point.
 type ExplainOptions struct {
-	// Aggregate overrides the aggregation options; nil uses the same
-	// defaults Predict uses, so the report's Cycles match Predict's
-	// EvalAt at the same point.
-	Aggregate *aggregate.Options
 	// Nominal assigns values to unknowns when apportioning cycles
 	// across nests and evaluating the what-if. Missing unknowns take
 	// the point OptimizeCtx ranks at: probabilities 0.5, other
@@ -54,7 +50,6 @@ func ExplainCtx(ctx context.Context, src string, target *Target, opt ExplainOpti
 		return nil, err
 	}
 	return explain.Program(prog, tbl, target, explain.Options{
-		Aggregate:  opt.Aggregate,
 		Nominal:    opt.Nominal,
 		SkipWhatIf: opt.SkipWhatIf,
 	})

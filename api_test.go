@@ -281,7 +281,7 @@ subroutine caller(m)
   end do
 end
 `
-	pred, err := PredictWithLibrary(caller, POWER1(), lib)
+	pred, err := PredictCtx(context.Background(), caller, POWER1(), PredictOptions{Library: lib})
 	if err != nil {
 		t.Fatal(err)
 	}

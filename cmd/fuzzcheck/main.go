@@ -137,7 +137,7 @@ func emitCorpus(dir string) error {
 		targets = append(targets, targetEnt{name, t})
 	}
 	for i := 1; i <= nSpecs; i++ {
-		spec := progen.GenSpec(progen.NewRand(int64(i)), progen.SpecConfig{})
+		spec := progen.GenSpec(progen.NewRand(int64(i)))
 		data, err := spec.Encode()
 		if err != nil {
 			return err

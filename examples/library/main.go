@@ -5,8 +5,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 
 	"perfpredict"
 )
@@ -57,13 +59,20 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for name, e := range lib {
+	names := make([]string, 0, len(lib))
+	for name := range lib {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		e := lib[name]
 		fmt.Printf("library %-6s params %v: C = %s\n", name, e.Params, e.Cost)
 	}
 
 	// Predict the caller: each CALL substitutes its actuals — the
 	// constant 4096 folds, the symbolic 2·m flows through.
-	pred, err := perfpredict.PredictWithLibrary(caller, target, lib)
+	pred, err := perfpredict.PredictCtx(context.Background(), caller, target,
+		perfpredict.PredictOptions{Library: lib})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -23,41 +23,31 @@ import (
 	"perfpredict/internal/tetris"
 )
 
-// Options tune aggregation.
+// Options configure aggregation. A pricing is a function of the
+// program, the target and the library table alone: the back-end
+// imitations and the steady-state and branch rules are the
+// predictor's fixed behaviour, not per-call settings.
 type Options struct {
-	Lower  lower.Options
-	Tetris tetris.Options
-	// SteadyStateIters controls how many times the innermost block is
-	// dropped into the bins to estimate the per-iteration cost (the
-	// paper's second unrolling estimator); 1 disables overlap between
-	// iterations.
-	SteadyStateIters int
-	// SimplifyCloseBranches drops the probability variable when the two
-	// branch costs are within CloseTol of each other (§3.3.2: "if the
-	// two branches … have performance estimations that are very close,
-	// the reaching probability … can be ignored").
-	SimplifyCloseBranches bool
-	CloseTol              float64
-	// AssumeBranchProb, when in (0,1], substitutes this probability for
-	// unrecognized conditions instead of introducing a symbolic
-	// variable (the "guess" escape hatch).
-	AssumeBranchProb float64
 	// Library is the external-library cost table (§3.5): calls to
 	// routines listed here are priced by substituting the actual
 	// parameters into the routine's stored performance expression.
 	Library LibraryTable
 }
 
-// DefaultOptions matches the paper's defaults: symbolic probabilities,
-// 4-drop steady state, close-branch simplification at 10%.
-func DefaultOptions() Options {
-	return Options{
-		Lower:                 lower.DefaultOptions(),
-		SteadyStateIters:      4,
-		SimplifyCloseBranches: true,
-		CloseTol:              0.10,
-	}
-}
+// DefaultOptions returns the zero Options: no library table.
+func DefaultOptions() Options { return Options{} }
+
+// steadyStateDrops is how many times an innermost block is dropped
+// into the bins to estimate its per-iteration cost (the paper's second
+// unrolling estimator), letting consecutive iterations overlap.
+const steadyStateDrops = 4
+
+// closeBranchTol is the §3.3.2 close-branch tolerance: when the two
+// branch costs are within this relative distance, the reaching
+// probability is dropped ("if the two branches … have performance
+// estimations that are very close, the reaching probability … can be
+// ignored").
+const closeBranchTol = 0.10
 
 // Unknown describes one symbolic variable introduced during
 // aggregation.
@@ -122,7 +112,7 @@ func EvalPoint[K ~string](unknowns []Unknown, values map[K]float64, fill bool) m
 //
 // Entries are keyed by a 128-bit structural fingerprint of everything
 // a segment's price depends on: the machine's content fingerprint and
-// the aggregation options, the segment's statements, the enclosing
+// the library table, the segment's statements, the enclosing
 // loop variables, whether it runs inside a loop, and the declarations
 // and constants visible to the names it references (see
 // Estimator.segKey). Like the NestCache, the cache treats fingerprint
@@ -218,7 +208,7 @@ type Estimator struct {
 	changed [][]int
 	logging bool
 	events  []regEvent
-	keyFP   source.Fingerprint // machine content + options
+	keyFP   source.Fingerprint // machine content + library table
 	auxFP   source.Fingerprint // keyFP + whole-program environment
 }
 
@@ -243,9 +233,6 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 // returned here, like the one from New, must not itself be used from
 // more than one goroutine at a time.
 func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCache) *Estimator {
-	if opt.SteadyStateIters <= 0 {
-		opt.SteadyStateIters = 4
-	}
 	if cache == nil {
 		cache = NewSegCache()
 	}
@@ -256,7 +243,7 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 		m:     m,
 		c:     c,
 		opt:   opt,
-		trans: lower.New(tbl, m, opt.Lower),
+		trans: lower.New(tbl, m, lower.DefaultOptions()),
 		seen:  map[symexpr.Var]bool{},
 		cache: cache,
 		names: map[string]bool{},
@@ -456,7 +443,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 	}
 	switch {
 	case len(lw.Body.Instrs) == 0:
-	case inLoop && e.opt.SteadyStateIters > 1:
+	case inLoop:
 		// Register-promoted accumulators chain across iterations: the
 		// steady-state drop must see the serial dependence.
 		var chain map[ir.Reg]ir.Reg
@@ -468,7 +455,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 				chain[pv.InReg] = pv.OutReg
 			}
 		}
-		per, err := e.tetSteadyStateChained(lw.Body, e.opt.SteadyStateIters, chain)
+		per, err := e.tetSteadyStateChained(lw.Body, chain)
 		if err != nil {
 			return cost{}, err
 		}
@@ -497,11 +484,11 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 }
 
 // segKey builds a segment-cache key. It starts from keyFP, the
-// machine's content fingerprint mixed with the aggregation options: a
+// machine's content fingerprint mixed with the library table: a
 // SegCache shared across targets (successive batches, multi-target
 // searches) can only hit entries priced for a machine with the
 // identical cost table — name and pointer identity play no part — and
-// under the identical lowering, tetris and steady-state options.
+// the identical library table.
 // Lowering also reads the types, shapes and constants of the names the
 // segment references, so their declarations are part of the key: the
 // same statements over integer and real arrays price differently.
@@ -790,10 +777,10 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 		return cost{}, err
 	}
 	condVal := float64(condRes.Cost)
-	if len(loops) > 0 && e.opt.SteadyStateIters > 1 {
+	if len(loops) > 0 {
 		// Repeated evaluations of the condition overlap like any other
 		// straight-line block.
-		per, err := e.tetSteadyState(lw.Body, e.opt.SteadyStateIters)
+		per, err := e.tetSteadyState(lw.Body)
 		if err != nil {
 			return cost{}, err
 		}
@@ -842,9 +829,8 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	// (nearly) equal, the reaching probability is irrelevant.
 	tb, tOK := thenCost.base.IsConst()
 	eb, eOK := elseCost.base.IsConst()
-	branchesClose := tOK && eOK && len(thenCost.guarded)+len(elseCost.guarded) == 0 &&
-		closeEnough(tb, eb, e.opt.CloseTol)
-	if e.opt.SimplifyCloseBranches && branchesClose {
+	if tOK && eOK && len(thenCost.guarded)+len(elseCost.guarded) == 0 &&
+		closeEnough(tb, eb) {
 		out.base = out.base.AddConst((tb + eb) / 2)
 		out.mem = thenCost.mem.Add(elseCost.mem).Scale(0.5)
 		return out, nil
@@ -876,14 +862,6 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	}
 
 	// General case: symbolic branching probability.
-	if e.opt.AssumeBranchProb > 0 {
-		p := e.opt.AssumeBranchProb
-		out.base = out.base.Add(thenCost.base.Scale(p)).Add(elseCost.base.Scale(1 - p))
-		out.mem = thenCost.mem.Scale(p).Add(elseCost.mem.Scale(1 - p))
-		out.guarded = append(out.guarded, scaleGuards(thenCost.guarded, p)...)
-		out.guarded = append(out.guarded, scaleGuards(elseCost.guarded, 1-p)...)
-		return out, nil
-	}
 	pv := e.freshVar("probability", source.ExprString(s.Cond))
 	p := symexpr.NewVar(pv)
 	oneMinus := symexpr.Const(1).Sub(p)
@@ -900,12 +878,14 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	return out, nil
 }
 
-func closeEnough(a, b, tol float64) bool {
+// closeEnough reports whether a and b are within closeBranchTol of
+// each other, relative to the larger magnitude.
+func closeEnough(a, b float64) bool {
 	m := math.Max(math.Abs(a), math.Abs(b))
 	if m == 0 {
 		return true
 	}
-	return math.Abs(a-b) <= tol*m
+	return math.Abs(a-b) <= closeBranchTol*m
 }
 
 func guardsFor(v string, rel source.BinKind, bound symexpr.Poly, c cost) []guardedTerm {

@@ -274,31 +274,6 @@ end
 	}
 }
 
-func TestAssumedProbability(t *testing.T) {
-	opt := DefaultOptions()
-	opt.AssumeBranchProb = 0.5
-	res, _, _ := estimate(t, `
-subroutine p(n, x)
-  integer i, n
-  real x, a(1000), b(1000), c(1000)
-  do i = 1, n
-    if (a(i) .gt. x) then
-      b(i) = b(i) + a(i) * 5.0 + 3.0
-      c(i) = c(i) + b(i) * b(i)
-    else
-      b(i) = 0.0
-    end if
-  end do
-end
-`, opt)
-	for _, u := range res.Unknowns {
-		if u.Kind == "probability" {
-			t.Errorf("probability var with AssumeBranchProb: %+v", u)
-		}
-	}
-	_ = res
-}
-
 func TestCloseBranchesSimplified(t *testing.T) {
 	res, _, _ := estimate(t, `
 subroutine p(n, x)
@@ -474,33 +449,56 @@ end
 }
 
 func TestCondSimplifyErrorBound(t *testing.T) {
-	// §3.3.2: when C(Bt) ≈ C(Bf), ignoring the split loses little.
-	full := DefaultOptions()
-	full.SimplifyCloseBranches = false
-	simp := DefaultOptions()
-	simp.SimplifyCloseBranches = true
-	src := `
-subroutine p(n, k)
+	// §3.3.2: when C(Bt) ≈ C(Bf), ignoring the split loses little. The
+	// unsimplified reference swaps the averaged branch cost
+	// n·(C_t + C_f)/2 for the exact split k·C_t + (n−k)·C_f, with each
+	// branch body priced on its own inside the loop. Equal branch costs
+	// cancel k from the split itself; only unequal ones show whether
+	// the simplification ran.
+	for _, br := range []struct{ then, els string }{
+		{"t(i) = t(i) + 1.0", "f(i) = f(i) + 2.0"},
+		{"f(i) = f(i) + t(i) + x", "f(i) = t(i) + 1.0\n      t(i) = f(i) + 1.0"},
+	} {
+		src := `
+subroutine p(n, k, x)
   integer i, n, k
-  real t(2000), f(2000)
+  real x, t(2000), f(2000)
   do i = 1, n
     if (i .le. k) then
-      t(i) = t(i) + 1.0
+      ` + br.then + `
     else
-      f(i) = f(i) + 2.0
+      ` + br.els + `
     end if
   end do
 end
 `
-	rFull, _, _ := estimate(t, src, full)
-	rSimp, _, _ := estimate(t, src, simp)
-	at := map[symexpr.Var]float64{"n": 2000, "k": 700}
-	a := rFull.Cost.MustEval(at)
-	// The simplified form may have dropped k entirely.
-	bAssign := map[symexpr.Var]float64{"n": 2000, "k": 700}
-	b := rSimp.Cost.MustEval(bAssign)
-	if math.Abs(a-b) > 0.15*math.Max(a, b) {
-		t.Errorf("simplification error too large: %v vs %v", a, b)
+		res, p, tbl := estimate(t, src, DefaultOptions())
+		if res.Cost.Degree("k") != 0 {
+			t.Fatalf("%s / %s: close branches kept the split: %v", br.then, br.els, res.Cost)
+		}
+		ifs := p.Body[0].(*source.DoLoop).Body[0].(*source.IfStmt)
+		loops := []LoopCtx{{Var: "i", Lb: symexpr.Const(1), Ub: symexpr.NewVar("n"), Step: 1}}
+		branch := func(body []source.Stmt) float64 {
+			r, err := New(tbl, machine.NewPOWER1(), DefaultOptions()).Stmts(body, loops)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, ok := r.Cost.Sub(r.OneTime).IsConst()
+			if !ok {
+				t.Fatalf("branch cost %v is not constant", r.Cost)
+			}
+			return c
+		}
+		ct, cf := branch(ifs.Then), branch(ifs.Else)
+		if !closeEnough(ct, cf) {
+			t.Fatalf("%s / %s: branch costs %v and %v are not close", br.then, br.els, ct, cf)
+		}
+		n, k := 2000.0, 700.0
+		simp := res.Cost.MustEval(map[symexpr.Var]float64{"n": n})
+		ref := simp - n*(ct+cf)/2 + k*ct + (n-k)*cf
+		if math.Abs(ref-simp) > 0.15*math.Max(ref, simp) {
+			t.Errorf("%s / %s: simplification error too large: split %v vs simplified %v", br.then, br.els, ref, simp)
+		}
 	}
 }
 

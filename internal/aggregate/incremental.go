@@ -2,7 +2,6 @@ package aggregate
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -74,39 +73,21 @@ func PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tb
 // cached cost depends on: the machine *content* fingerprint (unit
 // inventory, dispatch width, flags, and the whole cost table — never
 // just the name, so same-named targets with different tables cannot
-// alias) and the full option set (lowering flags, tetris options,
-// steady-state and branch handling, and the external-library table),
-// mixed field by field. TestOptionsFingerprintCoversEveryField fails
-// when an options field is added without being mixed here.
+// alias) and the external-library table.
+// TestOptionsFingerprintCoversEveryField fails when an options field
+// is added without being mixed here.
 func optionsFingerprint(machFP source.Fingerprint, opt Options) source.Fingerprint {
-	lo, to := opt.Lower, opt.Tetris
-	var flags uint64
-	for i, b := range []bool{lo.CSE, lo.CodeMotion, lo.FuseFMA, lo.DeadStoreElim, lo.ScalarReplace,
-		to.MayAlias, to.IgnoreDeps, opt.SimplifyCloseBranches} {
-		if b {
-			flags |= 1 << i
-		}
+	fp := machFP.MixString("options/v3")
+	names := make([]string, 0, len(opt.Library))
+	for n := range opt.Library {
+		names = append(names, n)
 	}
-	fp := machFP.MixString("options/v2").
-		MixUint64(flags).
-		MixUint64(uint64(int64(lo.RegisterPressure))).
-		MixUint64(uint64(int64(to.FocusSpan))).
-		MixUint64(uint64(int64(to.DispatchWidth))).
-		MixUint64(uint64(int64(opt.SteadyStateIters))).
-		MixUint64(math.Float64bits(opt.CloseTol)).
-		MixUint64(math.Float64bits(opt.AssumeBranchProb))
-	if len(opt.Library) > 0 {
-		names := make([]string, 0, len(opt.Library))
-		for n := range opt.Library {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			ent := opt.Library[n]
-			fp = fp.MixString(n).
-				MixString(strings.Join(ent.Params, ",")).
-				MixString(ent.Cost.String())
-		}
+	sort.Strings(names)
+	for _, n := range names {
+		ent := opt.Library[n]
+		fp = fp.MixString(n).
+			MixString(strings.Join(ent.Params, ",")).
+			MixString(ent.Cost.String())
 	}
 	return fp
 }
@@ -231,11 +212,11 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 }
 
 // nestKey builds the cache key of a nest: its structural fingerprint
-// mixed with the pricing context it can observe — the machine/options
-// fingerprint, the enclosing loop variables the nest references (in
-// order; unreferenced enclosing variables are provably invisible to
-// lowering and aggregation), and the declarations, constants, and
-// distribution directives of referenced names.
+// mixed with the pricing context it can observe — the machine and
+// library fingerprint, the enclosing loop variables the nest
+// references (in order; unreferenced enclosing variables are provably
+// invisible to lowering and aggregation), and the declarations,
+// constants, and distribution directives of referenced names.
 func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprint {
 	clear(e.names)
 	e.nodes.AddNames(l, e.names)
@@ -331,29 +312,29 @@ func (e *Estimator) countTetris() {
 // shape tests read.
 func (e *Estimator) tetEstimate(b *ir.Block) (tetris.Result, error) {
 	e.countTetris()
-	return tetris.EstimateCost(e.m, b, e.opt.Tetris)
+	return tetris.EstimateCost(e.m, b, tetris.Options{})
 }
 
 func (e *Estimator) tetShape(b *ir.Block) (tetris.Result, error) {
 	e.countTetris()
-	return tetris.Estimate(e.m, b, e.opt.Tetris)
+	return tetris.Estimate(e.m, b, tetris.Options{})
 }
 
-func (e *Estimator) tetSteadyState(b *ir.Block, iters int) (float64, error) {
+func (e *Estimator) tetSteadyState(b *ir.Block) (float64, error) {
 	e.countTetris()
-	per, _, err := tetris.SteadyState(e.m, b, e.opt.Tetris, iters)
+	per, _, err := tetris.SteadyState(e.m, b, tetris.Options{}, steadyStateDrops)
 	return per, err
 }
 
-func (e *Estimator) tetSteadyStateChained(b *ir.Block, iters int, chain map[ir.Reg]ir.Reg) (float64, error) {
+func (e *Estimator) tetSteadyStateChained(b *ir.Block, chain map[ir.Reg]ir.Reg) (float64, error) {
 	e.countTetris()
-	per, _, err := tetris.SteadyStateChained(e.m, b, e.opt.Tetris, iters, chain)
+	per, _, err := tetris.SteadyStateChained(e.m, b, tetris.Options{}, steadyStateDrops, chain)
 	return per, err
 }
 
 // ctlBase prices the per-iteration loop-control block. The block is a
-// fixed IR sequence, so its cost depends only on the machine and
-// tetris options: with an active cache it is computed once per search.
+// fixed IR sequence, so its cost depends only on the machine: with an
+// active cache it is computed once per search.
 func (e *Estimator) ctlBase() (float64, error) {
 	if e.nc != nil && !e.nc.disabled {
 		if v, ok := e.nc.ctl.Get(e.keyFP); ok {

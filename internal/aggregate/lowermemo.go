@@ -20,7 +20,8 @@ import (
 //
 // Entries are keyed by AST identity (every statement of a segment, or
 // the expression node — pointers, never text), the enclosing loop
-// variables, the symbol table, HasFMA and the lowering options.
+// variables, the symbol table and HasFMA (the lowering options are
+// fixed).
 // Identity keys make the memo valid only while the ASTs it was filled
 // from are alive and unchanged, so its lifetime is one unit of work —
 // a sweep, or one estimator — and it must not be folded into the
@@ -46,7 +47,6 @@ type lowerKey struct {
 	kind lowerKind
 	node any
 	fma  bool
-	opt  lower.Options
 }
 
 // lowerKind selects the Translator entry point a memo entry came from.
@@ -145,6 +145,6 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 	if e.lowered == nil {
 		e.lowered = NewLowerMemo()
 	}
-	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.c.HasFMA(), opt: e.opt.Lower}
+	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.c.HasFMA()}
 	return e.lowered.get(e.trans, k, stmts, loopVars)
 }

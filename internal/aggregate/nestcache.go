@@ -13,7 +13,7 @@ import (
 // re-pricing incremental (§3.3.1: a transformation's affected region is
 // one nest; everything else is looked up). Entries are keyed by a
 // structural fingerprint of the nest combined with its pricing context:
-// the machine, the aggregation options, the enclosing loop variables
+// the machine, the library table, the enclosing loop variables
 // the nest references, and the declarations/constants visible to it
 // (source.FingerprintEnvFor). A nest that a move did not touch —
 // including nests of *other* statements shifted by an insertion, and

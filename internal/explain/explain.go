@@ -27,14 +27,10 @@ import (
 	"perfpredict/internal/tetris"
 )
 
-// Options tune a program diagnosis. The zero value mirrors Predict's
-// defaults and includes the one-more-pipe experiment.
+// Options tune a program diagnosis. The zero value includes the
+// one-more-pipe experiment. Pricing itself takes no options: the
+// report lowers and prices exactly as Predict does.
 type Options struct {
-	// Aggregate, Lower and Tetris are the pricing knobs, defaulted
-	// exactly as Predict defaults them when zero.
-	Aggregate *aggregate.Options
-	Lower     *lower.Options
-	Tetris    tetris.Options
 	// Nominal assigns values to unknowns when evaluating shares and
 	// speedups; missing unknowns take the filled evaluation point of
 	// aggregate.EvalPoint, as in the restructuring search's ranking.
@@ -168,16 +164,7 @@ func (r *Report) Summary() string {
 // same lowering), so its Cycles agree with Prediction.EvalAt at the
 // same point.
 func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Options) (*Report, error) {
-	aopt := aggregate.DefaultOptions()
-	if opt.Aggregate != nil {
-		aopt = *opt.Aggregate
-	}
-	lopt := lower.DefaultOptions()
-	if opt.Lower != nil {
-		lopt = *opt.Lower
-	}
-
-	res, err := aggregate.New(tbl, m, aopt).Program(prog)
+	res, err := aggregate.New(tbl, m, aggregate.DefaultOptions()).Program(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +186,7 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	}
 	raw := make([]float64, len(sites))
 	for i, site := range sites {
-		nest, weight, err := diagnoseNest(tbl, m, site, lopt, opt.Tetris, opt.Nominal)
+		nest, weight, err := diagnoseNest(tbl, m, site, opt.Nominal)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +197,7 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	rep.Kinds, rep.Bottleneck, rep.BottleneckUtil = programKinds(rep.Nests)
 
 	if !opt.SkipWhatIf && rep.Bottleneck != "" {
-		w, err := whatIf(prog, tbl, m, aopt, rep, opt.Nominal)
+		w, err := whatIf(prog, tbl, m, rep, opt.Nominal)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +272,7 @@ func flattenStraight(list []source.Stmt) ([]source.Stmt, bool) {
 // diagnoseNest lowers one nest's body and runs the explained placement
 // on it. The raw weight is the block cost times the nest's trip counts
 // at the nominal point — each nest's rough share of in-core cycles.
-func diagnoseNest(tbl *sem.Table, m *machine.Machine, site nestSite, lopt lower.Options, topt tetris.Options, nominal map[string]float64) (Nest, float64, error) {
+func diagnoseNest(tbl *sem.Table, m *machine.Machine, site nestSite, nominal map[string]float64) (Nest, float64, error) {
 	vars := make([]string, len(site.loops))
 	labels := make([]string, len(site.loops))
 	for i, l := range site.loops {
@@ -298,11 +285,11 @@ func diagnoseNest(tbl *sem.Table, m *machine.Machine, site nestSite, lopt lower.
 		nest.Pos = site.loops[len(site.loops)-1].Pos.String()
 	}
 
-	lw, err := lower.New(tbl, m, lopt).Body(site.body, vars)
+	lw, err := lower.New(tbl, m, lower.DefaultOptions()).Body(site.body, vars)
 	if err != nil {
 		return Nest{}, 0, fmt.Errorf("explain: nest %s: %w", nest.Label, err)
 	}
-	ex, err := tetris.EstimateExplained(m, lw.Body, topt)
+	ex, err := tetris.EstimateExplained(m, lw.Body, tetris.Options{})
 	if err != nil {
 		return Nest{}, 0, fmt.Errorf("explain: nest %s: %w", nest.Label, err)
 	}
@@ -391,13 +378,13 @@ func programKinds(nests []Nest) ([]KindUtil, string, float64) {
 
 // whatIf re-predicts the whole program on a machine with one extra
 // pipe of the report's bottleneck kind.
-func whatIf(prog *source.Program, tbl *sem.Table, m *machine.Machine, aopt aggregate.Options, rep *Report, nominal map[string]float64) (*WhatIf, error) {
+func whatIf(prog *source.Program, tbl *sem.Table, m *machine.Machine, rep *Report, nominal map[string]float64) (*WhatIf, error) {
 	kind := machine.UnitKind(rep.Bottleneck)
 	m2, err := machine.WithExtraPipe(m, kind)
 	if err != nil {
 		return nil, err
 	}
-	res, err := aggregate.New(tbl, m2, aopt).Program(prog)
+	res, err := aggregate.New(tbl, m2, aggregate.DefaultOptions()).Program(prog)
 	if err != nil {
 		return nil, err
 	}

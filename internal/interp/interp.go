@@ -25,16 +25,12 @@ import (
 	"perfpredict/internal/source"
 )
 
-// Options control a run.
+// Options control a run. A timed run lowers its trace with the same
+// back-end imitation the predictor assumes (lower.DefaultOptions).
 type Options struct {
 	// Machine enables timing: executed operations are fed to a pipeline
 	// of this machine. Nil runs values-only.
 	Machine *machine.Machine
-	// LowerOpt configures the back-end imitation used for the trace.
-	// The zero value means the full default back-end (matching what the
-	// predictor assumes); to ablate individual optimizations, set at
-	// least one flag.
-	LowerOpt lower.Options
 	// MaxOps aborts runaway executions (0 = default 50M statements).
 	MaxOps int64
 	// MemTrace, when set, receives every array element access (base
@@ -96,9 +92,6 @@ func New(prog *source.Program, tbl *sem.Table, opt Options) *Runner {
 	if opt.MaxOps == 0 {
 		opt.MaxOps = 50_000_000
 	}
-	if opt.LowerOpt == (lower.Options{}) {
-		opt.LowerOpt = lower.DefaultOptions()
-	}
 	if opt.ScheduleWindow == 0 {
 		opt.ScheduleWindow = 48
 	}
@@ -118,7 +111,7 @@ func New(prog *source.Program, tbl *sem.Table, opt Options) *Runner {
 	}
 	if opt.Machine != nil {
 		r.pipe = pipesim.NewPipeline(opt.Machine)
-		r.trans = lower.New(tbl, opt.Machine, opt.LowerOpt)
+		r.trans = lower.New(tbl, opt.Machine, lower.DefaultOptions())
 	}
 	return r
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"perfpredict/internal/lower"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
@@ -228,7 +227,7 @@ program p
   end do
 end
 `
-	timed := runner(t, src, Options{Machine: machine.NewPOWER1(), LowerOpt: lower.DefaultOptions()})
+	timed := runner(t, src, Options{Machine: machine.NewPOWER1()})
 	if err := timed.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,7 @@ subroutine p(n)
   end do
 end
 `
-		r := runner(t, src, Options{Machine: machine.NewPOWER1(), LowerOpt: lower.DefaultOptions()})
+		r := runner(t, src, Options{Machine: machine.NewPOWER1()})
 		r.SetScalar("n", float64(n))
 		if err := r.Run(); err != nil {
 			t.Fatal(err)
@@ -291,7 +290,7 @@ program p
   end do
 end
 `
-		r := runner(t, src, Options{Machine: machine.NewPOWER1(), LowerOpt: lower.DefaultOptions()})
+		r := runner(t, src, Options{Machine: machine.NewPOWER1()})
 		if err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +319,7 @@ program p
   end do
 end
 `
-	r := runner(t, src, Options{Machine: machine.NewPOWER1(), LowerOpt: lower.DefaultOptions()})
+	r := runner(t, src, Options{Machine: machine.NewPOWER1()})
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +342,7 @@ program p
   end do
 end
 `
-	r := runner(t, src, Options{Machine: machine.NewPOWER1(), LowerOpt: lower.DefaultOptions()})
+	r := runner(t, src, Options{Machine: machine.NewPOWER1()})
 	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func CheckExplain(seed int64) []Violation {
 
 	var target *perfpredict.Target
 	if r.Intn(2) == 0 {
-		m, err := progen.GenSpec(r, progen.SpecConfig{}).Machine()
+		m, err := progen.GenSpec(r).Machine()
 		if err != nil {
 			fail("gen-spec-valid", "generated spec rejected: %v", err)
 			return vs

@@ -33,7 +33,7 @@ func TestExplainPathDepEdgesAreRealDeps(t *testing.T) {
 	}
 	for seed := int64(0); seed < n; seed++ {
 		r := progen.NewRand(seed)
-		m, err := progen.GenSpec(r, progen.SpecConfig{}).Machine()
+		m, err := progen.GenSpec(r).Machine()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -81,7 +81,7 @@ func TestExplainDepHeightBoundsExactOptimum(t *testing.T) {
 	proven := 0
 	for seed := int64(0); seed < n; seed++ {
 		r := progen.NewRand(seed)
-		m, err := progen.GenSpec(r, progen.SpecConfig{}).Machine()
+		m, err := progen.GenSpec(r).Machine()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -40,7 +40,7 @@ func CheckExplore(seed int64) []Violation {
 		vs = append(vs, Violation{Invariant: inv, Seed: seed, Detail: fmt.Sprintf(format, a...)})
 	}
 	r := progen.NewRand(seed)
-	tpl := progen.GenTemplate(r, progen.TemplateConfig{})
+	tpl := progen.GenTemplate(r)
 	if err := tpl.Validate(); err != nil {
 		fail("gen-template-valid", "generated template rejected: %v", err)
 		return vs

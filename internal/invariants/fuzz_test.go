@@ -35,7 +35,7 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x"}`))
 	f.Add([]byte(`not json`))
 	for seed := int64(0); seed < 4; seed++ {
-		s := progen.GenSpec(progen.NewRand(seed), progen.SpecConfig{})
+		s := progen.GenSpec(progen.NewRand(seed))
 		if data, err := s.Encode(); err == nil {
 			f.Add(data)
 		}
@@ -86,7 +86,7 @@ func FuzzSpecTemplate(f *testing.F) {
 	f.Add([]byte(`{"base_machine":"POWER1","dispatch":[5,4]}`))
 	f.Add([]byte(`not json`))
 	for seed := int64(0); seed < 4; seed++ {
-		tpl := progen.GenTemplate(progen.NewRand(seed), progen.TemplateConfig{})
+		tpl := progen.GenTemplate(progen.NewRand(seed))
 		if data, err := tpl.Encode(); err == nil {
 			f.Add(data)
 		}

@@ -161,7 +161,7 @@ func CheckBlock(seed int64, cfg Config) ([]Violation, BlockStats) {
 	}
 
 	r := progen.NewRand(seed)
-	spec := progen.GenSpec(r, progen.SpecConfig{})
+	spec := progen.GenSpec(r)
 	m, err := spec.Machine()
 	if err != nil {
 		fail("gen-spec-valid", "generated spec rejected: %v", err)
@@ -271,7 +271,7 @@ func CheckSpec(seed int64) []Violation {
 		vs = append(vs, Violation{Invariant: inv, Seed: seed, Detail: fmt.Sprintf(format, a...)})
 	}
 	r := progen.NewRand(seed)
-	spec := progen.GenSpec(r, progen.SpecConfig{})
+	spec := progen.GenSpec(r)
 
 	enc1, err := spec.Encode()
 	if err != nil {
@@ -334,7 +334,7 @@ func CheckProgram(seed int64) []Violation {
 	// Alternate between a generated target and the builtins.
 	var target *perfpredict.Target
 	if r.Intn(2) == 0 {
-		m, err := progen.GenSpec(r, progen.SpecConfig{}).Machine()
+		m, err := progen.GenSpec(r).Machine()
 		if err != nil {
 			fail("gen-spec-valid", "generated spec rejected: %v", err)
 			return vs

@@ -28,7 +28,7 @@ func CheckResultCache(seed int64) []Violation {
 	r := progen.NewRand(seed)
 	srcA := progen.GenProgram(r, progen.ProgramConfig{AllowIf: true})
 	srcB := progen.GenProgram(r, progen.ProgramConfig{})
-	spec := progen.GenSpec(r, progen.SpecConfig{})
+	spec := progen.GenSpec(r)
 	enc, err := spec.Encode()
 	if err != nil {
 		fail("gen-spec-valid", "Encode: %v", err)

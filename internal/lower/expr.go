@@ -26,13 +26,12 @@ func (tr *Translator) expr(e source.Expr) (ir.Reg, source.Type, error) {
 			return r, f.ty, nil
 		}
 	}
-	hoist := tr.opt.CodeMotion && f.inv
-	r, ty, err := tr.lowerExpr(e, f.ty, hoist)
+	r, ty, err := tr.lowerExpr(e, f.ty, f.inv)
 	if err != nil {
 		return ir.NoReg, source.TypeUnknown, err
 	}
 	if tr.opt.CSE {
-		if hoist {
+		if f.inv {
 			tr.preCSE[f.vn] = r
 		} else {
 			tr.cse[f.vn] = r

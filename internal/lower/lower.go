@@ -24,19 +24,16 @@ import (
 // Options are the back-end capability flags the cost model is tuned
 // with ("flags representing the optimization capabilities of the
 // back-end are defined and used for tuning the cost model", §2.2.2).
+// Code motion of loop invariants into the one-time (preheader) bin and
+// dead-store elimination — the mechanism behind sum-reduction
+// recognition — are always performed; the flags here are the
+// block-level ablations.
 type Options struct {
 	// CSE evaluates common subexpressions once.
 	CSE bool
-	// CodeMotion hoists loop-invariant loads and expressions into the
-	// one-time (preheader) bin.
-	CodeMotion bool
 	// FuseFMA recognizes a*b±c as fused multiply-add when the machine
 	// supports it.
 	FuseFMA bool
-	// DeadStoreElim removes stores overwritten within the block —
-	// the mechanism behind sum-reduction recognition ("all but one
-	// store instruction can be eliminated by using registers").
-	DeadStoreElim bool
 	// RegisterPressure, when positive, forces one spill store per that
 	// many loads (§2.2.1's limited-register heuristic). Zero disables.
 	RegisterPressure int
@@ -51,7 +48,7 @@ type Options struct {
 
 // DefaultOptions enables every imitation the IBM xlf back-end performs.
 func DefaultOptions() Options {
-	return Options{CSE: true, CodeMotion: true, FuseFMA: true, DeadStoreElim: true, ScalarReplace: true}
+	return Options{CSE: true, FuseFMA: true, ScalarReplace: true}
 }
 
 // Lowered is the result of translating a straight-line statement list.
@@ -224,9 +221,7 @@ func (tr *Translator) Body(stmts []source.Stmt, loopVars []string) (*Lowered, er
 		}
 		lw.Promoted = append(lw.Promoted, pv)
 	}
-	if tr.opt.DeadStoreElim {
-		deadStoreElim(tr.body)
-	}
+	deadStoreElim(tr.body)
 	deadCodeElim(tr.pre, tr.perEntry, tr.body, tr.post)
 	return lw, nil
 }

@@ -81,18 +81,6 @@ func TestDaxpyLowering(t *testing.T) {
 	}
 }
 
-func TestNoCodeMotionKeepsLoadInBody(t *testing.T) {
-	opt := DefaultOptions()
-	opt.CodeMotion = false
-	lw := lowerBody(t, daxpySrc, opt)
-	if len(lw.Pre.Instrs) != 0 {
-		t.Errorf("pre should be empty: %s", lw.Pre)
-	}
-	if countOps(lw.Body)[ir.OpFLoad] != 3 {
-		t.Errorf("body: %s", lw.Body)
-	}
-}
-
 func TestNoFMAKeepsMulAdd(t *testing.T) {
 	opt := DefaultOptions()
 	opt.FuseFMA = false
@@ -186,12 +174,6 @@ end
 	ops1 := countOps(lw1.Body)
 	if ops1[ir.OpFStore] != 1 || ops1[ir.OpFLoad] != 3 {
 		t.Errorf("DSE-only ops: %v\n%s", ops1, lw1.Body)
-	}
-	// Without either, both stores remain.
-	opt.DeadStoreElim = false
-	lw2 := lowerBody(t, src, opt)
-	if countOps(lw2.Body)[ir.OpFStore] != 2 {
-		t.Errorf("all off: %s", lw2.Body)
 	}
 }
 

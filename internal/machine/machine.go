@@ -104,10 +104,12 @@ type Machine struct {
 	// set (§2.2.1: "they are mapped to low level atomic operations if
 	// the architecture supports them").
 	HasFMA bool
-	// LoadsPerStore is the register-pressure heuristic constant K: the
-	// translation module "forces a store after certain number of
-	// loads" to simulate the effect of the limited register file
-	// (§2.2.1). Zero disables the heuristic.
+	// LoadsPerStore is meant as the register-pressure heuristic
+	// constant K of §2.2.1 (the translation module "forces a store
+	// after certain number of loads"). It is parsed, validated and
+	// fingerprinted, but no pricing reads it yet: the heuristic is
+	// driven by lower.Options.RegisterPressure alone, which pricing
+	// leaves at zero (off).
 	LoadsPerStore int
 	// BranchCost is the estimated uncovered branch cost c_br used by
 	// cost aggregation when the branch shape test says the branch is

@@ -34,7 +34,7 @@ func ReferencePOWER1() *Machine {
 		UnitCounts:    map[UnitKind]int{FXU: 1, FPU: 1, BRU: 1, CRU: 1},
 		DispatchWidth: 4,
 		HasFMA:        true,
-		LoadsPerStore: 0, // enabled per-run by the translation module
+		LoadsPerStore: 0, // not read by pricing (see Machine.LoadsPerStore)
 		BranchCost:    3,
 		Table:         map[ir.Op][]AtomicOp{},
 	}

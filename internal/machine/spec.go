@@ -31,8 +31,9 @@ type Spec struct {
 	DispatchWidth int `json:"dispatch_width"`
 	// HasFMA gates fused multiply-add emission in the lowering layer.
 	HasFMA bool `json:"has_fma,omitempty"`
-	// LoadsPerStore is the register-pressure heuristic constant K
-	// (§2.2.1); zero disables it.
+	// LoadsPerStore is the §2.2.1 register-pressure constant K. It is
+	// validated and fingerprinted but not yet read by pricing (see
+	// Machine.LoadsPerStore).
 	LoadsPerStore int `json:"loads_per_store,omitempty"`
 	// BranchCost is the uncovered branch cost c_br.
 	BranchCost int `json:"branch_cost,omitempty"`

@@ -12,10 +12,6 @@ type BlockConfig struct {
 	// MinOps and MaxOps bound the instruction count (defaults 3..14,
 	// sized so the exact oracle can prove optimality).
 	MinOps, MaxOps int
-	// MemFraction is the rough share of memory operations (default
-	// ~0.35). Memory traffic is what exercises the dependence filter's
-	// RAW/WAR/WAW and aliasing paths.
-	MemFraction float64
 	// AllowControl permits a compare+branch tail.
 	AllowControl bool
 }
@@ -27,10 +23,12 @@ func (c *BlockConfig) defaults() {
 	if c.MinOps <= 0 {
 		c.MinOps = 1
 	}
-	if c.MemFraction == 0 {
-		c.MemFraction = 0.35
-	}
 }
+
+// memFraction is the rough share of memory operations in a generated
+// block. Memory traffic is what exercises the dependence filter's
+// RAW/WAR/WAW and aliasing paths.
+const memFraction = 0.35
 
 // intOps and floatOps are the register-to-register op pools, weighted
 // by repetition.
@@ -84,7 +82,7 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 	for len(b.Instrs) < n {
 		roll := r.Float64()
 		switch {
-		case roll < cfg.MemFraction:
+		case roll < memFraction:
 			ai := r.Intn(len(addrs))
 			switch r.Intn(4) {
 			case 0: // integer load
@@ -100,7 +98,7 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 			default: // float store
 				b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Srcs: []ir.Reg{pick(r, floats)}, Addr: addrs[ai], Base: bases[ai]})
 			}
-		case roll < cfg.MemFraction+0.08:
+		case roll < memFraction+0.08:
 			switch r.Intn(3) {
 			case 0: // constant
 				d := fresh()
@@ -115,7 +113,7 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 				b.Append(ir.NewInstr(ir.OpFtoI, d, pick(r, floats)))
 				ints = append(ints, d)
 			}
-		case roll < cfg.MemFraction+0.08+0.22:
+		case roll < memFraction+0.08+0.22:
 			op := pick(r, intOps)
 			d := fresh()
 			in := ir.Instr{Op: op, Dst: d}

@@ -80,7 +80,7 @@ func TestTopoShuffleRespectsDeps(t *testing.T) {
 func TestGenSpecValid(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := NewRand(seed)
-		s := GenSpec(r, SpecConfig{})
+		s := GenSpec(r)
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: generated spec invalid: %v", seed, err)
 		}
@@ -97,7 +97,7 @@ func TestGenSpecValid(t *testing.T) {
 
 // Every deliberately broken mutation must be rejected by Validate.
 func TestInvalidMutationsCaught(t *testing.T) {
-	s := GenSpec(NewRand(7), SpecConfig{})
+	s := GenSpec(NewRand(7))
 	muts := InvalidMutations(s)
 	if len(muts) < 15 {
 		t.Fatalf("only %d mutations, want full rule coverage", len(muts))
@@ -135,7 +135,7 @@ func TestDeterminism(t *testing.T) {
 	gen := func(seed int64) (*ir.Block, []byte, string) {
 		r := NewRand(seed)
 		b := GenBlock(r, BlockConfig{AllowControl: true})
-		s := GenSpec(r, SpecConfig{})
+		s := GenSpec(r)
 		data, err := s.Encode()
 		if err != nil {
 			t.Fatal(err)

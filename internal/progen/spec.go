@@ -8,27 +8,13 @@ import (
 	"perfpredict/internal/machine"
 )
 
-// SpecConfig bounds generated machine descriptions.
-type SpecConfig struct {
-	// MaxKinds bounds the number of unit kinds (default 4, min 2).
-	MaxKinds int
-	// MaxPipes bounds the pipe count per kind (default 3).
-	MaxPipes int
-	// MaxWidth bounds the dispatch width (default 6).
-	MaxWidth int
-}
-
-func (c *SpecConfig) defaults() {
-	if c.MaxKinds < 2 {
-		c.MaxKinds = 4
-	}
-	if c.MaxPipes == 0 {
-		c.MaxPipes = 3
-	}
-	if c.MaxWidth == 0 {
-		c.MaxWidth = 6
-	}
-}
+// Bounds of generated machine descriptions: unit kinds (at least 2),
+// pipes per kind, and dispatch width.
+const (
+	maxKinds = 4
+	maxPipes = 3
+	maxWidth = 6
+)
 
 var kindPool = []string{"ALU", "FPU", "MEM", "BR", "CR", "VEC"}
 
@@ -37,19 +23,18 @@ var kindPool = []string{"ALU", "FPU", "MEM", "BR", "CR", "VEC"}
 // references a declared unit, durations are positive, and no atomic
 // operation demands more pipes of a kind than the machine has (each
 // segment of one atomic operation occupies its own pipe).
-func GenSpec(r *rand.Rand, cfg SpecConfig) *machine.Spec {
-	cfg.defaults()
-	nKinds := between(r, 2, cfg.MaxKinds)
+func GenSpec(r *rand.Rand) *machine.Spec {
+	nKinds := between(r, 2, maxKinds)
 	kinds := append([]string(nil), kindPool...)
 	r.Shuffle(len(kinds), func(i, j int) { kinds[i], kinds[j] = kinds[j], kinds[i] })
 	kinds = kinds[:nKinds]
 	units := map[string]int{}
 	for _, k := range kinds {
-		units[k] = between(r, 1, cfg.MaxPipes)
+		units[k] = between(r, 1, maxPipes)
 	}
 	s := &machine.Spec{
 		Name:          fmt.Sprintf("Fuzz-%08x", r.Uint32()),
-		DispatchWidth: between(r, 1, cfg.MaxWidth),
+		DispatchWidth: between(r, 1, maxWidth),
 		HasFMA:        r.Intn(2) == 0,
 		Units:         units,
 		Ops:           map[string][]machine.AtomicOpSpec{},

@@ -7,19 +7,10 @@ import (
 	"perfpredict/internal/machine"
 )
 
-// TemplateConfig bounds generated machine templates.
-type TemplateConfig struct {
-	// MaxCells bounds the lattice size (default 16). The generator
-	// keeps a running product and stops adding dimensions when the
-	// next one would exceed it.
-	MaxCells int
-}
-
-func (c *TemplateConfig) defaults() {
-	if c.MaxCells == 0 {
-		c.MaxCells = 16
-	}
-}
+// maxCells bounds a generated template's lattice size. The generator
+// keeps a running product and stops adding dimensions when the next
+// one would exceed it.
+const maxCells = 16
 
 // GenTemplate generates a machine template that is valid by
 // construction — and whose every lattice cell is a valid machine.
@@ -29,12 +20,11 @@ func (c *TemplateConfig) defaults() {
 // segment's covered duration, which no validator rule bounds above.
 // At least one dimension is always free (a size-1 lattice is legal
 // but exercises nothing).
-func GenTemplate(r *rand.Rand, cfg TemplateConfig) *machine.SpecTemplate {
-	cfg.defaults()
-	base := GenSpec(r, SpecConfig{})
+func GenTemplate(r *rand.Rand) *machine.SpecTemplate {
+	base := GenSpec(r)
 	tpl := &machine.SpecTemplate{Base: base}
 	cells := 1
-	fits := func(n int) bool { return cells*n <= cfg.MaxCells }
+	fits := func(n int) bool { return cells*n <= maxCells }
 
 	// Dispatch range.
 	if r.Intn(2) == 0 {

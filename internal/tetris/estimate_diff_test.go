@@ -63,7 +63,7 @@ func TestEstimateMatchesRunLengthBuiltins(t *testing.T) {
 func TestEstimateMatchesRunLengthRandomSpecs(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
-		m, err := progen.GenSpec(r, progen.SpecConfig{}).Machine()
+		m, err := progen.GenSpec(r).Machine()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

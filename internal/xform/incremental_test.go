@@ -159,16 +159,3 @@ func TestSearchNestCacheEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestSearchHonorsExplicitZeros covers the former sentinel bug:
-// explicit zero-valued aggregation options must survive defaults().
-func TestSearchHonorsExplicitZeros(t *testing.T) {
-	explicit := aggregate.Options{}
-	opt := SearchOptions{AggOpt: &explicit}
-	if got := opt.aggOptions(); got.SteadyStateIters != 0 {
-		t.Errorf("explicit zero AggOpt not honored: %+v", got)
-	}
-	if got := (&SearchOptions{}).aggOptions(); got.SteadyStateIters != aggregate.DefaultOptions().SteadyStateIters {
-		t.Errorf("nil AggOpt resolved to %+v", got)
-	}
-}

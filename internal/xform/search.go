@@ -63,13 +63,6 @@ type SearchOptions struct {
 	// UnrollFactors and TileSizes to propose (defaults {2,4} / {16}).
 	UnrollFactors []int
 	TileSizes     []int
-	// AggOpt overrides the aggregation options. nil means
-	// aggregate.DefaultOptions(); an explicit zero-valued Options is
-	// honored as given.
-	AggOpt *aggregate.Options
-	// DisableFuse/DisableTile trim the move set.
-	DisableFuse bool
-	DisableTile bool
 	// DisableNestCache turns the nest-level cost cache into a counting
 	// no-op: every nest of every candidate is re-priced from scratch
 	// (the pre-incremental behavior), while the re-pricing and tetris
@@ -121,14 +114,6 @@ func (o *SearchOptions) defaults() {
 	}
 }
 
-// aggOptions resolves the AggOpt option (nil → DefaultOptions).
-func (o *SearchOptions) aggOptions() aggregate.Options {
-	if o.AggOpt != nil {
-		return *o.AggOpt
-	}
-	return aggregate.DefaultOptions()
-}
-
 // SearchResult reports the best variant found.
 type SearchResult struct {
 	Best        *source.Program
@@ -175,7 +160,7 @@ func Moves(p *source.Program, opt SearchOptions) []Move {
 		if s.PerfectParent {
 			out = append(out, Move{Kind: "interchange", Path: s.Path})
 		}
-		if !opt.DisableTile && !s.Innermost && s.Loop.Step == nil {
+		if !s.Innermost && s.Loop.Step == nil {
 			for _, ts := range opt.TileSizes {
 				out = append(out, Move{Kind: "tile", Path: s.Path, Param: ts})
 			}
@@ -184,16 +169,14 @@ func Moves(p *source.Program, opt SearchOptions) []Move {
 			out = append(out, Move{Kind: "distribute", Path: s.Path, Param: 1})
 		}
 	}
-	if !opt.DisableFuse {
-		// Adjacent sibling loops.
-		for _, s := range sites {
-			list, i, err := locate(p, s.Path)
-			if err != nil || i+1 >= len(list) {
-				continue
-			}
-			if _, ok := list[i+1].(*source.DoLoop); ok {
-				out = append(out, Move{Kind: "fuse", Path: s.Path})
-			}
+	// Adjacent sibling loops.
+	for _, s := range sites {
+		list, i, err := locate(p, s.Path)
+		if err != nil || i+1 >= len(list) {
+			continue
+		}
+		if _, ok := list[i+1].(*source.DoLoop); ok {
+			out = append(out, Move{Kind: "fuse", Path: s.Path})
 		}
 	}
 	return out
@@ -216,7 +199,7 @@ func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, 
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := aggregate.PriceIncremental(p, dirty, caches, tbl, opt.Machine, opt.aggOptions())
+	res, err := aggregate.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
 	if err != nil {
 		return 0, 0, err
 	}
@@ -436,9 +419,7 @@ func diagnoseBest(p *source.Program, opt SearchOptions) (string, float64) {
 	for k, v := range opt.Nominal {
 		nominal[string(k)] = v
 	}
-	aopt := opt.aggOptions()
 	rep, err := explain.Program(p, tbl, opt.Machine, explain.Options{
-		Aggregate:  &aopt,
 		Nominal:    nominal,
 		SkipWhatIf: true,
 	})

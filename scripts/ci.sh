@@ -33,6 +33,21 @@ go run ./cmd/speccheck examples/custom-machine/power2f.json examples/custom-mach
 echo "== go test -race"
 go test -race ./...
 
+echo "== examples"
+# Every example's output is committed next to it as output.txt; any
+# drift fails. Each runs from its own directory, where it finds its
+# spec and template files.
+exout=$(mktemp)
+for dir in examples/*/; do
+	(cd "$dir" && go run .) >"$exout"
+	if ! diff -u "${dir}output.txt" "$exout"; then
+		echo "${dir%/} output differs from ${dir}output.txt" >&2
+		rm -f "$exout"
+		exit 1
+	fi
+done
+rm -f "$exout"
+
 echo "== memory model smoke"
 # With the POWER1 hierarchy attached, a streaming (memory-bound)
 # kernel must report a memory cost component and a scalar
