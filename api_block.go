@@ -68,12 +68,12 @@ func AnalyzeInnermostBlockWithOptions(src string, target *Target, lopt lower.Opt
 	if err != nil {
 		return BlockReport{}, err
 	}
-	body, loopVars, ok := innermostBlock(prog.Body, nil)
+	nest, ok := source.Innermost(prog.Body)
 	if !ok {
 		return BlockReport{}, fmt.Errorf("perfpredict: no innermost straight-line block found")
 	}
 	tr := lower.New(tbl, target, lopt)
-	lw, err := tr.Body(body, loopVars)
+	lw, err := tr.Body(nest.Body, nest.Vars())
 	if err != nil {
 		return BlockReport{}, err
 	}
@@ -107,56 +107,4 @@ func AnalyzeInnermostBlockWithOptions(src string, target *Target, lopt lower.Opt
 		rep.Baseline += int64(target.Latency(in.Op))
 	}
 	return rep, nil
-}
-
-// innermostBlock returns the deepest straight-line loop body,
-// preferring the most deeply nested loop.
-func innermostBlock(stmts []source.Stmt, vars []string) ([]source.Stmt, []string, bool) {
-	var bestBody []source.Stmt
-	var bestVars []string
-	bestDepth := -1
-	var walk func(list []source.Stmt, vs []string)
-	walk = func(list []source.Stmt, vs []string) {
-		for _, s := range list {
-			switch x := s.(type) {
-			case *source.DoLoop:
-				inner := append(append([]string{}, vs...), x.Var)
-				if straightOnly(x.Body) {
-					if len(inner) > bestDepth {
-						bestDepth = len(inner)
-						bestBody = x.Body
-						bestVars = inner
-					}
-					continue
-				}
-				walk(x.Body, inner)
-			case *source.IfStmt:
-				walk(x.Then, vs)
-				walk(x.Else, vs)
-			}
-		}
-	}
-	walk(stmts, vars)
-	if bestDepth < 0 {
-		// No loops: the whole body, if straight-line.
-		if straightOnly(stmts) && len(stmts) > 0 {
-			return stmts, nil, true
-		}
-		return nil, nil, false
-	}
-	return bestBody, bestVars, true
-}
-
-func straightOnly(list []source.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	for _, s := range list {
-		switch s.(type) {
-		case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-		default:
-			return false
-		}
-	}
-	return true
 }

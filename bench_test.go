@@ -61,12 +61,12 @@ func BenchmarkFig9Overlap(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		body, vars, ok := innermostBlock(p.Body, nil)
+		nest, ok := source.Innermost(p.Body)
 		if !ok {
 			continue
 		}
 		tr := lower.New(tbl, m, lower.DefaultOptions())
-		lw, err := tr.Body(body, vars)
+		lw, err := tr.Body(nest.Body, nest.Vars())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 	"perfpredict/internal/lower"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/pipesim"
+	"perfpredict/internal/source"
 	"perfpredict/internal/tetris"
 )
 
@@ -64,12 +65,12 @@ func expE2() error {
 		if err != nil {
 			return err
 		}
-		body, vars, ok := innermostOf(p.Body)
+		nest, ok := source.Innermost(p.Body)
 		if !ok {
 			continue
 		}
 		tr := lower.New(tbl, m, lower.DefaultOptions())
-		lw, err := tr.Body(body, vars)
+		lw, err := tr.Body(nest.Body, nest.Vars())
 		if err != nil {
 			return err
 		}

@@ -10,43 +10,6 @@ import (
 	"perfpredict/internal/xform"
 )
 
-// innermostOf returns the deepest straight-line loop body.
-func innermostOf(stmts []source.Stmt) ([]source.Stmt, []string, bool) {
-	var bestBody []source.Stmt
-	var bestVars []string
-	bestDepth := -1
-	straight := func(list []source.Stmt) bool {
-		if len(list) == 0 {
-			return false
-		}
-		for _, s := range list {
-			switch s.(type) {
-			case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-			default:
-				return false
-			}
-		}
-		return true
-	}
-	var walk func(list []source.Stmt, vars []string)
-	walk = func(list []source.Stmt, vars []string) {
-		for _, s := range list {
-			if loop, ok := s.(*source.DoLoop); ok {
-				inner := append(append([]string{}, vars...), loop.Var)
-				if straight(loop.Body) {
-					if len(inner) > bestDepth {
-						bestDepth, bestBody, bestVars = len(inner), loop.Body, inner
-					}
-					continue
-				}
-				walk(loop.Body, inner)
-			}
-		}
-	}
-	walk(stmts, nil)
-	return bestBody, bestVars, bestDepth >= 0
-}
-
 // expE4: for several kernels, predict the cost of unrolling the
 // innermost loop by factors 1..8 and check the predictor picks the
 // same winner the simulator does.

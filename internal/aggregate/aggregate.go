@@ -351,11 +351,7 @@ func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost
 		loopVars[k] = l.Var
 	}
 	for i < len(list) {
-		j := i
-		for j < len(list) && isStraight(list[j]) && !e.isLibCall(list[j]) {
-			j++
-		}
-		if j > i {
+		if j := source.RunEnd(list, i, e.isLibCall); j > i {
 			c, err := e.straight(list[i:j], loopVars, len(loops) > 0)
 			if err != nil {
 				return cost{}, err
@@ -410,15 +406,6 @@ func (e *Estimator) isLibCall(s source.Stmt) bool {
 	return found
 }
 
-func isStraight(s source.Stmt) bool {
-	switch s.(type) {
-	case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-		return true
-	default:
-		return false
-	}
-}
-
 // straight prices a straight-line segment. Inside loops the
 // steady-state per-iteration cost is used (iterations overlap in the
 // bins); the hoisted preheader cost accumulates into the one-time bin.
@@ -446,16 +433,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 	case inLoop:
 		// Register-promoted accumulators chain across iterations: the
 		// steady-state drop must see the serial dependence.
-		var chain map[ir.Reg]ir.Reg
-		for _, pv := range lw.Promoted {
-			if pv.InReg != ir.NoReg && pv.OutReg != ir.NoReg {
-				if chain == nil {
-					chain = map[ir.Reg]ir.Reg{}
-				}
-				chain[pv.InReg] = pv.OutReg
-			}
-		}
-		per, err := e.tetSteadyStateChained(lw.Body, chain)
+		per, err := e.tetSteadyStateChained(lw.Body, lw.Chain())
 		if err != nil {
 			return cost{}, err
 		}
@@ -732,13 +710,7 @@ func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string) (float64, 
 }
 
 func (e *Estimator) bodyShape(body []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
-	var run []source.Stmt
-	for _, s := range body {
-		if !isStraight(s) {
-			break
-		}
-		run = append(run, s)
-	}
+	run := body[:source.RunEnd(body, 0, nil)]
 	if len(run) == 0 {
 		return tetris.CostBlock{}, false
 	}

@@ -360,13 +360,7 @@ func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string) (tetris.Cost
 	if !e.auxActive() {
 		return e.bodyShape(body, loopVars)
 	}
-	var run []source.Stmt
-	for _, s := range body {
-		if !isStraight(s) {
-			break
-		}
-		run = append(run, s)
-	}
+	run := body[:source.RunEnd(body, 0, nil)]
 	if len(run) == 0 {
 		return tetris.CostBlock{}, false
 	}

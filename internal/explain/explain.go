@@ -178,12 +178,12 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	}
 	rep.MemoryBound = rep.Cycles > 0 && rep.MemoryCycles/rep.Cycles >= 0.5
 
-	sites := collectNests(prog.Body, nil)
-	if len(sites) == 0 {
-		if body, ok := flattenStraight(prog.Body); ok && len(body) > 0 {
-			sites = []nestSite{{body: body}}
-		}
-	}
+	// Every innermost nest, not just the deepest: a diagnosis must
+	// attribute cycles across kernels. A body's IFs are flattened, so
+	// a guarded update counts as executed work; the guards and branch
+	// probabilities live in the aggregate layer, which supplies the
+	// weights.
+	sites := source.Nests(prog.Body)
 	raw := make([]float64, len(sites))
 	for i, site := range sites {
 		nest, weight, err := diagnoseNest(tbl, m, site, opt.Nominal)
@@ -206,86 +206,22 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	return rep, nil
 }
 
-// nestSite is one innermost straight-line body and its enclosing loop
-// chain, outermost first.
-type nestSite struct {
-	body  []source.Stmt
-	loops []*source.DoLoop
-}
-
-// collectNests finds every innermost loop body, the shape
-// AnalyzeInnermostBlock singles out — but all of them, since a
-// diagnosis must attribute cycles across kernels, not pick one. An
-// innermost body that mixes straight statements with conditionals (but
-// contains no deeper loop) is flattened: the If branches' statements
-// join the diagnosed sequence in program order, so a guarded update
-// counts as executed work. The guards themselves and the branch
-// probability live in the aggregate layer, which supplies the weights;
-// the nest diagnosis only asks how the hot path schedules.
-func collectNests(stmts []source.Stmt, chain []*source.DoLoop) []nestSite {
-	var out []nestSite
-	for _, s := range stmts {
-		switch x := s.(type) {
-		case *source.DoLoop:
-			inner := append(append([]*source.DoLoop{}, chain...), x)
-			if body, ok := flattenStraight(x.Body); ok && len(body) > 0 {
-				out = append(out, nestSite{body: body, loops: inner})
-				continue
-			}
-			out = append(out, collectNests(x.Body, inner)...)
-		case *source.IfStmt:
-			out = append(out, collectNests(x.Then, chain)...)
-			out = append(out, collectNests(x.Else, chain)...)
-		}
-	}
-	return out
-}
-
-// flattenStraight linearizes a statement list into straight-line code,
-// inlining If branches in program order. It refuses (ok=false) when
-// the list contains a loop anywhere — that loop is the deeper nest to
-// diagnose instead.
-func flattenStraight(list []source.Stmt) ([]source.Stmt, bool) {
-	var out []source.Stmt
-	for _, s := range list {
-		switch x := s.(type) {
-		case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-			out = append(out, s)
-		case *source.IfStmt:
-			thenPart, ok := flattenStraight(x.Then)
-			if !ok {
-				return nil, false
-			}
-			elsePart, ok := flattenStraight(x.Else)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, thenPart...)
-			out = append(out, elsePart...)
-		default:
-			return nil, false
-		}
-	}
-	return out, true
-}
-
 // diagnoseNest lowers one nest's body and runs the explained placement
 // on it. The raw weight is the block cost times the nest's trip counts
 // at the nominal point — each nest's rough share of in-core cycles.
-func diagnoseNest(tbl *sem.Table, m *machine.Machine, site nestSite, nominal map[string]float64) (Nest, float64, error) {
-	vars := make([]string, len(site.loops))
-	labels := make([]string, len(site.loops))
-	for i, l := range site.loops {
-		vars[i] = l.Var
-		labels[i] = "do " + l.Var
+func diagnoseNest(tbl *sem.Table, m *machine.Machine, site source.Nest, nominal map[string]float64) (Nest, float64, error) {
+	vars := site.Vars()
+	labels := make([]string, len(vars))
+	for i, v := range vars {
+		labels[i] = "do " + v
 	}
 	nest := Nest{Label: "body", SaturatedAt: -1}
-	if len(site.loops) > 0 {
+	if len(site.Loops) > 0 {
 		nest.Label = strings.Join(labels, "/")
-		nest.Pos = site.loops[len(site.loops)-1].Pos.String()
+		nest.Pos = site.Loops[len(site.Loops)-1].Pos.String()
 	}
 
-	lw, err := lower.New(tbl, m, lower.DefaultOptions()).Body(site.body, vars)
+	lw, err := lower.New(tbl, m, lower.DefaultOptions()).Body(site.Body, vars)
 	if err != nil {
 		return Nest{}, 0, fmt.Errorf("explain: nest %s: %w", nest.Label, err)
 	}
@@ -316,7 +252,7 @@ func diagnoseNest(tbl *sem.Table, m *machine.Machine, site nestSite, nominal map
 	}
 
 	weight := float64(ex.Result.Cost)
-	for _, l := range site.loops {
+	for _, l := range site.Loops {
 		weight *= tripAt(tbl, l, nominal)
 	}
 	return nest, weight, nil

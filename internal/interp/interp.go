@@ -78,6 +78,7 @@ type Runner struct {
 
 type cachedSeg struct {
 	lw     *lower.Lowered
+	n      int // statements in the run (0 for a condition)
 	stride ir.Reg
 	// inAddr maps the static per-entry register of each promoted
 	// location to its address; outAddr maps the static final-value
@@ -220,12 +221,7 @@ func (r *Runner) step() error {
 func (r *Runner) stmts(list []source.Stmt, loopVars []string) error {
 	i := 0
 	for i < len(list) {
-		// Group a maximal straight-line run.
-		j := i
-		for j < len(list) && isStraight(list[j]) {
-			j++
-		}
-		if j > i {
+		if j := source.RunEnd(list, i, nil); j > i {
 			if err := r.straightRun(list[i:j], loopVars); err != nil {
 				return err
 			}
@@ -251,15 +247,6 @@ func (r *Runner) stmts(list []source.Stmt, loopVars []string) error {
 	return nil
 }
 
-func isStraight(s source.Stmt) bool {
-	switch s.(type) {
-	case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-		return true
-	default:
-		return false
-	}
-}
-
 // straightRun executes assignments for value and charges the lowered
 // block for time.
 func (r *Runner) straightRun(stmts []source.Stmt, loopVars []string) error {
@@ -282,25 +269,24 @@ func (r *Runner) straightRun(stmts []source.Stmt, loopVars []string) error {
 	if r.pipe == nil {
 		return nil
 	}
-	seg, err := r.segment(stmts[0], func() (*lower.Lowered, error) {
-		return r.trans.Body(stmts, loopVars)
-	})
+	seg, err := r.segment(stmts, loopVars)
 	if err != nil {
 		return err
 	}
 	return r.charge(seg)
 }
 
-// segment returns the cached lowering keyed by the first statement.
-func (r *Runner) segment(key source.Stmt, build func() (*lower.Lowered, error)) (*cachedSeg, error) {
-	if seg, ok := r.lowered[key]; ok {
+// segment returns the lowering of the straight-line run, cached under
+// its first statement: a statement starts at most one run.
+func (r *Runner) segment(run []source.Stmt, loopVars []string) (*cachedSeg, error) {
+	if seg, ok := r.lowered[run[0]]; ok {
 		return seg, nil
 	}
-	lw, err := build()
+	lw, err := r.trans.Body(run, loopVars)
 	if err != nil {
 		return nil, err
 	}
-	seg := &cachedSeg{lw: lw, stride: maxReg(lw) + 1,
+	seg := &cachedSeg{lw: lw, n: len(run), stride: maxReg(lw) + 1,
 		inAddr: map[ir.Reg]string{}, outAddr: map[ir.Reg]string{}}
 	for _, pv := range lw.Promoted {
 		if pv.InReg != ir.NoReg {
@@ -310,7 +296,7 @@ func (r *Runner) segment(key source.Stmt, build func() (*lower.Lowered, error)) 
 			seg.outAddr[pv.OutReg] = pv.Addr
 		}
 	}
-	r.lowered[key] = seg
+	r.lowered[run[0]] = seg
 	return seg, nil
 }
 
@@ -494,23 +480,17 @@ func (r *Runner) bodySegments(list []source.Stmt, loopVars []string) ([]*cachedS
 	var out []*cachedSeg
 	i := 0
 	for i < len(list) {
-		j := i
-		for j < len(list) && isStraight(list[j]) {
-			j++
-		}
-		if j > i {
-			run := list[i:j]
-			seg, err := r.segment(run[0], func() (*lower.Lowered, error) {
-				return r.trans.Body(run, loopVars)
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, seg)
-			i = j
+		j := source.RunEnd(list, i, nil)
+		if j == i {
+			i++
 			continue
 		}
-		i++
+		seg, err := r.segment(list[i:j], loopVars)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, seg)
+		i = j
 	}
 	return out, nil
 }

@@ -508,62 +508,91 @@ func (tr *Translator) subscriptSlow(e source.Expr) subEntry {
 // affineSubscript extracts (v, c, d) with subscript = c·v + d for a
 // single integer scalar variable v (v == "" for pure constants).
 func (tr *Translator) affineSubscript(e source.Expr) (v string, c, d int64, ok bool) {
-	if k, isConst := tr.tbl.IntConst(e); isConst {
-		return "", 0, k, true
-	}
+	f := tr.affine(e)
+	return f.v, f.c, f.d, f.ok
+}
+
+// affineForm is affineSubscript's answer for one node, with the node's
+// constant value as sem's FoldConst computes it (folded false when it
+// does not fold).
+type affineForm struct {
+	v      string
+	c, d   int64
+	ok     bool
+	k      float64
+	folded bool
+}
+
+// intConst reports whether the node folds to an integer, as sem's
+// IntConst decides; d then holds the integer.
+func (f affineForm) intConst() bool { return f.folded && f.k == math.Trunc(f.k) }
+
+// affine computes affineSubscript bottom-up. It folds constants in the
+// same recursion, combining the children's values as FoldConst does for
+// +, −, × and negation, so a chain of n terms costs O(n) rather than a
+// FoldConst walk per level. Node kinds the recursion does not enter are
+// folded by FoldConst.
+func (tr *Translator) affine(e source.Expr) affineForm {
+	var f affineForm
 	switch x := e.(type) {
+	case *source.NumLit:
+		f.k, f.folded = x.Value, true
 	case *source.VarRef:
 		sym := tr.tbl.Lookup(x.Name)
-		if sym == nil || sym.IsArray() || sym.Type != source.TypeInteger {
-			return "", 0, 0, false
+		if sym != nil && sym.IsConst {
+			f.k, f.folded = sym.ConstVal, true
 		}
-		return x.Name, 1, 0, true
+		if sym != nil && !sym.IsArray() && sym.Type == source.TypeInteger {
+			f.v, f.c, f.ok = x.Name, 1, true
+		}
 	case *source.UnExpr:
-		if !x.Neg {
-			return "", 0, 0, false
+		if x.Neg {
+			l := tr.affine(x.X)
+			f = affineForm{v: l.v, c: -l.c, d: -l.d, ok: l.ok, k: -l.k, folded: l.folded}
 		}
-		v, c, d, ok = tr.affineSubscript(x.X)
-		return v, -c, -d, ok
 	case *source.BinExpr:
 		switch x.Kind {
 		case source.BinAdd, source.BinSub:
-			lv, lc, ld, lok := tr.affineSubscript(x.L)
-			rv, rc, rd, rok := tr.affineSubscript(x.R)
-			if !lok || !rok {
-				return "", 0, 0, false
-			}
+			l, r := tr.affine(x.L), tr.affine(x.R)
+			f.k, f.folded = l.k+r.k, l.folded && r.folded
 			if x.Kind == source.BinSub {
-				rc, rd = -rc, -rd
+				f.k, r.c, r.d = l.k-r.k, -r.c, -r.d
 			}
+			if !l.ok || !r.ok {
+				break
+			}
+			f.d, f.ok = l.d+r.d, true
 			switch {
-			case lv == "" || lc == 0:
-				return rv, rc, ld + rd, true
-			case rv == "" || rc == 0:
-				return lv, lc, ld + rd, true
-			case lv == rv:
-				if lc+rc == 0 {
-					return "", 0, ld + rd, true
+			case l.v == "" || l.c == 0:
+				f.v, f.c = r.v, r.c
+			case r.v == "" || r.c == 0:
+				f.v, f.c = l.v, l.c
+			case l.v == r.v:
+				if l.c+r.c != 0 {
+					f.v, f.c = l.v, l.c+r.c
 				}
-				return lv, lc + rc, ld + rd, true
 			default:
-				return "", 0, 0, false
+				f.d, f.ok = 0, false
 			}
 		case source.BinMul:
-			if k, isConst := tr.tbl.IntConst(x.L); isConst {
-				rv, rc, rd, rok := tr.affineSubscript(x.R)
-				return rv, k * rc, k * rd, rok
+			l, r := tr.affine(x.L), tr.affine(x.R)
+			f.k, f.folded = l.k*r.k, l.folded && r.folded
+			switch {
+			case l.intConst():
+				f.v, f.c, f.d, f.ok = r.v, l.d*r.c, l.d*r.d, r.ok
+			case r.intConst():
+				f.v, f.c, f.d, f.ok = l.v, r.d*l.c, r.d*l.d, l.ok
 			}
-			if k, isConst := tr.tbl.IntConst(x.R); isConst {
-				lv, lc, ld, lok := tr.affineSubscript(x.L)
-				return lv, k * lc, k * ld, lok
-			}
-			return "", 0, 0, false
 		default:
-			return "", 0, 0, false
+			f.k, f.folded = tr.tbl.FoldConst(e)
 		}
 	default:
-		return "", 0, 0, false
+		f.k, f.folded = tr.tbl.FoldConst(e)
 	}
+	if f.intConst() {
+		return affineForm{d: int64(f.k), ok: true, k: f.k, folded: true}
+	}
+	return f
 }
 
 // facts is what lowering knows about one expression node.

@@ -24,29 +24,21 @@ import (
 // program with its enclosing loop variables — the units aggregation
 // lowers.
 func segments(list []source.Stmt, vars []string, visit func([]source.Stmt, []string)) {
-	var run []source.Stmt
-	flush := func() {
-		if len(run) > 0 {
-			visit(run, vars)
-			run = nil
+	for i := 0; i < len(list); {
+		if j := source.RunEnd(list, i, nil); j > i {
+			visit(list[i:j], vars)
+			i = j
+			continue
 		}
-	}
-	for _, s := range list {
-		switch x := s.(type) {
+		switch x := list[i].(type) {
 		case *source.DoLoop:
-			flush()
 			segments(x.Body, append(slices.Clip(vars), x.Var), visit)
 		case *source.IfStmt:
-			flush()
 			segments(x.Then, vars, visit)
 			segments(x.Else, vars, visit)
-		case *source.ReturnStmt:
-			flush()
-		default:
-			run = append(run, s)
 		}
+		i++
 	}
-	flush()
 }
 
 func renderLowered(lw *lower.Lowered, err error) string {

@@ -36,6 +36,18 @@ func chainProgram(n int, distinct bool) string {
 	return sb.String()
 }
 
+// subscriptProgram is `s = s + y(i + 1 + 1 + …)` with n terms in the
+// subscript, inside a do loop.
+func subscriptProgram(n int) string {
+	var sb strings.Builder
+	sb.WriteString("program chain\n  integer i, n\n  real s, y(100)\n  do i = 1, n\n    s = s + y(i")
+	for k := 1; k < n; k++ {
+		sb.WriteString(" + 1")
+	}
+	sb.WriteString(")\n  end do\nend\n")
+	return sb.String()
+}
+
 // lowerAllocs lowers every segment of src on POWER1 and returns the
 // bytes allocated and the time taken by the lowering alone.
 func lowerAllocs(t *testing.T, src string) (uint64, time.Duration) {
@@ -67,13 +79,21 @@ func lowerAllocs(t *testing.T, src string) (uint64, time.Duration) {
 // in its length, and an 8k-term statement lowers well within a second.
 // A lowering that renders or re-walks the subtree at every node is
 // quadratic: its 8k/2k allocation ratio is about 16, a linear one 4.
+// A walk that re-folds constants at every level of a subscript
+// allocates nothing for it, so that shape also bounds the 8k/2k time
+// ratio, taken as the best of three runs at each size.
 func TestLoweringLinear(t *testing.T) {
 	for _, shape := range []struct {
-		name     string
-		distinct bool
-	}{{"a+a+…", false}, {"y(i)=x0+x1+…", true}} {
-		small, _ := lowerAllocs(t, chainProgram(2000, shape.distinct))
-		large, took := lowerAllocs(t, chainProgram(8000, shape.distinct))
+		name  string
+		src   func(n int) string
+		timed bool
+	}{
+		{"a+a+…", func(n int) string { return chainProgram(n, false) }, false},
+		{"y(i)=x0+x1+…", func(n int) string { return chainProgram(n, true) }, false},
+		{"s=s+y(i+1+1+…)", subscriptProgram, true},
+	} {
+		small, smallTook := lowerAllocs(t, shape.src(2000))
+		large, took := lowerAllocs(t, shape.src(8000))
 		ratio := float64(large) / float64(small)
 		t.Logf("%s: %d B at 2k terms, %d B at 8k (ratio %.1f); 8k in %v", shape.name, small, large, ratio, took)
 		if ratio > 5 {
@@ -81,6 +101,18 @@ func TestLoweringLinear(t *testing.T) {
 		}
 		if took > time.Second {
 			t.Errorf("%s: 8k-term lowering took %v, want < 1s", shape.name, took)
+		}
+		if !shape.timed {
+			continue
+		}
+		for range 2 {
+			_, d := lowerAllocs(t, shape.src(2000))
+			smallTook = min(smallTook, d)
+			_, d = lowerAllocs(t, shape.src(8000))
+			took = min(took, d)
+		}
+		if tr := float64(took) / float64(smallTook); tr > 12 {
+			t.Errorf("%s: 8k/2k time ratio %.1f (%v / %v), want ≤ 12 (linear reads 4–7 with stack growth, quadratic 16 or more)", shape.name, tr, took, smallTook)
 		}
 	}
 }

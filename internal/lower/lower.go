@@ -85,6 +85,24 @@ type PromotedVar struct {
 	OutReg ir.Reg
 }
 
+// Chain maps the register each promoted location's per-entry load
+// defines to the register holding its value at the end of Body: the
+// serial dependence one iteration hands the next when the block
+// repeats. Locations missing either register carry none; nil when no
+// location carries one.
+func (lw *Lowered) Chain() map[ir.Reg]ir.Reg {
+	var chain map[ir.Reg]ir.Reg
+	for _, pv := range lw.Promoted {
+		if pv.InReg != ir.NoReg && pv.OutReg != ir.NoReg {
+			if chain == nil {
+				chain = map[ir.Reg]ir.Reg{}
+			}
+			chain[pv.InReg] = pv.OutReg
+		}
+	}
+	return chain
+}
+
 // Translator lowers statements for one program unit on one machine.
 type Translator struct {
 	tbl *sem.Table

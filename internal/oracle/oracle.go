@@ -50,8 +50,6 @@ type Options struct {
 	// MayAlias selects the conservative memory-dependence filter; it
 	// must match the tetris.Options the oracle is compared against.
 	MayAlias bool
-	// DispatchWidth overrides the machine's dispatch width; 0 keeps it.
-	DispatchWidth int
 }
 
 // Result is an exact (or budget-truncated) packing.
@@ -201,9 +199,6 @@ func newPacker(m *machine.Machine, b *ir.Block, opt Options) (*packer, error) {
 		minOcc:    math.MaxInt,
 		budget:    budget,
 		order:     make([]int, 0, n),
-	}
-	if opt.DispatchWidth > 0 {
-		p.width = opt.DispatchWidth
 	}
 	for i, u := range p.inst {
 		p.byKind[u.Kind] = append(p.byKind[u.Kind], i)

@@ -31,12 +31,12 @@ func kernelSuiteBlocks(tb testing.TB) []*ir.Block {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		body, vars, ok := benchInnermost(p.Body, nil)
+		nest, ok := source.Innermost(p.Body)
 		if !ok {
 			continue
 		}
 		tr := lower.New(tbl, m, lower.DefaultOptions())
-		lw, err := tr.Body(body, vars)
+		lw, err := tr.Body(nest.Body, nest.Vars())
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -80,48 +80,6 @@ func benchUnrollIR(blk *ir.Block, f int) *ir.Block {
 		}
 	}
 	return out
-}
-
-// benchInnermost mirrors the library's innermost-block extraction:
-// deepest loop nest whose body is straight-line.
-func benchInnermost(stmts []source.Stmt, vars []string) ([]source.Stmt, []string, bool) {
-	var bestBody []source.Stmt
-	var bestVars []string
-	bestDepth := -1
-	var walk func(list []source.Stmt, vs []string)
-	walk = func(list []source.Stmt, vs []string) {
-		for _, s := range list {
-			switch x := s.(type) {
-			case *source.DoLoop:
-				inner := append(append([]string{}, vs...), x.Var)
-				straight := len(x.Body) > 0
-				for _, b := range x.Body {
-					switch b.(type) {
-					case *source.Assign, *source.CallStmt, *source.ContinueStmt:
-					default:
-						straight = false
-					}
-				}
-				if straight {
-					if len(inner) > bestDepth {
-						bestDepth = len(inner)
-						bestBody = x.Body
-						bestVars = inner
-					}
-					continue
-				}
-				walk(x.Body, inner)
-			case *source.IfStmt:
-				walk(x.Then, vs)
-				walk(x.Else, vs)
-			}
-		}
-	}
-	walk(stmts, vars)
-	if bestDepth < 0 {
-		return nil, nil, false
-	}
-	return bestBody, bestVars, true
 }
 
 func benchSyntheticBlock(n int) *ir.Block {
@@ -196,16 +154,16 @@ func BenchmarkTetrisEstimate(b *testing.B) {
 // slot 0 through increasingly dense occupancy — tryFit/nextFit with
 // the surrounding estimator stripped away.
 func BenchmarkTetrisTryFit(b *testing.B) {
-	m := machine.NewPOWER1()
+	// A dispatch width no drop reaches: occupancy alone decides fits.
+	m := withDispatch(b, machine.NewPOWER1(), 1<<20)
 	const drops = 512
 	b.Run("bitmap", func(b *testing.B) {
 		b.ReportAllocs()
 		sc := new(estScratch)
-		opt := Options{DispatchWidth: 1 << 20}
 		c := m.Compiled()
 		at := &c.Costs().Lookup(ir.OpFAdd).Atoms[0]
 		for i := 0; i < b.N; i++ {
-			bins := sc.prepare(c, opt)
+			bins := sc.prepare(c, Options{})
 			for j := 0; j < drops; j++ {
 				if _, err := bins.placeOne(at, 0); err != nil {
 					b.Fatal(err)
@@ -216,13 +174,12 @@ func BenchmarkTetrisTryFit(b *testing.B) {
 	b.Run("runlength", func(b *testing.B) {
 		b.ReportAllocs()
 		sc := new(rlScratch)
-		opt := Options{DispatchWidth: 1 << 20}
 		seq, err := m.Lookup(ir.OpFAdd)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			bins := sc.prepare(m, opt)
+			bins := sc.prepare(m, Options{})
 			for j := 0; j < drops; j++ {
 				if _, err := bins.placeOne(seq[0], 0); err != nil {
 					b.Fatal(err)

@@ -72,15 +72,7 @@ func lowerCorpus(t *testing.T, m *machine.Machine) []corpusBlock {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var chain map[ir.Reg]ir.Reg
-		for _, pv := range lw.Promoted {
-			if pv.InReg != ir.NoReg && pv.OutReg != ir.NoReg {
-				if chain == nil {
-					chain = map[ir.Reg]ir.Reg{}
-				}
-				chain[pv.InReg] = pv.OutReg
-			}
-		}
+		chain := lw.Chain()
 		for _, b := range []*ir.Block{lw.Body, lw.Pre, lw.PerEntry, lw.Post} {
 			if b != nil && len(b.Instrs) > 0 {
 				out = append(out, corpusBlock{name: name, blk: b, chain: chain})
@@ -104,32 +96,24 @@ func lowerCorpus(t *testing.T, m *machine.Machine) []corpusBlock {
 		name := filepath.Base(f)
 		var walk func(list []source.Stmt, vars []string)
 		walk = func(list []source.Stmt, vars []string) {
-			var run []source.Stmt
-			flush := func() {
-				if len(run) > 0 {
-					lw, err := tr.Body(run, vars)
+			for i := 0; i < len(list); {
+				if j := source.RunEnd(list, i, nil); j > i {
+					lw, err := tr.Body(list[i:j], vars)
 					add(name, lw, err)
-					run = nil
+					i = j
+					continue
 				}
-			}
-			for _, s := range list {
-				switch x := s.(type) {
+				switch x := list[i].(type) {
 				case *source.DoLoop:
-					flush()
 					walk(x.Body, append(slices.Clip(vars), x.Var))
 				case *source.IfStmt:
-					flush()
 					lw, err := tr.Condition(x.Cond, vars)
 					add(name, lw, err)
 					walk(x.Then, vars)
 					walk(x.Else, vars)
-				case *source.ReturnStmt:
-					flush()
-				default:
-					run = append(run, s)
 				}
+				i++
 			}
-			flush()
 		}
 		walk(prog.Body, nil)
 	}

@@ -410,7 +410,7 @@ func TestQuickFocusSpanNeverImproves(t *testing.T) {
 // We assert the error distribution: small on average, bounded in the
 // worst case.
 func TestConcatErrorDistribution(t *testing.T) {
-	m := machine.NewPOWER1()
+	m := withDispatch(t, machine.NewPOWER1(), 64)
 	mk := func(r *rand.Rand, tag string) *ir.Block {
 		b := &ir.Block{}
 		n := 2 + r.Intn(10)
@@ -432,14 +432,13 @@ func TestConcatErrorDistribution(t *testing.T) {
 		}
 		return b
 	}
-	opt := Options{DispatchWidth: 64}
 	var sumAbs, worst float64
 	const trials = 400
 	for seed := int64(0); seed < trials; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		a, b := mk(r, "a"), mk(r, "b")
-		ra, err1 := Estimate(m, a, opt)
-		rb, err2 := Estimate(m, b, opt)
+		ra, err1 := Estimate(m, a, Options{})
+		rb, err2 := Estimate(m, b, Options{})
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -459,7 +458,7 @@ func TestConcatErrorDistribution(t *testing.T) {
 			}
 			merged.Instrs = append(merged.Instrs, c)
 		}
-		exact, err := Estimate(m, merged, opt)
+		exact, err := Estimate(m, merged, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,6 @@ type Options struct {
 	// IgnoreDeps drops the dependence filter (ablation: pure bin
 	// packing, a lower bound).
 	IgnoreDeps bool
-	// DispatchWidth overrides the machine's dispatch width; 0 keeps it.
-	DispatchWidth int
 }
 
 // Result is the cost estimate for one straight-line block.
@@ -222,9 +220,6 @@ func (sc *estScratch) prepare(c *machine.Compiled, opt Options) *bins {
 	b.top = 0
 	b.haveOcc = false
 	b.width = c.DispatchWidth()
-	if opt.DispatchWidth > 0 {
-		b.width = opt.DispatchWidth
-	}
 	return b
 }
 

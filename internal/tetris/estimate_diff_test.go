@@ -16,15 +16,23 @@ import (
 	"perfpredict/internal/progen"
 )
 
-func diffOptions() []Options {
-	return []Options{
-		{},
-		{MayAlias: true},
-		{IgnoreDeps: true},
-		{FocusSpan: 2},
-		{FocusSpan: 7, MayAlias: true},
-		{DispatchWidth: 1},
-		{DispatchWidth: 2, FocusSpan: 3},
+// diffCase is one machine and options pair both estimators price.
+type diffCase struct {
+	m   *machine.Machine
+	opt Options
+}
+
+// diffCases covers the Options matrix on m, and m narrowed to dispatch
+// widths 1 and 2.
+func diffCases(t *testing.T, m *machine.Machine) []diffCase {
+	return []diffCase{
+		{m, Options{}},
+		{m, Options{MayAlias: true}},
+		{m, Options{IgnoreDeps: true}},
+		{m, Options{FocusSpan: 2}},
+		{m, Options{FocusSpan: 7, MayAlias: true}},
+		{withDispatch(t, m, 1), Options{}},
+		{withDispatch(t, m, 2), Options{FocusSpan: 3}},
 	}
 }
 
@@ -54,8 +62,8 @@ func TestEstimateMatchesRunLengthBuiltins(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		blk := progen.GenBlock(r, progen.BlockConfig{MinOps: 1, MaxOps: 40, AllowControl: true})
 		m := machines[seed%int64(len(machines))]
-		for _, opt := range diffOptions() {
-			assertSameEstimate(t, m, blk, opt, m.Name)
+		for _, c := range diffCases(t, m) {
+			assertSameEstimate(t, c.m, blk, c.opt, m.Name)
 		}
 	}
 }
@@ -68,8 +76,8 @@ func TestEstimateMatchesRunLengthRandomSpecs(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		blk := progen.GenBlock(r, progen.BlockConfig{MinOps: 1, MaxOps: 30})
-		for _, opt := range diffOptions() {
-			assertSameEstimate(t, m, blk, opt, m.Name)
+		for _, c := range diffCases(t, m) {
+			assertSameEstimate(t, c.m, blk, c.opt, m.Name)
 		}
 	}
 }
@@ -79,11 +87,12 @@ func TestEstimateMatchesRunLengthRandomSpecs(t *testing.T) {
 // paths at scale.
 func TestEstimateMatchesRunLengthLargeBlocks(t *testing.T) {
 	m := machine.NewPOWER1()
+	narrow := withDispatch(t, m, 1)
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(2000 + seed))
 		blk := progen.GenBlock(r, progen.BlockConfig{MinOps: 300, MaxOps: 600})
-		for _, opt := range []Options{{}, {FocusSpan: 16}, {DispatchWidth: 1}} {
-			assertSameEstimate(t, m, blk, opt, "large")
+		for _, c := range []diffCase{{m, Options{}}, {m, Options{FocusSpan: 16}}, {narrow, Options{}}} {
+			assertSameEstimate(t, c.m, blk, c.opt, "large")
 		}
 	}
 	// A serial divide chain drives single-pipe occupancy thousands of

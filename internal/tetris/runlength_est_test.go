@@ -112,9 +112,6 @@ func (sc *rlScratch) prepare(m *machine.Machine, opt Options) *rlBins {
 	b.top = 0
 	b.haveOcc = false
 	b.width = m.DispatchWidth
-	if opt.DispatchWidth > 0 {
-		b.width = opt.DispatchWidth
-	}
 	return b
 }
 

@@ -178,6 +178,18 @@ func TestMultiAtomicExpansionSerial(t *testing.T) {
 	}
 }
 
+// withDispatch returns m rebuilt from its spec with dispatch width w.
+func withDispatch(tb testing.TB, m *machine.Machine, w int) *machine.Machine {
+	tb.Helper()
+	s := machine.SpecOf(m)
+	s.DispatchWidth = w
+	out, err := s.Machine()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
 func TestDispatchWidthLimits(t *testing.T) {
 	m := machine.NewSuperScalar2()
 	b := &ir.Block{}
@@ -187,7 +199,7 @@ func TestDispatchWidthLimits(t *testing.T) {
 		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
 	}
 	wide := est(t, m, b, Options{})
-	narrow := est(t, m, b, Options{DispatchWidth: 1})
+	narrow := est(t, withDispatch(t, m, 1), b, Options{})
 	if wide.Cost != 2 {
 		t.Errorf("2-pipe cost = %d, want 2", wide.Cost)
 	}

@@ -171,16 +171,8 @@ go run ./cmd/fuzzcheck -n 300 -seed 1
 echo "== benchmarks (1 iteration each)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== tetris kernel smoke (1 iteration each)"
-# Both slot implementations priced once through every suite: catches
-# panics/divergence in the hot path without paying for a real run.
-go test -run '^$' -bench 'Tetris' -benchtime 1x ./internal/tetris
-
 echo "== benchmark regression report (non-gating)"
 sh scripts/bench_regress.sh || echo "bench_regress.sh failed (non-gating)" >&2
-
-echo "== perf trajectory (non-gating)"
-sh scripts/bench.sh || echo "bench.sh failed (non-gating)" >&2
 
 echo "== non-test Go lines (non-gating)"
 sh scripts/loc.sh || echo "loc.sh failed (non-gating)" >&2
