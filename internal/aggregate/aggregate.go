@@ -185,7 +185,7 @@ type Estimator struct {
 	c   *machine.Compiled // m's compiled form
 	opt Options
 
-	trans    *lower.Translator
+	trans    *lower.Translator // built on the first lowering miss; see translator
 	preVals  []float64
 	unknowns []Unknown
 	seen     map[symexpr.Var]bool
@@ -243,7 +243,6 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 		m:     m,
 		c:     c,
 		opt:   opt,
-		trans: lower.New(tbl, m, lower.DefaultOptions()),
 		seen:  map[symexpr.Var]bool{},
 		cache: cache,
 		names: map[string]bool{},

@@ -281,13 +281,7 @@ func (e *Estimator) addPre(v float64) { e.preVals = append(e.preVals, v) }
 
 // prePoly folds the recorded one-time costs, in order, into the
 // OneTime polynomial.
-func (e *Estimator) prePoly() symexpr.Poly {
-	p := symexpr.Zero()
-	for _, v := range e.preVals {
-		p = p.AddConst(v)
-	}
-	return p
-}
+func (e *Estimator) prePoly() symexpr.Poly { return symexpr.ConstSum(e.preVals) }
 
 // auxActive reports whether the sub-nest memo tables (loop control,
 // shapes, bounds) may be used: they key on the whole-program

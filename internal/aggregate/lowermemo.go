@@ -74,9 +74,9 @@ func (c *LowerMemo) Stats() (hits, misses int) {
 }
 
 // get returns the lowering k names (for a segment, of stmts) under
-// loopVars, lowering it with tr on a miss. Lowering errors are not
-// memoized.
-func (c *LowerMemo) get(tr *lower.Translator, k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
+// loopVars, lowering it with the translator tr returns on a miss.
+// Lowering errors are not memoized.
+func (c *LowerMemo) get(tr func() *lower.Translator, k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	c.mu.RLock()
 	lw := c.find(k, stmts, loopVars)
 	c.mu.RUnlock()
@@ -88,11 +88,11 @@ func (c *LowerMemo) get(tr *lower.Translator, k lowerKey, stmts []source.Stmt, l
 	var err error
 	switch k.kind {
 	case lowerSegment:
-		lw, err = tr.Body(stmts, loopVars)
+		lw, err = tr().Body(stmts, loopVars)
 	case lowerCondition:
-		lw, err = tr.Condition(k.node.(source.Expr), loopVars)
+		lw, err = tr().Condition(k.node.(source.Expr), loopVars)
 	default:
-		lw, err = tr.ExprOnly(k.node.(source.Expr), loopVars)
+		lw, err = tr().ExprOnly(k.node.(source.Expr), loopVars)
 	}
 	if err != nil {
 		return nil, err
@@ -146,5 +146,15 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 		e.lowered = NewLowerMemo()
 	}
 	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.c.HasFMA()}
-	return e.lowered.get(e.trans, k, stmts, loopVars)
+	return e.lowered.get(e.translator, k, stmts, loopVars)
+}
+
+// translator returns the estimator's lowering translator, creating it
+// on first use: an estimator whose lowerings all hit a shared memo
+// never builds one.
+func (e *Estimator) translator() *lower.Translator {
+	if e.trans == nil {
+		e.trans = lower.New(e.tbl, e.m, lower.DefaultOptions())
+	}
+	return e.trans
 }

@@ -78,3 +78,28 @@ func TestSegCacheKeyIgnoresUnreferencedDecls(t *testing.T) {
 			misses-misses0, hits-hits0)
 	}
 }
+
+// TestTranslatorBuiltOnlyOnMiss: an estimator builds its lowering
+// translator on its first lowering-memo miss, so one whose lowerings
+// all hit a shared memo (a sweep cell after the first) never builds
+// one, and prices the program the same.
+func TestTranslatorBuiltOnlyOnMiss(t *testing.T) {
+	m := machine.NewPOWER1()
+	p, tbl := parseAnalyze(t, "program p\n  integer i, n\n  real x(100), y(100)\n"+declLoop)
+	memo := NewLowerMemo()
+	var costs []string
+	for i, wantTrans := range []bool{true, false} {
+		e := NewWithCaches(tbl, m, DefaultOptions(), Caches{Lower: memo})
+		r, err := e.Program(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.trans != nil; got != wantTrans {
+			t.Errorf("estimator %d: translator built = %v, want %v", i, got, wantTrans)
+		}
+		costs = append(costs, r.Cost.String())
+	}
+	if costs[0] != costs[1] {
+		t.Errorf("warm memo priced %s, cold %s", costs[1], costs[0])
+	}
+}

@@ -270,17 +270,17 @@ func allZero(regions []Region) bool {
 // the box given by bounds, by bounding each monomial independently.
 // Exact for single-term expressions; conservative otherwise.
 func IntervalBound(p Poly, bounds Bounds) (lo, hi float64) {
-	for _, t := range p.Terms() {
+	for _, t := range p.terms {
 		mlo, mhi := 1.0, 1.0
-		for v, e := range t.Mono {
-			iv, ok := bounds[v]
+		for _, x := range t.mono.ves {
+			iv, ok := bounds[x.v]
 			if !ok {
 				return math.Inf(-1), math.Inf(1)
 			}
-			plo, phi := powInterval(iv, e)
+			plo, phi := powInterval(iv, x.e)
 			mlo, mhi = mulInterval(mlo, mhi, plo, phi)
 		}
-		tlo, thi := mlo*t.Coeff, mhi*t.Coeff
+		tlo, thi := mlo*t.coeff, mhi*t.coeff
 		if tlo > thi {
 			tlo, thi = thi, tlo
 		}

@@ -13,7 +13,7 @@ package symexpr
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -22,125 +22,117 @@ type Var string
 
 // Monomial is a product of variables raised to integer powers.
 // Negative exponents are permitted (Laurent terms such as 1/x^3,
-// which §3.1 of the paper drops when dominated).
+// which §3.1 of the paper drops when dominated). It is the form Term
+// takes and Terms reports; a Poly stores interned monomials instead
+// (see intern.go).
 type Monomial map[Var]int
-
-// key returns the canonical (interned) string form usable as a map
-// key; see intern.go.
-func (m Monomial) key() string { return monoKey(m) }
-
-func (m Monomial) clone() Monomial {
-	c := make(Monomial, len(m))
-	for v, e := range m {
-		if e != 0 {
-			c[v] = e
-		}
-	}
-	return c
-}
-
-// degree returns the exponent of v in m.
-func (m Monomial) degree(v Var) int { return m[v] }
-
-// totalDegree returns the sum of positive exponents minus negative ones.
-func (m Monomial) totalDegree() int {
-	d := 0
-	for _, e := range m {
-		d += e
-	}
-	return d
-}
 
 // Poly is a multivariate Laurent polynomial with float64 coefficients.
 // The zero value is the zero polynomial. Poly values are immutable:
-// all operations return new polynomials.
+// all operations return new polynomials, and an operation whose result
+// equals an operand may return that operand's terms unchanged.
 type Poly struct {
-	// terms maps a monomial key to its term. Coefficients are never
-	// stored as exact zeros.
-	terms map[string]polyTerm
+	// terms holds one entry per distinct monomial, in the order String
+	// prints them: total degree descending, then canonical key
+	// ascending. Coefficients are never below coeffEps in magnitude.
+	terms []term
 }
 
-type polyTerm struct {
+type term struct {
 	coeff float64
-	mono  Monomial
+	mono  *monoRec
 }
 
 // Zero returns the zero polynomial.
 func Zero() Poly { return Poly{} }
 
 // Const returns the constant polynomial c.
-func Const(c float64) Poly {
-	p := Poly{}
-	p = p.addTerm(c, Monomial{})
-	return p
-}
+func Const(c float64) Poly { return single(c, one) }
 
 // NewVar returns the polynomial consisting of the single variable v.
-func NewVar(v Var) Poly {
-	p := Poly{}
-	return p.addTerm(1, Monomial{v: 1})
-}
+func NewVar(v Var) Poly { return single(1, internVEs([]ve{{v, 1}})) }
 
 // Term returns coeff * Π v_i^e_i.
 func Term(coeff float64, mono Monomial) Poly {
-	p := Poly{}
-	return p.addTerm(coeff, mono)
+	if math.Abs(coeff) < coeffEps {
+		return Poly{}
+	}
+	return single(coeff, monoOf(mono))
+}
+
+func single(c float64, m *monoRec) Poly {
+	if math.Abs(c) < coeffEps {
+		return Poly{}
+	}
+	return Poly{terms: []term{{c, m}}}
 }
 
 const coeffEps = 1e-12
 
-// addTerm returns p with coeff*mono added, cloning p (and the caller's
-// monomial, which may be reused) — the safe entry point behind Const,
-// NewVar, Term and the summation code. The arithmetic hot paths below
-// instead clone once and merge in place via addInto.
-func (p Poly) addTerm(coeff float64, mono Monomial) Poly {
-	out := p.clone()
-	if math.Abs(coeff) < coeffEps {
-		return out
+// accum adds c to the running coefficient sum acc under the package's
+// drop rule: an addend below coeffEps in magnitude is ignored, and a
+// sum that falls below coeffEps becomes 0 (the term disappears, and a
+// later addend starts it afresh).
+func accum(acc, c float64) float64 {
+	if math.Abs(c) < coeffEps {
+		return acc
 	}
-	if out.terms == nil {
-		out.terms = make(map[string]polyTerm, 1)
+	acc += c
+	if math.Abs(acc) < coeffEps {
+		return 0
 	}
-	m := mono.clone()
-	addInto(out.terms, m.key(), coeff, m)
-	return out
+	return acc
 }
 
-// addInto accumulates coeff·mono (whose canonical key is key) into a
-// terms map owned by the caller. mono is retained when the key is new,
-// so it must not be mutated afterwards — the package-wide invariant
-// that Monomial maps inside polyTerms are immutable.
-func addInto(terms map[string]polyTerm, key string, coeff float64, mono Monomial) {
-	if math.Abs(coeff) < coeffEps {
-		return
+// ConstSum returns the constant Σ vs, accumulated in order under the
+// same drop rule as AddConst: ConstSum(vs) equals the AddConst chain
+// Zero().AddConst(vs[0]).AddConst(vs[1])… without building each
+// intermediate polynomial.
+func ConstSum(vs []float64) Poly {
+	acc := 0.0
+	for _, v := range vs {
+		acc = accum(acc, v)
 	}
-	if t, ok := terms[key]; ok {
-		c := t.coeff + coeff
-		if math.Abs(c) < coeffEps {
-			delete(terms, key)
-		} else {
-			terms[key] = polyTerm{c, t.mono}
+	return Const(acc)
+}
+
+// collect returns the polynomial of the terms in ts, which may be in
+// any order and repeat monomials. Equal monomials fold in the order
+// they appear in ts, under accum's drop rule, so collecting the
+// concatenated terms of several polynomials gives exactly the result
+// of adding them left to right. ts is reordered; the result does not
+// alias it.
+func collect(ts []term) Poly {
+	slices.SortStableFunc(ts, func(a, b term) int { return monoCmp(a.mono, b.mono) })
+	n := 0
+	for i := 0; i < len(ts); {
+		m, acc := ts[i].mono, 0.0
+		for ; i < len(ts) && ts[i].mono == m; i++ {
+			acc = accum(acc, ts[i].coeff)
 		}
-		return
+		if acc != 0 {
+			ts[n] = term{acc, m}
+			n++
+		}
 	}
-	terms[key] = polyTerm{coeff, mono}
-}
-
-func (p Poly) clone() Poly {
-	return p.cloneExtra(0)
-}
-
-// cloneExtra clones p with capacity for extra additional terms. The
-// monomial maps are shared: they are immutable once stored.
-func (p Poly) cloneExtra(extra int) Poly {
-	if p.terms == nil && extra == 0 {
+	if n == 0 {
 		return Poly{}
 	}
-	c := Poly{terms: make(map[string]polyTerm, len(p.terms)+extra)}
-	for k, t := range p.terms {
-		c.terms[k] = t
+	return Poly{terms: slices.Clone(ts[:n])}
+}
+
+// collectFrom runs build over pooled scratch and collects the terms it
+// appends.
+func collectFrom(build func(ts []term) ([]term, error)) (Poly, error) {
+	sc := scratchPool.Get().(*scratch)
+	ts, err := build(sc.terms[:0])
+	var out Poly
+	if err == nil {
+		out = collect(ts)
 	}
-	return c
+	sc.terms = ts[:0]
+	scratchPool.Put(sc)
+	return out, err
 }
 
 // IsZero reports whether p is the zero polynomial.
@@ -148,68 +140,100 @@ func (p Poly) IsZero() bool { return len(p.terms) == 0 }
 
 // IsConst reports whether p has no variables; if so it returns the value.
 func (p Poly) IsConst() (float64, bool) {
-	switch len(p.terms) {
-	case 0:
+	switch {
+	case len(p.terms) == 0:
 		return 0, true
-	case 1:
-		for k, t := range p.terms {
-			if k == "" {
-				return t.coeff, true
-			}
-		}
+	case len(p.terms) == 1 && p.terms[0].mono == one:
+		return p.terms[0].coeff, true
 	}
 	return 0, false
 }
 
 // ConstPart returns the coefficient of the constant monomial.
 func (p Poly) ConstPart() float64 {
-	if t, ok := p.terms[""]; ok {
-		return t.coeff
+	if i := p.constIndex(); i < len(p.terms) && p.terms[i].mono == one {
+		return p.terms[i].coeff
 	}
 	return 0
+}
+
+// constIndex returns where the constant term is, or would be inserted:
+// the first term of degree ≤ 0, since the constant's key "" sorts
+// first among degree-0 monomials.
+func (p Poly) constIndex() int {
+	for i, t := range p.terms {
+		if t.mono.deg <= 0 {
+			return i
+		}
+	}
+	return len(p.terms)
 }
 
 // NumTerms returns the number of (nonzero) terms.
 func (p Poly) NumTerms() int { return len(p.terms) }
 
-// Add returns p + q. The result shares monomial maps with its inputs
-// (they are immutable); only the term table is fresh.
-func (p Poly) Add(q Poly) Poly {
-	if len(q.terms) == 0 {
-		return p.clone()
-	}
-	out := p.cloneExtra(len(q.terms))
-	for k, t := range q.terms {
-		addInto(out.terms, k, t.coeff, t.mono)
-	}
-	return out
-}
+// Add returns p + q, a linear merge of the two term lists.
+func (p Poly) Add(q Poly) Poly { return merge(p, q, 1) }
 
 // Sub returns p − q.
-func (p Poly) Sub(q Poly) Poly {
-	if len(q.terms) == 0 {
-		return p.clone()
-	}
-	out := p.cloneExtra(len(q.terms))
-	for k, t := range q.terms {
-		addInto(out.terms, k, -t.coeff, t.mono)
-	}
-	return out
-}
+func (p Poly) Sub(q Poly) Poly { return merge(p, q, -1) }
 
-// Scale returns c·p. Scaling never changes monomials, so keys are
-// copied verbatim.
-func (p Poly) Scale(c float64) Poly {
-	if len(p.terms) == 0 || math.Abs(c) < coeffEps {
-		return Poly{}
+// merge returns p + sign·q for sign ±1.
+func merge(p, q Poly, sign float64) Poly {
+	switch {
+	case len(q.terms) == 0:
+		return p
+	case len(p.terms) == 0 && sign == 1:
+		return q
 	}
-	out := Poly{terms: make(map[string]polyTerm, len(p.terms))}
-	for k, t := range p.terms {
-		if sc := c * t.coeff; math.Abs(sc) >= coeffEps {
-			out.terms[k] = polyTerm{sc, t.mono}
+	a, b := p.terms, q.terms
+	out := make([]term, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := monoCmp(a[i].mono, b[j].mono); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, term{sign * b[j].coeff, b[j].mono})
+			j++
+		default:
+			if s := a[i].coeff + sign*b[j].coeff; math.Abs(s) >= coeffEps {
+				out = append(out, term{s, a[i].mono})
+			}
+			i++
+			j++
 		}
 	}
-	return out
+	out = append(out, a[i:]...)
+	for ; j < len(b); j++ {
+		out = append(out, term{sign * b[j].coeff, b[j].mono})
+	}
+	if len(out) == 0 {
+		return Poly{}
+	}
+	return Poly{terms: out}
+}
+
+// Scale returns c·p. Scaling never changes monomials, so the term
+// order carries over.
+func (p Poly) Scale(c float64) Poly {
+	switch {
+	case len(p.terms) == 0 || math.Abs(c) < coeffEps:
+		return Poly{}
+	case c == 1:
+		return p
+	}
+	out := make([]term, 0, len(p.terms))
+	for _, t := range p.terms {
+		if sc := c * t.coeff; math.Abs(sc) >= coeffEps {
+			out = append(out, term{sc, t.mono})
+		}
+	}
+	if len(out) == 0 {
+		return Poly{}
+	}
+	return Poly{terms: out}
 }
 
 // Neg returns −p.
@@ -217,100 +241,59 @@ func (p Poly) Neg() Poly { return p.Scale(-1) }
 
 // AddConst returns p + c.
 func (p Poly) AddConst(c float64) Poly {
-	out := p.cloneExtra(1)
-	addInto(out.terms, "", c, Monomial{})
-	return out
+	if math.Abs(c) < coeffEps {
+		return p
+	}
+	i := p.constIndex()
+	if i < len(p.terms) && p.terms[i].mono == one {
+		s := p.terms[i].coeff + c
+		if math.Abs(s) < coeffEps {
+			if len(p.terms) == 1 {
+				return Poly{}
+			}
+			return Poly{terms: slices.Delete(slices.Clone(p.terms), i, i+1)}
+		}
+		out := slices.Clone(p.terms)
+		out[i].coeff = s
+		return Poly{terms: out}
+	}
+	out := make([]term, len(p.terms)+1)
+	copy(out, p.terms[:i])
+	out[i] = term{c, one}
+	copy(out[i+1:], p.terms[i:])
+	return Poly{terms: out}
 }
 
-// Mul returns p·q.
+// Mul returns p·q. The products are collected in pooled scratch, then
+// sorted and folded; a constant factor is a Scale.
 func (p Poly) Mul(q Poly) Poly {
-	if len(p.terms) == 0 || len(q.terms) == 0 {
+	switch {
+	case len(p.terms) == 0 || len(q.terms) == 0:
 		return Poly{}
+	case len(q.terms) == 1 && q.terms[0].mono == one:
+		return p.Scale(q.terms[0].coeff)
+	case len(p.terms) == 1 && p.terms[0].mono == one:
+		return q.Scale(p.terms[0].coeff)
 	}
-	out := Poly{terms: make(map[string]polyTerm, len(p.terms)*len(q.terms))}
-	sc := keyScratchPool.Get().(*keyScratch)
-	for _, a := range p.terms {
-		for kb, b := range q.terms {
-			coeff := a.coeff * b.coeff
-			if math.Abs(coeff) < coeffEps {
-				continue
-			}
-			if len(a.mono) == 0 {
-				addInto(out.terms, kb, coeff, b.mono)
-				continue
-			}
-			// Merge the two monomials into scratch, key the result,
-			// and only materialize a Monomial map when the term is new.
-			ves := appendVE(sc.ves[:0], a.mono)
-			for v, e := range b.mono {
-				if e == 0 {
-					continue
-				}
-				found := false
-				for i := range ves {
-					if ves[i].v == v {
-						ves[i].e += e
-						found = true
-						break
-					}
-				}
-				if !found {
-					ves = append(ves, ve{v, e})
+	out, _ := collectFrom(func(ts []term) ([]term, error) {
+		for _, a := range p.terms {
+			for _, b := range q.terms {
+				if c := a.coeff * b.coeff; math.Abs(c) >= coeffEps {
+					ts = append(ts, term{c, a.mono.mul(b.mono)})
 				}
 			}
-			n := 0
-			for _, x := range ves {
-				if x.e != 0 {
-					ves[n] = x
-					n++
-				}
-			}
-			ves = ves[:n]
-			// Re-sort: merging may have appended b's vars out of order.
-			for i := 1; i < len(ves); i++ {
-				for j := i; j > 0 && ves[j].v < ves[j-1].v; j-- {
-					ves[j], ves[j-1] = ves[j-1], ves[j]
-				}
-			}
-			sc.ves = ves
-			buf := appendKey(sc.buf[:0], ves)
-			sc.buf = buf
-			key := intern(buf)
-			if t, ok := out.terms[key]; ok {
-				c := t.coeff + coeff
-				if math.Abs(c) < coeffEps {
-					delete(out.terms, key)
-				} else {
-					out.terms[key] = polyTerm{c, t.mono}
-				}
-				continue
-			}
-			m := make(Monomial, len(ves))
-			for _, x := range ves {
-				m[x.v] = x.e
-			}
-			out.terms[key] = polyTerm{coeff, m}
 		}
-	}
-	keyScratchPool.Put(sc)
+		return ts, nil
+	})
 	return out
 }
 
 // MulVar returns p · v^exp.
 func (p Poly) MulVar(v Var, exp int) Poly {
 	if exp == 0 {
-		return p.clone()
+		return p
 	}
-	out := Poly{terms: make(map[string]polyTerm, len(p.terms))}
-	for _, t := range p.terms {
-		m := t.mono.clone()
-		m[v] += exp
-		if m[v] == 0 {
-			delete(m, v)
-		}
-		addInto(out.terms, m.key(), t.coeff, m)
-	}
-	return out
+	return p.Mul(single(1, internVEs([]ve{{v, exp}})))
 }
 
 // Pow returns p^n for n ≥ 0.
@@ -332,20 +315,14 @@ func (p Poly) Pow(n int) Poly {
 
 // Vars returns the variables appearing in p, sorted.
 func (p Poly) Vars() []Var {
-	seen := map[Var]bool{}
+	out := []Var{}
 	for _, t := range p.terms {
-		for v, e := range t.mono {
-			if e != 0 {
-				seen[v] = true
-			}
+		for _, x := range t.mono.ves {
+			out = append(out, x.v)
 		}
 	}
-	out := make([]Var, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Degree returns the highest exponent of v in p (0 if v absent),
@@ -354,9 +331,7 @@ func (p Poly) Vars() []Var {
 func (p Poly) Degree(v Var) int {
 	d := 0
 	for _, t := range p.terms {
-		if e := t.mono.degree(v); e > d {
-			d = e
-		}
+		d = max(d, t.mono.degree(v))
 	}
 	return d
 }
@@ -365,9 +340,7 @@ func (p Poly) Degree(v Var) int {
 func (p Poly) MinDegree(v Var) int {
 	d := 0
 	for _, t := range p.terms {
-		if e := t.mono.degree(v); e < d {
-			d = e
-		}
+		d = min(d, t.mono.degree(v))
 	}
 	return d
 }
@@ -375,21 +348,22 @@ func (p Poly) MinDegree(v Var) int {
 // IsPolynomialIn reports whether no term has a negative exponent of v.
 func (p Poly) IsPolynomialIn(v Var) bool { return p.MinDegree(v) == 0 }
 
-// Eval evaluates p with the given variable assignment. Variables absent
-// from the assignment cause an error.
+// Eval evaluates p with the given variable assignment, summing the
+// terms in their stored order. Variables absent from the assignment
+// cause an error.
 func (p Poly) Eval(assign map[Var]float64) (float64, error) {
 	sum := 0.0
 	for _, t := range p.terms {
 		val := t.coeff
-		for v, e := range t.mono {
-			x, ok := assign[v]
+		for _, x := range t.mono.ves {
+			a, ok := assign[x.v]
 			if !ok {
-				return 0, fmt.Errorf("symexpr: unbound variable %q", v)
+				return 0, fmt.Errorf("symexpr: unbound variable %q", x.v)
 			}
-			if e < 0 && x == 0 {
-				return 0, fmt.Errorf("symexpr: division by zero evaluating %q^%d", v, e)
+			if x.e < 0 && a == 0 {
+				return 0, fmt.Errorf("symexpr: division by zero evaluating %q^%d", x.v, x.e)
 			}
-			val *= math.Pow(x, float64(e))
+			val *= math.Pow(a, float64(x.e))
 		}
 		sum += val
 	}
@@ -412,39 +386,52 @@ func (p Poly) Substitute(v Var, q Poly) (Poly, error) {
 	if c, ok := q.IsConst(); ok {
 		return p.substConst(v, c)
 	}
-	out := Poly{}
-	for _, t := range p.terms {
-		e := t.mono.degree(v)
-		if e < 0 {
-			return Poly{}, fmt.Errorf("symexpr: cannot substitute polynomial into negative power %s^%d", v, e)
-		}
-		rest := t.mono.clone()
-		delete(rest, v)
-		piece := Term(t.coeff, rest)
-		if e > 0 {
-			piece = piece.Mul(q.Pow(e))
-		}
-		out = out.Add(piece)
+	if p.Degree(v) == 0 && p.MinDegree(v) == 0 {
+		return p, nil
 	}
-	return out, nil
+	pows := make([]Poly, p.Degree(v)+1)
+	return collectFrom(func(ts []term) ([]term, error) {
+		for _, t := range p.terms {
+			e := t.mono.degree(v)
+			switch {
+			case e < 0:
+				return ts, fmt.Errorf("symexpr: cannot substitute polynomial into negative power %s^%d", v, e)
+			case e == 0:
+				ts = append(ts, t)
+				continue
+			}
+			if pows[e].IsZero() {
+				pows[e] = q.Pow(e)
+			}
+			rest := t.mono.without(v)
+			for _, u := range pows[e].terms {
+				if c := t.coeff * u.coeff; math.Abs(c) >= coeffEps {
+					ts = append(ts, term{c, rest.mul(u.mono)})
+				}
+			}
+		}
+		return ts, nil
+	})
 }
 
 func (p Poly) substConst(v Var, c float64) (Poly, error) {
-	out := Poly{terms: make(map[string]polyTerm, len(p.terms))}
-	for k, t := range p.terms {
-		e := t.mono.degree(v)
-		if e < 0 && c == 0 {
-			return Poly{}, fmt.Errorf("symexpr: substituting 0 into negative power of %s", v)
-		}
-		if e == 0 {
-			addInto(out.terms, k, t.coeff, t.mono)
-			continue
-		}
-		rest := t.mono.clone()
-		delete(rest, v)
-		addInto(out.terms, rest.key(), t.coeff*math.Pow(c, float64(e)), rest)
+	if p.Degree(v) == 0 && p.MinDegree(v) == 0 {
+		return p, nil
 	}
-	return out, nil
+	return collectFrom(func(ts []term) ([]term, error) {
+		for _, t := range p.terms {
+			e := t.mono.degree(v)
+			switch {
+			case e < 0 && c == 0:
+				return ts, fmt.Errorf("symexpr: substituting 0 into negative power of %s", v)
+			case e == 0:
+				ts = append(ts, t)
+			default:
+				ts = append(ts, term{t.coeff * math.Pow(c, float64(e)), t.mono.without(v)})
+			}
+		}
+		return ts, nil
+	})
 }
 
 // MustSubstitute is Substitute that panics on error.
@@ -461,19 +448,14 @@ func (p Poly) MustSubstitute(v Var, q Poly) Poly {
 // that p = Σ c[i]·v^i. It errors if p has other variables or negative
 // powers of v.
 func (p Poly) Coeffs(v Var) ([]float64, error) {
-	deg := p.Degree(v)
-	out := make([]float64, deg+1)
+	out := make([]float64, p.Degree(v)+1)
 	for _, t := range p.terms {
-		e := 0
-		for tv, te := range t.mono {
-			if tv == v {
-				e = te
-				continue
-			}
-			if te != 0 {
-				return nil, fmt.Errorf("symexpr: polynomial is not univariate in %q (contains %q)", v, tv)
+		for _, x := range t.mono.ves {
+			if x.v != v {
+				return nil, fmt.Errorf("symexpr: polynomial is not univariate in %q (contains %q)", v, x.v)
 			}
 		}
+		e := t.mono.degree(v)
 		if e < 0 {
 			return nil, fmt.Errorf("symexpr: negative power %s^%d", v, e)
 		}
@@ -484,40 +466,33 @@ func (p Poly) Coeffs(v Var) ([]float64, error) {
 
 // CoeffOf returns the sub-polynomial multiplying v^exp.
 func (p Poly) CoeffOf(v Var, exp int) Poly {
-	out := Poly{terms: map[string]polyTerm{}}
-	for _, t := range p.terms {
-		if t.mono.degree(v) != exp {
-			continue
+	out, _ := collectFrom(func(ts []term) ([]term, error) {
+		for _, t := range p.terms {
+			if t.mono.degree(v) == exp {
+				ts = append(ts, term{t.coeff, t.mono.without(v)})
+			}
 		}
-		rest := t.mono.clone()
-		delete(rest, v)
-		addInto(out.terms, rest.key(), t.coeff, rest)
-	}
+		return ts, nil
+	})
 	return out
 }
 
 // Derivative returns ∂p/∂v.
 func (p Poly) Derivative(v Var) Poly {
-	out := Poly{terms: map[string]polyTerm{}}
-	for _, t := range p.terms {
-		e := t.mono.degree(v)
-		if e == 0 {
-			continue
+	out, _ := collectFrom(func(ts []term) ([]term, error) {
+		for _, t := range p.terms {
+			if e := t.mono.degree(v); e != 0 {
+				ts = append(ts, term{t.coeff * float64(e), t.mono.withExp(v, e-1)})
+			}
 		}
-		m := t.mono.clone()
-		m[v] = e - 1
-		if m[v] == 0 {
-			delete(m, v)
-		}
-		addInto(out.terms, m.key(), t.coeff*float64(e), m)
-	}
+		return ts, nil
+	})
 	return out
 }
 
 // Equal reports whether p and q agree within tol on every coefficient.
 func (p Poly) Equal(q Poly, tol float64) bool {
-	d := p.Sub(q)
-	for _, t := range d.terms {
+	for _, t := range p.Sub(q).terms {
 		if math.Abs(t.coeff) > tol {
 			return false
 		}
@@ -526,29 +501,14 @@ func (p Poly) Equal(q Poly, tol float64) bool {
 }
 
 // String renders p in a stable, human-readable form, e.g.
-// "3n^2 + 2n·k − 4 + 1/k".
+// "3n^2 + 2n·k − 4 + 1/k". Terms print in stored order.
 func (p Poly) String() string {
 	if len(p.terms) == 0 {
 		return "0"
 	}
-	type st struct {
-		key  string
-		td   int
-		term polyTerm
-	}
-	list := make([]st, 0, len(p.terms))
-	for k, t := range p.terms {
-		list = append(list, st{k, t.mono.totalDegree(), t})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].td != list[j].td {
-			return list[i].td > list[j].td
-		}
-		return list[i].key < list[j].key
-	})
 	var b strings.Builder
-	for i, s := range list {
-		c := s.term.coeff
+	for i, t := range p.terms {
+		c := t.coeff
 		if i == 0 {
 			if c < 0 {
 				b.WriteString("-")
@@ -562,14 +522,15 @@ func (p Poly) String() string {
 				b.WriteString(" + ")
 			}
 		}
-		monoStr := monoString(s.term.mono)
 		switch {
-		case monoStr == "":
-			fmt.Fprintf(&b, "%s", fmtCoeff(c))
+		case t.mono == one:
+			b.WriteString(fmtCoeff(c))
 		case math.Abs(c-1) < coeffEps:
-			b.WriteString(monoStr)
+			b.WriteString(t.mono.text)
 		default:
-			fmt.Fprintf(&b, "%s·%s", fmtCoeff(c), monoStr)
+			b.WriteString(fmtCoeff(c))
+			b.WriteString("·")
+			b.WriteString(t.mono.text)
 		}
 	}
 	return b.String()
@@ -582,56 +543,18 @@ func fmtCoeff(c float64) string {
 	return fmt.Sprintf("%g", c)
 }
 
-func monoString(m Monomial) string {
-	if len(m) == 0 {
-		return ""
-	}
-	type ve struct {
-		v Var
-		e int
-	}
-	list := make([]ve, 0, len(m))
-	for v, e := range m {
-		if e != 0 {
-			list = append(list, ve{v, e})
-		}
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].v < list[j].v })
-	parts := make([]string, 0, len(list))
-	for _, x := range list {
-		switch {
-		case x.e == 1:
-			parts = append(parts, string(x.v))
-		case x.e > 1:
-			parts = append(parts, fmt.Sprintf("%s^%d", x.v, x.e))
-		default:
-			parts = append(parts, fmt.Sprintf("%s^(%d)", x.v, x.e))
-		}
-	}
-	return strings.Join(parts, "·")
-}
-
 // Terms returns the terms of p as (coefficient, monomial) pairs in the
-// stable order used by String.
+// order String prints them. The monomials are fresh maps.
 func (p Poly) Terms() []struct {
 	Coeff float64
 	Mono  Monomial
 } {
-	keys := make([]string, 0, len(p.terms))
-	for k := range p.terms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := make([]struct {
 		Coeff float64
 		Mono  Monomial
-	}, 0, len(keys))
-	for _, k := range keys {
-		t := p.terms[k]
-		out = append(out, struct {
-			Coeff float64
-			Mono  Monomial
-		}{t.coeff, t.mono.clone()})
+	}, len(p.terms))
+	for i, t := range p.terms {
+		out[i].Coeff, out[i].Mono = t.coeff, t.mono.monomial()
 	}
 	return out
 }

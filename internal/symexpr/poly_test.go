@@ -251,3 +251,26 @@ func TestTermsOrderStable(t *testing.T) {
 		}
 	}
 }
+
+// TestConstSumMatchesAddConstChain: ConstSum folds in order under the
+// same drop rule as a chain of AddConst calls, including sums that
+// cancel below the threshold and restart.
+func TestConstSumMatchesAddConstChain(t *testing.T) {
+	for _, vs := range [][]float64{
+		nil,
+		{3},
+		{1e-13, 2},
+		{0.1, 0.2, 0.3},
+		{5, -5, 1e-13, 7},
+		{1, 1e-12 - 1, 4.25},
+		{2.5, -2.5 + 1e-13, 1},
+	} {
+		chain := Zero()
+		for _, v := range vs {
+			chain = chain.AddConst(v)
+		}
+		if got := ConstSum(vs); got.ConstPart() != chain.ConstPart() || got.NumTerms() != chain.NumTerms() {
+			t.Errorf("ConstSum(%v) = %s, AddConst chain %s", vs, got, chain)
+		}
+	}
+}

@@ -14,39 +14,36 @@ package symexpr
 // variables stay fixed.
 func RenameVars(p Poly, m map[Var]Var) Poly {
 	if len(p.terms) == 0 || len(m) == 0 {
-		return p.clone()
+		return p
 	}
-	out := Poly{terms: make(map[string]polyTerm, len(p.terms))}
-	for k, t := range p.terms {
-		touched := false
-		for v := range t.mono {
-			if nv, ok := m[v]; ok && nv != v {
-				touched = true
-				break
-			}
+	touched := false
+	for _, t := range p.terms {
+		if renames(t.mono, m) {
+			touched = true
+			break
 		}
-		if !touched {
-			// Monomial unchanged; share it (immutable) under its key.
-			addInto(out.terms, k, t.coeff, t.mono)
-			continue
-		}
-		nm := make(Monomial, len(t.mono))
-		for v, e := range t.mono {
-			if e == 0 {
-				continue
-			}
-			nv := v
-			if r, ok := m[v]; ok {
-				nv = r
-			}
-			nm[nv] += e
-		}
-		for v, e := range nm {
-			if e == 0 {
-				delete(nm, v)
-			}
-		}
-		addInto(out.terms, nm.key(), t.coeff, nm)
 	}
+	if !touched {
+		return p
+	}
+	out, _ := collectFrom(func(ts []term) ([]term, error) {
+		for _, t := range p.terms {
+			if renames(t.mono, m) {
+				t.mono = t.mono.rename(m)
+			}
+			ts = append(ts, t)
+		}
+		return ts, nil
+	})
 	return out
+}
+
+// renames reports whether m changes any variable of mono.
+func renames(mono *monoRec, m map[Var]Var) bool {
+	for _, x := range mono.ves {
+		if nv, ok := m[x.v]; ok && nv != x.v {
+			return true
+		}
+	}
+	return false
 }

@@ -11,14 +11,13 @@ import (
 // 4x⁴ + 2x³ − 4x, §3.1). Magnitudes are conservative interval bounds,
 // so a term is only dropped when it is provably dominated.
 func DropDominatedTerms(p Poly, bounds Bounds, ratio float64) Poly {
-	terms := p.Terms()
-	if len(terms) <= 1 {
+	if len(p.terms) <= 1 {
 		return p
 	}
-	mags := make([]float64, len(terms))
+	mags := make([]float64, len(p.terms))
 	maxMag := 0.0
-	for i, t := range terms {
-		lo, hi := IntervalBound(Term(t.Coeff, t.Mono), bounds)
+	for i, t := range p.terms {
+		lo, hi := IntervalBound(Poly{terms: []term{t}}, bounds)
 		mags[i] = math.Max(math.Abs(lo), math.Abs(hi))
 		if math.IsInf(mags[i], 0) {
 			mags[i] = math.Inf(1)
@@ -32,17 +31,18 @@ func DropDominatedTerms(p Poly, bounds Bounds, ratio float64) Poly {
 			return p
 		}
 	}
-	out := Zero()
-	for i, t := range terms {
+	// The kept terms are a subsequence of p's, so they stay in order.
+	var kept []term
+	for i, t := range p.terms {
 		if mags[i] <= ratio*maxMag && !math.IsInf(mags[i], 1) {
 			continue
 		}
-		out = out.Add(Term(t.Coeff, t.Mono))
+		kept = append(kept, t)
 	}
-	if out.IsZero() && !p.IsZero() {
+	if len(kept) == 0 {
 		return p
 	}
-	return out
+	return Poly{terms: kept}
 }
 
 // VarSensitivity is the result of sensitivity analysis for one variable.

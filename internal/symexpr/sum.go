@@ -58,7 +58,7 @@ func faulhaber(m int, nv Var) Poly {
 		c.Mul(c, b[j])
 		c.Quo(c, inv)
 		f, _ := c.Float64()
-		out = out.addTerm(f, Monomial{nv: m + 1 - j})
+		out = out.Add(Term(f, Monomial{nv: m + 1 - j}))
 	}
 	return out
 }
