@@ -202,7 +202,11 @@ func refKey(tbl *sem.Table, r *source.ArrayRef, loopVars map[string]bool) (strin
 	parts := make([]string, len(r.Idx))
 	dims := make([]dimUse, len(r.Idx))
 	for i, ix := range r.Idx {
-		v, coeff, ok := affineVar(tbl, ix, loopVars)
+		a, ok := tbl.Affine(ix)
+		if !ok {
+			return "", nil, false
+		}
+		v, coeff, ok := a.LoopVar(loopVars)
 		if !ok {
 			return "", nil, false
 		}
@@ -210,69 +214,6 @@ func refKey(tbl *sem.Table, r *source.ArrayRef, loopVars map[string]bool) (strin
 		parts[i] = fmt.Sprintf("%d*%s", coeff, v)
 	}
 	return strings.Join(parts, ","), dims, true
-}
-
-// affineVar extracts (var, coeff) from coeff·v + const subscripts;
-// constants return ("", 0).
-func affineVar(tbl *sem.Table, e source.Expr, loopVars map[string]bool) (string, int64, bool) {
-	if _, ok := tbl.FoldConst(e); ok {
-		return "", 0, true
-	}
-	switch x := e.(type) {
-	case *source.VarRef:
-		if loopVars[x.Name] {
-			return x.Name, 1, true
-		}
-		// Loop-invariant scalar: behaves like a constant offset.
-		return "", 0, true
-	case *source.UnExpr:
-		if !x.Neg {
-			return "", 0, false
-		}
-		v, c, ok := affineVar(tbl, x.X, loopVars)
-		return v, -c, ok
-	case *source.BinExpr:
-		switch x.Kind {
-		case source.BinAdd, source.BinSub:
-			lv, lc, lok := affineVar(tbl, x.L, loopVars)
-			rv, rc, rok := affineVar(tbl, x.R, loopVars)
-			if !lok || !rok {
-				return "", 0, false
-			}
-			if x.Kind == source.BinSub {
-				rc = -rc
-			}
-			switch {
-			case lv == "" && rv == "":
-				return "", 0, true
-			case lv == "":
-				return rv, rc, true
-			case rv == "":
-				return lv, lc, true
-			case lv == rv:
-				if lc+rc == 0 {
-					return "", 0, true
-				}
-				return lv, lc + rc, true
-			default:
-				return "", 0, false // two loop vars in one dim: MIV
-			}
-		case source.BinMul:
-			if c, ok := tbl.IntConst(x.L); ok {
-				v, cc, vok := affineVar(tbl, x.R, loopVars)
-				return v, c * cc, vok
-			}
-			if c, ok := tbl.IntConst(x.R); ok {
-				v, cc, vok := affineVar(tbl, x.L, loopVars)
-				return v, c * cc, vok
-			}
-			return "", 0, false
-		default:
-			return "", 0, false
-		}
-	default:
-		return "", 0, false
-	}
 }
 
 // jointMisses implements the FST counting for all groups together,

@@ -134,12 +134,31 @@ func classify(tbl *sem.Table, lhs *source.ArrayRef, lhsSym *sem.Symbol, r *sourc
 		return rc, nil
 	}
 
+	// loopVar and offset project a subscript's affine form: its one
+	// loop variable with the coefficient (non-loop scalars are offsets),
+	// and its constant, known only when every variable is a loop
+	// variable.
+	loopVar := func(e source.Expr) (string, int64, bool) {
+		a, ok := tbl.Affine(e)
+		if !ok {
+			return "", 0, false
+		}
+		return a.LoopVar(loopVars)
+	}
+	offset := func(e source.Expr) (int64, bool) {
+		a, ok := tbl.Affine(e)
+		for i := range a.Len() {
+			ok = ok && loopVars[a.Term(i).Var]
+		}
+		return a.Const, ok
+	}
+
 	// Sweep size: product of trips of loop variables appearing in the
 	// reference (elements touched per full nest execution).
 	sweep := symexpr.Const(1)
 	seen := map[string]bool{}
 	for _, ix := range r.Idx {
-		v, _, ok := affineVar(tbl, ix, loopVars)
+		v, _, ok := loopVar(ix)
 		if ok && v != "" && !seen[v] {
 			seen[v] = true
 			sweep = sweep.Mul(tripOf[v])
@@ -152,7 +171,7 @@ func classify(tbl *sem.Table, lhs *source.ArrayRef, lhsSym *sem.Symbol, r *sourc
 		if d == rDim {
 			continue
 		}
-		v, _, ok := affineVar(tbl, ix, loopVars)
+		v, _, ok := loopVar(ix)
 		if ok && v != "" {
 			cross = cross.Mul(tripOf[v])
 		}
@@ -178,8 +197,8 @@ func classify(tbl *sem.Table, lhs *source.ArrayRef, lhsSym *sem.Symbol, r *sourc
 
 	// Alignment: the distributed dims must be driven by the same loop
 	// variable with equal coefficients for offset analysis.
-	lv, lc, lok := affineVar(tbl, lhs.Idx[lDim], loopVars)
-	rv, rcoef, rok := affineVar(tbl, r.Idx[rDim], loopVars)
+	lv, lc, lok := loopVar(lhs.Idx[lDim])
+	rv, rcoef, rok := loopVar(r.Idx[rDim])
 	if !lok || !rok || lv == "" || rv == "" || lv != rv || lc != rcoef {
 		if lPat != rPat {
 			rc.Pattern = PatternRemap
@@ -191,8 +210,8 @@ func classify(tbl *sem.Table, lhs *source.ArrayRef, lhsSym *sem.Symbol, r *sourc
 	}
 
 	// Constant offset between the aligned subscripts.
-	lOff, lcok := constPart(tbl, lhs.Idx[lDim], loopVars)
-	rOff, rcok := constPart(tbl, r.Idx[rDim], loopVars)
+	lOff, lcok := offset(lhs.Idx[lDim])
+	rOff, rcok := offset(r.Idx[rDim])
 	if !lcok || !rcok {
 		return gather(), nil
 	}
@@ -449,109 +468,6 @@ func evalInt(tbl *sem.Table, e source.Expr, env map[string]int64) (int64, error)
 		}
 	default:
 		return 0, fmt.Errorf("comm: cannot evaluate %T", e)
-	}
-}
-
-// affineVar extracts (var, coeff) from coeff·v + const subscripts.
-func affineVar(tbl *sem.Table, e source.Expr, loopVars map[string]bool) (string, int64, bool) {
-	if _, ok := tbl.FoldConst(e); ok {
-		return "", 0, true
-	}
-	switch x := e.(type) {
-	case *source.VarRef:
-		if loopVars[x.Name] {
-			return x.Name, 1, true
-		}
-		return "", 0, true
-	case *source.UnExpr:
-		if !x.Neg {
-			return "", 0, false
-		}
-		v, c, ok := affineVar(tbl, x.X, loopVars)
-		return v, -c, ok
-	case *source.BinExpr:
-		switch x.Kind {
-		case source.BinAdd, source.BinSub:
-			lv, lc, lok := affineVar(tbl, x.L, loopVars)
-			rv, rc, rok := affineVar(tbl, x.R, loopVars)
-			if !lok || !rok {
-				return "", 0, false
-			}
-			if x.Kind == source.BinSub {
-				rc = -rc
-			}
-			switch {
-			case lv == "":
-				return rv, rc, true
-			case rv == "":
-				return lv, lc, true
-			case lv == rv:
-				return lv, lc + rc, true
-			default:
-				return "", 0, false
-			}
-		case source.BinMul:
-			if c, ok := tbl.IntConst(x.L); ok {
-				v, cc, vok := affineVar(tbl, x.R, loopVars)
-				return v, c * cc, vok
-			}
-			if c, ok := tbl.IntConst(x.R); ok {
-				v, cc, vok := affineVar(tbl, x.L, loopVars)
-				return v, c * cc, vok
-			}
-			return "", 0, false
-		default:
-			return "", 0, false
-		}
-	default:
-		return "", 0, false
-	}
-}
-
-// constPart extracts the constant offset of an affine subscript.
-func constPart(tbl *sem.Table, e source.Expr, loopVars map[string]bool) (int64, bool) {
-	if c, ok := tbl.IntConst(e); ok {
-		return c, true
-	}
-	switch x := e.(type) {
-	case *source.VarRef:
-		if loopVars[x.Name] {
-			return 0, true
-		}
-		return 0, false
-	case *source.UnExpr:
-		if !x.Neg {
-			return 0, false
-		}
-		c, ok := constPart(tbl, x.X, loopVars)
-		return -c, ok
-	case *source.BinExpr:
-		switch x.Kind {
-		case source.BinAdd, source.BinSub:
-			l, lok := constPart(tbl, x.L, loopVars)
-			r, rok := constPart(tbl, x.R, loopVars)
-			if !lok || !rok {
-				return 0, false
-			}
-			if x.Kind == source.BinSub {
-				r = -r
-			}
-			return l + r, true
-		case source.BinMul:
-			if c, ok := tbl.IntConst(x.L); ok {
-				r, rok := constPart(tbl, x.R, loopVars)
-				return c * r, rok
-			}
-			if c, ok := tbl.IntConst(x.R); ok {
-				l, lok := constPart(tbl, x.L, loopVars)
-				return c * l, lok
-			}
-			return 0, false
-		default:
-			return 0, false
-		}
-	default:
-		return 0, false
 	}
 }
 

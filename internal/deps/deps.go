@@ -91,102 +91,20 @@ func (d Dependence) String() string {
 	return fmt.Sprintf("%s dep on %s: %s -> %s (%s)", d.Kind, d.Array, d.Src, d.Dst, dirs)
 }
 
-// affine is Σ coeff_v · v + konst over integer loop variables.
-type affine struct {
-	coeffs map[string]int64
-	konst  int64
-}
-
-// affineOf extracts the affine form of a subscript over the loop
-// variables; non-affine subscripts (or ones using non-loop variables
-// whose values are unknown) return ok=false.
-func affineOf(tbl *sem.Table, e source.Expr, loopVars map[string]bool) (affine, bool) {
-	switch x := e.(type) {
-	case *source.NumLit:
-		if x.IsReal {
-			return affine{}, false
-		}
-		return affine{coeffs: map[string]int64{}, konst: int64(x.Value)}, true
-	case *source.VarRef:
-		if c, ok := tbl.IntConst(x); ok {
-			return affine{coeffs: map[string]int64{}, konst: c}, true
-		}
-		if loopVars[x.Name] {
-			return affine{coeffs: map[string]int64{x.Name: 1}, konst: 0}, true
-		}
-		// A loop-invariant unknown scalar: treat as a symbolic constant
-		// shared between the two references. Model with a pseudo-var.
-		return affine{coeffs: map[string]int64{"$" + x.Name: 1}, konst: 0}, true
-	case *source.UnExpr:
-		if !x.Neg {
-			return affine{}, false
-		}
-		a, ok := affineOf(tbl, x.X, loopVars)
-		if !ok {
-			return affine{}, false
-		}
-		return a.scale(-1), true
-	case *source.BinExpr:
-		switch x.Kind {
-		case source.BinAdd, source.BinSub:
-			l, ok := affineOf(tbl, x.L, loopVars)
-			if !ok {
-				return affine{}, false
+// sameInvariants reports whether fa and fb have the same non-loop
+// terms. A loop-invariant scalar has one value in both instances of a
+// reference pair, so it cancels only when its coefficients match;
+// otherwise the offset between the two is unknown.
+func sameInvariants(fa, fb sem.Affine, loopVars map[string]bool) bool {
+	covers := func(x, y sem.Affine) bool {
+		for i := range x.Len() {
+			if t := x.Term(i); !loopVars[t.Var] && y.Coeff(t.Var) != t.Coeff {
+				return false
 			}
-			r, ok := affineOf(tbl, x.R, loopVars)
-			if !ok {
-				return affine{}, false
-			}
-			if x.Kind == source.BinSub {
-				r = r.scale(-1)
-			}
-			return l.add(r), true
-		case source.BinMul:
-			if c, ok := tbl.IntConst(x.L); ok {
-				r, rok := affineOf(tbl, x.R, loopVars)
-				if !rok {
-					return affine{}, false
-				}
-				return r.scale(c), true
-			}
-			if c, ok := tbl.IntConst(x.R); ok {
-				l, lok := affineOf(tbl, x.L, loopVars)
-				if !lok {
-					return affine{}, false
-				}
-				return l.scale(c), true
-			}
-			return affine{}, false
-		default:
-			return affine{}, false
 		}
-	default:
-		return affine{}, false
+		return true
 	}
-}
-
-func (a affine) scale(c int64) affine {
-	out := affine{coeffs: map[string]int64{}, konst: a.konst * c}
-	for v, k := range a.coeffs {
-		if k*c != 0 {
-			out.coeffs[v] = k * c
-		}
-	}
-	return out
-}
-
-func (a affine) add(b affine) affine {
-	out := affine{coeffs: map[string]int64{}, konst: a.konst + b.konst}
-	for v, k := range a.coeffs {
-		out.coeffs[v] = k
-	}
-	for v, k := range b.coeffs {
-		out.coeffs[v] += k
-		if out.coeffs[v] == 0 {
-			delete(out.coeffs, v)
-		}
-	}
-	return out
+	return covers(fa, fb) && covers(fb, fa)
 }
 
 // ref is one array reference occurrence.
@@ -303,8 +221,8 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 		return d.allStar(order), true
 	}
 	for dim := range a.arr.Idx {
-		fa, okA := affineOf(tbl, a.arr.Idx[dim], loopVars)
-		fb, okB := affineOf(tbl, b.arr.Idx[dim], loopVars)
+		fa, okA := tbl.Affine(a.arr.Idx[dim])
+		fb, okB := tbl.Affine(b.arr.Idx[dim])
 		if !okA || !okB {
 			// Non-affine: unknown in every loop variable.
 			for _, v := range order {
@@ -313,41 +231,22 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 			continue
 		}
 		// The two references occur in distinct iteration instances:
-		// fa(I1) = fb(I2). Loop-invariant symbolic scalars
-		// (pseudo-vars, "$x") are shared between instances and cancel
-		// when their coefficients match; an unmatched pseudo-var makes
-		// the offset unknown.
-		pseudoUnknown := false
-		for v, ca := range fa.coeffs {
-			if v[0] != '$' {
-				continue
-			}
-			if fb.coeffs[v] != ca {
-				pseudoUnknown = true
-			}
-		}
-		for v, cb := range fb.coeffs {
-			if v[0] == '$' && fa.coeffs[v] != cb {
-				pseudoUnknown = true
-			}
-		}
-		offset := fa.konst - fb.konst // a·I1 + c1 = a·I2 + c2 → a·Δ = c1−c2
+		// fa(I1) = fb(I2).
+		unknownOffset := !sameInvariants(fa, fb, loopVars)
+		offset := fa.Const - fb.Const // a·I1 + c1 = a·I2 + c2 → a·Δ = c1−c2
 		vars := map[string]bool{}
-		for v := range fa.coeffs {
-			if loopVars[v] {
-				vars[v] = true
-			}
-		}
-		for v := range fb.coeffs {
-			if loopVars[v] {
-				vars[v] = true
+		for _, f := range []sem.Affine{fa, fb} {
+			for i := range f.Len() {
+				if v := f.Term(i).Var; loopVars[v] {
+					vars[v] = true
+				}
 			}
 		}
 		switch len(vars) {
 		case 0:
 			// ZIV: constant subscripts (possibly with shared symbolic
 			// parts).
-			if pseudoUnknown {
+			if unknownOffset {
 				continue // unknown offset constrains no loop var
 			}
 			if offset != 0 {
@@ -358,8 +257,8 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 			for vv := range vars {
 				v = vv
 			}
-			a1, a2 := fa.coeffs[v], fb.coeffs[v]
-			if a1 != a2 || a1 == 0 || pseudoUnknown {
+			a1, a2 := fa.Coeff(v), fb.Coeff(v)
+			if a1 != a2 || a1 == 0 || unknownOffset {
 				// Weak SIV or unknown offset: direction unknown.
 				star[v] = true
 				continue
@@ -377,10 +276,10 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 			// MIV: GCD test over all instance coefficients.
 			g := int64(0)
 			for v := range vars {
-				g = gcd(g, abs64(fa.coeffs[v]))
-				g = gcd(g, abs64(fb.coeffs[v]))
+				g = gcd(g, abs64(fa.Coeff(v)))
+				g = gcd(g, abs64(fb.Coeff(v)))
 			}
-			if g != 0 && !pseudoUnknown && offset%g != 0 {
+			if g != 0 && !unknownOffset && offset%g != 0 {
 				return Dependence{}, false
 			}
 			for v := range vars {
@@ -431,25 +330,6 @@ func (d Dependence) allStar(order []string) Dependence {
 		d.Known = append(d.Known, false)
 	}
 	return d
-}
-
-func (a affine) vars(loopVars map[string]bool) []string {
-	var out []string
-	for v := range a.coeffs {
-		if loopVars[v] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func hasPseudo(a affine) bool {
-	for v := range a.coeffs {
-		if v[0] == '$' {
-			return true
-		}
-	}
-	return false
 }
 
 func leadingGT(dirs []Dir) bool {
@@ -579,23 +459,16 @@ func fusionSafePair(tbl *sem.Table, ra, rb *source.ArrayRef, v string, loopVars 
 	deltaKnown := false
 	var delta int64
 	for dim := range ra.Idx {
-		fa, okA := affineOf(tbl, ra.Idx[dim], loopVars)
-		fb, okB := affineOf(tbl, rb.Idx[dim], loopVars)
+		fa, okA := tbl.Affine(ra.Idx[dim])
+		fb, okB := tbl.Affine(rb.Idx[dim])
 		if !okA || !okB {
 			return false // non-affine: conservative
 		}
-		for name, c := range fa.coeffs {
-			if name[0] == '$' && fb.coeffs[name] != c {
-				return false // unknown symbolic offset
-			}
+		if !sameInvariants(fa, fb, loopVars) {
+			return false // unknown symbolic offset
 		}
-		for name, c := range fb.coeffs {
-			if name[0] == '$' && fa.coeffs[name] != c {
-				return false
-			}
-		}
-		a1, a2 := fa.coeffs[v], fb.coeffs[v]
-		offset := fa.konst - fb.konst
+		a1, a2 := fa.Coeff(v), fb.Coeff(v)
+		offset := fa.Const - fb.Const
 		switch {
 		case a1 == 0 && a2 == 0:
 			if offset != 0 {

@@ -477,13 +477,15 @@ func (tr *Translator) subscript(e source.Expr) subEntry {
 }
 
 func (tr *Translator) subscriptSlow(e source.Expr) subEntry {
-	v, c, d, ok := tr.affineSubscript(e)
-	if !ok {
+	a, ok := tr.tbl.Affine(e)
+	if !ok || a.Len() > 1 {
 		return subEntry{s: source.ExprString(e)}
 	}
-	if v == "" || c == 0 {
+	d := a.Const
+	if a.Len() == 0 {
 		return subEntry{s: strconv.FormatInt(d, 10), cheap: true, affine: true}
 	}
+	v, c := a.Term(0).Var, a.Term(0).Coeff
 	var buf []byte
 	switch c {
 	case 1:
@@ -503,96 +505,6 @@ func (tr *Translator) subscriptSlow(e source.Expr) subEntry {
 		buf = strconv.AppendInt(buf, d, 10)
 	}
 	return subEntry{s: string(buf), cheap: c == 1 || c == -1, affine: true}
-}
-
-// affineSubscript extracts (v, c, d) with subscript = c·v + d for a
-// single integer scalar variable v (v == "" for pure constants).
-func (tr *Translator) affineSubscript(e source.Expr) (v string, c, d int64, ok bool) {
-	f := tr.affine(e)
-	return f.v, f.c, f.d, f.ok
-}
-
-// affineForm is affineSubscript's answer for one node, with the node's
-// constant value as sem's FoldConst computes it (folded false when it
-// does not fold).
-type affineForm struct {
-	v      string
-	c, d   int64
-	ok     bool
-	k      float64
-	folded bool
-}
-
-// intConst reports whether the node folds to an integer, as sem's
-// IntConst decides; d then holds the integer.
-func (f affineForm) intConst() bool { return f.folded && f.k == math.Trunc(f.k) }
-
-// affine computes affineSubscript bottom-up. It folds constants in the
-// same recursion, combining the children's values as FoldConst does for
-// +, −, × and negation, so a chain of n terms costs O(n) rather than a
-// FoldConst walk per level. Node kinds the recursion does not enter are
-// folded by FoldConst.
-func (tr *Translator) affine(e source.Expr) affineForm {
-	var f affineForm
-	switch x := e.(type) {
-	case *source.NumLit:
-		f.k, f.folded = x.Value, true
-	case *source.VarRef:
-		sym := tr.tbl.Lookup(x.Name)
-		if sym != nil && sym.IsConst {
-			f.k, f.folded = sym.ConstVal, true
-		}
-		if sym != nil && !sym.IsArray() && sym.Type == source.TypeInteger {
-			f.v, f.c, f.ok = x.Name, 1, true
-		}
-	case *source.UnExpr:
-		if x.Neg {
-			l := tr.affine(x.X)
-			f = affineForm{v: l.v, c: -l.c, d: -l.d, ok: l.ok, k: -l.k, folded: l.folded}
-		}
-	case *source.BinExpr:
-		switch x.Kind {
-		case source.BinAdd, source.BinSub:
-			l, r := tr.affine(x.L), tr.affine(x.R)
-			f.k, f.folded = l.k+r.k, l.folded && r.folded
-			if x.Kind == source.BinSub {
-				f.k, r.c, r.d = l.k-r.k, -r.c, -r.d
-			}
-			if !l.ok || !r.ok {
-				break
-			}
-			f.d, f.ok = l.d+r.d, true
-			switch {
-			case l.v == "" || l.c == 0:
-				f.v, f.c = r.v, r.c
-			case r.v == "" || r.c == 0:
-				f.v, f.c = l.v, l.c
-			case l.v == r.v:
-				if l.c+r.c != 0 {
-					f.v, f.c = l.v, l.c+r.c
-				}
-			default:
-				f.d, f.ok = 0, false
-			}
-		case source.BinMul:
-			l, r := tr.affine(x.L), tr.affine(x.R)
-			f.k, f.folded = l.k*r.k, l.folded && r.folded
-			switch {
-			case l.intConst():
-				f.v, f.c, f.d, f.ok = r.v, l.d*r.c, l.d*r.d, r.ok
-			case r.intConst():
-				f.v, f.c, f.d, f.ok = l.v, r.d*l.c, r.d*l.d, l.ok
-			}
-		default:
-			f.k, f.folded = tr.tbl.FoldConst(e)
-		}
-	default:
-		f.k, f.folded = tr.tbl.FoldConst(e)
-	}
-	if f.intConst() {
-		return affineForm{d: int64(f.k), ok: true, k: f.k, folded: true}
-	}
-	return f
 }
 
 // facts is what lowering knows about one expression node.

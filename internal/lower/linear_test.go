@@ -1,6 +1,7 @@
 package lower_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"perfpredict"
 	"perfpredict/internal/lower"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
@@ -60,16 +62,24 @@ func lowerAllocs(t *testing.T, src string) (uint64, time.Duration) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return allocs(func() {
+		tr := lower.New(tbl, machine.NewPOWER1(), lower.DefaultOptions())
+		segments(p.Body, nil, func(run []source.Stmt, vars []string) {
+			if _, err := tr.Body(run, vars); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
+// allocs runs f once and returns the bytes it allocated and the time
+// it took.
+func allocs(f func()) (uint64, time.Duration) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	tr := lower.New(tbl, machine.NewPOWER1(), lower.DefaultOptions())
-	segments(p.Body, nil, func(run []source.Stmt, vars []string) {
-		if _, err := tr.Body(run, vars); err != nil {
-			t.Fatal(err)
-		}
-	})
+	f()
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc, elapsed
@@ -113,6 +123,63 @@ func TestLoweringLinear(t *testing.T) {
 		}
 		if tr := float64(took) / float64(smallTook); tr > 12 {
 			t.Errorf("%s: 8k/2k time ratio %.1f (%v / %v), want ≤ 12 (linear reads 4–7 with stack growth, quadratic 16 or more)", shape.name, tr, took, smallTook)
+		}
+	}
+}
+
+// TestPipelineLinear: the subscript chain of subscriptProgram costs
+// memory linear in its length through the whole pipeline, not only in
+// lowering. Three stages run it: Predict on power1mem.json, whose
+// memory hierarchy runs cachemodel's walk of every subscript;
+// ExprString of the chain; and a one-level optimize search, which
+// renders and re-analyzes it. A stage that folds constants or renders
+// text afresh at every level of the chain reads an 8k/2k allocation
+// ratio of about 15, a linear one about 4. The 8k run's time is bounded
+// only without -race, which slows the search several-fold.
+func TestPipelineLinear(t *testing.T) {
+	mem, err := perfpredict.LoadTarget("../../examples/custom-machine/power1mem.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []struct {
+		name string
+		// prep does the work the stage does not measure and returns
+		// the run that it does.
+		prep func(src string) func()
+	}{
+		{"Predict on power1mem", func(src string) func() {
+			return func() {
+				if _, err := perfpredict.Predict(src, mem); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"ExprString", func(src string) func() {
+			p, err := source.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rhs := p.Body[0].(*source.DoLoop).Body[0].(*source.Assign).RHS
+			return func() { source.ExprString(rhs) }
+		}},
+		{"OptimizeCtx", func(src string) func() {
+			return func() {
+				opt := perfpredict.OptimizeOptions{Workers: 1, MaxNodes: 4, MaxDepth: 1}
+				if _, err := perfpredict.OptimizeCtx(context.Background(), src, perfpredict.POWER1(), nil, opt); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		small, _ := allocs(stage.prep(subscriptProgram(2000)))
+		large, took := allocs(stage.prep(subscriptProgram(8000)))
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: %d B at 2k terms, %d B at 8k (ratio %.1f); 8k in %v", stage.name, small, large, ratio, took)
+		if ratio > 5 {
+			t.Errorf("%s: 8k/2k allocation ratio %.1f, want ≤ 5 (linear)", stage.name, ratio)
+		}
+		if !raceEnabled && took > time.Second {
+			t.Errorf("%s: 8k-term run took %v, want < 1s", stage.name, took)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package source
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -230,44 +231,65 @@ var Intrinsics = map[string]int{
 
 // ExprString renders an expression in F-lite syntax.
 func ExprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
+// writeExpr appends ExprString(e) to b: one writer for the whole tree,
+// so a chain of n terms renders in O(n).
+func writeExpr(b *strings.Builder, e Expr) {
 	switch x := e.(type) {
 	case *NumLit:
 		if x.IsReal {
 			s := fmt.Sprintf("%g", x.Value)
+			b.WriteString(s)
 			if !strings.ContainsAny(s, ".eE") {
-				s += ".0"
+				b.WriteString(".0")
 			}
-			return s
+			return
 		}
-		return fmt.Sprintf("%d", int64(x.Value))
+		b.WriteString(strconv.FormatInt(int64(x.Value), 10))
 	case *VarRef:
-		return x.Name
+		b.WriteString(x.Name)
 	case *ArrayRef:
-		parts := make([]string, len(x.Idx))
-		for i, ix := range x.Idx {
-			parts[i] = ExprString(ix)
-		}
-		return x.Name + "(" + strings.Join(parts, ",") + ")"
+		writeCall(b, x.Name, x.Idx)
 	case *IntrinsicCall:
-		parts := make([]string, len(x.Args))
-		for i, a := range x.Args {
-			parts[i] = ExprString(a)
-		}
-		return x.Name + "(" + strings.Join(parts, ",") + ")"
+		writeCall(b, x.Name, x.Args)
 	case *UnExpr:
 		if x.Neg {
-			return "(-" + ExprString(x.X) + ")"
+			b.WriteString("(-")
+		} else {
+			b.WriteString("(.not. ")
 		}
-		return "(.not. " + ExprString(x.X) + ")"
+		writeExpr(b, x.X)
+		b.WriteByte(')')
 	case *BinExpr:
 		op := x.Kind.String()
 		if x.Kind.IsRelational() || x.Kind.IsLogical() {
 			op = " " + op + " "
 		}
-		return "(" + ExprString(x.L) + op + ExprString(x.R) + ")"
+		b.WriteByte('(')
+		writeExpr(b, x.L)
+		b.WriteString(op)
+		writeExpr(b, x.R)
+		b.WriteByte(')')
 	default:
-		return "?"
+		b.WriteByte('?')
 	}
+}
+
+// writeCall appends name(args) with the arguments comma-separated.
+func writeCall(b *strings.Builder, name string, args []Expr) {
+	b.WriteString(name)
+	b.WriteByte('(')
+	for i, a := range args {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		writeExpr(b, a)
+	}
+	b.WriteByte(')')
 }
 
 // CloneExpr deep-copies an expression tree.
