@@ -153,10 +153,9 @@ func diverging(tbl *sem.Table, e source.Expr, loopVars map[string]bool) map[walk
 	return out
 }
 
-// diffPrograms is every program the differential runs over: the
-// corpus, the kernels, progen seeds 0–2999 and the one-move xform
-// neighbours of each, by name.
-func diffPrograms(t *testing.T) map[string]*source.Program {
+// basePrograms is the corpus, the kernels and progen seeds 0–2999, by
+// name.
+func basePrograms(t *testing.T) map[string]*source.Program {
 	progs := map[string]*source.Program{}
 	add := func(name, src string) {
 		p, err := source.Parse(src)
@@ -183,6 +182,13 @@ func diffPrograms(t *testing.T) map[string]*source.Program {
 		cfg := progen.ProgramConfig{AllowIf: seed%3 == 0, AllowSubroutine: seed%2 == 0}
 		add(fmt.Sprintf("progen %d", seed), progen.GenProgram(progen.NewRand(seed), cfg))
 	}
+	return progs
+}
+
+// diffPrograms is every program the differential runs over: the
+// base programs and the one-move xform neighbours of each, by name.
+func diffPrograms(t *testing.T) map[string]*source.Program {
+	progs := basePrograms(t)
 	opt := xform.SearchOptions{UnrollFactors: []int{2, 4}, TileSizes: []int{16}}
 	names := make([]string, 0, len(progs))
 	for name := range progs {
@@ -248,15 +254,14 @@ end
 //  2. zero coefficients: comm.affineVar kept i with coefficient 0 from
 //     i - i + 1, and both affineVars kept it from 0*i; now there is no
 //     variable;
-//  3. constant sub-expressions deps did not fold, such as k/2 + i and
-//     mod(k,3) + j with k a PARAMETER: deps said not-affine, which made
-//     the dependence conservative; now they are i + 4 and j + 2.
+//  3. constant sub-expressions deps did not fold, such as k/2 + i,
+//     mod(k,3) + j and 2**(-1) + i with k a PARAMETER: deps said
+//     not-affine, which made the dependence conservative; now they are
+//     i + 4, j + 2 and i.
 //
-// One more class follows from folding only integers: a subscript that
-// folds to a fraction, which only an integer power with a negative
-// exponent does (FoldConst takes 2**(-1) for 0.5). Both affineVars took
-// it for a constant offset; lower and deps said not-affine, and so does
-// the form.
+// No integer subscript folds to a fraction: integer division truncates
+// and an integer power with a negative exponent folds to an integer
+// (2**(-1) is 0), so every walk that folds agrees with the form there.
 func TestAffineDivergences(t *testing.T) {
 	cases := []struct {
 		sub     string
@@ -272,7 +277,7 @@ func TestAffineDivergences(t *testing.T) {
 		{"k/2 + i", 3, []walk{walkDeps}},
 		{"mod(k,3) + j", 3, []walk{walkDeps}},
 		{"int(k) - 1", 3, []walk{walkDeps}},
-		{"2**(-1) + i", 4, []walk{walkCache, walkComm}},
+		{"2**(-1) + i", 3, []walk{walkDeps}},
 		// No divergence.
 		{"i", 0, nil},
 		{"2*(i+1) - 1", 0, nil},

@@ -65,7 +65,9 @@ func TestAffine(t *testing.T) {
 		{"n*i", "-"},
 		{"i/2", "-"},
 		{"int(r)", "-"},
-		{"2**(-1)", "-"},
+		// An integer power with a negative exponent truncates.
+		{"2**(-1)", "0"},
+		{"2**(-1) + i", "1*i+0"},
 	} {
 		tbl, e := handSubscript(t, c.sub)
 		if got := render(tbl.Affine(e)); got != c.want {

@@ -352,91 +352,163 @@ func (t *Table) NodeType(e source.Expr, kids []source.Type) (source.Type, error)
 }
 
 // FoldConst evaluates e when it only involves literals and PARAMETER
-// constants.
+// constants. Integer division truncates, and an integer power with a
+// negative exponent folds as Fortran defines it: 2**(-1) is 0,
+// (-1)**(-3) is -1, and 0**(-1) does not fold.
 func (t *Table) FoldConst(e source.Expr) (float64, bool) {
+	c := t.fold(e)
+	return c.v, c.ok
+}
+
+// constNode is one node's folded value (ok false when it does not
+// fold) and, when it folds, its type as TypeOf infers it (typed false
+// when TypeOf fails).
+type constNode struct {
+	v         float64
+	ok, typed bool
+	ty        source.Type
+}
+
+// fold folds e and types it in one bottom-up recursion, typing each
+// node by NodeType from its operands' types, so that the division and
+// power rules, which read their operands' types, cost O(1) per node
+// instead of a TypeOf walk of each operand subtree.
+func (t *Table) fold(e source.Expr) constNode {
+	var kidBuf [4]source.Type
+	kids := kidBuf[:0]
+	var n constNode
 	switch x := e.(type) {
 	case *source.NumLit:
-		return x.Value, true
+		n = constNode{v: x.Value, ok: true}
 	case *source.VarRef:
-		if s := t.Lookup(x.Name); s != nil && s.IsConst {
-			return s.ConstVal, true
+		s := t.Lookup(x.Name)
+		if s == nil || !s.IsConst {
+			return constNode{}
 		}
-		return 0, false
+		n = constNode{v: s.ConstVal, ok: true}
 	case *source.UnExpr:
 		if !x.Neg {
-			return 0, false
+			return constNode{}
 		}
-		v, ok := t.FoldConst(x.X)
-		return -v, ok
+		n = t.fold(x.X)
+		n.v = -n.v
+		return n
 	case *source.IntrinsicCall:
-		args := make([]float64, len(x.Args))
-		for i, a := range x.Args {
-			v, ok := t.FoldConst(a)
-			if !ok {
-				return 0, false
+		var argBuf [4]float64
+		args := argBuf[:0]
+		typed := true
+		for _, a := range x.Args {
+			c := t.fold(a)
+			if !c.ok {
+				return constNode{}
 			}
-			args[i] = v
+			args = append(args, c.v)
+			kids = append(kids, c.ty)
+			typed = typed && c.typed
 		}
-		switch x.Name {
-		case "abs":
-			return math.Abs(args[0]), true
-		case "sqrt":
-			return math.Sqrt(args[0]), true
-		case "int":
-			return math.Trunc(args[0]), true
-		case "real", "dble":
-			return args[0], true
-		case "mod":
-			if args[1] == 0 {
-				return 0, false
-			}
-			return math.Mod(args[0], args[1]), true
-		case "min":
-			v := args[0]
-			for _, a := range args[1:] {
-				v = math.Min(v, a)
-			}
-			return v, true
-		case "max":
-			v := args[0]
-			for _, a := range args[1:] {
-				v = math.Max(v, a)
-			}
-			return v, true
-		default:
-			return 0, false
+		v, ok := foldIntrinsic(x.Name, args)
+		if !ok {
+			return constNode{}
+		}
+		n = constNode{v: v, ok: true}
+		if !typed {
+			return n
 		}
 	case *source.BinExpr:
-		l, ok := t.FoldConst(x.L)
+		l := t.fold(x.L)
+		if !l.ok {
+			return constNode{}
+		}
+		r := t.fold(x.R)
+		if !r.ok {
+			return constNode{}
+		}
+		ints := l.typed && r.typed && l.ty == source.TypeInteger && r.ty == source.TypeInteger
+		v, ok := foldBinary(x.Kind, l.v, r.v, ints)
 		if !ok {
+			return constNode{}
+		}
+		n = constNode{v: v, ok: true}
+		if !l.typed || !r.typed {
+			return n
+		}
+		kids = append(kids, l.ty, r.ty)
+	default:
+		return constNode{}
+	}
+	ty, err := t.NodeType(e, kids)
+	n.ty, n.typed = ty, err == nil
+	return n
+}
+
+// foldIntrinsic applies a foldable intrinsic to constant arguments.
+func foldIntrinsic(name string, args []float64) (float64, bool) {
+	switch name {
+	case "abs":
+		return math.Abs(args[0]), true
+	case "sqrt":
+		return math.Sqrt(args[0]), true
+	case "int":
+		return math.Trunc(args[0]), true
+	case "real", "dble":
+		return args[0], true
+	case "mod":
+		if args[1] == 0 {
 			return 0, false
 		}
-		r, ok := t.FoldConst(x.R)
-		if !ok {
+		return math.Mod(args[0], args[1]), true
+	case "min":
+		v := args[0]
+		for _, a := range args[1:] {
+			v = math.Min(v, a)
+		}
+		return v, true
+	case "max":
+		v := args[0]
+		for _, a := range args[1:] {
+			v = math.Max(v, a)
+		}
+		return v, true
+	default:
+		return 0, false
+	}
+}
+
+// foldBinary applies an arithmetic operator to constants; ints
+// reports that both operands are integers.
+func foldBinary(k source.BinKind, l, r float64, ints bool) (float64, bool) {
+	switch k {
+	case source.BinAdd:
+		return l + r, true
+	case source.BinSub:
+		return l - r, true
+	case source.BinMul:
+		return l * r, true
+	case source.BinDiv:
+		if r == 0 {
 			return 0, false
 		}
-		switch x.Kind {
-		case source.BinAdd:
-			return l + r, true
-		case source.BinSub:
-			return l - r, true
-		case source.BinMul:
-			return l * r, true
-		case source.BinDiv:
-			if r == 0 {
-				return 0, false
-			}
-			// Integer division truncates.
-			if lt, err1 := t.TypeOf(x.L); err1 == nil && lt == source.TypeInteger {
-				if rt, err2 := t.TypeOf(x.R); err2 == nil && rt == source.TypeInteger {
-					return math.Trunc(l / r), true
-				}
-			}
-			return l / r, true
-		case source.BinPow:
+		if ints {
+			return math.Trunc(l / r), true
+		}
+		return l / r, true
+	case source.BinPow:
+		if !ints || r >= 0 {
 			return math.Pow(l, r), true
-		default:
+		}
+		// 1/l**|r| truncated toward zero.
+		switch l {
+		case 0:
 			return 0, false
+		case 1:
+			return 1, true
+		case -1:
+			if math.Mod(r, 2) == 0 {
+				return 1, true
+			}
+			return -1, true
+		default:
+			return 0, true
 		}
 	default:
 		return 0, false

@@ -61,10 +61,15 @@ func TestDeepNestingIsAParseError(t *testing.T) {
 	}
 }
 
-// TestNestDepthLimitEachConstruct checks every construct that
-// recurses: one level past the limit fails with the nesting error and
-// a moderately deep program still parses.
-func TestNestDepthLimitEachConstruct(t *testing.T) {
+// nestCase builds a program that nests one recursing construct n
+// levels deep.
+type nestCase struct {
+	name string
+	src  func(n int) string
+}
+
+// nestCases returns one nestCase per construct that recurses.
+func nestCases() []nestCase {
 	wrap := func(body string) string {
 		return "program p\n  integer i, n\n  real s\n" + body + "end\n"
 	}
@@ -78,10 +83,7 @@ func TestNestDepthLimitEachConstruct(t *testing.T) {
 		return wrap("if (i .gt. 0) then\ns = 1.0\n" + strings.Repeat("elseif (i .gt. 1) then\ns = 2.0\n", n) + "end if\n")
 	}
 	expr := func(e string) string { return wrap("s = " + e + "\n") }
-	cases := []struct {
-		name string
-		src  func(n int) string
-	}{
+	return []nestCase{
 		{"parentheses", func(n int) string { return expr(strings.Repeat("(", n) + "1.0" + strings.Repeat(")", n)) }},
 		{"unary minus", func(n int) string { return expr(strings.Repeat("-", n) + "1.0") }},
 		{"unary plus", func(n int) string { return expr(strings.Repeat("+", n) + "1.0") }},
@@ -91,7 +93,13 @@ func TestNestDepthLimitEachConstruct(t *testing.T) {
 		{"nested if", deepIf},
 		{"elseif chain", deepElseIf},
 	}
-	for _, tc := range cases {
+}
+
+// TestNestDepthLimitEachConstruct checks every construct that
+// recurses: one level past the limit fails with the nesting error and
+// a moderately deep program still parses.
+func TestNestDepthLimitEachConstruct(t *testing.T) {
+	for _, tc := range nestCases() {
 		if _, err := source.Parse(tc.src(source.MaxNestDepth + 1)); err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
 			t.Errorf("%s: %d levels gave %v, want the nesting error", tc.name, source.MaxNestDepth+1, err)
 		}

@@ -21,23 +21,6 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex returns all tokens including TokNewline separators, ending with
-// TokEOF.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var out []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}
-
 func (lx *Lexer) errf(format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", lx.line, lx.col, fmt.Sprintf(format, args...))
 }
@@ -70,7 +53,8 @@ func (lx *Lexer) advance() byte {
 
 func (lx *Lexer) here() Pos { return Pos{lx.line, lx.col} }
 
-// Next returns the next token.
+// Next returns the next token: TokNewline separates statements, and
+// TokEOF ends the text and repeats on every later call.
 func (lx *Lexer) Next() (Token, error) {
 	for {
 		// Skip spaces, tabs, carriage returns and line continuations
@@ -114,8 +98,7 @@ func (lx *Lexer) Next() (Token, error) {
 				lx.advance()
 			}
 			text := lx.src[start:lx.pos]
-			lower := strings.ToLower(text)
-			if strings.HasPrefix(lower, "!hpf$") {
+			if len(text) >= len("!hpf$") && strings.EqualFold(text[:len("!hpf$")], "!hpf$") {
 				return Token{TokDirective, strings.TrimSpace(text[len("!hpf$"):]), pos}, nil
 			}
 			continue // plain comment: loop for the next token
@@ -212,11 +195,11 @@ func (lx *Lexer) lexDotOp(pos Pos) (Token, error) {
 		return Token{}, lx.errf("malformed dotted operator .%s", name)
 	}
 	lx.advance()
-	kind, ok := dotOps[name]
+	op, ok := dotOps[name]
 	if !ok {
 		return Token{}, lx.errf("unknown operator .%s.", name)
 	}
-	return Token{kind, "." + name + ".", pos}, nil
+	return Token{op.kind, op.text, pos}, nil
 }
 
 func (lx *Lexer) lexIdent(pos Pos) (Token, error) {

@@ -343,15 +343,18 @@ func TestCloneProgramIndependent(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks, err := Lex("x = 1\ny = 2\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("first token pos: %v", toks[0].Pos)
-	}
-	// Find the 'y' token.
-	for _, tok := range toks {
+	lx := NewLexer("x = 1\ny = 2\n")
+	for i := 0; ; i++ {
+		tok, err := lx.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && (tok.Pos.Line != 1 || tok.Pos.Col != 1) {
+			t.Errorf("first token pos: %v", tok.Pos)
+		}
+		if tok.Kind == TokEOF {
+			break
+		}
 		if tok.Kind == TokIdent && tok.Text == "y" {
 			if tok.Pos.Line != 2 {
 				t.Errorf("y pos: %v", tok.Pos)

@@ -7,9 +7,8 @@ import (
 	"testing/quick"
 )
 
-// The parser must never panic, whatever bytes it is fed: errors only.
-func TestQuickParseNeverPanics(t *testing.T) {
-	base := `
+// robustBase is the program TestQuickParseNeverPanics mutates.
+const robustBase = `
 program p
   integer i, n
   parameter (n = 10)
@@ -23,6 +22,31 @@ program p
   end do
 end
 `
+
+// mutateBytes overwrites, deletes or duplicates a handful of random
+// bytes of robustBase.
+func mutateBytes(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	b := []byte(robustBase)
+	for k := 0; k < 1+rng.Intn(8); k++ {
+		pos := rng.Intn(len(b))
+		switch rng.Intn(3) {
+		case 0:
+			b[pos] = byte(rng.Intn(128))
+		case 1: // delete
+			b = append(b[:pos], b[pos+1:]...)
+		default: // duplicate
+			b = append(b[:pos], append([]byte{b[pos]}, b[pos:]...)...)
+		}
+		if len(b) == 0 {
+			b = []byte("x")
+		}
+	}
+	return string(b)
+}
+
+// The parser must never panic, whatever bytes it is fed: errors only.
+func TestQuickParseNeverPanics(t *testing.T) {
 	f := func(seed int64) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -30,24 +54,7 @@ end
 				ok = false
 			}
 		}()
-		rng := rand.New(rand.NewSource(seed))
-		b := []byte(base)
-		// Mutate a handful of random bytes.
-		for k := 0; k < 1+rng.Intn(8); k++ {
-			pos := rng.Intn(len(b))
-			switch rng.Intn(3) {
-			case 0:
-				b[pos] = byte(rng.Intn(128))
-			case 1: // delete
-				b = append(b[:pos], b[pos+1:]...)
-			default: // duplicate
-				b = append(b[:pos], append([]byte{b[pos]}, b[pos:]...)...)
-			}
-			if len(b) == 0 {
-				b = []byte("x")
-			}
-		}
-		_, _ = Parse(string(b)) // error or success, never panic
+		_, _ = Parse(mutateBytes(seed)) // error or success, never panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -55,8 +62,8 @@ end
 	}
 }
 
-// Random splices of token-ish fragments must not panic either.
-func TestParseFragmentSoup(t *testing.T) {
+// fragmentSoup returns n random splices of token-ish fragments.
+func fragmentSoup(n int) []string {
 	frags := []string{
 		"do i = 1, n", "end do", "if (", ") then", "else", "end if",
 		"a(i)", "= 1.0", "**", ".le.", "call f(", "program p", "end",
@@ -64,29 +71,38 @@ func TestParseFragmentSoup(t *testing.T) {
 		"mod(i, 2)", ";", "-", "x", "\n",
 	}
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 500; trial++ {
+	out := make([]string, n)
+	for trial := range out {
 		var b strings.Builder
-		n := 1 + rng.Intn(20)
-		for i := 0; i < n; i++ {
+		k := 1 + rng.Intn(20)
+		for i := 0; i < k; i++ {
 			b.WriteString(frags[rng.Intn(len(frags))])
 			b.WriteByte(' ')
 		}
+		out[trial] = b.String()
+	}
+	return out
+}
+
+// Random splices of token-ish fragments must not panic either.
+func TestParseFragmentSoup(t *testing.T) {
+	for _, src := range fragmentSoup(500) {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Fatalf("panic on %q: %v", b.String(), r)
+					t.Fatalf("panic on %q: %v", src, r)
 				}
 			}()
-			_, _ = Parse(b.String())
+			_, _ = Parse(src)
 		}()
 	}
 }
 
-// Every kernel-shaped program that parses must round-trip through the
-// printer to an equivalent AST.
-func TestQuickPrintRoundTrip(t *testing.T) {
+// roundTripPrograms returns n random kernel-shaped programs.
+func roundTripPrograms(n int) []string {
 	rng := rand.New(rand.NewSource(7))
-	mk := func() string {
+	out := make([]string, n)
+	for trial := range out {
 		var b strings.Builder
 		b.WriteString("program g\n integer i, j, n\n parameter (n = 16)\n real a(16,16), x\n")
 		stmts := 1 + rng.Intn(4)
@@ -101,10 +117,15 @@ func TestQuickPrintRoundTrip(t *testing.T) {
 			}
 		}
 		b.WriteString("end\n")
-		return b.String()
+		out[trial] = b.String()
 	}
-	for trial := 0; trial < 100; trial++ {
-		src := mk()
+	return out
+}
+
+// Every kernel-shaped program that parses must round-trip through the
+// printer to an equivalent AST.
+func TestQuickPrintRoundTrip(t *testing.T) {
+	for _, src := range roundTripPrograms(100) {
 		p1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("generated program failed to parse: %v\n%s", err, src)

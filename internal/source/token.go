@@ -116,7 +116,13 @@ var keywords = map[string]TokKind{
 	"parameter": TokParameter, "return": TokReturn, "continue": TokContinue,
 }
 
-var dotOps = map[string]TokKind{
-	"lt": TokLT, "le": TokLE, "gt": TokGT, "ge": TokGE,
-	"eq": TokEQ, "ne": TokNE, "and": TokAnd, "or": TokOr, "not": TokNot,
+// dotOps maps a dotted operator's lower-cased name to its kind and its
+// token text, so lexing one builds no string.
+var dotOps = map[string]struct {
+	kind TokKind
+	text string
+}{
+	"lt": {TokLT, ".lt."}, "le": {TokLE, ".le."}, "gt": {TokGT, ".gt."},
+	"ge": {TokGE, ".ge."}, "eq": {TokEQ, ".eq."}, "ne": {TokNE, ".ne."},
+	"and": {TokAnd, ".and."}, "or": {TokOr, ".or."}, "not": {TokNot, ".not."},
 }

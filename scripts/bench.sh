@@ -1,9 +1,9 @@
 #!/bin/sh
 # Perf-trajectory recorder: runs the named suites of
 # scripts/bench_suites.sh, or every suite (the search/batch benchmarks,
-# the design-space sweep benchmarks, the corpus lowering benchmark and
-# the Tetris kernel microbenchmarks), with -benchmem and writes
-# BENCH_<suite>.json (one JSON object per benchmark). Non-gating —
+# the design-space sweep benchmarks, the corpus lowering and parse
+# benchmarks and the Tetris kernel microbenchmarks), with -benchmem and
+# writes BENCH_<suite>.json (one JSON object per benchmark). Non-gating —
 # failures here should not fail CI, only lose a data point.
 #
 # Every suite runs -count times and records the BEST of each metric

@@ -9,11 +9,13 @@
 # The search/batch suite runs 3 iterations per run and the explore
 # suite 5 sweeps per run, 5 runs each: one search or sweep is tens of
 # milliseconds, so a single one is too noisy to record. The lowering
-# suite lowers the whole corpus (about 2 ms) 100 times per run. The Tetris
+# suite lowers the whole corpus (about 2 ms) 100 times per run, and the
+# parse suite parses the corpus and the kernels (about 3 ms) 300 times
+# per run. The Tetris
 # kernel suite takes its benchtime and count from TETRIS_BENCHTIME and
 # TETRIS_COUNT (defaults 500x and 6).
 
-BENCH_SUITES="optimize explore lower tetris"
+BENCH_SUITES="optimize explore lower parse tetris"
 
 suite_settings() {
 	case "$1" in
@@ -23,6 +25,8 @@ suite_settings() {
 		pkg=./internal/explore pattern='BenchmarkExplore' benchtime=5x count=5 ;;
 	lower)
 		pkg=./internal/lower pattern='BenchmarkLowerCorpus' benchtime=100x count=5 ;;
+	parse)
+		pkg=./internal/source pattern='BenchmarkParseCorpus' benchtime=300x count=5 ;;
 	tetris)
 		pkg=./internal/tetris pattern='BenchmarkTetris'
 		benchtime="${TETRIS_BENCHTIME:-500x}" count="${TETRIS_COUNT:-6}" ;;

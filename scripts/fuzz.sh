@@ -16,7 +16,9 @@ fuzztime="${3:-20s}"
 
 go run ./cmd/fuzzcheck -n "$n" -seed "$seed" -v -json BENCH_fuzz.json
 
-for target in FuzzBlockInvariants FuzzSpecJSON; do
-	go test ./internal/invariants/ -run "$target" -fuzz "$target" \
-		-fuzztime "$fuzztime" || echo "fuzz.sh: $target found a failure (see testdata/fuzz)" >&2
+for spec in ./internal/invariants/:FuzzBlockInvariants \
+	./internal/invariants/:FuzzSpecJSON ./internal/source/:FuzzParse; do
+	pkg=${spec%%:*} target=${spec#*:}
+	go test "$pkg" -run "$target" -fuzz "$target" \
+		-fuzztime "$fuzztime" || echo "fuzz.sh: $target found a failure (see $pkg/testdata/fuzz)" >&2
 done
