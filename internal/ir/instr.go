@@ -157,15 +157,24 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 	defer depsPool.Put(sc)
 	sc.reset()
 
+	// The def table is indexed from the block's lowest destination
+	// register: a renamed trace window numbers its registers far from
+	// zero, and a table from zero would cost O(registers renamed so far).
+	lo := NoReg
+	for i := range b.Instrs {
+		if in := &b.Instrs[i]; in.Op.HasDst() && in.Dst >= 0 && (lo < 0 || in.Dst < lo) {
+			lo = in.Dst
+		}
+	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
 		for _, s := range in.Srcs {
-			// A source at or past the def table's extent has no recorded
-			// producer (the table grows only when a def is seen).
-			if s < 0 || int(s) >= len(sc.def) {
+			// A source outside the def table has no recorded producer
+			// (the table grows only when a def is seen).
+			if s < lo || int(s-lo) >= len(sc.def) {
 				continue
 			}
-			if p := sc.def[s]; p >= 0 {
+			if p := sc.def[s-lo]; p >= 0 {
 				sc.add(i, p)
 			}
 		}
@@ -219,10 +228,10 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 			}
 		}
 		if in.Op.HasDst() && in.Dst >= 0 {
-			for len(sc.def) <= int(in.Dst) {
+			for len(sc.def) <= int(in.Dst-lo) {
 				sc.def = append(sc.def, -1)
 			}
-			sc.def[in.Dst] = i
+			sc.def[in.Dst-lo] = i
 		}
 	}
 
@@ -281,10 +290,10 @@ type depEdge struct{ i, j int }
 // map operation per table per access.
 type depsScratch struct {
 	edges []depEdge
-	// def maps reg -> defining instr index (-1 if none). It grows
-	// lazily to the highest reg actually defined, so huge or sparse
-	// register numbers cost nothing and no up-front MaxReg pass is
-	// needed.
+	// def maps reg - lo -> defining instr index (-1 if none), lo being
+	// the block's lowest destination register. It grows lazily to the
+	// highest reg actually defined, so its length is the span of the
+	// block's destinations, whatever their numbers.
 	def []int
 
 	// The intern table persists across blocks (address strings repeat
