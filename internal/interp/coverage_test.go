@@ -3,6 +3,8 @@ package interp
 import (
 	"math"
 	"testing"
+
+	"perfpredict/internal/machine"
 )
 
 func TestSetArraySeedsInputs(t *testing.T) {
@@ -167,5 +169,54 @@ end
 `, Options{})
 	if err := r.Run(); err == nil {
 		t.Error("zero step accepted")
+	}
+}
+
+// TestNegativeIntegerPower: an integer raised to a negative integer
+// evaluates as sem folds it, 1/l**|r| truncated toward zero, and
+// 0**(-n) does not evaluate. So a loop bound of 8 * 2**(-1) runs no
+// trip, and simulates exactly the cycles of a bound of 0.
+func TestNegativeIntegerPower(t *testing.T) {
+	r := runner(t, `
+program p
+  integer i, j, k, m
+  real x
+  i = 2**(-1)
+  j = (-1)**(-3)
+  k = 1**(-4)
+  m = (-2)**(-1)
+  x = 2**(-1) + 2.0**(-1)
+end
+`, Options{})
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{"i": 0, "j": -1, "k": 1, "m": 0, "x": 0.5} {
+		if got := r.Scalar(name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	zero := runner(t, "program p\n  integer i, z\n  z = 0\n  i = z**(-1)\nend\n", Options{})
+	if err := zero.Run(); err == nil {
+		t.Error("0**(-1) evaluated")
+	}
+	cycles := func(bound string) int64 {
+		r := runner(t, `
+program p
+  integer i
+  real s, y(8)
+  s = 0.0
+  do i = 1, `+bound+`
+    s = s + y(1)
+  end do
+end
+`, Options{Machine: machine.NewPOWER1()})
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles()
+	}
+	if got, want := cycles("8 * 2**(-1)"), cycles("0"); got != want {
+		t.Errorf("bound 8 * 2**(-1) simulates %d cycles, bound 0 %d", got, want)
 	}
 }

@@ -55,6 +55,8 @@ type Runner struct {
 	scalars map[string]float64
 	arrays  map[string][]float64
 	dims    map[string][]int64
+	// env evaluates expressions over scalars and arrays.
+	env sem.Env
 
 	pipe    *pipesim.Pipeline
 	trans   *lower.Translator
@@ -110,6 +112,7 @@ func New(prog *source.Program, tbl *sem.Table, opt Options) *Runner {
 		promo:   map[*cachedSeg]map[string]ir.Reg{},
 		maxOps:  opt.MaxOps,
 	}
+	r.env = sem.Env{Scalars: r.scalars, Element: r.element}
 	if opt.Machine != nil {
 		r.pipe = pipesim.NewPipeline(opt.Machine)
 		r.trans = lower.New(tbl, opt.Machine, lower.DefaultOptions())
@@ -301,17 +304,11 @@ func (r *Runner) segment(run []source.Stmt, loopVars []string) (*cachedSeg, erro
 }
 
 func maxReg(lw *lower.Lowered) ir.Reg {
-	m := lw.Body.MaxReg()
+	m := max(lw.Body.MaxReg(), 0)
 	for _, b := range []*ir.Block{lw.Pre, lw.PerEntry, lw.Post} {
-		if b == nil {
-			continue
+		if b != nil {
+			m = max(m, b.MaxReg())
 		}
-		if p := b.MaxReg(); p > m {
-			m = p
-		}
-	}
-	if m < 0 {
-		m = 0
 	}
 	return m
 }
@@ -551,7 +548,7 @@ func (r *Runner) condSegment(cond source.Expr, loopVars []string) (*cachedSeg, e
 
 // execAssign updates interpreter state.
 func (r *Runner) execAssign(a *source.Assign) error {
-	v, err := r.eval(a.RHS)
+	v, err := r.Eval(a.RHS)
 	if err != nil {
 		return err
 	}
@@ -584,27 +581,61 @@ func (r *Runner) execAssign(a *source.Assign) error {
 	}
 }
 
-// flatIndex computes the 0-based flattened index of an array element
-// using Fortran column-major order with 1-based subscripts.
+// flatIndex computes the 0-based flattened index of an array element.
 func (r *Runner) flatIndex(ref *source.ArrayRef) (int64, error) {
+	var buf [4]float64
+	subs := buf[:0]
+	for _, ix := range ref.Idx {
+		v, err := r.Eval(ix)
+		if err != nil {
+			return 0, err
+		}
+		subs = append(subs, v)
+	}
+	return r.offset(ref, subs)
+}
+
+// offset computes the 0-based flattened index of the element of ref at
+// the given subscript values, in Fortran column-major order with
+// 1-based subscripts.
+func (r *Runner) offset(ref *source.ArrayRef, subs []float64) (int64, error) {
 	dims, ok := r.dims[ref.Name]
 	if !ok {
 		return 0, fmt.Errorf("%s: array %s has no resolved dimensions", ref.Pos, ref.Name)
 	}
 	var idx, stride int64 = 0, 1
-	for d, ix := range ref.Idx {
-		v, err := r.evalInt(ix)
-		if err != nil {
-			return 0, err
-		}
-		idx += (v - 1) * stride
+	for d, v := range subs {
+		idx += (int64(v) - 1) * stride
 		stride *= dims[d]
 	}
 	return idx, nil
 }
 
+// element reads the element of ref at the given subscript values: the
+// runner's sem.Env.Element.
+func (r *Runner) element(ref *source.ArrayRef, subs []float64) (float64, error) {
+	idx, err := r.offset(ref, subs)
+	if err != nil {
+		return 0, err
+	}
+	data := r.arrays[ref.Name]
+	if idx < 0 || idx >= int64(len(data)) {
+		return 0, fmt.Errorf("%s: index out of range for %s (flat %d, size %d)", ref.Pos, ref.Name, idx, len(data))
+	}
+	if r.opt.MemTrace != nil {
+		r.opt.MemTrace(ref.Name, idx, false)
+	}
+	return data[idx], nil
+}
+
+// Eval evaluates e over the runner's current scalars and arrays, by
+// the one F-lite arithmetic (*sem.Table).Eval defines.
+func (r *Runner) Eval(e source.Expr) (float64, error) {
+	return r.tbl.Eval(e, &r.env)
+}
+
 func (r *Runner) evalInt(e source.Expr) (int64, error) {
-	v, err := r.eval(e)
+	v, err := r.Eval(e)
 	if err != nil {
 		return 0, err
 	}
@@ -615,11 +646,11 @@ func (r *Runner) evalCond(e source.Expr) (bool, error) {
 	switch x := e.(type) {
 	case *source.BinExpr:
 		if x.Kind.IsRelational() {
-			l, err := r.eval(x.L)
+			l, err := r.Eval(x.L)
 			if err != nil {
 				return false, err
 			}
-			rv, err := r.eval(x.R)
+			rv, err := r.Eval(x.R)
 			if err != nil {
 				return false, err
 			}
@@ -661,119 +692,5 @@ func (r *Runner) evalCond(e source.Expr) (bool, error) {
 		return !v, err
 	default:
 		return false, fmt.Errorf("condition %T is not logical", e)
-	}
-}
-
-func (r *Runner) eval(e source.Expr) (float64, error) {
-	switch x := e.(type) {
-	case *source.NumLit:
-		return x.Value, nil
-	case *source.VarRef:
-		if v, ok := r.scalars[x.Name]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("%s: unbound scalar %q", x.Pos, x.Name)
-	case *source.ArrayRef:
-		idx, err := r.flatIndex(x)
-		if err != nil {
-			return 0, err
-		}
-		data := r.arrays[x.Name]
-		if idx < 0 || idx >= int64(len(data)) {
-			return 0, fmt.Errorf("%s: index out of range for %s (flat %d, size %d)", x.Pos, x.Name, idx, len(data))
-		}
-		if r.opt.MemTrace != nil {
-			r.opt.MemTrace(x.Name, idx, false)
-		}
-		return data[idx], nil
-	case *source.UnExpr:
-		if !x.Neg {
-			return 0, fmt.Errorf("%s: .not. in arithmetic", x.Pos)
-		}
-		v, err := r.eval(x.X)
-		return -v, err
-	case *source.IntrinsicCall:
-		args := make([]float64, len(x.Args))
-		for i, a := range x.Args {
-			v, err := r.eval(a)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		return evalIntrinsic(x.Name, args)
-	case *source.BinExpr:
-		l, err := r.eval(x.L)
-		if err != nil {
-			return 0, err
-		}
-		rv, err := r.eval(x.R)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Kind {
-		case source.BinAdd:
-			return l + rv, nil
-		case source.BinSub:
-			return l - rv, nil
-		case source.BinMul:
-			return l * rv, nil
-		case source.BinDiv:
-			if rv == 0 {
-				return 0, fmt.Errorf("%s: division by zero", x.Pos)
-			}
-			if lt, e1 := r.tbl.TypeOf(x.L); e1 == nil && lt == source.TypeInteger {
-				if rt, e2 := r.tbl.TypeOf(x.R); e2 == nil && rt == source.TypeInteger {
-					return math.Trunc(l / rv), nil
-				}
-			}
-			return l / rv, nil
-		case source.BinPow:
-			return math.Pow(l, rv), nil
-		default:
-			return 0, fmt.Errorf("%s: operator %v in arithmetic", x.Pos, x.Kind)
-		}
-	default:
-		return 0, fmt.Errorf("cannot evaluate %T", e)
-	}
-}
-
-func evalIntrinsic(name string, args []float64) (float64, error) {
-	switch name {
-	case "sqrt":
-		return math.Sqrt(args[0]), nil
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "min":
-		v := args[0]
-		for _, a := range args[1:] {
-			v = math.Min(v, a)
-		}
-		return v, nil
-	case "max":
-		v := args[0]
-		for _, a := range args[1:] {
-			v = math.Max(v, a)
-		}
-		return v, nil
-	case "mod":
-		if args[1] == 0 {
-			return 0, fmt.Errorf("mod by zero")
-		}
-		return math.Mod(args[0], args[1]), nil
-	case "int":
-		return math.Trunc(args[0]), nil
-	case "real", "dble":
-		return args[0], nil
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "log":
-		return math.Log(args[0]), nil
-	case "sin":
-		return math.Sin(args[0]), nil
-	case "cos":
-		return math.Cos(args[0]), nil
-	default:
-		return 0, fmt.Errorf("unknown intrinsic %q", name)
 	}
 }

@@ -157,9 +157,8 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 	defer depsPool.Put(sc)
 	sc.reset()
 
-	// The def table is indexed from the block's lowest destination
-	// register: a renamed trace window numbers its registers far from
-	// zero, and a table from zero would cost O(registers renamed so far).
+	// Index the def table from the block's lowest destination: a table
+	// from zero costs a renamed trace window O(registers renamed so far).
 	lo := NoReg
 	for i := range b.Instrs {
 		if in := &b.Instrs[i]; in.Op.HasDst() && in.Dst >= 0 && (lo < 0 || in.Dst < lo) {

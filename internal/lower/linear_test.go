@@ -241,42 +241,57 @@ func divisionProgram(n int) string {
 }
 
 // TestDivisionChainLinear: Predict of a subscript that is a chain of
-// integer divisions costs memory and time linear in its length. Each
-// division folds by its operands' types. Typing both operand subtrees
-// afresh at every level allocates nothing but is quadratic in time:
-// 33 ms at 1k terms and 470 ms at 4k. So besides the 4k/1k allocation
-// ratio the test bounds the 4k/500 time ratio, the best of three runs
-// at each size, which reads about 45 when quadratic and 8 to 12 when
-// linear.
+// integer divisions, and Simulate of it over ten trips, cost memory
+// and time linear in its length. Each division folds, or evaluates, by
+// its operands' types. Typing both operand subtrees afresh at every
+// level allocates nothing but is quadratic in time: Predict took 33 ms
+// at 1k terms and 470 ms at 4k, and Simulate 15 ms at 250 terms and
+// 248 ms at 1k. So besides the 4k/1k allocation ratio the test bounds
+// the 4k/500 time ratio, the best of three runs at each size, which
+// reads about 45 when quadratic and 8 to 12 when linear.
 func TestDivisionChainLinear(t *testing.T) {
-	run := func(n int) func() {
-		src := divisionProgram(n)
-		return func() {
-			if _, err := perfpredict.Predict(src, perfpredict.POWER1()); err != nil {
-				t.Fatal(err)
+	for _, row := range []struct {
+		name string
+		run  func(src string) error
+	}{
+		{"Predict", func(src string) error {
+			_, err := perfpredict.Predict(src, perfpredict.POWER1())
+			return err
+		}},
+		{"Simulate", func(src string) error {
+			_, err := perfpredict.Simulate(src, perfpredict.POWER1(), map[string]float64{"n": 10})
+			return err
+		}},
+	} {
+		run := func(n int) func() {
+			src := divisionProgram(n)
+			return func() {
+				if err := row.run(src); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	small, _ := allocs(run(1000))
-	large, took := allocs(run(4000))
-	ratio := float64(large) / float64(small)
-	t.Logf("%d B at 1k terms, %d B at 4k (ratio %.1f); 4k in %v", small, large, ratio, took)
-	if ratio > 5 {
-		t.Errorf("4k/1k allocation ratio %.1f, want ≤ 5 (linear)", ratio)
-	}
-	if !raceEnabled && took > 100*time.Millisecond {
-		t.Errorf("4k-term Predict took %v, want < 100ms", took)
-	}
-	smallTook := time.Duration(math.MaxInt64)
-	for range 3 {
-		_, d := allocs(run(500))
-		smallTook = min(smallTook, d)
-		_, d = allocs(run(4000))
-		took = min(took, d)
-	}
-	tr := float64(took) / float64(smallTook)
-	t.Logf("4k/500 time ratio %.1f (%v / %v)", tr, took, smallTook)
-	if tr > 24 {
-		t.Errorf("4k/500 time ratio %.1f (%v / %v), want ≤ 24 (linear)", tr, took, smallTook)
+		small, _ := allocs(run(1000))
+		large, took := allocs(run(4000))
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: %d B at 1k terms, %d B at 4k (ratio %.1f); 4k in %v", row.name, small, large, ratio, took)
+		if ratio > 5 {
+			t.Errorf("%s: 4k/1k allocation ratio %.1f, want ≤ 5 (linear)", row.name, ratio)
+		}
+		if !raceEnabled && took > 100*time.Millisecond {
+			t.Errorf("%s: 4k terms took %v, want < 100ms", row.name, took)
+		}
+		smallTook := time.Duration(math.MaxInt64)
+		for range 3 {
+			_, d := allocs(run(500))
+			smallTook = min(smallTook, d)
+			_, d = allocs(run(4000))
+			took = min(took, d)
+		}
+		tr := float64(took) / float64(smallTook)
+		t.Logf("%s: 4k/500 time ratio %.1f (%v / %v)", row.name, tr, took, smallTook)
+		if tr > 24 {
+			t.Errorf("%s: 4k/500 time ratio %.1f (%v / %v), want ≤ 24 (linear)", row.name, tr, took, smallTook)
+		}
 	}
 }

@@ -5,6 +5,7 @@
 package sem
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -351,98 +352,174 @@ func (t *Table) NodeType(e source.Expr, kids []source.Type) (source.Type, error)
 	}
 }
 
+// Env supplies the values of an expression's variables to Eval. The
+// nil Env supplies only the PARAMETER constants: evaluating in it is
+// constant folding (FoldConst).
+type Env struct {
+	// Scalars holds the value of every scalar, constants included.
+	Scalars map[string]float64
+	// Element reads the element of ref at the given subscript values.
+	Element func(ref *source.ArrayRef, subs []float64) (float64, error)
+	// subs stacks the subscript values of the array references being
+	// evaluated, so a read allocates nothing once it has grown.
+	subs []float64
+}
+
+// errNoFold is every error of the nil Env, which asks only whether an
+// expression folds.
+var errNoFold = errors.New("not a compile-time constant")
+
 // FoldConst evaluates e when it only involves literals and PARAMETER
-// constants. Integer division truncates, and an integer power with a
-// negative exponent folds as Fortran defines it: 2**(-1) is 0,
-// (-1)**(-3) is -1, and 0**(-1) does not fold.
+// constants: Eval in the nil Env. Transcendental intrinsics (exp, log,
+// sin, cos) do not fold.
 func (t *Table) FoldConst(e source.Expr) (float64, bool) {
-	c := t.fold(e)
-	return c.v, c.ok
+	n, err := t.eval(e, nil)
+	return n.v, err == nil
 }
 
-// constNode is one node's folded value (ok false when it does not
-// fold) and, when it folds, its type as TypeOf infers it (typed false
-// when TypeOf fails).
-type constNode struct {
-	v         float64
-	ok, typed bool
-	ty        source.Type
+// Eval evaluates e as F-lite defines it, reading variables from env:
+// integer division truncates, and an integer power with a negative
+// exponent is 1/l**|r| truncated toward zero, so 2**(-1) is 0 and
+// (-1)**(-3) is -1. A division or mod by zero, 0**(-n), a relational
+// or logical operator and an unknown intrinsic do not evaluate.
+func (t *Table) Eval(e source.Expr, env *Env) (float64, error) {
+	n, err := t.eval(e, env)
+	return n.v, err
 }
 
-// fold folds e and types it in one bottom-up recursion, typing each
+// value is one evaluated node and, when typing succeeds, its type as
+// TypeOf infers it (typed false when TypeOf fails).
+type value struct {
+	v     float64
+	typed bool
+	ty    source.Type
+}
+
+// eval evaluates e and types it in one bottom-up recursion, typing each
 // node by NodeType from its operands' types, so that the division and
 // power rules, which read their operands' types, cost O(1) per node
-// instead of a TypeOf walk of each operand subtree.
-func (t *Table) fold(e source.Expr) constNode {
+// instead of a TypeOf walk of each operand subtree. An operand whose
+// typing fails means real division.
+func (t *Table) eval(e source.Expr, env *Env) (value, error) {
 	var kidBuf [4]source.Type
 	kids := kidBuf[:0]
-	var n constNode
+	typed := true
+	var n value
 	switch x := e.(type) {
 	case *source.NumLit:
-		n = constNode{v: x.Value, ok: true}
+		n.v = x.Value
 	case *source.VarRef:
-		s := t.Lookup(x.Name)
-		if s == nil || !s.IsConst {
-			return constNode{}
+		var ok bool
+		if env != nil {
+			n.v, ok = env.Scalars[x.Name]
+		} else if s := t.Lookup(x.Name); s != nil && s.IsConst {
+			n.v, ok = s.ConstVal, true
 		}
-		n = constNode{v: s.ConstVal, ok: true}
+		if !ok {
+			return value{}, env.fault(e)
+		}
 	case *source.UnExpr:
 		if !x.Neg {
-			return constNode{}
+			return value{}, env.fault(e)
 		}
-		n = t.fold(x.X)
+		n, err := t.eval(x.X, env)
 		n.v = -n.v
-		return n
+		return n, err
+	case *source.ArrayRef:
+		if env == nil {
+			return value{}, errNoFold
+		}
+		base := len(env.subs)
+		for _, ix := range x.Idx {
+			c, err := t.eval(ix, env)
+			if err != nil {
+				env.subs = env.subs[:base]
+				return value{}, err
+			}
+			env.subs = append(env.subs, c.v)
+			kids = append(kids, c.ty)
+			typed = typed && c.typed
+		}
+		v, err := env.Element(x, env.subs[base:])
+		env.subs = env.subs[:base]
+		if err != nil {
+			return value{}, err
+		}
+		n.v = v
 	case *source.IntrinsicCall:
 		var argBuf [4]float64
 		args := argBuf[:0]
-		typed := true
 		for _, a := range x.Args {
-			c := t.fold(a)
-			if !c.ok {
-				return constNode{}
+			c, err := t.eval(a, env)
+			if err != nil {
+				return value{}, err
 			}
 			args = append(args, c.v)
 			kids = append(kids, c.ty)
 			typed = typed && c.typed
 		}
-		v, ok := foldIntrinsic(x.Name, args)
+		v, ok := intrinsic(x.Name, args, env != nil)
 		if !ok {
-			return constNode{}
+			return value{}, env.fault(e)
 		}
-		n = constNode{v: v, ok: true}
-		if !typed {
-			return n
-		}
+		n.v = v
 	case *source.BinExpr:
-		l := t.fold(x.L)
-		if !l.ok {
-			return constNode{}
+		l, err := t.eval(x.L, env)
+		if err != nil {
+			return value{}, err
 		}
-		r := t.fold(x.R)
-		if !r.ok {
-			return constNode{}
+		r, err := t.eval(x.R, env)
+		if err != nil {
+			return value{}, err
 		}
-		ints := l.typed && r.typed && l.ty == source.TypeInteger && r.ty == source.TypeInteger
-		v, ok := foldBinary(x.Kind, l.v, r.v, ints)
+		typed = l.typed && r.typed
+		ints := typed && l.ty == source.TypeInteger && r.ty == source.TypeInteger
+		v, ok := binary(x.Kind, l.v, r.v, ints)
 		if !ok {
-			return constNode{}
+			return value{}, env.fault(e)
 		}
-		n = constNode{v: v, ok: true}
-		if !l.typed || !r.typed {
-			return n
-		}
+		n.v = v
 		kids = append(kids, l.ty, r.ty)
 	default:
-		return constNode{}
+		return value{}, env.fault(e)
 	}
-	ty, err := t.NodeType(e, kids)
-	n.ty, n.typed = ty, err == nil
-	return n
+	if typed {
+		ty, err := t.NodeType(e, kids)
+		n.ty, n.typed = ty, err == nil
+	}
+	return n, nil
 }
 
-// foldIntrinsic applies a foldable intrinsic to constant arguments.
-func foldIntrinsic(name string, args []float64) (float64, bool) {
+// fault is the error for node e, which does not evaluate in env:
+// errNoFold in the nil Env, which asks only whether e folds.
+func (env *Env) fault(e source.Expr) error {
+	if env == nil {
+		return errNoFold
+	}
+	switch x := e.(type) {
+	case *source.VarRef:
+		return fmt.Errorf("%s: unbound scalar %q", x.Pos, x.Name)
+	case *source.IntrinsicCall:
+		if x.Name == "mod" {
+			return errors.New("mod by zero")
+		}
+	case *source.BinExpr:
+		if x.Kind == source.BinDiv {
+			return fmt.Errorf("%s: division by zero", x.Pos)
+		}
+	}
+	return fmt.Errorf("%s: cannot evaluate %s", e.ExprPos(), source.ExprString(e))
+}
+
+// transcendentals are the intrinsics that evaluate only with an Env:
+// they are not compile-time constants.
+var transcendentals = map[string]func(float64) float64{
+	"exp": math.Exp, "log": math.Log, "sin": math.Sin, "cos": math.Cos,
+}
+
+// intrinsic applies a numeric intrinsic; a transcendental one applies
+// only when transcendental is set.
+func intrinsic(name string, args []float64, transcendental bool) (float64, bool) {
 	switch name {
 	case "abs":
 		return math.Abs(args[0]), true
@@ -458,25 +535,19 @@ func foldIntrinsic(name string, args []float64) (float64, bool) {
 		}
 		return math.Mod(args[0], args[1]), true
 	case "min":
-		v := args[0]
-		for _, a := range args[1:] {
-			v = math.Min(v, a)
-		}
-		return v, true
+		return slices.Min(args), true
 	case "max":
-		v := args[0]
-		for _, a := range args[1:] {
-			v = math.Max(v, a)
-		}
-		return v, true
-	default:
-		return 0, false
+		return slices.Max(args), true
 	}
+	if f, ok := transcendentals[name]; ok && transcendental {
+		return f(args[0]), true
+	}
+	return 0, false
 }
 
-// foldBinary applies an arithmetic operator to constants; ints
-// reports that both operands are integers.
-func foldBinary(k source.BinKind, l, r float64, ints bool) (float64, bool) {
+// binary applies an arithmetic operator; ints reports that both
+// operands are integers.
+func binary(k source.BinKind, l, r float64, ints bool) (float64, bool) {
 	switch k {
 	case source.BinAdd:
 		return l + r, true
