@@ -11,11 +11,12 @@
 # milliseconds, so a single one is too noisy to record. The lowering
 # suite lowers the whole corpus (about 2 ms) 100 times per run, and the
 # parse suite parses the corpus and the kernels (about 3 ms) 300 times
-# per run. The Tetris
+# per run. The simulate suite is E14: one prediction against one
+# simulation of matmul44 (about 150 ms), 10 of each per run. The Tetris
 # kernel suite takes its benchtime and count from TETRIS_BENCHTIME and
 # TETRIS_COUNT (defaults 500x and 6).
 
-BENCH_SUITES="optimize explore lower parse tetris"
+BENCH_SUITES="optimize explore lower parse simulate tetris"
 
 suite_settings() {
 	case "$1" in
@@ -27,6 +28,8 @@ suite_settings() {
 		pkg=./internal/lower pattern='BenchmarkLowerCorpus' benchtime=100x count=5 ;;
 	parse)
 		pkg=./internal/source pattern='BenchmarkParseCorpus' benchtime=300x count=5 ;;
+	simulate)
+		pkg=. pattern='BenchmarkPredictorEfficiency' benchtime=10x count=5 ;;
 	tetris)
 		pkg=./internal/tetris pattern='BenchmarkTetris'
 		benchtime="${TETRIS_BENCHTIME:-500x}" count="${TETRIS_COUNT:-6}" ;;
