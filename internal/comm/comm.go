@@ -312,11 +312,11 @@ func EnumerateAssign(tbl *sem.Table, a *source.Assign, loops []ConcreteLoop, pro
 	var rhsRefs []*source.ArrayRef
 	collectRefs(a.RHS, &rhsRefs)
 
-	env := map[string]int64{}
+	env := &sem.Env{Scalars: map[string]float64{}}
 	// Constants from the table.
 	for _, s := range tbl.Symbols() {
 		if s.IsConst {
-			env[s.Name] = int64(s.ConstVal)
+			env.Scalars[s.Name] = s.ConstVal
 		}
 	}
 	pairSeen := map[[2]int64]bool{}
@@ -364,7 +364,7 @@ func EnumerateAssign(tbl *sem.Table, a *source.Assign, loops []ConcreteLoop, pro
 			step = 1
 		}
 		for v := l.Lb; (step > 0 && v <= l.Ub) || (step < 0 && v >= l.Ub); v += step {
-			env[l.Var] = v
+			env.Scalars[l.Var] = float64(v)
 			if err := walk(level + 1); err != nil {
 				return err
 			}
@@ -379,7 +379,7 @@ func EnumerateAssign(tbl *sem.Table, a *source.Assign, loops []ConcreteLoop, pro
 
 // ownerOf computes the owning processor of an array element under its
 // distribution (−1 when the array is replicated).
-func ownerOf(tbl *sem.Table, r *source.ArrayRef, env map[string]int64, procs int) (int64, error) {
+func ownerOf(tbl *sem.Table, r *source.ArrayRef, env *sem.Env, procs int) (int64, error) {
 	sym := tbl.Lookup(r.Name)
 	if sym == nil || sym.Dist == nil {
 		return -1, nil
@@ -408,7 +408,7 @@ func ownerOf(tbl *sem.Table, r *source.ArrayRef, env map[string]int64, procs int
 	}
 }
 
-func flatIndex(tbl *sem.Table, r *source.ArrayRef, env map[string]int64) (int64, error) {
+func flatIndex(tbl *sem.Table, r *source.ArrayRef, env *sem.Env) (int64, error) {
 	sym := tbl.Lookup(r.Name)
 	var idx, stride int64 = 0, 1
 	for d, ix := range r.Idx {
@@ -424,51 +424,14 @@ func flatIndex(tbl *sem.Table, r *source.ArrayRef, env map[string]int64) (int64,
 	return idx, nil
 }
 
-func evalInt(tbl *sem.Table, e source.Expr, env map[string]int64) (int64, error) {
-	if c, ok := tbl.IntConst(e); ok {
-		return c, nil
+// evalInt evaluates a subscript over the loop variables and constants
+// in env; an array element does not evaluate.
+func evalInt(tbl *sem.Table, e source.Expr, env *sem.Env) (int64, error) {
+	v, err := tbl.Eval(e, env)
+	if err != nil {
+		return 0, fmt.Errorf("comm: %w", err)
 	}
-	switch x := e.(type) {
-	case *source.VarRef:
-		if v, ok := env[x.Name]; ok {
-			return v, nil
-		}
-		return 0, fmt.Errorf("comm: unbound variable %q", x.Name)
-	case *source.NumLit:
-		return int64(x.Value), nil
-	case *source.UnExpr:
-		if !x.Neg {
-			return 0, fmt.Errorf("comm: cannot evaluate .not.")
-		}
-		v, err := evalInt(tbl, x.X, env)
-		return -v, err
-	case *source.BinExpr:
-		l, err := evalInt(tbl, x.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := evalInt(tbl, x.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Kind {
-		case source.BinAdd:
-			return l + r, nil
-		case source.BinSub:
-			return l - r, nil
-		case source.BinMul:
-			return l * r, nil
-		case source.BinDiv:
-			if r == 0 {
-				return 0, fmt.Errorf("comm: division by zero")
-			}
-			return l / r, nil
-		default:
-			return 0, fmt.Errorf("comm: operator %v in subscript", x.Kind)
-		}
-	default:
-		return 0, fmt.Errorf("comm: cannot evaluate %T", e)
-	}
+	return int64(v), nil
 }
 
 func collectRefs(e source.Expr, out *[]*source.ArrayRef) {

@@ -138,7 +138,8 @@ end
 	}
 }
 
-// EnumerateAssign evaluates division and negation in subscripts.
+// EnumerateAssign evaluates division, negation and intrinsics in
+// subscripts.
 func TestEnumerateSubscriptArith(t *testing.T) {
 	src := `
 program p
@@ -148,7 +149,7 @@ program p
 !hpf$ distribute a(block)
 !hpf$ distribute b(block)
   do i = 1, n
-    a(i * 4 / 2) = b(i * 2)
+    a(i * 4 / 2) = b(i * 2) + b(mod(i, 4) + 1)
   end do
 end
 `

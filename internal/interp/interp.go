@@ -304,11 +304,17 @@ func (r *Runner) segment(run []source.Stmt, loopVars []string) (*cachedSeg, erro
 }
 
 func maxReg(lw *lower.Lowered) ir.Reg {
-	m := max(lw.Body.MaxReg(), 0)
+	m := lw.Body.MaxReg()
 	for _, b := range []*ir.Block{lw.Pre, lw.PerEntry, lw.Post} {
-		if b != nil {
-			m = max(m, b.MaxReg())
+		if b == nil {
+			continue
 		}
+		if p := b.MaxReg(); p > m {
+			m = p
+		}
+	}
+	if m < 0 {
+		m = 0
 	}
 	return m
 }

@@ -358,7 +358,8 @@ func (t *Table) NodeType(e source.Expr, kids []source.Type) (source.Type, error)
 type Env struct {
 	// Scalars holds the value of every scalar, constants included.
 	Scalars map[string]float64
-	// Element reads the element of ref at the given subscript values.
+	// Element reads the element of ref at the given subscript values;
+	// with none, an array element does not evaluate.
 	Element func(ref *source.ArrayRef, subs []float64) (float64, error)
 	// subs stacks the subscript values of the array references being
 	// evaluated, so a read allocates nothing once it has grown.
@@ -422,12 +423,12 @@ func (t *Table) eval(e source.Expr, env *Env) (value, error) {
 		if !x.Neg {
 			return value{}, env.fault(e)
 		}
-		n, err := t.eval(x.X, env)
-		n.v = -n.v
-		return n, err
+		c, err := t.eval(x.X, env)
+		c.v = -c.v
+		return c, err
 	case *source.ArrayRef:
-		if env == nil {
-			return value{}, errNoFold
+		if env == nil || env.Element == nil {
+			return value{}, env.fault(e)
 		}
 		base := len(env.subs)
 		for _, ix := range x.Idx {
