@@ -35,10 +35,11 @@ end
 // its trace. The same nest at 8× the trip count takes at most 12× the
 // time, the best of three runs at each size. The register renaming
 // numbers each instance afresh, so a step that costs O(registers
-// renamed so far) per scheduling window makes the run quadratic: 30×
-// or more for 8× the trips, and minutes at the larger size. The
-// measurement runs in a child process under a timeout, so such a
-// regression fails here instead of hanging the suite.
+// renamed so far) per scheduling window makes the run quadratic: about
+// 50× for 8× the trips, 8 s at the larger size, where a linear run
+// reads 8 to 10.5×. The measurement runs in a child process under a
+// timeout, so such a regression fails here instead of hanging the
+// suite.
 func TestSimulateLinear(t *testing.T) {
 	if os.Getenv(linearChild) != "" {
 		simulateLinear(t)
