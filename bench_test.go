@@ -111,13 +111,13 @@ func syntheticBlock(n int) *ir.Block {
 	for i := 0; i < n; i++ {
 		switch i % 4 {
 		case 0:
-			blk.Append(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: fmt.Sprintf("x(%d)", i), Base: "x"})
+			blk.Append(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: blk.Intern(fmt.Sprintf("x(%d)", i)), Base: blk.Intern("x")})
 		case 1:
-			blk.Append(ir.Instr{Op: ir.OpFMul, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(i - 1), 100000}})
+			blk.Append(ir.Instr{Op: ir.OpFMul, Dst: ir.Reg(i)}, ir.Reg(i-1), 100000)
 		case 2:
-			blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(i - 1), 100001}})
+			blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i)}, ir.Reg(i-1), 100001)
 		default:
-			blk.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{ir.Reg(i - 1)}, Addr: fmt.Sprintf("y(%d)", i), Base: "y"})
+			blk.Append(ir.Instr{Op: ir.OpFStore, Addr: blk.Intern(fmt.Sprintf("y(%d)", i)), Base: blk.Intern("y")}, ir.Reg(i-1))
 		}
 	}
 	return blk

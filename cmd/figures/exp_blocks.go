@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"perfpredict"
@@ -93,21 +94,25 @@ func expE2() error {
 			// and re-place.
 			merged := a.block.Clone()
 			off := merged.MaxReg() + 1
-			for _, in := range b.block.Instrs {
-				c := in
-				c.Srcs = append([]ir.Reg(nil), in.Srcs...)
-				for k2, s := range c.Srcs {
+			for k := range b.block.Instrs {
+				c := b.block.Instrs[k]
+				srcs := slices.Clone(b.block.Srcs(k))
+				for k2, s := range srcs {
 					if s != ir.NoReg {
-						c.Srcs[k2] = s + off
+						srcs[k2] = s + off
 					}
 				}
 				if c.Dst != ir.NoReg {
 					c.Dst += off
 				}
-				if c.Addr != "" {
-					c.Addr += "'"
+				// The blocks come from two translators: re-intern b's
+				// texts, its addresses primed apart from a's.
+				addr := b.block.Names.Text(c.Addr)
+				if c.Op.IsMem() && addr != "" {
+					addr += "'"
 				}
-				merged.Instrs = append(merged.Instrs, c)
+				c.Addr, c.Base = merged.Intern(addr), merged.Intern(b.block.Names.Text(c.Base))
+				merged.Append(c, srcs...)
 			}
 			exact, err := tetris.Estimate(m, merged, tetris.Options{})
 			if err != nil {
@@ -142,19 +147,20 @@ func expE3() error {
 			ops := []ir.Op{ir.OpFAdd, ir.OpFMul, ir.OpFMA, ir.OpFLoad, ir.OpFStore, ir.OpIAdd}
 			op := ops[rng.Intn(len(ops))]
 			in := ir.Instr{Op: op, Dst: ir.Reg(i)}
+			var srcs []ir.Reg
 			switch {
 			case op.IsLoad():
-				in.Addr, in.Base = fmt.Sprintf("x(%d)", i), "x"
+				in.Addr, in.Base = b.Intern(fmt.Sprintf("x(%d)", i)), b.Intern("x")
 			case op.IsStore():
 				in.Dst = ir.NoReg
-				in.Srcs = []ir.Reg{src(rng, i)}
-				in.Addr, in.Base = fmt.Sprintf("y(%d)", i), "y"
+				srcs = []ir.Reg{src(rng, i)}
+				in.Addr, in.Base = b.Intern(fmt.Sprintf("y(%d)", i)), b.Intern("y")
 			case op == ir.OpFMA:
-				in.Srcs = []ir.Reg{src(rng, i), src(rng, i), src(rng, i)}
+				srcs = []ir.Reg{src(rng, i), src(rng, i), src(rng, i)}
 			default:
-				in.Srcs = []ir.Reg{src(rng, i), src(rng, i)}
+				srcs = []ir.Reg{src(rng, i), src(rng, i)}
 			}
-			b.Append(in)
+			b.Append(in, srcs...)
 		}
 		return b
 	}
@@ -233,10 +239,10 @@ func expE10() error {
 	}
 	// A deep dependent FP chain with divides shows the extreme case.
 	chain := &ir.Block{}
-	chain.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a", Base: "a"})
+	chain.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: chain.Intern("a"), Base: chain.Intern("a")})
 	for i := 1; i <= 12; i++ {
-		chain.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(2 * i), Srcs: []ir.Reg{ir.Reg(2 * (i - 1)), 1000}})
-		chain.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(2*i + 1), Srcs: []ir.Reg{2000, 2001}})
+		chain.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(2 * i)}, ir.Reg(2*(i-1)), 1000)
+		chain.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(2*i + 1)}, 2000, 2001)
 	}
 	m := machine.NewPOWER1()
 	sched, err := pipesim.RunScheduled(m, chain)

@@ -15,7 +15,6 @@ package interp
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/lower"
@@ -70,12 +69,30 @@ type Runner struct {
 	preDone map[*cachedSeg]bool
 	// promo holds, per active segment, the dynamic register currently
 	// carrying each promoted location's value (sum-reduction chains).
-	promo  map[*cachedSeg]map[string]ir.Reg
+	promo  map[*cachedSeg]map[ir.Sym]ir.Reg
 	issues int64
 	// window buffers renamed trace instructions for list scheduling
-	// before issue.
+	// before issue. Its memory instructions name run-wide locations:
+	// the translator's Syms for what lowering did not concretize, and
+	// the numbers below zero that location gives array elements.
 	window  ir.Block
 	winSize int
+	// winIDs and winLocs renumber a window's locations densely for the
+	// scheduler, and back.
+	winIDs  map[ir.Sym]ir.Sym
+	winLocs []ir.Sym
+	// ranges holds, per array base Sym, the first location number of
+	// its elements (-1 before first touch); strays numbers an index
+	// outside its array; nlocs counts the numbers handed out.
+	ranges []int64
+	strays map[stray]int64
+	nlocs  int64
+}
+
+// stray is an element index outside its array's extent.
+type stray struct {
+	base ir.Sym
+	idx  int64
 }
 
 type cachedSeg struct {
@@ -85,8 +102,8 @@ type cachedSeg struct {
 	// inAddr maps the static per-entry register of each promoted
 	// location to its address; outAddr maps the static final-value
 	// register. Used to chain promoted values across iterations.
-	inAddr  map[ir.Reg]string
-	outAddr map[ir.Reg]string
+	inAddr  map[ir.Reg]ir.Sym
+	outAddr map[ir.Reg]ir.Sym
 }
 
 // New prepares a runner; dummy arguments and arrays with symbolic
@@ -109,7 +126,9 @@ func New(prog *source.Program, tbl *sem.Table, opt Options) *Runner {
 		lowered: map[source.Stmt]*cachedSeg{},
 		condLow: map[source.Expr]*cachedSeg{},
 		preDone: map[*cachedSeg]bool{},
-		promo:   map[*cachedSeg]map[string]ir.Reg{},
+		promo:   map[*cachedSeg]map[ir.Sym]ir.Reg{},
+		winIDs:  map[ir.Sym]ir.Sym{},
+		strays:  map[stray]int64{},
 		maxOps:  opt.MaxOps,
 	}
 	r.env = sem.Env{Scalars: r.scalars, Element: r.element}
@@ -144,14 +163,9 @@ func (r *Runner) Cycles() int64 {
 	return r.pipe.Drain()
 }
 
-// emit buffers one renamed instruction; full windows are
-// list-scheduled and issued.
-func (r *Runner) emit(in ir.Instr) error {
-	if r.winSize <= 1 {
-		_, err := r.pipe.Issue(in)
-		return err
-	}
-	r.window.Instrs = append(r.window.Instrs, in)
+// queued issues the window once it is full: list-scheduled, or
+// instruction by instruction for a window of one.
+func (r *Runner) queued() error {
 	if len(r.window.Instrs) >= r.winSize {
 		return r.flushWindow()
 	}
@@ -160,17 +174,69 @@ func (r *Runner) emit(in ir.Instr) error {
 
 // flushWindow schedules and issues the buffered trace window.
 func (r *Runner) flushWindow() error {
-	if len(r.window.Instrs) == 0 {
+	w := &r.window
+	if len(w.Instrs) == 0 {
 		return nil
 	}
-	sched := pipesim.Schedule(r.opt.Machine, &r.window)
-	r.window.Instrs = r.window.Instrs[:0]
-	for _, in := range sched.Instrs {
-		if _, err := r.pipe.Issue(in); err != nil {
-			return err
+	if r.winSize > 1 {
+		// The scheduler indexes its dependence tables by Sym: number the
+		// window's locations densely, and restore them for the pipeline.
+		clear(r.winIDs)
+		r.winLocs = r.winLocs[:0]
+		for i := range w.Instrs {
+			if in := &w.Instrs[i]; in.Op.IsMem() {
+				id, ok := r.winIDs[in.Addr]
+				if !ok {
+					id = ir.Sym(len(r.winLocs))
+					r.winIDs[in.Addr] = id
+					r.winLocs = append(r.winLocs, in.Addr)
+				}
+				in.Addr = id
+			}
+		}
+		w = pipesim.Schedule(r.opt.Machine, w)
+		for i := range w.Instrs {
+			if in := &w.Instrs[i]; in.Op.IsMem() {
+				in.Addr = r.winLocs[in.Addr]
+			}
 		}
 	}
-	return nil
+	var err error
+	for i := range w.Instrs {
+		if _, err = r.pipe.Issue(w, i); err != nil {
+			break
+		}
+	}
+	r.window.Instrs, r.window.Extra = r.window.Instrs[:0], r.window.Extra[:0]
+	return err
+}
+
+// location numbers element idx of the array with base Sym base and
+// size elements, below zero where no translator Sym lies: an array's
+// elements take one range on first touch, an index outside it a number
+// of its own.
+func (r *Runner) location(base ir.Sym, size, idx int64) (ir.Sym, error) {
+	for int(base) >= len(r.ranges) {
+		r.ranges = append(r.ranges, -1)
+	}
+	if r.ranges[base] < 0 {
+		r.ranges[base] = r.nlocs
+		r.nlocs += size
+	}
+	n := r.ranges[base] + idx
+	if idx < 0 || idx >= size {
+		k := stray{base, idx}
+		var ok bool
+		if n, ok = r.strays[k]; !ok {
+			n = r.nlocs
+			r.nlocs++
+			r.strays[k] = n
+		}
+	}
+	if n >= math.MaxInt32 {
+		return 0, fmt.Errorf("the simulation touches more than %d memory locations", math.MaxInt32)
+	}
+	return ir.Sym(-1 - n), nil
 }
 
 // Run allocates arrays, seeds parameters, and executes the body.
@@ -290,7 +356,7 @@ func (r *Runner) segment(run []source.Stmt, loopVars []string) (*cachedSeg, erro
 		return nil, err
 	}
 	seg := &cachedSeg{lw: lw, n: len(run), stride: maxReg(lw) + 1,
-		inAddr: map[ir.Reg]string{}, outAddr: map[ir.Reg]string{}}
+		inAddr: map[ir.Reg]ir.Sym{}, outAddr: map[ir.Reg]ir.Sym{}}
 	for _, pv := range lw.Promoted {
 		if pv.InReg != ir.NoReg {
 			seg.inAddr[pv.InReg] = pv.Addr
@@ -359,42 +425,41 @@ func (r *Runner) charge(seg *cachedSeg) error {
 // feed streams one block instance into the pipeline; resolve maps
 // static promoted registers to addresses whose current dynamic
 // register is taken from the segment's promo map.
-func (r *Runner) feed(b *ir.Block, seg *cachedSeg, resolve map[ir.Reg]string) error {
+func (r *Runner) feed(b *ir.Block, seg *cachedSeg, resolve map[ir.Reg]ir.Sym) error {
 	pm := r.promo[seg]
-	for _, in := range b.Instrs {
-		c := in
-		if len(in.Srcs) > 0 {
-			c.Srcs = make([]ir.Reg, len(in.Srcs))
-			for k, s := range in.Srcs {
-				if s == ir.NoReg {
-					c.Srcs[k] = ir.NoReg
-					continue
-				}
-				if resolve != nil && pm != nil {
-					if addr, ok := resolve[s]; ok {
-						if dyn, ok2 := pm[addr]; ok2 {
-							c.Srcs[k] = dyn
-							continue
-						}
+	for i := range b.Instrs {
+		k := r.window.AppendFrom(b, i)
+		srcs := r.window.Srcs(k)
+		for j, s := range srcs {
+			if s == ir.NoReg {
+				continue
+			}
+			if resolve != nil && pm != nil {
+				if addr, ok := resolve[s]; ok {
+					if dyn, ok2 := pm[addr]; ok2 {
+						srcs[j] = dyn
+						continue
 					}
 				}
-				c.Srcs[k] = s + r.regBase
 			}
+			srcs[j] = s + r.regBase
 		}
-		if in.Dst != ir.NoReg {
-			c.Dst = in.Dst + r.regBase
+		c := &r.window.Instrs[k]
+		if c.Dst != ir.NoReg {
+			c.Dst += r.regBase
 		}
-		if in.Op.IsMem() && in.RefID != 0 {
-			ref := seg.lw.Refs[in.RefID]
-			if ref != nil {
+		if c.Op.IsMem() && c.RefID != 0 {
+			if ref := seg.lw.Refs[c.RefID-1]; ref != nil {
 				idx, err := r.flatIndex(ref)
 				if err != nil {
 					return err
 				}
-				c.Addr = ref.Name + "@" + strconv.FormatInt(idx, 10)
+				if c.Addr, err = r.location(c.Base, int64(len(r.arrays[ref.Name])), idx); err != nil {
+					return err
+				}
 			}
 		}
-		if err := r.emit(c); err != nil {
+		if err := r.queued(); err != nil {
 			return err
 		}
 	}
@@ -431,7 +496,7 @@ func (r *Runner) doLoop(l *source.DoLoop, loopVars []string) error {
 			return err
 		}
 		for _, seg := range segs {
-			pm := map[string]ir.Reg{}
+			pm := map[ir.Sym]ir.Reg{}
 			r.promo[seg] = pm
 			if len(seg.lw.PerEntry.Instrs) > 0 {
 				if err := r.feed(seg.lw.PerEntry, seg, nil); err != nil {
@@ -499,16 +564,16 @@ func (r *Runner) bodySegments(list []source.Stmt, loopVars []string) ([]*cachedS
 }
 
 func (r *Runner) feedCtl(ctl *ir.Block) error {
-	for _, in := range ctl.Instrs {
-		c := in
-		c.Srcs = make([]ir.Reg, len(in.Srcs))
-		for k, s := range in.Srcs {
-			c.Srcs[k] = s + r.regBase
+	for i := range ctl.Instrs {
+		k := r.window.AppendFrom(ctl, i)
+		srcs := r.window.Srcs(k)
+		for j := range srcs {
+			srcs[j] += r.regBase
 		}
-		if in.Dst != ir.NoReg {
-			c.Dst = in.Dst + r.regBase
+		if c := &r.window.Instrs[k]; c.Dst != ir.NoReg {
+			c.Dst += r.regBase
 		}
-		if err := r.emit(c); err != nil {
+		if err := r.queued(); err != nil {
 			return err
 		}
 	}

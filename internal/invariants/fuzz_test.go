@@ -40,11 +40,11 @@ func FuzzSpecJSON(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	probe := &ir.Block{Label: "probe"}
+	probe := &ir.Block{}
 	probe.Append(ir.Instr{Op: ir.OpLoadImm, Dst: 0, Imm: 1})
-	probe.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "a(i)", Base: "a"})
-	probe.Append(ir.NewInstr(ir.OpFAdd, 2, 1, 1))
-	probe.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Srcs: []ir.Reg{2}, Addr: "a(i)", Base: "a"})
+	probe.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: probe.Intern("a(i)"), Base: probe.Intern("a")})
+	probe.Append(ir.Instr{Op: ir.OpFAdd, Dst: 2}, 1, 1)
+	probe.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Addr: probe.Intern("a(i)"), Base: probe.Intern("a")}, 2)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := machine.ParseSpec(data)
 		if err != nil {

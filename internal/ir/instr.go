@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -14,113 +16,184 @@ type Reg int32
 // NoReg marks an absent register operand.
 const NoReg Reg = -1
 
-// Instr is one basic operation instance.
+// Sym names a text (a memory address such as "a(i,j+1)", an array base
+// or a callee) by its index in a Names table. Sym 0 is the empty text,
+// so the zero Instr names nothing.
+type Sym int32
+
+// Names interns the texts instructions refer to. A translator owns one
+// table for its lifetime and every block it lowers points to it. A Sym
+// means nothing in another table, so instructions move between blocks
+// of one table only (AppendFrom checks). Equal Syms are equal texts.
+// The table only grows; Intern must not run while another goroutine
+// renders from it.
+type Names struct {
+	texts []string
+	ids   map[string]Sym
+}
+
+// NewNames returns an empty table with room for n texts.
+func NewNames(n int) *Names {
+	t := &Names{ids: make(map[string]Sym, n+1), texts: make([]string, 1, n+1)}
+	t.ids[""] = 0
+	return t
+}
+
+// Intern returns the Sym of s, adding s on first sight.
+func (t *Names) Intern(s string) Sym {
+	id, ok := t.ids[s]
+	if !ok {
+		id = Sym(len(t.texts))
+		t.texts = append(t.texts, s)
+		t.ids[s] = id
+	}
+	return id
+}
+
+// Text returns the text of s. A Sym outside the table (the tagged
+// address of a replicated copy) renders as its number.
+func (t *Names) Text(s Sym) string {
+	if t != nil && s >= 0 && int(s) < len(t.texts) {
+		return t.texts[s]
+	}
+	return "#" + strconv.Itoa(int(s))
+}
+
+// Instr is one basic operation instance, a fixed-size value: its texts
+// are Syms and its sources sit inline (read them through Block.Srcs).
 type Instr struct {
 	Op   Op
+	nsrc uint8 // inline source count, or spilled
 	Dst  Reg
-	Srcs []Reg
+	// src holds up to three sources. An instruction with more keeps
+	// them all in its block's Extra, at offset src[0], src[1] of them.
+	src [3]Reg
 
-	// Addr names the memory location for loads/stores, as a canonical
-	// lexical address string such as "a(i,j)" or "a(i,j+1)". Two memory
-	// operations with equal Addr strings access the same location in
-	// one execution of the block; different strings over the same array
+	// Addr names the memory location of a load or store: two memory
+	// operations with equal Addr access the same location in one
+	// execution of the block; different addresses over the same array
 	// are assumed distinct within an innermost-block instance (standard
 	// for the straight-line blocks the cost model handles). Base is the
-	// array symbol alone.
-	Addr string
-	Base string
-
-	// Imm is the immediate for OpLoadImm and the known small-multiplier
-	// value for the IMulSmall specialization check.
-	Imm float64
-
-	// Callee names the routine for OpCall.
-	Callee string
+	// array symbol alone. An OpCall's Addr names the routine it calls.
+	Addr Sym
+	Base Sym
 
 	// RefID is an opaque tag assigned by the translator linking a
 	// memory instruction back to its source-level reference (used by
 	// the interpreter to concretize addresses). Zero means untagged.
 	RefID int32
+
+	// Imm is the immediate for OpLoadImm and the known small-multiplier
+	// value for the IMulSmall specialization check.
+	Imm float64
 }
 
-// NewInstr builds an instruction with the given sources.
-func NewInstr(op Op, dst Reg, srcs ...Reg) Instr {
-	return Instr{Op: op, Dst: dst, Srcs: srcs}
-}
-
-func (in Instr) String() string {
-	var b strings.Builder
-	b.WriteString(in.Op.String())
-	if in.Dst != NoReg && in.Op.HasDst() {
-		fmt.Fprintf(&b, " r%d", in.Dst)
-	}
-	for _, s := range in.Srcs {
-		if s == NoReg {
-			continue
-		}
-		fmt.Fprintf(&b, ", r%d", s)
-	}
-	if in.Addr != "" {
-		fmt.Fprintf(&b, ", [%s]", in.Addr)
-	}
-	if in.Op == OpLoadImm {
-		fmt.Fprintf(&b, ", #%g", in.Imm)
-	}
-	if in.Callee != "" {
-		fmt.Fprintf(&b, ", @%s", in.Callee)
-	}
-	return b.String()
-}
+// spilled marks an instruction whose sources live in Block.Extra.
+const spilled = 0xff
 
 // Block is a straight-line sequence of basic operations — the unit the
 // Tetris cost model prices.
 type Block struct {
-	Label  string
 	Instrs []Instr
+	// Extra holds the sources of instructions with more than three.
+	Extra []Reg
+	// Names renders the block's Syms; nil when they have no text.
+	Names *Names
 }
 
-// Append adds an instruction and returns its index.
-func (b *Block) Append(in Instr) int {
+// Append adds in with sources srcs (replacing any in holds) and
+// returns its index.
+func (b *Block) Append(in Instr, srcs ...Reg) int {
+	in.src = [3]Reg{}
+	if len(srcs) <= len(in.src) {
+		in.nsrc = uint8(copy(in.src[:], srcs))
+	} else {
+		in.nsrc, in.src[0], in.src[1] = spilled, Reg(len(b.Extra)), Reg(len(srcs))
+		b.Extra = append(b.Extra, srcs...)
+	}
 	b.Instrs = append(b.Instrs, in)
 	return len(b.Instrs) - 1
 }
 
-// Clone returns a deep copy of the block.
-func (b *Block) Clone() *Block {
-	c := &Block{Label: b.Label, Instrs: make([]Instr, len(b.Instrs))}
-	for i, in := range b.Instrs {
-		c.Instrs[i] = in
-		c.Instrs[i].Srcs = append([]Reg(nil), in.Srcs...)
+// AppendFrom adds a copy of instruction i of src, sources included, and
+// returns its index. The blocks must share one name table, or b must
+// have none (its Syms are then bare location numbers).
+func (b *Block) AppendFrom(src *Block, i int) int {
+	if b.Names != nil && src.Names != nil && b.Names != src.Names {
+		panic("ir: instruction copied between name tables")
 	}
-	return c
+	return b.Append(src.Instrs[i], src.Srcs(i)...)
+}
+
+// Intern returns the Sym of s in b's table, creating the table if b has
+// none.
+func (b *Block) Intern(s string) Sym {
+	if b.Names == nil {
+		b.Names = NewNames(0)
+	}
+	return b.Names.Intern(s)
+}
+
+// Srcs returns the sources of instruction i. The slice is a view into
+// b: writing it renames the sources.
+func (b *Block) Srcs(i int) []Reg {
+	in := &b.Instrs[i]
+	if in.nsrc == spilled {
+		return b.Extra[in.src[0] : in.src[0]+in.src[1] : in.src[0]+in.src[1]]
+	}
+	return in.src[:in.nsrc:in.nsrc]
+}
+
+// InstrString renders instruction i, its Syms as text.
+func (b *Block) InstrString(i int) string {
+	in := &b.Instrs[i]
+	var sb strings.Builder
+	sb.WriteString(in.Op.String())
+	if in.Dst != NoReg && in.Op.HasDst() {
+		fmt.Fprintf(&sb, " r%d", in.Dst)
+	}
+	for _, s := range b.Srcs(i) {
+		if s != NoReg {
+			fmt.Fprintf(&sb, ", r%d", s)
+		}
+	}
+	switch {
+	case in.Addr == 0:
+	case in.Op == OpCall:
+		fmt.Fprintf(&sb, ", @%s", b.Names.Text(in.Addr))
+	default:
+		fmt.Fprintf(&sb, ", [%s]", b.Names.Text(in.Addr))
+	}
+	if in.Op == OpLoadImm {
+		fmt.Fprintf(&sb, ", #%g", in.Imm)
+	}
+	return sb.String()
+}
+
+// Clone returns a deep copy of the block; the copy shares the name
+// table.
+func (b *Block) Clone() *Block {
+	return &Block{Instrs: slices.Clone(b.Instrs), Extra: slices.Clone(b.Extra), Names: b.Names}
 }
 
 func (b *Block) String() string {
 	var sb strings.Builder
-	if b.Label != "" {
-		fmt.Fprintf(&sb, "%s:\n", b.Label)
-	}
-	for i, in := range b.Instrs {
-		fmt.Fprintf(&sb, "%3d  %s\n", i, in.String())
+	for i := range b.Instrs {
+		fmt.Fprintf(&sb, "%3d  %s\n", i, b.InstrString(i))
 	}
 	return sb.String()
 }
 
 // MaxReg returns the highest register number used, or -1 for none.
 func (b *Block) MaxReg() Reg {
-	max := NoReg
+	hi := NoReg
 	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		if in.Dst > max {
-			max = in.Dst
-		}
-		for _, s := range in.Srcs {
-			if s > max {
-				max = s
-			}
+		hi = max(hi, b.Instrs[i].Dst)
+		for _, s := range b.Srcs(i) {
+			hi = max(hi, s)
 		}
 	}
-	return max
+	return hi
 }
 
 // Deps computes, for each instruction, the indices of earlier
@@ -136,7 +209,7 @@ func (b *Block) MaxReg() Reg {
 // This is the "filter" of the paper's cost objects: an operation that
 // uses the result of another cannot drop past it into the bins.
 func (b *Block) Deps(mayAlias bool) [][]int {
-	return b.DepsInto(mayAlias, nil)
+	return b.DepsInto(mayAlias, new(DepsBuf))
 }
 
 // DepsBuf is reusable storage for DepsInto: the returned slice-of-slices
@@ -150,7 +223,7 @@ type DepsBuf struct {
 
 // DepsInto is Deps with caller-owned result storage. The returned rows
 // alias buf's arena and are valid until the next DepsInto call with the
-// same buf; a nil buf allocates fresh storage (identical to Deps).
+// same buf.
 func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 	n := len(b.Instrs)
 	sc := depsPool.Get().(*depsScratch)
@@ -167,7 +240,7 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 	}
 	for i := range b.Instrs {
 		in := &b.Instrs[i]
-		for _, s := range in.Srcs {
+		for _, s := range b.Srcs(i) {
 			// A source outside the def table has no recorded producer
 			// (the table grows only when a def is seen).
 			if s < lo || int(s-lo) >= len(sc.def) {
@@ -178,18 +251,15 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 			}
 		}
 		if in.Op.IsMem() {
-			// Intern the address strings once: every later access is an
-			// index into the id-addressed tables instead of a string-keyed
-			// map operation. The base tables are only consulted under
-			// conservative aliasing, so the base string is not even
-			// interned without it.
-			ai := sc.intern(in.Addr)
-			bi := int32(-1)
+			// Per-location state is indexed by Sym. The base tables are
+			// only consulted under conservative aliasing.
+			loc := sc.loc(&sc.addrs, in.Addr)
+			var base *locState
 			if mayAlias {
-				bi = sc.intern(in.Base)
+				base = sc.loc(&sc.bases, in.Base)
 			}
 			if in.Op.IsLoad() {
-				if w := sc.lastWrite[ai]; w >= 0 {
+				if w := loc.write; w >= 0 {
 					sc.add(i, w) // RAW same address
 				}
 				// Under conservative aliasing the last write to the
@@ -199,31 +269,29 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 				// base one lets a possibly-aliasing store reorder
 				// around the load (found by the topo-perm invariant).
 				if mayAlias {
-					if w := sc.lastBaseWrite[bi]; w >= 0 {
+					if w := base.write; w >= 0 {
 						sc.add(i, w)
 					}
-					sc.lastBaseReads[bi] = append(sc.lastBaseReads[bi], i)
+					base.reads = append(base.reads, i)
 				}
-				sc.lastReads[ai] = append(sc.lastReads[ai], i)
+				loc.reads = append(loc.reads, i)
 			} else { // store
-				if w := sc.lastWrite[ai]; w >= 0 {
+				if w := loc.write; w >= 0 {
 					sc.add(i, w) // WAW
 				}
-				for _, r := range sc.lastReads[ai] {
+				for _, r := range loc.reads {
 					sc.add(i, r) // WAR
 				}
 				if mayAlias {
-					if w := sc.lastBaseWrite[bi]; w >= 0 {
+					if w := base.write; w >= 0 {
 						sc.add(i, w)
 					}
-					for _, r := range sc.lastBaseReads[bi] {
+					for _, r := range base.reads {
 						sc.add(i, r)
 					}
-					sc.lastBaseReads[bi] = sc.lastBaseReads[bi][:0]
-					sc.lastBaseWrite[bi] = i
+					base.reads, base.write = base.reads[:0], i
 				}
-				sc.lastWrite[ai] = i
-				sc.lastReads[ai] = sc.lastReads[ai][:0]
+				loc.reads, loc.write = loc.reads[:0], i
 			}
 		}
 		if in.Op.HasDst() && in.Dst >= 0 {
@@ -237,27 +305,15 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 	// Bucket the edge pairs into the returned slice-of-slices through a
 	// single shared arena: two allocations total (zero on a warm buf)
 	// instead of one small slice per instruction with dependences.
-	var deps [][]int
-	var arena []int
-	if buf != nil {
-		if cap(buf.deps) < n {
-			buf.deps = make([][]int, n, n+n/4)
-		}
-		deps = buf.deps[:n]
-		for i := range deps {
-			deps[i] = nil
-		}
-		if cap(buf.arena) < len(sc.edges) {
-			buf.arena = make([]int, 0, len(sc.edges)+len(sc.edges)/4)
-		}
-		arena = buf.arena[:0]
-	} else {
-		deps = make([][]int, n)
-		if len(sc.edges) == 0 {
-			return deps
-		}
-		arena = make([]int, 0, len(sc.edges))
+	if cap(buf.deps) < n {
+		buf.deps = make([][]int, n, n+n/4)
 	}
+	deps := buf.deps[:n]
+	clear(deps)
+	if cap(buf.arena) < len(sc.edges) {
+		buf.arena = make([]int, 0, len(sc.edges)+len(sc.edges)/4)
+	}
+	arena := buf.arena[:0]
 	start := 0
 	for k := 1; k <= len(sc.edges); k++ {
 		if k == len(sc.edges) || sc.edges[k].i != sc.edges[start].i {
@@ -269,9 +325,7 @@ func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
 			start = k
 		}
 	}
-	if buf != nil {
-		buf.arena = arena[:0]
-	}
+	buf.arena = arena[:0]
 	return deps
 }
 
@@ -282,11 +336,6 @@ type depEdge struct{ i, j int }
 // flat; because instructions are scanned in order, all edges of one
 // instruction are contiguous at the tail, which makes deduplication a
 // backward scan and the final bucketing a single pass.
-//
-// Address and base strings are interned to dense ids on first sight, so
-// the per-location state (last writer, pending readers) lives in
-// id-indexed slices: one map hash per string instead of a string-keyed
-// map operation per table per access.
 type depsScratch struct {
 	edges []depEdge
 	// def maps reg - lo -> defining instr index (-1 if none), lo being
@@ -295,70 +344,48 @@ type depsScratch struct {
 	// block's destinations, whatever their numbers.
 	def []int
 
-	// The intern table persists across blocks (address strings repeat
-	// heavily between the blocks one scratch prices), so a repeat string
-	// costs one map read and no writes. Per-id state is invalidated
-	// wholesale by bumping gen: a slot whose stamp doesn't match the
-	// current generation is logically fresh and is re-initialized on
-	// first touch by intern.
-	ids           map[string]int32
-	gen           []uint32
-	curGen        uint32
-	lastWrite     []int   // location id -> last writing instr, -1 if none
-	lastBaseWrite []int   // base id -> last writing instr, -1 if none
-	lastReads     [][]int // location id -> readers since last write
-	lastBaseReads [][]int // base id -> readers since last base write
+	// addrs and bases hold the per-location state, indexed by address
+	// and base Sym. A slot whose stamp is not gen is logically fresh and
+	// is re-initialized on first touch, so reset never walks them.
+	gen          uint32
+	addrs, bases []locState
 }
 
-// depsMaxInterned bounds the persistent intern table; past it the table
-// is rebuilt from empty so a long-lived pooled scratch cannot grow
-// without bound across unrelated blocks.
-const depsMaxInterned = 1 << 12
+// locState is one location's last writer (-1 if none) and its readers
+// since that write.
+type locState struct {
+	gen   uint32
+	write int
+	reads []int
+}
 
 var depsPool = sync.Pool{New: func() any { return new(depsScratch) }}
 
 func (sc *depsScratch) reset() {
 	sc.edges = sc.edges[:0]
 	sc.def = sc.def[:0]
-	if sc.ids == nil || len(sc.ids) > depsMaxInterned {
-		// The id-indexed slices stay at high-water length: restarted ids
-		// land on stale slots, which the generation check re-initializes.
-		sc.ids = make(map[string]int32, 64)
-	}
-	sc.curGen++
-	if sc.curGen == 0 { // wrap: stale stamps could alias the new generation
-		for i := range sc.gen {
-			sc.gen[i] = 0
+	sc.gen++
+	if sc.gen == 0 { // wrap: stale stamps could alias the new generation
+		for _, tab := range [][]locState{sc.addrs, sc.bases} {
+			for i := range tab {
+				tab[i].gen = 0
+			}
 		}
-		sc.curGen = 1
+		sc.gen = 1
 	}
 }
 
-// intern returns the dense id of s, assigning the next one on first
-// sight. The id-indexed tables are initialized lazily on an id's first
-// touch in the current generation — reusing high-water slice capacity —
-// so reset never walks them.
-func (sc *depsScratch) intern(s string) int32 {
-	id, ok := sc.ids[s]
-	if !ok {
-		id = int32(len(sc.ids))
-		sc.ids[s] = id
-		if int(id) >= len(sc.gen) {
-			sc.gen = append(sc.gen, 0)
-			sc.lastWrite = append(sc.lastWrite, -1)
-			sc.lastBaseWrite = append(sc.lastBaseWrite, -1)
-			sc.lastReads = append(sc.lastReads, nil)
-			sc.lastBaseReads = append(sc.lastBaseReads, nil)
-		}
+// loc returns the current-generation state of location id in tab,
+// growing tab to reach it.
+func (sc *depsScratch) loc(tab *[]locState, id Sym) *locState {
+	if int(id) >= len(*tab) {
+		*tab = append(*tab, make([]locState, int(id)+1-len(*tab))...)
 	}
-	if sc.gen[id] != sc.curGen {
-		sc.gen[id] = sc.curGen
-		sc.lastWrite[id] = -1
-		sc.lastBaseWrite[id] = -1
-		sc.lastReads[id] = sc.lastReads[id][:0]
-		sc.lastBaseReads[id] = sc.lastBaseReads[id][:0]
+	l := &(*tab)[id]
+	if l.gen != sc.gen {
+		l.gen, l.write, l.reads = sc.gen, -1, l.reads[:0]
 	}
-	return id
+	return l
 }
 
 // add records that instruction i depends on j, skipping self/forward
@@ -374,27 +401,6 @@ func (sc *depsScratch) add(i, j int) {
 		}
 	}
 	sc.edges = append(sc.edges, depEdge{i, j})
-}
-
-// CriticalPathLen returns the length (in instructions) of the longest
-// dependence chain — a structural lower bound useful in tests.
-func (b *Block) CriticalPathLen(mayAlias bool) int {
-	deps := b.Deps(mayAlias)
-	depth := make([]int, len(b.Instrs))
-	max := 0
-	for i := range b.Instrs {
-		d := 1
-		for _, j := range deps[i] {
-			if depth[j]+1 > d {
-				d = depth[j] + 1
-			}
-		}
-		depth[i] = d
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Counts returns a histogram of ops — the "operation-count based cost

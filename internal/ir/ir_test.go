@@ -4,6 +4,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestOpMetadata(t *testing.T) {
@@ -45,8 +46,9 @@ func TestAllOpsHaveNames(t *testing.T) {
 }
 
 func TestInstrString(t *testing.T) {
-	in := Instr{Op: OpFLoad, Dst: 3, Addr: "a(i,j)", Base: "a"}
-	s := in.String()
+	b := &Block{}
+	b.Append(Instr{Op: OpFLoad, Dst: 3, Addr: b.Intern("a(i,j)"), Base: b.Intern("a")})
+	s := b.InstrString(0)
 	if !strings.Contains(s, "lfd") && !strings.Contains(s, "fload") {
 		t.Errorf("String() = %q", s)
 	}
@@ -61,11 +63,11 @@ func TestInstrString(t *testing.T) {
 //	r3 = fma r0, r2, r1; fstore r3 -> y(i)
 func buildDaxpyBlock() *Block {
 	b := &Block{}
-	b.Append(Instr{Op: OpFLoad, Dst: 0, Addr: "x(i)", Base: "x"})
-	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: "y(i)", Base: "y"})
-	b.Append(Instr{Op: OpFLoad, Dst: 2, Addr: "a", Base: "a"})
-	b.Append(Instr{Op: OpFMA, Dst: 3, Srcs: []Reg{0, 2, 1}})
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{3}, Addr: "y(i)", Base: "y"})
+	b.Append(Instr{Op: OpFLoad, Dst: 0, Addr: b.Intern("x(i)"), Base: b.Intern("x")})
+	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: b.Intern("y(i)"), Base: b.Intern("y")})
+	b.Append(Instr{Op: OpFLoad, Dst: 2, Addr: b.Intern("a"), Base: b.Intern("a")})
+	b.Append(Instr{Op: OpFMA, Dst: 3}, 0, 2, 1)
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("y(i)"), Base: b.Intern("y")}, 3)
 	return b
 }
 
@@ -91,8 +93,8 @@ func TestDepsRegisterRAW(t *testing.T) {
 
 func TestDepsMemoryRAWSameAddr(t *testing.T) {
 	b := &Block{}
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{0}, Addr: "s", Base: "s"})
-	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: "s", Base: "s"})
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 0)
+	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: b.Intern("s"), Base: b.Intern("s")})
 	deps := b.Deps(false)
 	if len(deps[1]) != 1 || deps[1][0] != 0 {
 		t.Errorf("load-after-store deps = %v", deps[1])
@@ -101,8 +103,8 @@ func TestDepsMemoryRAWSameAddr(t *testing.T) {
 
 func TestDepsDistinctSubscriptsIndependent(t *testing.T) {
 	b := &Block{}
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{0}, Addr: "a(i)", Base: "a"})
-	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: "a(i+1)", Base: "a"})
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("a(i)"), Base: b.Intern("a")}, 0)
+	b.Append(Instr{Op: OpFLoad, Dst: 1, Addr: b.Intern("a(i+1)"), Base: b.Intern("a")})
 	if deps := b.Deps(false); len(deps[1]) != 0 {
 		t.Errorf("distinct subscripts should be independent: %v", deps[1])
 	}
@@ -114,8 +116,8 @@ func TestDepsDistinctSubscriptsIndependent(t *testing.T) {
 
 func TestDepsWAW(t *testing.T) {
 	b := &Block{}
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{0}, Addr: "s", Base: "s"})
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{1}, Addr: "s", Base: "s"})
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 0)
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 1)
 	deps := b.Deps(false)
 	if len(deps[1]) != 1 || deps[1][0] != 0 {
 		t.Errorf("WAW deps = %v", deps[1])
@@ -125,15 +127,15 @@ func TestDepsWAW(t *testing.T) {
 func TestCriticalPath(t *testing.T) {
 	b := buildDaxpyBlock()
 	// load -> fma -> store = 3
-	if cp := b.CriticalPathLen(false); cp != 3 {
+	if cp := criticalPathLen(b, false); cp != 3 {
 		t.Errorf("critical path = %d, want 3", cp)
 	}
 	// Independent ops: path 1.
 	b2 := &Block{}
 	for i := 0; i < 5; i++ {
-		b2.Append(Instr{Op: OpFAdd, Dst: Reg(2 * i), Srcs: []Reg{Reg(2*i + 100), Reg(2*i + 200)}})
+		b2.Append(Instr{Op: OpFAdd, Dst: Reg(2 * i)}, Reg(2*i+100), Reg(2*i+200))
 	}
-	if cp := b2.CriticalPathLen(false); cp != 1 {
+	if cp := criticalPathLen(b2, false); cp != 1 {
 		t.Errorf("independent critical path = %d", cp)
 	}
 }
@@ -141,9 +143,9 @@ func TestCriticalPath(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	b := buildDaxpyBlock()
 	c := b.Clone()
-	c.Instrs[3].Srcs[0] = 99
-	c.Instrs[0].Addr = "z(i)"
-	if b.Instrs[3].Srcs[0] == 99 || b.Instrs[0].Addr == "z(i)" {
+	c.Srcs(3)[0] = 99
+	c.Instrs[0].Addr = c.Intern("z(i)")
+	if b.Srcs(3)[0] == 99 || b.Instrs[0].Addr == c.Instrs[0].Addr {
 		t.Error("Clone shares state with original")
 	}
 }
@@ -164,9 +166,8 @@ func TestCountsAndMaxReg(t *testing.T) {
 
 func TestBlockString(t *testing.T) {
 	b := buildDaxpyBlock()
-	b.Label = "daxpy"
 	s := b.String()
-	if !strings.Contains(s, "daxpy:") || !strings.Contains(s, "fma") {
+	if !strings.Contains(s, "  3  fma r3, r0, r2, r1\n") || !strings.Contains(s, "[y(i)]") {
 		t.Errorf("block string: %q", s)
 	}
 }
@@ -195,9 +196,9 @@ func TestParseOp(t *testing.T) {
 // the oracle's topological-permutation invariant, fuzz seed -50).
 func TestDepsMayAliasStoreBetweenWriteAndLoad(t *testing.T) {
 	b := &Block{}
-	b.Append(Instr{Op: OpFStore, Srcs: []Reg{0}, Addr: "c(j,i)", Base: "c"})
-	b.Append(Instr{Op: OpIStore, Srcs: []Reg{1}, Addr: "c(i)", Base: "c"})
-	b.Append(Instr{Op: OpFLoad, Dst: 2, Addr: "c(j,i)", Base: "c"})
+	b.Append(Instr{Op: OpFStore, Addr: b.Intern("c(j,i)"), Base: b.Intern("c")}, 0)
+	b.Append(Instr{Op: OpIStore, Addr: b.Intern("c(i)"), Base: b.Intern("c")}, 1)
+	b.Append(Instr{Op: OpFLoad, Dst: 2, Addr: b.Intern("c(j,i)"), Base: b.Intern("c")})
 
 	// Exact mode: only the same-address RAW dep.
 	if deps := b.Deps(false); len(deps[2]) != 1 || deps[2][0] != 0 {
@@ -237,4 +238,85 @@ func TestParseOpRejectsTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInstrSize pins the fixed-size instruction: no slice or string
+// field, sources inline, texts as Syms.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 48 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d, want <= 48", n)
+	}
+}
+
+// A call with five arguments keeps its sources in the block's overflow
+// array and renders as it did with a per-instruction slice (recorded
+// from that representation).
+func TestOverflowSourcesRender(t *testing.T) {
+	b := &Block{}
+	b.Append(Instr{Op: OpFLoad, Dst: 0, Addr: b.Intern("x"), Base: b.Intern("x")})
+	b.Append(Instr{Op: OpCall, Dst: 9, Addr: b.Intern("f")}, 1, 2, 3, 4, 5)
+	if got, want := b.InstrString(1), "call r9, r1, r2, r3, r4, r5, @f"; got != want {
+		t.Errorf("InstrString = %q, want %q", got, want)
+	}
+	c := &Block{Names: b.Names}
+	c.AppendFrom(b, 1)
+	c.Srcs(0)[4] = 7
+	if got := b.Srcs(1)[4]; got != 5 {
+		t.Errorf("renaming a copy's overflow source changed the original: %d", got)
+	}
+	if got := c.InstrString(0); got != "call r9, r1, r2, r3, r4, r7, @f" {
+		t.Errorf("copy renders %q", got)
+	}
+	if b.MaxReg() != 9 || len(b.Clone().Srcs(1)) != 5 {
+		t.Error("MaxReg or Clone lost overflow sources")
+	}
+}
+
+// A Sym means nothing in another table: copying an instruction between
+// blocks of two tables is a bug AppendFrom reports.
+func TestAppendFromChecksTable(t *testing.T) {
+	a, b := &Block{}, &Block{}
+	a.Append(Instr{Op: OpFLoad, Dst: 0, Addr: a.Intern("x"), Base: a.Intern("x")})
+	b.Intern("y")
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendFrom copied across name tables")
+		}
+	}()
+	b.AppendFrom(a, 0)
+}
+
+// DepsInto indexes its location tables by Sym: on a warm buffer it
+// allocates nothing.
+func TestDepsIntoWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	b := buildDaxpyBlock()
+	var buf DepsBuf
+	b.DepsInto(true, &buf)
+	if n := testing.AllocsPerRun(100, func() { b.DepsInto(true, &buf) }); n != 0 {
+		t.Errorf("DepsInto allocates %v times per warm call", n)
+	}
+}
+
+// criticalPathLen returns the length (in instructions) of the longest
+// dependence chain — a structural lower bound useful in tests.
+func criticalPathLen(b *Block, mayAlias bool) int {
+	deps := b.Deps(mayAlias)
+	depth := make([]int, len(b.Instrs))
+	max := 0
+	for i := range b.Instrs {
+		d := 1
+		for _, j := range deps[i] {
+			if depth[j]+1 > d {
+				d = depth[j] + 1
+			}
+		}
+		depth[i] = d
+		if d > max {
+			max = d
+		}
+	}
+	return max
 }

@@ -10,7 +10,7 @@ package ir
 import "fmt"
 
 // Op is a basic operation: language independent, type specific.
-type Op int
+type Op int16
 
 const (
 	OpInvalid Op = iota

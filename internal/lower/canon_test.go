@@ -26,8 +26,8 @@ end
 	for _, in := range lw.Body.Instrs {
 		if in.Op.IsLoad() {
 			loads++
-			if in.Addr != "a(i+2)" {
-				t.Errorf("addr = %q, want a(i+2)", in.Addr)
+			if got := lw.Names.Text(in.Addr); got != "a(i+2)" {
+				t.Errorf("addr = %q, want a(i+2)", got)
 			}
 		}
 	}
@@ -54,7 +54,7 @@ end
 	var addrs []string
 	for _, in := range lw.Body.Instrs {
 		if in.Op.IsLoad() {
-			addrs = append(addrs, in.Addr)
+			addrs = append(addrs, lw.Names.Text(in.Addr))
 		}
 	}
 	// 2*i+1 twice (CSE'd into one) + 3-i (= -i+3).
@@ -98,7 +98,7 @@ end
 	lw := lowerBody(t, src, DefaultOptions())
 	// Both statements reference the same canonical c(i,j): one promoted
 	// location, zero body stores.
-	if len(lw.Promoted) != 1 || lw.Promoted[0].Addr != "c(i,j)" {
+	if len(lw.Promoted) != 1 || lw.Names.Text(lw.Promoted[0].Addr) != "c(i,j)" {
 		t.Fatalf("promoted: %+v", lw.Promoted)
 	}
 	if lw.Body.Counts()[ir.OpFStore] != 0 {
@@ -131,7 +131,7 @@ end
 	// The accumulator is still promoted.
 	found := false
 	for _, pv := range lw.Promoted {
-		if pv.Addr == "s" {
+		if lw.Names.Text(pv.Addr) == "s" {
 			found = true
 		}
 	}

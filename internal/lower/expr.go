@@ -3,8 +3,8 @@ package lower
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
-	"strings"
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/source"
@@ -19,11 +19,10 @@ func (tr *Translator) expr(e source.Expr) (ir.Reg, source.Type, error) {
 		return ir.NoReg, source.TypeUnknown, err
 	}
 	if tr.opt.CSE {
-		if r, ok := tr.cse[f.vn]; ok {
-			return r, f.ty, nil
-		}
-		if r, ok := tr.preCSE[f.vn]; ok {
-			return r, f.ty, nil
+		if v := tr.known(f.vn); v.body != ir.NoReg {
+			return v.body, f.ty, nil
+		} else if v.pre != ir.NoReg {
+			return v.pre, f.ty, nil
 		}
 	}
 	r, ty, err := tr.lowerExpr(e, f.ty, f.inv)
@@ -31,28 +30,35 @@ func (tr *Translator) expr(e source.Expr) (ir.Reg, source.Type, error) {
 		return ir.NoReg, source.TypeUnknown, err
 	}
 	if tr.opt.CSE {
-		if f.inv {
-			tr.preCSE[f.vn] = r
+		if v := tr.known(f.vn); f.inv {
+			v.pre = r
 		} else {
-			tr.cse[f.vn] = r
+			v.body = r
 		}
 	}
 	return r, ty, nil
 }
 
-// emit appends to the preheader or the body.
-func (tr *Translator) emit(hoist bool, in ir.Instr) {
+// op emits in with a fresh destination, which it returns.
+func (tr *Translator) op(hoist bool, in ir.Instr, srcs ...ir.Reg) ir.Reg {
+	in.Dst = tr.newReg()
+	tr.emit(hoist, in, srcs...)
+	return in.Dst
+}
+
+// emit appends in with sources srcs to the preheader or the body.
+func (tr *Translator) emit(hoist bool, in ir.Instr, srcs ...ir.Reg) {
 	if hoist {
-		tr.pre.Append(in)
+		tr.pre.Append(in, srcs...)
 		return
 	}
-	tr.body.Append(in)
+	tr.body.Append(in, srcs...)
 	if in.Op.IsLoad() {
 		tr.loadCount++
 		if k := tr.opt.RegisterPressure; k > 0 && tr.loadCount%k == 0 {
 			// Limited registers force a spill store (§2.2.1).
-			spill := fmt.Sprintf("spill%d", tr.loadCount/k)
-			tr.body.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{in.Dst}, Addr: spill, Base: spill})
+			spill := tr.sym(fmt.Sprintf("spill%d", tr.loadCount/k))
+			tr.body.Append(ir.Instr{Op: ir.OpFStore, Addr: spill, Base: spill}, in.Dst)
 		}
 	}
 }
@@ -61,61 +67,46 @@ func (tr *Translator) emit(hoist bool, in ir.Instr) {
 func (tr *Translator) lowerExpr(e source.Expr, resTy source.Type, hoist bool) (ir.Reg, source.Type, error) {
 	switch x := e.(type) {
 	case *source.NumLit:
-		dst := tr.newReg()
 		if x.IsReal {
 			// FP constants come from the constant pool via a load.
-			tr.emit(hoist, ir.Instr{Op: ir.OpFLoad, Dst: dst, Addr: "=" + source.ExprString(x), Base: "=const"})
-			return dst, source.TypeReal, nil
+			return tr.op(hoist, ir.Instr{Op: ir.OpFLoad, Addr: tr.sym("=" + source.ExprString(x)), Base: tr.sym("=const")}), source.TypeReal, nil
 		}
-		tr.emit(hoist, ir.Instr{Op: ir.OpLoadImm, Dst: dst, Imm: x.Value})
-		return dst, source.TypeInteger, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpLoadImm, Imm: x.Value}), source.TypeInteger, nil
 
 	case *source.VarRef:
 		sym := tr.tbl.Lookup(x.Name)
 		if sym == nil {
 			return ir.NoReg, source.TypeUnknown, fmt.Errorf("%s: unknown variable %q", x.Pos, x.Name)
 		}
-		if sym.IsConst {
-			dst := tr.newReg()
-			if sym.Type == source.TypeReal {
-				tr.emit(hoist, ir.Instr{Op: ir.OpFLoad, Dst: dst, Addr: "=" + x.Name, Base: "=const"})
-				return dst, source.TypeReal, nil
-			}
-			tr.emit(hoist, ir.Instr{Op: ir.OpLoadImm, Dst: dst, Imm: sym.ConstVal})
-			return dst, source.TypeInteger, nil
+		if sym.IsConst && sym.Type == source.TypeReal {
+			return tr.op(hoist, ir.Instr{Op: ir.OpFLoad, Addr: tr.sym("=" + x.Name), Base: tr.sym("=const")}), source.TypeReal, nil
+		} else if sym.IsConst {
+			return tr.op(hoist, ir.Instr{Op: ir.OpLoadImm, Imm: sym.ConstVal}), source.TypeInteger, nil
 		}
-		if tr.loopVars[x.Name] {
+		id := tr.sym(x.Name)
+		if tr.syms[id].flags&loopVar != 0 {
 			// Loop induction variables live in registers: reading one
 			// is free (no producing instruction is emitted).
 			return tr.newReg(), source.TypeInteger, nil
 		}
-		if info, ok := tr.promotable[x.Name]; ok {
-			return tr.promotedLoad(x.Name, info, 0), sym.Type, nil
+		if tr.syms[id].flags&promotable != 0 {
+			return tr.promotedLoad(id, 0), sym.Type, nil
 		}
-		op := ir.OpFLoad
-		if sym.Type == source.TypeInteger {
-			op = ir.OpILoad
-		}
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Addr: x.Name, Base: x.Name})
-		return dst, sym.Type, nil
+		return tr.op(hoist, ir.Instr{Op: loadOp(sym.Type), Addr: id, Base: id}), sym.Type, nil
 
 	case *source.ArrayRef:
-		addr, addrRegs, err := tr.arrayAddr(x)
+		mark := len(tr.regs)
+		addr, err := tr.arrayAddr(x)
 		if err != nil {
 			return ir.NoReg, source.TypeUnknown, err
 		}
+		addrRegs := tr.regs[mark:]
+		tr.regs = tr.regs[:mark]
 		sym := tr.tbl.Lookup(x.Name)
-		if info, ok := tr.promotable[addr]; ok {
-			return tr.promotedLoad(addr, info, tr.tagRef(x)), sym.Type, nil
+		if tr.syms[addr].flags&promotable != 0 {
+			return tr.promotedLoad(addr, tr.tagRef(x)), sym.Type, nil
 		}
-		op := ir.OpFLoad
-		if sym.Type == source.TypeInteger {
-			op = ir.OpILoad
-		}
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Srcs: addrRegs, Addr: addr, Base: x.Name, RefID: tr.tagRef(x)})
-		return dst, sym.Type, nil
+		return tr.op(hoist, ir.Instr{Op: loadOp(sym.Type), Addr: addr, Base: tr.sym(x.Name), RefID: tr.tagRef(x)}, addrRegs...), sym.Type, nil
 
 	case *source.UnExpr:
 		if !x.Neg {
@@ -125,13 +116,11 @@ func (tr *Translator) lowerExpr(e source.Expr, resTy source.Type, hoist bool) (i
 		if err != nil {
 			return ir.NoReg, source.TypeUnknown, err
 		}
-		dst := tr.newReg()
 		op := ir.OpFNeg
 		if ty == source.TypeInteger {
 			op = ir.OpINeg
 		}
-		tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{v}})
-		return dst, ty, nil
+		return tr.op(hoist, ir.Instr{Op: op}, v), ty, nil
 
 	case *source.IntrinsicCall:
 		return tr.intrinsic(x, hoist)
@@ -168,13 +157,11 @@ func (tr *Translator) binExpr(x *source.BinExpr, resTy source.Type, hoist bool) 
 			a = tr.convert(a, aty, source.TypeReal)
 			b = tr.convert(b, bty, source.TypeReal)
 			c = tr.convert(c, cty, source.TypeReal)
-			dst := tr.newReg()
 			op := ir.OpFMA
 			if sub {
 				op = ir.OpFMS
 			}
-			tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{a, b, c}})
-			return dst, source.TypeReal, nil
+			return tr.op(hoist, ir.Instr{Op: op}, a, b, c), source.TypeReal, nil
 		}
 	}
 
@@ -226,9 +213,7 @@ func (tr *Translator) binExpr(x *source.BinExpr, resTy source.Type, hoist bool) 
 	default:
 		return ir.NoReg, source.TypeUnknown, fmt.Errorf("unhandled operator %v", x.Kind)
 	}
-	dst := tr.newReg()
-	tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{l, r}})
-	return dst, resTy, nil
+	return tr.op(hoist, ir.Instr{Op: op}, l, r), resTy, nil
 }
 
 // fmaOperands matches x = mul ± addend with a multiply on either side
@@ -263,13 +248,10 @@ func (tr *Translator) power(x *source.BinExpr, hoist bool, resTy source.Type) (i
 	if k, ok := tr.tbl.IntConst(x.R); ok && k >= 0 && k <= 4 {
 		switch k {
 		case 0:
-			dst := tr.newReg()
 			if resTy == source.TypeReal {
-				tr.emit(hoist, ir.Instr{Op: ir.OpFLoad, Dst: dst, Addr: "=1.0", Base: "=const"})
-			} else {
-				tr.emit(hoist, ir.Instr{Op: ir.OpLoadImm, Dst: dst, Imm: 1})
+				return tr.op(hoist, ir.Instr{Op: ir.OpFLoad, Addr: tr.sym("=1.0"), Base: tr.sym("=const")}), resTy, nil
 			}
-			return dst, resTy, nil
+			return tr.op(hoist, ir.Instr{Op: ir.OpLoadImm, Imm: 1}), resTy, nil
 		case 1:
 			r, ty, err := tr.expr(x.L)
 			if err != nil {
@@ -298,27 +280,19 @@ func (tr *Translator) power(x *source.BinExpr, hoist bool, resTy source.Type) (i
 	if _, _, err := tr.expr(x.R); err != nil {
 		return ir.NoReg, source.TypeUnknown, err
 	}
-	dst := tr.newReg()
-	tr.emit(hoist, ir.Instr{Op: ir.OpCall, Dst: dst, Callee: "pow"})
-	return dst, source.TypeReal, nil
+	return tr.op(hoist, ir.Instr{Op: ir.OpCall, Addr: tr.sym("pow")}), source.TypeReal, nil
 }
 
 func (tr *Translator) intrinsic(x *source.IntrinsicCall, hoist bool) (ir.Reg, source.Type, error) {
-	lowerArgs := func() ([]ir.Reg, []source.Type, error) {
-		regs := make([]ir.Reg, len(x.Args))
-		tys := make([]source.Type, len(x.Args))
-		for i, a := range x.Args {
-			r, ty, err := tr.expr(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			regs[i], tys[i] = r, ty
+	var rbuf [2]ir.Reg
+	var tbuf [2]source.Type
+	regs, tys := rbuf[:0], tbuf[:0]
+	for _, a := range x.Args {
+		r, ty, err := tr.expr(a)
+		if err != nil {
+			return ir.NoReg, source.TypeUnknown, err
 		}
-		return regs, tys, nil
-	}
-	regs, tys, err := lowerArgs()
-	if err != nil {
-		return ir.NoReg, source.TypeUnknown, err
+		regs, tys = append(regs, r), append(tys, ty)
 	}
 	allReal := func() {
 		for i := range regs {
@@ -328,71 +302,63 @@ func (tr *Translator) intrinsic(x *source.IntrinsicCall, hoist bool) (ir.Reg, so
 	switch x.Name {
 	case "sqrt":
 		allReal()
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: ir.OpFSqrt, Dst: dst, Srcs: regs})
-		return dst, source.TypeReal, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpFSqrt}, regs...), source.TypeReal, nil
 	case "abs":
-		dst := tr.newReg()
 		if tys[0] == source.TypeInteger {
-			tr.emit(hoist, ir.Instr{Op: ir.OpIAbs, Dst: dst, Srcs: regs})
-			return dst, source.TypeInteger, nil
+			return tr.op(hoist, ir.Instr{Op: ir.OpIAbs}, regs...), source.TypeInteger, nil
 		}
-		tr.emit(hoist, ir.Instr{Op: ir.OpFAbs, Dst: dst, Srcs: regs})
-		return dst, source.TypeReal, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpFAbs}, regs...), source.TypeReal, nil
 	case "min", "max":
-		resTy := source.TypeInteger
-		for _, ty := range tys {
-			if ty == source.TypeReal {
-				resTy = source.TypeReal
+		if !slices.Contains(tys, source.TypeReal) {
+			// Integer min/max lower to compare + select ≈ 2 FXU ops.
+			cur := regs[0]
+			for _, r := range regs[1:] {
+				cmp := tr.op(hoist, ir.Instr{Op: ir.OpICmp}, cur, r)
+				cur = tr.op(hoist, ir.Instr{Op: ir.OpIAdd}, cmp, r)
 			}
+			return cur, source.TypeInteger, nil
 		}
 		op := ir.OpFMin
 		if x.Name == "max" {
 			op = ir.OpFMax
 		}
-		if resTy == source.TypeInteger {
-			// Integer min/max lower to compare + select ≈ 2 FXU ops.
-			cur := regs[0]
-			for _, r := range regs[1:] {
-				cmp := tr.newReg()
-				tr.emit(hoist, ir.Instr{Op: ir.OpICmp, Dst: cmp, Srcs: []ir.Reg{cur, r}})
-				dst := tr.newReg()
-				tr.emit(hoist, ir.Instr{Op: ir.OpIAdd, Dst: dst, Srcs: []ir.Reg{cmp, r}})
-				cur = dst
-			}
-			return cur, source.TypeInteger, nil
-		}
 		allReal()
 		cur := regs[0]
 		for _, r := range regs[1:] {
-			dst := tr.newReg()
-			tr.emit(hoist, ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{cur, r}})
-			cur = dst
+			cur = tr.op(hoist, ir.Instr{Op: op}, cur, r)
 		}
 		return cur, source.TypeReal, nil
 	case "mod":
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: ir.OpIMod, Dst: dst, Srcs: regs})
-		return dst, source.TypeInteger, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpIMod}, regs...), source.TypeInteger, nil
 	case "int":
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: ir.OpFtoI, Dst: dst, Srcs: regs})
-		return dst, source.TypeInteger, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpFtoI}, regs...), source.TypeInteger, nil
 	case "real", "dble":
 		if tys[0] == source.TypeReal {
 			return regs[0], source.TypeReal, nil
 		}
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: ir.OpItoF, Dst: dst, Srcs: regs})
-		return dst, source.TypeReal, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpItoF}, regs...), source.TypeReal, nil
 	case "exp", "log", "sin", "cos":
 		allReal()
-		dst := tr.newReg()
-		tr.emit(hoist, ir.Instr{Op: ir.OpCall, Dst: dst, Srcs: regs, Callee: x.Name})
-		return dst, source.TypeReal, nil
+		return tr.op(hoist, ir.Instr{Op: ir.OpCall, Addr: tr.sym(x.Name)}, regs...), source.TypeReal, nil
 	default:
 		return ir.NoReg, source.TypeUnknown, fmt.Errorf("%s: unknown intrinsic %q", x.Pos, x.Name)
 	}
+}
+
+// loadOp and storeOp return the load and the store of a value of
+// type ty.
+func loadOp(ty source.Type) ir.Op {
+	if ty == source.TypeInteger {
+		return ir.OpILoad
+	}
+	return ir.OpFLoad
+}
+
+func storeOp(ty source.Type) ir.Op {
+	if ty == source.TypeInteger {
+		return ir.OpIStore
+	}
+	return ir.OpFStore
 }
 
 // convert inserts int↔real conversions when needed.
@@ -405,21 +371,21 @@ func (tr *Translator) convert(r ir.Reg, from, to source.Type) ir.Reg {
 	if to == source.TypeInteger {
 		op = ir.OpFtoI
 	}
-	tr.body.Append(ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{r}})
+	tr.body.Append(ir.Instr{Op: op, Dst: dst}, r)
 	return dst
 }
 
-// arrayAddr returns the address string of an array reference and
-// emits any explicit subscript arithmetic the addressing hardware
-// cannot fold: unit-stride affine forms compile to update-form
-// addressing on POWER at no extra cost; other subscripts are lowered as
-// integer arithmetic feeding an address computation.
-func (tr *Translator) arrayAddr(a *source.ArrayRef) (string, []ir.Reg, error) {
+// arrayAddr returns the address of an array reference and emits any
+// explicit subscript arithmetic the addressing hardware cannot fold:
+// unit-stride affine forms compile to update-form addressing on POWER
+// at no extra cost; other subscripts are lowered as integer arithmetic
+// feeding an address computation, whose registers it pushes on tr.regs
+// for the memory operation to read (the caller pops them).
+func (tr *Translator) arrayAddr(a *source.ArrayRef) (ir.Sym, error) {
 	addr, cheap := tr.address(a)
 	if cheap {
-		return addr, nil, nil
+		return addr, nil
 	}
-	var addrRegs []ir.Reg
 	for _, ix := range a.Idx {
 		if tr.subscript(ix).cheap {
 			continue
@@ -429,35 +395,39 @@ func (tr *Translator) arrayAddr(a *source.ArrayRef) (string, []ir.Reg, error) {
 		// liveness) is visible downstream.
 		r, ty, err := tr.expr(ix)
 		if err != nil {
-			return "", nil, err
+			return 0, err
 		}
 		if ty != source.TypeInteger {
-			return "", nil, fmt.Errorf("%s: non-integer subscript", a.Pos)
+			return 0, fmt.Errorf("%s: non-integer subscript", a.Pos)
 		}
 		dst := tr.newReg()
-		tr.body.Append(ir.Instr{Op: ir.OpAddr, Dst: dst, Srcs: []ir.Reg{r, ir.NoReg}})
-		addrRegs = append(addrRegs, dst)
+		tr.body.Append(ir.Instr{Op: ir.OpAddr, Dst: dst}, r, ir.NoReg)
+		tr.regs = append(tr.regs, dst)
 	}
-	return addr, addrRegs, nil
+	return addr, nil
 }
 
-// address renders the canonical address string name(sub,…) of an array
+// address interns the canonical address name(sub,…) of an array
 // reference, each subscript in its subscript form — so x((i+1)+1) and
 // x(i+2) agree — and reports whether the addressing hardware folds
 // every subscript for free. Memoized per node.
-func (tr *Translator) address(a *source.ArrayRef) (string, bool) {
+func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
 	if ent, ok := tr.addrCache[a]; ok {
-		return ent.s, ent.cheap
+		return ent.addr, ent.cheap
 	}
-	parts := make([]string, len(a.Idx))
+	var arr [64]byte
+	buf := append(append(arr[:0], a.Name...), '(')
 	cheap := true
 	for i, ix := range a.Idx {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
 		sub := tr.subscript(ix)
-		parts[i] = sub.s
+		buf = append(buf, tr.names.Text(sub.text)...)
 		cheap = cheap && sub.cheap
 	}
-	addr := a.Name + "(" + strings.Join(parts, ",") + ")"
-	tr.addrCache[a] = subEntry{s: addr, cheap: cheap}
+	addr := tr.sym(string(append(buf, ')')))
+	tr.addrCache[a] = addrEntry{addr: addr, cheap: cheap}
 	return addr, cheap
 }
 
@@ -471,40 +441,34 @@ func (tr *Translator) subscript(e source.Expr) subEntry {
 	if ent, ok := tr.subCache[e]; ok {
 		return ent
 	}
-	ent := tr.subscriptSlow(e)
-	tr.subCache[e] = ent
-	return ent
-}
-
-func (tr *Translator) subscriptSlow(e source.Expr) subEntry {
-	a, ok := tr.tbl.Affine(e)
-	if !ok || a.Len() > 1 {
-		return subEntry{s: source.ExprString(e)}
-	}
-	d := a.Const
-	if a.Len() == 0 {
-		return subEntry{s: strconv.FormatInt(d, 10), cheap: true, affine: true}
-	}
-	v, c := a.Term(0).Var, a.Term(0).Coeff
-	var buf []byte
-	switch c {
-	case 1:
-		buf = append(buf, v...)
-	case -1:
-		buf = append(buf, '-')
-		buf = append(buf, v...)
+	var ent subEntry
+	switch a, ok := tr.tbl.Affine(e); {
+	case !ok || a.Len() > 1:
+		ent.text = tr.sym(source.ExprString(e))
+	case a.Len() == 0:
+		ent = subEntry{text: tr.sym(strconv.FormatInt(a.Const, 10)), cheap: true, affine: true}
 	default:
-		buf = strconv.AppendInt(buf, c, 10)
-		buf = append(buf, '*')
+		v, c := a.Term(0).Var, a.Term(0).Coeff
+		var arr [32]byte
+		buf := arr[:0]
+		switch c {
+		case 1:
+		case -1:
+			buf = append(buf, '-')
+		default:
+			buf = append(strconv.AppendInt(buf, c, 10), '*')
+		}
 		buf = append(buf, v...)
-	}
-	if d != 0 {
-		if d > 0 {
+		if a.Const > 0 {
 			buf = append(buf, '+')
 		}
-		buf = strconv.AppendInt(buf, d, 10)
+		if a.Const != 0 {
+			buf = strconv.AppendInt(buf, a.Const, 10)
+		}
+		ent = subEntry{text: tr.sym(string(buf)), cheap: c == 1 || c == -1, affine: true}
 	}
-	return subEntry{s: string(buf), cheap: c == 1 || c == -1, affine: true}
+	tr.subCache[e] = ent
+	return ent
 }
 
 // facts is what lowering knows about one expression node.
@@ -584,29 +548,31 @@ func (tr *Translator) number(e source.Expr) (facts, error) {
 		}
 		f.vn = tr.intern(vnKey{op: op, a: int32(bits), b: int32(bits >> 32)})
 	case *source.VarRef:
-		sym := tr.tbl.Lookup(x.Name)
+		sym, id := tr.tbl.Lookup(x.Name), tr.sym(x.Name)
+		flags := tr.syms[id].flags
 		switch {
-		case tr.loopVars[x.Name]:
-			f.vn = tr.intern(vnKey{op: vnInduction, a: tr.name(x.Name)})
+		case flags&loopVar != 0:
+			f.vn = tr.intern(vnKey{op: vnInduction, a: int32(id)})
 		case sym != nil && sym.IsConst:
-			f.vn = tr.intern(vnKey{op: vnParam, a: tr.name(x.Name)})
+			f.vn = tr.intern(vnKey{op: vnParam, a: int32(id)})
 		default:
-			f.vn = tr.load(x.Name)
+			f.vn = tr.load(id)
 		}
-		f.inv = !tr.loopVars[x.Name] && !tr.killedVars[x.Name]
+		f.inv = flags&(loopVar|killedVar) == 0
 	case *source.ArrayRef:
 		// An affine subscript contributes its canonical text, so
 		// x((i+1)+1) and x(i+2) are one value and match the address
 		// a store forwards to.
-		f.inv = !tr.killedArrs[x.Name]
-		f.vn = tr.load(x.Name)
+		id := tr.sym(x.Name)
+		f.inv = tr.syms[id].flags&killedArr == 0
+		f.vn = tr.load(id)
 		for _, ix := range x.Idx {
 			k, err := operand(ix)
 			if err != nil {
 				return facts{}, err
 			}
 			if sub := tr.subscript(ix); sub.affine {
-				k.vn = tr.intern(vnKey{op: vnSubscript, a: tr.name(sub.s)})
+				k.vn = tr.intern(vnKey{op: vnSubscript, a: int32(sub.text)})
 			}
 			f.vn = tr.index(f.vn, k.vn)
 		}
@@ -631,7 +597,7 @@ func (tr *Translator) number(e source.Expr) (facts, error) {
 		}
 		f.vn = tr.intern(vnKey{op: vnBinary + vnOp(x.Kind), a: a, b: b})
 	case *source.IntrinsicCall:
-		f.vn = tr.intern(vnKey{op: vnIntrinsic, a: tr.name(x.Name)})
+		f.vn = tr.intern(vnKey{op: vnIntrinsic, a: int32(tr.sym(x.Name))})
 		for _, arg := range x.Args {
 			k, err := operand(arg)
 			if err != nil {
@@ -658,22 +624,27 @@ func (tr *Translator) intern(k vnKey) int32 {
 	return v
 }
 
-// name numbers a name or a subscript's text for the translator's
-// lifetime, giving it a version slot.
-func (tr *Translator) name(s string) int32 {
-	id, ok := tr.names[s]
-	if !ok {
-		id = int32(len(tr.names))
-		tr.names[s] = id
-		tr.ver = append(tr.ver, 0)
+// sym interns a text in the translator's table, giving it a state
+// slot: value numbering names variables and subscript texts by Sym.
+func (tr *Translator) sym(s string) ir.Sym {
+	id := tr.names.Intern(s)
+	for int(id) >= len(tr.syms) {
+		tr.syms = append(tr.syms, symState{})
 	}
 	return id
 }
 
 // load numbers a read of name at its current version.
-func (tr *Translator) load(name string) int32 {
-	id := tr.name(name)
-	return tr.intern(vnKey{op: vnLoad, a: id, b: tr.ver[id]})
+func (tr *Translator) load(name ir.Sym) int32 {
+	return tr.intern(vnKey{op: vnLoad, a: int32(name), b: tr.syms[name].ver})
+}
+
+// known returns the registers of value number vn.
+func (tr *Translator) known(vn int32) *vnRegs {
+	for int(vn) >= len(tr.vals) {
+		tr.vals = append(tr.vals, vnRegs{ir.NoReg, ir.NoReg})
+	}
+	return &tr.vals[vn]
 }
 
 // index numbers v with one more operand.

@@ -52,7 +52,16 @@ func renderLowered(lw *lower.Lowered, err error) string {
 	}{{"body", lw.Body}, {"pre", lw.Pre}, {"entry", lw.PerEntry}, {"post", lw.Post}} {
 		fmt.Fprintf(&sb, "%s:\n%s", b.name, b.blk)
 	}
-	fmt.Fprintf(&sb, "promoted %+v refs %d\n", lw.Promoted, len(lw.Refs))
+	// The promoted locations print as %+v printed them when they held
+	// their texts.
+	sb.WriteString("promoted [")
+	for i, pv := range lw.Promoted {
+		if i > 0 {
+			sb.WriteByte(' ')
+		}
+		fmt.Fprintf(&sb, "{Addr:%s Base:%s InReg:%d OutReg:%d}", lw.Names.Text(pv.Addr), lw.Names.Text(pv.Base), pv.InReg, pv.OutReg)
+	}
+	fmt.Fprintf(&sb, "] refs %d\n", len(lw.Refs))
 	return sb.String()
 }
 

@@ -14,6 +14,7 @@ package lower
 
 import (
 	"fmt"
+	"slices"
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
@@ -59,10 +60,10 @@ type Lowered struct {
 	// of §2.2.2, "used to count the one-time and iterative costs
 	// separately").
 	Pre *ir.Block
-	// Refs maps memory-instruction RefIDs back to the source-level
-	// array reference, letting the interpreter concretize addresses
-	// when replaying the block dynamically.
-	Refs map[int32]*source.ArrayRef
+	// Refs[id-1] is the source-level array reference of the memory
+	// instructions with RefID id, letting the interpreter concretize
+	// addresses when replaying the block dynamically.
+	Refs []*source.ArrayRef
 	// PerEntry holds register-promotion loads executed once per entry
 	// of the innermost enclosing loop; Post holds the matching final
 	// stores at loop exit (sum-reduction recognition).
@@ -71,12 +72,16 @@ type Lowered struct {
 	// Promoted describes the promoted locations: the register their
 	// per-entry load defines and the register holding the final value.
 	Promoted []PromotedVar
+	// Names is the translator's table, which renders every Sym above.
+	Names *ir.Names
+
+	blocks [4]ir.Block // Body, Pre, PerEntry and Post, in one allocation
 }
 
 // PromotedVar is one register-promoted memory location.
 type PromotedVar struct {
-	Addr string
-	Base string
+	Addr ir.Sym
+	Base ir.Sym
 	// InReg is defined by the PerEntry load (NoReg when the first
 	// access is a write and no initial load is needed).
 	InReg ir.Reg
@@ -110,80 +115,86 @@ type Translator struct {
 	opt Options
 
 	nextReg ir.Reg
+	// names interns, for the translator's lifetime, every text lowering
+	// meets: variable names, subscript texts, addresses, bases and
+	// callees. Every block the translator lowers renders through it.
+	names *ir.Names
+	// syms holds the pass's state of each Sym of names.
+	syms []symState
 	// Value numbering (see facts): vns interns one exact number per
-	// distinct expression value, ver holds the version of each name
-	// numbered in names, and memo caches each node's facts for the
-	// current epoch. cse and preCSE map value numbers to the register
-	// holding the value, in the body and in the preheader. All but
-	// names is per lowering pass.
-	names  map[string]int32
-	vns    map[vnKey]int32
-	ver    []int32
-	memo   map[source.Expr]facts
-	epoch  uint32
-	cse    map[int32]ir.Reg
-	preCSE map[int32]ir.Reg
+	// distinct expression value, and memo caches each node's facts for
+	// the current epoch. vals holds the registers of each value number
+	// (CSE), in the body and in the preheader. All are per pass.
+	vns   map[vnKey]int32
+	memo  map[source.Expr]facts
+	epoch uint32
+	vals  []vnRegs
 
-	body     *ir.Block
-	pre      *ir.Block
-	perEntry *ir.Block
-	post     *ir.Block
+	// A pass builds in the scratch blocks (body, pre, perEntry, post)
+	// and copies them out exactly sized; the scratch keeps its capacity.
+	scratch                   [4]ir.Block
+	body, pre, perEntry, post *ir.Block
 
-	loopVars   map[string]bool
-	innerVar   string          // innermost enclosing loop variable
-	killedVars map[string]bool // scalars assigned in the body
-	killedArrs map[string]bool // arrays stored in the body
+	innerVar string // innermost enclosing loop variable
 
-	// promo tracks register-promoted locations: addr -> state.
-	promo      map[string]*promoState
-	promoOrder []string
-	promotable map[string]promoInfo
+	// promos holds the register-promoted locations in first-touch
+	// order; uses, the array references scanPromotable met.
+	promos []promoState
+	uses   []promoUse
 
 	loadCount int
+	firstReg  ir.Reg   // nextReg when the pass began: its lowest register
+	regs      []ir.Reg // a stack of sources under construction (see arrayAddr)
+	used      []bool   // deadCodeElim: register - firstReg is read
 
-	nextRefID int32
-	refs      map[int32]*source.ArrayRef
+	refs []*source.ArrayRef // the pass's Refs
 
-	// Memoized canonical strings. AST nodes are immutable and the
-	// symbol table is fixed for the translator's lifetime, so subscript
-	// normal forms and array address strings depend only on the node
-	// pointer and survive resets.
+	// Memoized canonical forms. AST nodes are immutable and the symbol
+	// table is fixed for the translator's lifetime, so subscript normal
+	// forms and array addresses depend only on the node pointer and
+	// survive resets.
 	subCache  map[source.Expr]subEntry
-	addrCache map[*source.ArrayRef]subEntry
+	addrCache map[*source.ArrayRef]addrEntry
 }
 
-// subEntry is a memoized rendering: a subscript's canonical text, or an
-// array reference's address string. cheap reports that the addressing
-// hardware folds it (every subscript, for an address); affine, that a
-// subscript is affine in at most one variable.
+// subEntry is a subscript's memoized canonical text. cheap reports that
+// the addressing hardware folds it; affine, that it is affine in at
+// most one variable.
 type subEntry struct {
-	s      string
+	text   ir.Sym
 	cheap  bool
 	affine bool
 }
 
+// addrEntry is an array reference's memoized address, and whether the
+// addressing hardware folds every subscript.
+type addrEntry struct {
+	addr  ir.Sym
+	cheap bool
+}
+
 // New creates a translator.
 func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
-	return &Translator{
+	// Size the tables from the program: a program of n symbols meets
+	// about 3n texts and 3n value numbers in a pass.
+	n := tbl.Len()
+	tr := &Translator{
 		tbl: tbl, fma: m.Compiled().HasFMA(), opt: opt,
-		names:     map[string]int32{},
-		vns:       map[vnKey]int32{},
+		names:     ir.NewNames(3 * n),
+		syms:      make([]symState, 0, 3*n),
+		vns:       make(map[vnKey]int32, 3*n),
 		memo:      map[source.Expr]facts{},
-		cse:       map[int32]ir.Reg{},
-		preCSE:    map[int32]ir.Reg{},
 		subCache:  map[source.Expr]subEntry{},
-		addrCache: map[*source.ArrayRef]subEntry{},
+		addrCache: map[*source.ArrayRef]addrEntry{},
 	}
+	tr.body, tr.pre, tr.perEntry, tr.post = &tr.scratch[0], &tr.scratch[1], &tr.scratch[2], &tr.scratch[3]
+	return tr
 }
 
 // tagRef registers a source array reference and returns its RefID.
 func (tr *Translator) tagRef(a *source.ArrayRef) int32 {
-	if tr.refs == nil {
-		tr.refs = map[int32]*source.ArrayRef{}
-	}
-	tr.nextRefID++
-	tr.refs[tr.nextRefID] = a
-	return tr.nextRefID
+	tr.refs = append(tr.refs, a)
+	return int32(len(tr.refs))
 }
 
 func (tr *Translator) newReg() ir.Reg {
@@ -194,19 +205,37 @@ func (tr *Translator) newReg() ir.Reg {
 
 // promoState is the live register of one promoted location.
 type promoState struct {
+	addr  ir.Sym
 	reg   ir.Reg
 	inReg ir.Reg
 	dirty bool
-	ty    source.Type
-	base  string
 	refID int32
 }
 
-// promoInfo marks an address as promotable with its element type.
-type promoInfo struct {
-	ty   source.Type
-	base string
+// symState is what the pass knows of one Sym: the version of the name
+// for value numbering and its roles. For a promotable address it holds
+// the element type and base, where promos holds it, and where
+// deadStoreElim saw its latest store (index + 1; 0 for none).
+type symState struct {
+	ver          int32
+	promo, store int32
+	base         ir.Sym
+	ty           source.Type
+	flags        symFlag
 }
+
+type symFlag uint8
+
+const (
+	loopVar      symFlag = 1 << iota // an enclosing loop's variable
+	killedVar                        // a scalar the block assigns
+	killedArr                        // an array the block stores
+	promotable                       // an address safe to keep in a register
+	unpromotable                     // an array some reference keeps in memory
+)
+
+// vnRegs holds the registers of one value number, NoReg for none.
+type vnRegs struct{ body, pre ir.Reg }
 
 // Body lowers a straight-line statement list (assignments and calls)
 // that executes inside the given enclosing loop variables. Nested
@@ -214,9 +243,9 @@ type promoInfo struct {
 // lowering.
 func (tr *Translator) Body(stmts []source.Stmt, loopVars []string) (*Lowered, error) {
 	tr.reset(loopVars)
-	tr.killedVars, tr.killedArrs = killedSets(stmts)
+	tr.killedSets(stmts)
 	if tr.opt.ScalarReplace {
-		tr.promotable = tr.scanPromotable(stmts)
+		tr.scanPromotable(stmts)
 	}
 
 	for _, s := range stmts {
@@ -224,217 +253,197 @@ func (tr *Translator) Body(stmts []source.Stmt, loopVars []string) (*Lowered, er
 			return nil, err
 		}
 	}
-	lw := &Lowered{Body: tr.body, Pre: tr.pre, PerEntry: tr.perEntry, Post: tr.post, Refs: tr.refs}
 	// Flush dirty promoted values to the post block.
-	for _, addr := range tr.promoOrder {
-		st := tr.promo[addr]
-		pv := PromotedVar{Addr: addr, Base: st.base, InReg: st.inReg, OutReg: ir.NoReg}
+	promoted := make([]PromotedVar, len(tr.promos))
+	for i, st := range tr.promos {
+		loc := &tr.syms[st.addr]
+		promoted[i] = PromotedVar{Addr: st.addr, Base: loc.base, InReg: st.inReg, OutReg: ir.NoReg}
 		if st.dirty {
-			op := ir.OpFStore
-			if st.ty == source.TypeInteger {
-				op = ir.OpIStore
-			}
-			tr.post.Append(ir.Instr{Op: op, Srcs: []ir.Reg{st.reg}, Addr: addr, Base: st.base, RefID: st.refID})
-			pv.OutReg = st.reg
+			tr.post.Append(ir.Instr{Op: storeOp(loc.ty), Addr: st.addr, Base: loc.base, RefID: st.refID}, st.reg)
+			promoted[i].OutReg = st.reg
 		}
-		lw.Promoted = append(lw.Promoted, pv)
 	}
-	deadStoreElim(tr.body)
-	deadCodeElim(tr.pre, tr.perEntry, tr.body, tr.post)
+	tr.deadStoreElim()
+	tr.deadCodeElim(tr.pre, tr.perEntry, tr.body, tr.post)
+	lw := tr.finish()
+	lw.Promoted = promoted
 	return lw, nil
 }
 
 // reset prepares translator state for one lowering pass.
 func (tr *Translator) reset(loopVars []string) {
-	tr.body = &ir.Block{}
-	tr.pre = &ir.Block{}
-	tr.perEntry = &ir.Block{}
-	tr.post = &ir.Block{}
+	for i := range tr.scratch {
+		tr.scratch[i].Instrs = tr.scratch[i].Instrs[:0]
+		tr.scratch[i].Extra = tr.scratch[i].Extra[:0]
+	}
 	clear(tr.vns)
-	clear(tr.ver)
 	clear(tr.memo)
-	clear(tr.cse)
-	clear(tr.preCSE)
+	clear(tr.syms)
+	tr.vals = tr.vals[:0]
 	tr.loadCount = 0
-	tr.loopVars = map[string]bool{}
+	tr.firstReg = tr.nextReg
+	tr.regs = tr.regs[:0]
 	tr.innerVar = ""
 	for _, v := range loopVars {
-		tr.loopVars[v] = true
+		tr.mark(v, loopVar)
 	}
 	if len(loopVars) > 0 {
 		tr.innerVar = loopVars[len(loopVars)-1]
 	}
-	tr.promo = map[string]*promoState{}
-	tr.promoOrder = nil
-	tr.promotable = nil
-	tr.killedVars, tr.killedArrs = map[string]bool{}, map[string]bool{}
-	// Each Lowered owns its reference map: a memoized lowering must not
-	// see the translator's later passes.
-	tr.refs = nil
+	tr.promos = tr.promos[:0]
+	tr.refs = tr.refs[:0]
 }
 
-// scanPromotable finds memory locations safe to keep in registers for
-// the duration of the innermost loop: every reference to the location's
-// array (or scalar) must use an address that does not involve the
-// innermost loop variable or any scalar assigned in the block, with
-// cheap (analyzable) subscripts; blocks containing calls promote
-// nothing.
-func (tr *Translator) scanPromotable(stmts []source.Stmt) map[string]promoInfo {
-	if tr.innerVar == "" {
-		return nil
+// finish copies the pass's blocks out of the scratch into a Lowered,
+// every instruction in one exactly sized allocation.
+func (tr *Translator) finish() *Lowered {
+	lw := &Lowered{Refs: slices.Clone(tr.refs), Names: tr.names}
+	n, nx := 0, 0
+	for i := range tr.scratch {
+		n += len(tr.scratch[i].Instrs)
+		nx += len(tr.scratch[i].Extra)
 	}
-	type refUse struct {
-		addr string
-		ok   bool
-		ty   source.Type
+	instrs, extra := make([]ir.Instr, 0, n), make([]ir.Reg, 0, nx)
+	for i, s := range tr.scratch {
+		b := &lw.blocks[i]
+		b.Names = tr.names
+		lo, xlo := len(instrs), len(extra)
+		instrs, extra = append(instrs, s.Instrs...), append(extra, s.Extra...)
+		b.Instrs, b.Extra = instrs[lo:len(instrs):len(instrs)], extra[xlo:len(extra):len(extra)]
 	}
-	byBase := map[string][]refUse{}
-	scalarUse := map[string]bool{} // scalars read or written
-	hasCall := false
-	var walkExpr func(e source.Expr)
-	walkExpr = func(e source.Expr) {
-		switch x := e.(type) {
-		case *source.ArrayRef:
-			use := refUse{}
-			sym := tr.tbl.Lookup(x.Name)
-			if sym != nil {
-				use.ty = sym.Type
-			}
-			addr, good := tr.address(x)
-			for _, ix := range x.Idx {
-				if tr.subscriptBlocked(ix) {
-					good = false
-				}
-				walkExpr(ix)
-			}
-			use.ok = good
-			if good {
-				use.addr = addr
-			}
-			byBase[x.Name] = append(byBase[x.Name], use)
-		case *source.VarRef:
-			scalarUse[x.Name] = true
-		case *source.BinExpr:
-			walkExpr(x.L)
-			walkExpr(x.R)
-		case *source.UnExpr:
-			walkExpr(x.X)
-		case *source.IntrinsicCall:
-			for _, a := range x.Args {
-				walkExpr(a)
-			}
-		}
+	lw.Body, lw.Pre, lw.PerEntry, lw.Post = &lw.blocks[0], &lw.blocks[1], &lw.blocks[2], &lw.blocks[3]
+	return lw
+}
+
+// scanPromotable fills tr.promotable with the memory locations safe to
+// keep in registers for the duration of the innermost loop: every
+// reference to the location's array (or scalar) must use an address
+// that does not involve the innermost loop variable or any scalar
+// assigned in the block, with cheap (analyzable) subscripts; blocks
+// containing calls promote nothing.
+func (tr *Translator) scanPromotable(stmts []source.Stmt) {
+	tr.uses = tr.uses[:0]
+	if tr.innerVar == "" || !tr.scanStmts(stmts) {
+		return
 	}
-	var walk func(list []source.Stmt)
-	walk = func(list []source.Stmt) {
-		for _, s := range list {
-			switch x := s.(type) {
-			case *source.Assign:
-				walkExpr(x.LHS)
-				walkExpr(x.RHS)
-			case *source.CallStmt:
-				hasCall = true
-			case *source.IfStmt:
-				walkExpr(x.Cond)
-				walk(x.Then)
-				walk(x.Else)
-			}
-		}
-	}
-	walk(stmts)
-	if hasCall {
-		return nil
-	}
-	out := map[string]promoInfo{}
-	for base, uses := range byBase {
-		sym := tr.tbl.Lookup(base)
-		if sym == nil {
-			continue
-		}
-		allOK := true
-		for _, u := range uses {
-			if !u.ok {
-				allOK = false
-				break
-			}
-		}
-		if !allOK {
-			continue
-		}
-		for _, u := range uses {
-			out[u.addr] = promoInfo{ty: sym.Type, base: base}
+	for _, u := range tr.uses {
+		if sym := tr.tbl.Lookup(u.name); sym != nil && tr.syms[u.base].flags&unpromotable == 0 {
+			tr.promote(u.addr, sym.Type, u.base)
 		}
 	}
 	// Scalars assigned in the block (accumulators) are promotable too,
 	// unless they appear in a promoted array's subscripts (they don't:
 	// subscriptBlocked rejects killed scalars).
-	for name := range tr.killedVars {
-		if tr.loopVars[name] {
+	for id := range tr.syms {
+		if tr.syms[id].flags&(killedVar|loopVar) != killedVar {
 			continue
 		}
-		sym := tr.tbl.Lookup(name)
+		sym := tr.tbl.Lookup(tr.names.Text(ir.Sym(id)))
 		if sym == nil || sym.IsArray() || sym.IsConst {
 			continue
 		}
-		if !scalarUse[name] {
-			continue
-		}
-		out[name] = promoInfo{ty: sym.Type, base: name}
+		tr.promote(ir.Sym(id), sym.Type, ir.Sym(id))
 	}
-	return out
+}
+
+// promote marks addr promotable, an element of base of type ty.
+func (tr *Translator) promote(addr ir.Sym, ty source.Type, base ir.Sym) {
+	st := &tr.syms[addr]
+	st.flags, st.ty, st.base = st.flags|promotable, ty, base
+}
+
+// promoUse is an array reference scanPromotable met.
+type promoUse struct {
+	name       string
+	base, addr ir.Sym
+}
+
+// scanStmts records the array references of stmts in tr.uses, marking
+// an array unpromotable at a reference that blocks promotion. It
+// reports false at a call.
+func (tr *Translator) scanStmts(stmts []source.Stmt) bool {
+	for _, s := range stmts {
+		switch x := s.(type) {
+		case *source.Assign:
+			tr.scanExpr(x.LHS)
+			tr.scanExpr(x.RHS)
+		case *source.CallStmt:
+			return false
+		case *source.IfStmt:
+			tr.scanExpr(x.Cond)
+			if !tr.scanStmts(x.Then) || !tr.scanStmts(x.Else) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (tr *Translator) scanExpr(e source.Expr) {
+	switch x := e.(type) {
+	case *source.ArrayRef:
+		addr, ok := tr.address(x)
+		for _, ix := range x.Idx {
+			ok = ok && !tr.subscriptBlocked(ix)
+			tr.scanExpr(ix)
+		}
+		base := tr.sym(x.Name)
+		if !ok {
+			tr.syms[base].flags |= unpromotable
+		}
+		tr.uses = append(tr.uses, promoUse{name: x.Name, base: base, addr: addr})
+	case *source.BinExpr:
+		tr.scanExpr(x.L)
+		tr.scanExpr(x.R)
+	case *source.UnExpr:
+		tr.scanExpr(x.X)
+	case *source.IntrinsicCall:
+		for _, a := range x.Args {
+			tr.scanExpr(a)
+		}
+	}
 }
 
 // subscriptBlocked reports subscripts that reference the innermost loop
-// variable or a scalar assigned in the block.
+// variable or a scalar assigned in the block, or hold an indirect
+// subscript or an intrinsic.
 func (tr *Translator) subscriptBlocked(e source.Expr) bool {
-	blocked := false
-	var walk func(x source.Expr)
-	walk = func(x source.Expr) {
-		switch y := x.(type) {
-		case *source.VarRef:
-			if y.Name == tr.innerVar || tr.killedVars[y.Name] {
-				blocked = true
-			}
-		case *source.ArrayRef:
-			blocked = true // indirect subscripts block promotion
-		case *source.BinExpr:
-			walk(y.L)
-			walk(y.R)
-		case *source.UnExpr:
-			walk(y.X)
-		case *source.IntrinsicCall:
-			blocked = true
-		}
+	switch x := e.(type) {
+	case *source.VarRef:
+		id := tr.sym(x.Name)
+		return x.Name == tr.innerVar || tr.syms[id].flags&killedVar != 0
+	case *source.ArrayRef, *source.IntrinsicCall:
+		return true
+	case *source.BinExpr:
+		return tr.subscriptBlocked(x.L) || tr.subscriptBlocked(x.R)
+	case *source.UnExpr:
+		return tr.subscriptBlocked(x.X)
 	}
-	walk(e)
-	return blocked
+	return false
 }
 
 // promotedLoad returns the register of a promoted location, emitting
 // the per-entry load on first touch.
-func (tr *Translator) promotedLoad(addr string, info promoInfo, refID int32) ir.Reg {
-	if st, ok := tr.promo[addr]; ok {
-		return st.reg
-	}
-	op := ir.OpFLoad
-	if info.ty == source.TypeInteger {
-		op = ir.OpILoad
+func (tr *Translator) promotedLoad(addr ir.Sym, refID int32) ir.Reg {
+	loc := &tr.syms[addr]
+	if loc.promo > 0 {
+		return tr.promos[loc.promo-1].reg
 	}
 	dst := tr.newReg()
-	tr.perEntry.Append(ir.Instr{Op: op, Dst: dst, Addr: addr, Base: info.base, RefID: refID})
-	tr.promo[addr] = &promoState{reg: dst, inReg: dst, ty: info.ty, base: info.base, refID: refID}
-	tr.promoOrder = append(tr.promoOrder, addr)
+	tr.perEntry.Append(ir.Instr{Op: loadOp(loc.ty), Dst: dst, Addr: addr, Base: loc.base, RefID: refID})
+	tr.promos = append(tr.promos, promoState{addr: addr, reg: dst, inReg: dst, refID: refID})
+	loc.promo = int32(len(tr.promos))
 	return dst
 }
 
 // promotedStore records a new value for a promoted location.
-func (tr *Translator) promotedStore(addr string, info promoInfo, val ir.Reg, refID int32) {
-	st, ok := tr.promo[addr]
-	if !ok {
-		st = &promoState{inReg: ir.NoReg, ty: info.ty, base: info.base, refID: refID}
-		tr.promo[addr] = st
-		tr.promoOrder = append(tr.promoOrder, addr)
+func (tr *Translator) promotedStore(addr ir.Sym, val ir.Reg, refID int32) {
+	loc := &tr.syms[addr]
+	if loc.promo == 0 {
+		tr.promos = append(tr.promos, promoState{addr: addr, inReg: ir.NoReg, refID: refID})
+		loc.promo = int32(len(tr.promos))
 	}
+	st := &tr.promos[loc.promo-1]
 	if st.refID == 0 {
 		st.refID = refID
 	}
@@ -450,8 +459,8 @@ func (tr *Translator) Condition(cond source.Expr, loopVars []string) (*Lowered, 
 	if err := tr.lowerCondBranch(cond); err != nil {
 		return nil, err
 	}
-	deadCodeElim(tr.pre, tr.body)
-	return &Lowered{Body: tr.body, Pre: tr.pre, PerEntry: tr.perEntry, Post: tr.post, Refs: tr.refs}, nil
+	tr.deadCodeElim(tr.pre, tr.body)
+	return tr.finish(), nil
 }
 
 // ExprOnly lowers an expression for its evaluation cost (used by the
@@ -464,13 +473,14 @@ func (tr *Translator) ExprOnly(e source.Expr, loopVars []string) (*Lowered, erro
 	if err != nil {
 		return nil, err
 	}
-	tr.body.Append(ir.Instr{Op: ir.OpIStore, Srcs: []ir.Reg{val}, Addr: "$sink", Base: "$sink"})
-	deadCodeElim(tr.pre, tr.body)
+	sink := tr.sym("$sink")
+	tr.body.Append(ir.Instr{Op: ir.OpIStore, Addr: sink, Base: sink}, val)
+	tr.deadCodeElim(tr.pre, tr.body)
 	// Drop the sink store: only the evaluation operations remain.
-	if n := len(tr.body.Instrs); n > 0 && tr.body.Instrs[n-1].Addr == "$sink" {
+	if n := len(tr.body.Instrs); n > 0 && tr.body.Instrs[n-1].Addr == sink {
 		tr.body.Instrs = tr.body.Instrs[:n-1]
 	}
-	return &Lowered{Body: tr.body, Pre: tr.pre, PerEntry: tr.perEntry, Post: tr.post, Refs: tr.refs}, nil
+	return tr.finish(), nil
 }
 
 // LoopOverhead builds the per-iteration loop control operations. The
@@ -478,52 +488,49 @@ func (tr *Translator) ExprOnly(e source.Expr, loopVars []string) (*Lowered, erro
 // with CTR decrement) — no compare, and the branch does not depend on
 // the induction increment, which exists only to feed addressing. This
 // is the "branch optimization" of §2.2.2 that the cost model imitates.
-func LoopOverhead() *ir.Block {
-	b := &ir.Block{Label: "loopctl"}
-	b.Append(ir.Instr{Op: ir.OpIAdd, Dst: 0, Srcs: []ir.Reg{1, 2}})
-	b.Append(ir.Instr{Op: ir.OpBranch, Srcs: []ir.Reg{ir.NoReg}})
-	return b
-}
+// Every call returns the same block, which callers must not modify.
+func LoopOverhead() *ir.Block { return loopOverhead }
 
-// killedSets collects scalars assigned and arrays stored by stmts.
-func killedSets(stmts []source.Stmt) (vars, arrs map[string]bool) {
-	vars, arrs = map[string]bool{}, map[string]bool{}
-	var walk func(s source.Stmt)
-	walk = func(s source.Stmt) {
+var loopOverhead = func() *ir.Block {
+	b := &ir.Block{}
+	b.Append(ir.Instr{Op: ir.OpIAdd, Dst: 0}, 1, 2)
+	b.Append(ir.Instr{Op: ir.OpBranch}, ir.NoReg)
+	return b
+}()
+
+// killedSets marks the scalars stmts assign killedVar and the arrays
+// they store killedArr.
+func (tr *Translator) killedSets(stmts []source.Stmt) {
+	for _, s := range stmts {
 		switch x := s.(type) {
 		case *source.Assign:
 			switch lhs := x.LHS.(type) {
 			case *source.VarRef:
-				vars[lhs.Name] = true
+				tr.mark(lhs.Name, killedVar)
 			case *source.ArrayRef:
-				arrs[lhs.Name] = true
+				tr.mark(lhs.Name, killedArr)
 			}
 		case *source.CallStmt:
 			// Calls may write any argument.
 			for _, a := range x.Args {
 				if vr, ok := a.(*source.VarRef); ok {
-					vars[vr.Name] = true
-					arrs[vr.Name] = true
+					tr.mark(vr.Name, killedVar|killedArr)
 				}
 			}
 		case *source.IfStmt:
-			for _, t := range x.Then {
-				walk(t)
-			}
-			for _, e := range x.Else {
-				walk(e)
-			}
+			tr.killedSets(x.Then)
+			tr.killedSets(x.Else)
 		case *source.DoLoop:
-			vars[x.Var] = true
-			for _, t := range x.Body {
-				walk(t)
-			}
+			tr.mark(x.Var, killedVar)
+			tr.killedSets(x.Body)
 		}
 	}
-	for _, s := range stmts {
-		walk(s)
-	}
-	return vars, arrs
+}
+
+// mark gives name the roles f.
+func (tr *Translator) mark(name string, f symFlag) {
+	id := tr.sym(name)
+	tr.syms[id].flags |= f
 }
 
 func (tr *Translator) stmt(s source.Stmt) error {
@@ -552,42 +559,42 @@ func (tr *Translator) assign(a *source.Assign) error {
 			lty = sym.Type
 		}
 		val = tr.convert(val, valTy, lty)
-		tr.store(lty, val, lhs.Name, lhs.Name, nil, nil)
+		id := tr.sym(lhs.Name)
+		tr.store(lty, id, id, []ir.Reg{val}, nil)
 	case *source.ArrayRef:
 		sym := tr.tbl.Lookup(lhs.Name)
 		lty := sym.Type
-		val = tr.convert(val, valTy, lty)
-		addr, addrRegs, err := tr.arrayAddr(lhs)
+		mark := len(tr.regs)
+		tr.regs = append(tr.regs, tr.convert(val, valTy, lty))
+		addr, err := tr.arrayAddr(lhs)
 		if err != nil {
 			return err
 		}
-		tr.store(lty, val, addr, lhs.Name, addrRegs, lhs)
+		tr.store(lty, addr, tr.sym(lhs.Name), tr.regs[mark:], lhs)
+		tr.regs = tr.regs[:mark]
 	default:
 		return fmt.Errorf("%s: bad assignment target", a.Pos)
 	}
 	return nil
 }
 
-// store emits the store of val to the scalar base (elem nil) or to the
-// array element elem at addr, then bumps base's version: every value
-// that read the location stops matching, and a later load of the same
-// address forwards val.
-func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrRegs []ir.Reg, elem *source.ArrayRef) {
+// store emits the store of srcs[0] to the scalar base (elem nil) or to
+// the array element elem at addr, the rest of srcs its address
+// registers, then bumps base's version: every value that read the
+// location stops matching, and a later load of the same address
+// forwards the value.
+func (tr *Translator) store(ty source.Type, addr, base ir.Sym, srcs []ir.Reg, elem *source.ArrayRef) {
+	val := srcs[0]
 	var refID int32
 	if elem != nil {
 		refID = tr.tagRef(elem)
 	}
-	if info, ok := tr.promotable[addr]; ok {
-		tr.promotedStore(addr, info, val, refID)
+	if tr.syms[addr].flags&promotable != 0 {
+		tr.promotedStore(addr, val, refID)
 	} else {
-		op := ir.OpFStore
-		if ty == source.TypeInteger {
-			op = ir.OpIStore
-		}
-		srcs := append([]ir.Reg{val}, addrRegs...)
-		tr.body.Append(ir.Instr{Op: op, Srcs: srcs, Addr: addr, Base: base, RefID: refID})
+		tr.body.Append(ir.Instr{Op: storeOp(ty), Addr: addr, Base: base, RefID: refID}, srcs...)
 	}
-	tr.ver[tr.name(base)]++
+	tr.syms[base].ver++
 	tr.epoch++
 	// Store-to-load forwarding. An element's number is built from the
 	// canonical text of its subscripts, as an affine load's is; a
@@ -595,10 +602,10 @@ func (tr *Translator) store(ty source.Type, val ir.Reg, addr, base string, addrR
 	fwd := tr.load(base)
 	if elem != nil {
 		for _, ix := range elem.Idx {
-			fwd = tr.index(fwd, tr.intern(vnKey{op: vnSubscript, a: tr.name(tr.subscript(ix).s)}))
+			fwd = tr.index(fwd, tr.intern(vnKey{op: vnSubscript, a: int32(tr.subscript(ix).text)}))
 		}
 	}
-	tr.cse[fwd] = val
+	tr.known(fwd).body = val
 }
 
 func (tr *Translator) call(c *source.CallStmt) error {
@@ -613,12 +620,14 @@ func (tr *Translator) call(c *source.CallStmt) error {
 		if err != nil {
 			return err
 		}
-		tmp := fmt.Sprintf("argtmp%d", len(tr.body.Instrs))
-		tr.store(ty, val, tmp, tmp, nil, nil)
+		tmp := tr.sym(fmt.Sprintf("argtmp%d", len(tr.body.Instrs)))
+		tr.store(ty, tmp, tmp, []ir.Reg{val}, nil)
 	}
-	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Callee: c.Name})
+	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Addr: tr.sym(c.Name)})
 	// A call clobbers all memory-derived values.
-	clear(tr.cse)
+	for i := range tr.vals {
+		tr.vals[i].body = ir.NoReg
+	}
 	return nil
 }
 
@@ -629,7 +638,7 @@ func (tr *Translator) lowerCondBranch(cond source.Expr) error {
 	if err != nil {
 		return err
 	}
-	tr.body.Append(ir.Instr{Op: ir.OpBranch, Srcs: []ir.Reg{cr}})
+	tr.body.Append(ir.Instr{Op: ir.OpBranch}, cr)
 	return nil
 }
 
@@ -654,7 +663,7 @@ func (tr *Translator) lowerCond(cond source.Expr) (ir.Reg, error) {
 				r = tr.convert(r, rt, source.TypeReal)
 			}
 			dst := tr.newReg()
-			tr.body.Append(ir.Instr{Op: op, Dst: dst, Srcs: []ir.Reg{l, r}})
+			tr.body.Append(ir.Instr{Op: op, Dst: dst}, l, r)
 			return dst, nil
 		}
 		if x.Kind.IsLogical() {
@@ -670,7 +679,7 @@ func (tr *Translator) lowerCond(cond source.Expr) (ir.Reg, error) {
 			// modelled as an integer op (crand/cror occupy the CRU; we
 			// approximate with an FXU-class op of 1 cycle).
 			dst := tr.newReg()
-			tr.body.Append(ir.Instr{Op: ir.OpIAdd, Dst: dst, Srcs: []ir.Reg{l, r}})
+			tr.body.Append(ir.Instr{Op: ir.OpIAdd, Dst: dst}, l, r)
 			return dst, nil
 		}
 		return ir.NoReg, fmt.Errorf("%s: not a condition: %s", x.Pos, source.ExprString(x))

@@ -132,7 +132,7 @@ func TestMatmulInnerBlock(t *testing.T) {
 	if countOps(lw.Post)[ir.OpFStore] != 1 {
 		t.Errorf("post: %s", lw.Post)
 	}
-	if len(lw.Promoted) != 1 || lw.Promoted[0].Addr != "c(i,j)" {
+	if len(lw.Promoted) != 1 || lw.Names.Text(lw.Promoted[0].Addr) != "c(i,j)" {
 		t.Errorf("promoted: %+v", lw.Promoted)
 	}
 	// With scalar replacement off, the classic 3-load/1-store body.
@@ -421,7 +421,7 @@ func TestAddressStringsCanonical(t *testing.T) {
 	for _, b := range []*ir.Block{lw.PerEntry, lw.Body, lw.Post} {
 		for _, in := range b.Instrs {
 			if in.Op.IsMem() {
-				addrs = append(addrs, in.Addr)
+				addrs = append(addrs, lw.Names.Text(in.Addr))
 			}
 		}
 	}
@@ -514,13 +514,13 @@ end
 	// one-time bin (the FP constant 1.0 legitimately is); instead it is
 	// register-promoted with a per-entry load.
 	for _, in := range lw.Pre.Instrs {
-		if in.Addr == "s" {
+		if lw.Names.Text(in.Addr) == "s" {
 			t.Errorf("killed scalar hoisted:\n%s", lw.Pre)
 		}
 	}
 	loads := 0
 	for _, in := range lw.PerEntry.Instrs {
-		if in.Op.IsLoad() && in.Addr == "s" {
+		if in.Op.IsLoad() && lw.Names.Text(in.Addr) == "s" {
 			loads++
 		}
 	}
@@ -529,7 +529,7 @@ end
 	}
 	stores := 0
 	for _, in := range lw.Post.Instrs {
-		if in.Op.IsStore() && in.Addr == "s" {
+		if in.Op.IsStore() && lw.Names.Text(in.Addr) == "s" {
 			stores++
 		}
 	}

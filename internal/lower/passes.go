@@ -2,43 +2,37 @@ package lower
 
 import "perfpredict/internal/ir"
 
-// deadStoreElim removes stores whose location is overwritten later in
-// the block with no intervening load of the same address or call. This
-// is the back-end behaviour that makes sum reductions cheap: in an
+// deadStoreElim removes body stores whose location is overwritten later
+// in the block with no intervening load of the same address or call.
+// This is the back-end behaviour that makes sum reductions cheap: in an
 // unrolled `s = s + …; s = s + …` chain only the final store survives,
 // the intermediate values staying in registers ("all but one store
 // instruction can be eliminated by using registers", §2.2.2). Loads
 // that forwarded from a removed store were already redirected to the
 // stored register during translation, so removal is safe.
-func deadStoreElim(b *ir.Block) {
-	type pending struct{ idx int }
-	lastStore := map[string]int{} // addr -> index of latest store
-	dead := map[int]bool{}
-	for i, in := range b.Instrs {
-		switch {
+func (tr *Translator) deadStoreElim() {
+	b := tr.body
+	// A store at or before the latest call is no longer pending.
+	call, dead := int32(0), false
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		switch last := &tr.syms[in.Addr].store; {
 		case in.Op.IsStore():
-			if prev, ok := lastStore[in.Addr]; ok {
-				dead[prev] = true
+			if *last > call {
+				b.Instrs[*last-1].Op, dead = ir.OpInvalid, true
 			}
-			lastStore[in.Addr] = i
+			*last = int32(i) + 1
 		case in.Op.IsLoad():
 			// A load keeps the previous store to its address alive.
-			delete(lastStore, in.Addr)
+			*last = 0
 		case in.Op == ir.OpCall:
 			// Calls may observe all memory.
-			lastStore = map[string]int{}
+			call = int32(i) + 1
 		}
 	}
-	if len(dead) == 0 {
-		return
+	if dead {
+		b.Instrs = deleteInstrs(b.Instrs, func(in *ir.Instr) bool { return in.Op == ir.OpInvalid })
 	}
-	out := b.Instrs[:0]
-	for i, in := range b.Instrs {
-		if !dead[i] {
-			out = append(out, in)
-		}
-	}
-	b.Instrs = out
 }
 
 // deadCodeElim removes instructions whose destination register is
@@ -47,33 +41,46 @@ func deadStoreElim(b *ir.Block) {
 // extended region (preheader + body), so a preheader value consumed by
 // the body stays alive. Iterates to a fixed point so chains of dead
 // producers die.
-func deadCodeElim(blocks ...*ir.Block) {
+func (tr *Translator) deadCodeElim(blocks ...*ir.Block) {
+	// Every register of the pass is in [firstReg, nextReg).
+	n := int(tr.nextReg - tr.firstReg)
+	if cap(tr.used) < n {
+		tr.used = make([]bool, n)
+	}
+	used := tr.used[:n]
 	for {
-		used := map[ir.Reg]bool{}
+		clear(used)
 		for _, b := range blocks {
-			for _, in := range b.Instrs {
-				for _, s := range in.Srcs {
-					if s != ir.NoReg {
-						used[s] = true
+			for i := range b.Instrs {
+				for _, s := range b.Srcs(i) {
+					if s >= tr.firstReg {
+						used[s-tr.firstReg] = true
 					}
 				}
 			}
 		}
 		removed := false
 		for _, b := range blocks {
-			out := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if in.Op.HasDst() && in.Dst != ir.NoReg && !used[in.Dst] &&
-					!in.Op.IsMem() && !in.Op.IsBranch() && in.Op != ir.OpCall {
-					removed = true
-					continue
-				}
-				out = append(out, in)
-			}
-			b.Instrs = out
+			b.Instrs = deleteInstrs(b.Instrs, func(in *ir.Instr) bool {
+				dead := in.Op.HasDst() && in.Dst != ir.NoReg && !used[in.Dst-tr.firstReg] &&
+					!in.Op.IsMem() && !in.Op.IsBranch() && in.Op != ir.OpCall
+				removed = removed || dead
+				return dead
+			})
 		}
 		if !removed {
 			return
 		}
 	}
+}
+
+// deleteInstrs removes the instructions del reports, in place.
+func deleteInstrs(instrs []ir.Instr, del func(*ir.Instr) bool) []ir.Instr {
+	out := instrs[:0]
+	for i := range instrs {
+		if !del(&instrs[i]) {
+			out = append(out, instrs[i])
+		}
+	}
+	return out
 }

@@ -227,12 +227,12 @@ func newPacker(m *machine.Machine, b *ir.Block, opt Options) (*packer, error) {
 				pipes, ok := p.byKind[seg.Unit]
 				if !ok {
 					return nil, fmt.Errorf("oracle: instr %d (%s): atomic op %s references unknown unit %s",
-						i, in, a.Name, seg.Unit)
+						i, b.InstrString(i), a.Name, seg.Unit)
 				}
 				perKind[seg.Unit]++
 				if perKind[seg.Unit] > len(pipes) {
 					return nil, fmt.Errorf("oracle: instr %d (%s): atomic op %s needs %d pipes of %s, machine has %d",
-						i, in, a.Name, perKind[seg.Unit], seg.Unit, len(pipes))
+						i, b.InstrString(i), a.Name, perKind[seg.Unit], seg.Unit, len(pipes))
 				}
 			}
 		}
@@ -261,7 +261,11 @@ func (p *packer) buildEquivalence() {
 		sort.Ints(ds)
 		ss := append([]int(nil), succs[i]...)
 		sort.Ints(ss)
-		key[i] = fmt.Sprintf("%d|%s|%s|%g|%v|%v", in.Op, in.Addr, in.Base, in.Imm, ds, ss)
+		addr := in.Addr // a call's Addr names its callee, which pricing ignores
+		if !in.Op.IsMem() {
+			addr = 0
+		}
+		key[i] = fmt.Sprintf("%d|%d|%d|%g|%v|%v", in.Op, addr, in.Base, in.Imm, ds, ss)
 	}
 	p.eqClass = make([]int, n)
 	classes := map[string]int{}

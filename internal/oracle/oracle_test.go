@@ -30,12 +30,12 @@ func toyMachine() *machine.Machine {
 // consuming the sqrt. Program order prices the sqrt last on its pipe,
 // exposing its full latency; the optimal order issues it first.
 func hoistBlock() *ir.Block {
-	b := &ir.Block{Label: "hoist"}
+	b := &ir.Block{}
 	for r := ir.Reg(0); r < 4; r++ {
-		b.Append(ir.NewInstr(ir.OpIAdd, 10+r))
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: 10 + r})
 	}
-	b.Append(ir.NewInstr(ir.OpFSqrt, 20))
-	b.Append(ir.NewInstr(ir.OpFAdd, 21, 20))
+	b.Append(ir.Instr{Op: ir.OpFSqrt, Dst: 20})
+	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 21}, 20)
 	return b
 }
 
@@ -79,23 +79,23 @@ func TestGreedyInOrderMatchesTetris(t *testing.T) {
 		"hoist": hoistBlock(),
 		"daxpy": func() *ir.Block {
 			b := &ir.Block{}
-			i0 := b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "x(i)", Base: "x"})
-			i1 := b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "y(i)", Base: "y"})
-			i2 := b.Append(ir.NewInstr(ir.OpFMA, 2, ir.Reg(i0), ir.Reg(i1), 3))
+			i0 := b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("x(i)"), Base: b.Intern("x")})
+			i1 := b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: b.Intern("y(i)"), Base: b.Intern("y")})
+			i2 := b.Append(ir.Instr{Op: ir.OpFMA, Dst: 2}, ir.Reg(i0), ir.Reg(i1), 3)
 			_ = i2
-			b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{2}, Addr: "y(i)", Base: "y"})
+			b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("y(i)"), Base: b.Intern("y")}, 2)
 			return b
 		}(),
 		"mixed": func() *ir.Block {
 			b := &ir.Block{}
-			b.Append(ir.NewInstr(ir.OpLoadImm, 0))
-			b.Append(ir.NewInstr(ir.OpIAdd, 1, 0, 0))
-			b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: "a(i)", Base: "a"})
-			b.Append(ir.NewInstr(ir.OpFMul, 3, 2, 2))
-			b.Append(ir.NewInstr(ir.OpFDiv, 4, 3, 2))
-			b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{4}, Addr: "b(i)", Base: "b"})
-			b.Append(ir.NewInstr(ir.OpICmp, 5, 1, 0))
-			b.Append(ir.Instr{Op: ir.OpBranch, Srcs: []ir.Reg{5}})
+			b.Append(ir.Instr{Op: ir.OpLoadImm, Dst: 0})
+			b.Append(ir.Instr{Op: ir.OpIAdd, Dst: 1}, 0, 0)
+			b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+			b.Append(ir.Instr{Op: ir.OpFMul, Dst: 3}, 2, 2)
+			b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 4}, 3, 2)
+			b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("b(i)"), Base: b.Intern("b")}, 4)
+			b.Append(ir.Instr{Op: ir.OpICmp, Dst: 5}, 1, 0)
+			b.Append(ir.Instr{Op: ir.OpBranch}, 5)
 			return b
 		}(),
 	}
@@ -131,9 +131,9 @@ func TestPackRespectsDependences(t *testing.T) {
 	// A pure chain: only one topological order exists, so the oracle
 	// must agree with the approximation exactly.
 	b := &ir.Block{}
-	prev := b.Append(ir.NewInstr(ir.OpFAdd, 0))
+	prev := b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 0})
 	for r := ir.Reg(1); r < 6; r++ {
-		prev = b.Append(ir.NewInstr(ir.OpFAdd, r, ir.Reg(prev-0)))
+		prev = b.Append(ir.Instr{Op: ir.OpFAdd, Dst: r}, ir.Reg(prev-0))
 		_ = prev
 	}
 	approx, err := tetris.Estimate(m, b, tetris.Options{})
@@ -159,7 +159,7 @@ func TestPackCapsAndBudget(t *testing.T) {
 	}
 	b := &ir.Block{}
 	for r := ir.Reg(0); r < 30; r++ {
-		b.Append(ir.NewInstr(ir.OpIAdd, r))
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: r})
 	}
 	if _, err := Pack(m, b, Options{}); err == nil {
 		t.Error("30-op block accepted despite the default 24-op cap")
@@ -168,7 +168,7 @@ func TestPackCapsAndBudget(t *testing.T) {
 	// still returns the program-order incumbent.
 	small := &ir.Block{}
 	for r := ir.Reg(0); r < 12; r++ {
-		small.Append(ir.NewInstr(ir.OpIAdd, r))
+		small.Append(ir.Instr{Op: ir.OpIAdd, Dst: r})
 	}
 	res, err := Pack(m, small, Options{NodeBudget: 5})
 	if err != nil {
@@ -202,7 +202,7 @@ func TestPackRejectsImpossibleExpansion(t *testing.T) {
 		},
 	}
 	b := &ir.Block{}
-	b.Append(ir.NewInstr(ir.OpIAdd, 0))
+	b.Append(ir.Instr{Op: ir.OpIAdd, Dst: 0})
 	if _, err := Pack(m, b, Options{}); err == nil {
 		t.Error("expansion needing 2 pipes of a 1-pipe kind accepted")
 	}

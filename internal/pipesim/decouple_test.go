@@ -12,15 +12,16 @@ import (
 func TestDecoupledUnitsRunAhead(t *testing.T) {
 	m := machine.NewPOWER1()
 	p := NewPipeline(m)
+	tb := &ir.Block{}
 	// Long dependent FPU chain.
-	if _, err := p.Issue(ir.Instr{Op: ir.OpFDiv, Dst: 0, Srcs: []ir.Reg{100, 101}}); err != nil {
+	if _, err := issue(p, tb, ir.Instr{Op: ir.OpFDiv, Dst: 0}, 100, 101); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Issue(ir.Instr{Op: ir.OpFAdd, Dst: 1, Srcs: []ir.Reg{0, 100}}); err != nil {
+	if _, err := issue(p, tb, ir.Instr{Op: ir.OpFAdd, Dst: 1}, 0, 100); err != nil {
 		t.Fatal(err)
 	}
 	// An independent load must not wait the ~20 cycles of the chain.
-	at, err := p.Issue(ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: "a", Base: "a"})
+	at, err := issue(p, tb, ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: tb.Intern("a"), Base: tb.Intern("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +35,12 @@ func TestDecoupledUnitsRunAhead(t *testing.T) {
 func TestSameQueueInOrder(t *testing.T) {
 	m := machine.NewPOWER1()
 	p := NewPipeline(m)
+	tb := &ir.Block{}
 	// A load whose result gates nothing, followed by a dependent int op
 	// and then an independent int op.
-	t0, _ := p.Issue(ir.Instr{Op: ir.OpILoad, Dst: 0, Addr: "a", Base: "a"})
-	t1, _ := p.Issue(ir.Instr{Op: ir.OpIAdd, Dst: 1, Srcs: []ir.Reg{0, 100}})
-	t2, _ := p.Issue(ir.Instr{Op: ir.OpIAdd, Dst: 2, Srcs: []ir.Reg{100, 101}})
+	t0, _ := issue(p, tb, ir.Instr{Op: ir.OpILoad, Dst: 0, Addr: tb.Intern("a"), Base: tb.Intern("a")})
+	t1, _ := issue(p, tb, ir.Instr{Op: ir.OpIAdd, Dst: 1}, 0, 100)
+	t2, _ := issue(p, tb, ir.Instr{Op: ir.OpIAdd, Dst: 2}, 100, 101)
 	if !(t0 <= t1 && t1 <= t2) {
 		t.Errorf("FXU queue order violated: %d %d %d", t0, t1, t2)
 	}
@@ -54,18 +56,19 @@ func TestSameQueueInOrder(t *testing.T) {
 func TestStoreBuffering(t *testing.T) {
 	m := machine.NewPOWER1()
 	p := NewPipeline(m)
+	tb := &ir.Block{}
 	// Produce a slow FP value.
-	p.Issue(ir.Instr{Op: ir.OpFDiv, Dst: 0, Srcs: []ir.Reg{100, 101}})
+	issue(p, tb, ir.Instr{Op: ir.OpFDiv, Dst: 0}, 100, 101)
 	// Store it (datum ready ≈ cycle 19).
-	stAt, _ := p.Issue(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{0}, Addr: "s", Base: "s"})
+	stAt, _ := issue(p, tb, ir.Instr{Op: ir.OpFStore, Addr: tb.Intern("s"), Base: tb.Intern("s")}, 0)
 	// An independent integer op on the FXU right after.
-	addAt, _ := p.Issue(ir.Instr{Op: ir.OpIAdd, Dst: 1, Srcs: []ir.Reg{100, 101}})
+	addAt, _ := issue(p, tb, ir.Instr{Op: ir.OpIAdd, Dst: 1}, 100, 101)
 	if addAt > stAt+2 {
 		t.Errorf("buffered store blocked the FXU: store@%d add@%d", stAt, addAt)
 	}
 	// A load of the stored address must observe the datum (≥ div
 	// latency).
-	ldAt, _ := p.Issue(ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: "s", Base: "s"})
+	ldAt, _ := issue(p, tb, ir.Instr{Op: ir.OpFLoad, Dst: 2, Addr: tb.Intern("s"), Base: tb.Intern("s")})
 	if ldAt < 19 {
 		t.Errorf("load bypassed the pending store's datum: @%d", ldAt)
 	}
@@ -76,8 +79,8 @@ func TestStoreBuffering(t *testing.T) {
 func TestMachineOrderingOnParallelBlock(t *testing.T) {
 	b := &ir.Block{}
 	for i := 0; i < 12; i++ {
-		b.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
-		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(50 + i), Srcs: []ir.Reg{ir.Reg(300 + i), ir.Reg(400 + i)}})
+		b.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(50 + i)}, ir.Reg(300+i), ir.Reg(400+i))
 	}
 	var cycles []int64
 	for _, m := range []*machine.Machine{machine.NewScalar1(), machine.NewPOWER1(), machine.NewSuperScalar2()} {
@@ -96,9 +99,10 @@ func TestPruneKeepsTimingExact(t *testing.T) {
 	m := machine.NewPOWER1()
 	run := func(prune bool) int64 {
 		p := NewPipeline(m)
+		tb := &ir.Block{}
 		for i := 0; i < 2000; i++ {
-			p.Issue(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(2 * i), Addr: itoaAddr(i), Base: "a"})
-			p.Issue(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(2*i + 1), Srcs: []ir.Reg{ir.Reg(2 * i), 100000}})
+			issue(p, tb, ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(2 * i), Addr: tb.Intern(itoaAddr(i)), Base: tb.Intern("a")})
+			issue(p, tb, ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(2*i + 1)}, ir.Reg(2*i), 100000)
 			if prune && i%64 == 0 {
 				p.Prune()
 			}
@@ -117,8 +121,9 @@ func itoaAddr(i int) string {
 func TestScoreboardPruneBounds(t *testing.T) {
 	m := machine.NewPOWER1()
 	p := NewPipeline(m)
+	tb := &ir.Block{}
 	for i := 0; i < 10000; i++ {
-		p.Issue(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(i - 1), 100000}})
+		issue(p, tb, ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i)}, ir.Reg(i-1), 100000)
 		if i%512 == 0 {
 			p.Prune()
 		}

@@ -49,10 +49,10 @@ func Run(m *machine.Machine, b *ir.Block) (Result, error) {
 	defer pipePool.Put(p)
 	p.Reset(m)
 	issue := make([]int64, len(b.Instrs))
-	for i, in := range b.Instrs {
-		t, err := p.Issue(in)
+	for i := range b.Instrs {
+		t, err := p.Issue(b, i)
 		if err != nil {
-			return Result{}, fmt.Errorf("instr %d (%s): %w", i, in, err)
+			return Result{}, fmt.Errorf("instr %d (%s): %w", i, b.InstrString(i), err)
 		}
 		issue[i] = t
 	}
@@ -78,8 +78,8 @@ type Pipeline struct {
 	// regReady maps virtual registers to their ready cycle.
 	regReady map[ir.Reg]int64
 	// Memory scoreboard.
-	lastWrite map[string]int64 // addr -> completion cycle of last store
-	lastReads map[string]int64 // addr -> latest completion of loads
+	lastWrite map[ir.Sym]int64 // addr -> completion cycle of last store
+	lastReads map[ir.Sym]int64 // addr -> latest completion of loads
 	// Per-unit-kind issue frontiers: each unit executes its queue in
 	// order, but units are decoupled from one another.
 	frontier map[machine.UnitKind]int64
@@ -129,8 +129,8 @@ func (p *Pipeline) Reset(m *machine.Machine) {
 	}
 	if p.regReady == nil {
 		p.regReady = map[ir.Reg]int64{}
-		p.lastWrite = map[string]int64{}
-		p.lastReads = map[string]int64{}
+		p.lastWrite = map[ir.Sym]int64{}
+		p.lastReads = map[ir.Sym]int64{}
 		p.unitBusy = map[machine.UnitKind]int64{}
 		p.frontier = map[machine.UnitKind]int64{}
 	} else {
@@ -148,9 +148,12 @@ func (p *Pipeline) Reset(m *machine.Machine) {
 	p.issuedAny = false
 }
 
-// Issue feeds one instruction, using the internal register and memory
-// scoreboards for dependences, and returns its issue cycle.
-func (p *Pipeline) Issue(in ir.Instr) (int64, error) {
+// Issue feeds instruction i of b, using the internal register and
+// memory scoreboards for dependences, and returns its issue cycle. The
+// scoreboard keys memory by Sym: every block fed to one run must name
+// its locations in one space.
+func (p *Pipeline) Issue(b *ir.Block, i int) (int64, error) {
+	in := &b.Instrs[i]
 	var ready int64
 	// Same-queue in-order execution: the instruction cannot begin
 	// before the previous instruction on any unit kind it uses.
@@ -160,7 +163,7 @@ func (p *Pipeline) Issue(in ir.Instr) (int64, error) {
 		}
 	}
 	var dataReady int64
-	for _, s := range in.Srcs {
+	for _, s := range b.Srcs(i) {
 		if s == ir.NoReg {
 			continue
 		}
@@ -184,7 +187,7 @@ func (p *Pipeline) Issue(in ir.Instr) (int64, error) {
 
 // kindsOf returns the unit kinds an instruction occupies, memoized per
 // opcode (an opcode's atomic-op sequence is fixed for one machine).
-func (p *Pipeline) kindsOf(in ir.Instr) []machine.UnitKind {
+func (p *Pipeline) kindsOf(in *ir.Instr) []machine.UnitKind {
 	if ks, ok := p.kindCache[in.Op]; ok {
 		return ks
 	}
@@ -209,7 +212,7 @@ func (p *Pipeline) kindsOf(in ir.Instr) []machine.UnitKind {
 	return out
 }
 
-func (p *Pipeline) memReady(in ir.Instr, ready int64) int64 {
+func (p *Pipeline) memReady(in *ir.Instr, ready int64) int64 {
 	if !in.Op.IsMem() {
 		if in.Op == ir.OpCall {
 			// Calls serialize against all memory.
@@ -246,7 +249,7 @@ func (p *Pipeline) memReady(in ir.Instr, ready int64) int64 {
 // availability and dispatch width, occupies resources, and updates the
 // scoreboards. For buffered stores, dataReady delays only the memory
 // effect, not the unit slots.
-func (p *Pipeline) issueAt(in ir.Instr, ready, dataReady int64) (int64, error) {
+func (p *Pipeline) issueAt(in *ir.Instr, ready, dataReady int64) (int64, error) {
 	seq, err := p.c.Lookup(in.Op)
 	if err != nil {
 		return 0, err
@@ -436,7 +439,8 @@ func (p *Pipeline) Cycles() int64 { return p.Drain() }
 // Schedule reorders a block with greedy critical-path list scheduling —
 // the stand-in for the back-end instruction scheduler whose output the
 // cost model's "full overlapping" assumption describes. Dependences
-// (register and memory) are preserved.
+// (register and memory) are preserved. The result shares b's overflow
+// sources.
 func Schedule(m *machine.Machine, b *ir.Block) *ir.Block {
 	n := len(b.Instrs)
 	if n == 0 {
@@ -469,12 +473,10 @@ func Schedule(m *machine.Machine, b *ir.Block) *ir.Block {
 			heap.Push(h, i)
 		}
 	}
-	out := &ir.Block{Label: b.Label}
+	out := &ir.Block{Instrs: make([]ir.Instr, 0, n), Extra: b.Extra, Names: b.Names}
 	for h.Len() > 0 {
 		i := heap.Pop(h).(int)
-		in := b.Instrs[i]
-		in.Srcs = append([]ir.Reg(nil), in.Srcs...)
-		out.Instrs = append(out.Instrs, in)
+		out.Instrs = append(out.Instrs, b.Instrs[i])
 		for _, s := range succs[i] {
 			indeg[s]--
 			if indeg[s] == 0 {

@@ -10,8 +10,13 @@ import (
 	"perfpredict/internal/tetris"
 )
 
-func fadd(dst ir.Reg, a, b ir.Reg) ir.Instr {
-	return ir.Instr{Op: ir.OpFAdd, Dst: dst, Srcs: []ir.Reg{a, b}}
+func fadd(blk *ir.Block, dst ir.Reg, a, b ir.Reg) {
+	blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: dst}, a, b)
+}
+
+// issue feeds p one instruction with sources srcs, appended to b.
+func issue(p *Pipeline, b *ir.Block, in ir.Instr, srcs ...ir.Reg) (int64, error) {
+	return p.Issue(b, b.Append(in, srcs...))
 }
 
 func run(t *testing.T, m *machine.Machine, b *ir.Block) Result {
@@ -26,7 +31,7 @@ func run(t *testing.T, m *machine.Machine, b *ir.Block) Result {
 func TestSingleFAdd(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	r := run(t, m, b)
 	if r.Cycles != 2 {
 		t.Errorf("cycles = %d, want 2", r.Cycles)
@@ -37,7 +42,7 @@ func TestIndependentStream(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 8; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
 	r := run(t, m, b)
 	if r.Cycles != 9 {
@@ -51,9 +56,9 @@ func TestIndependentStream(t *testing.T) {
 func TestDependentChain(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	for i := 1; i < 6; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(i-1), 101))
+		fadd(b, ir.Reg(i), ir.Reg(i-1), 101)
 	}
 	r := run(t, m, b)
 	if r.Cycles != 12 {
@@ -67,9 +72,9 @@ func TestInOrderStall(t *testing.T) {
 	// lets the independent add start in the stall shadow only after the
 	// stalled instruction issues — execution order matters.
 	blocked := &ir.Block{}
-	blocked.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a", Base: "a"})
-	blocked.Append(fadd(1, 0, 100))   // waits 2 cycles for the load
-	blocked.Append(fadd(2, 101, 102)) // independent
+	blocked.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: blocked.Intern("a"), Base: blocked.Intern("a")})
+	fadd(blocked, 1, 0, 100)   // waits 2 cycles for the load
+	fadd(blocked, 2, 101, 102) // independent
 	r1 := run(t, m, blocked)
 
 	reordered := Schedule(m, blocked)
@@ -82,9 +87,9 @@ func TestInOrderStall(t *testing.T) {
 func TestScheduleRespectsDeps(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "x(i)", Base: "x"})
-	b.Append(fadd(1, 0, 100))
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{1}, Addr: "y(i)", Base: "y"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("x(i)"), Base: b.Intern("x")})
+	fadd(b, 1, 0, 100)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("y(i)"), Base: b.Intern("y")}, 1)
 	s := Schedule(m, b)
 	// The store must come after the add, which must come after the load.
 	pos := map[string]int{}
@@ -102,9 +107,9 @@ func TestSchedulePrioritizesCriticalPath(t *testing.T) {
 	// A long fdiv chain entering late in program order should be
 	// scheduled first.
 	for i := 0; i < 4; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 10, Srcs: []ir.Reg{300, 301}})
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 10}, 300, 301)
 	s := Schedule(m, b)
 	if s.Instrs[0].Op != ir.OpFDiv {
 		t.Errorf("critical op not first:\n%s", s)
@@ -114,8 +119,8 @@ func TestSchedulePrioritizesCriticalPath(t *testing.T) {
 func TestMemoryOrdering(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{100}, Addr: "s", Base: "s"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "s", Base: "s"})
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 100)
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("s"), Base: b.Intern("s")})
 	r := run(t, m, b)
 	// Load waits for the 2-cycle store, then takes 2 cycles.
 	if r.Cycles != 4 {
@@ -123,8 +128,8 @@ func TestMemoryOrdering(t *testing.T) {
 	}
 	// Distinct addresses don't serialize.
 	b2 := &ir.Block{}
-	b2.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{100}, Addr: "s", Base: "s"})
-	b2.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "t", Base: "t"})
+	b2.Append(ir.Instr{Op: ir.OpFStore, Addr: b2.Intern("s"), Base: b2.Intern("s")}, 100)
+	b2.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b2.Intern("t"), Base: b2.Intern("t")})
 	r2 := run(t, m, b2)
 	if r2.Cycles >= 4 {
 		t.Errorf("independent store/load = %d, want < 4", r2.Cycles)
@@ -140,7 +145,7 @@ func TestDispatchWidth(t *testing.T) {
 	}
 	b := &ir.Block{}
 	for i := 0; i < 4; i++ {
-		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
 	r := run(t, m, b)
 	if r.Cycles != 4 {
@@ -151,8 +156,8 @@ func TestDispatchWidth(t *testing.T) {
 func TestTwoPipesDoubleThroughput(t *testing.T) {
 	m := machine.NewSuperScalar2()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0, Srcs: []ir.Reg{100, 101}})
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1, Srcs: []ir.Reg{102, 103}})
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0}, 100, 101)
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1}, 102, 103)
 	r := run(t, m, b)
 	if r.Cycles != 19 {
 		t.Errorf("2-pipe fdivs = %d, want 19", r.Cycles)
@@ -162,13 +167,14 @@ func TestTwoPipesDoubleThroughput(t *testing.T) {
 func TestStreamingAcrossBlocks(t *testing.T) {
 	m := machine.NewPOWER1()
 	p := NewPipeline(m)
+	tb := &ir.Block{}
 	// Feed two iterations of a loop body through the streaming API.
 	for it := 0; it < 2; it++ {
 		base := ir.Reg(it * 10)
-		if _, err := p.Issue(ir.Instr{Op: ir.OpFLoad, Dst: base, Addr: "a", Base: "a"}); err != nil {
+		if _, err := issue(p, tb, ir.Instr{Op: ir.OpFLoad, Dst: base, Addr: tb.Intern("a"), Base: tb.Intern("a")}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Issue(fadd(base+1, base, 100)); err != nil {
+		if _, err := issue(p, tb, ir.Instr{Op: ir.OpFAdd, Dst: base + 1}, base, 100); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,19 +204,20 @@ func TestQuickPredictionTracksSimulation(t *testing.T) {
 			ops := []ir.Op{ir.OpFAdd, ir.OpFMul, ir.OpFMA, ir.OpFLoad, ir.OpFStore, ir.OpIAdd}
 			op := ops[r.Intn(len(ops))]
 			in := ir.Instr{Op: op, Dst: ir.Reg(i)}
+			var srcs []ir.Reg
 			switch {
 			case op.IsLoad():
-				in.Addr, in.Base = "x("+string(rune('a'+r.Intn(26)))+")", "x"
+				in.Addr, in.Base = b.Intern("x("+string(rune('a'+r.Intn(26)))+")"), b.Intern("x")
 			case op.IsStore():
 				in.Dst = ir.NoReg
-				in.Srcs = []ir.Reg{srcReg(r, i)}
-				in.Addr, in.Base = "y("+string(rune('a'+r.Intn(26)))+")", "y"
+				srcs = []ir.Reg{srcReg(r, i)}
+				in.Addr, in.Base = b.Intern("y("+string(rune('a'+r.Intn(26)))+")"), b.Intern("y")
 			case op == ir.OpFMA:
-				in.Srcs = []ir.Reg{srcReg(r, i), srcReg(r, i), srcReg(r, i)}
+				srcs = []ir.Reg{srcReg(r, i), srcReg(r, i), srcReg(r, i)}
 			default:
-				in.Srcs = []ir.Reg{srcReg(r, i), srcReg(r, i)}
+				srcs = []ir.Reg{srcReg(r, i), srcReg(r, i)}
 			}
-			b.Append(in)
+			b.Append(in, srcs...)
 		}
 		sched := Schedule(m, b)
 		sim, err := Run(m, sched)

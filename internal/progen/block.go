@@ -63,7 +63,7 @@ func addrPool(r *rand.Rand) (addrs, bases []string) {
 // from a shared pool so dependences actually occur.
 func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 	cfg.defaults()
-	b := &ir.Block{Label: "gen"}
+	b := &ir.Block{}
 	addrs, bases := addrPool(r)
 	next := ir.Reg(0)
 	fresh := func() ir.Reg { next++; return next - 1 }
@@ -75,7 +75,7 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 	ints = append(ints, r0)
 	r1 := fresh()
 	ai := r.Intn(len(addrs))
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: r1, Addr: addrs[ai], Base: bases[ai]})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: r1, Addr: b.Intern(addrs[ai]), Base: b.Intern(bases[ai])})
 	floats = append(floats, r1)
 
 	n := between(r, cfg.MinOps, cfg.MaxOps)
@@ -87,16 +87,16 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 			switch r.Intn(4) {
 			case 0: // integer load
 				d := fresh()
-				b.Append(ir.Instr{Op: ir.OpILoad, Dst: d, Addr: addrs[ai], Base: bases[ai]})
+				b.Append(ir.Instr{Op: ir.OpILoad, Dst: d, Addr: b.Intern(addrs[ai]), Base: b.Intern(bases[ai])})
 				ints = append(ints, d)
 			case 1: // integer store
-				b.Append(ir.Instr{Op: ir.OpIStore, Dst: ir.NoReg, Srcs: []ir.Reg{pick(r, ints)}, Addr: addrs[ai], Base: bases[ai]})
+				b.Append(ir.Instr{Op: ir.OpIStore, Dst: ir.NoReg, Addr: b.Intern(addrs[ai]), Base: b.Intern(bases[ai])}, pick(r, ints))
 			case 2: // float load
 				d := fresh()
-				b.Append(ir.Instr{Op: ir.OpFLoad, Dst: d, Addr: addrs[ai], Base: bases[ai]})
+				b.Append(ir.Instr{Op: ir.OpFLoad, Dst: d, Addr: b.Intern(addrs[ai]), Base: b.Intern(bases[ai])})
 				floats = append(floats, d)
 			default: // float store
-				b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Srcs: []ir.Reg{pick(r, floats)}, Addr: addrs[ai], Base: bases[ai]})
+				b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Addr: b.Intern(addrs[ai]), Base: b.Intern(bases[ai])}, pick(r, floats))
 			}
 		case roll < memFraction+0.08:
 			switch r.Intn(3) {
@@ -106,33 +106,34 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 				ints = append(ints, d)
 			case 1: // int -> float
 				d := fresh()
-				b.Append(ir.NewInstr(ir.OpItoF, d, pick(r, ints)))
+				b.Append(ir.Instr{Op: ir.OpItoF, Dst: d}, pick(r, ints))
 				floats = append(floats, d)
 			default: // float -> int
 				d := fresh()
-				b.Append(ir.NewInstr(ir.OpFtoI, d, pick(r, floats)))
+				b.Append(ir.Instr{Op: ir.OpFtoI, Dst: d}, pick(r, floats))
 				ints = append(ints, d)
 			}
 		case roll < memFraction+0.08+0.22:
 			op := pick(r, intOps)
 			d := fresh()
 			in := ir.Instr{Op: op, Dst: d}
+			var srcs []ir.Reg
 			for s := 0; s < op.NumSrcs(); s++ {
-				in.Srcs = append(in.Srcs, pick(r, ints))
+				srcs = append(srcs, pick(r, ints))
 			}
 			if op == ir.OpIMulSmall {
 				in.Imm = float64(between(r, -128, 127))
 			}
-			b.Append(in)
+			b.Append(in, srcs...)
 			ints = append(ints, d)
 		default:
 			op := pick(r, floatOps)
 			d := fresh()
-			in := ir.Instr{Op: op, Dst: d}
+			var srcs []ir.Reg
 			for s := 0; s < op.NumSrcs(); s++ {
-				in.Srcs = append(in.Srcs, pick(r, floats))
+				srcs = append(srcs, pick(r, floats))
 			}
-			b.Append(in)
+			b.Append(ir.Instr{Op: op, Dst: d}, srcs...)
 			floats = append(floats, d)
 		}
 	}
@@ -140,12 +141,12 @@ func GenBlock(r *rand.Rand, cfg BlockConfig) *ir.Block {
 	if cfg.AllowControl && r.Intn(3) == 0 {
 		d := fresh()
 		if r.Intn(2) == 0 {
-			b.Append(ir.NewInstr(ir.OpICmp, d, pick(r, ints), pick(r, ints)))
+			b.Append(ir.Instr{Op: ir.OpICmp, Dst: d}, pick(r, ints), pick(r, ints))
 		} else {
-			b.Append(ir.NewInstr(ir.OpFCmp, d, pick(r, floats), pick(r, floats)))
+			b.Append(ir.Instr{Op: ir.OpFCmp, Dst: d}, pick(r, floats), pick(r, floats))
 		}
 		conds = append(conds, d)
-		b.Append(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg, Srcs: []ir.Reg{pick(r, conds)}})
+		b.Append(ir.Instr{Op: ir.OpBranch, Dst: ir.NoReg}, pick(r, conds))
 	}
 	return b
 }
@@ -172,14 +173,12 @@ func TopoShuffle(r *rand.Rand, b *ir.Block, mayAlias bool) *ir.Block {
 			ready = append(ready, i)
 		}
 	}
-	out := &ir.Block{Label: b.Label}
+	out := &ir.Block{Names: b.Names}
 	for len(ready) > 0 {
 		k := r.Intn(len(ready))
 		i := ready[k]
 		ready = append(ready[:k], ready[k+1:]...)
-		in := b.Instrs[i]
-		in.Srcs = append([]ir.Reg(nil), in.Srcs...)
-		out.Append(in)
+		out.AppendFrom(b, i)
 		for _, s := range succs[i] {
 			indeg[s]--
 			if indeg[s] == 0 {
@@ -196,9 +195,8 @@ func TopoShuffle(r *rand.Rand, b *ir.Block, mayAlias bool) *ir.Block {
 func SwapCommutativeSrcs(b *ir.Block) *ir.Block {
 	c := b.Clone()
 	for i := range c.Instrs {
-		in := &c.Instrs[i]
-		if in.Op.Commutative() && len(in.Srcs) == 2 {
-			in.Srcs[0], in.Srcs[1] = in.Srcs[1], in.Srcs[0]
+		if srcs := c.Srcs(i); c.Instrs[i].Op.Commutative() && len(srcs) == 2 {
+			srcs[0], srcs[1] = srcs[1], srcs[0]
 		}
 	}
 	return c
@@ -225,8 +223,9 @@ func RenameRegs(r *rand.Rand, b *ir.Block) *ir.Block {
 		if in.Op.HasDst() {
 			in.Dst = rename(in.Dst)
 		}
-		for s := range in.Srcs {
-			in.Srcs[s] = rename(in.Srcs[s])
+		srcs := c.Srcs(i)
+		for s := range srcs {
+			srcs[s] = rename(srcs[s])
 		}
 	}
 	return c
@@ -252,9 +251,9 @@ func SwapAdjacentSinks(b *ir.Block, mayAlias bool) (*ir.Block, bool) {
 		sorted[i] = append([]int(nil), ds...)
 		sort.Ints(sorted[i])
 	}
-	srcSet := func(in ir.Instr) []int {
-		out := make([]int, len(in.Srcs))
-		for k, s := range in.Srcs {
+	srcSet := func(i int) []int {
+		out := make([]int, len(b.Srcs(i)))
+		for k, s := range b.Srcs(i) {
 			out[k] = int(s)
 		}
 		sort.Ints(out)
@@ -265,7 +264,7 @@ func SwapAdjacentSinks(b *ir.Block, mayAlias bool) (*ir.Block, bool) {
 		if a.Op != c.Op || hasConsumer[i] || hasConsumer[i+1] {
 			continue
 		}
-		if !slicesEqual(sorted[i], sorted[i+1]) || !slicesEqual(srcSet(a), srcSet(c)) {
+		if !slicesEqual(sorted[i], sorted[i+1]) || !slicesEqual(srcSet(i), srcSet(i+1)) {
 			continue
 		}
 		out := b.Clone()

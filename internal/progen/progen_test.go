@@ -22,10 +22,10 @@ func TestGenBlockWellFormed(t *testing.T) {
 		}
 		defined := map[ir.Reg]bool{}
 		for i, in := range b.Instrs {
-			if got, want := len(in.Srcs), in.Op.NumSrcs(); got != want {
+			if got, want := len(b.Srcs(i)), in.Op.NumSrcs(); got != want {
 				t.Fatalf("seed %d instr %d (%s): %d srcs, want %d", seed, i, in.Op, got, want)
 			}
-			for _, s := range in.Srcs {
+			for _, s := range b.Srcs(i) {
 				if !defined[s] {
 					t.Fatalf("seed %d instr %d (%s): src r%d used before definition", seed, i, in.Op, s)
 				}
@@ -60,11 +60,11 @@ func TestTopoShuffleRespectsDeps(t *testing.T) {
 			// point backwards by construction of Deps; the real check
 			// is that the multiset of instructions is preserved.
 			counts := map[string]int{}
-			for _, in := range b.Instrs {
-				counts[in.String()]++
+			for i := range b.Instrs {
+				counts[b.InstrString(i)]++
 			}
-			for _, in := range p.Instrs {
-				counts[in.String()]--
+			for i := range p.Instrs {
+				counts[p.InstrString(i)]--
 			}
 			for k, c := range counts {
 				if c != 0 {

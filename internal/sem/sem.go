@@ -48,6 +48,9 @@ type Table struct {
 // Lookup returns the symbol for name, or nil.
 func (t *Table) Lookup(name string) *Symbol { return t.syms[name] }
 
+// Len returns the number of symbols.
+func (t *Table) Len() int { return len(t.order) }
+
 // Symbols returns all symbols in declaration order.
 func (t *Table) Symbols() []*Symbol {
 	out := make([]*Symbol, 0, len(t.order))

@@ -57,26 +57,24 @@ func kernelSuiteBlocks(tb testing.TB) []*ir.Block {
 // copies are independent up to memory ordering — the shape the unroll
 // search hands the estimator.
 func benchUnrollIR(blk *ir.Block, f int) *ir.Block {
-	out := &ir.Block{}
+	out := &ir.Block{Names: blk.Names}
 	stride := ir.Reg(int(blk.MaxReg()) + 1)
 	for u := 0; u < f; u++ {
-		for _, in := range blk.Instrs {
-			c := in
-			c.Srcs = make([]ir.Reg, len(in.Srcs))
-			for k, s := range in.Srcs {
-				if s == ir.NoReg {
-					c.Srcs[k] = s
-					continue
+		for i := range blk.Instrs {
+			k := out.AppendFrom(blk, i)
+			srcs := out.Srcs(k)
+			for j, s := range srcs {
+				if s != ir.NoReg {
+					srcs[j] = s + ir.Reg(u)*stride
 				}
-				c.Srcs[k] = s + ir.Reg(u)*stride
 			}
+			c := &out.Instrs[k]
 			if c.Dst != ir.NoReg {
 				c.Dst += ir.Reg(u) * stride
 			}
-			if u > 0 && c.Addr != "" {
-				c.Addr = fmt.Sprintf("%s@+%d", in.Addr, u)
+			if u > 0 && c.Op.IsMem() && c.Addr != 0 {
+				c.Addr = out.Intern(fmt.Sprintf("%s@+%d", blk.Names.Text(c.Addr), u))
 			}
-			out.Append(c)
 		}
 	}
 	return out
@@ -87,13 +85,13 @@ func benchSyntheticBlock(n int) *ir.Block {
 	for i := 0; i < n; i++ {
 		switch i % 4 {
 		case 0:
-			blk.Append(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: fmt.Sprintf("x(%d)", i), Base: "x"})
+			blk.Append(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: blk.Intern(fmt.Sprintf("x(%d)", i)), Base: blk.Intern("x")})
 		case 1:
-			blk.Append(ir.Instr{Op: ir.OpFMul, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(i - 1), 100000}})
+			blk.Append(ir.Instr{Op: ir.OpFMul, Dst: ir.Reg(i)}, ir.Reg(i-1), 100000)
 		case 2:
-			blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(i - 1), 100001}})
+			blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i)}, ir.Reg(i-1), 100001)
 		default:
-			blk.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{ir.Reg(i - 1)}, Addr: fmt.Sprintf("y(%d)", i), Base: "y"})
+			blk.Append(ir.Instr{Op: ir.OpFStore, Addr: blk.Intern(fmt.Sprintf("y(%d)", i)), Base: blk.Intern("y")}, ir.Reg(i-1))
 		}
 	}
 	return blk
@@ -106,7 +104,7 @@ func benchDivChain(n int) *ir.Block {
 		if i > 0 {
 			src = ir.Reg(i - 1)
 		}
-		blk.Append(ir.Instr{Op: ir.OpFDiv, Dst: ir.Reg(i), Srcs: []ir.Reg{src, 999}})
+		blk.Append(ir.Instr{Op: ir.OpFDiv, Dst: ir.Reg(i)}, src, 999)
 	}
 	return blk
 }

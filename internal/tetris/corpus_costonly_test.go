@@ -130,12 +130,13 @@ func chainedReplicate(b *ir.Block, iters int, chain map[ir.Reg]ir.Reg) *ir.Block
 	for it := 1; it < iters; it++ {
 		off, prev := ir.Reg(it)*stride, ir.Reg(it-1)*stride
 		for i := it * n; i < (it+1)*n; i++ {
-			for k, s := range rep.Instrs[i].Srcs {
+			srcs := rep.Srcs(i)
+			for k, s := range srcs {
 				if s == ir.NoReg {
 					continue
 				}
 				if out, ok := chain[s-off]; ok && out != ir.NoReg {
-					rep.Instrs[i].Srcs[k] = out + prev
+					srcs[k] = out + prev
 				}
 			}
 		}

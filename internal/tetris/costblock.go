@@ -1,6 +1,7 @@
 package tetris
 
 import (
+	"slices"
 	"sync"
 
 	"perfpredict/internal/ir"
@@ -127,80 +128,48 @@ func SelfConcat(cb CostBlock, iters int) (total int, perIter float64) {
 // copy number (scalar addresses are left alone, preserving reduction
 // chains). This is the paper's second unrolling estimator: "dropping
 // the innermost basic block into the functional bins multiple times".
-//
-// The copies share one Instrs array and one Srcs backing array, each
-// copy's Srcs a capped window of it, so the allocations do not grow
-// with the operand count.
 func Replicate(b *ir.Block, iters int) *ir.Block {
 	iters = max(iters, 0)
-	out := &ir.Block{Label: b.Label}
-	out.Instrs = replicateInto(make([]ir.Instr, len(b.Instrs)*iters), make([]ir.Reg, srcCount(b)*iters), b, iters)
+	out := &ir.Block{Instrs: make([]ir.Instr, 0, len(b.Instrs)*iters), Extra: make([]ir.Reg, 0, len(b.Extra)*iters), Names: b.Names}
+	replicateInto(out, b, iters)
 	return out
 }
 
-// srcCount returns the number of register operands in b.
-func srcCount(b *ir.Block) int {
-	n := 0
-	for i := range b.Instrs {
-		n += len(b.Instrs[i].Srcs)
-	}
-	return n
-}
-
-// replicateInto writes the iters renamed copies of b that Replicate
-// describes into instrs and srcs, which must hold exactly
-// len(b.Instrs)·iters instructions and srcCount(b)·iters operands; the
-// caller owns the storage. It returns instrs.
-func replicateInto(instrs []ir.Instr, srcs []ir.Reg, b *ir.Block, iters int) []ir.Instr {
+// replicateInto appends the iters renamed copies of b that Replicate
+// describes to out. Copy it > 0 tags an indexed address by adding
+// it·span to its Sym, span exceeding every address of b, so each copy
+// names locations of its own.
+func replicateInto(out, b *ir.Block, iters int) {
 	stride := int32(b.MaxReg()) + 1
-	k := 0
+	span := ir.Sym(1)
+	for i := range b.Instrs {
+		span = max(span, b.Instrs[i].Addr+1)
+	}
 	for it := 0; it < iters; it++ {
 		off := ir.Reg(int32(it) * stride)
-		for _, in := range b.Instrs {
-			c := in
-			ns := len(in.Srcs)
-			c.Srcs, srcs = srcs[:ns:ns], srcs[ns:]
-			for j, s := range in.Srcs {
-				if s == ir.NoReg {
-					c.Srcs[j] = ir.NoReg
-				} else {
-					c.Srcs[j] = s + off
+		for i := range b.Instrs {
+			k := out.AppendFrom(b, i)
+			srcs := out.Srcs(k)
+			for j, s := range srcs {
+				if s != ir.NoReg {
+					srcs[j] = s + off
 				}
 			}
-			if in.Dst != ir.NoReg {
-				c.Dst = in.Dst + off
+			c := &out.Instrs[k]
+			if c.Dst != ir.NoReg {
+				c.Dst += off
 			}
-			if it > 0 && c.Addr != "" && c.Addr != c.Base {
-				c.Addr = c.Addr + "#" + itoa(it)
+			if it > 0 && c.Op.IsMem() && c.Addr != 0 && c.Addr != c.Base {
+				c.Addr += ir.Sym(it) * span
 			}
-			instrs[k] = c
-			k++
 		}
 	}
-	return instrs
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }
 
 // repScratch is pooled storage for the replicated block a steady-state
-// estimate prices and then discards: the same layout Replicate
-// allocates exactly, grown to a high-water mark instead.
+// estimate prices and then discards, grown to a high-water mark.
 type repScratch struct {
-	blk    ir.Block
-	instrs []ir.Instr
-	srcs   []ir.Reg
+	blk ir.Block
 }
 
 var repPool = sync.Pool{New: func() any { return new(repScratch) }}
@@ -224,17 +193,12 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 	}
 	rs := repPool.Get().(*repScratch)
 	defer repPool.Put(rs)
-	ni, ns := len(b.Instrs)*iters, srcCount(b)*iters
-	if cap(rs.instrs) < ni {
-		rs.instrs = make([]ir.Instr, ni)
-	}
-	if cap(rs.srcs) < ns {
-		rs.srcs = make([]ir.Reg, ns)
-	}
 	rep := &rs.blk
-	rep.Label = b.Label
-	rep.Instrs = replicateInto(rs.instrs[:ni], rs.srcs[:ns], b, iters)
-	defer clear(rep.Instrs) // drop the copies' address strings
+	rep.Names = b.Names
+	defer func() { rep.Names = nil }() // the pool must not keep the table alive
+	rep.Instrs = slices.Grow(rep.Instrs[:0], len(b.Instrs)*iters)
+	rep.Extra = slices.Grow(rep.Extra[:0], len(b.Extra)*iters)
+	replicateInto(rep, b, iters)
 	if len(chain) > 0 {
 		stride := int32(b.MaxReg()) + 1
 		n := len(b.Instrs)
@@ -242,7 +206,7 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 			off := ir.Reg(int32(it) * stride)
 			prevOff := ir.Reg(int32(it-1) * stride)
 			for i := it * n; i < (it+1)*n; i++ {
-				srcs := rep.Instrs[i].Srcs
+				srcs := rep.Srcs(i)
 				for k, s := range srcs {
 					if s == ir.NoReg {
 						continue

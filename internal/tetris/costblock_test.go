@@ -2,6 +2,7 @@ package tetris
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -145,13 +146,9 @@ func TestQuickSlotListInvariants(t *testing.T) {
 	}
 }
 
-func shapeOf(t *testing.T, instrs ...ir.Instr) CostBlock {
+func shapeOf(t *testing.T, b *ir.Block) CostBlock {
 	t.Helper()
 	m := machine.NewPOWER1()
-	b := &ir.Block{}
-	for _, in := range instrs {
-		b.Append(in)
-	}
 	r, err := Estimate(m, b, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +159,13 @@ func shapeOf(t *testing.T, instrs ...ir.Instr) CostBlock {
 func TestConcatOverlapsAcrossUnits(t *testing.T) {
 	// Block A: FXU-heavy (loads); block B: FPU-heavy (adds). Their
 	// shapes interlock almost fully (Figure 9).
-	var loads, adds []ir.Instr
+	loads, adds := &ir.Block{}, &ir.Block{}
 	for i := 0; i < 6; i++ {
-		loads = append(loads, ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: "a(i)#" + itoa(i), Base: "a"})
-		adds = append(adds, ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(10 + i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		loads.Append(ir.Instr{Op: ir.OpFLoad, Dst: ir.Reg(i), Addr: loads.Intern("a(i)#" + strconv.Itoa(i)), Base: loads.Intern("a")})
+		adds.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(10 + i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
-	a := shapeOf(t, loads...)
-	b := shapeOf(t, adds...)
+	a := shapeOf(t, loads)
+	b := shapeOf(t, adds)
 	combined, saved := Concat(a, b)
 	if saved <= 0 {
 		t.Errorf("disjoint-unit blocks should overlap: saved = %d", saved)
@@ -183,11 +180,11 @@ func TestConcatOverlapsAcrossUnits(t *testing.T) {
 
 func TestConcatSameUnitNoOverlap(t *testing.T) {
 	// Two FPU-saturated blocks cannot overlap in the FPU.
-	var adds []ir.Instr
+	adds := &ir.Block{}
 	for i := 0; i < 4; i++ {
-		adds = append(adds, ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		adds.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
-	a := shapeOf(t, adds...)
+	a := shapeOf(t, adds)
 	combined, saved := Concat(a, a)
 	// FPU extents force nearly sequential placement; only the trailing
 	// coverable cycle of A can hide B's first issue.
@@ -200,11 +197,11 @@ func TestConcatSameUnitNoOverlap(t *testing.T) {
 }
 
 func TestSelfConcatSteadyState(t *testing.T) {
-	var adds []ir.Instr
+	adds := &ir.Block{}
 	for i := 0; i < 4; i++ {
-		adds = append(adds, ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		adds.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
-	cb := shapeOf(t, adds...)
+	cb := shapeOf(t, adds)
 	total, per := SelfConcat(cb, 10)
 	if total <= 0 || per <= 0 {
 		t.Fatalf("SelfConcat: total=%d per=%v", total, per)
@@ -219,10 +216,10 @@ func TestSelfConcatSteadyState(t *testing.T) {
 
 func TestReplicateRenamesAndTags(t *testing.T) {
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "s", Base: "s"})
-	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 2, Srcs: []ir.Reg{0, 1}})
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{2}, Addr: "s", Base: "s"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: b.Intern("s"), Base: b.Intern("s")})
+	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 2}, 0, 1)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 2)
 	rep := Replicate(b, 3)
 	if len(rep.Instrs) != 12 {
 		t.Fatalf("len = %d", len(rep.Instrs))
@@ -231,12 +228,16 @@ func TestReplicateRenamesAndTags(t *testing.T) {
 	if rep.Instrs[4].Dst == rep.Instrs[0].Dst {
 		t.Error("registers not renamed")
 	}
-	// Indexed address tagged, scalar address untouched.
-	if rep.Instrs[4].Addr != "a(i)#1" {
-		t.Errorf("copy-1 indexed addr = %q", rep.Instrs[4].Addr)
+	// Indexed address tagged past every address of b, scalar address
+	// untouched.
+	span := int(b.Instrs[3].Addr) + 1 // "s", b's highest address
+	for it := 1; it < 3; it++ {
+		if got, want := rep.Instrs[4*it].Addr, b.Instrs[0].Addr+ir.Sym(it*span); got != want {
+			t.Errorf("copy-%d indexed addr = %d, want %d", it, got, want)
+		}
 	}
-	if rep.Instrs[5].Addr != "s" {
-		t.Errorf("scalar addr = %q", rep.Instrs[5].Addr)
+	if rep.Instrs[5].Addr != b.Instrs[1].Addr {
+		t.Errorf("scalar addr = %d, want %d", rep.Instrs[5].Addr, b.Instrs[1].Addr)
 	}
 	// The scalar reduction chain serializes iterations: deps exist
 	// between copies.
@@ -247,39 +248,40 @@ func TestReplicateRenamesAndTags(t *testing.T) {
 }
 
 // TestReplicateAllocatesExactly: Replicate makes one block, one
-// instruction array and one shared operand array, plus one string per
-// renamed indexed address — never an allocation per operand list, so
-// the count does not grow with the number of register operands.
+// instruction array and one overflow array — never an allocation per
+// operand list or per tagged address, so the count does not grow with
+// the number of register operands.
 func TestReplicateAllocatesExactly(t *testing.T) {
 	block := func(srcs int) *ir.Block {
 		b := &ir.Block{}
-		b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
+		b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
 		for r := 1; r <= 16; r++ {
-			in := ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(r)}
-			for k := 0; k < srcs; k++ {
-				in.Srcs = append(in.Srcs, ir.Reg(r-1))
+			regs := make([]ir.Reg, srcs)
+			for k := range regs {
+				regs[k] = ir.Reg(r - 1)
 			}
-			b.Append(in)
+			b.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(r)}, regs...)
 		}
 		return b
 	}
 	const iters = 4
-	// 3 backing allocations + 1 renamed "a(i)#k" per copy after the
-	// first.
-	const want = 3 + (iters - 1)
 	for _, srcs := range []int{1, 3, 8} {
 		b := block(srcs)
+		want := 2.0 // the block and its instructions
+		if srcs > 3 {
+			want++ // the overflow sources
+		}
 		got := testing.AllocsPerRun(50, func() { Replicate(b, iters) })
 		if got != want {
-			t.Errorf("%d operands per instruction: %v allocations, want %d", srcs, got, want)
+			t.Errorf("%d operands per instruction: %v allocations, want %v", srcs, got, want)
 		}
 	}
-	// The shared operand array must not let one copy's operands leak
+	// The shared overflow array must not let one copy's operands leak
 	// into the next through append.
-	rep := Replicate(block(2), 2)
-	first := rep.Instrs[1].Srcs
+	rep := Replicate(block(8), 2)
+	first := rep.Srcs(1)
 	_ = append(first, 99)
-	if rep.Instrs[2].Srcs[0] == 99 {
+	if rep.Srcs(2)[0] == 99 {
 		t.Error("appending to one copy's operands overwrote another's")
 	}
 }
@@ -288,9 +290,9 @@ func TestSteadyStateAmortizes(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	// Independent body: load + add + store on distinct arrays.
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 1, Srcs: []ir.Reg{0, 100}})
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{1}, Addr: "b(i)", Base: "b"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 1}, 0, 100)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("b(i)"), Base: b.Intern("b")}, 1)
 	one, err := Estimate(m, b, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +347,7 @@ func TestQuickEstimateBounds(t *testing.T) {
 				}
 			}
 			ops := []ir.Op{ir.OpFAdd, ir.OpFMul, ir.OpFSub, ir.OpIAdd}
-			b.Append(ir.Instr{Op: ops[r.Intn(len(ops))], Dst: ir.Reg(i), Srcs: srcs})
+			b.Append(ir.Instr{Op: ops[r.Intn(len(ops))], Dst: ir.Reg(i)}, srcs...)
 		}
 		res, err := Estimate(m, b, Options{})
 		if err != nil {
@@ -383,12 +385,13 @@ func TestQuickFocusSpanNeverImproves(t *testing.T) {
 			ops := []ir.Op{ir.OpFAdd, ir.OpIAdd, ir.OpFMul, ir.OpFLoad}
 			op := ops[r.Intn(len(ops))]
 			in := ir.Instr{Op: op, Dst: ir.Reg(i)}
+			var srcs []ir.Reg
 			if op == ir.OpFLoad {
-				in.Addr, in.Base = "x("+itoa(i)+")", "x"
+				in.Addr, in.Base = b.Intern("x("+strconv.Itoa(i)+")"), b.Intern("x")
 			} else {
-				in.Srcs = []ir.Reg{ir.Reg(1000 + r.Intn(9)), ir.Reg(1000 + r.Intn(9))}
+				srcs = []ir.Reg{ir.Reg(1000 + r.Intn(9)), ir.Reg(1000 + r.Intn(9))}
 			}
-			b.Append(in)
+			b.Append(in, srcs...)
 		}
 		full, err1 := Estimate(m, b, Options{})
 		tight, err2 := Estimate(m, b, Options{FocusSpan: 1 + r.Intn(4)})
@@ -418,17 +421,18 @@ func TestConcatErrorDistribution(t *testing.T) {
 			ops := []ir.Op{ir.OpFAdd, ir.OpFMul, ir.OpFLoad, ir.OpFStore, ir.OpIAdd}
 			op := ops[r.Intn(len(ops))]
 			in := ir.Instr{Op: op, Dst: ir.Reg(i)}
+			var srcs []ir.Reg
 			switch {
 			case op.IsLoad():
-				in.Addr, in.Base = tag+"x("+itoa(i)+")", tag+"x"
+				in.Addr, in.Base = b.Intern(tag+"x("+strconv.Itoa(i)+")"), b.Intern(tag+"x")
 			case op.IsStore():
 				in.Dst = ir.NoReg
-				in.Srcs = []ir.Reg{srcReg2(r, i)}
-				in.Addr, in.Base = tag+"y("+itoa(i)+")", tag+"y"
+				srcs = []ir.Reg{srcReg2(r, i)}
+				in.Addr, in.Base = b.Intern(tag+"y("+strconv.Itoa(i)+")"), b.Intern(tag+"y")
 			default:
-				in.Srcs = []ir.Reg{srcReg2(r, i), srcReg2(r, i)}
+				srcs = []ir.Reg{srcReg2(r, i), srcReg2(r, i)}
 			}
-			b.Append(in)
+			b.Append(in, srcs...)
 		}
 		return b
 	}
@@ -445,18 +449,19 @@ func TestConcatErrorDistribution(t *testing.T) {
 		combined, _ := Concat(ra.Shape, rb.Shape)
 		merged := a.Clone()
 		off := merged.MaxReg() + 1
-		for _, in := range b.Instrs {
-			c := in
-			c.Srcs = append([]ir.Reg(nil), in.Srcs...)
-			for k, sr := range c.Srcs {
+		for i := range b.Instrs {
+			c := b.Instrs[i]
+			srcs := append([]ir.Reg(nil), b.Srcs(i)...)
+			for k, sr := range srcs {
 				if sr != ir.NoReg {
-					c.Srcs[k] = sr + off
+					srcs[k] = sr + off
 				}
 			}
 			if c.Dst != ir.NoReg {
 				c.Dst += off
 			}
-			merged.Instrs = append(merged.Instrs, c)
+			c.Addr, c.Base = merged.Intern(b.Names.Text(c.Addr)), merged.Intern(b.Names.Text(c.Base))
+			merged.Append(c, srcs...)
 		}
 		exact, err := Estimate(m, merged, Options{})
 		if err != nil {

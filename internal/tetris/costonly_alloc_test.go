@@ -11,16 +11,16 @@ import (
 // the shape cost-only calls price most often.
 func allocBlock(srcs int) *ir.Block {
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "s", Base: "s"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: b.Intern("s"), Base: b.Intern("s")})
 	for r := 2; r <= 12; r++ {
-		in := ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(r)}
-		for k := 0; k < srcs; k++ {
-			in.Srcs = append(in.Srcs, ir.Reg(r-1-k%2))
+		regs := make([]ir.Reg, srcs)
+		for k := range regs {
+			regs[k] = ir.Reg(r - 1 - k%2)
 		}
-		b.Append(in)
+		b.Append(ir.Instr{Op: ir.OpFAdd, Dst: ir.Reg(r)}, regs...)
 	}
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{12}, Addr: "b(i)", Base: "b"})
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("b(i)"), Base: b.Intern("b")}, 12)
 	return b
 }
 
@@ -42,17 +42,15 @@ func TestEstimateCostAllocatesNothing(t *testing.T) {
 }
 
 // TestSteadyStateReplicatesIntoPooledStorage: a warm steady-state
-// estimate allocates only the renamed address strings of the copies
-// after the first (one per indexed memory operation per copy), never
-// an Instrs or Srcs array, so the count does not move with the
-// operand count.
+// estimate allocates nothing. The copies land in pooled storage and
+// tag their addresses by Sym arithmetic, whatever the operand count.
 func TestSteadyStateReplicatesIntoPooledStorage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under -race")
 	}
 	m := machine.NewPOWER1()
 	const iters = 4
-	const want = 2 * (iters - 1) // "a(i)#k" and "b(i)#k"; scalar "s" is not renamed
+	const want = 0
 	for _, srcs := range []int{1, 3, 8} {
 		b := allocBlock(srcs)
 		chain := map[ir.Reg]ir.Reg{1: 12}

@@ -137,7 +137,7 @@ func estimate(c *machine.Compiled, b *ir.Block, opt Options, rec *placeRecorder,
 		}
 		start, end, err := bins.place(oc, ready)
 		if err != nil {
-			return Result{}, fmt.Errorf("instr %d (%s): %w", i, in, err)
+			return Result{}, fmt.Errorf("instr %d (%s): %w", i, b.InstrString(i), err)
 		}
 		if in.Op.IsStore() && dataReady+1 > end {
 			// Pending-store queue: the unit slots execute early; the

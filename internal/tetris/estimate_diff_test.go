@@ -104,7 +104,7 @@ func TestEstimateMatchesRunLengthLargeBlocks(t *testing.T) {
 		if i > 0 {
 			src = ir.Reg(i - 1)
 		}
-		blk.Append(ir.Instr{Op: ir.OpFDiv, Dst: ir.Reg(i), Srcs: []ir.Reg{src, 999}})
+		blk.Append(ir.Instr{Op: ir.OpFDiv, Dst: ir.Reg(i)}, src, 999)
 	}
 	assertSameEstimate(t, m, blk, Options{}, "div-chain")
 }
@@ -121,6 +121,6 @@ func TestEstimateMatchesRunLengthUnknownOp(t *testing.T) {
 		}
 	}
 	blk := &ir.Block{}
-	blk.Append(ir.Instr{Op: ir.OpFSqrt, Dst: 0, Srcs: []ir.Reg{100}})
+	blk.Append(ir.Instr{Op: ir.OpFSqrt, Dst: 0}, 100)
 	assertSameEstimate(t, &stripped, blk, Options{}, "unknown-op")
 }

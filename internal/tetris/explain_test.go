@@ -25,7 +25,7 @@ func TestExplainAgreesAndStaysInert(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 8; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
 	before := est(t, m, b, Options{})
 	ex := explained(t, m, b, Options{})
@@ -44,9 +44,9 @@ func TestExplainAgreesAndStaysInert(t *testing.T) {
 func TestExplainDependentChainPath(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	for i := 1; i < 6; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(i-1), 101))
+		fadd(b, ir.Reg(i), ir.Reg(i-1), 101)
 	}
 	ex := explained(t, m, b, Options{})
 	if len(ex.Path) != 6 {
@@ -75,7 +75,7 @@ func TestExplainResourceBound(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 8; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
 	ex := explained(t, m, b, Options{})
 	if ex.Bottleneck != machine.FPU {
@@ -105,9 +105,9 @@ func TestExplainResourceBound(t *testing.T) {
 func TestExplainOpPlacements(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(fadd(1, 0, 0))
-	b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Srcs: []ir.Reg{1}, Addr: "a(i)", Base: "a"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	fadd(b, 1, 0, 0)
+	b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Addr: b.Intern("a(i)"), Base: b.Intern("a")}, 1)
 	ex := explained(t, m, b, Options{})
 	if len(ex.Finish) != 3 || len(ex.OpPipe) != 3 {
 		t.Fatalf("got %d/%d op placements, want 3", len(ex.Finish), len(ex.OpPipe))
@@ -128,7 +128,7 @@ func TestExplainWhatIf(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 8; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
 	ex := explained(t, m, b, Options{})
 	if err := ex.ComputeWhatIf(m, b, Options{}); err != nil {
@@ -154,10 +154,10 @@ func TestExplainWhatIf(t *testing.T) {
 func TestExplainUtilizationBounds(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "b(i)", Base: "b"})
-	b.Append(fadd(2, 0, 1))
-	b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Srcs: []ir.Reg{2}, Addr: "c(i)", Base: "c"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: b.Intern("b(i)"), Base: b.Intern("b")})
+	fadd(b, 2, 0, 1)
+	b.Append(ir.Instr{Op: ir.OpFStore, Dst: ir.NoReg, Addr: b.Intern("c(i)"), Base: b.Intern("c")}, 2)
 	ex := explained(t, m, b, Options{})
 	for _, p := range ex.Pipes {
 		if p.Utilization < 0 || p.Utilization > 1 {

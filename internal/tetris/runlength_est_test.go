@@ -61,7 +61,7 @@ func rlEstimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 		}
 		start, end, err := bins.place(seq, ready)
 		if err != nil {
-			return Result{}, fmt.Errorf("instr %d (%s): %w", i, in, err)
+			return Result{}, fmt.Errorf("instr %d (%s): %w", i, b.InstrString(i), err)
 		}
 		if in.Op.IsStore() && dataReady+1 > end {
 			end = dataReady + 1

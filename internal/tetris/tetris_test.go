@@ -16,8 +16,8 @@ func est(t *testing.T, m *machine.Machine, b *ir.Block, opt Options) Result {
 	return r
 }
 
-func fadd(dst ir.Reg, a, b ir.Reg) ir.Instr {
-	return ir.Instr{Op: ir.OpFAdd, Dst: dst, Srcs: []ir.Reg{a, b}}
+func fadd(blk *ir.Block, dst ir.Reg, a, b ir.Reg) {
+	blk.Append(ir.Instr{Op: ir.OpFAdd, Dst: dst}, a, b)
 }
 
 // The paper's motivating example: a lone FP add costs two cycles (one
@@ -26,7 +26,7 @@ func fadd(dst ir.Reg, a, b ir.Reg) ir.Instr {
 func TestSingleFAddCostsTwo(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	r := est(t, m, b, Options{})
 	if r.Cost != 2 {
 		t.Errorf("single fadd cost = %d, want 2", r.Cost)
@@ -37,7 +37,7 @@ func TestIndependentFAddsPipeline(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 8; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i)))
+		fadd(b, ir.Reg(i), ir.Reg(100+i), ir.Reg(200+i))
 	}
 	r := est(t, m, b, Options{})
 	// 8 independent adds: one issues per cycle (noncov 1), last finishes
@@ -50,9 +50,9 @@ func TestIndependentFAddsPipeline(t *testing.T) {
 func TestDependentFAddChainSerializes(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	for i := 1; i < 6; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(i-1), 101))
+		fadd(b, ir.Reg(i), ir.Reg(i-1), 101)
 	}
 	r := est(t, m, b, Options{})
 	// Each add must wait the full 2-cycle latency of its predecessor.
@@ -64,9 +64,9 @@ func TestDependentFAddChainSerializes(t *testing.T) {
 func TestDependenceFilterIgnoredAblation(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(fadd(0, 100, 101))
+	fadd(b, 0, 100, 101)
 	for i := 1; i < 6; i++ {
-		b.Append(fadd(ir.Reg(i), ir.Reg(i-1), 101))
+		fadd(b, ir.Reg(i), ir.Reg(i-1), 101)
 	}
 	r := est(t, m, b, Options{IgnoreDeps: true})
 	// Pure bin packing: 6 ops at 1/cycle + trailing coverable.
@@ -78,7 +78,7 @@ func TestDependenceFilterIgnoredAblation(t *testing.T) {
 func TestFStoreOccupiesBothUnits(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{100}, Addr: "s", Base: "s"})
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 100)
 	r := est(t, m, b, Options{})
 	if r.Cost != 2 {
 		t.Errorf("fstore cost = %d, want 2", r.Cost)
@@ -93,16 +93,16 @@ func TestLoadsAndAddsOverlapAcrossUnits(t *testing.T) {
 	// Independent: load into r0 and an add of unrelated regs overlap
 	// fully (different units).
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(fadd(1, 100, 101))
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	fadd(b, 1, 100, 101)
 	r := est(t, m, b, Options{})
 	if r.Cost != 2 {
 		t.Errorf("independent load+add = %d, want 2 (full overlap)", r.Cost)
 	}
 	// Dependent: add uses the loaded value → must wait 2-cycle load-use.
 	b2 := &ir.Block{}
-	b2.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b2.Append(fadd(1, 0, 101))
+	b2.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b2.Intern("a(i)"), Base: b2.Intern("a")})
+	fadd(b2, 1, 0, 101)
 	r2 := est(t, m, b2, Options{})
 	if r2.Cost != 4 {
 		t.Errorf("dependent load+add = %d, want 4", r2.Cost)
@@ -114,7 +114,7 @@ func TestSixteenFMAsStream(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
 	for i := 0; i < 16; i++ {
-		b.Append(ir.Instr{Op: ir.OpFMA, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i), ir.Reg(300 + i)}})
+		b.Append(ir.Instr{Op: ir.OpFMA, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i), ir.Reg(300+i))
 	}
 	r := est(t, m, b, Options{})
 	if r.Cost != 17 {
@@ -132,8 +132,8 @@ func TestSixteenFMAsStream(t *testing.T) {
 func TestNonPipelinedDivideBlocks(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0, Srcs: []ir.Reg{100, 101}})
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1, Srcs: []ir.Reg{102, 103}})
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0}, 100, 101)
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1}, 102, 103)
 	r := est(t, m, b, Options{})
 	// Two independent divides on one non-pipelined FPU: 19+19.
 	if r.Cost != 38 {
@@ -144,8 +144,8 @@ func TestNonPipelinedDivideBlocks(t *testing.T) {
 func TestSuperScalar2DoublesThroughput(t *testing.T) {
 	m2 := machine.NewSuperScalar2()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0, Srcs: []ir.Reg{100, 101}})
-	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1, Srcs: []ir.Reg{102, 103}})
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 0}, 100, 101)
+	b.Append(ir.Instr{Op: ir.OpFDiv, Dst: 1}, 102, 103)
 	r := est(t, m2, b, Options{})
 	// Two FPU pipes: both divides run concurrently.
 	if r.Cost != 19 {
@@ -156,9 +156,9 @@ func TestSuperScalar2DoublesThroughput(t *testing.T) {
 func TestScalarMachineSumsLatencies(t *testing.T) {
 	m := machine.NewScalar1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a", Base: "a"})
-	b.Append(fadd(1, 0, 100))
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{1}, Addr: "b", Base: "b"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a"), Base: b.Intern("a")})
+	fadd(b, 1, 0, 100)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("b"), Base: b.Intern("b")}, 1)
 	r := est(t, m, b, Options{})
 	p := machine.NewPOWER1()
 	want := p.Latency(ir.OpFLoad) + p.Latency(ir.OpFAdd) + p.Latency(ir.OpFStore)
@@ -170,7 +170,7 @@ func TestScalarMachineSumsLatencies(t *testing.T) {
 func TestMultiAtomicExpansionSerial(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpIMod, Dst: 0, Srcs: []ir.Reg{100, 101}})
+	b.Append(ir.Instr{Op: ir.OpIMod, Dst: 0}, 100, 101)
 	r := est(t, m, b, Options{})
 	// divs (19) then mfmq (1).
 	if r.Cost != 20 {
@@ -196,7 +196,7 @@ func TestDispatchWidthLimits(t *testing.T) {
 	// 4 independent integer adds; with width 1 they serialize even
 	// though two FXU pipes exist.
 	for i := 0; i < 4; i++ {
-		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
 	wide := est(t, m, b, Options{})
 	narrow := est(t, withDispatch(t, m, 1), b, Options{})
@@ -214,9 +214,9 @@ func TestFocusSpanTradesAccuracy(t *testing.T) {
 	// focus span lets the FPU op drop to the very bottom.
 	b := &ir.Block{}
 	for i := 0; i < 20; i++ {
-		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i), Srcs: []ir.Reg{ir.Reg(100 + i), ir.Reg(200 + i)}})
+		b.Append(ir.Instr{Op: ir.OpIAdd, Dst: ir.Reg(i)}, ir.Reg(100+i), ir.Reg(200+i))
 	}
-	b.Append(fadd(50, 300, 301))
+	fadd(b, 50, 300, 301)
 	full := est(t, m, b, Options{})
 	tight := est(t, m, b, Options{FocusSpan: 2})
 	if full.Cost > tight.Cost {
@@ -230,8 +230,8 @@ func TestFocusSpanTradesAccuracy(t *testing.T) {
 func TestMemoryDependenceHonored(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{100}, Addr: "s", Base: "s"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "s", Base: "s"})
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("s"), Base: b.Intern("s")}, 100)
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("s"), Base: b.Intern("s")})
 	r := est(t, m, b, Options{})
 	// Load must wait for the store's 2-cycle completion, then 2 more.
 	if r.Cost != 4 {
@@ -250,9 +250,9 @@ func TestEmptyBlock(t *testing.T) {
 func TestPlaceTimesMonotoneWithDeps(t *testing.T) {
 	m := machine.NewPOWER1()
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(fadd(1, 0, 100))
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{1}, Addr: "b(i)", Base: "b"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	fadd(b, 1, 0, 100)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("b(i)"), Base: b.Intern("b")}, 1)
 	r := est(t, m, b, Options{})
 	// The add waits for the load's full latency.
 	if !(r.PlaceTime[0] < r.PlaceTime[1]) {

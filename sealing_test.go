@@ -18,11 +18,11 @@ import (
 // register chain.
 func sealProbeBlock() *ir.Block {
 	b := &ir.Block{}
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: "a(i)", Base: "a"})
-	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: "b(i)", Base: "b"})
-	b.Append(ir.Instr{Op: ir.OpFMul, Dst: 2, Srcs: []ir.Reg{0, 1}})
-	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 3, Srcs: []ir.Reg{2, 9}})
-	b.Append(ir.Instr{Op: ir.OpFStore, Srcs: []ir.Reg{3}, Addr: "c(i)", Base: "c"})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 0, Addr: b.Intern("a(i)"), Base: b.Intern("a")})
+	b.Append(ir.Instr{Op: ir.OpFLoad, Dst: 1, Addr: b.Intern("b(i)"), Base: b.Intern("b")})
+	b.Append(ir.Instr{Op: ir.OpFMul, Dst: 2}, 0, 1)
+	b.Append(ir.Instr{Op: ir.OpFAdd, Dst: 3}, 2, 9)
+	b.Append(ir.Instr{Op: ir.OpFStore, Addr: b.Intern("c(i)"), Base: b.Intern("c")}, 3)
 	return b
 }
 
