@@ -14,7 +14,7 @@ type PredictOptions struct {
 	// Library resolves CALL statements through an external-routine
 	// cost table (§3.5); nil prices calls as linkage only.
 	Library Library
-	// Cache is a warm shared segment cache; nil prices privately.
+	// Cache is a warm shared segment cache; nil prices without one.
 	// Costs never depend on cache state, so results are
 	// byte-identical either way.
 	Cache *SegmentCache
@@ -43,15 +43,16 @@ func NewNestCache() *NestCache { return aggregate.NewNestCache() }
 
 // OptimizeOptions tune OptimizeCtx beyond the required arguments.
 // The zero value searches with the xform defaults on GOMAXPROCS
-// workers and private caches.
+// workers and per-search caches.
 type OptimizeOptions struct {
 	// Workers bounds the search's neighbor-expansion concurrency;
 	// <= 0 uses runtime.GOMAXPROCS(0).
 	Workers int
 	// SegCache and NestCache are warm shared caches the search prices
-	// through; nil members get fresh private instances. Costs never
-	// depend on cache state — sharing only changes how much pricing
-	// work is recomputed — so results are byte-identical either way.
+	// through; nil members get fresh per-search instances, which the
+	// search's candidates share. Costs never depend on cache state —
+	// sharing only changes how much pricing work is recomputed — so
+	// results are byte-identical either way.
 	SegCache  *SegmentCache
 	NestCache *NestCache
 	// MaxNodes and MaxDepth bound the search (0 keeps the xform

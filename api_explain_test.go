@@ -99,3 +99,40 @@ func TestOptimizeReportsBottleneck(t *testing.T) {
 		t.Errorf("bottleneck utilization %v outside (0,1]", res.BottleneckUtil)
 	}
 }
+
+// Nest weights evaluate loop bounds with F-lite's arithmetic, the one
+// Simulate runs: at n = 7, `do i = 1, n/2*2` truncates n/2 and runs 6
+// iterations, `do j = 1, n` runs 7, so two equal bodies weigh 6/13 and
+// 7/13 (real division would make both 7).
+func TestExplainWeightsUseIntegerDivision(t *testing.T) {
+	const src = `
+subroutine halves(n)
+  integer i, j, n
+  real x(100), y(100)
+  do i = 1, n/2*2
+    y(i) = y(i) + 2.0 * x(i)
+  end do
+  do j = 1, n
+    y(j) = y(j) + 2.0 * x(j)
+  end do
+end
+`
+	rep, err := ExplainCtx(t.Context(), src, POWER1(), ExplainOptions{
+		Nominal:    map[string]float64{"n": 7},
+		SkipWhatIf: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Nests) != 2 {
+		t.Fatalf("got %d nests, want 2", len(rep.Nests))
+	}
+	if a, b := rep.Nests[0].BlockCost, rep.Nests[1].BlockCost; a != b {
+		t.Fatalf("equal bodies priced %d and %d", a, b)
+	}
+	for k, want := range []float64{6.0 / 13, 7.0 / 13} {
+		if got := rep.Nests[k].Weight; math.Abs(got-want) > 1e-12 {
+			t.Errorf("nest %s weight %v, want %v", rep.Nests[k].Label, got, want)
+		}
+	}
+}

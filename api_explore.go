@@ -35,8 +35,7 @@ type ExploreCell = explore.Cell
 
 // ExploreOptions tune ExploreCtx. The zero value explores with
 // GOMAXPROCS workers, default argument conventions (probabilities
-// 0.5, other unknowns 100), no cost target, and a private segment
-// cache.
+// 0.5, other unknowns 100), no cost target, and no segment cache.
 type ExploreOptions struct {
 	// Workers bounds the cell-evaluation pool (<= 0 = GOMAXPROCS).
 	Workers int
@@ -45,8 +44,10 @@ type ExploreOptions struct {
 	// Target, when positive, selects the cheapest-budget config whose
 	// total cost meets it as ExploreResult.Best.
 	Target float64
-	// SegCache shares straight-line segment costs across cells and
-	// with other predictions; nil uses a private cache.
+	// SegCache shares straight-line segment costs across sweeps and
+	// with other predictions; nil prices without one. Cells differ in
+	// machine content, which every segment key includes, so a cache
+	// private to one sweep would rarely hit.
 	SegCache *SegmentCache
 	// Progress, when set, is called after each cell evaluation with
 	// (cells done, cells total); calls may come from worker

@@ -151,8 +151,7 @@ func initFPCache[V any](c *lru.Cache[source.Fingerprint, V], budget int64) {
 }
 
 // NewSegCache creates an empty segment cache, ready for concurrent
-// use. Shard tables are created lazily on first store, so a private
-// per-estimator cache costs one allocation.
+// use. Shard tables are created lazily on first store.
 func NewSegCache() *SegCache { return NewSegCacheSized(segBudget) }
 
 // NewSegCacheSized creates a segment cache bounded to budget entries.
@@ -212,7 +211,7 @@ type Estimator struct {
 	auxFP   source.Fingerprint // keyFP + whole-program environment
 }
 
-// New creates an estimator with a private segment cache and a private
+// New creates an estimator with no segment cache and a private
 // lowering memo.
 //
 // An Estimator itself is single-goroutine state; to predict
@@ -222,9 +221,10 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 	return NewWithCache(tbl, m, opt, nil)
 }
 
-// NewWithCache creates an estimator sharing a segment cache (pass nil
-// for a private one). Its lowering memo is private (see NewWithCaches
-// to share one).
+// NewWithCache creates an estimator sharing a segment cache. A nil
+// cache means none: the estimator neither keys nor stores segments,
+// since a cache that only one pricing reads would never hit. Its
+// lowering memo is private (see NewWithCaches to share one).
 //
 // Concurrency contract: the SegCache is safe to share between
 // estimators running on different goroutines — cached segment costs
@@ -233,9 +233,6 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 // returned here, like the one from New, must not itself be used from
 // more than one goroutine at a time.
 func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCache) *Estimator {
-	if cache == nil {
-		cache = NewSegCache()
-	}
 	m = m.Sealed()
 	c := m.Compiled()
 	return &Estimator{
@@ -408,11 +405,15 @@ func (e *Estimator) isLibCall(s source.Stmt) bool {
 // straight prices a straight-line segment. Inside loops the
 // steady-state per-iteration cost is used (iterations overlap in the
 // bins); the hoisted preheader cost accumulates into the one-time bin.
+// Only an estimator with a segment cache keys the segment.
 func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool) (cost, error) {
-	key := e.segKey(stmts, loopVars, inLoop)
-	if ent, ok := e.cache.c.Get(key); ok {
-		e.addPre(ent.pre)
-		return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
+	var key source.Fingerprint
+	if e.cache != nil {
+		key = e.segKey(stmts, loopVars, inLoop)
+		if ent, ok := e.cache.c.Get(key); ok {
+			e.addPre(ent.pre)
+			return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
+		}
 	}
 	lw, err := e.lowerBody(stmts, loopVars)
 	if err != nil {
@@ -456,7 +457,9 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 		}
 		ent.entry += float64(res.Cost)
 	}
-	e.cache.c.Put(key, ent)
+	if e.cache != nil {
+		e.cache.c.Put(key, ent)
+	}
 	return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 }
 
@@ -920,7 +923,7 @@ func (e *Estimator) loopIndexCond(cond source.Expr, loops []LoopCtx) (string, so
 	}
 	invariant := func(x source.Expr) bool {
 		used := map[string]bool{}
-		collectVarNames(x, used)
+		source.ExprNames(x, used)
 		for v := range used {
 			if loopVarNames[v] {
 				return false
@@ -981,27 +984,6 @@ func swapRel(rel source.BinKind) source.BinKind {
 		return source.BinLT
 	default:
 		return rel
-	}
-}
-
-func collectVarNames(e source.Expr, out map[string]bool) {
-	switch x := e.(type) {
-	case *source.VarRef:
-		out[x.Name] = true
-	case *source.ArrayRef:
-		out[x.Name] = true
-		for _, ix := range x.Idx {
-			collectVarNames(ix, out)
-		}
-	case *source.BinExpr:
-		collectVarNames(x.L, out)
-		collectVarNames(x.R, out)
-	case *source.UnExpr:
-		collectVarNames(x.X, out)
-	case *source.IntrinsicCall:
-		for _, a := range x.Args {
-			collectVarNames(a, out)
-		}
 	}
 }
 

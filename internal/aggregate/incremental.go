@@ -17,7 +17,9 @@ import (
 // Caches bundles the memoization layers an estimator can share: the
 // straight-line segment cache and the loop-nest cost cache, shared
 // across program variants, and the lowering memo, shared across the
-// machines one program is priced on. Any may be nil.
+// machines one program is priced on. A layer exists where a caller
+// shares it; nil means none (Lower alone falls back to a private memo,
+// which pays within one pricing).
 type Caches struct {
 	Seg  *SegCache
 	Nest *NestCache
@@ -33,7 +35,7 @@ type Caches struct {
 }
 
 // NewWithCaches creates an estimator sharing the given cache layers. A
-// nil Seg gets a private segment cache; a nil Nest disables nest-level
+// nil Seg disables segment caching; a nil Nest disables nest-level
 // caching (the estimator behaves exactly like NewWithCache); a nil
 // Lower gets a private lowering memo.
 //

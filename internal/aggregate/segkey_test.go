@@ -1,6 +1,9 @@
 package aggregate
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"perfpredict/internal/machine"
@@ -101,5 +104,37 @@ func TestTranslatorBuiltOnlyOnMiss(t *testing.T) {
 	}
 	if costs[0] != costs[1] {
 		t.Errorf("warm memo priced %s, cold %s", costs[1], costs[0])
+	}
+}
+
+// TestNilSegCacheKeysNothing: a nil segment cache means none. A
+// cache-less pricing neither keys nor stores a segment, so it prices
+// the same as a pricing through a fresh cache and allocates strictly
+// less.
+func TestNilSegCacheKeysNothing(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(corpusDir, "programs", "prog001.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, tbl := parseAnalyze(t, string(src))
+	m := machine.NewPOWER1()
+	price := func(est *Estimator) Result {
+		res, err := est.Program(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	none := price(New(tbl, m, DefaultOptions()))
+	fresh := price(NewWithCache(tbl, m, DefaultOptions(), NewSegCache()))
+	if a, b := fmt.Sprint(none), fmt.Sprint(fresh); a != b {
+		t.Fatalf("cache-less pricing\n%s\ndiffers from a fresh cache's\n%s", a, b)
+	}
+	noneAllocs := testing.AllocsPerRun(20, func() { price(New(tbl, m, DefaultOptions())) })
+	freshAllocs := testing.AllocsPerRun(20, func() { price(NewWithCache(tbl, m, DefaultOptions(), NewSegCache())) })
+	t.Logf("allocations per pricing: %v cache-less, %v through a fresh cache", noneAllocs, freshAllocs)
+	if noneAllocs >= freshAllocs {
+		t.Errorf("cache-less pricing allocates %v times, a fresh cache's %v: a nil cache still builds or fills one",
+			noneAllocs, freshAllocs)
 	}
 }

@@ -354,41 +354,34 @@ func tripAt(tbl *sem.Table, l *source.DoLoop, nominal map[string]float64) float6
 	return t
 }
 
-// exprAt is a best-effort numeric evaluation of a bound expression at
-// the nominal point — only for nest weights, never for costs.
+// exprAt evaluates a bound expression at the nominal point through
+// sem.Eval, F-lite's one arithmetic, for nest weights only, never for
+// costs. Each name takes its nominal value, else its PARAMETER value,
+// else aggregate.DefaultUnknown; array elements read as DefaultUnknown,
+// and an expression that does not evaluate is DefaultUnknown too.
 func exprAt(tbl *sem.Table, x source.Expr, nominal map[string]float64) float64 {
 	if x == nil {
 		return 0
 	}
-	if c, ok := tbl.FoldConst(x); ok {
-		return c
+	names := map[string]bool{}
+	source.ExprNames(x, names)
+	env := &sem.Env{
+		Scalars: make(map[string]float64, len(names)),
+		Element: func(*source.ArrayRef, []float64) (float64, error) { return aggregate.DefaultUnknown, nil },
 	}
-	switch v := x.(type) {
-	case *source.VarRef:
-		if val, ok := nominal[v.Name]; ok {
-			return val
-		}
-		return aggregate.DefaultUnknown
-	case *source.UnExpr:
-		if v.Neg {
-			return -exprAt(tbl, v.X, nominal)
-		}
-	case *source.BinExpr:
-		l, r := exprAt(tbl, v.L, nominal), exprAt(tbl, v.R, nominal)
-		switch v.Kind {
-		case source.BinAdd:
-			return l + r
-		case source.BinSub:
-			return l - r
-		case source.BinMul:
-			return l * r
-		case source.BinDiv:
-			if r != 0 {
-				return l / r
+	for n := range names {
+		v, ok := nominal[n]
+		if !ok {
+			v = aggregate.DefaultUnknown
+			if s := tbl.Lookup(n); s != nil && s.IsConst {
+				v = s.ConstVal
 			}
-		case source.BinPow:
-			return math.Pow(l, r)
 		}
+		env.Scalars[n] = v
 	}
-	return aggregate.DefaultUnknown
+	v, err := tbl.Eval(x, env)
+	if err != nil {
+		return aggregate.DefaultUnknown
+	}
+	return v
 }

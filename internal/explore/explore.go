@@ -2,11 +2,12 @@
 // paper's prediction model run backwards. Instead of predicting one
 // program on one machine, a SpecTemplate (internal/machine) spans a
 // lattice of concrete machine configurations, every kernel of a
-// workload is batch-predicted on every cell through the shared
-// segment-cost cache, and the configurations are reduced to a Pareto
-// front over (hardware budget, per-kernel cost...). Each kernel is
-// parsed, analyzed and lowered once per sweep — those layers do not
-// depend on the machine — so a cell pays only for pricing.
+// workload is batch-predicted on every cell (through the caller's
+// segment-cost cache, when one is shared), and the configurations are
+// reduced to a Pareto front over (hardware budget, per-kernel
+// cost...). Each kernel is parsed, analyzed and lowered once per
+// sweep — those layers do not depend on the machine — so a cell pays
+// only for pricing.
 //
 // Dominance is defined ONLY on the measured cost vector plus the
 // template's declared hardware-budget scalar — never on a structural
@@ -54,9 +55,11 @@ type Options struct {
 	// total cost meets it (Result.Best). Zero means "no target":
 	// Best is the fastest config instead.
 	Target float64
-	// SegCache is the shared straight-line segment cache; nil creates
-	// a fresh private one. Content-fingerprint keys make sharing across
-	// cells (and across sweeps, and with the serving endpoints) sound.
+	// SegCache is a straight-line segment cache the caller shares
+	// across sweeps or with the serving endpoints; nil prices without
+	// one. The machine fingerprint is part of every segment key, so
+	// within one sweep a cache hits only where two cells build the
+	// same machine. Content-fingerprint keys make sharing sound.
 	SegCache *aggregate.SegCache
 	// Progress, when set, is called after each cell evaluation with
 	// (cells done, cells total). Calls may come from worker goroutines.
@@ -199,17 +202,12 @@ func run(ctx context.Context, tpl *machine.SpecTemplate, kernels []preparedKerne
 		}
 		machines[i] = m
 	}
-	seg := opt.SegCache
-	if seg == nil {
-		seg = aggregate.NewSegCache()
-	}
-
 	cells := make([]Cell, len(expanded))
 	cellErrs := make([]error, len(expanded))
 	var done atomicCounter
 	total := len(expanded)
 	runErr := workpool.RunCtx(ctx, len(expanded), opt.Workers, func(i int) {
-		costs, err := evalCell(kernels, machines[i], seg, opt.Args)
+		costs, err := evalCell(kernels, machines[i], opt.SegCache, opt.Args)
 		if err != nil {
 			cellErrs[i] = err
 			return
@@ -333,8 +331,8 @@ func (c *atomicCounter) inc() int { return int(c.n.Add(1)) }
 // symbolic costs at the sweep's evaluation point. Only the
 // machine-dependent layers run here: each kernel's estimator takes the
 // prepared program and table, lowers through the kernel's per-sweep
-// memo, and prices through the shared, machine-fingerprint-keyed
-// segment cache. Estimators themselves are never shared across
+// memo, and prices through the caller's machine-fingerprint-keyed
+// segment cache, if any. Estimators themselves are never shared across
 // goroutines.
 func evalCell(kernels []preparedKernel, m *machine.Machine, seg *aggregate.SegCache, args map[string]float64) ([]float64, error) {
 	costs := make([]float64, len(kernels))

@@ -102,7 +102,9 @@ end
 // TestSearchNestCacheEquivalence runs the same search with the nest
 // cache on and off and with serial and parallel expansion; all four
 // combinations must return byte-identical results, and the cached runs
-// must actually hit.
+// must actually hit. A fifth run prices through two-entry segment and
+// nest caches, far below one search's working set: both must evict,
+// and the result must not change.
 func TestSearchNestCacheEquivalence(t *testing.T) {
 	for _, kn := range []string{"f2", "f6", "matmul"} {
 		k, err := kernels.Get(kn)
@@ -156,6 +158,20 @@ func TestSearchNestCacheEquivalence(t *testing.T) {
 						kn, workers, res.NestMisses, ref.NestMisses)
 				}
 			}
+		}
+		tiny := mk(false, 1)
+		tiny.Caches = aggregate.Caches{Seg: aggregate.NewSegCacheSized(2), Nest: aggregate.NewNestCacheSized(2)}
+		res, err := SearchCtx(context.Background(), p, tiny)
+		if err != nil {
+			t.Fatalf("%s tiny caches: %v", kn, err)
+		}
+		if res.BestCost != ref.BestCost || fmt.Sprint(res.Sequence) != fmt.Sprint(ref.Sequence) ||
+			source.PrintProgram(res.Best) != refSrc {
+			t.Errorf("%s tiny caches: best %v via %s, want %v via %s",
+				kn, res.BestCost, res.Sequence, ref.BestCost, ref.Sequence)
+		}
+		if s, n := tiny.Caches.Seg.Evictions(), tiny.Caches.Nest.Evictions(); s == 0 || n == 0 {
+			t.Errorf("%s: %d segment and %d nest evictions; the budgets do not constrain the search", kn, s, n)
 		}
 	}
 }

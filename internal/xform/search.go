@@ -70,7 +70,7 @@ type SearchOptions struct {
 	// comparison. Results are identical either way.
 	DisableNestCache bool
 	// Caches are the segment and nest caches the search prices
-	// through. Nil members get fresh private instances (the default);
+	// through. Nil members get fresh per-search instances (the default);
 	// Caches.Nodes is always replaced by a fresh per-search memo;
 	// passing warm shared caches carries priced segments and nests
 	// across searches — a long-running service reuses one pair for

@@ -17,7 +17,8 @@ fuzztime="${3:-20s}"
 go run ./cmd/fuzzcheck -n "$n" -seed "$seed" -v -json BENCH_fuzz.json
 
 for spec in ./internal/invariants/:FuzzBlockInvariants \
-	./internal/invariants/:FuzzSpecJSON ./internal/source/:FuzzParse; do
+	./internal/invariants/:FuzzSpecJSON ./internal/invariants/:FuzzSpecTemplate \
+	./internal/tetris/:FuzzSlotOccupancy ./internal/source/:FuzzParse; do
 	pkg=${spec%%:*} target=${spec#*:}
 	go test "$pkg" -run "$target" -fuzz "$target" \
 		-fuzztime "$fuzztime" || echo "fuzz.sh: $target found a failure (see $pkg/testdata/fuzz)" >&2
