@@ -187,13 +187,13 @@ type Estimator struct {
 	trans    *lower.Translator // built on the first lowering miss; see translator
 	preVals  []float64
 	unknowns []Unknown
-	seen     map[symexpr.Var]bool
+	seen     map[symexpr.Var]bool // registered unknowns; Program and Stmts make it
 	fresh    int
 	cache    *SegCache
 	lowered  *LowerMemo
 	// names is the key builders' scratch set of referenced
-	// identifiers; nodes memoises statement digests and name sets
-	// (nil hashes from scratch).
+	// identifiers, made on the first key (see nameSet); nodes memoises
+	// statement digests and name sets (nil hashes from scratch).
 	names map[string]bool
 	nodes *source.NodeMemo
 
@@ -240,9 +240,7 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 		m:     m,
 		c:     c,
 		opt:   opt,
-		seen:  map[symexpr.Var]bool{},
 		cache: cache,
-		names: map[string]bool{},
 		keyFP: optionsFingerprint(c.Fingerprint(), opt),
 	}
 }
@@ -484,11 +482,22 @@ func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) 
 	} else {
 		fp = fp.MixUint64(0)
 	}
-	clear(e.names)
+	names := e.nameSet()
 	for _, s := range stmts {
-		e.nodes.AddNames(s, e.names)
+		e.nodes.AddNames(s, names)
 	}
-	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, e.names))
+	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, names))
+}
+
+// nameSet returns the key builders' scratch name set, emptied. Only
+// keyed pricings make it: an estimator without caches never does.
+func (e *Estimator) nameSet() map[string]bool {
+	if e.names == nil {
+		e.names = map[string]bool{}
+	} else {
+		clear(e.names)
+	}
+	return e.names
 }
 
 // loop aggregates C(do v = lb, ub, step {B}) = C(lb)+C(ub)+C(step) +

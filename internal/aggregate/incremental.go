@@ -220,11 +220,11 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 // invisible to lowering and aggregation), and the declarations,
 // constants, and distribution directives of referenced names.
 func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprint {
-	clear(e.names)
-	e.nodes.AddNames(l, e.names)
+	names := e.nameSet()
+	e.nodes.AddNames(l, names)
 	fp := e.keyFP.Mix(e.nodes.Stmt(l))
 	for _, lc := range loops {
-		if e.names[lc.Var] {
+		if names[lc.Var] {
 			fp = fp.MixString(lc.Var)
 		}
 	}
@@ -234,7 +234,7 @@ func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprin
 	if len(loops) == 0 && e.c.Memory().Active() {
 		fp = fp.MixString("memroot")
 	}
-	return fp.Mix(source.FingerprintEnvFor(e.prog, e.names))
+	return fp.Mix(source.FingerprintEnvFor(e.prog, names))
 }
 
 // pathDirty reports whether path is on or above one of the changed

@@ -7,7 +7,10 @@
 // reduced to a Pareto front over (hardware budget, per-kernel
 // cost...). Each kernel is parsed, analyzed and lowered once per
 // sweep — those layers do not depend on the machine — so a cell pays
-// only for pricing.
+// only for pricing. The template is compiled once per sweep
+// (SpecTemplate.Compile), and each cell's machine is built inside the
+// worker pool, by the worker that prices it, from the compiled
+// template's shared cost table.
 //
 // Dominance is defined ONLY on the measured cost vector plus the
 // template's declared hardware-budget scalar — never on a structural
@@ -147,7 +150,7 @@ func Dominates(a, b *Cell) bool {
 	return false
 }
 
-// Run expands the template, prices every kernel on every cell, and
+// Run compiles the template, prices every kernel on every cell, and
 // reduces the lattice to its Pareto front. Results are deterministic:
 // independent of Workers, of cache warmth, and of scheduling — every
 // cell's costs are pure functions of (kernel, machine, args), and the
@@ -190,26 +193,19 @@ func prepare(kernels []Kernel) []preparedKernel {
 }
 
 func run(ctx context.Context, tpl *machine.SpecTemplate, kernels []preparedKernel, opt Options) (*Result, error) {
-	expanded, err := tpl.Expand()
+	lat, err := tpl.Compile()
 	if err != nil {
 		return nil, err
 	}
-	machines := make([]*machine.Machine, len(expanded))
-	for i, e := range expanded {
-		m, err := e.Spec.Machine()
-		if err != nil {
-			return nil, fmt.Errorf("explore: cell %d: %w", i, err)
-		}
-		machines[i] = m
-	}
-	cells := make([]Cell, len(expanded))
-	cellErrs := make([]error, len(expanded))
+	total := lat.Len()
+	cells := make([]Cell, total)
+	cellErrs := make([]error, total)
 	var done atomicCounter
-	total := len(expanded)
-	runErr := workpool.RunCtx(ctx, len(expanded), opt.Workers, func(i int) {
-		costs, err := evalCell(kernels, machines[i], opt.SegCache, opt.Args)
+	runErr := workpool.RunCtx(ctx, total, opt.Workers, func(i int) {
+		lc := lat.Cell(i)
+		costs, err := evalCell(kernels, lc.Machine, opt.SegCache, opt.Args)
 		if err != nil {
-			cellErrs[i] = err
+			cellErrs[i] = fmt.Errorf("explore: cell %s: %w", lc.Name, err)
 			return
 		}
 		sum := 0.0
@@ -218,10 +214,10 @@ func run(ctx context.Context, tpl *machine.SpecTemplate, kernels []preparedKerne
 		}
 		cells[i] = Cell{
 			Index:       i,
-			Name:        expanded[i].Spec.Name,
-			Fingerprint: machines[i].Fingerprint().String(),
-			Choices:     expanded[i].Choices,
-			Budget:      tpl.BudgetOf(expanded[i].Spec),
+			Name:        lc.Name,
+			Fingerprint: lc.Machine.Fingerprint().String(),
+			Choices:     lc.Choices,
+			Budget:      lc.Budget,
 			Costs:       costs,
 			Total:       sum,
 		}
@@ -234,9 +230,9 @@ func run(ctx context.Context, tpl *machine.SpecTemplate, kernels []preparedKerne
 		// is all-or-nothing under cancellation.
 		return nil, runErr
 	}
-	for i, err := range cellErrs {
+	for _, err := range cellErrs {
 		if err != nil {
-			return nil, fmt.Errorf("explore: cell %s: %w", expanded[i].Spec.Name, err)
+			return nil, err
 		}
 	}
 

@@ -22,6 +22,8 @@ import (
 //     identical, cell for cell.
 //   - expand-duplicate-free: every cell has a distinct machine content
 //     fingerprint.
+//   - lattice-equals-expand: every cell of the compiled lattice equals
+//     the full build of the expanded spec (LatticeMismatches).
 //   - explore-deterministic: Workers=1 and Workers=4 sweeps (the
 //     latter on a warm shared segment cache) marshal byte-identically.
 //   - front-nondominated: no front member dominates another.
@@ -44,6 +46,9 @@ func CheckExplore(seed int64) []Violation {
 	if err := tpl.Validate(); err != nil {
 		fail("gen-template-valid", "generated template rejected: %v", err)
 		return vs
+	}
+	for _, msg := range LatticeMismatches(tpl) {
+		fail("lattice-equals-expand", "%s", msg)
 	}
 
 	exp1, err := tpl.Expand()

@@ -1,6 +1,7 @@
 package invariants
 
 import (
+	"strings"
 	"testing"
 
 	"perfpredict/internal/ir"
@@ -77,9 +78,9 @@ func FuzzSpecJSON(f *testing.F) {
 
 // FuzzSpecTemplate feeds raw bytes to the machine-template loader:
 // anything that parses and validates must size and expand, every
-// expanded cell must be a valid distinct machine, and the template
-// must round-trip through its canonical encoding with a stable
-// fingerprint.
+// expanded cell must be a valid distinct machine equal to the
+// compiled lattice's cell, and the template must round-trip through
+// its canonical encoding with a stable fingerprint.
 func FuzzSpecTemplate(f *testing.F) {
 	f.Add([]byte(`{"base_machine":"POWER1","dispatch":[4,5]}`))
 	f.Add([]byte(`{"base_machine":"POWER1","pipes":{"FPU":[1,2]}}`))
@@ -106,6 +107,9 @@ func FuzzSpecTemplate(f *testing.F) {
 		if size > 1<<12 {
 			// Expansion cost is linear in cells; bound the fuzz iteration.
 			return
+		}
+		if msgs := LatticeMismatches(tpl); len(msgs) > 0 {
+			t.Fatalf("compiled lattice differs from the expansion:\n%s", strings.Join(msgs, "\n"))
 		}
 		cells, err := tpl.Expand()
 		if err != nil {

@@ -62,6 +62,8 @@
 //   - expand-valid / expand-deterministic / expand-duplicate-free:
 //     template expansion yields a canonical lattice of valid,
 //     fingerprint-distinct machines, identically every time.
+//   - lattice-equals-expand: a compiled template's cells equal the
+//     full builds of the expanded specs.
 //   - explore-deterministic: sweep results are byte-identical across
 //     worker counts and cache warmth.
 //   - front-nondominated / pruned-witnessed / frontier-partition /

@@ -65,13 +65,43 @@ func (ct *CostTable) MaxOp() ir.Op { return ir.Op(len(ct.opIdx) - 1) }
 // buildCostTable flattens m's table into a handful of table-wide
 // arrays. Unit kinds that appear in cost segments but have no pipes on
 // the machine get an empty pipe list, so placement fails with the same
-// "no placement found" error a map-based lookup would produce. Ops are
-// visited in ascending order so the kind indices do not depend on map
-// iteration.
+// "no placement found" error a map-based lookup would produce.
+//
+// The table has two halves. The op half (flattenOps) depends on the
+// atomic operation mapping and on the kind indices; the pipe half
+// (pipesOf) on the unit instances. Kind indices follow the pipes'
+// kinds in Units order, then kinds only segments name, so a compiled
+// template (see Lattice), whose cells share one unit-kind set, shares
+// one op half among all cells that map every op alike.
 func buildCostTable(m *Machine, inst []UnitInstance) CostTable {
-	ops := make([]ir.Op, 0, len(m.Table))
+	var ct CostTable
+	kindIdx := make(map[UnitKind]int32, 4)
+	kindOf := func(k UnitKind) int32 {
+		ki, ok := kindIdx[k]
+		if !ok {
+			ki = int32(len(ct.Kinds))
+			kindIdx[k] = ki
+			ct.Kinds = append(ct.Kinds, k)
+		}
+		return ki
+	}
+	for _, u := range inst {
+		kindOf(u.Kind)
+	}
+	ct.opIdx, ct.costs = flattenOps(m.Table, kindOf)
+	ct.KindPipes, ct.PipeKind = pipesOf(inst, len(ct.Kinds))
+	return ct
+}
+
+// flattenOps builds the op half of a cost table: the op → costs index
+// and the costs, every atom and segment a window into one shared
+// array. kindOf gives a unit kind's dense index. Ops are visited in
+// ascending order, so new kinds are numbered independently of map
+// iteration.
+func flattenOps(table map[ir.Op][]AtomicOp, kindOf func(UnitKind) int32) ([]int32, []OpCosts) {
+	ops := make([]ir.Op, 0, len(table))
 	natoms, nsegs := 0, 0
-	for op, seq := range m.Table {
+	for op, seq := range table {
 		if op < 0 {
 			continue // not addressable by a dense index; never emitted
 		}
@@ -82,44 +112,53 @@ func buildCostTable(m *Machine, inst []UnitInstance) CostTable {
 		}
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	var ct CostTable
+	var opIdx []int32
 	if len(ops) > 0 {
-		ct.opIdx = make([]int32, ops[len(ops)-1]+1)
+		opIdx = make([]int32, ops[len(ops)-1]+1)
 	}
-	for i := range ct.opIdx {
-		ct.opIdx[i] = -1
+	for i := range opIdx {
+		opIdx[i] = -1
 	}
-	kindIdx := make(map[UnitKind]int32, 4)
-	kindOf := func(k UnitKind) int32 {
-		ki, ok := kindIdx[k]
-		if !ok {
-			ki = int32(len(ct.Kinds))
-			kindIdx[k] = ki
-			ct.Kinds = append(ct.Kinds, k)
-			ct.KindPipes = append(ct.KindPipes, nil)
-		}
-		return ki
-	}
-	ct.PipeKind = make([]int32, len(inst))
-	for i, u := range inst {
-		ki := kindOf(u.Kind)
-		ct.KindPipes[ki] = append(ct.KindPipes[ki], int32(i))
-		ct.PipeKind[i] = ki
-	}
-	ct.costs = make([]OpCosts, len(ops))
+	costs := make([]OpCosts, len(ops))
 	atoms := make([]Atom, 0, natoms)
 	segs := make([]Seg, 0, nsegs)
 	for i, op := range ops {
 		a0 := len(atoms)
-		for _, a := range m.Table[op] {
+		for _, a := range table[op] {
 			s0 := len(segs)
 			for _, sg := range a.Segments {
 				segs = append(segs, Seg{Kind: kindOf(sg.Unit), Start: int32(sg.Start), Noncov: int32(sg.Noncov), End: int32(sg.End())})
 			}
 			atoms = append(atoms, Atom{Segs: segs[s0:len(segs):len(segs)], Lat: int32(a.Latency()), Name: a.Name})
 		}
-		ct.costs[i] = OpCosts{Atoms: atoms[a0:len(atoms):len(atoms)]}
-		ct.opIdx[op] = int32(i)
+		costs[i] = OpCosts{Atoms: atoms[a0:len(atoms):len(atoms)]}
+		opIdx[op] = int32(i)
 	}
-	return ct
+	return opIdx, costs
+}
+
+// pipesOf builds the pipe half of a cost table for nkinds kinds:
+// KindPipes and PipeKind. inst lists its pipes grouped by kind, the
+// groups numbered from kind index 0 in order (unitsOf's order); kinds
+// past the last group get no pipes.
+func pipesOf(inst []UnitInstance, nkinds int) ([][]int32, []int32) {
+	n := len(inst)
+	buf := make([]int32, 2*n)
+	pipeKind, pipes := buf[:n:n], buf[n:]
+	kindPipes := make([][]int32, nkinds)
+	k, first := int32(-1), 0
+	for i, u := range inst {
+		if i == 0 || u.Kind != inst[i-1].Kind {
+			if k >= 0 {
+				kindPipes[k] = pipes[first:i:i]
+			}
+			k, first = k+1, i
+		}
+		pipeKind[i] = k
+		pipes[i] = int32(i)
+	}
+	if k >= 0 {
+		kindPipes[k] = pipes[first:n:n]
+	}
+	return kindPipes, pipeKind
 }

@@ -8,7 +8,7 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"perfpredict/internal/ir"
 )
@@ -140,11 +140,28 @@ func unitsOf(m *Machine) []UnitInstance {
 	for k := range m.UnitCounts {
 		kinds = append(kinds, k)
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	var out []UnitInstance
-	for _, k := range kinds {
-		for i := 0; i < m.UnitCounts[k]; i++ {
-			out = append(out, UnitInstance{k, i})
+	slices.Sort(kinds)
+	counts := make([]int, len(kinds))
+	for i, k := range kinds {
+		counts[i] = m.UnitCounts[k]
+	}
+	return instances(kinds, counts)
+}
+
+// instances lists counts[k] pipes of each kinds[k], in order; nil when
+// there are none.
+func instances(kinds []UnitKind, counts []int) []UnitInstance {
+	n := 0
+	for _, c := range counts {
+		n += max(c, 0)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]UnitInstance, 0, n)
+	for k, kind := range kinds {
+		for i := 0; i < counts[k]; i++ {
+			out = append(out, UnitInstance{kind, i})
 		}
 	}
 	return out

@@ -175,46 +175,55 @@ func (s *Spec) Validate() error {
 		if !ok {
 			return fmt.Errorf("machine spec %s: missing mapping for %s", s.Name, op)
 		}
-		if len(seq) == 0 {
-			return fmt.Errorf("machine spec %s: %s maps to no atomic operations", s.Name, op)
+		if err := checkExpansion(s.Name, op, seq, s.Units); err != nil {
+			return err
 		}
-		for _, a := range seq {
-			if a.Name == "" {
-				return fmt.Errorf("machine spec %s: %s has an unnamed atomic operation", s.Name, op)
+	}
+	return nil
+}
+
+// checkExpansion applies Validate's rules to one op's atomic
+// expansion on a machine with the given pipe counts.
+func checkExpansion(name string, op ir.Op, seq []AtomicOpSpec, units map[string]int) error {
+	if len(seq) == 0 {
+		return fmt.Errorf("machine spec %s: %s maps to no atomic operations", name, op)
+	}
+	for _, a := range seq {
+		if a.Name == "" {
+			return fmt.Errorf("machine spec %s: %s has an unnamed atomic operation", name, op)
+		}
+		if len(a.Segments) == 0 {
+			return fmt.Errorf("machine spec %s: %s/%s occupies no units", name, op, a.Name)
+		}
+		perKind := map[string]int{}
+		for i, seg := range a.Segments {
+			if _, ok := units[seg.Unit]; !ok {
+				return fmt.Errorf("machine spec %s: %s/%s references unknown unit %q", name, op, a.Name, seg.Unit)
 			}
-			if len(a.Segments) == 0 {
-				return fmt.Errorf("machine spec %s: %s/%s occupies no units", s.Name, op, a.Name)
+			if seg.Start < 0 {
+				return fmt.Errorf("machine spec %s: %s/%s has negative start %d", name, op, a.Name, seg.Start)
 			}
-			perKind := map[string]int{}
-			for i, seg := range a.Segments {
-				if _, ok := s.Units[seg.Unit]; !ok {
-					return fmt.Errorf("machine spec %s: %s/%s references unknown unit %q", s.Name, op, a.Name, seg.Unit)
+			if seg.Noncov < 0 || seg.Cov < 0 {
+				return fmt.Errorf("machine spec %s: %s/%s has negative cost (noncov %d, cov %d)", name, op, a.Name, seg.Noncov, seg.Cov)
+			}
+			if seg.Noncov+seg.Cov == 0 {
+				return fmt.Errorf("machine spec %s: %s/%s has a zero-duration segment on %s", name, op, a.Name, seg.Unit)
+			}
+			for _, prev := range a.Segments[:i] {
+				if prev.Unit != seg.Unit {
+					continue
 				}
-				if seg.Start < 0 {
-					return fmt.Errorf("machine spec %s: %s/%s has negative start %d", s.Name, op, a.Name, seg.Start)
+				if seg.Start < prev.Start+prev.Noncov && prev.Start < seg.Start+seg.Noncov {
+					return fmt.Errorf("machine spec %s: %s/%s has overlapping segments on %s", name, op, a.Name, seg.Unit)
 				}
-				if seg.Noncov < 0 || seg.Cov < 0 {
-					return fmt.Errorf("machine spec %s: %s/%s has negative cost (noncov %d, cov %d)", s.Name, op, a.Name, seg.Noncov, seg.Cov)
-				}
-				if seg.Noncov+seg.Cov == 0 {
-					return fmt.Errorf("machine spec %s: %s/%s has a zero-duration segment on %s", s.Name, op, a.Name, seg.Unit)
-				}
-				for _, prev := range a.Segments[:i] {
-					if prev.Unit != seg.Unit {
-						continue
-					}
-					if seg.Start < prev.Start+prev.Noncov && prev.Start < seg.Start+seg.Noncov {
-						return fmt.Errorf("machine spec %s: %s/%s has overlapping segments on %s", s.Name, op, a.Name, seg.Unit)
-					}
-				}
-				// Each segment of one atomic operation occupies its own
-				// pipe, so an expansion demanding more pipes of a kind
-				// than the machine has could never be placed.
-				perKind[seg.Unit]++
-				if perKind[seg.Unit] > s.Units[seg.Unit] {
-					return fmt.Errorf("machine spec %s: %s/%s needs %d pipes of %s, machine has %d",
-						s.Name, op, a.Name, perKind[seg.Unit], seg.Unit, s.Units[seg.Unit])
-				}
+			}
+			// Each segment of one atomic operation occupies its own
+			// pipe, so an expansion demanding more pipes of a kind
+			// than the machine has could never be placed.
+			perKind[seg.Unit]++
+			if perKind[seg.Unit] > units[seg.Unit] {
+				return fmt.Errorf("machine spec %s: %s/%s needs %d pipes of %s, machine has %d",
+					name, op, a.Name, perKind[seg.Unit], seg.Unit, units[seg.Unit])
 			}
 		}
 	}
@@ -229,6 +238,12 @@ func (s *Spec) Machine() (*Machine, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return s.machine().seal(), nil
+}
+
+// machine converts s, which must be valid, into an unsealed Machine
+// that shares nothing with s.
+func (s *Spec) machine() *Machine {
 	m := &Machine{
 		Name:          s.Name,
 		UnitCounts:    make(map[UnitKind]int, len(s.Units)),
@@ -244,17 +259,22 @@ func (s *Spec) Machine() (*Machine, error) {
 	}
 	for name, seq := range s.Ops {
 		op, _ := ir.ParseOp(name) // Validate vouched for every name
-		atomics := make([]AtomicOp, len(seq))
-		for i, a := range seq {
-			segs := make([]Segment, len(a.Segments))
-			for j, seg := range a.Segments {
-				segs[j] = Segment{Unit: UnitKind(seg.Unit), Start: seg.Start, Noncov: seg.Noncov, Cov: seg.Cov}
-			}
-			atomics[i] = AtomicOp{Name: a.Name, Segments: segs}
-		}
-		m.Table[op] = atomics
+		m.Table[op] = atomicOps(seq)
 	}
-	return m.seal(), nil
+	return m
+}
+
+// atomicOps converts an atomic expansion to its machine form.
+func atomicOps(seq []AtomicOpSpec) []AtomicOp {
+	atomics := make([]AtomicOp, len(seq))
+	for i, a := range seq {
+		segs := make([]Segment, len(a.Segments))
+		for j, seg := range a.Segments {
+			segs[j] = Segment{Unit: UnitKind(seg.Unit), Start: seg.Start, Noncov: seg.Noncov, Cov: seg.Cov}
+		}
+		atomics[i] = AtomicOp{Name: a.Name, Segments: segs}
+	}
+	return atomics
 }
 
 // WithExtraPipe builds a machine identical to m except for one more

@@ -133,12 +133,17 @@ func (t *SpecTemplate) ResolveBase() (*Spec, error) {
 // alternative expansion is nonempty, and budget weights are
 // nonnegative. Per-cell validity (e.g. an op alternative demanding
 // more pipes than a low end of a pipe range provides) is checked by
-// Expand, which validates every concrete spec it produces.
+// Expand and Compile, which check every cell of the lattice.
 func (t *SpecTemplate) Validate() error {
 	base, err := t.ResolveBase()
 	if err != nil {
 		return err
 	}
+	return t.validate(base)
+}
+
+// validate is Validate on the already resolved base.
+func (t *SpecTemplate) validate(base *Spec) error {
 	if err := base.Validate(); err != nil {
 		return fmt.Errorf("spec template: base: %w", err)
 	}
@@ -233,8 +238,13 @@ func (t *SpecTemplate) Size() (int, error) {
 	if err := t.Validate(); err != nil {
 		return 0, err
 	}
+	return latticeSize(t.dimensions())
+}
+
+// latticeSize is the product of the dimensions' value counts, capped.
+func latticeSize(dims []dimension) (int, error) {
 	size := 1
-	for _, d := range t.dimensions() {
+	for _, d := range dims {
 		if d.n <= 0 {
 			return 0, fmt.Errorf("spec template: empty dimension %s", d.key)
 		}
@@ -263,59 +273,19 @@ type Expanded struct {
 // ops by op name), values ascending, first dimension slowest
 // (row-major). The enumeration is deterministic and duplicate-free —
 // every cell's spec carries a distinct name, hence a distinct content
-// fingerprint. Every produced spec is validated; a template whose
-// cells cannot all be valid machines (e.g. an op alternative needing
-// two pipes of a kind ranged down to one) fails here with the cell
-// that broke.
+// fingerprint. Every produced spec is valid; a template whose cells
+// cannot all be valid machines (e.g. an op alternative needing two
+// pipes of a kind ranged down to one) fails here with the cell that
+// broke. Each cell is a full Spec; Compile builds the same cells'
+// machines without one.
 func (t *SpecTemplate) Expand() ([]Expanded, error) {
-	size, err := t.Size()
+	sh, err := t.shape()
 	if err != nil {
 		return nil, err
 	}
-	base, err := t.ResolveBase()
-	if err != nil {
-		return nil, err
-	}
-	dims := t.dimensions()
-	out := make([]Expanded, 0, size)
-	idx := make([]int, len(dims))
-	for cell := 0; cell < size; cell++ {
-		s := base.clone()
-		choices := make(map[string]int, len(dims))
-		var suffix bytes.Buffer
-		for i, d := range dims {
-			v := d.lo + idx[i]
-			choices[d.key] = v
-			if suffix.Len() > 0 {
-				suffix.WriteByte(',')
-			}
-			switch {
-			case d.op != "":
-				fmt.Fprintf(&suffix, "%s@%d", d.name, v)
-				s.Ops[d.op] = cloneAtomicOps(t.Ops[d.op][v])
-			case d.unit != "":
-				fmt.Fprintf(&suffix, "%s=%d", d.name, v)
-				s.Units[d.unit] = v
-			default:
-				fmt.Fprintf(&suffix, "dispatch=%d", v)
-				s.DispatchWidth = v
-			}
-		}
-		if suffix.Len() > 0 {
-			s.Name = s.Name + "[" + suffix.String() + "]"
-		}
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("spec template: cell %s: %w", s.Name, err)
-		}
-		out = append(out, Expanded{Spec: s, Choices: choices})
-		// Odometer increment, last dimension fastest.
-		for i := len(dims) - 1; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < dims[i].n {
-				break
-			}
-			idx[i] = 0
-		}
+	out := make([]Expanded, sh.size)
+	for i := range out {
+		out[i] = Expanded{Spec: sh.spec(i), Choices: sh.choices(i)}
 	}
 	return out, nil
 }
@@ -329,31 +299,50 @@ func (t *SpecTemplate) Expand() ([]Expanded, error) {
 // bigger machine must prove itself on measured cost, not be presumed
 // faster.
 func (t *SpecTemplate) BudgetOf(s *Spec) float64 {
-	pipeW := func(unit string) float64 {
-		if t.Budget != nil {
-			if w, ok := t.Budget.PipeWeights[unit]; ok {
-				return w
-			}
-			if t.Budget.DefaultPipeWeight != nil {
-				return *t.Budget.DefaultPipeWeight
-			}
-		}
-		return 1
-	}
-	dispatchW := 1.0
-	if t.Budget != nil && t.Budget.DispatchWeight != nil {
-		dispatchW = *t.Budget.DispatchWeight
-	}
-	total := dispatchW * float64(s.DispatchWidth)
 	units := make([]string, 0, len(s.Units))
 	for u := range s.Units {
 		units = append(units, u)
 	}
 	sort.Strings(units)
-	for _, u := range units {
-		total += pipeW(u) * float64(s.Units[u])
+	weights := make([]float64, len(units))
+	counts := make([]int, len(units))
+	for i, u := range units {
+		weights[i], counts[i] = t.pipeWeight(u), s.Units[u]
+	}
+	return budgetSum(t.dispatchWeight(), s.DispatchWidth, weights, counts)
+}
+
+// budgetSum is the one summation of a budget scalar: the dispatch
+// term, then one term per unit kind in sorted kind order. BudgetOf
+// and compiled lattice cells both sum here, so their budgets agree
+// bit for bit.
+func budgetSum(dispatchW float64, dispatch int, weights []float64, counts []int) float64 {
+	total := dispatchW * float64(dispatch)
+	for i, w := range weights {
+		total += w * float64(counts[i])
 	}
 	return total
+}
+
+// pipeWeight prices one pipe of the named kind.
+func (t *SpecTemplate) pipeWeight(unit string) float64 {
+	if t.Budget != nil {
+		if w, ok := t.Budget.PipeWeights[unit]; ok {
+			return w
+		}
+		if t.Budget.DefaultPipeWeight != nil {
+			return *t.Budget.DefaultPipeWeight
+		}
+	}
+	return 1
+}
+
+// dispatchWeight prices one dispatch slot.
+func (t *SpecTemplate) dispatchWeight() float64 {
+	if t.Budget != nil && t.Budget.DispatchWeight != nil {
+		return *t.Budget.DispatchWeight
+	}
+	return 1
 }
 
 // Fingerprint is the template's content identity, used in

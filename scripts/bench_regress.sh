@@ -5,7 +5,11 @@
 # fresh min-of-N ns/op and B/op of each benchmark against the committed
 # floor. Prints a per-benchmark verdict — runs over 1.25x a floor are
 # flagged, not failed: small CI boxes jitter ±15% and more, so this is
-# a trend report, not a gate — and ALWAYS exits 0.
+# a trend report, not a gate — and ALWAYS exits 0. A benchmark over the
+# band is run once more with the same settings and stays flagged only
+# if the best of both runs is still over it: on a 2-CPU box the
+# 10–35 µs Tetris microbenchmarks spread wider than the band from one
+# run to the next.
 #
 # Usage: scripts/bench_regress.sh [suite ...]   (default: every suite)
 #        TETRIS_BENCHTIME / TETRIS_COUNT override the Tetris settings.
@@ -18,25 +22,11 @@ fresh=$(mktemp)
 report=$(mktemp)
 trap 'rm -f "$fresh" "$report"' EXIT
 
-flagged=0
-for suite in ${*:-$BENCH_SUITES}; do
-	floor="BENCH_$suite.json"
-	if [ ! -f "$floor" ]; then
-		echo "bench_regress: no committed $floor; run scripts/bench.sh first" >&2
-		continue
-	fi
-	suite_settings "$suite" || continue
-	echo "== $suite ($pkg, -bench '$pattern' -benchtime $benchtime -count $count)"
-	if ! go test -run '^$' -bench "$pattern" -benchtime "$benchtime" \
-		-count "$count" -benchmem "$pkg" >"$fresh" 2>&1; then
-		echo "bench_regress: $suite bench run failed (non-gating):" >&2
-		cat "$fresh" >&2
-		continue
-	fi
-	# Fold the fresh run to the min ns/op and B/op per name, join with
-	# the committed floor, and report the ratios; the last line is the
-	# suite's count of flagged benchmarks.
-	awk -v floor="$floor" '
+# compare FLOOR FRESH: fold the fresh output to the min ns/op and B/op
+# per name, join with the committed floor, and report the ratios; the
+# last line is the count of flagged benchmarks.
+compare() {
+	awk -v floor="$1" '
 	function field(line, unit,    re) {
 		re = "\"" unit "\":[0-9.e+-]+"
 		if (!match(line, re)) return -1
@@ -80,7 +70,37 @@ for suite in ${*:-$BENCH_SUITES}; do
 		}
 		print bad
 	}
-	' "$fresh" >"$report"
+	' "$2"
+}
+
+flagged=0
+for suite in ${*:-$BENCH_SUITES}; do
+	floor="BENCH_$suite.json"
+	if [ ! -f "$floor" ]; then
+		echo "bench_regress: no committed $floor; run scripts/bench.sh first" >&2
+		continue
+	fi
+	suite_settings "$suite" || continue
+	echo "== $suite ($pkg, -bench '$pattern' -benchtime $benchtime -count $count)"
+	if ! go test -run '^$' -bench "$pattern" -benchtime "$benchtime" \
+		-count "$count" -benchmem "$pkg" >"$fresh" 2>&1; then
+		echo "bench_regress: $suite bench run failed (non-gating):" >&2
+		cat "$fresh" >&2
+		continue
+	fi
+	compare "$floor" "$fresh" >"$report"
+	# Re-run each flagged benchmark alone (one anchored pattern per
+	# name level) and compare again over both runs.
+	rerun=$(grep -- '<-- possible regression' "$report" | awk '{print $1}')
+	if [ -n "$rerun" ]; then
+		for name in $rerun; do
+			pat=$(printf '%s' "$name" | sed 's|/|$/^|g; s|^|^|; s|$|$|')
+			go test -run '^$' -bench "$pat" -benchtime "$benchtime" \
+				-count "$count" -benchmem "$pkg" >>"$fresh" 2>&1
+		done
+		echo "  (re-ran $(echo "$rerun" | wc -l) flagged benchmark(s); best of both runs below)"
+		compare "$floor" "$fresh" >"$report"
+	fi
 	sed '$d' "$report"
 	flagged=$((flagged + $(tail -n 1 "$report")))
 done
