@@ -184,7 +184,8 @@ type Estimator struct {
 	c   *machine.Compiled // m's compiled form
 	opt Options
 
-	trans    *lower.Translator // built on the first lowering miss; see translator
+	trans    *lower.Translator // built on the first lowering miss; see pass
+	passes   int               // translator passes run
 	preVals  []float64
 	unknowns []Unknown
 	seen     map[symexpr.Var]bool // registered unknowns; Program and Stmts make it
@@ -211,8 +212,7 @@ type Estimator struct {
 	auxFP   source.Fingerprint // keyFP + whole-program environment
 }
 
-// New creates an estimator with no segment cache and a private
-// lowering memo.
+// New creates an estimator with no cache layer.
 //
 // An Estimator itself is single-goroutine state; to predict
 // concurrently, give each goroutine its own Estimator. They may share
@@ -223,8 +223,8 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 
 // NewWithCache creates an estimator sharing a segment cache. A nil
 // cache means none: the estimator neither keys nor stores segments,
-// since a cache that only one pricing reads would never hit. Its
-// lowering memo is private (see NewWithCaches to share one).
+// since a cache that only one pricing reads would never hit. It lowers
+// through its own translator (see NewWithCaches to share a memo).
 //
 // Concurrency contract: the SegCache is safe to share between
 // estimators running on different goroutines — cached segment costs
@@ -256,10 +256,15 @@ func (e *Estimator) Program(p *source.Program) (Result, error) {
 	if e.logging {
 		e.auxFP = e.keyFP.Mix(source.FingerprintEnv(p))
 	}
-	c, err := e.stmts(p.Body, nil, []int{})
+	c, err := e.stmts(p.Body, nil, []int{}, nil)
 	if err != nil {
 		return Result{}, err
 	}
+	return e.result(c), nil
+}
+
+// result totals a top-level cost.
+func (e *Estimator) result(c cost) Result {
 	pre := e.prePoly()
 	total := c.base.Add(c.entry).Add(pre)
 	for _, g := range c.guarded {
@@ -269,7 +274,7 @@ func (e *Estimator) Program(p *source.Program) (Result, error) {
 		// unknown, so conservatively include the term fully.
 		total = total.Add(g.poly)
 	}
-	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}, nil
+	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}
 }
 
 // Stmts aggregates a statement list under the given enclosing loops
@@ -283,16 +288,11 @@ func (e *Estimator) Stmts(stmts []source.Stmt, loops []LoopCtx) (Result, error) 
 	e.preVals = e.preVals[:0]
 	e.unknowns = nil
 	e.seen = map[symexpr.Var]bool{}
-	c, err := e.stmts(stmts, loops, nil)
+	c, err := e.stmts(stmts, loops, nil, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	pre := e.prePoly()
-	total := c.base.Add(c.entry).Add(pre)
-	for _, g := range c.guarded {
-		total = total.Add(g.poly)
-	}
-	return Result{Cost: total, OneTime: pre, Memory: c.mem, Unknowns: e.unknowns}, nil
+	return e.result(c), nil
 }
 
 // LoopCtx describes one enclosing loop for fragment-level estimation.
@@ -301,6 +301,15 @@ type LoopCtx struct {
 	Lb   symexpr.Poly
 	Ub   symexpr.Poly
 	Step int
+}
+
+// varsOf returns the variables of loops, outermost first.
+func varsOf(loops []LoopCtx) []string {
+	vars := make([]string, len(loops))
+	for k, l := range loops {
+		vars[k] = l.Var
+	}
+	return vars
 }
 
 // cost is the internal compositional form: a base polynomial (per
@@ -334,19 +343,29 @@ func (c cost) add(d cost) cost {
 	}
 }
 
+// leadShape is the shape of a body's leading straight-line run, kept
+// by the pricing that lowers the run, so the branch shape tests of
+// loopOverhead and ifStmt need not lower it again (see shapeFor).
+type leadShape struct {
+	shapeEntry
+	found bool
+}
+
 // stmts aggregates a statement list. path is the xform.Path-style
 // address of the list (nil inside regions paths cannot address, such
-// as IF branches); it positions loop nests for the nest cache.
-func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int) (cost, error) {
+// as IF branches); it positions loop nests for the nest cache. A
+// non-nil lead receives the shape of the list's leading run when
+// stmts lowers that run.
+func (e *Estimator) stmts(list []source.Stmt, loops []LoopCtx, path []int, lead *leadShape) (cost, error) {
 	total := cost{base: symexpr.Zero(), entry: symexpr.Zero()}
 	i := 0
-	loopVars := make([]string, len(loops))
-	for k, l := range loops {
-		loopVars[k] = l.Var
-	}
+	loopVars := varsOf(loops)
 	for i < len(list) {
 		if j := source.RunEnd(list, i, e.isLibCall); j > i {
-			c, err := e.straight(list[i:j], loopVars, len(loops) > 0)
+			if i > 0 || source.RunEnd(list, j, nil) > j {
+				lead = nil // the shape tests probe the leading run, uncut by library calls
+			}
+			c, err := e.straight(list[i:j], loopVars, len(loops) > 0, lead)
 			if err != nil {
 				return cost{}, err
 			}
@@ -403,8 +422,9 @@ func (e *Estimator) isLibCall(s source.Stmt) bool {
 // straight prices a straight-line segment. Inside loops the
 // steady-state per-iteration cost is used (iterations overlap in the
 // bins); the hoisted preheader cost accumulates into the one-time bin.
-// Only an estimator with a segment cache keys the segment.
-func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool) (cost, error) {
+// Only an estimator with a segment cache keys the segment. A non-nil
+// lead receives the segment's shape (see leadShape).
+func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool, lead *leadShape) (cost, error) {
 	var key source.Fingerprint
 	if e.cache != nil {
 		key = e.segKey(stmts, loopVars, inLoop)
@@ -413,9 +433,12 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 			return cost{base: symexpr.Const(ent.iter), entry: symexpr.Const(ent.entry)}, nil
 		}
 	}
-	lw, err := e.lowerBody(stmts, loopVars)
+	lw, err := e.lowerVia(lowerSegment, stmts[0], stmts, loopVars)
 	if err != nil {
 		return cost{}, err
+	}
+	if lead != nil {
+		e.shapeFor(stmts, loopVars, lead, lw)
 	}
 	ent := segEntry{}
 	if len(lw.Pre.Instrs) > 0 {
@@ -446,7 +469,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 	// Register-promotion loads and final stores execute once per
 	// activation of the innermost enclosing loop.
 	for _, blk := range []*ir.Block{lw.PerEntry, lw.Post} {
-		if blk == nil || len(blk.Instrs) == 0 {
+		if len(blk.Instrs) == 0 {
 			continue
 		}
 		res, err := e.tetEstimate(blk)
@@ -505,10 +528,7 @@ func (e *Estimator) nameSet() map[string]bool {
 // for nested nest-cache lookups (see loopUnit, the caching wrapper
 // every caller goes through).
 func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, error) {
-	loopVars := make([]string, len(loops))
-	for k, lc := range loops {
-		loopVars[k] = lc.Var
-	}
+	loopVars := varsOf(loops)
 	boundsCost := symexpr.Zero()
 	for _, b := range []source.Expr{l.Lb, l.Ub, l.Step} {
 		if b == nil {
@@ -534,9 +554,7 @@ func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, e
 			step = int(c)
 		} else {
 			// Symbolic step: fall back to a trip-count unknown.
-			step = 1
-			v := e.freshVar("opaque", "step "+source.ExprString(l.Step))
-			_ = v
+			e.freshVar("opaque", "step "+source.ExprString(l.Step))
 		}
 	}
 	if step < 0 {
@@ -546,14 +564,15 @@ func (e *Estimator) loop(l *source.DoLoop, loops []LoopCtx, path []int) (cost, e
 	}
 
 	inner := append(append([]LoopCtx{}, loops...), LoopCtx{Var: l.Var, Lb: lbP, Ub: ubP, Step: step})
-	bodyCost, err := e.stmts(l.Body, inner, path)
+	var lead leadShape
+	bodyCost, err := e.stmts(l.Body, inner, path, &lead)
 	if err != nil {
 		return cost{}, err
 	}
 
 	// Per-iteration loop control, partially hidden under the body
 	// (branch shape test, §2.4.2).
-	ctl, err := e.loopOverhead(l, loopVars)
+	ctl, err := e.loopOverhead(l, loopVars, &lead)
 	if err != nil {
 		return cost{}, err
 	}
@@ -704,8 +723,8 @@ func (e *Estimator) restrictedSum(g guardedTerm, v symexpr.Var, lb, ub symexpr.P
 }
 
 // loopOverhead prices the increment/compare/back-branch, hidden under
-// the body's shape where possible.
-func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string) (float64, error) {
+// the body's shape where possible; lead is the body's (see leadShape).
+func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string, lead *leadShape) (float64, error) {
 	base, err := e.ctlBase()
 	if err != nil {
 		return 0, err
@@ -713,38 +732,19 @@ func (e *Estimator) loopOverhead(l *source.DoLoop, loopVars []string) (float64, 
 	// The back-branch is covered when the body keeps the non-FXU units
 	// busy past the compare (shape test): approximate with the body's
 	// first straight-line segment shape.
-	if shape, ok := e.shapeFor(l.Body, append(loopVars, l.Var)); ok {
+	if shape, ok := e.shapeFor(l.Body, append(loopVars, l.Var), lead, nil); ok {
 		uncovered := tetris.BranchCovered(shape, int(base))
 		return float64(uncovered), nil
 	}
 	return base, nil
 }
 
-func (e *Estimator) bodyShape(body []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
-	run := body[:source.RunEnd(body, 0, nil)]
-	if len(run) == 0 {
-		return tetris.CostBlock{}, false
-	}
-	lw, err := e.lowerBody(run, loopVars)
-	if err != nil || len(lw.Body.Instrs) == 0 {
-		return tetris.CostBlock{}, false
-	}
-	res, err := e.tetShape(lw.Body)
-	if err != nil {
-		return tetris.CostBlock{}, false
-	}
-	return res.Shape, true
-}
-
 // ifStmt aggregates C(if c then Bt else Bf) = C(c) + pt·C(Bt) +
 // pf·C(Bf) + c_br (§2.4.1).
 func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
-	loopVars := make([]string, len(loops))
-	for k, lc := range loops {
-		loopVars[k] = lc.Var
-	}
+	loopVars := varsOf(loops)
 	condCost := symexpr.Zero()
-	lw, err := e.lowerCondition(s.Cond, loopVars)
+	lw, err := e.lowerVia(lowerCondition, s.Cond, nil, loopVars)
 	if err != nil {
 		return cost{}, err
 	}
@@ -771,11 +771,12 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	}
 	condCost = condCost.AddConst(condVal)
 
-	thenCost, err := e.stmts(s.Then, loops, nil)
+	var thenLead, elseLead leadShape
+	thenCost, err := e.stmts(s.Then, loops, nil, &thenLead)
 	if err != nil {
 		return cost{}, err
 	}
-	elseCost, err := e.stmts(s.Else, loops, nil)
+	elseCost, err := e.stmts(s.Else, loops, nil, &elseLead)
 	if err != nil {
 		return cost{}, err
 	}
@@ -783,8 +784,8 @@ func (e *Estimator) ifStmt(s *source.IfStmt, loops []LoopCtx) (cost, error) {
 	cbr := float64(e.c.BranchCost())
 	// Branch-optimization shape test: a branch whose taken block keeps
 	// the FXU ahead of the FP pipes hides (part of) the penalty.
-	thenShape, thenShapeOK := e.shapeFor(s.Then, loopVars)
-	elseShape, elseShapeOK := e.shapeFor(s.Else, loopVars)
+	thenShape, thenShapeOK := e.shapeFor(s.Then, loopVars, &thenLead, nil)
+	elseShape, elseShapeOK := e.shapeFor(s.Else, loopVars, &elseLead, nil)
 	if thenShapeOK {
 		cbr = float64(tetris.BranchCovered(thenShape, e.c.BranchCost()))
 	}
@@ -872,13 +873,9 @@ func closeEnough(a, b float64) bool {
 }
 
 func guardsFor(v string, rel source.BinKind, bound symexpr.Poly, c cost) []guardedTerm {
-	out := []guardedTerm{{v, rel, bound, c.base}}
-	for _, g := range c.guarded {
-		// Nested guards on the same variable are rare; approximate by
-		// keeping the inner guard (conservative for cost shape).
-		out = append(out, g)
-	}
-	return out
+	// Nested guards on the same variable are rare; approximate by
+	// keeping the inner guard (conservative for cost shape).
+	return append([]guardedTerm{{v, rel, bound, c.base}}, c.guarded...)
 }
 
 func scaleGuards(gs []guardedTerm, p float64) []guardedTerm {

@@ -18,8 +18,7 @@ import (
 // straight-line segment cache and the loop-nest cost cache, shared
 // across program variants, and the lowering memo, shared across the
 // machines one program is priced on. A layer exists where a caller
-// shares it; nil means none (Lower alone falls back to a private memo,
-// which pays within one pricing).
+// shares it; nil means none.
 type Caches struct {
 	Seg  *SegCache
 	Nest *NestCache
@@ -37,7 +36,7 @@ type Caches struct {
 // NewWithCaches creates an estimator sharing the given cache layers. A
 // nil Seg disables segment caching; a nil Nest disables nest-level
 // caching (the estimator behaves exactly like NewWithCache); a nil
-// Lower gets a private lowering memo.
+// Lower lowers through the estimator's own translator.
 //
 // The concurrency contract of NewWithCache extends to the nest cache
 // and the lowering memo: all three may be shared by estimators on
@@ -348,25 +347,46 @@ func (e *Estimator) ctlBase() (float64, error) {
 	return base, nil
 }
 
-// shapeFor is bodyShape behind the shape memo table: the cost-block
-// shape of a body's leading straight-line run, keyed by the run's
-// structural fingerprint, the loop-variable context, and the program
-// environment.
-func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string) (tetris.CostBlock, bool) {
-	if !e.auxActive() {
-		return e.bodyShape(body, loopVars)
+// shapeFor returns the cost-block shape of body's leading
+// straight-line run under loopVars, keeping it in lead: the shape lead
+// already holds, else one from the shape memo table (keyed by the
+// run's structural fingerprint, the loop-variable context and the
+// program environment), else the shape of lw, the run's lowering, or
+// of the run lowered now when lw is nil.
+func (e *Estimator) shapeFor(body []source.Stmt, loopVars []string, lead *leadShape, lw *lower.Lowered) (tetris.CostBlock, bool) {
+	if !lead.found {
+		lead.shapeEntry, lead.found = e.runShape(body[:source.RunEnd(body, 0, nil)], loopVars, lw), true
 	}
-	run := body[:source.RunEnd(body, 0, nil)]
+	return lead.shape, lead.ok
+}
+
+func (e *Estimator) runShape(run []source.Stmt, loopVars []string, lw *lower.Lowered) (ent shapeEntry) {
 	if len(run) == 0 {
-		return tetris.CostBlock{}, false
+		return ent
 	}
-	key := e.auxFP.Mix(e.nodes.Stmts(run)).MixString(fmt.Sprint(loopVars))
-	if ent, ok := e.nc.shapes.Get(key); ok {
-		return ent.shape, ent.ok
+	var key source.Fingerprint
+	aux := e.auxActive()
+	if aux {
+		key = e.auxFP.Mix(e.nodes.Stmts(run)).MixString(fmt.Sprint(loopVars))
+		if ent, ok := e.nc.shapes.Get(key); ok {
+			return ent
+		}
 	}
-	shape, ok := e.bodyShape(body, loopVars)
-	e.nc.shapes.Put(key, shapeEntry{shape: shape, ok: ok})
-	return shape, ok
+	if lw == nil {
+		var err error
+		if lw, err = e.lowerVia(lowerSegment, run[0], run, loopVars); err != nil {
+			return ent
+		}
+	}
+	if len(lw.Body.Instrs) > 0 {
+		if res, err := e.tetShape(lw.Body); err == nil {
+			ent = shapeEntry{shape: res.Shape, ok: true}
+		}
+	}
+	if aux {
+		e.nc.shapes.Put(key, ent)
+	}
+	return ent
 }
 
 // boundExprCost prices one loop-bound expression (its iterative and
@@ -380,7 +400,7 @@ func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry
 			return ent, nil
 		}
 	}
-	lw, err := e.lowerBound(b, loopVars)
+	lw, err := e.lowerVia(lowerBound, b, nil, loopVars)
 	if err != nil {
 		return boundsEntry{}, err
 	}

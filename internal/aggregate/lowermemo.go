@@ -21,17 +21,15 @@ import (
 // Entries are keyed by AST identity (every statement of a segment, or
 // the expression node — pointers, never text), the enclosing loop
 // variables, the symbol table and HasFMA (the lowering options are
-// fixed).
-// Identity keys make the memo valid only while the ASTs it was filled
-// from are alive and unchanged, so its lifetime is one unit of work —
-// a sweep, or one estimator — and it must not be folded into the
-// long-lived SegCache: a server-wide cache would retain the lowered IR
-// of every program it ever priced.
+// fixed). Identity keys hold only while the ASTs are alive and
+// unchanged, so a memo lives for one sweep and stays out of the
+// long-lived SegCache, which would retain the IR of every program a
+// server priced.
 //
 // A LowerMemo is safe for concurrent use. Concurrent misses on one key
 // may both lower; the results differ at most in register numbering,
-// which pricing does not observe, and the first stored entry wins.
-// Stored IR is read-only.
+// which pricing does not observe, and the first stored entry wins. The
+// memo stores a read-only Clone of each pass (see lower.Lowered).
 type LowerMemo struct {
 	mu      sync.RWMutex
 	entries map[lowerKey][]lowerEntry
@@ -65,7 +63,7 @@ type lowerEntry struct {
 }
 
 // NewLowerMemo creates an empty lowering memo.
-func NewLowerMemo() *LowerMemo { return &LowerMemo{} }
+func NewLowerMemo() *LowerMemo { return &LowerMemo{entries: map[lowerKey][]lowerEntry{}} }
 
 // Stats reports hits and misses so far; misses count the segments
 // actually lowered.
@@ -74,9 +72,9 @@ func (c *LowerMemo) Stats() (hits, misses int) {
 }
 
 // get returns the lowering k names (for a segment, of stmts) under
-// loopVars, lowering it with the translator tr returns on a miss.
-// Lowering errors are not memoized.
-func (c *LowerMemo) get(tr func() *lower.Translator, k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
+// loopVars, lowering a clone with e's translator on a miss. Lowering
+// errors are not memoized.
+func (c *LowerMemo) get(e *Estimator, k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	c.mu.RLock()
 	lw := c.find(k, stmts, loopVars)
 	c.mu.RUnlock()
@@ -85,25 +83,15 @@ func (c *LowerMemo) get(tr func() *lower.Translator, k lowerKey, stmts []source.
 		return lw, nil
 	}
 	c.misses.Add(1)
-	var err error
-	switch k.kind {
-	case lowerSegment:
-		lw, err = tr().Body(stmts, loopVars)
-	case lowerCondition:
-		lw, err = tr().Condition(k.node.(source.Expr), loopVars)
-	default:
-		lw, err = tr().ExprOnly(k.node.(source.Expr), loopVars)
-	}
+	lw, err := e.pass(k, stmts, loopVars)
 	if err != nil {
 		return nil, err
 	}
+	lw = lw.Clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev := c.find(k, stmts, loopVars); prev != nil {
 		return prev, nil // a concurrent miss stored it first
-	}
-	if c.entries == nil {
-		c.entries = map[lowerKey][]lowerEntry{}
 	}
 	c.entries[k] = append(c.entries[k], lowerEntry{
 		stmts:    slices.Clone(stmts),
@@ -124,37 +112,31 @@ func (c *LowerMemo) find(k lowerKey, stmts []source.Stmt, loopVars []string) *lo
 	return nil
 }
 
-// lowerBody lowers a straight-line run through the estimator's memo.
-func (e *Estimator) lowerBody(stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
-	return e.lowerVia(lowerSegment, stmts[0], stmts, loopVars)
-}
-
-// lowerCondition lowers a branch condition through the memo.
-func (e *Estimator) lowerCondition(cond source.Expr, loopVars []string) (*lower.Lowered, error) {
-	return e.lowerVia(lowerCondition, cond, nil, loopVars)
-}
-
-// lowerBound lowers a loop-bound expression through the memo.
-func (e *Estimator) lowerBound(x source.Expr, loopVars []string) (*lower.Lowered, error) {
-	return e.lowerVia(lowerBound, x, nil, loopVars)
-}
-
-// lowerVia looks a lowering up in the estimator's memo, creating a
-// private memo on first use when none was shared.
+// lowerVia lowers through the shared memo, or with the estimator's
+// translator when none was shared: the result is then the translator's
+// scratch, which the caller prices before lowering again.
 func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
-	if e.lowered == nil {
-		e.lowered = NewLowerMemo()
-	}
 	k := lowerKey{tbl: e.tbl, kind: kind, node: node, fma: e.c.HasFMA()}
-	return e.lowered.get(e.translator, k, stmts, loopVars)
+	if e.lowered != nil {
+		return e.lowered.get(e, k, stmts, loopVars)
+	}
+	return e.pass(k, stmts, loopVars)
 }
 
-// translator returns the estimator's lowering translator, creating it
-// on first use: an estimator whose lowerings all hit a shared memo
-// never builds one.
-func (e *Estimator) translator() *lower.Translator {
+// pass runs the translator pass k names. The translator is built on
+// first use: an estimator whose lowerings all hit a shared memo never
+// builds one.
+func (e *Estimator) pass(k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	if e.trans == nil {
 		e.trans = lower.New(e.tbl, e.m, lower.DefaultOptions())
 	}
-	return e.trans
+	e.passes++
+	switch k.kind {
+	case lowerSegment:
+		return e.trans.Body(stmts, loopVars)
+	case lowerCondition:
+		return e.trans.Condition(k.node.(source.Expr), loopVars)
+	default:
+		return e.trans.ExprOnly(k.node.(source.Expr), loopVars)
+	}
 }

@@ -108,9 +108,12 @@ func TestTranslatorBuiltOnlyOnMiss(t *testing.T) {
 }
 
 // TestNilSegCacheKeysNothing: a nil segment cache means none. A
-// cache-less pricing neither keys nor stores a segment, so it prices
-// the same as a pricing through a fresh cache and allocates strictly
-// less.
+// cache-less pricing neither keys nor stores a segment: it prices the
+// same as a pricing through a fresh cache, never builds the key
+// builders' name set, and allocates strictly less. Under -race,
+// sync.Pool drops pooled scratch at random, so allocation counts vary
+// more than the margin between the two; the race build checks the
+// prices, that no key was built and that the fresh cache was filled.
 func TestNilSegCacheKeysNothing(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join(corpusDir, "programs", "prog001.f"))
 	if err != nil {
@@ -125,10 +128,20 @@ func TestNilSegCacheKeysNothing(t *testing.T) {
 		}
 		return res
 	}
-	none := price(New(tbl, m, DefaultOptions()))
-	fresh := price(NewWithCache(tbl, m, DefaultOptions(), NewSegCache()))
+	bare, cache := New(tbl, m, DefaultOptions()), NewSegCache()
+	keyed := NewWithCache(tbl, m, DefaultOptions(), cache)
+	none, fresh := price(bare), price(keyed)
 	if a, b := fmt.Sprint(none), fmt.Sprint(fresh); a != b {
 		t.Fatalf("cache-less pricing\n%s\ndiffers from a fresh cache's\n%s", a, b)
+	}
+	if bare.names != nil {
+		t.Error("a cache-less pricing built a segment key")
+	}
+	if keyed.names == nil || cache.Len() == 0 {
+		t.Errorf("pricing through a fresh cache keyed nothing (%d entries stored)", cache.Len())
+	}
+	if raceEnabled {
+		return
 	}
 	noneAllocs := testing.AllocsPerRun(20, func() { price(New(tbl, m, DefaultOptions())) })
 	freshAllocs := testing.AllocsPerRun(20, func() { price(NewWithCache(tbl, m, DefaultOptions(), NewSegCache())) })

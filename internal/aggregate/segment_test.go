@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"perfpredict/internal/kernels"
 	"perfpredict/internal/source"
 )
 
@@ -59,13 +60,10 @@ func runStarts(list []source.Stmt, out map[source.Stmt]int) {
 	}
 }
 
-// TestSegmentationMatchesRunEnd: with fresh caches, the estimator
-// lowers exactly the straight-line runs source.RunEnd cuts — each run
-// once, by identity of its first statement and by length, none other —
-// for every corpus program on every golden target and for a program
-// with CALLs placed where a wrong rule would split or merge a run. No
-// library table is given, so no CALL is cut out of its run.
-func TestSegmentationMatchesRunEnd(t *testing.T) {
+// corpusPricings returns the corpus programs plus callsProgram by
+// name, and the golden table's eight targets in order.
+func corpusPricings(t *testing.T) (map[string]string, []string) {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join(corpusDir, "golden.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -94,12 +92,23 @@ func TestSegmentationMatchesRunEnd(t *testing.T) {
 	if len(srcs) < 51 || len(names) != 8 {
 		t.Fatalf("%d programs on %d targets, want 50 corpus programs plus one on 8 targets", len(srcs), len(names))
 	}
+	return srcs, names
+}
+
+// TestSegmentationMatchesRunEnd: through a fresh lowering memo, the
+// estimator lowers exactly the straight-line runs source.RunEnd cuts —
+// each run once, by identity of its first statement and by length,
+// none other — for every corpus program on every golden target and for
+// a program with CALLs placed where a wrong rule would split or merge a
+// run. No library table is given, so no CALL is cut out of its run.
+func TestSegmentationMatchesRunEnd(t *testing.T) {
+	srcs, names := corpusPricings(t)
 	checked := 0
 	for _, name := range names {
 		m := corpusTarget(t, name)
 		for prog, src := range srcs {
 			p, tbl := parseAnalyze(t, src)
-			e := New(tbl, m, DefaultOptions())
+			e := NewWithCaches(tbl, m, DefaultOptions(), Caches{Lower: NewLowerMemo()})
 			if _, err := e.Program(p); err != nil {
 				t.Fatalf("%s on %s: %v", prog, name, err)
 			}
@@ -135,4 +144,42 @@ func TestSegmentationMatchesRunEnd(t *testing.T) {
 		}
 	}
 	t.Logf("%d lowered runs checked", checked)
+}
+
+// TestNoSegmentLoweredTwice: a pricing without a lowering memo runs as
+// many translator passes as a fresh shared memo records misses on the
+// same pricing, so it lowers no segment, condition or bound twice —
+// the branch shape tests take the shape of a body's leading run from
+// the pricing that lowered it. Both price the same. Every corpus
+// program and every kernel on every golden target.
+func TestNoSegmentLoweredTwice(t *testing.T) {
+	srcs, names := corpusPricings(t)
+	for _, k := range kernels.All() {
+		srcs["kernel "+k.Name] = k.Src
+	}
+	passes := 0
+	for _, name := range names {
+		m := corpusTarget(t, name)
+		for prog, src := range srcs {
+			p, tbl := parseAnalyze(t, src)
+			bare := New(tbl, m, DefaultOptions())
+			got, err := bare.Program(p)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", prog, name, err)
+			}
+			memo := NewLowerMemo()
+			want, err := NewWithCaches(tbl, m, DefaultOptions(), Caches{Lower: memo}).Program(p)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", prog, name, err)
+			}
+			if got.Cost.String() != want.Cost.String() {
+				t.Errorf("%s on %s: memo-less pricing %s, through a memo %s", prog, name, got.Cost, want.Cost)
+			}
+			if _, misses := memo.Stats(); bare.passes != misses {
+				t.Errorf("%s on %s: %d translator passes for %d distinct lowerings", prog, name, bare.passes, misses)
+			}
+			passes += bare.passes
+		}
+	}
+	t.Logf("%d translator passes checked", passes)
 }

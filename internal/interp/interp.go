@@ -355,6 +355,7 @@ func (r *Runner) segment(run []source.Stmt, loopVars []string) (*cachedSeg, erro
 	if err != nil {
 		return nil, err
 	}
+	lw = lw.Clone() // kept past the translator's next pass
 	seg := &cachedSeg{lw: lw, n: len(run), stride: maxReg(lw) + 1,
 		inAddr: map[ir.Reg]ir.Sym{}, outAddr: map[ir.Reg]ir.Sym{}}
 	for _, pv := range lw.Promoted {
@@ -612,7 +613,7 @@ func (r *Runner) condSegment(cond source.Expr, loopVars []string) (*cachedSeg, e
 	if err != nil {
 		return nil, err
 	}
-	seg := &cachedSeg{lw: lw, stride: maxReg(lw) + 1}
+	seg := &cachedSeg{lw: lw.Clone(), stride: maxReg(lw) + 1}
 	r.condLow[cond] = seg
 	return seg, nil
 }

@@ -49,16 +49,16 @@ func (tr *Translator) op(hoist bool, in ir.Instr, srcs ...ir.Reg) ir.Reg {
 // emit appends in with sources srcs to the preheader or the body.
 func (tr *Translator) emit(hoist bool, in ir.Instr, srcs ...ir.Reg) {
 	if hoist {
-		tr.pre.Append(in, srcs...)
+		tr.out.Pre.Append(in, srcs...)
 		return
 	}
-	tr.body.Append(in, srcs...)
+	tr.out.Body.Append(in, srcs...)
 	if in.Op.IsLoad() {
 		tr.loadCount++
 		if k := tr.opt.RegisterPressure; k > 0 && tr.loadCount%k == 0 {
 			// Limited registers force a spill store (§2.2.1).
 			spill := tr.sym(fmt.Sprintf("spill%d", tr.loadCount/k))
-			tr.body.Append(ir.Instr{Op: ir.OpFStore, Addr: spill, Base: spill}, in.Dst)
+			tr.out.Body.Append(ir.Instr{Op: ir.OpFStore, Addr: spill, Base: spill}, in.Dst)
 		}
 	}
 }
@@ -199,9 +199,9 @@ func (tr *Translator) binExpr(x *source.BinExpr, resTy source.Type, hoist bool) 
 			// Operand-value-dependent specialization (§2.2.1): a
 			// multiplier known to be in [−128, 127] takes the short
 			// form.
-			if v, ok := tr.smallOperand(x.L); ok && v >= -128 && v <= 127 {
+			if v, ok := tr.tbl.IntConst(x.L); ok && v >= -128 && v <= 127 {
 				op = ir.OpIMulSmall
-			} else if v, ok := tr.smallOperand(x.R); ok && v >= -128 && v <= 127 {
+			} else if v, ok := tr.tbl.IntConst(x.R); ok && v >= -128 && v <= 127 {
 				op = ir.OpIMulSmall
 			}
 		}
@@ -235,11 +235,6 @@ func fmaOperands(x *source.BinExpr) (mul *source.BinExpr, addend source.Expr, su
 		}
 	}
 	return nil, nil, false, false
-}
-
-// smallOperand folds an operand to a constant for the multiplier check.
-func (tr *Translator) smallOperand(e source.Expr) (int64, bool) {
-	return tr.tbl.IntConst(e)
 }
 
 // power lowers x**k: small constant integer exponents expand to
@@ -371,7 +366,7 @@ func (tr *Translator) convert(r ir.Reg, from, to source.Type) ir.Reg {
 	if to == source.TypeInteger {
 		op = ir.OpFtoI
 	}
-	tr.body.Append(ir.Instr{Op: op, Dst: dst}, r)
+	tr.out.Body.Append(ir.Instr{Op: op, Dst: dst}, r)
 	return dst
 }
 
@@ -401,7 +396,7 @@ func (tr *Translator) arrayAddr(a *source.ArrayRef) (ir.Sym, error) {
 			return 0, fmt.Errorf("%s: non-integer subscript", a.Pos)
 		}
 		dst := tr.newReg()
-		tr.body.Append(ir.Instr{Op: ir.OpAddr, Dst: dst}, r, ir.NoReg)
+		tr.out.Body.Append(ir.Instr{Op: ir.OpAddr, Dst: dst}, r, ir.NoReg)
 		tr.regs = append(tr.regs, dst)
 	}
 	return addr, nil
@@ -413,7 +408,7 @@ func (tr *Translator) arrayAddr(a *source.ArrayRef) (ir.Sym, error) {
 // every subscript for free. Memoized per node.
 func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
 	if ent, ok := tr.addrCache[a]; ok {
-		return ent.addr, ent.cheap
+		return ent.text, ent.cheap
 	}
 	var arr [64]byte
 	buf := append(append(arr[:0], a.Name...), '(')
@@ -427,7 +422,7 @@ func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
 		cheap = cheap && sub.cheap
 	}
 	addr := tr.sym(string(append(buf, ')')))
-	tr.addrCache[a] = addrEntry{addr: addr, cheap: cheap}
+	tr.addrCache[a] = subEntry{text: addr, cheap: cheap}
 	return addr, cheap
 }
 
@@ -482,6 +477,8 @@ type facts struct {
 	// loops: it reads no induction variable, no scalar assigned in the
 	// body and no array stored in the body.
 	inv bool
+	// deep reports an operand that is not a leaf.
+	deep bool
 	// epoch is the translator epoch the facts were computed in.
 	epoch uint32
 }
@@ -513,20 +510,29 @@ const (
 // facts returns e's facts, computing them bottom-up once per epoch. The
 // epoch advances at every store, since a store changes the version of
 // what it writes; nothing else changes a node's facts within a pass.
-// Leaves are cheaper to number again than to memoize.
+// A leaf, or a node over leaves alone, is cheaper to number again than
+// to memoize.
 func (tr *Translator) facts(e source.Expr) (facts, error) {
-	switch e.(type) {
-	case *source.NumLit, *source.VarRef:
+	if leaf(e) {
 		return tr.number(e)
 	}
 	if f, ok := tr.memo[e]; ok && f.epoch == tr.epoch {
 		return f, nil
 	}
 	f, err := tr.number(e)
-	if err == nil {
+	if err == nil && f.deep {
 		tr.memo[e] = f
 	}
 	return f, err
+}
+
+// leaf reports a literal or a variable.
+func leaf(e source.Expr) bool {
+	switch e.(type) {
+	case *source.NumLit, *source.VarRef:
+		return true
+	}
+	return false
 }
 
 // number computes e's facts from its operands' facts.
@@ -538,6 +544,7 @@ func (tr *Translator) number(e source.Expr) (facts, error) {
 		k, err := tr.facts(o)
 		kids = append(kids, k.ty)
 		f.inv = f.inv && k.inv
+		f.deep = f.deep || !leaf(o)
 		return k, err
 	}
 	switch x := e.(type) {

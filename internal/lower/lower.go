@@ -53,6 +53,9 @@ func DefaultOptions() Options {
 }
 
 // Lowered is the result of translating a straight-line statement list.
+// A translator returns a view of its scratch: the blocks, Refs and
+// Promoted hold until its next pass overwrites them. Pricing reads a
+// lowering before lowering again; a caller that keeps one keeps a Clone.
 type Lowered struct {
 	// Body holds the per-iteration operations.
 	Body *ir.Block
@@ -75,7 +78,26 @@ type Lowered struct {
 	// Names is the translator's table, which renders every Sym above.
 	Names *ir.Names
 
-	blocks [4]ir.Block // Body, Pre, PerEntry and Post, in one allocation
+	blocks [4]ir.Block // Body, Pre, PerEntry and Post
+}
+
+// Clone returns a copy of lw that owns its blocks, Refs and Promoted.
+// It shares the name table, to which later passes only add.
+func (lw *Lowered) Clone() *Lowered {
+	c := &Lowered{Refs: slices.Clone(lw.Refs), Promoted: slices.Clone(lw.Promoted)}
+	for i, b := range [4]*ir.Block{lw.Body, lw.Pre, lw.PerEntry, lw.Post} {
+		c.blocks[i].Instrs, c.blocks[i].Extra = slices.Clone(b.Instrs), slices.Clone(b.Extra)
+	}
+	return c.link(lw.Names)
+}
+
+// link points lw's blocks at its own headers, rendering through names.
+func (lw *Lowered) link(names *ir.Names) *Lowered {
+	for i := range lw.blocks {
+		lw.blocks[i].Names = names
+	}
+	lw.Body, lw.Pre, lw.PerEntry, lw.Post, lw.Names = &lw.blocks[0], &lw.blocks[1], &lw.blocks[2], &lw.blocks[3], names
+	return lw
 }
 
 // PromotedVar is one register-promoted memory location.
@@ -130,10 +152,7 @@ type Translator struct {
 	epoch uint32
 	vals  []vnRegs
 
-	// A pass builds in the scratch blocks (body, pre, perEntry, post)
-	// and copies them out exactly sized; the scratch keeps its capacity.
-	scratch                   [4]ir.Block
-	body, pre, perEntry, post *ir.Block
+	out Lowered // the pass's result, built in place (see Lowered)
 
 	innerVar string // innermost enclosing loop variable
 
@@ -147,18 +166,17 @@ type Translator struct {
 	regs      []ir.Reg // a stack of sources under construction (see arrayAddr)
 	used      []bool   // deadCodeElim: register - firstReg is read
 
-	refs []*source.ArrayRef // the pass's Refs
-
 	// Memoized canonical forms. AST nodes are immutable and the symbol
 	// table is fixed for the translator's lifetime, so subscript normal
 	// forms and array addresses depend only on the node pointer and
 	// survive resets.
 	subCache  map[source.Expr]subEntry
-	addrCache map[*source.ArrayRef]addrEntry
+	addrCache map[*source.ArrayRef]subEntry
 }
 
-// subEntry is a subscript's memoized canonical text. cheap reports that
-// the addressing hardware folds it; affine, that it is affine in at
+// subEntry is a subscript's or an array reference's memoized canonical
+// text. cheap reports that the addressing hardware folds it (every
+// subscript of a reference); affine, that a subscript is affine in at
 // most one variable.
 type subEntry struct {
 	text   ir.Sym
@@ -166,35 +184,29 @@ type subEntry struct {
 	affine bool
 }
 
-// addrEntry is an array reference's memoized address, and whether the
-// addressing hardware folds every subscript.
-type addrEntry struct {
-	addr  ir.Sym
-	cheap bool
-}
-
 // New creates a translator.
 func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
-	// Size the tables from the program: a program of n symbols meets
-	// about 3n texts and 3n value numbers in a pass.
+	// A program of n symbols meets about 3n texts and 3n value numbers
+	// in a pass; growing the tables from empty costs more than the hint.
 	n := tbl.Len()
 	tr := &Translator{
 		tbl: tbl, fma: m.Compiled().HasFMA(), opt: opt,
 		names:     ir.NewNames(3 * n),
 		syms:      make([]symState, 0, 3*n),
 		vns:       make(map[vnKey]int32, 3*n),
+		vals:      make([]vnRegs, 0, 3*n),
 		memo:      map[source.Expr]facts{},
 		subCache:  map[source.Expr]subEntry{},
-		addrCache: map[*source.ArrayRef]addrEntry{},
+		addrCache: map[*source.ArrayRef]subEntry{},
 	}
-	tr.body, tr.pre, tr.perEntry, tr.post = &tr.scratch[0], &tr.scratch[1], &tr.scratch[2], &tr.scratch[3]
+	tr.out.link(tr.names)
 	return tr
 }
 
 // tagRef registers a source array reference and returns its RefID.
 func (tr *Translator) tagRef(a *source.ArrayRef) int32 {
-	tr.refs = append(tr.refs, a)
-	return int32(len(tr.refs))
+	tr.out.Refs = append(tr.out.Refs, a)
+	return int32(len(tr.out.Refs))
 }
 
 func (tr *Translator) newReg() ir.Reg {
@@ -254,28 +266,29 @@ func (tr *Translator) Body(stmts []source.Stmt, loopVars []string) (*Lowered, er
 		}
 	}
 	// Flush dirty promoted values to the post block.
-	promoted := make([]PromotedVar, len(tr.promos))
-	for i, st := range tr.promos {
+	lw := &tr.out
+	for _, st := range tr.promos {
 		loc := &tr.syms[st.addr]
-		promoted[i] = PromotedVar{Addr: st.addr, Base: loc.base, InReg: st.inReg, OutReg: ir.NoReg}
+		pv := PromotedVar{Addr: st.addr, Base: loc.base, InReg: st.inReg, OutReg: ir.NoReg}
 		if st.dirty {
-			tr.post.Append(ir.Instr{Op: storeOp(loc.ty), Addr: st.addr, Base: loc.base, RefID: st.refID}, st.reg)
-			promoted[i].OutReg = st.reg
+			lw.Post.Append(ir.Instr{Op: storeOp(loc.ty), Addr: st.addr, Base: loc.base, RefID: st.refID}, st.reg)
+			pv.OutReg = st.reg
 		}
+		lw.Promoted = append(lw.Promoted, pv)
 	}
 	tr.deadStoreElim()
-	tr.deadCodeElim(tr.pre, tr.perEntry, tr.body, tr.post)
-	lw := tr.finish()
-	lw.Promoted = promoted
+	tr.deadCodeElim(lw.Pre, lw.PerEntry, lw.Body, lw.Post)
 	return lw, nil
 }
 
 // reset prepares translator state for one lowering pass.
 func (tr *Translator) reset(loopVars []string) {
-	for i := range tr.scratch {
-		tr.scratch[i].Instrs = tr.scratch[i].Instrs[:0]
-		tr.scratch[i].Extra = tr.scratch[i].Extra[:0]
+	lw := &tr.out
+	for i := range lw.blocks {
+		lw.blocks[i].Instrs = lw.blocks[i].Instrs[:0]
+		lw.blocks[i].Extra = lw.blocks[i].Extra[:0]
 	}
+	lw.Refs, lw.Promoted = lw.Refs[:0], lw.Promoted[:0]
 	clear(tr.vns)
 	clear(tr.memo)
 	clear(tr.syms)
@@ -291,28 +304,6 @@ func (tr *Translator) reset(loopVars []string) {
 		tr.innerVar = loopVars[len(loopVars)-1]
 	}
 	tr.promos = tr.promos[:0]
-	tr.refs = tr.refs[:0]
-}
-
-// finish copies the pass's blocks out of the scratch into a Lowered,
-// every instruction in one exactly sized allocation.
-func (tr *Translator) finish() *Lowered {
-	lw := &Lowered{Refs: slices.Clone(tr.refs), Names: tr.names}
-	n, nx := 0, 0
-	for i := range tr.scratch {
-		n += len(tr.scratch[i].Instrs)
-		nx += len(tr.scratch[i].Extra)
-	}
-	instrs, extra := make([]ir.Instr, 0, n), make([]ir.Reg, 0, nx)
-	for i, s := range tr.scratch {
-		b := &lw.blocks[i]
-		b.Names = tr.names
-		lo, xlo := len(instrs), len(extra)
-		instrs, extra = append(instrs, s.Instrs...), append(extra, s.Extra...)
-		b.Instrs, b.Extra = instrs[lo:len(instrs):len(instrs)], extra[xlo:len(extra):len(extra)]
-	}
-	lw.Body, lw.Pre, lw.PerEntry, lw.Post = &lw.blocks[0], &lw.blocks[1], &lw.blocks[2], &lw.blocks[3]
-	return lw
 }
 
 // scanPromotable fills tr.promotable with the memory locations safe to
@@ -430,7 +421,7 @@ func (tr *Translator) promotedLoad(addr ir.Sym, refID int32) ir.Reg {
 		return tr.promos[loc.promo-1].reg
 	}
 	dst := tr.newReg()
-	tr.perEntry.Append(ir.Instr{Op: loadOp(loc.ty), Dst: dst, Addr: addr, Base: loc.base, RefID: refID})
+	tr.out.PerEntry.Append(ir.Instr{Op: loadOp(loc.ty), Dst: dst, Addr: addr, Base: loc.base, RefID: refID})
 	tr.promos = append(tr.promos, promoState{addr: addr, reg: dst, inReg: dst, refID: refID})
 	loc.promo = int32(len(tr.promos))
 	return dst
@@ -459,8 +450,8 @@ func (tr *Translator) Condition(cond source.Expr, loopVars []string) (*Lowered, 
 	if err := tr.lowerCondBranch(cond); err != nil {
 		return nil, err
 	}
-	tr.deadCodeElim(tr.pre, tr.body)
-	return tr.finish(), nil
+	tr.deadCodeElim(tr.out.Pre, tr.out.Body)
+	return &tr.out, nil
 }
 
 // ExprOnly lowers an expression for its evaluation cost (used by the
@@ -474,13 +465,13 @@ func (tr *Translator) ExprOnly(e source.Expr, loopVars []string) (*Lowered, erro
 		return nil, err
 	}
 	sink := tr.sym("$sink")
-	tr.body.Append(ir.Instr{Op: ir.OpIStore, Addr: sink, Base: sink}, val)
-	tr.deadCodeElim(tr.pre, tr.body)
+	tr.out.Body.Append(ir.Instr{Op: ir.OpIStore, Addr: sink, Base: sink}, val)
+	tr.deadCodeElim(tr.out.Pre, tr.out.Body)
 	// Drop the sink store: only the evaluation operations remain.
-	if n := len(tr.body.Instrs); n > 0 && tr.body.Instrs[n-1].Addr == sink {
-		tr.body.Instrs = tr.body.Instrs[:n-1]
+	if b := tr.out.Body; len(b.Instrs) > 0 && b.Instrs[len(b.Instrs)-1].Addr == sink {
+		b.Instrs = b.Instrs[:len(b.Instrs)-1]
 	}
-	return tr.finish(), nil
+	return &tr.out, nil
 }
 
 // LoopOverhead builds the per-iteration loop control operations. The
@@ -592,7 +583,7 @@ func (tr *Translator) store(ty source.Type, addr, base ir.Sym, srcs []ir.Reg, el
 	if tr.syms[addr].flags&promotable != 0 {
 		tr.promotedStore(addr, val, refID)
 	} else {
-		tr.body.Append(ir.Instr{Op: storeOp(ty), Addr: addr, Base: base, RefID: refID}, srcs...)
+		tr.out.Body.Append(ir.Instr{Op: storeOp(ty), Addr: addr, Base: base, RefID: refID}, srcs...)
 	}
 	tr.syms[base].ver++
 	tr.epoch++
@@ -620,10 +611,10 @@ func (tr *Translator) call(c *source.CallStmt) error {
 		if err != nil {
 			return err
 		}
-		tmp := tr.sym(fmt.Sprintf("argtmp%d", len(tr.body.Instrs)))
+		tmp := tr.sym(fmt.Sprintf("argtmp%d", len(tr.out.Body.Instrs)))
 		tr.store(ty, tmp, tmp, []ir.Reg{val}, nil)
 	}
-	tr.body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Addr: tr.sym(c.Name)})
+	tr.out.Body.Append(ir.Instr{Op: ir.OpCall, Dst: tr.newReg(), Addr: tr.sym(c.Name)})
 	// A call clobbers all memory-derived values.
 	for i := range tr.vals {
 		tr.vals[i].body = ir.NoReg
@@ -638,7 +629,7 @@ func (tr *Translator) lowerCondBranch(cond source.Expr) error {
 	if err != nil {
 		return err
 	}
-	tr.body.Append(ir.Instr{Op: ir.OpBranch}, cr)
+	tr.out.Body.Append(ir.Instr{Op: ir.OpBranch}, cr)
 	return nil
 }
 
@@ -663,7 +654,7 @@ func (tr *Translator) lowerCond(cond source.Expr) (ir.Reg, error) {
 				r = tr.convert(r, rt, source.TypeReal)
 			}
 			dst := tr.newReg()
-			tr.body.Append(ir.Instr{Op: op, Dst: dst}, l, r)
+			tr.out.Body.Append(ir.Instr{Op: op, Dst: dst}, l, r)
 			return dst, nil
 		}
 		if x.Kind.IsLogical() {
@@ -679,7 +670,7 @@ func (tr *Translator) lowerCond(cond source.Expr) (ir.Reg, error) {
 			// modelled as an integer op (crand/cror occupy the CRU; we
 			// approximate with an FXU-class op of 1 cycle).
 			dst := tr.newReg()
-			tr.body.Append(ir.Instr{Op: ir.OpIAdd, Dst: dst}, l, r)
+			tr.out.Body.Append(ir.Instr{Op: ir.OpIAdd, Dst: dst}, l, r)
 			return dst, nil
 		}
 		return ir.NoReg, fmt.Errorf("%s: not a condition: %s", x.Pos, source.ExprString(x))

@@ -11,7 +11,7 @@ import "perfpredict/internal/ir"
 // that forwarded from a removed store were already redirected to the
 // stored register during translation, so removal is safe.
 func (tr *Translator) deadStoreElim() {
-	b := tr.body
+	b := tr.out.Body
 	// A store at or before the latest call is no longer pending.
 	call, dead := int32(0), false
 	for i := range b.Instrs {

@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// Type is an F-lite scalar element type.
-type Type int
+// Type is an F-lite scalar element type. It takes one byte: lowering
+// keeps one per name and per expression node.
+type Type uint8
 
 const (
 	TypeUnknown Type = iota

@@ -10,7 +10,10 @@
 # across runs: the minimum of times, sizes and counts, the maximum of
 # rates (units ending in "/s"). On a noisy box the best run is the
 # robust "how fast can this code go" statistic, and it is what
-# scripts/bench_regress.sh compares fresh runs against.
+# scripts/bench_regress.sh compares fresh runs against. Every object
+# names the commit it measured ("commit", `git rev-parse --short HEAD`,
+# suffixed -dirty when the tree has uncommitted changes), so a stale
+# floor shows at a glance.
 #
 # Usage: scripts/bench.sh [suite ...]   (from anywhere; default: every suite)
 #        TETRIS_BENCHTIME / TETRIS_COUNT override the Tetris settings.
@@ -24,7 +27,7 @@ cd "$(dirname "$0")/.."
 # best: the maximum for rate units (ending in "/s"), the minimum for
 # everything else. iterations reports the max seen.
 to_json() {
-	awk '
+	awk -v commit="$commit" '
 	/^Benchmark/ {
 		name = $1
 		if (!(name in seen)) { order[n++] = name; seen[name] = 1 }
@@ -44,7 +47,7 @@ to_json() {
 		print "["
 		for (j = 0; j < n; j++) {
 			name = order[j]
-			printf "  {\"name\":\"%s\",\"iterations\":%d", name, iters[name]
+			printf "  {\"name\":\"%s\",\"commit\":\"%s\",\"iterations\":%d", name, commit, iters[name]
 			m = split(units[name], us, SUBSEP)
 			for (k = 1; k <= m; k++)
 				printf ",\"%s\":%s", us[k], val[name SUBSEP us[k]]
@@ -54,6 +57,11 @@ to_json() {
 	}
 	' "$1"
 }
+
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+	commit="$commit-dirty"
+fi
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT

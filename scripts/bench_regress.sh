@@ -11,6 +11,9 @@
 # 10–35 µs Tetris microbenchmarks spread wider than the band from one
 # run to the next.
 #
+# The header of each suite's report names the commit its floor
+# measured (the "commit" field scripts/bench.sh records).
+#
 # Usage: scripts/bench_regress.sh [suite ...]   (default: every suite)
 #        TETRIS_BENCHTIME / TETRIS_COUNT override the Tetris settings.
 set -u
@@ -81,7 +84,8 @@ for suite in ${*:-$BENCH_SUITES}; do
 		continue
 	fi
 	suite_settings "$suite" || continue
-	echo "== $suite ($pkg, -bench '$pattern' -benchtime $benchtime -count $count)"
+	measured=$(sed -n 's/.*"commit":"\([^"]*\)".*/\1/p' "$floor" | head -n 1)
+	echo "== $suite ($pkg, -bench '$pattern' -benchtime $benchtime -count $count; floor from ${measured:-an unrecorded commit})"
 	if ! go test -run '^$' -bench "$pattern" -benchtime "$benchtime" \
 		-count "$count" -benchmem "$pkg" >"$fresh" 2>&1; then
 		echo "bench_regress: $suite bench run failed (non-gating):" >&2
