@@ -72,6 +72,7 @@ func lowerCorpus(t *testing.T, m *machine.Machine) []corpusBlock {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		lw = lw.Clone() // kept past the translator's next pass
 		chain := lw.Chain()
 		for _, b := range []*ir.Block{lw.Body, lw.Pre, lw.PerEntry, lw.Post} {
 			if b != nil && len(b.Instrs) > 0 {
