@@ -60,7 +60,7 @@ type NestCache struct {
 // a few hundred.
 const nestBudget = 1 << 16
 
-// shapeEntry caches one bodyShape result (ok=false marks bodies with
+// shapeEntry caches one runShape result (ok=false marks bodies with
 // no usable leading straight-line run).
 type shapeEntry struct {
 	shape tetris.CostBlock
