@@ -81,6 +81,8 @@ type Runner struct {
 	// scheduler, and back.
 	winIDs  map[ir.Sym]ir.Sym
 	winLocs []ir.Sym
+	// winDeps is the scheduler's dependence storage, reused per window.
+	winDeps ir.DepsBuf
 	// ranges holds, per array base Sym, the first location number of
 	// its elements (-1 before first touch); strays numbers an index
 	// outside its array; nlocs counts the numbers handed out.
@@ -194,7 +196,7 @@ func (r *Runner) flushWindow() error {
 				in.Addr = id
 			}
 		}
-		w = pipesim.Schedule(r.opt.Machine, w)
+		w = pipesim.ScheduleWith(r.opt.Machine, w, &r.winDeps)
 		for i := range w.Instrs {
 			if in := &w.Instrs[i]; in.Op.IsMem() {
 				in.Addr = r.winLocs[in.Addr]

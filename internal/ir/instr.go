@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Reg is a virtual register. Lowering produces SSA-like code: every
@@ -37,6 +36,15 @@ func NewNames(n int) *Names {
 	t := &Names{ids: make(map[string]Sym, n+1), texts: make([]string, 1, n+1)}
 	t.ids[""] = 0
 	return t
+}
+
+// Reset empties the table, keeping its storage: the next text interned
+// gets Sym 1 again.
+func (t *Names) Reset() {
+	clear(t.ids)
+	t.ids[""] = 0
+	clear(t.texts[1:])
+	t.texts = t.texts[:1]
 }
 
 // Intern returns the Sym of s, adding s on first sight.
@@ -212,131 +220,17 @@ func (b *Block) Deps(mayAlias bool) [][]int {
 	return b.DepsInto(mayAlias, new(DepsBuf))
 }
 
-// DepsBuf is reusable storage for DepsInto: the returned slice-of-slices
-// and the arena its rows point into. A caller that prices many blocks
-// keeps one DepsBuf and amortizes the two allocations Deps would
-// otherwise make per call.
+// DepsBuf is the reusable storage of DepsInto: the returned
+// slice-of-slices, the arena its rows point into, and the working
+// tables of the dependence scan. A caller that prices many blocks
+// keeps one DepsBuf, and a warm one makes DepsInto allocate nothing.
+// Edges are collected flat; because instructions are scanned in
+// order, all edges of one instruction are contiguous at the tail,
+// which makes deduplication a backward scan and the final bucketing a
+// single pass.
 type DepsBuf struct {
 	deps  [][]int
 	arena []int
-}
-
-// DepsInto is Deps with caller-owned result storage. The returned rows
-// alias buf's arena and are valid until the next DepsInto call with the
-// same buf.
-func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
-	n := len(b.Instrs)
-	sc := depsPool.Get().(*depsScratch)
-	defer depsPool.Put(sc)
-	sc.reset()
-
-	// Index the def table from the block's lowest destination: a table
-	// from zero costs a renamed trace window O(registers renamed so far).
-	lo := NoReg
-	for i := range b.Instrs {
-		if in := &b.Instrs[i]; in.Op.HasDst() && in.Dst >= 0 && (lo < 0 || in.Dst < lo) {
-			lo = in.Dst
-		}
-	}
-	for i := range b.Instrs {
-		in := &b.Instrs[i]
-		for _, s := range b.Srcs(i) {
-			// A source outside the def table has no recorded producer
-			// (the table grows only when a def is seen).
-			if s < lo || int(s-lo) >= len(sc.def) {
-				continue
-			}
-			if p := sc.def[s-lo]; p >= 0 {
-				sc.add(i, p)
-			}
-		}
-		if in.Op.IsMem() {
-			// Per-location state is indexed by Sym. The base tables are
-			// only consulted under conservative aliasing.
-			loc := sc.loc(&sc.addrs, in.Addr)
-			var base *locState
-			if mayAlias {
-				base = sc.loc(&sc.bases, in.Base)
-			}
-			if in.Op.IsLoad() {
-				if w := loc.write; w >= 0 {
-					sc.add(i, w) // RAW same address
-				}
-				// Under conservative aliasing the last write to the
-				// base may target this location through a different
-				// subscript, even when the exact address also has a
-				// writer: both dependences are real, and dropping the
-				// base one lets a possibly-aliasing store reorder
-				// around the load (found by the topo-perm invariant).
-				if mayAlias {
-					if w := base.write; w >= 0 {
-						sc.add(i, w)
-					}
-					base.reads = append(base.reads, i)
-				}
-				loc.reads = append(loc.reads, i)
-			} else { // store
-				if w := loc.write; w >= 0 {
-					sc.add(i, w) // WAW
-				}
-				for _, r := range loc.reads {
-					sc.add(i, r) // WAR
-				}
-				if mayAlias {
-					if w := base.write; w >= 0 {
-						sc.add(i, w)
-					}
-					for _, r := range base.reads {
-						sc.add(i, r)
-					}
-					base.reads, base.write = base.reads[:0], i
-				}
-				loc.reads, loc.write = loc.reads[:0], i
-			}
-		}
-		if in.Op.HasDst() && in.Dst >= 0 {
-			for len(sc.def) <= int(in.Dst-lo) {
-				sc.def = append(sc.def, -1)
-			}
-			sc.def[in.Dst-lo] = i
-		}
-	}
-
-	// Bucket the edge pairs into the returned slice-of-slices through a
-	// single shared arena: two allocations total (zero on a warm buf)
-	// instead of one small slice per instruction with dependences.
-	if cap(buf.deps) < n {
-		buf.deps = make([][]int, n, n+n/4)
-	}
-	deps := buf.deps[:n]
-	clear(deps)
-	if cap(buf.arena) < len(sc.edges) {
-		buf.arena = make([]int, 0, len(sc.edges)+len(sc.edges)/4)
-	}
-	arena := buf.arena[:0]
-	start := 0
-	for k := 1; k <= len(sc.edges); k++ {
-		if k == len(sc.edges) || sc.edges[k].i != sc.edges[start].i {
-			lo := len(arena)
-			for _, e := range sc.edges[start:k] {
-				arena = append(arena, e.j)
-			}
-			deps[sc.edges[start].i] = arena[lo:len(arena):len(arena)]
-			start = k
-		}
-	}
-	buf.arena = arena[:0]
-	return deps
-}
-
-// depEdge is one dependence pair (instruction i waits for j).
-type depEdge struct{ i, j int }
-
-// depsScratch is the pooled working state of Deps. Edges are collected
-// flat; because instructions are scanned in order, all edges of one
-// instruction are contiguous at the tail, which makes deduplication a
-// backward scan and the final bucketing a single pass.
-type depsScratch struct {
 	edges []depEdge
 	// def maps reg - lo -> defining instr index (-1 if none), lo being
 	// the block's lowest destination register. It grows lazily to the
@@ -351,6 +245,114 @@ type depsScratch struct {
 	addrs, bases []locState
 }
 
+// DepsInto is Deps with caller-owned storage. The returned rows alias
+// buf and are valid until the next DepsInto call with the same buf.
+func (b *Block) DepsInto(mayAlias bool, buf *DepsBuf) [][]int {
+	n := len(b.Instrs)
+	buf.reset()
+
+	// Index the def table from the block's lowest destination: a table
+	// from zero costs a renamed trace window O(registers renamed so far).
+	lo := NoReg
+	for i := range b.Instrs {
+		if in := &b.Instrs[i]; in.Op.HasDst() && in.Dst >= 0 && (lo < 0 || in.Dst < lo) {
+			lo = in.Dst
+		}
+	}
+	for i := range b.Instrs {
+		in := &b.Instrs[i]
+		for _, s := range b.Srcs(i) {
+			// A source outside the def table has no recorded producer
+			// (the table grows only when a def is seen).
+			if s < lo || int(s-lo) >= len(buf.def) {
+				continue
+			}
+			if p := buf.def[s-lo]; p >= 0 {
+				buf.add(i, p)
+			}
+		}
+		if in.Op.IsMem() {
+			// Per-location state is indexed by Sym. The base tables are
+			// only consulted under conservative aliasing.
+			loc := buf.loc(&buf.addrs, in.Addr)
+			var base *locState
+			if mayAlias {
+				base = buf.loc(&buf.bases, in.Base)
+			}
+			if in.Op.IsLoad() {
+				if w := loc.write; w >= 0 {
+					buf.add(i, w) // RAW same address
+				}
+				// Under conservative aliasing the last write to the
+				// base may target this location through a different
+				// subscript, even when the exact address also has a
+				// writer: both dependences are real, and dropping the
+				// base one lets a possibly-aliasing store reorder
+				// around the load (found by the topo-perm invariant).
+				if mayAlias {
+					if w := base.write; w >= 0 {
+						buf.add(i, w)
+					}
+					base.reads = append(base.reads, i)
+				}
+				loc.reads = append(loc.reads, i)
+			} else { // store
+				if w := loc.write; w >= 0 {
+					buf.add(i, w) // WAW
+				}
+				for _, r := range loc.reads {
+					buf.add(i, r) // WAR
+				}
+				if mayAlias {
+					if w := base.write; w >= 0 {
+						buf.add(i, w)
+					}
+					for _, r := range base.reads {
+						buf.add(i, r)
+					}
+					base.reads, base.write = base.reads[:0], i
+				}
+				loc.reads, loc.write = loc.reads[:0], i
+			}
+		}
+		if in.Op.HasDst() && in.Dst >= 0 {
+			for len(buf.def) <= int(in.Dst-lo) {
+				buf.def = append(buf.def, -1)
+			}
+			buf.def[in.Dst-lo] = i
+		}
+	}
+
+	// Bucket the edge pairs into the returned slice-of-slices through a
+	// single shared arena: two allocations total (zero on a warm buf)
+	// instead of one small slice per instruction with dependences.
+	if cap(buf.deps) < n {
+		buf.deps = make([][]int, n, n+n/4)
+	}
+	deps := buf.deps[:n]
+	clear(deps)
+	if cap(buf.arena) < len(buf.edges) {
+		buf.arena = make([]int, 0, len(buf.edges)+len(buf.edges)/4)
+	}
+	arena := buf.arena[:0]
+	start := 0
+	for k := 1; k <= len(buf.edges); k++ {
+		if k == len(buf.edges) || buf.edges[k].i != buf.edges[start].i {
+			lo := len(arena)
+			for _, e := range buf.edges[start:k] {
+				arena = append(arena, e.j)
+			}
+			deps[buf.edges[start].i] = arena[lo:len(arena):len(arena)]
+			start = k
+		}
+	}
+	buf.arena = arena[:0]
+	return deps
+}
+
+// depEdge is one dependence pair (instruction i waits for j).
+type depEdge struct{ i, j int }
+
 // locState is one location's last writer (-1 if none) and its readers
 // since that write.
 type locState struct {
@@ -359,31 +361,29 @@ type locState struct {
 	reads []int
 }
 
-var depsPool = sync.Pool{New: func() any { return new(depsScratch) }}
-
-func (sc *depsScratch) reset() {
-	sc.edges = sc.edges[:0]
-	sc.def = sc.def[:0]
-	sc.gen++
-	if sc.gen == 0 { // wrap: stale stamps could alias the new generation
-		for _, tab := range [][]locState{sc.addrs, sc.bases} {
+func (buf *DepsBuf) reset() {
+	buf.edges = buf.edges[:0]
+	buf.def = buf.def[:0]
+	buf.gen++
+	if buf.gen == 0 { // wrap: stale stamps could alias the new generation
+		for _, tab := range [][]locState{buf.addrs, buf.bases} {
 			for i := range tab {
 				tab[i].gen = 0
 			}
 		}
-		sc.gen = 1
+		buf.gen = 1
 	}
 }
 
 // loc returns the current-generation state of location id in tab,
 // growing tab to reach it.
-func (sc *depsScratch) loc(tab *[]locState, id Sym) *locState {
+func (buf *DepsBuf) loc(tab *[]locState, id Sym) *locState {
 	if int(id) >= len(*tab) {
 		*tab = append(*tab, make([]locState, int(id)+1-len(*tab))...)
 	}
 	l := &(*tab)[id]
-	if l.gen != sc.gen {
-		l.gen, l.write, l.reads = sc.gen, -1, l.reads[:0]
+	if l.gen != buf.gen {
+		l.gen, l.write, l.reads = buf.gen, -1, l.reads[:0]
 	}
 	return l
 }
@@ -391,16 +391,16 @@ func (sc *depsScratch) loc(tab *[]locState, id Sym) *locState {
 // add records that instruction i depends on j, skipping self/forward
 // edges and duplicates (found by scanning the contiguous tail of edges
 // already recorded for i).
-func (sc *depsScratch) add(i, j int) {
+func (buf *DepsBuf) add(i, j int) {
 	if j < 0 || j >= i {
 		return
 	}
-	for k := len(sc.edges) - 1; k >= 0 && sc.edges[k].i == i; k-- {
-		if sc.edges[k].j == j {
+	for k := len(buf.edges) - 1; k >= 0 && buf.edges[k].i == i; k-- {
+		if buf.edges[k].j == j {
 			return
 		}
 	}
-	sc.edges = append(sc.edges, depEdge{i, j})
+	buf.edges = append(buf.edges, depEdge{i, j})
 }
 
 // Counts returns a histogram of ops — the "operation-count based cost

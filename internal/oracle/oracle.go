@@ -140,6 +140,9 @@ type packer struct {
 
 	inst   []machine.UnitInstance
 	byKind map[machine.UnitKind][]int
+	// kinds lists the target's unit kinds by dense kind index, the
+	// order tetris.CostBlock keeps its rows in.
+	kinds []machine.UnitKind
 	// kindOf[p] is the kind of pipe p; latEnd[p] its furthest
 	// dependent-visible latency end.
 	occ    []grid
@@ -193,6 +196,7 @@ func newPacker(m *machine.Machine, b *ir.Block, opt Options) (*packer, error) {
 		width:     c.DispatchWidth(),
 		inst:      c.Units(),
 		byKind:    map[machine.UnitKind][]int{},
+		kinds:     c.Costs().Kinds,
 		scheduled: make([]bool, n),
 		issue:     make([]int, n),
 		finish:    make([]int, n),
@@ -409,25 +413,11 @@ func (p *packer) record() {
 // does: per-kind first/last filled slots relative to lo and total
 // filled (noncoverable) cycles.
 func (p *packer) shape(lo, hi int) tetris.CostBlock {
-	cb := tetris.CostBlock{
-		Height: hi - lo,
-		First:  map[machine.UnitKind]int{},
-		Last:   map[machine.UnitKind]int{},
-		Busy:   map[machine.UnitKind]int{},
-	}
+	cb := tetris.NewCostBlock(hi-lo, p.kinds)
 	for i, u := range p.inst {
-		f, l := p.occ[i].extent()
-		if f < 0 {
-			continue
+		if f, l := p.occ[i].extent(); f >= 0 {
+			cb.AddPipe(u.Kind, f-lo, l-lo, p.occ[i].countFilledBelow(hi))
 		}
-		rf, rl := f-lo, l-lo
-		if cur, ok := cb.First[u.Kind]; !ok || rf < cur {
-			cb.First[u.Kind] = rf
-		}
-		if cur, ok := cb.Last[u.Kind]; !ok || rl > cur {
-			cb.Last[u.Kind] = rl
-		}
-		cb.Busy[u.Kind] += p.occ[i].countFilledBelow(hi)
 	}
 	return cb
 }

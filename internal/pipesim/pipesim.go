@@ -442,11 +442,17 @@ func (p *Pipeline) Cycles() int64 { return p.Drain() }
 // (register and memory) are preserved. The result shares b's overflow
 // sources.
 func Schedule(m *machine.Machine, b *ir.Block) *ir.Block {
+	return ScheduleWith(m, b, new(ir.DepsBuf))
+}
+
+// ScheduleWith is Schedule computing the dependences in buf, which a
+// caller scheduling many windows keeps.
+func ScheduleWith(m *machine.Machine, b *ir.Block, buf *ir.DepsBuf) *ir.Block {
 	n := len(b.Instrs)
 	if n == 0 {
 		return b.Clone()
 	}
-	deps := b.Deps(false)
+	deps := b.DepsInto(false, buf)
 	succs := make([][]int, n)
 	indeg := make([]int, n)
 	for i, ds := range deps {

@@ -157,7 +157,7 @@ func BenchmarkTetrisTryFit(b *testing.B) {
 	const drops = 512
 	b.Run("bitmap", func(b *testing.B) {
 		b.ReportAllocs()
-		sc := new(estScratch)
+		sc := new(Scratch)
 		c := m.Compiled()
 		at := &c.Costs().Lookup(ir.OpFAdd).Atoms[0]
 		for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package tetris
 
 import (
 	"slices"
-	"sync"
 
 	"perfpredict/internal/ir"
 	"perfpredict/internal/machine"
@@ -13,14 +12,89 @@ import (
 // per-unit-kind extents. Shapes are cheap to combine, which is how the
 // paper aggregates adjacent blocks without re-running placement
 // (Figure 9).
+//
+// The per-kind figures sit in one slice indexed by the target's dense
+// kind index (machine.CostTable.Kinds) and are read through First,
+// Last and Busy.
 type CostBlock struct {
 	// Height is the block's total cost in cycles.
 	Height int
-	// First and Last give, per unit kind, the first and last occupied
-	// slot relative to the block start (absent if the kind is unused).
-	First, Last map[machine.UnitKind]int
-	// Busy counts occupied (noncoverable) slots per unit kind.
-	Busy map[machine.UnitKind]int
+	// kinds names the kind of each row; it is the compiled cost
+	// table's own slice, never written (see add).
+	kinds []machine.UnitKind
+	rows  []kindRow
+}
+
+// kindRow is one unit kind's extent in a cost block: the first and
+// last occupied slot relative to the block start (first < 0 when the
+// kind is unused) and its occupied (noncoverable) slot count.
+type kindRow struct{ first, last, busy int }
+
+// NewCostBlock returns a cost block of the given height in which no
+// kind of kinds (a target's kinds in dense kind-index order) is used
+// yet; AddPipe fills it in.
+func NewCostBlock(height int, kinds []machine.UnitKind) CostBlock {
+	cb := CostBlock{Height: height, kinds: kinds, rows: make([]kindRow, len(kinds))}
+	for i := range cb.rows {
+		cb.rows[i].first = -1
+	}
+	return cb
+}
+
+// AddPipe folds one pipe of kind k into the block: its first and last
+// occupied slot relative to the block start and its occupied slot
+// count. A kind the block does not list is appended.
+func (cb *CostBlock) AddPipe(k machine.UnitKind, first, last, busy int) {
+	i := cb.index(k)
+	if i < 0 {
+		i = len(cb.kinds)
+		cb.kinds = append(slices.Clip(cb.kinds), k) // never write the shared slice
+		cb.rows = append(cb.rows, kindRow{first: -1})
+	}
+	cb.rows[i].add(first, last, busy)
+}
+
+// add widens the row to cover [first, last] and adds busy slots.
+func (r *kindRow) add(first, last, busy int) {
+	if r.first < 0 {
+		r.first, r.last = first, last
+	} else {
+		r.first, r.last = min(r.first, first), max(r.last, last)
+	}
+	r.busy += busy
+}
+
+// index returns k's row, or -1 when the block does not list k.
+func (cb CostBlock) index(k machine.UnitKind) int {
+	return slices.Index(cb.kinds, k)
+}
+
+// row returns k's row and whether k is used.
+func (cb CostBlock) row(k machine.UnitKind) (kindRow, bool) {
+	if i := cb.index(k); i >= 0 && cb.rows[i].first >= 0 {
+		return cb.rows[i], true
+	}
+	return kindRow{}, false
+}
+
+// First returns the first slot kind k occupies, relative to the block
+// start, and whether k is used at all.
+func (cb CostBlock) First(k machine.UnitKind) (int, bool) {
+	r, ok := cb.row(k)
+	return r.first, ok
+}
+
+// Last returns the last slot kind k occupies, relative to the block
+// start, and whether k is used at all.
+func (cb CostBlock) Last(k machine.UnitKind) (int, bool) {
+	r, ok := cb.row(k)
+	return r.last, ok
+}
+
+// Busy counts the occupied (noncoverable) slots of kind k.
+func (cb CostBlock) Busy(k machine.UnitKind) int {
+	r, _ := cb.row(k)
+	return r.busy
 }
 
 // Utilization returns Busy/Height for the given kind (0 when unused or
@@ -29,7 +103,7 @@ func (cb CostBlock) Utilization(k machine.UnitKind) float64 {
 	if cb.Height == 0 {
 		return 0
 	}
-	return float64(cb.Busy[k]) / float64(cb.Height)
+	return float64(cb.Busy(k)) / float64(cb.Height)
 }
 
 // CriticalUnit returns the unit kind with the highest utilization —
@@ -38,7 +112,11 @@ func (cb CostBlock) Utilization(k machine.UnitKind) float64 {
 func (cb CostBlock) CriticalUnit() (machine.UnitKind, float64) {
 	var best machine.UnitKind
 	bestU := -1.0
-	for k := range cb.Busy {
+	for i, r := range cb.rows {
+		if r.first < 0 {
+			continue
+		}
+		k := cb.kinds[i]
 		if u := cb.Utilization(k); u > bestU || (u == bestU && k < best) {
 			best, bestU = k, u
 		}
@@ -57,49 +135,25 @@ func (cb CostBlock) CriticalUnit() (machine.UnitKind, float64) {
 func Concat(a, b CostBlock) (combined CostBlock, saved int) {
 	// Minimal legal offset for b relative to a's start.
 	offset := 0
-	for k, bFirst := range b.First {
-		aLast, ok := a.Last[k]
-		if !ok {
+	for i, br := range b.rows {
+		if br.first < 0 {
 			continue
 		}
-		if need := aLast + 1 - bFirst; need > offset {
-			offset = need
+		if aLast, ok := a.Last(b.kinds[i]); ok {
+			if need := aLast + 1 - br.first; need > offset {
+				offset = need
+			}
 		}
-	}
-	if offset < 0 {
-		offset = 0
 	}
 	height := a.Height
 	if h := offset + b.Height; h > height {
 		height = h
 	}
-	combined = CostBlock{
-		Height: height,
-		First:  map[machine.UnitKind]int{},
-		Last:   map[machine.UnitKind]int{},
-		Busy:   map[machine.UnitKind]int{},
-	}
-	for k, v := range a.First {
-		combined.First[k] = v
-	}
-	for k, v := range a.Last {
-		combined.Last[k] = v
-	}
-	for k, v := range a.Busy {
-		combined.Busy[k] += v
-	}
-	for k, v := range b.First {
-		if cur, ok := combined.First[k]; !ok || offset+v < cur {
-			combined.First[k] = offset + v
+	combined = CostBlock{Height: height, kinds: a.kinds, rows: slices.Clone(a.rows)}
+	for i, br := range b.rows {
+		if br.first >= 0 {
+			combined.AddPipe(b.kinds[i], offset+br.first, offset+br.last, br.busy)
 		}
-	}
-	for k, v := range b.Last {
-		if cur, ok := combined.Last[k]; !ok || offset+v > cur {
-			combined.Last[k] = offset + v
-		}
-	}
-	for k, v := range b.Busy {
-		combined.Busy[k] += v
 	}
 	saved = a.Height + b.Height - height
 	if saved < 0 {
@@ -166,14 +220,6 @@ func replicateInto(out, b *ir.Block, iters int) {
 	}
 }
 
-// repScratch is pooled storage for the replicated block a steady-state
-// estimate prices and then discards, grown to a high-water mark.
-type repScratch struct {
-	blk ir.Block
-}
-
-var repPool = sync.Pool{New: func() any { return new(repScratch) }}
-
 // SteadyState prices iters independent copies of b and returns the
 // amortized per-iteration cost.
 func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIter float64, total int, err error) {
@@ -188,14 +234,26 @@ func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIt
 // built by Replicate's routine into pooled storage and priced cost
 // only.
 func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int, chain map[ir.Reg]ir.Reg) (perIter float64, total int, err error) {
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return sc.SteadyStateChained(m, b, opt, iters, chain)
+}
+
+// SteadyState is the package SteadyState on sc.
+func (sc *Scratch) SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIter float64, total int, err error) {
+	return sc.SteadyStateChained(m, b, opt, iters, nil)
+}
+
+// SteadyStateChained is the package SteadyStateChained on sc: the
+// copies land in sc's replicated block, and a warm sc allocates
+// nothing.
+func (sc *Scratch) SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int, chain map[ir.Reg]ir.Reg) (perIter float64, total int, err error) {
 	if iters <= 0 {
 		iters = 1
 	}
-	rs := repPool.Get().(*repScratch)
-	defer repPool.Put(rs)
-	rep := &rs.blk
+	rep := &sc.rep
 	rep.Names = b.Names
-	defer func() { rep.Names = nil }() // the pool must not keep the table alive
+	defer func() { rep.Names = nil }() // the scratch must not keep the table alive
 	rep.Instrs = slices.Grow(rep.Instrs[:0], len(b.Instrs)*iters)
 	rep.Extra = slices.Grow(rep.Extra[:0], len(b.Extra)*iters)
 	replicateInto(rep, b, iters)
@@ -219,7 +277,7 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 			}
 		}
 	}
-	res, err := estimate(m.Compiled(), rep, opt, nil, false)
+	res, err := sc.estimate(m.Compiled(), rep, opt, nil, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -233,17 +291,17 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 // bottom of the FXU extent and the earliest other unit's extent. It
 // returns the estimated uncovered branch cycles, at most full.
 func BranchCovered(cb CostBlock, full int) int {
-	fxuFirst, ok := cb.First[machine.FXU]
+	fxuFirst, ok := cb.First(machine.FXU)
 	if !ok {
 		return full
 	}
 	otherFirst := -1
-	for k, v := range cb.First {
-		if k == machine.FXU || k == machine.BRU {
+	for i, r := range cb.rows {
+		if k := cb.kinds[i]; r.first < 0 || k == machine.FXU || k == machine.BRU {
 			continue
 		}
-		if otherFirst == -1 || v < otherFirst {
-			otherFirst = v
+		if otherFirst == -1 || r.first < otherFirst {
+			otherFirst = r.first
 		}
 	}
 	if otherFirst == -1 {

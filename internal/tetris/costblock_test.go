@@ -173,7 +173,7 @@ func TestConcatOverlapsAcrossUnits(t *testing.T) {
 	if combined.Height >= a.Height+b.Height {
 		t.Errorf("combined %d not smaller than %d + %d", combined.Height, a.Height, b.Height)
 	}
-	if combined.Busy[machine.FXU] != a.Busy[machine.FXU]+b.Busy[machine.FXU] {
+	if combined.Busy(machine.FXU) != a.Busy(machine.FXU)+b.Busy(machine.FXU) {
 		t.Errorf("busy counts not additive")
 	}
 }
@@ -308,22 +308,21 @@ func TestSteadyStateAmortizes(t *testing.T) {
 
 func TestBranchCovered(t *testing.T) {
 	// FXU starts at 0, FPU at 3 → a 3-cycle branch cost is fully hidden.
-	cb := CostBlock{
-		Height: 10,
-		First:  map[machine.UnitKind]int{machine.FXU: 0, machine.FPU: 3},
-		Last:   map[machine.UnitKind]int{machine.FXU: 9, machine.FPU: 9},
-		Busy:   map[machine.UnitKind]int{machine.FXU: 5, machine.FPU: 5},
-	}
+	kinds := []machine.UnitKind{machine.FXU, machine.FPU}
+	cb := NewCostBlock(10, kinds)
+	cb.AddPipe(machine.FXU, 0, 9, 5)
+	cb.AddPipe(machine.FPU, 3, 9, 5)
 	if got := BranchCovered(cb, 3); got != 0 {
 		t.Errorf("covered branch cost = %d, want 0", got)
 	}
 	// FPU starts at 1 → 2 cycles uncovered.
-	cb.First[machine.FPU] = 1
+	cb.AddPipe(machine.FPU, 1, 1, 0)
 	if got := BranchCovered(cb, 3); got != 2 {
 		t.Errorf("partially covered = %d, want 2", got)
 	}
 	// No FXU activity → full cost.
-	cb2 := CostBlock{Height: 5, First: map[machine.UnitKind]int{machine.FPU: 0}}
+	cb2 := NewCostBlock(5, kinds)
+	cb2.AddPipe(machine.FPU, 0, 0, 0)
 	if got := BranchCovered(cb2, 3); got != 3 {
 		t.Errorf("no-FXU branch cost = %d", got)
 	}
@@ -363,10 +362,8 @@ func TestQuickEstimateBounds(t *testing.T) {
 		}
 		// Lower bound: as many cycles as the busiest unit's occupancy.
 		busiest := 0
-		for _, v := range res.Shape.Busy {
-			if v > busiest {
-				busiest = v
-			}
+		for _, r := range res.Shape.rows {
+			busiest = max(busiest, r.busy)
 		}
 		return res.Cost >= busiest
 	}

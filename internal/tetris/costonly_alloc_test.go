@@ -24,30 +24,29 @@ func allocBlock(srcs int) *ir.Block {
 	return b
 }
 
-// TestEstimateCostAllocatesNothing: with warm pooled scratch and a
-// sealed target, a cost-only estimate allocates nothing at all.
+// TestEstimateCostAllocatesNothing: with a warm Scratch and a sealed
+// target, a cost-only estimate allocates nothing at all. The Scratch is
+// the test's own, not a pooled one, so the count holds under -race too.
 func TestEstimateCostAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under -race")
-	}
+	var sc Scratch
 	for _, m := range []*machine.Machine{machine.NewPOWER1(), machine.NewSuperScalar2(), machine.NewScalar1()} {
 		b := allocBlock(2)
-		if _, err := EstimateCost(m, b, Options{}); err != nil {
+		if _, err := sc.EstimateCost(m, b, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(100, func() { _, _ = EstimateCost(m, b, Options{}) }); got != 0 {
+		if got := testing.AllocsPerRun(100, func() { _, _ = sc.EstimateCost(m, b, Options{}) }); got != 0 {
 			t.Errorf("%s: warm EstimateCost allocates %v times, want 0", m.Name, got)
 		}
 	}
 }
 
 // TestSteadyStateReplicatesIntoPooledStorage: a warm steady-state
-// estimate allocates nothing. The copies land in pooled storage and
-// tag their addresses by Sym arithmetic, whatever the operand count.
+// estimate allocates nothing. The copies land in the Scratch's
+// replicated block and tag their addresses by Sym arithmetic, whatever
+// the operand count. The Scratch is the test's own, so the count holds
+// under -race too.
 func TestSteadyStateReplicatesIntoPooledStorage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under -race")
-	}
+	var sc Scratch
 	m := machine.NewPOWER1()
 	const iters = 4
 	const want = 0
@@ -55,10 +54,10 @@ func TestSteadyStateReplicatesIntoPooledStorage(t *testing.T) {
 		b := allocBlock(srcs)
 		chain := map[ir.Reg]ir.Reg{1: 12}
 		for _, c := range []map[ir.Reg]ir.Reg{nil, chain} {
-			if _, _, err := SteadyStateChained(m, b, Options{}, iters, c); err != nil {
+			if _, _, err := sc.SteadyStateChained(m, b, Options{}, iters, c); err != nil {
 				t.Fatal(err)
 			}
-			got := testing.AllocsPerRun(100, func() { _, _, _ = SteadyStateChained(m, b, Options{}, iters, c) })
+			got := testing.AllocsPerRun(100, func() { _, _, _ = sc.SteadyStateChained(m, b, Options{}, iters, c) })
 			if got != want {
 				t.Errorf("%d operands per instruction, chain %v: %v allocations, want %d", srcs, c != nil, got, want)
 			}

@@ -39,27 +39,36 @@ type Result struct {
 	Shape CostBlock
 }
 
-// estScratch is the per-call working state of Estimate, recycled
-// through a sync.Pool so the hot path allocates only what escapes into
-// the Result. It holds no machine-derived tables: those live in the
-// target's compiled form (machine.Compiled), which every call reads
-// directly, so a scratch serves any target without rebuilding
-// anything. All per-block and per-pipe slices grow to a high-water
-// mark and are resliced, never remade, so pooled scratch stops
-// reallocating across heterogeneous blocks and targets.
-type estScratch struct {
+// Scratch is the working state of a placement, reused across calls:
+// the per-instruction placement arrays, the dependence tables, the
+// bins and the replicated block of a steady-state estimate. It holds
+// no machine-derived tables: those live in the target's compiled form
+// (machine.Compiled), which every call reads directly, so one Scratch
+// serves any target without rebuilding anything. Every slice grows to
+// a high-water mark and is resliced, never remade, so a warm Scratch
+// stops allocating across heterogeneous blocks and targets.
+//
+// A caller that prices many blocks on one goroutine keeps a Scratch
+// and calls its methods; the package functions take one from a pool.
+// A Scratch must not be used by two goroutines at once.
+type Scratch struct {
 	place  []int
 	finish []int
 	// isMem caches Instrs[i].Op.IsMem() so the dependence scan reads a
 	// dense bool instead of chasing into the instruction array; slot i
 	// is written before any later instruction reads it, so the slice is
 	// sized but never cleared.
-	isMem   []bool
-	depsBuf ir.DepsBuf
-	b       bins
+	isMem []bool
+	deps  ir.DepsBuf
+	b     bins
+	// rep holds the copies a steady-state estimate prices and then
+	// discards.
+	rep ir.Block
 }
 
-var estPool = sync.Pool{New: func() any { return new(estScratch) }}
+// scratchPool backs the package functions, which share the Scratch
+// methods' implementation.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Estimate prices a straight-line block on m: the paper's approximate
 // solution to the scheduling problem, placing each operation's cost
@@ -71,14 +80,29 @@ var estPool = sync.Pool{New: func() any { return new(estScratch) }}
 // Estimate is safe to call concurrently (per-call scratch state comes
 // from a pool; m is only read).
 func Estimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
-	return estimate(m.Compiled(), b, opt, nil, true)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return sc.Estimate(m, b, opt)
 }
 
 // EstimateCost is Estimate without the Result's PlaceTime and Shape:
 // the same placement, returning only Cost, Start and End. With warm
 // pooled scratch and a sealed target it allocates nothing.
 func EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
-	return estimate(m.Compiled(), b, opt, nil, false)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return sc.EstimateCost(m, b, opt)
+}
+
+// Estimate is the package Estimate on sc.
+func (sc *Scratch) Estimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
+	return sc.estimate(m.Compiled(), b, opt, nil, true)
+}
+
+// EstimateCost is the package EstimateCost on sc; on a warm sc and a
+// sealed target it allocates nothing.
+func (sc *Scratch) EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
+	return sc.estimate(m.Compiled(), b, opt, nil, false)
 }
 
 // estimate is the shared placement core. full asks for the Result's
@@ -86,13 +110,11 @@ func EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) 
 // decisions for EstimateExplained; recording happens only at commit
 // time (never inside the fit probes) and never alters a placement, so
 // the rec == nil path is the plain Estimate byte for byte.
-func estimate(c *machine.Compiled, b *ir.Block, opt Options, rec *placeRecorder, full bool) (Result, error) {
-	sc := estPool.Get().(*estScratch)
-	defer estPool.Put(sc)
+func (sc *Scratch) estimate(c *machine.Compiled, b *ir.Block, opt Options, rec *placeRecorder, full bool) (Result, error) {
 	ct := c.Costs()
 	bins := sc.prepare(c, opt)
 	bins.rec = rec
-	depsBuf := &sc.depsBuf
+	depsBuf := &sc.deps
 	if rec != nil {
 		// The recorder's builders walk the dependence rows after this
 		// scratch is back in the pool, so compute them into the
@@ -190,7 +212,7 @@ func resetInts(s []int, n int) []int {
 // prepare resets the scratch's bins for one estimation on c, sizing
 // the per-pipe state to c's pipe count. The bitmaps keep their word
 // storage across calls and targets.
-func (sc *estScratch) prepare(c *machine.Compiled, opt Options) *bins {
+func (sc *Scratch) prepare(c *machine.Compiled, opt Options) *bins {
 	b := &sc.b
 	ct := c.Costs()
 	n := len(ct.PipeKind)
@@ -246,9 +268,6 @@ type bins struct {
 	chosen  []int32
 	usedGen []uint32
 	fitGen  uint32
-	// kFirst/kLast/kBusy are costBlock scratch, indexed by kind; kFirst
-	// is -1 for a kind with no occupied pipe.
-	kFirst, kLast, kBusy []int
 	// rec, when non-nil, receives every committed segment placement
 	// (EstimateExplained); the plain Estimate path always leaves it
 	// nil. Set per call in estimate, never by prepare, so pooled
@@ -461,52 +480,14 @@ func (b *bins) extent() (lo, hi int) {
 	return lo, hi
 }
 
-// costBlock summarizes the occupied region (Figure 8). Per-pipe extents
-// are aggregated into per-kind rows through the dense kind indices, so
-// the result maps are written exactly once per occupied kind instead of
-// hashed on every pipe.
+// costBlock summarizes the occupied region (Figure 8): each pipe's
+// extent folds into its kind's row through the dense kind indices.
 func (b *bins) costBlock(lo, hi int) CostBlock {
-	nk := len(b.kinds)
-	b.kFirst = resetInts(b.kFirst, nk)
-	b.kLast = resetInts(b.kLast, nk)
-	b.kBusy = resetInts(b.kBusy, nk)
-	for k := 0; k < nk; k++ {
-		b.kFirst[k] = -1
-	}
+	cb := NewCostBlock(hi-lo, b.kinds)
 	for i := range b.slots {
-		f, l := b.slots[i].extent()
-		if f < 0 {
-			continue
+		if f, l := b.slots[i].extent(); f >= 0 {
+			cb.rows[b.pipeKind[i]].add(f-lo, l-lo, b.slots[i].filledCount(hi))
 		}
-		k := b.pipeKind[i]
-		rf, rl := f-lo, l-lo
-		if b.kFirst[k] < 0 {
-			b.kFirst[k] = rf
-			b.kLast[k] = rl
-		} else {
-			if rf < b.kFirst[k] {
-				b.kFirst[k] = rf
-			}
-			if rl > b.kLast[k] {
-				b.kLast[k] = rl
-			}
-		}
-		b.kBusy[k] += b.slots[i].filledCount(hi)
-	}
-	cb := CostBlock{
-		Height: hi - lo,
-		First:  make(map[machine.UnitKind]int, nk),
-		Last:   make(map[machine.UnitKind]int, nk),
-		Busy:   make(map[machine.UnitKind]int, nk),
-	}
-	for k := 0; k < nk; k++ {
-		if b.kFirst[k] < 0 {
-			continue
-		}
-		kind := b.kinds[k]
-		cb.First[kind] = b.kFirst[k]
-		cb.Last[kind] = b.kLast[k]
-		cb.Busy[kind] = b.kBusy[k]
 	}
 	return cb
 }

@@ -232,7 +232,9 @@ func EstimateExplained(m *machine.Machine, b *ir.Block, opt Options) (*Explanati
 	defer recPool.Put(rec)
 	rec.curInstr = 0
 	rec.segs = rec.segs[:0]
-	res, err := estimate(m.Compiled(), b, opt, rec, true)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	res, err := sc.estimate(m.Compiled(), b, opt, rec, true)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func rlEstimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 	if res.End > res.Start {
 		res.Cost = res.End - res.Start
 	}
-	res.Shape = bins.costBlock(res.Start, res.End)
+	res.Shape = bins.costBlock(m.Compiled().Costs().Kinds, res.Start, res.End)
 	return res, nil
 }
 
@@ -266,26 +266,12 @@ func (b *rlBins) extent() (lo, hi int) {
 	return lo, hi
 }
 
-func (b *rlBins) costBlock(lo, hi int) CostBlock {
-	cb := CostBlock{
-		Height: hi - lo,
-		First:  map[machine.UnitKind]int{},
-		Last:   map[machine.UnitKind]int{},
-		Busy:   map[machine.UnitKind]int{},
-	}
+func (b *rlBins) costBlock(kinds []machine.UnitKind, lo, hi int) CostBlock {
+	cb := NewCostBlock(hi-lo, kinds)
 	for i, u := range b.inst {
-		f, l := b.slots[i].extent()
-		if f < 0 {
-			continue
+		if f, l := b.slots[i].extent(); f >= 0 {
+			cb.AddPipe(u.Kind, f-lo, l-lo, b.slots[i].filledCount(hi))
 		}
-		rf, rl := f-lo, l-lo
-		if cur, ok := cb.First[u.Kind]; !ok || rf < cur {
-			cb.First[u.Kind] = rf
-		}
-		if cur, ok := cb.Last[u.Kind]; !ok || rl > cur {
-			cb.Last[u.Kind] = rl
-		}
-		cb.Busy[u.Kind] += b.slots[i].filledCount(hi)
 	}
 	return cb
 }

@@ -83,8 +83,8 @@ func TestFStoreOccupiesBothUnits(t *testing.T) {
 	if r.Cost != 2 {
 		t.Errorf("fstore cost = %d, want 2", r.Cost)
 	}
-	if r.Shape.Busy[machine.FPU] != 1 || r.Shape.Busy[machine.FXU] != 1 {
-		t.Errorf("fstore busy = %+v", r.Shape.Busy)
+	if r.Shape.Busy(machine.FPU) != 1 || r.Shape.Busy(machine.FXU) != 1 {
+		t.Errorf("fstore busy = %+v", r.Shape)
 	}
 }
 
