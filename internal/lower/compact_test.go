@@ -146,6 +146,8 @@ func TestBodyAllocs(t *testing.T) {
 // that kept the view would be caught.
 func TestCloneOutlivesNextPass(t *testing.T) {
 	m := machine.NewPOWER1()
+	_, other := analyzed(t, daxpyProgram)
+	otherRun := other.Program.Body[len(other.Program.Body)-1].(*source.DoLoop)
 	overwritten := 0
 	for name, p := range goldenPrograms(t) {
 		tbl, err := sem.Analyze(p)
@@ -176,12 +178,32 @@ func TestCloneOutlivesNextPass(t *testing.T) {
 		if renderLowered(view, nil) != want {
 			overwritten++
 		}
+		// Rebinding the translator to another program restarts its
+		// name table; the clone keeps the one it shares.
+		tr.Reset(other)
+		if _, err := tr.Body(otherRun.Body, []string{otherRun.Var}); err != nil {
+			t.Fatalf("%s: daxpy after Reset: %v", name, err)
+		}
+		if got := renderLowered(clone, nil); got != want {
+			t.Errorf("%s: clone after a Reset renders\n%s\nwant\n%s", name, got, want)
+		}
 	}
 	if overwritten == 0 {
 		t.Error("no second pass overwrote the first pass's view")
 	}
 	t.Logf("%d views overwritten by a second pass", overwritten)
 }
+
+// daxpyProgram is a one-loop program to rebind translators to.
+const daxpyProgram = `
+program daxpy
+  integer i, n
+  real x(1000), y(1000), a
+  do i = 1, n
+    y(i) = y(i) + a * x(i)
+  end do
+end
+`
 
 // LoopOverhead is one shared block: pricing it and simulating loops
 // leave it as built.

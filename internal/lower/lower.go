@@ -79,12 +79,19 @@ type Lowered struct {
 	Names *ir.Names
 
 	blocks [4]ir.Block // Body, Pre, PerEntry and Post
+	// sharedNames reports that a Clone shares Names, so the
+	// translator's Reset must leave the table to it (see Reset).
+	sharedNames bool
 }
 
 // Clone returns a copy of lw that owns its blocks, Refs and Promoted.
-// It shares the name table, to which later passes only add.
+// It shares the name table, to which later passes only add; a
+// translator Reset starts a new table rather than empty a shared one.
 func (lw *Lowered) Clone() *Lowered {
-	c := &Lowered{Refs: slices.Clone(lw.Refs), Promoted: slices.Clone(lw.Promoted)}
+	if !lw.sharedNames { // a clone's own flag is set, so clones of it write nothing
+		lw.sharedNames = true
+	}
+	c := &Lowered{Refs: slices.Clone(lw.Refs), Promoted: slices.Clone(lw.Promoted), sharedNames: true}
 	for i, b := range [4]*ir.Block{lw.Body, lw.Pre, lw.PerEntry, lw.Post} {
 		c.blocks[i].Instrs, c.blocks[i].Extra = slices.Clone(b.Instrs), slices.Clone(b.Extra)
 	}
@@ -167,9 +174,9 @@ type Translator struct {
 	used      []bool   // deadCodeElim: register - firstReg is read
 
 	// Memoized canonical forms. AST nodes are immutable and the symbol
-	// table is fixed for the translator's lifetime, so subscript normal
-	// forms and array addresses depend only on the node pointer and
-	// survive resets.
+	// table is fixed until the next Reset, so subscript normal forms and
+	// array addresses depend only on the node pointer and survive
+	// passes.
 	subCache  map[source.Expr]subEntry
 	addrCache map[*source.ArrayRef]subEntry
 }
@@ -201,6 +208,27 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 	}
 	tr.out.link(tr.names)
 	return tr
+}
+
+// Reset rebinds the translator to tbl, another program's table on the
+// same machine, as if New had built it: register numbering, the name
+// table and the AST-keyed caches restart, and their storage is kept.
+// It invalidates the last pass's view. A lowering cloned earlier keeps
+// rendering unchanged: its name table is left to it, and the
+// translator starts a new one.
+func (tr *Translator) Reset(tbl *sem.Table) {
+	tr.tbl = tbl
+	tr.nextReg = 0
+	if tr.out.sharedNames {
+		tr.names = ir.NewNames(3 * tbl.Len())
+		tr.out.sharedNames = false
+	} else {
+		tr.names.Reset()
+	}
+	tr.out.link(tr.names)
+	tr.syms = tr.syms[:0]
+	clear(tr.subCache)
+	clear(tr.addrCache)
 }
 
 // tagRef registers a source array reference and returns its RefID.
