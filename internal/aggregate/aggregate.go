@@ -184,7 +184,8 @@ type Estimator struct {
 	c   *machine.Compiled // m's compiled form
 	opt Options
 
-	trans    *lower.Translator // built on the first lowering miss; see pass
+	trans    *lower.Translator // taken on the first lowering miss; see pass
+	ws       *Workspace        // nil: a translator and Tetris scratch of its own
 	passes   int               // translator passes run
 	preVals  []float64
 	unknowns []Unknown

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"perfpredict/internal/ir"
 	"perfpredict/internal/lower"
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
@@ -65,7 +64,13 @@ func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Cache
 // cost hit-rate but can never change a result. The returned Result is
 // byte-identical to a full re-pricing by New(tbl, m, opt).Program.
 func PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
+	return priceIncremental(nil, p, changedPaths, caches, tbl, m, opt)
+}
+
+// priceIncremental is PriceIncremental through ws (nil for none).
+func priceIncremental(ws *Workspace, p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
 	e := NewWithCaches(tbl, m, opt, caches)
+	e.ws = ws
 	e.changed = changedPaths
 	return e.Program(p)
 }
@@ -290,41 +295,6 @@ func (e *Estimator) prePoly() symexpr.Poly { return symexpr.ConstSum(e.preVals) 
 // program-level pricing.
 func (e *Estimator) auxActive() bool {
 	return e.nc != nil && !e.nc.disabled && e.prog != nil
-}
-
-// Tetris invocation counters: every placement of a block into the
-// functional bins goes through these wrappers so the nest cache can
-// report how much estimation work a prediction actually performed.
-
-func (e *Estimator) countTetris() {
-	if e.nc != nil {
-		e.nc.tetris.Add(1)
-	}
-}
-
-// tetEstimate prices a block for its cost alone (Cost, Start, End);
-// tetShape also returns the cost-block shape, which only the branch
-// shape tests read.
-func (e *Estimator) tetEstimate(b *ir.Block) (tetris.Result, error) {
-	e.countTetris()
-	return tetris.EstimateCost(e.m, b, tetris.Options{})
-}
-
-func (e *Estimator) tetShape(b *ir.Block) (tetris.Result, error) {
-	e.countTetris()
-	return tetris.Estimate(e.m, b, tetris.Options{})
-}
-
-func (e *Estimator) tetSteadyState(b *ir.Block) (float64, error) {
-	e.countTetris()
-	per, _, err := tetris.SteadyState(e.m, b, tetris.Options{}, steadyStateDrops)
-	return per, err
-}
-
-func (e *Estimator) tetSteadyStateChained(b *ir.Block, chain map[ir.Reg]ir.Reg) (float64, error) {
-	e.countTetris()
-	per, _, err := tetris.SteadyStateChained(e.m, b, tetris.Options{}, steadyStateDrops, chain)
-	return per, err
 }
 
 // ctlBase prices the per-iteration loop-control block. The block is a

@@ -123,12 +123,17 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 	return e.pass(k, stmts, loopVars)
 }
 
-// pass runs the translator pass k names. The translator is built on
-// first use: an estimator whose lowerings all hit a shared memo never
-// builds one.
+// pass runs the translator pass k names. The translator is taken on
+// first use, the workspace's rebound to the estimator's table or else
+// a new one: an estimator whose lowerings all hit a shared memo takes
+// none.
 func (e *Estimator) pass(k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	if e.trans == nil {
-		e.trans = lower.New(e.tbl, e.m, lower.DefaultOptions())
+		if e.ws != nil {
+			e.trans = e.ws.translator(e.tbl, e.m)
+		} else {
+			e.trans = lower.New(e.tbl, e.m, lower.DefaultOptions())
+		}
 	}
 	e.passes++
 	switch k.kind {

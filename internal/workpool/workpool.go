@@ -33,21 +33,23 @@ func Run(n, workers int, fn func(i int)) {
 // what the partial results mean. A nil return guarantees every index
 // ran.
 func RunCtx(ctx context.Context, n, workers int, fn func(i int)) error {
+	return RunWorkersCtx(ctx, n, workers, func(_, i int) { fn(i) })
+}
+
+// RunWorkersCtx is RunCtx telling fn which worker runs index i: w is in
+// [0, Workers(workers)), and one worker runs one index at a time, so
+// fn may keep per-worker state indexed by w without locking.
+func RunWorkersCtx(ctx context.Context, n, workers int, fn func(w, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(i)
+			fn(0, i)
 		}
 		return nil
 	}
@@ -62,10 +64,19 @@ func RunCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// Workers resolves a worker bound: workers <= 0 means
+// runtime.GOMAXPROCS(0).
+func Workers(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }

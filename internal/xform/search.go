@@ -32,17 +32,23 @@ func (m Move) String() string {
 // Apply performs the move, returning a new program that shares every
 // node the move did not rewrite with p (see edit); p is left unchanged.
 func Apply(p *source.Program, m Move) (*source.Program, error) {
+	return apply(p, nil, m)
+}
+
+// apply is Apply reading p's symbol table tbl, which the moves that
+// consult one analyze p for when tbl is nil.
+func apply(p *source.Program, tbl *sem.Table, m Move) (*source.Program, error) {
 	switch m.Kind {
 	case "unroll":
-		return Unroll(p, m.Path, m.Param)
+		return unroll(p, tbl, m.Path, m.Param)
 	case "interchange":
-		return Interchange(p, m.Path)
+		return interchange(p, tbl, m.Path)
 	case "tile":
 		return Tile(p, m.Path, m.Param)
 	case "fuse":
-		return Fuse(p, m.Path)
+		return fuse(p, tbl, m.Path)
 	case "distribute":
-		return Distribute(p, m.Path, m.Param)
+		return distribute(p, tbl, m.Path, m.Param)
 	default:
 		return nil, fmt.Errorf("xform: unknown move %q", m.Kind)
 	}
@@ -185,42 +191,52 @@ func Moves(p *source.Program, opt SearchOptions) []Move {
 // Predict evaluates the aggregated cost of a program at the nominal
 // assignment, sharing the given segment cache.
 func Predict(p *source.Program, opt SearchOptions, cache *aggregate.SegCache) (float64, error) {
-	c, _, err := predictWith(p, opt, aggregate.Caches{Seg: cache}, nil)
-	return c, err
+	pr, err := predictWith(p, opt, aggregate.Caches{Seg: cache}, nil, nil)
+	return pr.cost, err
 }
 
-// predictWith prices a program through the search's shared caches,
-// passing the advisory dirty-path hint to the incremental estimator.
-// It returns the total predicted cycles and the memory-hierarchy share
-// of that total (zero for machines without an active hierarchy), both
-// at the nominal assignment.
-func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, dirty [][]int) (cost, mem float64, err error) {
+// priced is one program's pricing at the nominal assignment: the total
+// predicted cycles, the memory-hierarchy share of that total (zero for
+// machines without an active hierarchy), and the symbol table the
+// pricing analyzed, which the moves applied to the program read.
+type priced struct {
+	cost, mem float64
+	tbl       *sem.Table
+}
+
+// predictWith prices a program through the search's shared caches and
+// the worker's workspace ws (nil for none), passing the advisory
+// dirty-path hint to the incremental estimator.
+func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, dirty [][]int, ws *aggregate.Workspace) (priced, error) {
 	tbl, err := sem.Analyze(p)
 	if err != nil {
-		return 0, 0, err
+		return priced{}, err
 	}
-	res, err := aggregate.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
+	var res aggregate.Result
+	if ws != nil {
+		res, err = ws.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
+	} else {
+		res, err = aggregate.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
+	}
 	if err != nil {
-		return 0, 0, err
+		return priced{}, err
 	}
 	assign := aggregate.EvalPoint(res.Unknowns, opt.Nominal, true)
-	cost, err = res.Cost.Eval(assign)
-	if err != nil {
-		return 0, 0, err
+	pr := priced{tbl: tbl}
+	if pr.cost, err = res.Cost.Eval(assign); err != nil {
+		return priced{}, err
 	}
-	mem, err = res.Memory.Eval(assign)
-	if err != nil {
-		return 0, 0, err
+	if pr.mem, err = res.Memory.Eval(assign); err != nil {
+		return priced{}, err
 	}
-	return cost, mem, nil
+	return pr, nil
 }
 
 // state is one search node.
 type state struct {
 	prog *source.Program
-	cost float64
-	mem  float64
-	seq  []Move
+	priced
+	seq []Move
 }
 
 // candidate is one neighbor being expanded (see SearchCtx's three-step
@@ -228,8 +244,7 @@ type state struct {
 type candidate struct {
 	prog *source.Program
 	fp   source.Fingerprint
-	cost float64
-	mem  float64
+	priced
 	skip bool
 }
 
@@ -260,12 +275,14 @@ func (h *stateHeap) Pop() any {
 // the work actually done — alongside ctx.Err(); callers that only care
 // about a complete search should treat a non-nil error as failure.
 func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (SearchResult, error) {
-	return search(ctx, p, opt, nil)
+	return search(ctx, p, opt, nil, true)
 }
 
 // search is SearchCtx; onPush, when non-nil, sees every state put on
-// the frontier with the digest the search deduplicated it by.
-func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint)) (SearchResult, error) {
+// the frontier with the digest the search deduplicated it by, and
+// workspaces false prices without workspaces (the reference the tests
+// hold the workspaces to).
+func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint), workspaces bool) (SearchResult, error) {
 	opt.defaults()
 	if opt.Machine == nil {
 		return SearchResult{}, fmt.Errorf("xform: SearchOptions.Machine is required")
@@ -293,11 +310,26 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	hits0, misses0 := caches.Seg.Stats()
 	nestHits0, nestMisses0 := caches.Nest.Stats()
 	tetris0 := caches.Nest.TetrisCalls()
-	initCost, initMem, err := predictWith(p, opt, caches, nil)
+	// Each worker prices through a workspace of its own for the whole
+	// search, so candidates reuse one translator and one Tetris scratch
+	// per worker; the workspaces go back to their pool when the search
+	// ends.
+	wss := make([]*aggregate.Workspace, workpool.Workers(opt.Workers))
+	if workspaces {
+		for i := range wss {
+			wss[i] = aggregate.AcquireWorkspace()
+		}
+		defer func() {
+			for _, ws := range wss {
+				ws.Release()
+			}
+		}()
+	}
+	init, err := predictWith(p, opt, caches, nil, wss[0])
 	if err != nil {
 		return SearchResult{}, err
 	}
-	start := &state{prog: p, cost: initCost, mem: initMem}
+	start := &state{prog: p, priced: init}
 	best := start
 	startFP := caches.Nodes.Program(p)
 	if onPush != nil {
@@ -331,7 +363,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		// running best stay fully priced.
 		cands := make([]candidate, len(moves))
 		ctxErr = workpool.RunCtx(ctx, len(moves), opt.Workers, func(i int) {
-			next, err := Apply(cur.prog, moves[i])
+			next, err := apply(cur.prog, cur.tbl, moves[i])
 			if err != nil {
 				cands[i].skip = true // illegal move
 				return
@@ -352,20 +384,19 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 			}
 			visited[cands[i].fp] = true
 		}
-		ctxErr = workpool.RunCtx(ctx, len(cands), opt.Workers, func(i int) {
+		ctxErr = workpool.RunWorkersCtx(ctx, len(cands), opt.Workers, func(w, i int) {
 			if cands[i].skip {
 				return
 			}
 			// The move's path is the advisory dirty hint: only the
 			// transformed nest skips its cache probe; every untouched
 			// nest — including ones the move shifted — is looked up.
-			c, m, err := predictWith(cands[i].prog, opt, caches, [][]int{[]int(moves[i].Path)})
+			pr, err := predictWith(cands[i].prog, opt, caches, [][]int{[]int(moves[i].Path)}, wss[w])
 			if err != nil {
 				cands[i].skip = true
 				return
 			}
-			cands[i].cost = c
-			cands[i].mem = m
+			cands[i].priced = pr
 		})
 		if ctxErr != nil {
 			break
@@ -374,7 +405,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 			if cands[i].skip {
 				continue
 			}
-			st := &state{prog: cands[i].prog, cost: cands[i].cost, mem: cands[i].mem, seq: append(append([]Move{}, cur.seq...), moves[i])}
+			st := &state{prog: cands[i].prog, priced: cands[i].priced, seq: append(append([]Move{}, cur.seq...), moves[i])}
 			if st.cost < best.cost {
 				best = st
 			}
@@ -389,8 +420,8 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	out := SearchResult{
 		Best:          best.prog,
 		BestCost:      best.cost,
-		InitialCost:   initCost,
-		InitialMemory: initMem,
+		InitialCost:   init.cost,
+		InitialMemory: init.mem,
 		BestMemory:    best.mem,
 		Sequence:      best.seq,
 		Explored:      explored,
@@ -401,7 +432,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		TetrisCalls:   caches.Nest.TetrisCalls() - tetris0,
 	}
 	if ctxErr == nil {
-		out.Bottleneck, out.BottleneckUtil = diagnoseBest(best.prog, opt)
+		out.Bottleneck, out.BottleneckUtil = diagnoseBest(best.prog, best.tbl, opt)
 	}
 	return out, ctxErr
 }
@@ -410,11 +441,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 // diagnosis is advisory — it runs once, after ranking, and any failure
 // (e.g. a nest shape the explainer cannot lower) degrades to an empty
 // bottleneck rather than failing a completed search.
-func diagnoseBest(p *source.Program, opt SearchOptions) (string, float64) {
-	tbl, err := sem.Analyze(p)
-	if err != nil {
-		return "", 0
-	}
+func diagnoseBest(p *source.Program, tbl *sem.Table, opt SearchOptions) (string, float64) {
 	nominal := make(map[string]float64, len(opt.Nominal))
 	for k, v := range opt.Nominal {
 		nominal[string(k)] = v

@@ -279,6 +279,19 @@ func replaceAt(list []source.Stmt, i, n int, with ...source.Stmt) []source.Stmt 
 // factor·step, and appends a remainder loop covering the leftover
 // iterations. Unrolling reorders nothing, so it is always legal.
 func Unroll(p *source.Program, path Path, factor int) (*source.Program, error) {
+	return unroll(p, nil, path, factor)
+}
+
+// analyzed returns tbl, p's symbol table, analyzing p when tbl is nil.
+func analyzed(p *source.Program, tbl *sem.Table) (*sem.Table, error) {
+	if tbl != nil {
+		return tbl, nil
+	}
+	return sem.Analyze(p)
+}
+
+// unroll is Unroll reading p's table tbl (nil: analyze p if needed).
+func unroll(p *source.Program, tbl *sem.Table, path Path, factor int) (*source.Program, error) {
 	if factor < 2 {
 		return nil, fmt.Errorf("xform: unroll factor %d", factor)
 	}
@@ -288,7 +301,7 @@ func Unroll(p *source.Program, path Path, factor int) (*source.Program, error) {
 	}
 	step := int64(1)
 	if loop.Step != nil {
-		tbl, err := sem.Analyze(p)
+		tbl, err := analyzed(p, tbl)
 		if err != nil {
 			return nil, err
 		}
@@ -361,6 +374,11 @@ func cloneStep(s source.Expr) source.Expr {
 // Legal when the nest is perfect, the inner bounds do not reference the
 // outer variable, and no dependence direction vector forbids the swap.
 func Interchange(p *source.Program, path Path) (*source.Program, error) {
+	return interchange(p, nil, path)
+}
+
+// interchange is Interchange reading p's table tbl (nil: analyze p).
+func interchange(p *source.Program, tbl *sem.Table, path Path) (*source.Program, error) {
 	outer, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
@@ -375,7 +393,7 @@ func Interchange(p *source.Program, path Path) (*source.Program, error) {
 	if exprUsesVar(inner.Lb, outer.Var) || exprUsesVar(inner.Ub, outer.Var) {
 		return nil, fmt.Errorf("xform: inner bounds depend on the outer variable")
 	}
-	tbl, err := sem.Analyze(p)
+	tbl, err = analyzed(p, tbl)
 	if err != nil {
 		return nil, err
 	}
@@ -488,6 +506,11 @@ func varDeclared(p *source.Program, name string) bool {
 // no dependence runs from the second part to a later iteration of the
 // first.
 func Distribute(p *source.Program, path Path, cut int) (*source.Program, error) {
+	return distribute(p, nil, path, cut)
+}
+
+// distribute is Distribute reading p's table tbl (nil: analyze p).
+func distribute(p *source.Program, tbl *sem.Table, path Path, cut int) (*source.Program, error) {
 	loop, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
@@ -505,7 +528,7 @@ func Distribute(p *source.Program, path Path, cut int) (*source.Program, error) 
 		Body: slices.Clone(loop.Body[cut:]),
 		Pos:  loop.Pos,
 	}
-	tbl, err := sem.Analyze(p)
+	tbl, err = analyzed(p, tbl)
 	if err != nil {
 		return nil, err
 	}
@@ -520,6 +543,11 @@ func Distribute(p *source.Program, path Path, cut int) (*source.Program, error) 
 // Fuse merges the loop at path with the immediately following loop in
 // the same statement list, when legal.
 func Fuse(p *source.Program, path Path) (*source.Program, error) {
+	return fuse(p, nil, path)
+}
+
+// fuse is Fuse reading p's table tbl (nil: analyze p).
+func fuse(p *source.Program, tbl *sem.Table, path Path) (*source.Program, error) {
 	list, i, err := locate(p, path)
 	if err != nil {
 		return nil, err
@@ -532,7 +560,7 @@ func Fuse(p *source.Program, path Path) (*source.Program, error) {
 	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("xform: fusion requires two adjacent loops")
 	}
-	tbl, err := sem.Analyze(p)
+	tbl, err = analyzed(p, tbl)
 	if err != nil {
 		return nil, err
 	}
