@@ -2,14 +2,18 @@
 # Non-gating benchmark regression report: for every committed
 # BENCH_<suite>.json that scripts/bench.sh writes, reruns that suite
 # with the same settings (scripts/bench_suites.sh) and compares the
-# fresh min-of-N ns/op and B/op of each benchmark against the committed
-# floor. Prints a per-benchmark verdict — runs over 1.25x a floor are
-# flagged, not failed: small CI boxes jitter ±15% and more, so this is
-# a trend report, not a gate — and ALWAYS exits 0. A benchmark over the
-# band is run once more with the same settings and stays flagged only
-# if the best of both runs is still over it: on a 2-CPU box the
-# 10–35 µs Tetris microbenchmarks spread wider than the band from one
-# run to the next.
+# fresh min-of-N ns/op, B/op and allocs/op of each benchmark against
+# the committed floor. Prints a per-benchmark verdict and ALWAYS exits
+# 0: a run over a band is flagged, not failed. Two bands apply:
+#   - time: ns/op over 1.25x the floor. Small CI boxes jitter ±15% and
+#     more, so this is a trend report, not a gate.
+#   - allocation: B/op or allocs/op over 1.05x the floor. Both are
+#     deterministic without -race (up to what a GC takes from a
+#     sync.Pool), so the band is tight.
+# A benchmark over a band is run once more with the same settings and
+# stays flagged only if the best of both runs is still over it: on a
+# 2-CPU box the 10–35 µs Tetris microbenchmarks spread wider than the
+# time band from one run to the next.
 #
 # The header of each suite's report names the commit its floor
 # measured (the "commit" field scripts/bench.sh records).
@@ -25,9 +29,9 @@ fresh=$(mktemp)
 report=$(mktemp)
 trap 'rm -f "$fresh" "$report"' EXIT
 
-# compare FLOOR FRESH: fold the fresh output to the min ns/op and B/op
-# per name, join with the committed floor, and report the ratios; the
-# last line is the count of flagged benchmarks.
+# compare FLOOR FRESH: fold the fresh output to the min ns/op, B/op and
+# allocs/op per name, join with the committed floor, and report the
+# ratios; the last line is the count of flagged benchmarks.
 compare() {
 	awk -v floor="$1" '
 	function field(line, unit,    re) {
@@ -42,6 +46,7 @@ compare() {
 				sub(/-[0-9]+$/, "", name) # GOMAXPROCS suffix
 				ns[name] = field(line, "ns/op")
 				by[name] = field(line, "B/op")
+				al[name] = field(line, "allocs/op")
 			}
 		}
 		close(floor)
@@ -53,6 +58,7 @@ compare() {
 			v = $i + 0
 			if ($(i + 1) == "ns/op" && (!(b in fns) || v < fns[b])) fns[b] = v
 			if ($(i + 1) == "B/op" && (!(b in fby) || v < fby[b])) fby[b] = v
+			if ($(i + 1) == "allocs/op" && (!(b in fal) || v < fal[b])) fal[b] = v
 		}
 		if (!(b in seen)) { order[n++] = b; seen[b] = 1 }
 	}
@@ -67,9 +73,10 @@ compare() {
 			}
 			rt = ratio(fns[name], ns[name])
 			rb = (name in fby && by[name] > 0) ? ratio(fby[name], by[name]) : 0
-			tag = (rt > 1.25 || rb > 1.25) ? "  <-- possible regression" : ""
+			ra = (name in fal && al[name] > 0) ? ratio(fal[name], al[name]) : 0
+			tag = (rt > 1.25 || rb > 1.05 || ra > 1.05) ? "  <-- possible regression" : ""
 			if (tag != "") bad++
-			printf "  %-58s %12.0f ns/op x%.2f  %12.0f B/op x%.2f%s\n", name, fns[name], rt, fby[name], rb, tag
+			printf "  %-58s %12.0f ns/op x%.2f  %12.0f B/op x%.2f  %9.0f allocs/op x%.2f%s\n", name, fns[name], rt, fby[name], rb, fal[name], ra, tag
 		}
 		print bad
 	}
@@ -110,8 +117,8 @@ for suite in ${*:-$BENCH_SUITES}; do
 done
 
 if [ "$flagged" -gt 0 ]; then
-	echo "bench_regress: $flagged benchmark(s) above 1.25x their committed floor (non-gating)"
+	echo "bench_regress: $flagged benchmark(s) above their committed floors' bands (time 1.25x, allocation 1.05x; non-gating)"
 else
-	echo "bench_regress: all benchmarks within 1.25x of their committed floors"
+	echo "bench_regress: all benchmarks within their committed floors' bands (time 1.25x, allocation 1.05x)"
 fi
 exit 0
