@@ -24,6 +24,7 @@ type rlScratch struct {
 	byKind map[machine.UnitKind][]int
 	place  []int
 	finish []int
+	deps   ir.DepsBuf
 	b      rlBins
 }
 
@@ -34,7 +35,7 @@ func rlEstimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 	sc := rlPool.Get().(*rlScratch)
 	defer rlPool.Put(sc)
 	bins := sc.prepare(m, opt)
-	deps := b.Deps(opt.MayAlias)
+	deps := b.DepsInto(opt.MayAlias, &sc.deps)
 	sc.place = resetInts(sc.place, len(b.Instrs))
 	sc.finish = resetInts(sc.finish, len(b.Instrs))
 	place, finish := sc.place, sc.finish
