@@ -36,7 +36,8 @@ func AcquireWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 func (w *Workspace) Release() { workspacePool.Put(w) }
 
 // PriceIncremental is the package PriceIncremental, lowering with w's
-// translator and placing blocks in w's Tetris scratch.
+// translator and placing blocks in w's Tetris scratch. A nil w prices
+// as the package function does.
 func (w *Workspace) PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
 	return priceIncremental(w, p, changedPaths, caches, tbl, m, opt)
 }

@@ -239,11 +239,6 @@ func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int,
 	return sc.SteadyStateChained(m, b, opt, iters, chain)
 }
 
-// SteadyState is the package SteadyState on sc.
-func (sc *Scratch) SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIter float64, total int, err error) {
-	return sc.SteadyStateChained(m, b, opt, iters, nil)
-}
-
 // SteadyStateChained is the package SteadyStateChained on sc: the
 // copies land in sc's replicated block, and a warm sc allocates
 // nothing.

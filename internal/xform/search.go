@@ -212,12 +212,7 @@ func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, 
 	if err != nil {
 		return priced{}, err
 	}
-	var res aggregate.Result
-	if ws != nil {
-		res, err = ws.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
-	} else {
-		res, err = aggregate.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
-	}
+	res, err := ws.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
 	if err != nil {
 		return priced{}, err
 	}
@@ -325,11 +320,11 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 			}
 		}()
 	}
-	init, err := predictWith(p, opt, caches, nil, wss[0])
+	initial, err := predictWith(p, opt, caches, nil, wss[0])
 	if err != nil {
 		return SearchResult{}, err
 	}
-	start := &state{prog: p, priced: init}
+	start := &state{prog: p, priced: initial}
 	best := start
 	startFP := caches.Nodes.Program(p)
 	if onPush != nil {
@@ -420,8 +415,8 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	out := SearchResult{
 		Best:          best.prog,
 		BestCost:      best.cost,
-		InitialCost:   init.cost,
-		InitialMemory: init.mem,
+		InitialCost:   initial.cost,
+		InitialMemory: initial.mem,
 		BestMemory:    best.mem,
 		Sequence:      best.seq,
 		Explored:      explored,
