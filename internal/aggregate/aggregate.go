@@ -184,8 +184,8 @@ type Estimator struct {
 	c   *machine.Compiled // m's compiled form
 	opt Options
 
-	trans    *lower.Translator // taken on the first lowering miss; see pass
-	ws       *Workspace        // nil: a translator and Tetris scratch of its own
+	trans    *lower.Translator // ws's, bound on the first lowering miss; see pass
+	ws       *Workspace        // the pricing's workspace; see price
 	passes   int               // translator passes run
 	preVals  []float64
 	unknowns []Unknown
@@ -225,7 +225,8 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Estimator {
 // NewWithCache creates an estimator sharing a segment cache. A nil
 // cache means none: the estimator neither keys nor stores segments,
 // since a cache that only one pricing reads would never hit. It lowers
-// through its own translator (see NewWithCaches to share a memo).
+// through its workspace's translator (see NewWithCaches to share a
+// memo).
 //
 // Concurrency contract: the SegCache is safe to share between
 // estimators running on different goroutines — cached segment costs
@@ -248,16 +249,28 @@ func NewWithCache(tbl *sem.Table, m *machine.Machine, opt Options, cache *SegCac
 
 // Program aggregates the whole program body.
 func (e *Estimator) Program(p *source.Program) (Result, error) {
-	e.preVals = e.preVals[:0]
-	e.unknowns = nil
-	e.seen = map[symexpr.Var]bool{}
 	e.events = e.events[:0]
 	e.prog = p
 	e.logging = e.nc != nil && !e.nc.disabled
 	if e.logging {
 		e.auxFP = e.keyFP.Mix(source.FingerprintEnv(p))
 	}
-	c, err := e.stmts(p.Body, nil, []int{}, nil)
+	return e.price(p.Body, nil, []int{})
+}
+
+// price aggregates list under loops through a workspace: the one the
+// caller bound (see Workspace.PriceIncremental), else one taken from
+// the pool for this call and given back, with its translator, when the
+// call returns.
+func (e *Estimator) price(list []source.Stmt, loops []LoopCtx, path []int) (Result, error) {
+	if e.ws == nil {
+		e.ws = AcquireWorkspace()
+		defer e.dropWorkspace()
+	}
+	e.preVals = e.preVals[:0]
+	e.unknowns = nil
+	e.seen = map[symexpr.Var]bool{}
+	c, err := e.stmts(list, loops, path, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -286,14 +299,7 @@ func (e *Estimator) Stmts(stmts []source.Stmt, loops []LoopCtx) (Result, error) 
 	savedProg, savedLogging, savedChanged := e.prog, e.logging, e.changed
 	e.prog, e.logging, e.changed = nil, false, nil
 	defer func() { e.prog, e.logging, e.changed = savedProg, savedLogging, savedChanged }()
-	e.preVals = e.preVals[:0]
-	e.unknowns = nil
-	e.seen = map[symexpr.Var]bool{}
-	c, err := e.stmts(stmts, loops, nil, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.result(c), nil
+	return e.price(stmts, loops, nil)
 }
 
 // LoopCtx describes one enclosing loop for fragment-level estimation.

@@ -35,7 +35,7 @@ type Caches struct {
 // NewWithCaches creates an estimator sharing the given cache layers. A
 // nil Seg disables segment caching; a nil Nest disables nest-level
 // caching (the estimator behaves exactly like NewWithCache); a nil
-// Lower lowers through the estimator's own translator.
+// Lower lowers through the workspace's translator.
 //
 // The concurrency contract of NewWithCache extends to the nest cache
 // and the lowering memo: all three may be shared by estimators on
@@ -64,15 +64,7 @@ func NewWithCaches(tbl *sem.Table, m *machine.Machine, opt Options, caches Cache
 // cost hit-rate but can never change a result. The returned Result is
 // byte-identical to a full re-pricing by New(tbl, m, opt).Program.
 func PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
-	return priceIncremental(nil, p, changedPaths, caches, tbl, m, opt)
-}
-
-// priceIncremental is PriceIncremental through ws (nil for none).
-func priceIncremental(ws *Workspace, p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
-	e := NewWithCaches(tbl, m, opt, caches)
-	e.ws = ws
-	e.changed = changedPaths
-	return e.Program(p)
+	return (*Workspace)(nil).PriceIncremental(p, changedPaths, caches, tbl, m, opt)
 }
 
 // optionsFingerprint hashes everything besides the program that a

@@ -112,7 +112,7 @@ func (c *LowerMemo) find(k lowerKey, stmts []source.Stmt, loopVars []string) *lo
 	return nil
 }
 
-// lowerVia lowers through the shared memo, or with the estimator's
+// lowerVia lowers through the shared memo, or with the workspace's
 // translator when none was shared: the result is then the translator's
 // scratch, which the caller prices before lowering again.
 func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
@@ -123,17 +123,12 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 	return e.pass(k, stmts, loopVars)
 }
 
-// pass runs the translator pass k names. The translator is taken on
-// first use, the workspace's rebound to the estimator's table or else
-// a new one: an estimator whose lowerings all hit a shared memo takes
-// none.
+// pass runs the translator pass k names, with the workspace's
+// translator bound to the estimator's table on first use: an estimator
+// whose lowerings all hit a shared memo binds none.
 func (e *Estimator) pass(k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	if e.trans == nil {
-		if e.ws != nil {
-			e.trans = e.ws.translator(e.tbl, e.m)
-		} else {
-			e.trans = lower.New(e.tbl, e.m, lower.DefaultOptions())
-		}
+		e.trans = e.ws.translator(e.tbl, e.m)
 	}
 	e.passes++
 	switch k.kind {

@@ -82,23 +82,23 @@ func TestSegCacheKeyIgnoresUnreferencedDecls(t *testing.T) {
 	}
 }
 
-// TestTranslatorBuiltOnlyOnMiss: an estimator builds its lowering
+// TestTranslatorBuiltOnlyOnMiss: an estimator binds its workspace's
 // translator on its first lowering-memo miss, so one whose lowerings
-// all hit a shared memo (a sweep cell after the first) never builds
-// one, and prices the program the same.
+// all hit a shared memo (a sweep cell after the first) runs no
+// translator pass, and prices the program the same.
 func TestTranslatorBuiltOnlyOnMiss(t *testing.T) {
 	m := machine.NewPOWER1()
 	p, tbl := parseAnalyze(t, "program p\n  integer i, n\n  real x(100), y(100)\n"+declLoop)
 	memo := NewLowerMemo()
 	var costs []string
-	for i, wantTrans := range []bool{true, false} {
+	for i, wantPasses := range []bool{true, false} {
 		e := NewWithCaches(tbl, m, DefaultOptions(), Caches{Lower: memo})
 		r, err := e.Program(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.trans != nil; got != wantTrans {
-			t.Errorf("estimator %d: translator built = %v, want %v", i, got, wantTrans)
+		if got := e.passes > 0; got != wantPasses {
+			t.Errorf("estimator %d: translator passes run = %v, want %v", i, got, wantPasses)
 		}
 		costs = append(costs, r.Cost.String())
 	}

@@ -13,10 +13,12 @@ import (
 
 // Workspace is the pricing scratch that one goroutine reuses across the
 // estimators it runs in turn: a translator, rebound to each program's
-// table, and a Tetris scratch. A restructuring search gives each of its
-// workers one for the life of the search, so pricing a candidate grows
-// no translator table and no placement array from empty. Pricing
-// through a workspace gives the same result as pricing without one.
+// table, and a Tetris scratch. Every pricing runs through one. A
+// restructuring search gives each of its workers one for the life of
+// the search, so pricing a candidate grows no translator table and no
+// placement array from empty; any other pricing takes one from a pool
+// for the call. A zero Workspace is ready to use, and which workspace
+// prices a program never changes the result.
 //
 // A workspace serves one pricing at a time, and a pricing must be done
 // before the next one through the same workspace starts.
@@ -36,10 +38,12 @@ func AcquireWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 func (w *Workspace) Release() { workspacePool.Put(w) }
 
 // PriceIncremental is the package PriceIncremental, lowering with w's
-// translator and placing blocks in w's Tetris scratch. A nil w prices
-// as the package function does.
+// translator and placing blocks in w's Tetris scratch. A nil w takes a
+// workspace from the pool for the call, as the package function does.
 func (w *Workspace) PriceIncremental(p *source.Program, changedPaths [][]int, caches Caches, tbl *sem.Table, m *machine.Machine, opt Options) (Result, error) {
-	return priceIncremental(w, p, changedPaths, caches, tbl, m, opt)
+	e := NewWithCaches(tbl, m, opt, caches)
+	e.ws, e.changed = w, changedPaths
+	return e.Program(p)
 }
 
 // translator returns w's translator bound to tbl for lowering on m,
@@ -55,11 +59,17 @@ func (w *Workspace) translator(tbl *sem.Table, m *machine.Machine) *lower.Transl
 	return w.trans
 }
 
+// dropWorkspace gives a pooled workspace back and forgets the
+// translator bound from it.
+func (e *Estimator) dropWorkspace() {
+	e.ws.Release()
+	e.ws, e.trans = nil, nil
+}
+
 // Tetris invocation counters: every placement of a block into the
-// functional bins goes through these wrappers so the nest cache can
-// report how much estimation work a prediction actually performed.
-// An estimator with a workspace places in its Tetris scratch; one
-// without calls the package functions, which take a pooled one.
+// functional bins goes through these wrappers, in the workspace's
+// Tetris scratch, so the nest cache can report how much estimation
+// work a prediction actually performed.
 
 func (e *Estimator) countTetris() {
 	if e.nc != nil {
@@ -72,18 +82,12 @@ func (e *Estimator) countTetris() {
 // shape tests read.
 func (e *Estimator) tetEstimate(b *ir.Block) (tetris.Result, error) {
 	e.countTetris()
-	if e.ws != nil {
-		return e.ws.tet.EstimateCost(e.m, b, tetris.Options{})
-	}
-	return tetris.EstimateCost(e.m, b, tetris.Options{})
+	return e.ws.tet.EstimateCost(e.m, b, tetris.Options{})
 }
 
 func (e *Estimator) tetShape(b *ir.Block) (tetris.Result, error) {
 	e.countTetris()
-	if e.ws != nil {
-		return e.ws.tet.Estimate(e.m, b, tetris.Options{})
-	}
-	return tetris.Estimate(e.m, b, tetris.Options{})
+	return e.ws.tet.Estimate(e.m, b, tetris.Options{})
 }
 
 func (e *Estimator) tetSteadyState(b *ir.Block) (float64, error) {
@@ -92,12 +96,6 @@ func (e *Estimator) tetSteadyState(b *ir.Block) (float64, error) {
 
 func (e *Estimator) tetSteadyStateChained(b *ir.Block, chain map[ir.Reg]ir.Reg) (float64, error) {
 	e.countTetris()
-	var per float64
-	var err error
-	if e.ws != nil {
-		per, _, err = e.ws.tet.SteadyStateChained(e.m, b, tetris.Options{}, steadyStateDrops, chain)
-	} else {
-		per, _, err = tetris.SteadyStateChained(e.m, b, tetris.Options{}, steadyStateDrops, chain)
-	}
+	per, _, err := e.ws.tet.SteadyStateChained(e.m, b, tetris.Options{}, steadyStateDrops, chain)
 	return per, err
 }

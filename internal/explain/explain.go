@@ -168,33 +168,21 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Machine: m.Name}
 	point := aggregate.EvalPoint(res.Unknowns, opt.Nominal, true)
-	if rep.Cycles, err = res.Cost.Eval(point); err != nil {
+	cycles, err := res.Cost.Eval(point)
+	if err != nil {
 		return nil, err
 	}
-	if rep.MemoryCycles, err = res.Memory.Eval(point); err != nil {
+	memory, err := res.Memory.Eval(point)
+	if err != nil {
 		return nil, err
 	}
-	rep.MemoryBound = rep.Cycles > 0 && rep.MemoryCycles/rep.Cycles >= 0.5
-
-	// Every innermost nest, not just the deepest: a diagnosis must
-	// attribute cycles across kernels. A body's IFs are flattened, so
-	// a guarded update counts as executed work; the guards and branch
-	// probabilities live in the aggregate layer, which supplies the
-	// weights.
-	sites := source.Nests(prog.Body)
-	raw := make([]float64, len(sites))
-	for i, site := range sites {
-		nest, weight, err := diagnoseNest(tbl, m, site, opt.Nominal)
-		if err != nil {
-			return nil, err
-		}
-		rep.Nests = append(rep.Nests, nest)
-		raw[i] = weight
+	rep, err := Diagnose(prog, tbl, m, opt.Nominal)
+	if err != nil {
+		return nil, err
 	}
-	normalizeWeights(rep.Nests, raw)
-	rep.Kinds, rep.Bottleneck, rep.BottleneckUtil = programKinds(rep.Nests)
+	rep.Cycles, rep.MemoryCycles = cycles, memory
+	rep.MemoryBound = cycles > 0 && memory/cycles >= 0.5
 
 	if !opt.SkipWhatIf && rep.Bottleneck != "" {
 		w, err := whatIf(prog, tbl, m, rep, opt.Nominal)
@@ -203,6 +191,34 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 		}
 		rep.WhatIf = w
 	}
+	return rep, nil
+}
+
+// Diagnose is Program without the pricing: the diagnosis of every
+// innermost nest, weighted by its share of the nests' cycles at the
+// nominal point, and the program-wide unit pressure and bottleneck.
+// The report's Cycles, MemoryCycles, MemoryBound and WhatIf stay zero,
+// so a caller that has priced the program already pays only for the
+// nests' explained placements.
+func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal map[string]float64) (*Report, error) {
+	// Every innermost nest, not just the deepest: a diagnosis must
+	// attribute cycles across kernels. A body's IFs are flattened, so
+	// a guarded update counts as executed work; the guards and branch
+	// probabilities live in the aggregate layer, which supplies the
+	// weights.
+	rep := &Report{Machine: m.Name}
+	sites := source.Nests(prog.Body)
+	raw := make([]float64, len(sites))
+	for i, site := range sites {
+		nest, weight, err := diagnoseNest(tbl, m, site, nominal)
+		if err != nil {
+			return nil, err
+		}
+		rep.Nests = append(rep.Nests, nest)
+		raw[i] = weight
+	}
+	normalizeWeights(rep.Nests, raw)
+	rep.Kinds, rep.Bottleneck, rep.BottleneckUtil = programKinds(rep.Nests)
 	return rep, nil
 }
 

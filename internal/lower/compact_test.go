@@ -211,8 +211,9 @@ func TestLoopOverheadShared(t *testing.T) {
 	ctl := lower.LoopOverhead()
 	want, text := slices.Clone(ctl.Instrs), ctl.String()
 	m := machine.NewPOWER1()
+	var sc tetris.Scratch
 	for range 2 {
-		if _, err := tetris.EstimateCost(m, ctl, tetris.Options{}); err != nil {
+		if _, err := sc.EstimateCost(m, ctl, tetris.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,9 +74,13 @@ func lowerAllocs(t *testing.T, src string) (uint64, time.Duration) {
 }
 
 // allocs runs f once and returns the bytes it allocated and the time
-// it took.
+// it took. It first empties the sync.Pools (two collections: the first
+// moves pooled items to the victim cache, the second drops them), so
+// every call grows its pricing scratch from empty and the two sizes of
+// a ratio measure the same work.
 func allocs(f func()) (uint64, time.Duration) {
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()

@@ -149,17 +149,18 @@ func chainedReplicate(b *ir.Block, iters int, chain map[ir.Reg]ir.Reg) *ir.Block
 // TestCostOnlyMatchesEstimateOnCorpus: for every block lowered from
 // the corpus on the eight golden targets, the cost-only estimate
 // equals Estimate's Cost, Start and End and carries no placement or
-// shape, and the pooled steady-state estimate equals pricing
+// shape, and the steady-state estimate equals pricing
 // Replicate's copies with Estimate, with and without the chained
 // accumulators.
 func TestCostOnlyMatchesEstimateOnCorpus(t *testing.T) {
 	opt := tetris.Options{}
+	var sc tetris.Scratch
 	blocks := 0
 	for _, m := range goldenTargets(t) {
 		for _, cb := range lowerCorpus(t, m) {
 			blocks++
 			full, ferr := tetris.Estimate(m, cb.blk, opt)
-			cost, cerr := tetris.EstimateCost(m, cb.blk, opt)
+			cost, cerr := sc.EstimateCost(m, cb.blk, opt)
 			if (ferr == nil) != (cerr == nil) {
 				t.Fatalf("%s on %s: Estimate error %v, EstimateCost error %v", cb.name, m.Name, ferr, cerr)
 			}
@@ -175,7 +176,7 @@ func TestCostOnlyMatchesEstimateOnCorpus(t *testing.T) {
 			}
 			for _, chain := range []map[ir.Reg]ir.Reg{nil, cb.chain} {
 				const iters = 4
-				per, total, err := tetris.SteadyStateChained(m, cb.blk, opt, iters, chain)
+				per, total, err := sc.SteadyStateChained(m, cb.blk, opt, iters, chain)
 				if err != nil {
 					t.Fatalf("%s on %s: %v", cb.name, m.Name, err)
 				}
@@ -184,7 +185,7 @@ func TestCostOnlyMatchesEstimateOnCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 				if total != ref.Cost || per != float64(ref.Cost)/iters {
-					t.Errorf("%s on %s (chain %v): pooled steady state %d (%.2f/iter), Replicate+Estimate %d",
+					t.Errorf("%s on %s (chain %v): steady state %d (%.2f/iter), Replicate+Estimate %d",
 						cb.name, m.Name, chain, total, per, ref.Cost)
 				}
 			}

@@ -221,9 +221,11 @@ func replicateInto(out, b *ir.Block, iters int) {
 }
 
 // SteadyState prices iters independent copies of b and returns the
-// amortized per-iteration cost.
+// amortized per-iteration cost, in pooled scratch.
 func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIter float64, total int, err error) {
-	return SteadyStateChained(m, b, opt, iters, nil)
+	sc := scratchPool.Get().(*Scratch)
+	defer scratchPool.Put(sc)
+	return sc.SteadyStateChained(m, b, opt, iters, nil)
 }
 
 // SteadyStateChained prices iters copies of b with register-carried
@@ -231,17 +233,8 @@ func SteadyState(m *machine.Machine, b *ir.Block, opt Options, iters int) (perIt
 // (e.g. a promoted accumulator) to the register holding its value at
 // the copy's end, so copy k's read depends on copy k−1's result — the
 // serial chain of a sum reduction kept in a register. The copies are
-// built by Replicate's routine into pooled storage and priced cost
-// only.
-func SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int, chain map[ir.Reg]ir.Reg) (perIter float64, total int, err error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return sc.SteadyStateChained(m, b, opt, iters, chain)
-}
-
-// SteadyStateChained is the package SteadyStateChained on sc: the
-// copies land in sc's replicated block, and a warm sc allocates
-// nothing.
+// built by Replicate's routine into sc's replicated block and priced
+// cost only; a warm sc allocates nothing.
 func (sc *Scratch) SteadyStateChained(m *machine.Machine, b *ir.Block, opt Options, iters int, chain map[ir.Reg]ir.Reg) (perIter float64, total int, err error) {
 	if iters <= 0 {
 		iters = 1

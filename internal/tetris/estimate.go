@@ -75,7 +75,7 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 // object into the lowest time slots where all of its per-unit segments
 // fit simultaneously, no earlier than its operands allow. The Result
 // carries the placement and the block's cost-block shape; callers that
-// need only the cost use EstimateCost.
+// need only the cost use (*Scratch).EstimateCost.
 //
 // Estimate is safe to call concurrently (per-call scratch state comes
 // from a pool; m is only read).
@@ -85,22 +85,14 @@ func Estimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 	return sc.Estimate(m, b, opt)
 }
 
-// EstimateCost is Estimate without the Result's PlaceTime and Shape:
-// the same placement, returning only Cost, Start and End. With warm
-// pooled scratch and a sealed target it allocates nothing.
-func EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	return sc.EstimateCost(m, b, opt)
-}
-
 // Estimate is the package Estimate on sc.
 func (sc *Scratch) Estimate(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 	return sc.estimate(m.Compiled(), b, opt, nil, true)
 }
 
-// EstimateCost is the package EstimateCost on sc; on a warm sc and a
-// sealed target it allocates nothing.
+// EstimateCost is Estimate on sc without the Result's PlaceTime and
+// Shape: the same placement, returning only Cost, Start and End. On a
+// warm sc and a sealed target it allocates nothing.
 func (sc *Scratch) EstimateCost(m *machine.Machine, b *ir.Block, opt Options) (Result, error) {
 	return sc.estimate(m.Compiled(), b, opt, nil, false)
 }

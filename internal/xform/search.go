@@ -270,14 +270,12 @@ func (h *stateHeap) Pop() any {
 // the work actually done — alongside ctx.Err(); callers that only care
 // about a complete search should treat a non-nil error as failure.
 func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (SearchResult, error) {
-	return search(ctx, p, opt, nil, true)
+	return search(ctx, p, opt, nil)
 }
 
 // search is SearchCtx; onPush, when non-nil, sees every state put on
-// the frontier with the digest the search deduplicated it by, and
-// workspaces false prices without workspaces (the reference the tests
-// hold the workspaces to).
-func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint), workspaces bool) (SearchResult, error) {
+// the frontier with the digest the search deduplicated it by.
+func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint)) (SearchResult, error) {
 	opt.defaults()
 	if opt.Machine == nil {
 		return SearchResult{}, fmt.Errorf("xform: SearchOptions.Machine is required")
@@ -310,16 +308,14 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	// per worker; the workspaces go back to their pool when the search
 	// ends.
 	wss := make([]*aggregate.Workspace, workpool.Workers(opt.Workers))
-	if workspaces {
-		for i := range wss {
-			wss[i] = aggregate.AcquireWorkspace()
-		}
-		defer func() {
-			for _, ws := range wss {
-				ws.Release()
-			}
-		}()
+	for i := range wss {
+		wss[i] = aggregate.AcquireWorkspace()
 	}
+	defer func() {
+		for _, ws := range wss {
+			ws.Release()
+		}
+	}()
 	initial, err := predictWith(p, opt, caches, nil, wss[0])
 	if err != nil {
 		return SearchResult{}, err
@@ -435,16 +431,14 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 // diagnoseBest names the winning variant's bottleneck unit. The
 // diagnosis is advisory — it runs once, after ranking, and any failure
 // (e.g. a nest shape the explainer cannot lower) degrades to an empty
-// bottleneck rather than failing a completed search.
+// bottleneck rather than failing a completed search. The winner is
+// priced already, so only its nests are diagnosed.
 func diagnoseBest(p *source.Program, tbl *sem.Table, opt SearchOptions) (string, float64) {
 	nominal := make(map[string]float64, len(opt.Nominal))
 	for k, v := range opt.Nominal {
 		nominal[string(k)] = v
 	}
-	rep, err := explain.Program(p, tbl, opt.Machine, explain.Options{
-		Nominal:    nominal,
-		SkipWhatIf: true,
-	})
+	rep, err := explain.Diagnose(p, tbl, opt.Machine, nominal)
 	if err != nil {
 		return "", 0
 	}

@@ -303,7 +303,7 @@ func TestSearchFreezesSharedStates(t *testing.T) {
 				mu.Lock()
 				states = append(states, pushed{prog, fp})
 				mu.Unlock()
-			}, true)
+			})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

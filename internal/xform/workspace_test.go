@@ -50,62 +50,49 @@ func optimizeInputs(t *testing.T) (names []string, progs []*source.Program, nomi
 	return names, progs, nominal
 }
 
-// searchView is what a search reports, with the best program as text.
-// With more than one worker the cache counters depend on which worker
-// fills an entry first, so only a serial search's view keeps them.
+// searchView is what a search reports, with the best program as text,
+// less the cache counters, which in a parallel search depend on which
+// worker fills an entry first.
 type searchView struct {
-	Best                              string
-	BestCost, InitialCost             float64
-	InitialMemory, BestMemory         float64
-	Sequence                          []Move
-	Explored                          int
-	CacheHits, CacheMisses            int
-	NestHits, NestMisses, TetrisCalls int
-	Bottleneck                        string
-	BottleneckUtil                    float64
+	Best                      string
+	BestCost, InitialCost     float64
+	InitialMemory, BestMemory float64
+	Sequence                  []Move
+	Explored                  int
+	Bottleneck                string
+	BottleneckUtil            float64
 }
 
-func viewOf(r SearchResult, workers int) searchView {
-	v := searchView{
+func viewOf(r SearchResult) searchView {
+	return searchView{
 		Best: source.PrintProgram(r.Best), BestCost: r.BestCost, InitialCost: r.InitialCost,
 		InitialMemory: r.InitialMemory, BestMemory: r.BestMemory, Sequence: r.Sequence,
 		Explored: r.Explored, Bottleneck: r.Bottleneck, BottleneckUtil: r.BottleneckUtil,
 	}
-	if workers == 1 {
-		v.CacheHits, v.CacheMisses = r.CacheHits, r.CacheMisses
-		v.NestHits, v.NestMisses, v.TetrisCalls = r.NestHits, r.NestMisses, r.TetrisCalls
-	}
-	return v
 }
 
-// TestWorkspaceSearchMatchesPlain: a search whose workers price
-// through search-lifetime workspaces returns what a search pricing
-// every candidate with a fresh translator and pooled Tetris scratch
-// returns, on perfbench's optimize inputs, on POWER1 and SuperScalar2,
-// with one worker and with four. The race build, about six times
-// slower, checks the four-worker searches on POWER1, where workers
-// share the caches while each prices through its own workspace.
-func TestWorkspaceSearchMatchesPlain(t *testing.T) {
+// TestSearchOneWorkerMatchesFour: a search whose four workers share
+// the caches, each pricing through a workspace of its own, returns
+// what a serial search returns, on perfbench's optimize inputs, on
+// POWER1 and SuperScalar2. The race build, about six times slower,
+// checks POWER1 only.
+func TestSearchOneWorkerMatchesFour(t *testing.T) {
 	names, progs, nominal := optimizeInputs(t)
-	machines, workerCounts := []*machine.Machine{machine.NewPOWER1(), machine.NewSuperScalar2()}, []int{1, 4}
+	machines := []*machine.Machine{machine.NewPOWER1(), machine.NewSuperScalar2()}
 	if raceEnabled {
-		machines, workerCounts = machines[:1], workerCounts[1:]
+		machines = machines[:1]
 	}
 	for _, m := range machines {
-		for _, workers := range workerCounts {
-			for i, p := range progs {
-				opt := SearchOptions{Machine: m, Nominal: nominal[i], Workers: workers}
-				run := func(workspaces bool) searchView {
-					res, err := search(context.Background(), p, opt, nil, workspaces)
-					if err != nil {
-						t.Fatalf("%s on %s, %d workers: %v", names[i], m.Name, workers, err)
-					}
-					return viewOf(res, workers)
+		for i, p := range progs {
+			run := func(workers int) searchView {
+				res, err := SearchCtx(context.Background(), p, SearchOptions{Machine: m, Nominal: nominal[i], Workers: workers})
+				if err != nil {
+					t.Fatalf("%s on %s, %d workers: %v", names[i], m.Name, workers, err)
 				}
-				plain, pooled := run(false), run(true)
-				if !reflect.DeepEqual(pooled, plain) {
-					t.Errorf("%s on %s, %d workers: with workspaces\n%+v\nwithout\n%+v", names[i], m.Name, workers, pooled, plain)
-				}
+				return viewOf(res)
+			}
+			if serial, parallel := run(1), run(4); !reflect.DeepEqual(parallel, serial) {
+				t.Errorf("%s on %s: four workers\n%+v\none\n%+v", names[i], m.Name, parallel, serial)
 			}
 		}
 	}

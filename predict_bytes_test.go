@@ -10,11 +10,12 @@ import (
 
 // predictBytesBound is the most bytes one cold prediction (PredictCtx
 // and rendering its cost) may allocate on average over the 50 corpus
-// programs on POWER1: 19.3–19.6 KB measured (the spread is GC emptying
-// sync.Pool) plus 10% headroom. Copying every translator pass out of
-// its scratch into a private lowering memo put the figure at 25.5–25.8
-// KB.
-const predictBytesBound = 21500
+// programs on POWER1: 9.07–9.49 KB measured (the spread is GC emptying
+// sync.Pool) plus 10% headroom. A prediction that builds a translator
+// of its own, instead of rebinding a pooled workspace's, allocated
+// 19.3–19.6 KB; copying every translator pass out of its scratch into a
+// private lowering memo put the figure at 25.5–25.8 KB.
+const predictBytesBound = 10400
 
 // TestPredictBytesFloor pins the allocation floor of a cold
 // prediction. Under -race, sync.Pool drops pooled scratch at random

@@ -58,7 +58,8 @@ func sealSnapshot(t *testing.T, m *Target) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	per, _, err := tetris.SteadyStateChained(m, b, tetris.Options{}, 4, map[ir.Reg]ir.Reg{9: 3})
+	var sc tetris.Scratch
+	per, _, err := sc.SteadyStateChained(m, b, tetris.Options{}, 4, map[ir.Reg]ir.Reg{9: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
