@@ -195,7 +195,7 @@ type Estimator struct {
 	lowered  *LowerMemo
 	// names is the key builders' scratch set of referenced
 	// identifiers, made on the first key (see nameSet); nodes memoises
-	// statement digests and name sets (nil hashes from scratch).
+	// statement digests (nil hashes from scratch).
 	names map[string]bool
 	nodes *source.NodeMemo
 
@@ -514,7 +514,7 @@ func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) 
 	}
 	names := e.nameSet()
 	for _, s := range stmts {
-		e.nodes.AddNames(s, names)
+		source.StmtNames(s, names)
 	}
 	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, names))
 }

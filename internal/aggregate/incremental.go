@@ -25,8 +25,8 @@ type Caches struct {
 	// program (it keys on AST identity); a design-space sweep passes
 	// one per kernel to every lattice cell.
 	Lower *LowerMemo
-	// Nodes memoises statement digests and name sets for the nest,
-	// segment and shape keys. Like Lower it keys on AST identity, so
+	// Nodes memoises statement digests for the nest, segment and shape
+	// keys. Like Lower it keys on AST identity, so
 	// its lifetime is one unit of work: xform.SearchCtx installs a
 	// fresh one per search. Nil hashes every key from scratch.
 	Nodes *source.NodeMemo
@@ -217,7 +217,7 @@ func (e *Estimator) loopUnit(l *source.DoLoop, loops []LoopCtx, path []int) (cos
 // constants, and distribution directives of referenced names.
 func (e *Estimator) nestKey(l *source.DoLoop, loops []LoopCtx) source.Fingerprint {
 	names := e.nameSet()
-	e.nodes.AddNames(l, names)
+	source.StmtNames(l, names)
 	fp := e.keyFP.Mix(e.nodes.Stmt(l))
 	for _, lc := range loops {
 		if names[lc.Var] {

@@ -363,11 +363,7 @@ func FingerprintEnvFor(p *Program, names map[string]bool) Fingerprint {
 // into out. The incremental re-pricing layer uses it to restrict a
 // nest's cache key to the loop variables and declarations the nest can
 // actually observe.
-func StmtNames(s Stmt, out map[string]bool) { stmtNames(s, out, StmtNames) }
-
-// stmtNames adds the names s references itself to out and delegates
-// each nested statement to child (StmtNames, or a memoised union).
-func stmtNames(s Stmt, out map[string]bool, child func(Stmt, map[string]bool)) {
+func StmtNames(s Stmt, out map[string]bool) {
 	switch x := s.(type) {
 	case *Assign:
 		ExprNames(x.LHS, out)
@@ -378,15 +374,15 @@ func stmtNames(s Stmt, out map[string]bool, child func(Stmt, map[string]bool)) {
 		ExprNames(x.Ub, out)
 		ExprNames(x.Step, out)
 		for _, b := range x.Body {
-			child(b, out)
+			StmtNames(b, out)
 		}
 	case *IfStmt:
 		ExprNames(x.Cond, out)
 		for _, b := range x.Then {
-			child(b, out)
+			StmtNames(b, out)
 		}
 		for _, b := range x.Else {
-			child(b, out)
+			StmtNames(b, out)
 		}
 	case *CallStmt:
 		out[x.Name] = true

@@ -2,12 +2,11 @@ package source
 
 import "sync"
 
-// NodeMemo memoises, per statement node, its digest (FingerprintStmt)
-// and the set of names it references (StmtNames). Keys are node
-// pointers, which is sound only because an AST is immutable once
-// parsed: the transformation moves of package xform path-copy the
-// statements they rewrite and share every other node, so a node that
-// survives a move keeps its digest and names. With Merkle digests a
+// NodeMemo memoises, per statement node, its digest (FingerprintStmt).
+// Keys are node pointers, which is sound only because an AST is
+// immutable once parsed: the transformation moves of package xform
+// path-copy the statements they rewrite and share every other node, so
+// a node that survives a move keeps its digest. With Merkle digests a
 // candidate program costs one hash per new node on the copied spine;
 // every shared subtree is a lookup.
 //
@@ -17,25 +16,28 @@ import "sync"
 // every value without memoising.
 type NodeMemo struct {
 	mu sync.RWMutex
-	m  map[Stmt]*nodeInfo
-}
-
-// nodeInfo is the memoised digest and name set of one statement; the
-// names map is shared and read-only.
-type nodeInfo struct {
-	fp    Fingerprint
-	names map[string]bool
+	m  map[Stmt]Fingerprint
 }
 
 // NewNodeMemo creates an empty memo.
-func NewNodeMemo() *NodeMemo { return &NodeMemo{m: map[Stmt]*nodeInfo{}} }
+func NewNodeMemo() *NodeMemo { return &NodeMemo{m: map[Stmt]Fingerprint{}} }
 
 // Stmt returns FingerprintStmt(s).
 func (m *NodeMemo) Stmt(s Stmt) Fingerprint {
 	if m == nil {
 		return FingerprintStmt(s)
 	}
-	return m.info(s).fp
+	m.mu.RLock()
+	fp, ok := m.m[s]
+	m.mu.RUnlock()
+	if ok {
+		return fp
+	}
+	fp = digestStmt(s, m.Stmts)
+	m.mu.Lock()
+	m.m[s] = fp // a concurrent miss may store it too; both are equal
+	m.mu.Unlock()
+	return fp
 }
 
 // Stmts returns FingerprintStmts(list).
@@ -49,34 +51,4 @@ func (m *NodeMemo) Stmts(list []Stmt) Fingerprint {
 // Program returns FingerprintProgram(p).
 func (m *NodeMemo) Program(p *Program) Fingerprint {
 	return digestProgram(p, m.Stmts(p.Body))
-}
-
-// AddNames adds the names s references to out, as StmtNames does.
-func (m *NodeMemo) AddNames(s Stmt, out map[string]bool) {
-	if m == nil {
-		StmtNames(s, out)
-		return
-	}
-	for n := range m.info(s).names {
-		out[n] = true
-	}
-}
-
-func (m *NodeMemo) info(s Stmt) *nodeInfo {
-	m.mu.RLock()
-	ni := m.m[s]
-	m.mu.RUnlock()
-	if ni != nil {
-		return ni
-	}
-	ni = &nodeInfo{fp: digestStmt(s, m.Stmts), names: map[string]bool{}}
-	stmtNames(s, ni.names, m.AddNames)
-	m.mu.Lock()
-	if prev := m.m[s]; prev != nil {
-		ni = prev // a concurrent miss stored it first; both are equal
-	} else {
-		m.m[s] = ni
-	}
-	m.mu.Unlock()
-	return ni
 }

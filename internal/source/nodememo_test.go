@@ -2,7 +2,6 @@ package source_test
 
 import (
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,9 +26,9 @@ func allStmts(list []source.Stmt, out []source.Stmt) []source.Stmt {
 }
 
 // TestNodeMemoMatchesUnmemoised: for every statement of the corpus and
-// of generated programs, the memoised digest and name set equal
-// FingerprintStmt and StmtNames, whichever order the memo is filled
-// in; lists and whole programs agree too.
+// of generated programs, the memoised digest equals FingerprintStmt,
+// whichever order the memo is filled in; lists and whole programs
+// agree too.
 func TestNodeMemoMatchesUnmemoised(t *testing.T) {
 	progs := map[string]*source.Program{}
 	files, err := filepath.Glob("../../testdata/corpus/programs/*.f")
@@ -65,16 +64,9 @@ func TestNodeMemoMatchesUnmemoised(t *testing.T) {
 		}
 		for _, s := range stmts {
 			want := source.FingerprintStmt(s)
-			wantNames := map[string]bool{}
-			source.StmtNames(s, wantNames)
 			for _, m := range []*source.NodeMemo{topDown, bottomUp, nil} {
 				if got := m.Stmt(s); got != want {
 					t.Fatalf("%s: memoised digest of %T at %v differs", name, s, s.StmtPos())
-				}
-				names := map[string]bool{}
-				m.AddNames(s, names)
-				if !maps.Equal(names, wantNames) {
-					t.Fatalf("%s: memoised names of %T at %v = %v, want %v", name, s, s.StmtPos(), names, wantNames)
 				}
 			}
 			checked++
