@@ -322,3 +322,10 @@ func cloneFuse(p *source.Program, path Path) (*source.Program, error) {
 	}
 	return c, nil
 }
+
+func cloneStep(s source.Expr) source.Expr {
+	if s == nil {
+		return nil
+	}
+	return source.CloneExpr(s)
+}

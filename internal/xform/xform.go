@@ -333,19 +333,19 @@ func unroll(p *source.Program, tbl *sem.Table, path Path, factor int) (*source.P
 	// lb + ((ub−lb+step)/(f·step))·(f·step).
 	trips := &source.BinExpr{Kind: source.BinDiv,
 		L: &source.BinExpr{Kind: source.BinAdd,
-			L: &source.BinExpr{Kind: source.BinSub, L: source.CloneExpr(loop.Ub), R: source.CloneExpr(loop.Lb)},
+			L: &source.BinExpr{Kind: source.BinSub, L: loop.Ub, R: loop.Lb},
 			R: &source.NumLit{Value: float64(step)}},
 		R: &source.NumLit{Value: float64(f * step)},
 	}
 	remLb := &source.BinExpr{Kind: source.BinAdd,
-		L: source.CloneExpr(loop.Lb),
+		L: loop.Lb,
 		R: &source.BinExpr{Kind: source.BinMul, L: trips, R: &source.NumLit{Value: float64(f * step)}},
 	}
 	remainder := &source.DoLoop{
 		Var:  loop.Var,
 		Lb:   remLb,
-		Ub:   source.CloneExpr(loop.Ub),
-		Step: cloneStep(loop.Step),
+		Ub:   loop.Ub,
+		Step: loop.Step,
 		Body: renewStmts(loop.Body, loop.Var, nil),
 		Pos:  loop.Pos,
 	}
@@ -361,13 +361,6 @@ func unroll(p *source.Program, tbl *sem.Table, path Path, factor int) (*source.P
 	return edit(p, path, func(list []source.Stmt, i int) []source.Stmt {
 		return replaceAt(list, i, 1, &unrolled, remainder)
 	})
-}
-
-func cloneStep(s source.Expr) source.Expr {
-	if s == nil {
-		return nil
-	}
-	return source.CloneExpr(s)
 }
 
 // Interchange swaps a loop with the single loop its body consists of.
@@ -522,9 +515,9 @@ func distribute(p *source.Program, tbl *sem.Table, path Path, cut int) (*source.
 	first.Body = slices.Clone(loop.Body[:cut])
 	second := &source.DoLoop{
 		Var:  loop.Var,
-		Lb:   source.CloneExpr(loop.Lb),
-		Ub:   source.CloneExpr(loop.Ub),
-		Step: cloneStep(loop.Step),
+		Lb:   loop.Lb,
+		Ub:   loop.Ub,
+		Step: loop.Step,
 		Body: slices.Clone(loop.Body[cut:]),
 		Pos:  loop.Pos,
 	}
