@@ -209,8 +209,9 @@ func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal 
 	rep := &Report{Machine: m.Name}
 	sites := source.Nests(prog.Body)
 	raw := make([]float64, len(sites))
+	tr := lower.New(tbl, m, lower.DefaultOptions())
 	for i, site := range sites {
-		nest, weight, err := diagnoseNest(tbl, m, site, nominal)
+		nest, weight, err := diagnoseNest(tr, tbl, m, site, nominal)
 		if err != nil {
 			return nil, err
 		}
@@ -222,10 +223,12 @@ func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal 
 	return rep, nil
 }
 
-// diagnoseNest lowers one nest's body and runs the explained placement
-// on it. The raw weight is the block cost times the nest's trip counts
-// at the nominal point — each nest's rough share of in-core cycles.
-func diagnoseNest(tbl *sem.Table, m *machine.Machine, site source.Nest, nominal map[string]float64) (Nest, float64, error) {
+// diagnoseNest lowers one nest's body with tr and runs the explained
+// placement on it; it reads the lowering before returning, so the next
+// nest may reuse tr. The raw weight is the block cost times the nest's
+// trip counts at the nominal point — each nest's rough share of in-core
+// cycles.
+func diagnoseNest(tr *lower.Translator, tbl *sem.Table, m *machine.Machine, site source.Nest, nominal map[string]float64) (Nest, float64, error) {
 	vars := site.Vars()
 	labels := make([]string, len(vars))
 	for i, v := range vars {
@@ -237,7 +240,7 @@ func diagnoseNest(tbl *sem.Table, m *machine.Machine, site source.Nest, nominal 
 		nest.Pos = site.Loops[len(site.Loops)-1].Pos.String()
 	}
 
-	lw, err := lower.New(tbl, m, lower.DefaultOptions()).Body(site.Body, vars)
+	lw, err := tr.Body(site.Body, vars)
 	if err != nil {
 		return Nest{}, 0, fmt.Errorf("explain: nest %s: %w", nest.Label, err)
 	}
