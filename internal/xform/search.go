@@ -4,7 +4,8 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"perfpredict/internal/aggregate"
 	"perfpredict/internal/explain"
@@ -27,6 +28,25 @@ func (m Move) String() string {
 		return fmt.Sprintf("%s%d@%v", m.Kind, m.Param, m.Path)
 	}
 	return fmt.Sprintf("%s@%v", m.Kind, m.Path)
+}
+
+// sortMoves puts moves in a deterministic order, by String, building
+// each key once. A move's String determines the move, so no two keys
+// are equal and the order is total.
+func sortMoves(moves []Move) []Move {
+	type keyed struct {
+		key string
+		m   Move
+	}
+	ks := make([]keyed, len(moves))
+	for i, m := range moves {
+		ks[i] = keyed{m.String(), m}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		moves[i] = ks[i].m
+	}
+	return moves
 }
 
 // Apply performs the move, returning a new program that shares every
@@ -342,9 +362,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		if len(cur.seq) >= opt.MaxDepth {
 			continue
 		}
-		moves := Moves(cur.prog, opt)
-		// Deterministic order.
-		sort.Slice(moves, func(i, j int) bool { return moves[i].String() < moves[j].String() })
+		moves := sortMoves(Moves(cur.prog, opt))
 		// Expand neighbors in three steps — parallel transform, serial
 		// dedup, parallel pricing — then fold the survivors back into
 		// the frontier in move order, so the heap and the running best
