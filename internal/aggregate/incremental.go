@@ -26,9 +26,9 @@ type Caches struct {
 	// one per kernel to every lattice cell.
 	Lower *LowerMemo
 	// Nodes memoises statement digests for the nest, segment and shape
-	// keys. Like Lower it keys on AST identity, so
-	// its lifetime is one unit of work: xform.SearchCtx installs a
-	// fresh one per search. Nil hashes every key from scratch.
+	// keys. Like Lower it keys on AST identity, so its lifetime is one
+	// unit of work: xform.SearchCtx installs a fresh one per search.
+	// Nil hashes every key from scratch.
 	Nodes *source.NodeMemo
 }
 
