@@ -193,10 +193,7 @@ type Estimator struct {
 	fresh    int
 	cache    *SegCache
 	lowered  *LowerMemo
-	// names is the key builders' scratch set of referenced
-	// identifiers, made on the first key (see nameSet); nodes memoises
-	// statement digests (nil hashes from scratch).
-	names map[string]bool
+	// nodes memoises statement digests (nil hashes from scratch).
 	nodes *source.NodeMemo
 
 	// Incremental re-pricing state (see incremental.go). nc is the
@@ -503,10 +500,7 @@ func (e *Estimator) straight(stmts []source.Stmt, loopVars []string, inLoop bool
 // Declarations of names the segment never mentions are left out, so a
 // variant that only adds declarations still hits.
 func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) source.Fingerprint {
-	fp := e.keyFP.Mix(e.nodes.Stmts(stmts)).MixUint64(uint64(len(loopVars)))
-	for _, v := range loopVars {
-		fp = fp.MixString(v)
-	}
+	fp := mixVars(e.keyFP.Mix(e.nodes.Stmts(stmts)), loopVars)
 	if inLoop {
 		fp = fp.MixUint64(1)
 	} else {
@@ -519,15 +513,25 @@ func (e *Estimator) segKey(stmts []source.Stmt, loopVars []string, inLoop bool) 
 	return fp.Mix(source.FingerprintEnvFor(e.tbl.Program, names))
 }
 
-// nameSet returns the key builders' scratch name set, emptied. Only
-// keyed pricings make it: an estimator without caches never does.
-func (e *Estimator) nameSet() map[string]bool {
-	if e.names == nil {
-		e.names = map[string]bool{}
-	} else {
-		clear(e.names)
+// mixVars folds a list of enclosing loop variables into fp.
+func mixVars(fp source.Fingerprint, loopVars []string) source.Fingerprint {
+	fp = fp.MixUint64(uint64(len(loopVars)))
+	for _, v := range loopVars {
+		fp = fp.MixString(v)
 	}
-	return e.names
+	return fp
+}
+
+// nameSet returns the key builders' scratch name set, the workspace's,
+// emptied. Only keyed pricings make it: a workspace that only served
+// estimators without caches never does.
+func (e *Estimator) nameSet() map[string]bool {
+	if e.ws.names == nil {
+		e.ws.names = map[string]bool{}
+	} else {
+		clear(e.ws.names)
+	}
+	return e.ws.names
 }
 
 // loop aggregates C(do v = lb, ub, step {B}) = C(lb)+C(ub)+C(step) +

@@ -1,7 +1,6 @@
 package aggregate
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -329,7 +328,7 @@ func (e *Estimator) runShape(run []source.Stmt, loopVars []string, lw *lower.Low
 	var key source.Fingerprint
 	aux := e.auxActive()
 	if aux {
-		key = e.auxFP.Mix(e.nodes.Stmts(run)).MixString(fmt.Sprint(loopVars))
+		key = mixVars(e.auxFP.Mix(e.nodes.Stmts(run)), loopVars)
 		if ent, ok := e.nc.shapes.Get(key); ok {
 			return ent
 		}
@@ -357,7 +356,7 @@ func (e *Estimator) boundExprCost(b source.Expr, loopVars []string) (boundsEntry
 	var key source.Fingerprint
 	aux := e.auxActive()
 	if aux {
-		key = e.auxFP.MixString(source.ExprString(b)).MixString(fmt.Sprint(loopVars))
+		key = mixVars(e.auxFP.Mix(source.FingerprintExpr(b)), loopVars)
 		if ent, ok := e.nc.bounds.Get(key); ok {
 			return ent, nil
 		}

@@ -128,7 +128,7 @@ func (e *Estimator) lowerVia(kind lowerKind, node any, stmts []source.Stmt, loop
 // whose lowerings all hit a shared memo binds none.
 func (e *Estimator) pass(k lowerKey, stmts []source.Stmt, loopVars []string) (*lower.Lowered, error) {
 	if e.trans == nil {
-		e.trans = e.ws.translator(e.tbl, e.m)
+		e.trans = e.ws.Translator(e.tbl, e.m)
 	}
 	e.passes++
 	switch k.kind {

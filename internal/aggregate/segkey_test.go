@@ -130,14 +130,15 @@ func TestNilSegCacheKeysNothing(t *testing.T) {
 	}
 	bare, cache := New(tbl, m, DefaultOptions()), NewSegCache()
 	keyed := NewWithCache(tbl, m, DefaultOptions(), cache)
+	bare.ws, keyed.ws = new(Workspace), new(Workspace) // kept after the pricing, for the name-set checks
 	none, fresh := price(bare), price(keyed)
 	if a, b := fmt.Sprint(none), fmt.Sprint(fresh); a != b {
 		t.Fatalf("cache-less pricing\n%s\ndiffers from a fresh cache's\n%s", a, b)
 	}
-	if bare.names != nil {
+	if bare.ws.names != nil {
 		t.Error("a cache-less pricing built a segment key")
 	}
-	if keyed.names == nil || cache.Len() == 0 {
+	if keyed.ws.names == nil || cache.Len() == 0 {
 		t.Errorf("pricing through a fresh cache keyed nothing (%d entries stored)", cache.Len())
 	}
 	if raceEnabled {

@@ -26,6 +26,9 @@ type Workspace struct {
 	trans *lower.Translator
 	fma   bool // the HasFMA trans lowers for
 	tet   tetris.Scratch
+	// names is the key builders' scratch set of referenced identifiers
+	// (see nameSet), kept warm across the workspace's pricings.
+	names map[string]bool
 }
 
 var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
@@ -34,8 +37,15 @@ var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
 // Release once the pricings through it are done.
 func AcquireWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 
-// Release returns w to the pool; w must not be used afterwards.
-func (w *Workspace) Release() { workspacePool.Put(w) }
+// Release returns w to the pool; w must not be used afterwards. A
+// pooled workspace keeps its storage but no AST node, so it keeps no
+// program alive.
+func (w *Workspace) Release() {
+	if w.trans != nil {
+		w.trans.Unbind()
+	}
+	workspacePool.Put(w)
+}
 
 // PriceIncremental is the package PriceIncremental, lowering with w's
 // translator and placing blocks in w's Tetris scratch. A nil w takes a
@@ -46,10 +56,11 @@ func (w *Workspace) PriceIncremental(p *source.Program, changedPaths [][]int, ca
 	return e.Program(p)
 }
 
-// translator returns w's translator bound to tbl for lowering on m,
+// Translator returns w's translator bound to tbl for lowering on m,
 // building it on first use or when m's HasFMA differs from the one it
-// was built for (the only machine field lowering reads).
-func (w *Workspace) translator(tbl *sem.Table, m *machine.Machine) *lower.Translator {
+// was built for (the only machine field lowering reads). A lowering
+// through it holds until the next pass through w.
+func (w *Workspace) Translator(tbl *sem.Table, m *machine.Machine) *lower.Translator {
 	fma := m.Compiled().HasFMA()
 	if w.trans == nil || w.fma != fma {
 		w.trans, w.fma = lower.New(tbl, m, lower.DefaultOptions()), fma

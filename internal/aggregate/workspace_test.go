@@ -6,8 +6,11 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"perfpredict/internal/machine"
 	"perfpredict/internal/sem"
@@ -75,6 +78,90 @@ func TestReusedWorkspaceMatchesFresh(t *testing.T) {
 		}
 		if a, b := fmt.Sprint(got), fmt.Sprint(want); a != b {
 			t.Errorf("%s: through a reused workspace\n%s\nthrough a fresh one\n%s", j.name, a, b)
+		}
+	}
+}
+
+// TestReleasedWorkspaceHoldsNoAST: a workspace given back to the pool
+// keeps its storage but no node of the programs it priced, so a pooled
+// workspace keeps no program alive. Every node of a priced program
+// carries a finalizer, the workspace stays reachable after Release,
+// and every finalizer must run.
+func TestReleasedWorkspaceHoldsNoAST(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(corpusDir, "programs", "prog001.f"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.NewPOWER1()
+	ws := AcquireWorkspace()
+	var freed, total atomic.Int64
+	func() {
+		p, tbl := parseAnalyze(t, string(src))
+		caches := Caches{Seg: NewSegCache(), Nest: NewNestCache(), Nodes: source.NewNodeMemo()}
+		if _, err := ws.PriceIncremental(p, nil, caches, tbl, m, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		track := func(node any) {
+			total.Add(1)
+			runtime.SetFinalizer(node, func(any) { freed.Add(1) })
+		}
+		track(p)
+		walkAST(p.Body, track)
+	}()
+	ws.Release()
+	for i := 0; i < 200 && freed.Load() < total.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n, of := freed.Load(), total.Load(); n < of {
+		t.Errorf("after Release, %d of %d AST nodes are still reachable", of-n, of)
+	}
+	runtime.KeepAlive(ws)
+}
+
+// walkAST calls visit on every statement and expression node of list.
+func walkAST(list []source.Stmt, visit func(any)) {
+	var expr func(source.Expr)
+	expr = func(e source.Expr) {
+		if e == nil {
+			return
+		}
+		visit(e)
+		switch x := e.(type) {
+		case *source.ArrayRef:
+			for _, ix := range x.Idx {
+				expr(ix)
+			}
+		case *source.BinExpr:
+			expr(x.L)
+			expr(x.R)
+		case *source.UnExpr:
+			expr(x.X)
+		case *source.IntrinsicCall:
+			for _, a := range x.Args {
+				expr(a)
+			}
+		}
+	}
+	for _, s := range list {
+		visit(s)
+		switch x := s.(type) {
+		case *source.Assign:
+			expr(x.LHS)
+			expr(x.RHS)
+		case *source.DoLoop:
+			expr(x.Lb)
+			expr(x.Ub)
+			expr(x.Step)
+			walkAST(x.Body, visit)
+		case *source.IfStmt:
+			expr(x.Cond)
+			walkAST(x.Then, visit)
+			walkAST(x.Else, visit)
+		case *source.CallStmt:
+			for _, a := range x.Args {
+				expr(a)
+			}
 		}
 	}
 }

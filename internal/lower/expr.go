@@ -407,7 +407,7 @@ func (tr *Translator) arrayAddr(a *source.ArrayRef) (ir.Sym, error) {
 // x(i+2) agree — and reports whether the addressing hardware folds
 // every subscript for free. Memoized per node.
 func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
-	if ent, ok := tr.addrCache[a]; ok {
+	if ent, ok := tr.addrCache[a]; ok && ent.bound == tr.bound {
 		return ent.text, ent.cheap
 	}
 	var arr [64]byte
@@ -422,7 +422,7 @@ func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
 		cheap = cheap && sub.cheap
 	}
 	addr := tr.sym(string(append(buf, ')')))
-	tr.addrCache[a] = subEntry{text: addr, cheap: cheap}
+	tr.addrCache[a] = subEntry{text: addr, cheap: cheap, bound: tr.bound}
 	return addr, cheap
 }
 
@@ -433,7 +433,7 @@ func (tr *Translator) address(a *source.ArrayRef) (ir.Sym, bool) {
 // normal form depends only on the (immutable) node and the symbol
 // table.
 func (tr *Translator) subscript(e source.Expr) subEntry {
-	if ent, ok := tr.subCache[e]; ok {
+	if ent, ok := tr.subCache[e]; ok && ent.bound == tr.bound {
 		return ent
 	}
 	var ent subEntry
@@ -462,6 +462,7 @@ func (tr *Translator) subscript(e source.Expr) subEntry {
 		}
 		ent = subEntry{text: tr.sym(string(buf)), cheap: c == 1 || c == -1, affine: true}
 	}
+	ent.bound = tr.bound
 	tr.subCache[e] = ent
 	return ent
 }
@@ -621,14 +622,24 @@ func (tr *Translator) number(e source.Expr) (facts, error) {
 	return f, nil
 }
 
-// intern returns the value number of k, numbering new keys.
+// intern returns the value number of k, numbering keys new to the
+// pass.
 func (tr *Translator) intern(k vnKey) int32 {
-	if v, ok := tr.vns[k]; ok {
-		return v
+	if v, ok := tr.vns[k]; ok && v.pass == tr.pass {
+		return v.n
 	}
-	v := int32(len(tr.vns))
-	tr.vns[k] = v
+	v := tr.nvn
+	tr.nvn++
+	tr.vns[k] = vnEntry{n: v, pass: tr.pass}
 	return v
+}
+
+// nextEpoch stales every memoized facts entry. At wrap-around it empties
+// the memo, whose oldest stamps would otherwise match again.
+func (tr *Translator) nextEpoch() {
+	if tr.epoch++; tr.epoch == 0 {
+		clear(tr.memo)
+	}
 }
 
 // sym interns a text in the translator's table, giving it a state

@@ -151,10 +151,15 @@ type Translator struct {
 	// syms holds the pass's state of each Sym of names.
 	syms []symState
 	// Value numbering (see facts): vns interns one exact number per
-	// distinct expression value, and memo caches each node's facts for
-	// the current epoch. vals holds the registers of each value number
-	// (CSE), in the body and in the preheader. All are per pass.
-	vns   map[vnKey]int32
+	// distinct expression value, numbered from nvn within the pass
+	// numbered pass, and memo caches each node's facts for the epoch
+	// they were computed in. vals holds the registers of each value
+	// number (CSE), in the body and in the preheader. All are per pass,
+	// and a pass restarts them without walking the maps: it advances
+	// pass and epoch, and an entry stamped with an older one is stale.
+	vns   map[vnKey]vnEntry
+	nvn   int32
+	pass  uint32
 	memo  map[source.Expr]facts
 	epoch uint32
 	vals  []vnRegs
@@ -176,19 +181,28 @@ type Translator struct {
 	// Memoized canonical forms. AST nodes are immutable and the symbol
 	// table is fixed until the next Reset, so subscript normal forms and
 	// array addresses depend only on the node pointer and survive
-	// passes.
+	// passes. An entry holds for the binding it is stamped with: Reset
+	// advances bound instead of emptying the maps.
 	subCache  map[source.Expr]subEntry
 	addrCache map[*source.ArrayRef]subEntry
+	bound     uint32
 }
 
 // subEntry is a subscript's or an array reference's memoized canonical
 // text. cheap reports that the addressing hardware folds it (every
 // subscript of a reference); affine, that a subscript is affine in at
-// most one variable.
+// most one variable. bound is the binding it was computed in.
 type subEntry struct {
 	text   ir.Sym
 	cheap  bool
 	affine bool
+	bound  uint32
+}
+
+// vnEntry is an interned value number and the pass that numbered it.
+type vnEntry struct {
+	n    int32
+	pass uint32
 }
 
 // New creates a translator.
@@ -200,7 +214,7 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 		tbl: tbl, fma: m.Compiled().HasFMA(), opt: opt,
 		names:     ir.NewNames(3 * n),
 		syms:      make([]symState, 0, 3*n),
-		vns:       make(map[vnKey]int32, 3*n),
+		vns:       make(map[vnKey]vnEntry, 3*n),
 		vals:      make([]vnRegs, 0, 3*n),
 		memo:      map[source.Expr]facts{},
 		subCache:  map[source.Expr]subEntry{},
@@ -213,9 +227,10 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 // Reset rebinds the translator to tbl, another program's table on the
 // same machine, as if New had built it: register numbering, the name
 // table and the AST-keyed caches restart, and their storage is kept.
-// It invalidates the last pass's view. A lowering cloned earlier keeps
-// rendering unchanged: its name table is left to it, and the
-// translator starts a new one.
+// The caches restart in O(1): their entries are stamped with the
+// binding that computed them. It invalidates the last pass's view. A
+// lowering cloned earlier keeps rendering unchanged: its name table is
+// left to it, and the translator starts a new one.
 func (tr *Translator) Reset(tbl *sem.Table) {
 	tr.tbl = tbl
 	tr.nextReg = 0
@@ -227,8 +242,24 @@ func (tr *Translator) Reset(tbl *sem.Table) {
 	}
 	tr.out.link(tr.names)
 	tr.syms = tr.syms[:0]
+	if tr.bound++; tr.bound == 0 { // wrapped: the oldest stamps would match again
+		clear(tr.subCache)
+		clear(tr.addrCache)
+	}
+}
+
+// Unbind drops the translator's table and every AST node it keeps, so
+// that a translator parked between uses keeps no program alive. It
+// empties the AST-keyed caches, which Reset leaves stale in place; the
+// next use must be a Reset.
+func (tr *Translator) Unbind() {
+	tr.tbl = nil
+	clear(tr.memo)
+	clear(tr.vns)
 	clear(tr.subCache)
 	clear(tr.addrCache)
+	clear(tr.out.Refs[:cap(tr.out.Refs)])
+	clear(tr.uses[:cap(tr.uses)])
 }
 
 // tagRef registers a source array reference and returns its RefID.
@@ -317,8 +348,11 @@ func (tr *Translator) reset(loopVars []string) {
 		lw.blocks[i].Extra = lw.blocks[i].Extra[:0]
 	}
 	lw.Refs, lw.Promoted = lw.Refs[:0], lw.Promoted[:0]
-	clear(tr.vns)
-	clear(tr.memo)
+	if tr.pass++; tr.pass == 0 { // wrapped: see Reset
+		clear(tr.vns)
+	}
+	tr.nvn = 0
+	tr.nextEpoch()
 	clear(tr.syms)
 	tr.vals = tr.vals[:0]
 	tr.loadCount = 0
@@ -614,7 +648,7 @@ func (tr *Translator) store(ty source.Type, addr, base ir.Sym, srcs []ir.Reg, el
 		tr.out.Body.Append(ir.Instr{Op: storeOp(ty), Addr: addr, Base: base, RefID: refID}, srcs...)
 	}
 	tr.syms[base].ver++
-	tr.epoch++
+	tr.nextEpoch()
 	// Store-to-load forwarding. An element's number is built from the
 	// canonical text of its subscripts, as an affine load's is; a
 	// non-affine subscript's text matches no load's number.

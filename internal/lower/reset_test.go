@@ -128,4 +128,50 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 	t.Logf("%d programs compared", compared)
+
+	// A large unrolled block grows the translator's tables; the small
+	// blocks lowered after it, across Resets back and forth and an
+	// Unbind, must not see its stale entries.
+	big := unrolledProgram(t, 64)
+	bigTbl, err := sem.Analyze(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.NewPOWER1()
+	tr := lower.New(bigTbl, m, lower.DefaultOptions())
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			tr.Unbind()
+		}
+		tr.Reset(bigTbl)
+		got := lowerAll(tr, big.Body, nil)
+		if want := lowerAll(lower.New(bigTbl, m, lower.DefaultOptions()), big.Body, nil); got != want {
+			t.Fatalf("round %d: the unrolled block lowers differently after Reset", round)
+		}
+		for _, n := range names[:10] {
+			tr.Reset(tbls[n])
+			got := lowerAll(tr, progs[n].Body, nil)
+			if want := lowerAll(lower.New(tbls[n], m, lower.DefaultOptions()), progs[n].Body, nil); got != want {
+				t.Errorf("round %d, %s after the unrolled block: a Reset translator lowers\n%s\nwant\n%s", round, n, got, want)
+			}
+		}
+	}
+}
+
+// unrolledProgram returns a loop whose body is a daxpy-like statement
+// unrolled copies times, with distinct subscripts and shared operands.
+func unrolledProgram(t *testing.T, copies int) *source.Program {
+	t.Helper()
+	var sb strings.Builder
+	sb.WriteString("program unrolled\n  integer i, n\n  real a, x(4096), y(4096), s\n  do i = 1, n, " + fmt.Sprint(copies) + "\n")
+	for k := 0; k < copies; k++ {
+		fmt.Fprintf(&sb, "    y(i + %d) = y(i + %d) + a * x(i + %d) * x(i + %d)\n", k, k, k, k+1)
+		fmt.Fprintf(&sb, "    s = s + y(i + %d) / (a + %d.5)\n", k, k)
+	}
+	sb.WriteString("  end do\nend\n")
+	p, err := source.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

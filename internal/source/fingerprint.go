@@ -264,6 +264,13 @@ func (w *fpWriter) dist(d *Distribute) {
 	}
 }
 
+// FingerprintExpr hashes one expression subtree.
+func FingerprintExpr(e Expr) Fingerprint {
+	w := newFPWriter()
+	w.expr(e)
+	return w.f
+}
+
 // FingerprintStmt hashes one statement subtree.
 func FingerprintStmt(s Stmt) Fingerprint { return digestStmt(s, FingerprintStmts) }
 
