@@ -112,6 +112,27 @@ type ref struct {
 	arr   *source.ArrayRef
 	write bool
 	order int // textual order for kind classification
+	// subs holds the affine forms of arr's subscripts, made on the
+	// reference's first pair test (see forms).
+	subs []subForm
+}
+
+// subForm is one subscript's affine form, ok false when not affine.
+type subForm struct {
+	a  sem.Affine
+	ok bool
+}
+
+// forms returns r's subscripts' affine forms, computing them once for
+// all the pairs r is tested in.
+func (r *ref) forms(tbl *sem.Table) []subForm {
+	if r.subs == nil {
+		r.subs = make([]subForm, len(r.arr.Idx))
+		for i, ix := range r.arr.Idx {
+			r.subs[i].a, r.subs[i].ok = tbl.Affine(ix)
+		}
+	}
+	return r.subs
 }
 
 // collectRefs walks statements gathering array references.
@@ -165,6 +186,19 @@ func collectRefs(stmts []source.Stmt, out *[]ref) {
 // defeat every test are reported with '*' directions (assumed
 // dependent), keeping the analysis conservative.
 func Analyze(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt) []Dependence {
+	return analyzeNest(tbl, loops, body, true)
+}
+
+// Interchangeable reports InterchangeLegal(Analyze(tbl, loops, body),
+// i, j): the verdict alone, without rendering the references of the
+// dependences it weighs.
+func Interchangeable(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, i, j int) bool {
+	return InterchangeLegal(analyzeNest(tbl, loops, body, false), i, j)
+}
+
+// analyzeNest is Analyze, filling each dependence's Src and Dst when render
+// is set.
+func analyzeNest(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, render bool) []Dependence {
 	loopVars := map[string]bool{}
 	var order []string
 	for _, l := range loops {
@@ -175,18 +209,16 @@ func Analyze(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt) []Depen
 	collectRefs(body, &refs)
 
 	var out []Dependence
-	for i, a := range refs {
-		for j, b := range refs {
-			if j <= i {
-				continue
-			}
+	for i := range refs {
+		for j := i + 1; j < len(refs); j++ {
+			a, b := &refs[i], &refs[j]
 			if a.arr.Name != b.arr.Name {
 				continue
 			}
 			if !a.write && !b.write {
 				continue
 			}
-			d, dependent := testPair(tbl, a, b, order, loopVars)
+			d, dependent := testPair(tbl, a, b, order, loopVars, render)
 			if dependent {
 				out = append(out, d)
 			}
@@ -196,8 +228,9 @@ func Analyze(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt) []Depen
 }
 
 // testPair runs the subscript tests dimension by dimension and merges
-// the per-variable distance constraints.
-func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool) (Dependence, bool) {
+// the per-variable distance constraints. A dependent pair's Src and Dst
+// are rendered when render is set.
+func testPair(tbl *sem.Table, a, b *ref, order []string, loopVars map[string]bool, render bool) (Dependence, bool) {
 	kind := Output
 	switch {
 	case a.write && !b.write:
@@ -205,28 +238,39 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 	case !a.write && b.write:
 		kind = Anti
 	}
-	d := Dependence{
-		Array: a.arr.Name,
-		Kind:  kind,
-		Src:   source.ExprString(a.arr),
-		Dst:   source.ExprString(b.arr),
+	d := Dependence{Array: a.arr.Name, Kind: kind}
+	if render {
+		d.Src, d.Dst = source.ExprString(a.arr), source.ExprString(b.arr)
 	}
-	// dist[v]: required distance for v; has[v]: constraint present.
-	dist := map[string]int64{}
-	has := map[string]bool{}
-	star := map[string]bool{}
+	// lv[k] constrains the loop variable order[k]: dist its required
+	// distance when has, star an unknown direction; in marks the
+	// variables of the dimension under test.
+	type level struct {
+		dist          int64
+		has, star, in bool
+	}
+	lv := make([]level, len(order))
+	levelOf := func(v string) int {
+		for k, o := range order {
+			if o == v {
+				return k
+			}
+		}
+		return -1
+	}
 
 	if len(a.arr.Idx) != len(b.arr.Idx) {
 		// Rank confusion: be conservative.
 		return d.allStar(order), true
 	}
-	for dim := range a.arr.Idx {
-		fa, okA := tbl.Affine(a.arr.Idx[dim])
-		fb, okB := tbl.Affine(b.arr.Idx[dim])
+	fas, fbs := a.forms(tbl), b.forms(tbl)
+	for dim := range fas {
+		fa, okA := fas[dim].a, fas[dim].ok
+		fb, okB := fbs[dim].a, fbs[dim].ok
 		if !okA || !okB {
 			// Non-affine: unknown in every loop variable.
-			for _, v := range order {
-				star[v] = true
+			for k := range lv {
+				lv[k].star = true
 			}
 			continue
 		}
@@ -234,15 +278,18 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 		// fa(I1) = fb(I2).
 		unknownOffset := !sameInvariants(fa, fb, loopVars)
 		offset := fa.Const - fb.Const // a·I1 + c1 = a·I2 + c2 → a·Δ = c1−c2
-		vars := map[string]bool{}
+		nvars, only := 0, -1
+		for k := range lv {
+			lv[k].in = false
+		}
 		for _, f := range []sem.Affine{fa, fb} {
 			for i := range f.Len() {
-				if v := f.Term(i).Var; loopVars[v] {
-					vars[v] = true
+				if k := levelOf(f.Term(i).Var); k >= 0 && !lv[k].in {
+					lv[k].in, nvars, only = true, nvars+1, k
 				}
 			}
 		}
-		switch len(vars) {
+		switch nvars {
 		case 0:
 			// ZIV: constant subscripts (possibly with shared symbolic
 			// parts).
@@ -253,14 +300,11 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 				return Dependence{}, false // provably independent
 			}
 		case 1:
-			var v string
-			for vv := range vars {
-				v = vv
-			}
+			v := order[only]
 			a1, a2 := fa.Coeff(v), fb.Coeff(v)
 			if a1 != a2 || a1 == 0 || unknownOffset {
 				// Weak SIV or unknown offset: direction unknown.
-				star[v] = true
+				lv[only].star = true
 				continue
 			}
 			// Strong SIV: a·Δv = c1 − c2 with Δv = I2 − I1.
@@ -268,30 +312,35 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 				return Dependence{}, false // non-integer distance
 			}
 			delta := offset / a1
-			if has[v] && dist[v] != delta {
+			if lv[only].has && lv[only].dist != delta {
 				return Dependence{}, false // inconsistent across dims
 			}
-			has[v], dist[v] = true, delta
+			lv[only].has, lv[only].dist = true, delta
 		default:
 			// MIV: GCD test over all instance coefficients.
 			g := int64(0)
-			for v := range vars {
-				g = gcd(g, abs64(fa.Coeff(v)))
-				g = gcd(g, abs64(fb.Coeff(v)))
+			for k := range lv {
+				if lv[k].in {
+					g = gcd(g, abs64(fa.Coeff(order[k])))
+					g = gcd(g, abs64(fb.Coeff(order[k])))
+				}
 			}
 			if g != 0 && !unknownOffset && offset%g != 0 {
 				return Dependence{}, false
 			}
-			for v := range vars {
-				star[v] = true
+			for k := range lv {
+				if lv[k].in {
+					lv[k].star = true
+				}
 			}
 		}
 	}
 
 	for _, v := range order {
+		st := lv[levelOf(v)]
 		switch {
-		case has[v] && !star[v]:
-			delta := dist[v]
+		case st.has && !st.star:
+			delta := st.dist
 			d.Distances = append(d.Distances, delta)
 			d.Known = append(d.Known, true)
 			switch {
@@ -302,7 +351,7 @@ func testPair(tbl *sem.Table, a, b ref, order []string, loopVars map[string]bool
 			default:
 				d.Directions = append(d.Directions, DirEQ)
 			}
-		case star[v]:
+		case st.star:
 			d.Distances = append(d.Distances, 0)
 			d.Known = append(d.Known, false)
 			d.Directions = append(d.Directions, DirStar)

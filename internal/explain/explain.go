@@ -177,7 +177,7 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	rep, err := Diagnose(prog, tbl, m, opt.Nominal)
+	rep, err := Diagnose(prog, tbl, m, opt.Nominal, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +199,9 @@ func Program(prog *source.Program, tbl *sem.Table, m *machine.Machine, opt Optio
 // nominal point, and the program-wide unit pressure and bottleneck.
 // The report's Cycles, MemoryCycles, MemoryBound and WhatIf stay zero,
 // so a caller that has priced the program already pays only for the
-// nests' explained placements.
-func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal map[string]float64) (*Report, error) {
+// nests' explained placements. The nests lower through ws's translator,
+// rebound to tbl; a nil ws takes a workspace from the pool for the call.
+func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal map[string]float64, ws *aggregate.Workspace) (*Report, error) {
 	// Every innermost nest, not just the deepest: a diagnosis must
 	// attribute cycles across kernels. A body's IFs are flattened, so
 	// a guarded update counts as executed work; the guards and branch
@@ -209,7 +210,11 @@ func Diagnose(prog *source.Program, tbl *sem.Table, m *machine.Machine, nominal 
 	rep := &Report{Machine: m.Name}
 	sites := source.Nests(prog.Body)
 	raw := make([]float64, len(sites))
-	tr := lower.New(tbl, m, lower.DefaultOptions())
+	if ws == nil {
+		ws = aggregate.AcquireWorkspace()
+		defer ws.Release()
+	}
+	tr := ws.Translator(tbl, m)
 	for i, site := range sites {
 		nest, weight, err := diagnoseNest(tr, tbl, m, site, nominal)
 		if err != nil {

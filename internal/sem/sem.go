@@ -45,6 +45,14 @@ type Table struct {
 	order   []string
 }
 
+// Rebind returns t as the table of p, a program that declares what t's
+// program declares and reads no name t lacks, such as one restructured
+// by moves that neither declare nor introduce a name: Analyze(p) would
+// find the same symbols. The two tables share their symbols.
+func (t *Table) Rebind(p *source.Program) *Table {
+	return &Table{Program: p, syms: t.syms, order: t.order}
+}
+
 // Lookup returns the symbol for name, or nil.
 func (t *Table) Lookup(name string) *Symbol { return t.syms[name] }
 

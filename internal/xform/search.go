@@ -52,17 +52,18 @@ func sortMoves(moves []Move) []Move {
 // Apply performs the move, returning a new program that shares every
 // node the move did not rewrite with p (see edit); p is left unchanged.
 func Apply(p *source.Program, m Move) (*source.Program, error) {
-	return apply(p, nil, m)
+	return apply(p, nil, m, nil)
 }
 
 // apply is Apply reading p's symbol table tbl, which the moves that
-// consult one analyze p for when tbl is nil.
-func apply(p *source.Program, tbl *sem.Table, m Move) (*source.Program, error) {
+// consult one analyze p for when tbl is nil, and the search's verdicts
+// v (nil for none).
+func apply(p *source.Program, tbl *sem.Table, m Move, v *verdicts) (*source.Program, error) {
 	switch m.Kind {
 	case "unroll":
 		return unroll(p, tbl, m.Path, m.Param)
 	case "interchange":
-		return interchange(p, tbl, m.Path)
+		return interchange(p, tbl, m.Path, v)
 	case "tile":
 		return Tile(p, m.Path, m.Param)
 	case "fuse":
@@ -211,8 +212,19 @@ func Moves(p *source.Program, opt SearchOptions) []Move {
 // Predict evaluates the aggregated cost of a program at the nominal
 // assignment, sharing the given segment cache.
 func Predict(p *source.Program, opt SearchOptions, cache *aggregate.SegCache) (float64, error) {
-	pr, err := predictWith(p, opt, aggregate.Caches{Seg: cache}, nil, nil)
+	pr, err := predictWith(p, nil, opt, aggregate.Caches{Seg: cache}, nil, nil)
 	return pr.cost, err
+}
+
+// childTable returns the symbol table of next, which move m made from a
+// program whose table is tbl. Unroll, interchange, distribute and fuse
+// declare nothing and introduce no name, so next inherits tbl; tile
+// declares its control variable, so next is analyzed (nil).
+func childTable(tbl *sem.Table, m Move, next *source.Program) *sem.Table {
+	if m.Kind == "tile" {
+		return nil
+	}
+	return tbl.Rebind(next)
 }
 
 // priced is one program's pricing at the nominal assignment: the total
@@ -224,13 +236,16 @@ type priced struct {
 	tbl       *sem.Table
 }
 
-// predictWith prices a program through the search's shared caches and
-// the worker's workspace ws (nil for none), passing the advisory
-// dirty-path hint to the incremental estimator.
-func predictWith(p *source.Program, opt SearchOptions, caches aggregate.Caches, dirty [][]int, ws *aggregate.Workspace) (priced, error) {
-	tbl, err := sem.Analyze(p)
-	if err != nil {
-		return priced{}, err
+// predictWith prices a program, whose symbol table is tbl (nil:
+// analyze p), through the search's shared caches and the worker's
+// workspace ws (nil for none), passing the advisory dirty-path hint to
+// the incremental estimator.
+func predictWith(p *source.Program, tbl *sem.Table, opt SearchOptions, caches aggregate.Caches, dirty [][]int, ws *aggregate.Workspace) (priced, error) {
+	if tbl == nil {
+		var err error
+		if tbl, err = sem.Analyze(p); err != nil {
+			return priced{}, err
+		}
 	}
 	res, err := ws.PriceIncremental(p, dirty, caches, tbl, opt.Machine, aggregate.DefaultOptions())
 	if err != nil {
@@ -294,8 +309,9 @@ func SearchCtx(ctx context.Context, p *source.Program, opt SearchOptions) (Searc
 }
 
 // search is SearchCtx; onPush, when non-nil, sees every state put on
-// the frontier with the digest the search deduplicated it by.
-func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, source.Fingerprint)) (SearchResult, error) {
+// the frontier with the symbol table it was priced with and the digest
+// the search deduplicated it by.
+func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush func(*source.Program, *sem.Table, source.Fingerprint)) (SearchResult, error) {
 	opt.defaults()
 	if opt.Machine == nil {
 		return SearchResult{}, fmt.Errorf("xform: SearchOptions.Machine is required")
@@ -336,7 +352,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 			ws.Release()
 		}
 	}()
-	initial, err := predictWith(p, opt, caches, nil, wss[0])
+	initial, err := predictWith(p, nil, opt, caches, nil, wss[0])
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -344,8 +360,9 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	best := start
 	startFP := caches.Nodes.Program(p)
 	if onPush != nil {
-		onPush(p, startFP)
+		onPush(p, initial.tbl, startFP)
 	}
+	legal := newVerdicts()
 	visited := map[source.Fingerprint]bool{startFP: true}
 	h := &stateHeap{start}
 	explored := 0
@@ -372,7 +389,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		// running best stay fully priced.
 		cands := make([]candidate, len(moves))
 		ctxErr = workpool.RunCtx(ctx, len(moves), opt.Workers, func(i int) {
-			next, err := apply(cur.prog, cur.tbl, moves[i])
+			next, err := apply(cur.prog, cur.tbl, moves[i], legal)
 			if err != nil {
 				cands[i].skip = true // illegal move
 				return
@@ -400,7 +417,8 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 			// The move's path is the advisory dirty hint: only the
 			// transformed nest skips its cache probe; every untouched
 			// nest — including ones the move shifted — is looked up.
-			pr, err := predictWith(cands[i].prog, opt, caches, [][]int{[]int(moves[i].Path)}, wss[w])
+			tbl := childTable(cur.tbl, moves[i], cands[i].prog)
+			pr, err := predictWith(cands[i].prog, tbl, opt, caches, [][]int{[]int(moves[i].Path)}, wss[w])
 			if err != nil {
 				cands[i].skip = true
 				return
@@ -419,7 +437,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 				best = st
 			}
 			if onPush != nil {
-				onPush(st.prog, cands[i].fp)
+				onPush(st.prog, st.tbl, cands[i].fp)
 			}
 			heap.Push(h, st)
 		}
@@ -441,7 +459,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		TetrisCalls:   caches.Nest.TetrisCalls() - tetris0,
 	}
 	if ctxErr == nil {
-		out.Bottleneck, out.BottleneckUtil = diagnoseBest(best.prog, best.tbl, opt)
+		out.Bottleneck, out.BottleneckUtil = diagnoseBest(best.prog, best.tbl, opt, wss[0])
 	}
 	return out, ctxErr
 }
@@ -450,13 +468,14 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 // diagnosis is advisory — it runs once, after ranking, and any failure
 // (e.g. a nest shape the explainer cannot lower) degrades to an empty
 // bottleneck rather than failing a completed search. The winner is
-// priced already, so only its nests are diagnosed.
-func diagnoseBest(p *source.Program, tbl *sem.Table, opt SearchOptions) (string, float64) {
+// priced already, so only its nests are diagnosed, through the search's
+// workspace ws.
+func diagnoseBest(p *source.Program, tbl *sem.Table, opt SearchOptions, ws *aggregate.Workspace) (string, float64) {
 	nominal := make(map[string]float64, len(opt.Nominal))
 	for k, v := range opt.Nominal {
 		nominal[string(k)] = v
 	}
-	rep, err := explain.Diagnose(p, tbl, opt.Machine, nominal)
+	rep, err := explain.Diagnose(p, tbl, opt.Machine, nominal, ws)
 	if err != nil {
 		return "", 0
 	}

@@ -9,6 +9,7 @@ import (
 
 	"perfpredict/internal/kernels"
 	"perfpredict/internal/machine"
+	"perfpredict/internal/sem"
 	"perfpredict/internal/source"
 )
 
@@ -299,7 +300,7 @@ func TestSearchFreezesSharedStates(t *testing.T) {
 		var mu sync.Mutex
 		var states []pushed
 		_, err := search(context.Background(), p, SearchOptions{Machine: m, Workers: 4, MaxNodes: 20},
-			func(prog *source.Program, fp source.Fingerprint) {
+			func(prog *source.Program, _ *sem.Table, fp source.Fingerprint) {
 				mu.Lock()
 				states = append(states, pushed{prog, fp})
 				mu.Unlock()
