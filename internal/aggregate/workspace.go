@@ -24,7 +24,6 @@ import (
 // before the next one through the same workspace starts.
 type Workspace struct {
 	trans *lower.Translator
-	fma   bool // the HasFMA trans lowers for
 	tet   tetris.Scratch
 	// names is the key builders' scratch set of referenced identifiers
 	// (see nameSet), kept warm across the workspace's pricings.
@@ -57,15 +56,13 @@ func (w *Workspace) PriceIncremental(p *source.Program, changedPaths [][]int, ca
 }
 
 // Translator returns w's translator bound to tbl for lowering on m,
-// building it on first use or when m's HasFMA differs from the one it
-// was built for (the only machine field lowering reads). A lowering
-// through it holds until the next pass through w.
+// building it on first use. A lowering through it holds until the next
+// pass through w.
 func (w *Workspace) Translator(tbl *sem.Table, m *machine.Machine) *lower.Translator {
-	fma := m.Compiled().HasFMA()
-	if w.trans == nil || w.fma != fma {
-		w.trans, w.fma = lower.New(tbl, m, lower.DefaultOptions()), fma
+	if w.trans == nil {
+		w.trans = lower.New(tbl, m, lower.DefaultOptions())
 	} else {
-		w.trans.Reset(tbl)
+		w.trans.Reset(tbl, m)
 	}
 	return w.trans
 }

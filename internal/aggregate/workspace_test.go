@@ -20,8 +20,8 @@ import (
 // TestReusedWorkspaceMatchesFresh prices every corpus program on every
 // golden target, in shuffled order, through one reused workspace and
 // through a zero workspace of its own: the reused translator is rebound
-// to another program's table, and rebuilt for another HasFMA, between
-// pricings, and the rendered results must be equal.
+// to another program's table and another target between pricings, and
+// the rendered results must be equal.
 func TestReusedWorkspaceMatchesFresh(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(corpusDir, "golden.json"))
 	if err != nil {

@@ -180,7 +180,7 @@ func TestCloneOutlivesNextPass(t *testing.T) {
 		}
 		// Rebinding the translator to another program restarts its
 		// name table; the clone keeps the one it shares.
-		tr.Reset(other)
+		tr.Reset(other, m)
 		if _, err := tr.Body(otherRun.Body, []string{otherRun.Var}); err != nil {
 			t.Fatalf("%s: daxpy after Reset: %v", name, err)
 		}

@@ -49,13 +49,13 @@ end
 		t.Fatal("the lowering filled no map")
 	}
 	tr.pass, tr.epoch, tr.bound = ^uint32(0), ^uint32(0), ^uint32(0)
-	tr.Reset(tbl)
+	tr.Reset(tbl, m)
 	tr.reset(nil)
 	if n := len(tr.vns) + len(tr.memo) + len(tr.subCache) + len(tr.addrCache); n != 0 {
 		t.Fatalf("%d entries survive the counters' wrap-around", n)
 	}
 	for i := 0; i < 3; i++ {
-		tr.Reset(tbl)
+		tr.Reset(tbl, m)
 		if got := render(tr); got != want {
 			t.Fatalf("lowering %d after the counters wrap:\n%s\nwant\n%s", i, got, want)
 		}

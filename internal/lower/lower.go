@@ -224,15 +224,16 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 	return tr
 }
 
-// Reset rebinds the translator to tbl, another program's table on the
-// same machine, as if New had built it: register numbering, the name
-// table and the AST-keyed caches restart, and their storage is kept.
+// Reset rebinds the translator to tbl, another program's table, on m,
+// as if New had built it with its options: register numbering, the
+// name table and the AST-keyed caches restart, and their storage is
+// kept.
 // The caches restart in O(1): their entries are stamped with the
 // binding that computed them. It invalidates the last pass's view. A
 // lowering cloned earlier keeps rendering unchanged: its name table is
 // left to it, and the translator starts a new one.
-func (tr *Translator) Reset(tbl *sem.Table) {
-	tr.tbl = tbl
+func (tr *Translator) Reset(tbl *sem.Table, m *machine.Machine) {
+	tr.tbl, tr.fma = tbl, m.Compiled().HasFMA()
 	tr.nextReg = 0
 	if tr.out.sharedNames {
 		tr.names = ir.NewNames(3 * tbl.Len())

@@ -90,9 +90,9 @@ func lowerAll(tr *lower.Translator, list []source.Stmt, vars []string) string {
 }
 
 // TestResetMatchesNew: one translator, Reset from program to program
-// of the golden set in a shuffled order, lowers every segment,
-// condition and bound of each exactly as a translator New builds for
-// that program does, on every golden target.
+// of the golden set in a shuffled order and from golden target to
+// golden target, lowers every segment, condition and bound of each
+// exactly as a translator New builds for that program and target does.
 func TestResetMatchesNew(t *testing.T) {
 	progs := goldenPrograms(t)
 	names := make([]string, 0, len(progs))
@@ -110,14 +110,14 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(1))
 	compared := 0
+	var tr *lower.Translator
 	for _, m := range goldenTargets(t) {
 		r.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
-		var tr *lower.Translator
 		for _, n := range names {
 			if tr == nil {
 				tr = lower.New(tbls[n], m, lower.DefaultOptions())
 			} else {
-				tr.Reset(tbls[n])
+				tr.Reset(tbls[n], m)
 			}
 			got := lowerAll(tr, progs[n].Body, nil)
 			want := lowerAll(lower.New(tbls[n], m, lower.DefaultOptions()), progs[n].Body, nil)
@@ -138,18 +138,18 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.NewPOWER1()
-	tr := lower.New(bigTbl, m, lower.DefaultOptions())
+	tr = lower.New(bigTbl, m, lower.DefaultOptions())
 	for round := 0; round < 3; round++ {
 		if round == 2 {
 			tr.Unbind()
 		}
-		tr.Reset(bigTbl)
+		tr.Reset(bigTbl, m)
 		got := lowerAll(tr, big.Body, nil)
 		if want := lowerAll(lower.New(bigTbl, m, lower.DefaultOptions()), big.Body, nil); got != want {
 			t.Fatalf("round %d: the unrolled block lowers differently after Reset", round)
 		}
 		for _, n := range names[:10] {
-			tr.Reset(tbls[n])
+			tr.Reset(tbls[n], m)
 			got := lowerAll(tr, progs[n].Body, nil)
 			if want := lowerAll(lower.New(tbls[n], m, lower.DefaultOptions()), progs[n].Body, nil); got != want {
 				t.Errorf("round %d, %s after the unrolled block: a Reset translator lowers\n%s\nwant\n%s", round, n, got, want)
