@@ -260,7 +260,6 @@ func (tr *Translator) Unbind() {
 	clear(tr.subCache)
 	clear(tr.addrCache)
 	clear(tr.out.Refs[:cap(tr.out.Refs)])
-	clear(tr.uses[:cap(tr.uses)])
 }
 
 // tagRef registers a source array reference and returns its RefID.
