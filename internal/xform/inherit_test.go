@@ -19,10 +19,10 @@ import (
 // progen seeds. Every state the search pushes was priced with a symbol
 // table that must equal sem.Analyze of the state, symbol by symbol.
 // From every pushed state, every move is applied as the search applies
-// it — reading the state's table and one verdict memo shared by the
-// whole search — and must give what Apply gives with a fresh analysis;
-// where the child inherits its parent's table, sem.Analyze of the
-// child must succeed and equal it.
+// it, reading the state's table, and must give what Apply gives with a
+// fresh analysis. Every interchange verdict must equal a fresh
+// deps.Analyze, and where the child inherits its parent's table,
+// sem.Analyze of the child must succeed and equal it.
 func TestInheritedTablesMatchAnalysis(t *testing.T) {
 	subjects := moveSubjects(t)
 	seeds := 30
@@ -58,17 +58,16 @@ func TestInheritedTablesMatchAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		legal := newVerdicts()
 		for _, st := range states {
 			sameTable(t, name+": pushed state", st.tbl, st.prog)
 			for _, mv := range Moves(st.prog, SearchOptions{UnrollFactors: []int{2, 4}, TileSizes: []int{16}}) {
-				got, err := apply(st.prog, st.tbl, mv, legal)
+				got, err := apply(st.prog, st.tbl, mv)
 				want, werr := Apply(st.prog, mv)
 				if (err == nil) != (werr == nil) {
-					t.Fatalf("%s %v: error %v with the state's table and verdicts, %v with a fresh analysis", name, mv, err, werr)
+					t.Fatalf("%s %v: error %v with the state's table, %v with a fresh analysis", name, mv, err, werr)
 				}
 				if mv.Kind == "interchange" {
-					checkVerdict(t, name, st.prog, st.tbl, mv, legal)
+					checkVerdict(t, name, st.prog, st.tbl, mv)
 					interchanges++
 				}
 				if err != nil {
@@ -111,10 +110,10 @@ func sameTable(t *testing.T, what string, tbl *sem.Table, p *source.Program) {
 	}
 }
 
-// checkVerdict requires the memoised verdict on interchange move mv of
+// checkVerdict requires the search's verdict on interchange move mv of
 // p, whose table the search holds as tbl, to equal a fresh
 // deps.Analyze under p's own analysis.
-func checkVerdict(t *testing.T, name string, p *source.Program, tbl *sem.Table, mv Move, legal *verdicts) {
+func checkVerdict(t *testing.T, name string, p *source.Program, tbl *sem.Table, mv Move) {
 	t.Helper()
 	outer, err := loopAt(p, mv.Path)
 	if err != nil {
@@ -126,7 +125,7 @@ func checkVerdict(t *testing.T, name string, p *source.Program, tbl *sem.Table, 
 		t.Fatal(err)
 	}
 	loops := []*source.DoLoop{outer, inner}
-	if got, want := legal.interchangeLegal(tbl, outer, inner), deps.InterchangeLegal(deps.Analyze(fresh, loops, inner.Body), 0, 1); got != want {
-		t.Fatalf("%s %v: memoised verdict %v, deps.Analyze says %v", name, mv, got, want)
+	if got, want := deps.Interchangeable(tbl, loops, inner.Body, 0, 1), deps.InterchangeLegal(deps.Analyze(fresh, loops, inner.Body), 0, 1); got != want {
+		t.Fatalf("%s %v: the search's verdict %v, deps.Analyze says %v", name, mv, got, want)
 	}
 }

@@ -52,18 +52,17 @@ func sortMoves(moves []Move) []Move {
 // Apply performs the move, returning a new program that shares every
 // node the move did not rewrite with p (see edit); p is left unchanged.
 func Apply(p *source.Program, m Move) (*source.Program, error) {
-	return apply(p, nil, m, nil)
+	return apply(p, nil, m)
 }
 
 // apply is Apply reading p's symbol table tbl, which the moves that
-// consult one analyze p for when tbl is nil, and the search's verdicts
-// v (nil for none).
-func apply(p *source.Program, tbl *sem.Table, m Move, v *verdicts) (*source.Program, error) {
+// consult one analyze p for when tbl is nil.
+func apply(p *source.Program, tbl *sem.Table, m Move) (*source.Program, error) {
 	switch m.Kind {
 	case "unroll":
 		return unroll(p, tbl, m.Path, m.Param)
 	case "interchange":
-		return interchange(p, tbl, m.Path, v)
+		return interchange(p, tbl, m.Path)
 	case "tile":
 		return Tile(p, m.Path, m.Param)
 	case "fuse":
@@ -362,7 +361,6 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 	if onPush != nil {
 		onPush(p, initial.tbl, startFP)
 	}
-	legal := newVerdicts()
 	visited := map[source.Fingerprint]bool{startFP: true}
 	h := &stateHeap{start}
 	explored := 0
@@ -389,7 +387,7 @@ func search(ctx context.Context, p *source.Program, opt SearchOptions, onPush fu
 		// running best stay fully priced.
 		cands := make([]candidate, len(moves))
 		ctxErr = workpool.RunCtx(ctx, len(moves), opt.Workers, func(i int) {
-			next, err := apply(cur.prog, cur.tbl, moves[i], legal)
+			next, err := apply(cur.prog, cur.tbl, moves[i])
 			if err != nil {
 				cands[i].skip = true // illegal move
 				return

@@ -12,7 +12,6 @@ package xform
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"perfpredict/internal/deps"
 	"perfpredict/internal/sem"
@@ -368,44 +367,11 @@ func unroll(p *source.Program, tbl *sem.Table, path Path, factor int) (*source.P
 // Legal when the nest is perfect, the inner bounds do not reference the
 // outer variable, and no dependence direction vector forbids the swap.
 func Interchange(p *source.Program, path Path) (*source.Program, error) {
-	return interchange(p, nil, path, nil)
+	return interchange(p, nil, path)
 }
 
-// verdicts memoizes, for one search, the dependence verdict on
-// interchanging each perfect nest, keyed by its outer loop. The verdict
-// reads only the nest, which states share by pointer while moves leave
-// it untouched, and the symbols of the arrays and subscript variables
-// it names, which no move redeclares. Safe for concurrent use; a nil
-// *verdicts memoizes nothing.
-type verdicts struct {
-	mu sync.Mutex
-	m  map[*source.DoLoop]bool
-}
-
-func newVerdicts() *verdicts { return &verdicts{m: map[*source.DoLoop]bool{}} }
-
-// interchangeLegal reports whether no dependence of the perfect nest
-// outer/inner forbids swapping the two loops.
-func (v *verdicts) interchangeLegal(tbl *sem.Table, outer, inner *source.DoLoop) bool {
-	if v == nil {
-		return deps.Interchangeable(tbl, []*source.DoLoop{outer, inner}, inner.Body, 0, 1)
-	}
-	v.mu.Lock()
-	ok, hit := v.m[outer]
-	v.mu.Unlock()
-	if hit {
-		return ok
-	}
-	ok = (*verdicts)(nil).interchangeLegal(tbl, outer, inner)
-	v.mu.Lock()
-	v.m[outer] = ok // a concurrent miss may store it too; both are equal
-	v.mu.Unlock()
-	return ok
-}
-
-// interchange is Interchange reading p's table tbl (nil: analyze p) and
-// the search's verdicts v.
-func interchange(p *source.Program, tbl *sem.Table, path Path, v *verdicts) (*source.Program, error) {
+// interchange is Interchange reading p's table tbl (nil: analyze p).
+func interchange(p *source.Program, tbl *sem.Table, path Path) (*source.Program, error) {
 	outer, err := loopAt(p, path)
 	if err != nil {
 		return nil, err
@@ -424,7 +390,7 @@ func interchange(p *source.Program, tbl *sem.Table, path Path, v *verdicts) (*so
 	if err != nil {
 		return nil, err
 	}
-	if !v.interchangeLegal(tbl, outer, inner) {
+	if !deps.Interchangeable(tbl, []*source.DoLoop{outer, inner}, inner.Body, 0, 1) {
 		return nil, fmt.Errorf("xform: interchange is illegal (dependence)")
 	}
 	no, ni := *outer, *inner
