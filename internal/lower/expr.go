@@ -510,8 +510,8 @@ const (
 
 // facts returns e's facts, computing them bottom-up once per epoch. The
 // epoch advances at every store, since a store changes the version of
-// what it writes; nothing else changes a node's facts within a pass.
-// A leaf, or a node over leaves alone, is cheaper to number again than
+// what it writes, and at every pass start; nothing else changes a
+// node's facts within a pass. A leaf, or a node over leaves alone, is cheaper to number again than
 // to memoize.
 func (tr *Translator) facts(e source.Expr) (facts, error) {
 	if leaf(e) {
