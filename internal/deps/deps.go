@@ -54,8 +54,8 @@ type Dependence struct {
 	// known (valid where Known is true).
 	Distances []int64
 	Known     []bool
-	// Src and Dst are the textual references, for diagnostics.
-	Src, Dst string
+	// Src and Dst are the two references, rendered by String.
+	Src, Dst *source.ArrayRef
 }
 
 // CarriedBy reports whether the dependence is carried by loop level
@@ -88,7 +88,7 @@ func (d Dependence) String() string {
 	for i, x := range d.Directions {
 		dirs[i] = byte(x)
 	}
-	return fmt.Sprintf("%s dep on %s: %s -> %s (%s)", d.Kind, d.Array, d.Src, d.Dst, dirs)
+	return fmt.Sprintf("%s dep on %s: %s -> %s (%s)", d.Kind, d.Array, source.ExprString(d.Src), source.ExprString(d.Dst), dirs)
 }
 
 // sameInvariants reports whether fa and fb have the same non-loop
@@ -186,19 +186,6 @@ func collectRefs(stmts []source.Stmt, out *[]ref) {
 // defeat every test are reported with '*' directions (assumed
 // dependent), keeping the analysis conservative.
 func Analyze(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt) []Dependence {
-	return analyzeNest(tbl, loops, body, true)
-}
-
-// Interchangeable reports InterchangeLegal(Analyze(tbl, loops, body),
-// i, j): the verdict alone, without rendering the references of the
-// dependences it weighs.
-func Interchangeable(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, i, j int) bool {
-	return InterchangeLegal(analyzeNest(tbl, loops, body, false), i, j)
-}
-
-// analyzeNest is Analyze, filling each dependence's Src and Dst when render
-// is set.
-func analyzeNest(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, render bool) []Dependence {
 	loopVars := map[string]bool{}
 	var order []string
 	for _, l := range loops {
@@ -218,7 +205,7 @@ func analyzeNest(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, ren
 			if !a.write && !b.write {
 				continue
 			}
-			d, dependent := testPair(tbl, a, b, order, loopVars, render)
+			d, dependent := testPair(tbl, a, b, order, loopVars)
 			if dependent {
 				out = append(out, d)
 			}
@@ -228,9 +215,8 @@ func analyzeNest(tbl *sem.Table, loops []*source.DoLoop, body []source.Stmt, ren
 }
 
 // testPair runs the subscript tests dimension by dimension and merges
-// the per-variable distance constraints. A dependent pair's Src and Dst
-// are rendered when render is set.
-func testPair(tbl *sem.Table, a, b *ref, order []string, loopVars map[string]bool, render bool) (Dependence, bool) {
+// the per-variable distance constraints.
+func testPair(tbl *sem.Table, a, b *ref, order []string, loopVars map[string]bool) (Dependence, bool) {
 	kind := Output
 	switch {
 	case a.write && !b.write:
@@ -238,10 +224,7 @@ func testPair(tbl *sem.Table, a, b *ref, order []string, loopVars map[string]boo
 	case !a.write && b.write:
 		kind = Anti
 	}
-	d := Dependence{Array: a.arr.Name, Kind: kind}
-	if render {
-		d.Src, d.Dst = source.ExprString(a.arr), source.ExprString(b.arr)
-	}
+	d := Dependence{Array: a.arr.Name, Kind: kind, Src: a.arr, Dst: b.arr}
 	// lv[k] constrains the loop variable order[k]: dist its required
 	// distance when has, star an unknown direction; in marks the
 	// variables of the dimension under test.

@@ -441,9 +441,8 @@ program p
   end do
 end
 `)
-	s := ds[0].String()
-	if s == "" {
-		t.Error("empty String()")
+	if got, want := ds[0].String(), "flow dep on a: a(i) -> a((i-1)) (<)"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

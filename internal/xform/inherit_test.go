@@ -125,7 +125,7 @@ func checkVerdict(t *testing.T, name string, p *source.Program, tbl *sem.Table, 
 		t.Fatal(err)
 	}
 	loops := []*source.DoLoop{outer, inner}
-	if got, want := deps.Interchangeable(tbl, loops, inner.Body, 0, 1), deps.InterchangeLegal(deps.Analyze(fresh, loops, inner.Body), 0, 1); got != want {
+	if got, want := deps.InterchangeLegal(deps.Analyze(tbl, loops, inner.Body), 0, 1), deps.InterchangeLegal(deps.Analyze(fresh, loops, inner.Body), 0, 1); got != want {
 		t.Fatalf("%s %v: the search's verdict %v, deps.Analyze says %v", name, mv, got, want)
 	}
 }

@@ -390,7 +390,8 @@ func interchange(p *source.Program, tbl *sem.Table, path Path) (*source.Program,
 	if err != nil {
 		return nil, err
 	}
-	if !deps.Interchangeable(tbl, []*source.DoLoop{outer, inner}, inner.Body, 0, 1) {
+	ds := deps.Analyze(tbl, []*source.DoLoop{outer, inner}, inner.Body)
+	if !deps.InterchangeLegal(ds, 0, 1) {
 		return nil, fmt.Errorf("xform: interchange is illegal (dependence)")
 	}
 	no, ni := *outer, *inner
