@@ -43,14 +43,19 @@ type Table struct {
 	Program *source.Program
 	syms    map[string]*Symbol
 	order   []string
+	// analyzed is set when Analyze returns; from then on the table is
+	// read-only, so tables that share their symbols may be read
+	// concurrently.
+	analyzed bool
 }
 
 // Rebind returns t as the table of p, a program that declares what t's
 // program declares and reads no name t lacks, such as one restructured
 // by moves that neither declare nor introduce a name: Analyze(p) would
-// find the same symbols. The two tables share their symbols.
+// find the same symbols. The two tables share their symbols, which
+// neither changes.
 func (t *Table) Rebind(p *source.Program) *Table {
-	return &Table{Program: p, syms: t.syms, order: t.order}
+	return &Table{Program: p, syms: t.syms, order: t.order, analyzed: true}
 }
 
 // Lookup returns the symbol for name, or nil.
@@ -168,17 +173,21 @@ func Analyze(p *source.Program) (*Table, error) {
 	if err := t.checkStmts(p.Body); err != nil {
 		return nil, err
 	}
+	t.analyzed = true
 	return t, nil
 }
 
 // resolve returns the symbol for a use, creating an implicitly typed
-// scalar if absent.
+// scalar if absent. An analyzed table is not changed: a name its
+// program does not use resolves to a symbol that is not added.
 func (t *Table) resolve(name string) *Symbol {
 	if s := t.Lookup(name); s != nil {
 		return s
 	}
 	s := &Symbol{Name: name, Type: implicitType(name)}
-	t.add(s)
+	if !t.analyzed {
+		t.add(s)
+	}
 	return s
 }
 

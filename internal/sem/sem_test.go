@@ -327,3 +327,34 @@ func TestErrorMessagesCarryPosition(t *testing.T) {
 		t.Errorf("error lacks position: %v", err)
 	}
 }
+
+// TestAnalyzedTableReadOnly: typing a name the program never uses
+// through an analyzed table, or one rebound to another program, gives
+// the implicit type and adds no symbol, so tables that share their
+// symbols can be read concurrently.
+func TestAnalyzedTableReadOnly(t *testing.T) {
+	tbl := analyze(t, `
+program p
+  integer i
+  real a(10)
+  do i = 1, 10
+    a(i) = 1.0
+  end do
+end
+`)
+	n := tbl.Len()
+	for _, tb := range []*Table{tbl, tbl.Rebind(tbl.Program)} {
+		for _, c := range []struct {
+			name string
+			want source.Type
+		}{{"k", source.TypeInteger}, {"x", source.TypeReal}} {
+			ty, err := tb.NodeType(&source.VarRef{Name: c.name}, nil)
+			if err != nil || ty != c.want {
+				t.Errorf("NodeType(%s) = %v, %v; want %v", c.name, ty, err, c.want)
+			}
+			if tb.Lookup(c.name) != nil || tb.Len() != n {
+				t.Errorf("typing %s added a symbol to an analyzed table", c.name)
+			}
+		}
+	}
+}

@@ -217,13 +217,15 @@ func Predict(p *source.Program, opt SearchOptions, cache *aggregate.SegCache) (f
 
 // childTable returns the symbol table of next, which move m made from a
 // program whose table is tbl. Unroll, interchange, distribute and fuse
-// declare nothing and introduce no name, so next inherits tbl; tile
-// declares its control variable, so next is analyzed (nil).
+// declare nothing and introduce no name, so next inherits tbl; any
+// other move (tile declares its control variable) has next analyzed
+// (nil).
 func childTable(tbl *sem.Table, m Move, next *source.Program) *sem.Table {
-	if m.Kind == "tile" {
-		return nil
+	switch m.Kind {
+	case "unroll", "interchange", "distribute", "fuse":
+		return tbl.Rebind(next)
 	}
-	return tbl.Rebind(next)
+	return nil
 }
 
 // priced is one program's pricing at the nominal assignment: the total
