@@ -61,6 +61,9 @@ type placeRecorder struct {
 	satCounts []int32
 	// dhFinish is depHeight's per-instruction finish scratch.
 	dhFinish []int
+	// visited counts the instructions, segments and path steps the
+	// passes after placement walk; each pass adds what it walks.
+	visited int
 	// mach gates the machine-derived tables above: a capture on the
 	// same compiled target (immutable, so identity is content) reuses
 	// them untouched.
@@ -221,6 +224,9 @@ type Explanation struct {
 	DepHeight int
 	// WhatIf is filled by ComputeWhatIf; nil otherwise.
 	WhatIf *WhatIf
+	// visited is the work of the passes after placement (see
+	// placeRecorder.visited), which the explain overhead guard bounds.
+	visited int
 }
 
 // EstimateExplained prices b exactly as Estimate does and returns the
@@ -230,7 +236,7 @@ type Explanation struct {
 func EstimateExplained(m *machine.Machine, b *ir.Block, opt Options) (*Explanation, error) {
 	rec := recPool.Get().(*placeRecorder)
 	defer recPool.Put(rec)
-	rec.curInstr = 0
+	rec.curInstr, rec.visited = 0, 0
 	rec.segs = rec.segs[:0]
 	sc := scratchPool.Get().(*Scratch)
 	defer scratchPool.Put(sc)
@@ -243,6 +249,7 @@ func EstimateExplained(m *machine.Machine, b *ir.Block, opt Options) (*Explanati
 	ex.buildUsage(rec)
 	ex.buildPath(b, opt, rec)
 	ex.DepHeight = depHeight(m, b, opt, rec)
+	ex.visited = rec.visited
 	return ex, nil
 }
 
@@ -283,6 +290,7 @@ func (ex *Explanation) buildOps(b *ir.Block, rec *placeRecorder) {
 	}
 	segLo := resetInt32s(rec.segLo, n, -1)
 	segHi := resetInt32s(rec.segHi, n, 0)
+	rec.visited += n + len(rec.segs)
 	for si, s := range rec.segs {
 		if segLo[s.instr] < 0 {
 			segLo[s.instr] = int32(si)
@@ -358,6 +366,7 @@ func (ex *Explanation) saturationSlot(rec *placeRecorder) int {
 	}
 	counts := resetInt32s(rec.satCounts, ex.Result.End-ex.Result.Start, 0)
 	rec.satCounts = counts
+	rec.visited += len(rec.segs)
 	for _, s := range rec.segs {
 		if s.kind != ki {
 			continue
@@ -449,6 +458,7 @@ func (ex *Explanation) buildPath(b *ir.Block, opt Options, rec *placeRecorder) {
 		cur = pred
 	}
 	rec.pathInstr, rec.pathEdge, rec.pathUnit = pi, pe, pu
+	rec.visited += n + len(pi)
 
 	// Materialize in chronological order; the earliest step's Edge (the
 	// walk's last) is already none when the chain reached an op that
@@ -493,6 +503,7 @@ func (rec *placeRecorder) buildOwnerIndex(lo, hi int) {
 	for i := range rec.owner {
 		rec.owner[i] = -1
 	}
+	rec.visited += len(rec.segs)
 	for si := range rec.segs {
 		s := &rec.segs[si]
 		if s.noncov == 0 {
@@ -595,6 +606,7 @@ func latestIssueBefore(place []int, cur int) int {
 func depHeight(m *machine.Machine, b *ir.Block, opt Options, rec *placeRecorder) int {
 	finish := resetInts(rec.dhFinish, len(b.Instrs))
 	rec.dhFinish = finish
+	rec.visited += len(b.Instrs)
 	h := 0
 	for i := range b.Instrs {
 		in := &b.Instrs[i]

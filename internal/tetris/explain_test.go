@@ -190,19 +190,28 @@ func BenchmarkExplain(b *testing.B) {
 	}
 }
 
-// explainExtraAllocs is the explain overhead budget: the objects
-// EstimateExplained may allocate per block beyond what a plain Estimate
-// allocates — the explanation and its per-op, per-kind and path arrays.
-const explainExtraAllocs = 6
+// The explain overhead budget, stated on quantities that do not move
+// with load. explainExtraAllocs bounds the objects EstimateExplained may
+// allocate per block beyond what a plain Estimate allocates — the
+// explanation and its per-op, per-kind and path arrays.
+// explainVisitsPerInstr bounds the work of the passes after placement
+// (placeRecorder.visited) per instruction of the kernel suite, 7.01
+// measured; a pass over the block, its segments or its path adds about
+// one visit per instruction.
+const (
+	explainExtraAllocs    = 6
+	explainVisitsPerInstr = 7.5
+)
 
-// BenchmarkExplainGuard enforces the explain overhead budget on a
-// quantity that does not move with load: the allocations per block of
-// EstimateExplained over plain Estimate on the kernel suite, with the
-// pooled scratch warm. Every pass over the placement that explain adds
-// builds an array, so an extra pass breaks the budget. The wall-clock
-// ratio, best of several rounds taken alternately, is reported as
-// explain/plain but not gated: on a shared 2-CPU machine it sits near
-// 2×, where scheduling noise alone decided a time budget.
+// BenchmarkExplainGuard enforces the explain overhead budget on the
+// kernel suite with the pooled scratch warm: the allocations per block
+// of EstimateExplained over plain Estimate, and the instructions,
+// segments and path steps its passes after placement visit per
+// instruction. An extra pass that builds an array breaks the first; one
+// that allocates nothing breaks the second. The wall-clock ratio, best
+// of several rounds taken alternately, is reported as explain/plain but
+// not gated: on a shared 2-CPU machine it sits near 2×, where
+// scheduling noise alone decided a time budget.
 func BenchmarkExplainGuard(b *testing.B) {
 	blocks := kernelSuiteBlocks(b)
 	m := machine.NewPOWER1()
@@ -213,11 +222,15 @@ func BenchmarkExplainGuard(b *testing.B) {
 			}
 		}
 	}
+	visits, instrs := 0, 0
 	explRun := func() {
+		visits, instrs = 0, 0
 		for _, blk := range blocks {
-			if _, err := EstimateExplained(m, blk, Options{}); err != nil {
+			ex, err := EstimateExplained(m, blk, Options{})
+			if err != nil {
 				b.Fatal(err)
 			}
+			visits, instrs = visits+ex.visited, instrs+len(blk.Instrs)
 		}
 	}
 	explRun() // warm the pooled scratch and caches before measuring either side
@@ -235,6 +248,12 @@ func BenchmarkExplainGuard(b *testing.B) {
 	}
 	b.ReportMetric(float64(expl)/float64(plain), "explain/plain")
 
+	perInstr := float64(visits) / float64(instrs)
+	b.ReportMetric(perInstr, "visits/instr")
+	if perInstr > explainVisitsPerInstr {
+		b.Fatalf("explain's passes after placement visit %.2f items per instruction, budget is %.2f",
+			perInstr, explainVisitsPerInstr)
+	}
 	perBlock := func(f func()) float64 { return testing.AllocsPerRun(reps, f) / float64(len(blocks)) }
 	extra := perBlock(explRun) - perBlock(plainRun)
 	b.ReportMetric(extra, "extra-allocs/block")
