@@ -61,3 +61,52 @@ end
 		}
 	}
 }
+
+// TestStaleEntriesBounded: stamped maps never delete, so Reset empties
+// a map holding more than staleLimit entries. Rebinding one translator
+// to 5,000 distinct programs of one nest each keeps every map within
+// staleLimit and one program's entries, and no AST node of the first
+// program.
+func TestStaleEntriesBounded(t *testing.T) {
+	m := machine.NewPOWER1()
+	var tr *Translator
+	var first *source.Program
+	one := 0 // entries a single program leaves
+	for k := 0; k < 5000; k++ {
+		p, err := source.Parse(fmt.Sprintf(`program s
+  integer i, n
+  real a(500), b(500), s
+  do i = 1, n
+    a(i + %d) = a(i) * b(i + %d) + s * b(i)
+  end do
+end
+`, k, k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := sem.Analyze(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr == nil {
+			tr, first = New(tbl, m, DefaultOptions()), p
+		} else {
+			tr.Reset(tbl, m)
+		}
+		if _, err := tr.Body(p.Body[0].(*source.DoLoop).Body, []string{"i"}); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			one = max(len(tr.vns), len(tr.memo), len(tr.subCache), len(tr.addrCache))
+		}
+	}
+	for name, n := range map[string]int{"vns": len(tr.vns), "memo": len(tr.memo), "subCache": len(tr.subCache), "addrCache": len(tr.addrCache)} {
+		if n > staleLimit+one {
+			t.Errorf("%s holds %d entries after 5,000 bindings, above %d + %d", name, n, staleLimit, one)
+		}
+	}
+	inner := first.Body[0].(*source.DoLoop).Body[0].(*source.Assign)
+	if _, ok := tr.addrCache[inner.LHS.(*source.ArrayRef)]; ok {
+		t.Error("the first program's address entry survived 4,999 Resets")
+	}
+}

@@ -247,6 +247,24 @@ func (tr *Translator) Reset(tbl *sem.Table, m *machine.Machine) {
 		clear(tr.subCache)
 		clear(tr.addrCache)
 	}
+	trim(tr.vns)
+	trim(tr.memo)
+	trim(tr.subCache)
+	trim(tr.addrCache)
+}
+
+// staleLimit bounds the entries a stamped map carries into a binding.
+const staleLimit = 1 << 13
+
+// trim empties m once it holds more than staleLimit entries. Stamped
+// entries are never deleted, so a map reused across bindings would
+// otherwise keep every key it ever held, and the AST nodes they are;
+// emptying it only after that many inserts keeps the walk's cost per
+// insert small.
+func trim[K comparable, V any](m map[K]V) {
+	if len(m) > staleLimit {
+		clear(m)
+	}
 }
 
 // Unbind drops the translator's table and every AST node it keeps, so
