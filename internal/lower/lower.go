@@ -228,8 +228,9 @@ func New(tbl *sem.Table, m *machine.Machine, opt Options) *Translator {
 // as if New had built it with its options: register numbering, the
 // name table and the AST-keyed caches restart, and their storage is
 // kept.
-// The caches restart in O(1): their entries are stamped with the
-// binding that computed them. It invalidates the last pass's view. A
+// The caches restart without walking their maps, whose entries are
+// stamped with the binding that computed them, but for an occasional
+// walk of a map grown past staleLimit. It invalidates the last pass's view. A
 // lowering cloned earlier keeps rendering unchanged: its name table is
 // left to it, and the translator starts a new one.
 func (tr *Translator) Reset(tbl *sem.Table, m *machine.Machine) {
